@@ -7,7 +7,16 @@ image-level and cluster refinement losses.
 """
 
 from .errors import ConfigError, DatasetFormatError, InputError, NumericalError, SlvError
-from .geometry import BinaryGrid, Box, clip_box, connected_components, iou, min_bounding_rect, nms
+from .geometry import (
+    BinaryGrid,
+    Box,
+    clip_box,
+    connected_components,
+    iou,
+    min_bounding_rect,
+    nms,
+    region_boxes,
+)
 from .mil import (
     Cluster,
     ClusterSet,

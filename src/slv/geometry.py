@@ -96,20 +96,33 @@ def nms(boxes: Sequence[Box], scores: Sequence[float], iou_threshold: float) -> 
     return kept
 
 
-def connected_components(grid: BinaryGrid) -> list[set[Cell]]:
-    """Partition the true cells of a binary grid into 8-connected regions.
+def _label_runs(grid: BinaryGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Horizontal runs of true cells and the 8-connected region of each.
 
-    Components are ordered by the row-major position of their first cell,
-    which makes downstream box extraction deterministic. Implemented over
-    horizontal runs with union-find, so cost scales with runs, not cells.
+    Run-based two-scan labeling (He, Chao & Suzuki, IEEE TIP 2008). Returns
+    (rows, starts, ends, labels): run k covers columns [starts[k], ends[k])
+    of row rows[k], runs are in row-major order, and labels[k] numbers the
+    regions by the row-major position of their first cell.
     """
     grid = np.asarray(grid)
     if grid.ndim != 2:
-        raise InputError(f"connected_components: expected a 2-D grid, got shape {grid.shape}")
-    grid = grid.astype(bool, copy=False)
-    height = grid.shape[0]
+        raise InputError(f"region labeling: expected a 2-D grid, got shape {grid.shape}")
+    height, width = grid.shape
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = grid.astype(bool, copy=False)
+    # Within a row the edges alternate +1 (run start) and -1 (run end).
+    edge_rows, edge_cols = np.nonzero(np.diff(padded, axis=1))
+    rows, starts, ends = edge_rows[0::2], edge_cols[0::2], edge_cols[1::2]
 
-    parent: list[int] = []
+    # The runs of the row above that touch run [s, e) under 8-connectivity,
+    # those with start <= e and end >= s, form one contiguous id range
+    # [lo, hi); row-major keys order the starts and the ends alike.
+    stride = width + 2
+    above = (rows - 1) * stride
+    lo = np.searchsorted(rows * stride + ends, above + starts, side="left")
+    hi = np.searchsorted(rows * stride + starts, above + ends, side="right")
+
+    parent = list(range(len(rows)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -117,44 +130,49 @@ def connected_components(grid: BinaryGrid) -> list[set[Cell]]:
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    linked = np.flatnonzero(hi > lo)
+    for run, first, last in zip(linked.tolist(), lo[linked].tolist(), hi[linked].tolist()):
+        for other in range(first, last):
+            ra, rb = find(run), find(other)
+            if ra != rb:
+                # The smaller id wins, so each root is its region's first run.
+                parent[max(ra, rb)] = min(ra, rb)
+    roots = np.asarray(parent, dtype=np.int64)
+    while not np.array_equal(roots[roots], roots):
+        roots = roots[roots]
+    labels = np.unique(roots, return_inverse=True)[1]
+    return rows, starts, ends, labels
 
-    all_runs: list[tuple[int, int, int]] = []  # (row, start, end) indexed by run id
-    previous: list[tuple[int, int, int]] = []  # (start, end, run id) of the row above
-    for i in range(height):
-        row = grid[i].astype(np.int8)
-        if not row.any():
-            previous = []
-            continue
-        edges = np.diff(np.concatenate(([0], row, [0])))
-        starts = np.flatnonzero(edges == 1).tolist()
-        ends = np.flatnonzero(edges == -1).tolist()
-        current: list[tuple[int, int, int]] = []
-        for s, e in zip(starts, ends):
-            run_id = len(parent)
-            parent.append(run_id)
-            all_runs.append((i, s, e))
-            current.append((s, e, run_id))
-            # 8-connectivity: a run touches a run above when the interval
-            # dilated by one pixel on each side overlaps it
-            for ps, pe, pid in previous:
-                if s - 1 < pe and ps < e + 1:
-                    union(run_id, pid)
-        previous = current
 
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    first_seen: dict[int, int] = {}
-    for run_id, run in enumerate(all_runs):
-        root = find(run_id)
-        groups.setdefault(root, []).append(run)
-        first_seen.setdefault(root, run_id)
-    return [
-        {(i, j) for i, s, e in groups[root] for j in range(s, e)}
-        for root in sorted(groups, key=lambda r: first_seen[r])
-    ]
+def region_boxes(grid: BinaryGrid) -> np.ndarray:
+    """Minimum bounding rectangles of a binary grid's 8-connected regions.
+
+    Returns a (K, 4) int64 array of (x0, y0, x1, y1) rows ordered by the
+    row-major position of each region's first cell. The rectangles come
+    straight from the runs; no region's cells are materialized.
+    """
+    rows, starts, ends, labels = _label_runs(grid)
+    out = np.empty((int(labels.max(initial=-1)) + 1, 4), dtype=np.int64)
+    out[:, :2] = np.iinfo(np.int64).max
+    out[:, 2:] = 0
+    np.minimum.at(out[:, 0], labels, starts)
+    np.minimum.at(out[:, 1], labels, rows)
+    np.maximum.at(out[:, 2], labels, ends)
+    np.maximum.at(out[:, 3], labels, rows + 1)
+    return out
+
+
+def connected_components(grid: BinaryGrid) -> list[set[Cell]]:
+    """Partition the true cells of a binary grid into 8-connected regions.
+
+    Components are ordered by the row-major position of their first cell,
+    the same order as `region_boxes`, whose run labeling this expands.
+    """
+    rows, starts, ends, labels = _label_runs(grid)
+    components: list[set[Cell]] = [set() for _ in range(int(labels.max(initial=-1)) + 1)]
+    for i, s, e, k in zip(rows.tolist(), starts.tolist(), ends.tolist(), labels.tolist()):
+        components[k].update((i, j) for j in range(s, e))
+    return components
 
 
 def min_bounding_rect(component: Iterable[Cell]) -> Box:
@@ -192,14 +210,21 @@ def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.int64)
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of the rows of two (N, 4) and (M, 4) box arrays.
+
+    With integer-valued coordinates, integer or float, intersections and
+    unions are exact, so each entry equals iou() of the same two boxes.
+    """
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
+
+
 def pairwise_iou(boxes: Sequence[Box]) -> np.ndarray:
     """(N, N) IoU matrix; matches iou() entrywise."""
     arr = boxes_to_array(boxes).astype(np.float64)
-    if not len(arr):
-        return np.zeros((0, 0))
-    x0, y0, x1, y1 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    iw = np.minimum(x1[:, None], x1[None, :]) - np.maximum(x0[:, None], x0[None, :])
-    ih = np.minimum(y1[:, None], y1[None, :]) - np.maximum(y0[:, None], y0[None, :])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    area = (x1 - x0) * (y1 - y0)
-    return inter / (area[:, None] + area[None, :] - inter)
+    return iou_matrix(arr, arr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .datasets import Dataset, DatasetRecord
-from .geometry import Box, iou
+from .geometry import Box, boxes_to_array, iou_matrix
 
 # Score model constants: full-extent proposals hold more total mass than
 # part proposals (so voting recovers the extent) while a dominant part's
@@ -96,20 +96,23 @@ def _part_box(rng: np.random.Generator, obj: Box) -> Box:
     return Box(x0, y0, x0 + w, y0 + h)
 
 
-def _jitter_box(rng: np.random.Generator, box: Box, jitter: float, size: int) -> Box:
+def _jitter_boxes(
+    rng: np.random.Generator, box: Box, n: int, jitter: float, size: int
+) -> np.ndarray:
+    """n jittered copies of a box as an (n, 4) int64 array of (x0, y0, x1, y1).
+
+    Each copy draws (dx0, dx1, dy0, dy1) in that order, fractions of the
+    box width and height; edges round half to even and clamp to the image.
+    """
     if jitter == 0.0:
-        return box
-    dx = rng.uniform(-jitter, jitter, size=2) * box.width
-    dy = rng.uniform(-jitter, jitter, size=2) * box.height
-    x0 = int(round(box.x0 + dx[0]))
-    x1 = int(round(box.x1 + dx[1]))
-    y0 = int(round(box.y0 + dy[0]))
-    y1 = int(round(box.y1 + dy[1]))
-    x0 = min(max(x0, 0), size - 1)
-    y0 = min(max(y0, 0), size - 1)
-    x1 = min(max(x1, x0 + 1), size)
-    y1 = min(max(y1, y0 + 1), size)
-    return Box(x0, y0, x1, y1)
+        return np.tile(np.array(box.as_tuple(), dtype=np.int64), (n, 1))
+    delta = rng.uniform(-jitter, jitter, size=(n, 4)) * [box.width, box.width, box.height, box.height]
+    x0, x1, y0, y1 = np.rint([box.x0, box.x1, box.y0, box.y1] + delta).astype(np.int64).T
+    x0 = np.clip(x0, 0, size - 1)
+    y0 = np.clip(y0, 0, size - 1)
+    x1 = np.minimum(np.maximum(x1, x0 + 1), size)
+    y1 = np.minimum(np.maximum(y1, y0 + 1), size)
+    return np.stack([x0, y0, x1, y1], axis=1)
 
 
 def _random_box(rng: np.random.Generator, size: int) -> Box:
@@ -118,10 +121,6 @@ def _random_box(rng: np.random.Generator, size: int) -> Box:
     x0 = int(rng.integers(0, size - w + 1))
     y0 = int(rng.integers(0, size - h + 1))
     return Box(x0, y0, x0 + w, y0 + h)
-
-
-def _wobble(rng: np.random.Generator, base: float) -> float:
-    return base * (1.0 + rng.uniform(-_SCORE_WOBBLE, _SCORE_WOBBLE))
 
 
 def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
@@ -141,24 +140,22 @@ def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
         shares = [budget // len(objects)] * len(objects)
         shares[0] += budget - sum(shares)
 
-        proposals: list[Box] = []
-        owners: list[int] = []  # object index, -1 for context proposals
-        is_part: list[bool] = []
-        for obj_idx, (obj, part, n_obj) in enumerate(zip(objects, parts, shares)):
+        groups: list[np.ndarray] = []
+        owner_class: list[int] = []  # score row of each object-owned proposal
+        owner_base: list[float] = []  # its base score
+        for obj, part, c, dom, n_obj in zip(objects, parts, classes, dominant, shares):
             n_part = max(1, int(round(_PART_SHARE * n_obj)))
             n_full = n_obj - n_part
-            for _ in range(n_full):
-                proposals.append(_jitter_box(rng, obj, config.jitter, size))
-                owners.append(obj_idx)
-                is_part.append(False)
-            for _ in range(n_part):
-                proposals.append(_jitter_box(rng, part, config.jitter, size))
-                owners.append(obj_idx)
-                is_part.append(True)
-        for _ in range(n_context):
-            proposals.append(_random_box(rng, size))
-            owners.append(-1)
-            is_part.append(False)
+            groups.append(_jitter_boxes(rng, obj, n_full, config.jitter, size))
+            groups.append(_jitter_boxes(rng, part, n_part, config.jitter, size))
+            owner_class += [c] * n_obj
+            owner_base += [_FULL_SCORE] * n_full
+            owner_base += [_PART_SCORE_DOMINANT if dom else _PART_SCORE_WEAK] * n_part
+        groups.append(
+            np.array([_random_box(rng, size).as_tuple() for _ in range(n_context)], dtype=np.int64)
+        )
+        boxes = np.concatenate(groups)
+        proposals = [Box(*row) for row in boxes.tolist()]
 
         labels = np.zeros(config.num_classes, dtype=np.int64)
         for c in classes:
@@ -166,34 +163,25 @@ def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
         positive = np.flatnonzero(labels).tolist()
 
         num = len(proposals)
+        n_owned = num - n_context
         scores = rng.uniform(0.0, _NOISE_SCORE_MAX, size=(config.num_classes, num))
-        for r in range(num):
-            owner = owners[r]
-            if owner >= 0:
-                c = classes[owner]
-                if is_part[r]:
-                    base = _PART_SCORE_DOMINANT if dominant[owner] else _PART_SCORE_WEAK
-                else:
-                    base = _FULL_SCORE
-                scores[c, r] = _wobble(rng, base)
-            else:
-                for c in positive:
-                    scores[c, r] = rng.uniform(*_CONTEXT_SCORE_RANGE)
+        wobble = 1.0 + rng.uniform(-_SCORE_WOBBLE, _SCORE_WOBBLE, size=n_owned)
+        scores[owner_class, np.arange(n_owned)] = np.array(owner_base) * wobble
+        context = rng.uniform(*_CONTEXT_SCORE_RANGE, size=(n_context, len(positive)))
+        scores[positive, n_owned:] = context.T
 
+        x0, y0, x1, y1 = boxes.T
         features = np.zeros((num, config.feature_dim))
-        for r, box in enumerate(proposals):
-            cx, cy = box.center
-            features[r, 0] = 1.0
-            features[r, 1] = cx / size
-            features[r, 2] = cy / size
-            features[r, 3] = math.log(box.width / size)
-            features[r, 4] = math.log(box.height / size)
+        features[:, 0] = 1.0
+        features[:, 1] = (x0 + x1) / 2.0 / size
+        features[:, 2] = (y0 + y1) / 2.0 / size
+        features[:, 3] = [math.log(w / size) for w in (x1 - x0).tolist()]
+        features[:, 4] = [math.log(h / size) for h in (y1 - y0).tolist()]
+        overlaps = iou_matrix(boxes, boxes_to_array(objects))
         for c in range(config.num_classes):
-            gt_c = [objects[k] for k in range(len(objects)) if classes[k] == c]
-            for r, box in enumerate(proposals):
-                overlap = max((iou(box, g) for g in gt_c), default=0.0)
-                noisy = overlap + rng.normal(0.0, config.feature_noise)
-                features[r, 5 + c] = min(max(noisy, 0.0), 1.0)
+            overlap = overlaps[:, np.asarray(classes) == c].max(axis=1, initial=0.0)
+            noisy = overlap + rng.normal(0.0, config.feature_noise, size=num)
+            features[:, 5 + c] = np.clip(noisy, 0.0, 1.0)
 
         gt_boxes: dict[int, list[Box]] = {}
         for obj, c in zip(objects, classes):

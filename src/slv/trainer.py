@@ -40,15 +40,7 @@ from .mil import (
 )
 from .geometry import nms
 from .targets import LossWeightSchedule, assign_targets, decode_offsets, loss_weight, slv_loss, total_loss
-from .voting import (
-    Supervision,
-    VoteConfig,
-    accumulate_fast,
-    generate_supervision,
-    normalize,
-    select_candidates,
-    write_pgm,
-)
+from .voting import Supervision, VoteConfig, generate_supervision, write_pgm
 
 SCORER_SCHEMA = "slv/scorer"
 TRACE_SCHEMA = "slv/trace"
@@ -405,16 +397,12 @@ def vote_dataset(
         if matrix is None:
             skipped.append(record.image_id)
             continue
+        on_map = None
+        if heatmap_dir is not None:
+            # Called within this iteration, so `record` is still this record.
+            on_map = lambda m: write_pgm(m, heatmap_dir / f"{record.image_id}_class{m.class_id}.pgm")
         sup = generate_supervision(
-            matrix, record.proposals, record.labels, record.height, record.width, config
+            matrix, record.proposals, record.labels, record.height, record.width, config, on_map
         )
         results.append((record.image_id, sup))
-        if heatmap_dir is not None:
-            for c in record.positive_classes():
-                candidates = select_candidates(matrix, record.proposals, c, config.t_score)
-                likelihood = accumulate_fast(
-                    candidates, record.proposals, matrix.data[c],
-                    record.height, record.width, class_id=c,
-                )
-                write_pgm(normalize(likelihood), heatmap_dir / f"{record.image_id}_class{c}.pgm")
     return results, skipped

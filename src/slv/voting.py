@@ -10,14 +10,14 @@ version used as its oracle. Both share the half-open pixel convention from
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import BinaryGrid, Box, boxes_to_array, connected_components, min_bounding_rect
+from .geometry import BinaryGrid, Box, boxes_to_array, region_boxes
 from .mil import ScoreMatrix, positive_classes
 
 # PASCAL VOC 2007/2012 category names, index order used for class ids.
@@ -166,7 +166,9 @@ def accumulate_fast(
         np.add.at(diff, (y0, x1), -s)
         np.add.at(diff, (y1, x0), -s)
         np.add.at(diff, (y1, x1), s)
-    acc = diff.cumsum(axis=0).cumsum(axis=1)[:height, :width]
+    np.cumsum(diff, axis=0, out=diff)
+    np.cumsum(diff, axis=1, out=diff)
+    acc = diff[:height, :width]
     # Cancellation can leave sub-ulp negatives where the exact value is 0.
     np.maximum(acc, 0.0, out=acc)
     return LikelihoodMap(acc, class_id=class_id)
@@ -215,7 +217,25 @@ def binarize(likelihood: LikelihoodMap, t_b: float) -> BinaryGrid:
 
 def vote_boxes(grid: BinaryGrid) -> list[Box]:
     """Minimum bounding rectangles of the grid's connected regions."""
-    return [min_bounding_rect(comp) for comp in connected_components(grid)]
+    return [Box(*rect) for rect in region_boxes(grid).tolist()]
+
+
+def _vote_class(
+    phi_bar: ScoreMatrix, boxes: Sequence[Box], c: int, height: int, width: int, config: VoteConfig
+) -> tuple[LikelihoodMap, list[Box]]:
+    """One class's normalized likelihood map and the boxes it votes.
+
+    A class with no candidate gets an all-zero map; an all-zero map, flagged
+    `empty`, votes no box.
+    """
+    candidates = select_candidates(phi_bar, boxes, c, config.t_score)
+    if candidates.size == 0:
+        return LikelihoodMap(np.zeros((height, width)), c, normalized=True, empty=True), []
+    likelihood = accumulate_fast(candidates, boxes, phi_bar.data[c], height, width, class_id=c)
+    normalized = normalize(likelihood)
+    if normalized.empty:
+        return normalized, []
+    return normalized, vote_boxes(binarize(normalized, config.t_b_for(c)))
 
 
 def generate_supervision(
@@ -225,6 +245,7 @@ def generate_supervision(
     height: int,
     width: int,
     config: VoteConfig,
+    on_map: Callable[[LikelihoodMap], None] | None = None,
 ) -> Supervision:
     """Vote pseudo ground-truth boxes for every positive class of an image.
 
@@ -232,6 +253,8 @@ def generate_supervision(
     spatially, normalize, binarize at the class threshold, and take the
     bounding rectangles of the surviving regions. Classes with no candidate
     or an empty map contribute no boxes; that is a valid, empty vote.
+    `on_map`, when given, receives the normalized map of every positive
+    class, all-zero for a class with no candidate.
     """
     pos = positive_classes(y)
     if not pos:
@@ -242,17 +265,11 @@ def generate_supervision(
         )
     if phi_bar.rows < len(y):
         raise InputError("generate_supervision: score matrix has no row for some class")
-    scores = phi_bar.data
     voted: dict[int, list[Box]] = {}
     for c in pos:
-        candidates = select_candidates(phi_bar, boxes, c, config.t_score)
-        if candidates.size == 0:
-            continue
-        likelihood = accumulate_fast(candidates, boxes, scores[c], height, width, class_id=c)
-        normalized = normalize(likelihood)
-        if normalized.empty:
-            continue
-        rects = vote_boxes(binarize(normalized, config.t_b_for(c)))
+        normalized, rects = _vote_class(phi_bar, boxes, c, height, width, config)
+        if on_map is not None:
+            on_map(normalized)
         if rects:
             voted[c] = rects
     return Supervision(boxes_by_class=voted)

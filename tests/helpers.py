@@ -1,6 +1,6 @@
-"""Shared test oracles: central finite differences and a literal per-pixel
-accumulation loop. These stay independent of the implementation paths they
-check."""
+"""Shared test oracles: central finite differences, a literal per-pixel
+accumulation loop and a flood-fill region labeling. These stay independent
+of the implementation paths they check."""
 
 from __future__ import annotations
 
@@ -40,3 +40,36 @@ def per_pixel_accumulate(candidates, boxes, scores, height, width) -> np.ndarray
                     total += scores[r]
             out[i, j] = total
     return out
+
+
+def flood_fill_components(grid) -> list[set[tuple[int, int]]]:
+    """8-connected regions of a binary grid by flood fill, each started from
+    its first unvisited true cell in row-major order; intentionally dumb."""
+    grid = np.asarray(grid, dtype=bool)
+    height, width = grid.shape
+    seen = np.zeros_like(grid)
+    components = []
+    for i in range(height):
+        for j in range(width):
+            if not grid[i, j] or seen[i, j]:
+                continue
+            seen[i, j] = True
+            component = {(i, j)}
+            stack = [(i, j)]
+            while stack:
+                r, c = stack.pop()
+                for rr in (r - 1, r, r + 1):
+                    for cc in (c - 1, c, c + 1):
+                        if 0 <= rr < height and 0 <= cc < width and grid[rr, cc] and not seen[rr, cc]:
+                            seen[rr, cc] = True
+                            component.add((rr, cc))
+                            stack.append((rr, cc))
+            components.append(component)
+    return components
+
+
+def bounding_rect(component) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1) of the smallest half-open box holding every cell."""
+    rows = [r for r, _ in component]
+    cols = [c for _, c in component]
+    return min(cols), min(rows), max(cols) + 1, max(rows) + 1

@@ -10,9 +10,14 @@ from slv.geometry import (
     clip_box,
     connected_components,
     iou,
+    iou_matrix,
     min_bounding_rect,
     nms,
+    pairwise_iou,
+    region_boxes,
 )
+
+from helpers import bounding_rect, flood_fill_components
 
 
 @st.composite
@@ -169,6 +174,100 @@ class TestMinBoundingRect:
             assert any(i == rect.y1 - 1 for i, _ in comp)
             assert any(j == rect.x0 for _, j in comp)
             assert any(j == rect.x1 - 1 for _, j in comp)
+
+
+@st.composite
+def grids(draw, max_side=24):
+    """Random binary grids, 1x1 up to max_side squared, at several densities
+    (0 and 1 give the all-false and all-true grids)."""
+    height = draw(st.integers(1, max_side))
+    width = draw(st.integers(1, max_side))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((height, width)) < density
+
+
+def checkerboard(height, width):
+    return np.add.outer(np.arange(height), np.arange(width)) % 2 == 0
+
+
+class TestRegionBoxes:
+    """region_boxes and connected_components against a flood-fill oracle."""
+
+    def assert_matches_oracle(self, grid):
+        oracle = flood_fill_components(grid)
+        assert region_boxes(grid).tolist() == [list(bounding_rect(c)) for c in oracle]
+        assert connected_components(grid) == oracle
+
+    @given(grids())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_flood_fill_in_first_cell_order(self, grid):
+        self.assert_matches_oracle(grid)
+
+    @given(st.integers(1, 40), st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_single_row_and_single_column(self, n, density, seed):
+        line = np.random.default_rng(seed).random(n) < density
+        self.assert_matches_oracle(line[None, :])
+        self.assert_matches_oracle(line[:, None])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9)])
+    def test_all_true_is_one_region(self, shape):
+        assert region_boxes(np.ones(shape, dtype=bool)).tolist() == [[0, 0, shape[1], shape[0]]]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (0, 3), (3, 0)])
+    def test_all_false_has_no_region(self, shape):
+        out = region_boxes(np.zeros(shape, dtype=bool))
+        assert out.shape == (0, 4) and out.dtype == np.int64
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (4, 9), (9, 4)])
+    def test_checkerboard_diagonals_join(self, shape):
+        grid = checkerboard(*shape)
+        assert region_boxes(grid).tolist() == [[0, 0, shape[1], shape[0]]]
+        self.assert_matches_oracle(grid)
+
+    def test_runs_touching_only_at_a_corner_join(self):
+        grid = np.zeros((4, 10), dtype=bool)
+        grid[0, 0:3] = True  # ends at column 2
+        grid[1, 3:6] = True  # starts at column 3: corner contact below-right
+        grid[2, 0:3] = True  # ends at column 2: corner contact below-left
+        grid[3, 4:6] = True  # column 3 empty: one past the corner, separate
+        assert region_boxes(grid).tolist() == [[0, 0, 6, 3], [4, 3, 6, 4]]
+        self.assert_matches_oracle(grid)
+
+    def test_region_order_follows_first_cell_not_first_row_run(self):
+        # The right region's first run comes first in its row, but the
+        # U shape on the left starts a row earlier.
+        grid = np.zeros((4, 8), dtype=bool)
+        grid[0:3, 0] = True
+        grid[0:3, 2] = True
+        grid[3, 0:3] = True
+        grid[1, 5:8] = True
+        assert region_boxes(grid).tolist() == [[0, 0, 3, 4], [5, 1, 8, 2]]
+        self.assert_matches_oracle(grid)
+
+    def test_non_2d_grid_errors(self):
+        with pytest.raises(InputError):
+            region_boxes(np.zeros(4, dtype=bool))
+        with pytest.raises(InputError):
+            connected_components(np.zeros((2, 2, 2), dtype=bool))
+
+
+class TestIouMatrix:
+    @given(
+        st.lists(boxes_strategy(), min_size=1, max_size=8),
+        st.lists(boxes_strategy(), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100)
+    def test_integer_matrix_matches_scalar_iou(self, a, b):
+        out = iou_matrix(boxes_to_array(a), boxes_to_array(b))
+        assert out.shape == (len(a), len(b))
+        assert out.tolist() == [[iou(p, q) for q in b] for p in a]
+
+    @given(st.lists(boxes_strategy(), max_size=8))
+    @settings(max_examples=50)
+    def test_pairwise_matches_scalar_iou(self, boxes):
+        assert pairwise_iou(boxes).tolist() == [[iou(p, q) for q in boxes] for p in boxes]
 
 
 class TestClipBox:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,28 @@ class TestGenerateSynthetic:
         save_dataset(generate_synthetic(config, seed=7), a)
         save_dataset(generate_synthetic(config, seed=7), b)
         assert a.read_bytes() == b.read_bytes()
+
+    # Digests of the seed-11 datasets as first generated by the per-proposal
+    # scalar draws; vectorized draws must keep the same random stream.
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "e968e142334228ed50f8b14710d18cdbbd5db9bd67373eb5f8c7d0fa406a2273"),
+            (
+                {"jitter": 0.0, "feature_noise": 0.0},
+                "4ca96ddc976f9d227f74e399d1c97473b38f038777c079c090fd945e4292ee8c",
+            ),
+            (
+                {"num_images": 2, "image_size": 64, "objects_per_image": 3, "proposals_per_image": 300},
+                "7f78d767aecab8cc61adc8a8069ae5a88d9c2ebd5792571e600be77c9f1730fc",
+            ),
+        ],
+    )
+    def test_pinned_dataset_digest(self, tmp_path, overrides, digest):
+        config = SyntheticSceneConfig(**{"num_images": 4, **overrides})
+        path = tmp_path / "d.jsonl"
+        save_dataset(generate_synthetic(config, seed=11), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_different_seeds_differ(self, tmp_path):
         config = SyntheticSceneConfig(num_images=3)

@@ -14,7 +14,7 @@ from slv.trainer import (
     train_toy,
     vote_dataset,
 )
-from slv.voting import VoteConfig
+from slv.voting import VoteConfig, accumulate_fast, normalize, write_pgm
 
 
 def small_synthetic(num_images=6, seed=5, **kwargs):
@@ -196,3 +196,21 @@ class TestVoteDataset:
         assert names == ["im_class0.pgm", "im_class2.pgm"]
         for name in names:
             assert (tmp_path / name).read_bytes().startswith(b"P5\n8 8\n255\n")
+
+    def test_heatmap_is_the_voted_map_and_zero_without_candidates(self, tmp_path):
+        record = DatasetRecord(
+            image_id="im",
+            height=8,
+            width=8,
+            labels=np.array([1, 1]),
+            proposals=[Box(1, 1, 5, 5), Box(3, 3, 7, 7)],
+            scores=np.array([[0.8, 0.3], [0.0, 0.0]]),
+        )
+        dataset = Dataset(records=[record], num_classes=2)
+        vote_dataset(dataset, VoteConfig(), heatmap_dir=tmp_path / "maps")
+        expected = normalize(accumulate_fast([0, 1], record.proposals, record.scores[0], 8, 8))
+        write_pgm(expected, tmp_path / "expected.pgm")
+        assert (tmp_path / "maps" / "im_class0.pgm").read_bytes() == (
+            tmp_path / "expected.pgm"
+        ).read_bytes()
+        assert (tmp_path / "maps" / "im_class1.pgm").read_bytes() == b"P5\n8 8\n255\n" + bytes(64)
