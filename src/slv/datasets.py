@@ -46,9 +46,6 @@ class DatasetRecord:
     def num_proposals(self) -> int:
         return len(self.proposals)
 
-    def positive_classes(self) -> list[int]:
-        return np.flatnonzero(np.asarray(self.labels) == 1).tolist()
-
 
 @dataclass
 class Dataset:

@@ -88,11 +88,13 @@ def nms(boxes: Sequence[Box], scores: Sequence[float], iou_threshold: float) -> 
         raise InputError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
     if not 0.0 < iou_threshold < 1.0:
         raise InputError(f"nms: iou_threshold must be in (0, 1), got {iou_threshold}")
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    arr = boxes_to_array(boxes)
+    suppressed = np.zeros(len(boxes), dtype=bool)
     kept: list[int] = []
-    for i in order:
-        if all(iou(boxes[i], boxes[j]) <= iou_threshold for j in kept):
+    for i in sorted(range(len(boxes)), key=lambda r: (-scores[r], r)):
+        if not suppressed[i]:
             kept.append(i)
+            suppressed |= iou_matrix(arr[i : i + 1], arr)[0] > iou_threshold
     return kept
 
 
@@ -215,13 +217,15 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     With integer-valued coordinates, integer or float, intersections and
     unions are exact, so each entry equals iou() of the same two boxes.
+    Clustering and NMS call it with one row at a time, so it keeps the
+    numpy call count low.
     """
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
+    ax0, ay0, ax1, ay1 = a.T[:, :, None]  # (N, 1) columns against (M,) rows
+    bx0, by0, bx1, by1 = b.T
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    inter = np.maximum(iw, 0) * np.maximum(ih, 0)
+    return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
 
 
 def pairwise_iou(boxes: Sequence[Box]) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import Box, pairwise_iou
+from .geometry import Box, boxes_to_array, iou_matrix
 
 # Normalization tags for ScoreMatrix.
 RAW = "raw"
@@ -203,24 +203,27 @@ def build_clusters(
     if scores.rows < max(pos) + 1:
         raise InputError("build_clusters: score matrix has no row for some positive class")
     data = scores.data
-    overlaps = pairwise_iou(boxes)
-    unassigned = set(range(num))
+    arr = boxes_to_array(boxes)
+    unassigned = np.ones(num, dtype=bool)
     clusters: list[Cluster] = []
     for c in pos:
-        while unassigned:
-            center = min(unassigned, key=lambda r: (-data[c, r], r))
-            if data[c, center] < center_floor:
+        candidates = np.where(unassigned, data[c], -np.inf)
+        while candidates.size:
+            # The first maximum: highest score, then lowest index. An assigned
+            # center means no proposal is left.
+            center = int(candidates.argmax())
+            if not unassigned[center] or data[c, center] < center_floor:
                 break
-            members = sorted(r for r in unassigned if overlaps[center, r] >= iou_threshold)
-            unassigned.difference_update(members)
-            clusters.append(Cluster(label=c, members=tuple(members), score=float(data[c, center])))
-    background = tuple(sorted(unassigned))
-    fg_scores = data[pos, :].max(axis=0) if background else np.zeros(0)
-    weights = np.clip(1.0 - fg_scores[list(background)], 0.0, 1.0) if background else np.zeros(0)
+            row = iou_matrix(arr[center : center + 1], arr)[0]
+            members = np.flatnonzero(unassigned & (row >= iou_threshold))
+            unassigned[members] = False
+            candidates[members] = -np.inf
+            clusters.append(Cluster(label=c, members=tuple(members.tolist()), score=float(data[c, center])))
+    background = np.flatnonzero(unassigned)
     return ClusterSet(
         clusters=tuple(clusters),
-        background=background,
-        background_weights=weights,
+        background=tuple(background.tolist()),
+        background_weights=np.clip(1.0 - data[pos][:, background].max(axis=0), 0.0, 1.0),
         num_proposals=num,
     )
 

@@ -11,13 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import Box, iou
+from .geometry import Box, boxes_to_array, iou_matrix
 from .mil import PROB_EPS, ScoreMatrix
 from .voting import Supervision
 
 IGNORED = -1  # label marker for proposals excluded from both loss terms
 
 SMOOTH_L1_BETA = 1.0
+
+# Upper clamp on the decoded log size ratios dw, dh, as in the Detectron and
+# torchvision box coders: a side grows at most 1000/16-fold, and exp never
+# overflows.
+BBOX_XFORM_CLIP = math.log(1000.0 / 16)
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,16 @@ def encode_offsets(proposal: Box, target: Box) -> np.ndarray:
 
 
 def decode_offsets_float(proposal: Box, t: Sequence[float]) -> tuple[float, float, float, float]:
-    """Inverse of encode_offsets, before clipping and pixel rounding."""
+    """Inverse of encode_offsets, before clipping and pixel rounding; dw and
+    dh are clamped at BBOX_XFORM_CLIP."""
     dx, dy, dw, dh = (float(v) for v in t)
     if not all(math.isfinite(v) for v in (dx, dy, dw, dh)):
         raise InputError("decode_offsets: offsets must be finite")
     pcx, pcy = proposal.center
     cx = pcx + dx * proposal.width
     cy = pcy + dy * proposal.height
-    w = proposal.width * math.exp(dw)
-    h = proposal.height * math.exp(dh)
+    w = proposal.width * math.exp(min(dw, BBOX_XFORM_CLIP))
+    h = proposal.height * math.exp(min(dh, BBOX_XFORM_CLIP))
     return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
 
@@ -131,24 +137,22 @@ def assign_targets(
         raise ConfigError(
             f"assign_targets: foreground threshold {fg_iou} overlaps background band ending at {hi}"
         )
-    num = len(boxes)
+    arr = boxes_to_array(boxes)
+    num = len(arr)
     labels = np.full(num, IGNORED, dtype=np.int64)
     offsets = np.zeros((num, 4), dtype=np.float64)
-    weights = np.zeros(num, dtype=np.float64)
     voted = sup.all_boxes()
     if voted:
-        for r, proposal in enumerate(boxes):
-            ious = [iou(proposal, g) for _, g in voted]
-            best = max(range(len(voted)), key=lambda m: (ious[m], -m))
-            best_iou = ious[best]
-            if best_iou >= fg_iou:
-                cls, g = voted[best]
-                labels[r] = cls
-                offsets[r] = encode_offsets(proposal, g)
-                weights[r] = 1.0
-            elif lo <= best_iou < hi:
-                labels[r] = num_classes
-                weights[r] = 1.0
+        overlaps = iou_matrix(arr, boxes_to_array([g for _, g in voted]))
+        # argmax takes the first maximum, so the lowest voted index wins ties.
+        best = overlaps.argmax(axis=1)
+        best_iou = overlaps[np.arange(num), best]
+        fg = np.flatnonzero(best_iou >= fg_iou)
+        labels[(lo <= best_iou) & (best_iou < hi)] = num_classes
+        for r, m in zip(fg.tolist(), best[fg].tolist()):
+            labels[r], g = voted[m]
+            offsets[r] = encode_offsets(boxes[r], g)
+    weights = (labels != IGNORED).astype(np.float64)
     return ProposalTargets(labels=labels, offsets=offsets, weights=weights, num_classes=num_classes)
 
 
@@ -219,11 +223,8 @@ class LossWeightSchedule:
     `ramp_length` onward. An infinite ramp keeps the weight at 0."""
 
     ramp_length: float
-    shape: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.shape != "linear":
-            raise ConfigError(f"unsupported ramp shape {self.shape!r}")
         if not self.ramp_length > 0:
             raise ConfigError(f"ramp_length must be positive, got {self.ramp_length}")
 

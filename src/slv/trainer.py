@@ -32,6 +32,7 @@ from .mil import (
     build_clusters,
     image_scores,
     mil_loss,
+    positive_classes,
     refinement_loss,
     softmax_backward,
     softmax_over_classes,
@@ -111,21 +112,44 @@ class ToyScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "ToyScorer":
+        """Read a scorer written by `save`, checking every field's presence,
+        shape against num_classes/feature_dim, and finiteness."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read scorer file {path}: {exc}") from exc
-        if payload.get("schema") != SCORER_SCHEMA:
+        if not isinstance(payload, dict) or payload.get("schema") != SCORER_SCHEMA:
             raise InputError(f"{path}: not a scorer file")
-        weights = payload["weights"]
+        c, d = payload.get("num_classes"), payload.get("feature_dim")
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (c, d)):
+            raise InputError(f"{path}: 'num_classes' and 'feature_dim' must be positive integers")
+        weights = payload.get("weights")
+        keys = ("cls", "det", "refine", "slv_cls", "slv_reg")
+        if not isinstance(weights, dict) or not all(k in weights for k in keys):
+            raise InputError(f"{path}: 'weights' must hold {', '.join(keys)}")
+        refine = weights["refine"]
+        if not isinstance(refine, list) or not refine:
+            raise InputError(f"{path}: 'weights.refine' must be a non-empty list of matrices")
+
+        def matrix(name: str, raw, rows: int) -> np.ndarray:
+            try:
+                w = np.asarray(raw, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                w = None
+            if w is None or w.shape != (rows, d):
+                raise InputError(f"{path}: 'weights.{name}' must be a {rows}x{d} matrix")
+            if not np.isfinite(w).all():
+                raise InputError(f"{path}: 'weights.{name}' contains non-finite values")
+            return w
+
         return cls(
-            num_classes=payload["num_classes"],
-            feature_dim=payload["feature_dim"],
-            w_cls=np.asarray(weights["cls"], dtype=np.float64),
-            w_det=np.asarray(weights["det"], dtype=np.float64),
-            w_refine=[np.asarray(w, dtype=np.float64) for w in weights["refine"]],
-            w_slv_cls=np.asarray(weights["slv_cls"], dtype=np.float64),
-            w_slv_reg=np.asarray(weights["slv_reg"], dtype=np.float64),
+            num_classes=c,
+            feature_dim=d,
+            w_cls=matrix("cls", weights["cls"], c),
+            w_det=matrix("det", weights["det"], c),
+            w_refine=[matrix(f"refine[{k}]", w, c + 1) for k, w in enumerate(refine)],
+            w_slv_cls=matrix("slv_cls", weights["slv_cls"], c + 1),
+            w_slv_reg=matrix("slv_reg", weights["slv_reg"], 4),
         )
 
 
@@ -196,7 +220,7 @@ def _training_records(dataset: Dataset) -> list[DatasetRecord]:
     for record in records:
         if record.features is None:
             raise InputError(f"train_toy: record {record.image_id!r} has no features")
-        if not record.positive_classes():
+        if not positive_classes(record.labels):
             raise InputError(f"train_toy: record {record.image_id!r} has no positive class")
     return records
 
@@ -368,6 +392,11 @@ def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> ScoreMatr
     """Score matrix for a record: the scorer's averaged refinement
     branches when available, else the record's embedded matrix."""
     if scorer is not None and record.features is not None:
+        if record.features.shape[1] != scorer.feature_dim:
+            raise InputError(
+                f"record {record.image_id!r} has {record.features.shape[1]} features per proposal,"
+                f" the scorer expects {scorer.feature_dim}"
+            )
         return scorer.refined_average(record.features)
     if record.scores is not None:
         return ScoreMatrix(record.scores)

@@ -122,7 +122,8 @@ def select_candidates(
 
 def _check_accumulate_inputs(
     candidates: Iterable[int], boxes: Sequence[Box], scores: np.ndarray, height: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (candidate indices, scores, (K, 4) array of the candidates' boxes)."""
     if height <= 0 or width <= 0:
         raise InputError(f"accumulate: image size must be positive, got {height}x{width}")
     scores = np.asarray(scores, dtype=np.float64)
@@ -133,13 +134,12 @@ def _check_accumulate_inputs(
         raise InputError("accumulate: candidate index out of range")
     if idx.size and (not np.isfinite(scores[idx]).all() or scores[idx].min() < 0.0):
         raise InputError("accumulate: candidate scores must be finite and non-negative")
-    for i in idx.tolist():
-        b = boxes[i]
-        if b.x1 > width or b.y1 > height:
-            raise InputError(
-                f"accumulate: box {b.as_tuple()} exceeds the {height}x{width} image; clip first"
-            )
-    return idx, scores
+    arr = boxes_to_array([boxes[i] for i in idx.tolist()])
+    outside = np.flatnonzero((arr[:, 2] > width) | (arr[:, 3] > height))
+    if outside.size:
+        b = tuple(arr[outside[0]].tolist())
+        raise InputError(f"accumulate: box {b} exceeds the {height}x{width} image; clip first")
+    return idx, scores, arr
 
 
 def accumulate_fast(
@@ -156,10 +156,9 @@ def accumulate_fast(
     an (H+1)x(W+1) grid; two prefix-sum passes spread the deposits, giving
     O(H*W + len(candidates)) total work.
     """
-    idx, scores = _check_accumulate_inputs(candidates, boxes, scores, height, width)
+    idx, scores, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
     diff = np.zeros((height + 1, width + 1), dtype=np.float64)
     if idx.size:
-        arr = boxes_to_array([boxes[i] for i in idx.tolist()])
         s = scores[idx]
         x0, y0, x1, y1 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
         np.add.at(diff, (y0, x0), s)
@@ -183,7 +182,7 @@ def accumulate_naive(
     class_id: int = 0,
 ) -> LikelihoodMap:
     """Definitional oracle for accumulate_fast: one rectangle add per box."""
-    idx, scores = _check_accumulate_inputs(candidates, boxes, scores, height, width)
+    idx, scores, _ = _check_accumulate_inputs(candidates, boxes, scores, height, width)
     acc = np.zeros((height, width), dtype=np.float64)
     for i in idx.tolist():
         b = boxes[i]

@@ -1,10 +1,15 @@
 """Shared test oracles: central finite differences, a literal per-pixel
-accumulation loop and a flood-fill region labeling. These stay independent
-of the implementation paths they check."""
+accumulation loop, a flood-fill region labeling, and scalar-IoU loops for
+greedy clustering, target assignment and NMS. These stay independent of
+the implementation paths they check."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from slv.geometry import iou
+from slv.mil import Cluster, ClusterSet
+from slv.targets import IGNORED, ProposalTargets, encode_offsets
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -73,3 +78,51 @@ def bounding_rect(component) -> tuple[int, int, int, int]:
     rows = [r for r, _ in component]
     cols = [c for _, c in component]
     return min(cols), min(rows), max(cols) + 1, max(rows) + 1
+
+
+def greedy_clusters(scores, boxes, y, iou_threshold=0.5, center_floor=0.01) -> ClusterSet:
+    """build_clusters by set walking and one scalar iou() per pair."""
+    data = scores.data
+    pos = np.flatnonzero(np.asarray(y) == 1).tolist()
+    unassigned = set(range(len(boxes)))
+    clusters = []
+    for c in pos:
+        while unassigned:
+            center = min(unassigned, key=lambda r: (-data[c, r], r))
+            if data[c, center] < center_floor:
+                break
+            members = sorted(r for r in unassigned if iou(boxes[center], boxes[r]) >= iou_threshold)
+            unassigned.difference_update(members)
+            clusters.append(Cluster(label=c, members=tuple(members), score=float(data[c, center])))
+    background = tuple(sorted(unassigned))
+    weights = [min(max(1.0 - max(data[c, r] for c in pos), 0.0), 1.0) for r in background]
+    return ClusterSet(tuple(clusters), background, np.array(weights), len(boxes))
+
+
+def matched_targets(boxes, sup, num_classes, fg_iou=0.5, bg_iou_range=(0.1, 0.5)) -> ProposalTargets:
+    """assign_targets by a per-proposal loop over the voted boxes."""
+    lo, hi = bg_iou_range
+    labels = np.full(len(boxes), IGNORED, dtype=np.int64)
+    offsets = np.zeros((len(boxes), 4))
+    weights = np.zeros(len(boxes))
+    voted = sup.all_boxes()
+    for r, proposal in enumerate(boxes if voted else []):
+        ious = [iou(proposal, g) for _, g in voted]
+        best = max(range(len(voted)), key=lambda m: (ious[m], -m))
+        if ious[best] >= fg_iou:
+            labels[r] = voted[best][0]
+            offsets[r] = encode_offsets(proposal, voted[best][1])
+            weights[r] = 1.0
+        elif lo <= ious[best] < hi:
+            labels[r] = num_classes
+            weights[r] = 1.0
+    return ProposalTargets(labels, offsets, weights, num_classes)
+
+
+def greedy_nms(boxes, scores, iou_threshold) -> list[int]:
+    """nms keeping a box only if no kept box overlaps it beyond the threshold."""
+    kept = []
+    for i in sorted(range(len(boxes)), key=lambda i: (-scores[i], i)):
+        if all(iou(boxes[i], boxes[j]) <= iou_threshold for j in kept):
+            kept.append(i)
+    return kept

@@ -213,6 +213,52 @@ class TestExitCodes:
         assert code == 2
         assert "diverged at iteration" in captured.err
 
+    def _trained_scorer(self, tmp_path, classes):
+        data_dir = tmp_path / f"data{classes}"
+        args = ["--seed", "3", "--out", data_dir] + GENERATE_ARGS + ["--classes", str(classes)]
+        assert run(args)[0] == 0
+        train_dir = tmp_path / f"train{classes}"
+        dataset = data_dir / "dataset.jsonl"
+        assert run(["--out", train_dir, "train", dataset, "--iterations", "2"])[0] == 0
+        return dataset, train_dir / "scorer.json"
+
+    def _vote_is_one(self, tmp_path, capsys, dataset, scorer, message):
+        for command in ("vote", "compare-schemes"):
+            code, captured = run(["--out", tmp_path / "v", command, dataset, "--scorer", scorer], capsys)
+            assert code == 1
+            assert captured.err.startswith("error: ") and message in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_scorer_with_mis_shaped_refine_weights_is_one(self, tmp_path, capsys):
+        dataset, scorer = self._trained_scorer(tmp_path, 2)
+        payload = json.loads(scorer.read_text())
+        payload["weights"]["refine"][0] = [row[:-1] for row in payload["weights"]["refine"][0]]
+        scorer.write_text(json.dumps(payload))
+        self._vote_is_one(tmp_path, capsys, dataset, scorer, "weights.refine[0]")
+
+    def test_scorer_missing_weights_is_one(self, tmp_path, capsys):
+        dataset, scorer = self._trained_scorer(tmp_path, 2)
+        payload = json.loads(scorer.read_text())
+        del payload["weights"]["slv_cls"]
+        scorer.write_text(json.dumps(payload))
+        self._vote_is_one(tmp_path, capsys, dataset, scorer, "slv_cls")
+
+    def test_scorer_from_other_class_count_is_one(self, tmp_path, capsys):
+        dataset, _ = self._trained_scorer(tmp_path, 2)
+        _, scorer = self._trained_scorer(tmp_path, 3)
+        self._vote_is_one(tmp_path, capsys, dataset, scorer, "features per proposal")
+
+    def test_huge_learning_rate_detections_do_not_overflow(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run(["--seed", "3", "--out", data_dir] + GENERATE_ARGS)[0] == 0
+        code, captured = run(
+            ["--out", tmp_path / "t", "train", data_dir / "dataset.jsonl",
+             "--iterations", "3", "--lr", "1e7", "--emit-detections"],
+            capsys,
+        )
+        assert code == 0, captured.err
+        assert (tmp_path / "t" / "detections.jsonl").exists()
+
     def test_bad_config_json_is_one(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text("{broken")

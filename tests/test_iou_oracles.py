@@ -1,0 +1,134 @@
+"""Clustering, target assignment and NMS against their scalar-IoU oracles
+on tie-heavy inputs: duplicate boxes, equal scores, and IoU exactly at the
+0.1, 0.3 and 0.5 thresholds."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slv.geometry import Box, iou, nms
+from slv.mil import ScoreMatrix, build_clusters
+from slv.synthetic import SyntheticSceneConfig, generate_synthetic
+from slv.targets import assign_targets
+from slv.voting import Supervision, VoteConfig, generate_supervision
+
+from helpers import greedy_clusters, greedy_nms, matched_targets
+
+# Pairs among these meet at IoU exactly 0.1 (1 vs 10 wide), 0.3 (3 vs 10),
+# 0.5 (1 vs 2, 5 vs 10, 10x1 vs 10x2) and 1/3, 0.2, 0.25, ...
+TIE_BOXES = [
+    Box(0, 0, 1, 1),
+    Box(0, 0, 2, 1),
+    Box(0, 0, 3, 1),
+    Box(0, 0, 5, 1),
+    Box(0, 0, 10, 1),
+    Box(0, 0, 10, 2),
+    Box(5, 0, 10, 1),
+    Box(1, 0, 3, 1),
+]
+THRESHOLDS = st.sampled_from([0.1, 0.3, 0.5])
+SCORES = st.sampled_from([0.0, 0.005, 0.01, 0.2, 0.5, 0.9])
+
+small_boxes = st.builds(
+    lambda x, y, w, h: Box(x, y, x + w, y + h),
+    st.integers(0, 6), st.integers(0, 6), st.integers(1, 4), st.integers(1, 4),
+)
+tie_boxes = st.one_of(st.sampled_from(TIE_BOXES), small_boxes)
+# Drawing from a small pool makes exact duplicates common.
+box_lists = st.lists(tie_boxes, min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=14)
+)
+
+
+def assert_same_clusters(got, want):
+    assert got.clusters == want.clusters
+    assert got.background == want.background
+    assert np.array_equal(got.background_weights, want.background_weights)
+    assert got.num_proposals == want.num_proposals
+
+
+def assert_same_targets(got, want):
+    assert got.labels.tolist() == want.labels.tolist()
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.weights, want.weights)
+
+
+def test_tie_boxes_hit_every_threshold_exactly():
+    values = {iou(a, b) for a in TIE_BOXES for b in TIE_BOXES}
+    assert {0.1, 0.3, 0.5} <= values
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_build_clusters_matches_oracle(data):
+    boxes = data.draw(box_lists)
+    num_classes = data.draw(st.integers(1, 3))
+    y = data.draw(st.lists(st.integers(0, 1), min_size=num_classes, max_size=num_classes).filter(any))
+    row = st.lists(SCORES, min_size=len(boxes), max_size=len(boxes))
+    scores = ScoreMatrix(np.array(data.draw(st.lists(row, min_size=num_classes, max_size=num_classes))))
+    threshold = data.draw(THRESHOLDS)
+    floor = data.draw(st.sampled_from([0.01, 0.5]))
+    y = np.array(y)
+    assert_same_clusters(
+        build_clusters(scores, boxes, y, threshold, floor),
+        greedy_clusters(scores, boxes, y, threshold, floor),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_assign_targets_matches_oracle(data):
+    boxes = data.draw(box_lists)
+    num_classes = data.draw(st.integers(1, 3))
+    classes = data.draw(st.sets(st.integers(0, num_classes - 1)))
+    sup = Supervision({c: data.draw(st.lists(tie_boxes, max_size=4)) for c in sorted(classes)})
+    fg_iou, bg_range = data.draw(
+        st.sampled_from([(0.5, (0.1, 0.5)), (0.3, (0.1, 0.3)), (0.5, (0.0, 0.3)), (0.3, (0.0, 0.1))])
+    )
+    assert_same_targets(
+        assign_targets(boxes, sup, num_classes, fg_iou, bg_range),
+        matched_targets(boxes, sup, num_classes, fg_iou, bg_range),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_nms_matches_oracle(data):
+    boxes = data.draw(box_lists)
+    scores = data.draw(st.lists(SCORES, min_size=len(boxes), max_size=len(boxes)))
+    threshold = data.draw(THRESHOLDS)
+    assert nms(boxes, scores, threshold) == greedy_nms(boxes, scores, threshold)
+
+
+def test_no_proposals():
+    y = np.array([1])
+    assert_same_clusters(
+        build_clusters(ScoreMatrix(np.zeros((1, 0))), [], y),
+        greedy_clusters(ScoreMatrix(np.zeros((1, 0))), [], y),
+    )
+    sup = Supervision({0: [Box(0, 0, 2, 2)]})
+    assert_same_targets(assign_targets([], sup, 1), matched_targets([], sup, 1))
+    assert nms([], [], 0.5) == []
+
+
+def test_dense_synthetic_records_match_oracles():
+    config = SyntheticSceneConfig(
+        num_images=2, image_size=64, proposals_per_image=300, objects_per_image=3
+    )
+    dataset = generate_synthetic(config, 5)
+    for record in dataset:
+        scores = ScoreMatrix(record.scores)
+        assert_same_clusters(
+            build_clusters(scores, record.proposals, record.labels),
+            greedy_clusters(scores, record.proposals, record.labels),
+        )
+        sup = generate_supervision(
+            scores, record.proposals, record.labels, record.height, record.width, VoteConfig()
+        )
+        assert not sup.is_empty
+        assert_same_targets(
+            assign_targets(record.proposals, sup, dataset.num_classes),
+            matched_targets(record.proposals, sup, dataset.num_classes),
+        )
+        top = record.scores.max(axis=0).tolist()
+        assert nms(record.proposals, top, 0.3) == greedy_nms(record.proposals, top, 0.3)

@@ -6,6 +6,7 @@ import pytest
 from slv.datasets import save_dataset
 from slv.errors import ConfigError
 from slv.geometry import iou
+from slv.mil import positive_classes
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 
 
@@ -14,7 +15,7 @@ def top_proposal_ious(dataset):
     against the best ground-truth box of that class."""
     out = []
     for record in dataset:
-        for c in record.positive_classes():
+        for c in positive_classes(record.labels):
             r = int(np.argmax(record.scores[c]))
             out.append(max(iou(record.proposals[r], g) for g in record.gt_boxes[c]))
     return out
@@ -71,7 +72,7 @@ class TestGenerateSynthetic:
             assert record.scores.shape == (4, r)
             assert record.scores.min() >= 0.0 and record.scores.max() <= 1.0
             assert record.labels.shape == (4,)
-            assert record.positive_classes()
+            assert positive_classes(record.labels)
             for box in record.proposals:
                 assert box.x1 <= 64 and box.y1 <= 64
             for c, gts in record.gt_boxes.items():

@@ -75,6 +75,12 @@ class TestEncodeDecode:
         # shift fully past the right border
         assert decode_offsets(p, np.array([5.0, 0.0, 0.0, 0.0]), 100, 100) is None
 
+    def test_huge_size_offsets_clamped_not_overflowing(self):
+        p = Box(10, 10, 26, 18)
+        x0, y0, x1, y1 = decode_offsets_float(p, [0.0, 0.0, 1000.0, 1000.0])
+        assert (x1 - x0, y1 - y0) == pytest.approx((16 * 1000 / 16, 8 * 1000 / 16))
+        assert decode_offsets(p, np.array([0.0, 0.0, 1000.0, 0.0]), 100, 100) == Box(0, 10, 100, 18)
+
     def test_non_finite_offsets_rejected(self):
         with pytest.raises(InputError):
             decode_offsets(Box(0, 0, 5, 5), np.array([np.nan, 0, 0, 0]), 10, 10)

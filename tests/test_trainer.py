@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import (
     ToyScorer,
     TrainConfig,
+    resolve_scores,
     run_inference,
     train_toy,
     vote_dataset,
@@ -142,6 +145,41 @@ class TestScorerPersistence:
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(InputError):
             ToyScorer.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["weights"]["refine"][1].pop(), "weights.refine[1]"),
+            (lambda p: p["weights"]["slv_reg"][0].append(0.0), "weights.slv_reg"),
+            (lambda p: p["weights"].pop("slv_cls"), "slv_cls"),
+            (lambda p: p["weights"].update(refine=[]), "weights.refine"),
+            (lambda p: p["weights"]["det"][0].__setitem__(0, float("nan")), "non-finite"),
+            (lambda p: p["weights"]["cls"][0].__setitem__(0, "x"), "weights.cls"),
+            (lambda p: p.update(num_classes=True), "num_classes"),
+            (lambda p: p.update(feature_dim=p["feature_dim"] + 1), "weights.cls"),
+        ],
+        ids=[
+            "refine-row-short", "slv-reg-wide", "slv-cls-missing", "refine-empty",
+            "det-nan", "cls-string", "num-classes-bool", "feature-dim-off",
+        ],
+    )
+    def test_load_checks_keys_shapes_and_finiteness(self, tmp_path, edit, message):
+        dataset = small_synthetic(num_images=1)
+        path = tmp_path / "scorer.json"
+        dim = dataset.records[0].features.shape[1]
+        ToyScorer.initialize(3, dim, np.random.default_rng(0)).save(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match=re.escape(message)):
+            ToyScorer.load(path)
+
+    def test_feature_width_mismatch_rejected(self):
+        dataset = small_synthetic(num_images=1)
+        dim = dataset.records[0].features.shape[1]
+        scorer = ToyScorer.initialize(3, dim + 1, np.random.default_rng(0))
+        with pytest.raises(InputError, match="features per proposal"):
+            resolve_scores(dataset.records[0], scorer)
 
 
 class TestInference:
