@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .datasets import (
     save_detections,
     save_pseudo_labels,
 )
-from .errors import InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .evaluation import ALL_POINTS, ELEVEN_POINT, evaluate_detections, format_report
 from .schemes import compare_schemes, format_scheme_report
 from .synthetic import SyntheticSceneConfig, generate_synthetic
@@ -103,7 +102,7 @@ def _load_config(path: Path | None) -> dict:
         return {}
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path}: invalid JSON: {exc}") from exc
@@ -112,16 +111,30 @@ def _load_config(path: Path | None) -> dict:
     return config
 
 
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
+    return section
+
+
 def _pick(cli_value, section: dict, key: str, default):
+    """The command-line value, else the config value, else the default. A
+    config value must have the default's JSON type; an integer passes for
+    a float."""
     if cli_value is not None:
         return cli_value
-    if key in section:
-        return section[key]
-    return default
+    if key not in section:
+        return default
+    value = section[key]
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"config key {key!r} must be of type {type(default).__name__}, got {value!r}")
+    return value
 
 
 def _vote_config(args, config: dict) -> VoteConfig:
-    section = dict(config.get("vote", {}))
+    section = _section(config, "vote")
     preset = getattr(args, "preset", None) or section.get("preset")
     if preset not in (None, "voc2007"):
         raise InputError(f"unknown vote preset {preset!r}")
@@ -130,7 +143,10 @@ def _vote_config(args, config: dict) -> VoteConfig:
     if per_class is None:
         per_class = base.t_b_per_class
     else:
-        per_class = {int(k): float(v) for k, v in per_class.items()}
+        try:
+            per_class = {int(k): float(v) for k, v in dict(per_class).items()}
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key 't_b_per_class' must map class ids to numbers, got {per_class!r}") from None
     return VoteConfig(
         t_score=_pick(getattr(args, "t_score", None), section, "t_score", base.t_score),
         t_b_default=_pick(getattr(args, "t_b", None), section, "t_b_default", base.t_b_default),
@@ -139,7 +155,7 @@ def _vote_config(args, config: dict) -> VoteConfig:
 
 
 def _cmd_generate(args, config: dict) -> int:
-    section = dict(config.get("synthetic", {}))
+    section = _section(config, "synthetic")
     scene = SyntheticSceneConfig(
         num_images=_pick(args.images, section, "num_images", 50),
         image_size=_pick(args.size, section, "image_size", 96),
@@ -148,7 +164,7 @@ def _cmd_generate(args, config: dict) -> int:
         proposals_per_image=_pick(args.proposals, section, "proposals_per_image", 40),
         jitter=_pick(args.jitter, section, "jitter", 0.05),
         part_bias=_pick(args.bias, section, "part_bias", 0.9),
-        feature_noise=section.get("feature_noise", 0.05),
+        feature_noise=_pick(None, section, "feature_noise", 0.05),
     )
     dataset = generate_synthetic(scene, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -159,14 +175,16 @@ def _cmd_generate(args, config: dict) -> int:
 
 
 def _train_config(args, config: dict) -> TrainConfig:
-    section = dict(config.get("train", {}))
-    ramp = _pick(args.ramp, section, "ramp_length", 100.0)
-    if isinstance(ramp, str):
-        ramp = math.inf if ramp == "inf" else float(ramp)
+    section = _section(config, "train")
+    ramp = section.get("ramp_length", 100.0) if args.ramp is None else args.ramp
+    try:
+        ramp = float(ramp)  # a string such as "inf" or "50" is allowed
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key 'ramp_length' must be a number or a numeric string, got {ramp!r}") from None
     return TrainConfig(
         iterations=_pick(args.iterations, section, "iterations", 200),
         learning_rate=_pick(args.lr, section, "learning_rate", 1.0),
-        ramp_length=float(ramp),
+        ramp_length=ramp,
         mil_only=bool(args.mil_only or section.get("mil_only", False)),
         vote=_vote_config(args, config),
         init_seed=args.seed,
@@ -184,7 +202,7 @@ def _cmd_train(args, config: dict) -> int:
     print(f"trained {train_config.iterations} iterations on {len(dataset)} records")
     print(f"loss_total first {first.loss_total:.6f} last {last.loss_total:.6f}")
     if args.emit_detections:
-        section = dict(config.get("train", {}))
+        section = _section(config, "train")
         detections = run_inference(
             scorer,
             dataset,
@@ -232,7 +250,7 @@ def _cmd_compare_schemes(args, config: dict) -> int:
 
 
 def _cmd_evaluate(args, config: dict) -> int:
-    section = dict(config.get("evaluate", {}))
+    section = _section(config, "evaluate")
     dataset = load_dataset(args.dataset)
     detections = load_detections(args.detections)
     for d in detections:

@@ -26,6 +26,8 @@ DATASET_SCHEMA = "slv/dataset"
 PSEUDO_LABEL_SCHEMA = "slv/pseudo-labels"
 DETECTIONS_SCHEMA = "slv/detections"
 SCHEMA_VERSION = 1
+# JPEG's limit; larger sides would make vote grids that cannot be allocated.
+MAX_IMAGE_SIDE = 65535
 
 
 @dataclass
@@ -84,8 +86,8 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             raise DatasetFormatError(f"{where}: missing field {key!r}")
     image_id = str(obj["id"])
     height, width = obj["height"], obj["width"]
-    if not (isinstance(height, int) and isinstance(width, int) and height > 0 and width > 0):
-        raise DatasetFormatError(f"{where}: field 'height'/'width' must be positive integers")
+    if not all(isinstance(v, int) and 0 < v <= MAX_IMAGE_SIDE for v in (height, width)):
+        raise DatasetFormatError(f"{where}: field 'height'/'width' must be integers in [1, {MAX_IMAGE_SIDE}]")
     labels = np.asarray(obj["labels"])
     if labels.shape != (num_classes,) or not np.isin(labels, (0, 1)).all():
         raise DatasetFormatError(
@@ -150,7 +152,7 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
 def _read_header(path: Path, expected_schema: str) -> tuple[dict, list[tuple[int, str]]]:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     lines = [(n + 1, line) for n, line in enumerate(text.splitlines()) if line.strip()]
     if not lines:
@@ -192,13 +194,17 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DatasetFormatError(f"{path}:1: header field 'feature_dim' must be a positive integer")
     class_names = header.get("class_names")
     if class_names is not None:
-        if len(class_names) != num_classes:
+        if not isinstance(class_names, list) or len(class_names) != num_classes:
             raise DatasetFormatError(f"{path}:1: header field 'class_names' length mismatch")
         class_names = tuple(str(n) for n in class_names)
-    records = [
-        _record_from_json(obj, num_classes, feature_dim, f"{path}:{lineno}")
-        for lineno, obj in _parse_lines(path, lines)
-    ]
+    records = []
+    for lineno, obj in _parse_lines(path, lines):
+        try:
+            records.append(_record_from_json(obj, num_classes, feature_dim, f"{path}:{lineno}"))
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:  # a field of the wrong JSON type, or a ragged array
+            raise DatasetFormatError(f"{path}:{lineno}: malformed record: {exc}") from None
     seen: set[str] = set()
     for record in records:
         if record.image_id in seen:

@@ -77,8 +77,8 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def nms(boxes: Sequence[Box], scores: Sequence[float], iou_threshold: float) -> list[int]:
-    """Greedy non-maximum suppression.
+def nms(boxes: Sequence[Box] | np.ndarray, scores: Sequence[float], iou_threshold: float) -> list[int]:
+    """Greedy non-maximum suppression over Boxes or an (N, 4) box array.
 
     Returns the retained indices sorted by descending score; equal scores
     are broken by lower index. A box is suppressed when its IoU with an
@@ -205,8 +205,11 @@ def clip_box(b: Box | tuple[int, int, int, int], height: int, width: int) -> Box
     return Box(cx0, cy0, cx1, cy1)
 
 
-def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
-    """Stack boxes into an (N, 4) int64 array of (x0, y0, x1, y1) rows."""
+def boxes_to_array(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
+    """Stack boxes into an (N, 4) int64 array of (x0, y0, x1, y1) rows; an
+    (N, 4) array passes through."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
     if not boxes:
         return np.zeros((0, 4), dtype=np.int64)
     return np.array([b.as_tuple() for b in boxes], dtype=np.int64)

@@ -194,6 +194,8 @@ def build_clusters(
     Leftover proposals form the background cluster, each weighted by one
     minus its best positive-class score.
     """
+    if not 0.0 < iou_threshold <= 1.0:  # above 1 a seed never absorbs itself
+        raise InputError(f"build_clusters: iou_threshold must be in (0, 1], got {iou_threshold}")
     pos = positive_classes(y)
     if not pos:
         raise InputError("build_clusters: image has no positive class")
@@ -243,27 +245,38 @@ def refinement_loss(phi_k: ScoreMatrix, clusters: ClusterSet) -> tuple[float, np
     if phi_k.rows < 2:
         raise InputError("refinement_loss: matrix needs class rows plus a background row")
     bg_row = phi_k.rows - 1
-    grad = np.zeros_like(probs)
+    cs = clusters.clusters
+    # Clusters before the first one without a class row are checked first, so
+    # an error names the first bad cluster.
+    ok = next((n for n, c in enumerate(cs) if c.label >= bg_row), len(cs))
+    labels = np.array([c.label for c in cs[:ok]], dtype=np.int64)
+    sizes = np.array([c.size for c in cs[:ok]], dtype=np.int64)
+    means = np.array([probs[c.label, c.members].sum() for c in cs[:ok]], dtype=np.float64) / sizes
+    bad = np.flatnonzero(np.isnan(means))
+    if bad.size:
+        raise NumericalError(f"refinement_loss: bad log argument in cluster {bad[0]}")
+    if ok < len(cs):
+        raise InputError(f"refinement_loss: cluster {ok} labeled {cs[ok].label} has no row")
+    background = np.array(clusters.background, dtype=np.int64)
+    p = probs[bg_row, background]
+    bad = np.flatnonzero(np.isnan(p))
+    if bad.size:
+        raise NumericalError(
+            f"refinement_loss: bad log argument for background proposal {background[bad[0]]}"
+        )
+    scores = np.array([c.score for c in cs], dtype=np.float64)
+    weights = clusters.background_weights
+    cluster_terms = scores * sizes * np.log(np.clip(means, PROB_EPS, 1.0 - PROB_EPS))
     total = 0.0
-    for n, cluster in enumerate(clusters.clusters):
-        if cluster.label >= bg_row:
-            raise InputError(f"refinement_loss: cluster {n} labeled {cluster.label} has no row")
-        members = list(cluster.members)
-        mean_score = probs[cluster.label, members].sum() / cluster.size
-        arg = np.clip(mean_score, PROB_EPS, 1.0 - PROB_EPS)
-        if not np.isfinite(arg) or arg <= 0.0:
-            raise NumericalError(f"refinement_loss: bad log argument in cluster {n}")
-        total += cluster.score * cluster.size * np.log(arg)
-        if PROB_EPS < mean_score < 1.0 - PROB_EPS:
-            grad[cluster.label, members] -= cluster.score / (num * mean_score)
-    for r, weight in zip(clusters.background, clusters.background_weights):
-        p = probs[bg_row, r]
-        arg = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-        if not np.isfinite(arg) or arg <= 0.0:
-            raise NumericalError(f"refinement_loss: bad log argument for background proposal {r}")
-        total += weight * np.log(arg)
-        if PROB_EPS < p < 1.0 - PROB_EPS:
-            grad[bg_row, r] -= weight / (num * p)
+    # Added one by one, clusters then background: np.sum would sum pairwise.
+    for v in np.concatenate([cluster_terms, weights * np.log(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))]).tolist():
+        total += v
+    grad = np.zeros_like(probs)
+    hit = np.flatnonzero((PROB_EPS < means) & (means < 1.0 - PROB_EPS))
+    cols = [r for n in hit.tolist() for r in cs[n].members]
+    grad[np.repeat(labels[hit], sizes[hit]), cols] -= np.repeat(scores[hit] / (num * means[hit]), sizes[hit])
+    inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
+    grad[bg_row, background[inside]] -= weights[inside] / (num * p[inside])
     return -total / num, grad
 
 

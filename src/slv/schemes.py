@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, DatasetRecord
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .geometry import Box, iou
 from .mil import ScoreMatrix, build_clusters, positive_classes
 from .voting import VoteConfig, generate_supervision
@@ -82,6 +82,8 @@ def compare_schemes(
     class in its image; the statistic is the mean of those best IoUs, per
     class and overall. Requires ground truth on every record.
     """
+    if not 0.0 < cluster_iou <= 1.0:
+        raise ConfigError(f"compare_schemes: cluster_iou must be in (0, 1], got {cluster_iou}")
     vote_config = vote_config or VoteConfig()
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
     for record in sorted(dataset.records, key=lambda r: r.image_id):

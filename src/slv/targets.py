@@ -65,56 +65,62 @@ class ProposalTargets:
         return int(self.foreground_mask.sum())
 
 
-def encode_offsets(proposal: Box, target: Box) -> np.ndarray:
-    """Center/size offsets (dx, dy, dw, dh) mapping proposal onto target.
+def encode_boxes(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(N, 4) offsets (dx, dy, dw, dh) mapping each row of an (N, 4)
+    proposal array onto the same row of a target array.
 
     dx, dy are center shifts normalized by the proposal size; dw, dh are
-    log size ratios. Class-agnostic: four values per proposal.
+    log size ratios. Class-agnostic: four values per proposal. The logs are
+    scalar math.log calls, which numpy's vector log may differ from by one ulp.
     """
-    pcx, pcy = proposal.center
-    gcx, gcy = target.center
-    return np.array(
-        [
-            (gcx - pcx) / proposal.width,
-            (gcy - pcy) / proposal.height,
-            math.log(target.width / proposal.width),
-            math.log(target.height / proposal.height),
-        ]
-    )
+    sizes = proposals[:, 2:] - proposals[:, :2]
+    shifts = ((targets[:, :2] + targets[:, 2:]) / 2.0 - (proposals[:, :2] + proposals[:, 2:]) / 2.0) / sizes
+    ratios = (targets[:, 2:] - targets[:, :2]) / sizes
+    return np.hstack([shifts, np.reshape([math.log(v) for v in ratios.ravel().tolist()], (-1, 2))])
+
+
+def encode_offsets(proposal: Box, target: Box) -> np.ndarray:
+    """encode_boxes for one proposal and its target."""
+    return encode_boxes(boxes_to_array([proposal]), boxes_to_array([target]))[0]
+
+
+def decode_boxes_float(proposals: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Inverse of encode_boxes: (N, 4) float (x0, y0, x1, y1) rows, before
+    clipping and pixel rounding; dw and dh are clamped at BBOX_XFORM_CLIP."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise InputError("decode_offsets: offsets must be finite")
+    sizes = proposals[:, 2:] - proposals[:, :2]
+    with np.errstate(over="ignore"):  # a huge shift gives an infinite box, empty after clipping
+        centers = (proposals[:, :2] + proposals[:, 2:]) / 2.0 + t[:, :2] * sizes
+    scales = [math.exp(v) for v in np.minimum(t[:, 2:], BBOX_XFORM_CLIP).ravel().tolist()]
+    half = sizes * np.reshape(scales, (-1, 2)) / 2.0
+    return np.hstack([centers - half, centers + half])
+
+
+def decode_boxes(proposals: np.ndarray, t: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Apply offsets to every proposal row, clip to the image, round to pixels.
+
+    Returns (N, 4) int64 rows; a row with x0 >= x1 or y0 >= y1 is empty
+    after clipping (an invalid detection the caller should drop).
+    """
+    decoded = decode_boxes_float(proposals, t)
+    clipped = np.minimum(np.maximum(decoded, 0.0), [float(width), float(height)] * 2)
+    return np.floor(clipped + 0.5).astype(np.int64)
 
 
 def decode_offsets_float(proposal: Box, t: Sequence[float]) -> tuple[float, float, float, float]:
-    """Inverse of encode_offsets, before clipping and pixel rounding; dw and
-    dh are clamped at BBOX_XFORM_CLIP."""
-    dx, dy, dw, dh = (float(v) for v in t)
-    if not all(math.isfinite(v) for v in (dx, dy, dw, dh)):
-        raise InputError("decode_offsets: offsets must be finite")
-    pcx, pcy = proposal.center
-    cx = pcx + dx * proposal.width
-    cy = pcy + dy * proposal.height
-    w = proposal.width * math.exp(min(dw, BBOX_XFORM_CLIP))
-    h = proposal.height * math.exp(min(dh, BBOX_XFORM_CLIP))
-    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+    """decode_boxes_float for one proposal and its offsets."""
+    return tuple(decode_boxes_float(boxes_to_array([proposal]), np.reshape(t, (1, 4)))[0].tolist())
 
 
 def decode_offsets(proposal: Box, t: Sequence[float], height: int, width: int) -> Box | None:
-    """Apply offsets to a proposal, clip to the image, round to pixels.
-
-    Returns None when the decoded box is empty after clipping (an invalid
-    detection the caller should drop).
-    """
-    x0, y0, x1, y1 = decode_offsets_float(proposal, t)
-    x0 = min(max(x0, 0.0), float(width))
-    y0 = min(max(y0, 0.0), float(height))
-    x1 = min(max(x1, 0.0), float(width))
-    y1 = min(max(y1, 0.0), float(height))
-    ix0 = int(math.floor(x0 + 0.5))
-    iy0 = int(math.floor(y0 + 0.5))
-    ix1 = int(math.floor(x1 + 0.5))
-    iy1 = int(math.floor(y1 + 0.5))
-    if ix0 >= ix1 or iy0 >= iy1:
+    """decode_boxes for one proposal and its offsets; None when the decoded
+    box is empty after clipping."""
+    x0, y0, x1, y1 = decode_boxes(boxes_to_array([proposal]), np.reshape(t, (1, 4)), height, width)[0].tolist()
+    if x0 >= x1 or y0 >= y1:
         return None
-    return Box(ix0, iy0, ix1, iy1)
+    return Box(x0, y0, x1, y1)
 
 
 def assign_targets(
@@ -143,15 +149,15 @@ def assign_targets(
     offsets = np.zeros((num, 4), dtype=np.float64)
     voted = sup.all_boxes()
     if voted:
-        overlaps = iou_matrix(arr, boxes_to_array([g for _, g in voted]))
+        voted_arr = boxes_to_array([g for _, g in voted])
+        overlaps = iou_matrix(arr, voted_arr)
         # argmax takes the first maximum, so the lowest voted index wins ties.
         best = overlaps.argmax(axis=1)
         best_iou = overlaps[np.arange(num), best]
-        fg = np.flatnonzero(best_iou >= fg_iou)
+        fg = best_iou >= fg_iou
         labels[(lo <= best_iou) & (best_iou < hi)] = num_classes
-        for r, m in zip(fg.tolist(), best[fg].tolist()):
-            labels[r], g = voted[m]
-            offsets[r] = encode_offsets(boxes[r], g)
+        labels[fg] = np.array([c for c, _ in voted])[best[fg]]
+        offsets[fg] = encode_boxes(arr[fg], voted_arr[best[fg]])
     weights = (labels != IGNORED).astype(np.float64)
     return ProposalTargets(labels=labels, offsets=offsets, weights=weights, num_classes=num_classes)
 
@@ -195,16 +201,15 @@ def slv_loss(
     valid = np.flatnonzero(targets.valid_mask)
     if valid.size == 0:
         return 0.0, grad_scores, grad_offsets, True
-    probs = phi_s.data
+    labels = targets.labels[valid]
+    p = phi_s.data[labels, valid]
     cls_loss = 0.0
-    for r in valid.tolist():
-        label = int(targets.labels[r])
-        p = probs[label, r]
-        clamped = float(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
+    # Subtracted one by one in proposal order, as the loss has always summed.
+    for clamped in np.clip(p, PROB_EPS, 1.0 - PROB_EPS).tolist():
         cls_loss -= math.log(clamped)
-        if PROB_EPS < p < 1.0 - PROB_EPS:
-            grad_scores[label, r] = -1.0 / (valid.size * p)
     cls_loss /= valid.size
+    inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
+    grad_scores[labels[inside], valid[inside]] = -1.0 / (valid.size * p[inside])
     fg = np.flatnonzero(targets.foreground_mask)
     loc_loss = 0.0
     if fg.size:

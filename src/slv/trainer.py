@@ -39,8 +39,8 @@ from .mil import (
     softmax_over_proposals,
     wsddn_scores,
 )
-from .geometry import nms
-from .targets import LossWeightSchedule, assign_targets, decode_offsets, loss_weight, slv_loss, total_loss
+from .geometry import Box, boxes_to_array, nms
+from .targets import LossWeightSchedule, assign_targets, decode_boxes, loss_weight, slv_loss, total_loss
 from .voting import Supervision, VoteConfig, generate_supervision, write_pgm
 
 SCORER_SCHEMA = "slv/scorer"
@@ -174,6 +174,8 @@ class TrainConfig:
             raise ConfigError("train config: learning_rate must be positive")
         if self.refinements <= 0:
             raise ConfigError("train config: refinements must be positive")
+        if not 0.0 < self.cluster_iou <= 1.0:
+            raise ConfigError(f"train config: cluster_iou must be in (0, 1], got {self.cluster_iou}")
 
 
 @dataclass(frozen=True)
@@ -362,28 +364,17 @@ def run_inference(
         if record.features is None:
             raise InputError(f"run_inference: record {record.image_id!r} has no features")
         class_scores, offsets = fused_scores(scorer, record.features)
-        shifted = [
-            decode_offsets(p, offsets[r], record.height, record.width)
-            for r, p in enumerate(record.proposals)
-        ]
-        valid = [r for r, b in enumerate(shifted) if b is not None]
+        decoded = decode_boxes(boxes_to_array(record.proposals), offsets, record.height, record.width)
+        valid = np.flatnonzero((decoded[:, 0] < decoded[:, 2]) & (decoded[:, 1] < decoded[:, 3]))
         for c in range(scorer.num_classes):
-            scored = [r for r in valid if class_scores[c, r] > score_min]
-            if not scored:
+            scored = valid[class_scores[c, valid] > score_min]
+            if not scored.size:
                 continue
-            keep = nms(
-                [shifted[r] for r in scored],
-                [float(class_scores[c, r]) for r in scored],
-                iou_threshold=nms_iou,
-            )
+            scores = class_scores[c, scored].tolist()
+            # Boxes are built only for the detections NMS keeps.
             detections.extend(
-                Detection(
-                    image_id=record.image_id,
-                    class_id=c,
-                    box=shifted[scored[k]],
-                    score=float(class_scores[c, scored[k]]),
-                )
-                for k in keep
+                Detection(image_id=record.image_id, class_id=c, box=Box(*decoded[scored[k]].tolist()), score=scores[k])
+                for k in nms(decoded[scored], scores, iou_threshold=nms_iou)
             )
     return detections
 

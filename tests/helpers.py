@@ -1,15 +1,39 @@
 """Shared test oracles: central finite differences, a literal per-pixel
-accumulation loop, a flood-fill region labeling, and scalar-IoU loops for
-greedy clustering, target assignment and NMS. These stay independent of
-the implementation paths they check."""
+accumulation loop, a flood-fill region labeling, scalar-IoU loops for
+greedy clustering, target assignment and NMS, and per-proposal loops for
+the losses and the box coding. These stay independent of the
+implementation paths they check."""
 
 from __future__ import annotations
 
+import contextlib
+import math
+import signal
+
 import numpy as np
 
-from slv.geometry import iou
-from slv.mil import Cluster, ClusterSet
-from slv.targets import IGNORED, ProposalTargets, encode_offsets
+from slv.errors import InputError, NumericalError
+from slv.evaluation import Detection
+from slv.geometry import Box, iou
+from slv.mil import PROB_EPS, Cluster, ClusterSet
+from slv.targets import BBOX_XFORM_CLIP, IGNORED, ProposalTargets, smooth_l1, smooth_l1_grad
+from slv.trainer import fused_scores
+
+
+@contextlib.contextmanager
+def fails_after(seconds: int):
+    """Turn a call that never returns into a test failure (main thread only)."""
+
+    def expire(*_):
+        raise AssertionError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -111,7 +135,7 @@ def matched_targets(boxes, sup, num_classes, fg_iou=0.5, bg_iou_range=(0.1, 0.5)
         best = max(range(len(voted)), key=lambda m: (ious[m], -m))
         if ious[best] >= fg_iou:
             labels[r] = voted[best][0]
-            offsets[r] = encode_offsets(proposal, voted[best][1])
+            offsets[r] = scalar_encode_offsets(proposal, voted[best][1])
             weights[r] = 1.0
         elif lo <= ious[best] < hi:
             labels[r] = num_classes
@@ -126,3 +150,121 @@ def greedy_nms(boxes, scores, iou_threshold) -> list[int]:
         if all(iou(boxes[i], boxes[j]) <= iou_threshold for j in kept):
             kept.append(i)
     return kept
+
+
+def scalar_refinement_loss(phi_k, clusters):
+    """refinement_loss one cluster, then one background proposal, at a time."""
+    probs = phi_k.data
+    num = clusters.num_proposals
+    bg_row = phi_k.rows - 1
+    grad = np.zeros_like(probs)
+    total = 0.0
+    for n, cluster in enumerate(clusters.clusters):
+        if cluster.label >= bg_row:
+            raise InputError(f"refinement_loss: cluster {n} labeled {cluster.label} has no row")
+        members = list(cluster.members)
+        mean_score = probs[cluster.label, members].sum() / cluster.size
+        arg = np.clip(mean_score, PROB_EPS, 1.0 - PROB_EPS)
+        if not np.isfinite(arg) or arg <= 0.0:
+            raise NumericalError(f"refinement_loss: bad log argument in cluster {n}")
+        total += cluster.score * cluster.size * np.log(arg)
+        if PROB_EPS < mean_score < 1.0 - PROB_EPS:
+            grad[cluster.label, members] -= cluster.score / (num * mean_score)
+    for r, weight in zip(clusters.background, clusters.background_weights):
+        p = probs[bg_row, r]
+        arg = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+        if not np.isfinite(arg) or arg <= 0.0:
+            raise NumericalError(f"refinement_loss: bad log argument for background proposal {r}")
+        total += weight * np.log(arg)
+        if PROB_EPS < p < 1.0 - PROB_EPS:
+            grad[bg_row, r] -= weight / (num * p)
+    return -total / num, grad
+
+
+def scalar_slv_loss(phi_s, t_s, targets):
+    """slv_loss with the classification term one labeled proposal at a time."""
+    t_s = np.asarray(t_s, dtype=np.float64)
+    grad_scores = np.zeros_like(phi_s.data)
+    grad_offsets = np.zeros_like(t_s)
+    valid = np.flatnonzero(targets.valid_mask)
+    if valid.size == 0:
+        return 0.0, grad_scores, grad_offsets, True
+    probs = phi_s.data
+    cls_loss = 0.0
+    for r in valid.tolist():
+        label = int(targets.labels[r])
+        p = probs[label, r]
+        clamped = float(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
+        cls_loss -= math.log(clamped)
+        if PROB_EPS < p < 1.0 - PROB_EPS:
+            grad_scores[label, r] = -1.0 / (valid.size * p)
+    cls_loss /= valid.size
+    fg = np.flatnonzero(targets.foreground_mask)
+    loc_loss = 0.0
+    if fg.size:
+        diff = t_s[fg] - targets.offsets[fg]
+        with np.errstate(over="ignore"):
+            loc_loss = float(smooth_l1(diff).sum() / (4.0 * fg.size))
+        grad_offsets[fg] = smooth_l1_grad(diff) / (4.0 * fg.size)
+    return cls_loss + loc_loss, grad_scores, grad_offsets, False
+
+
+def scalar_encode_offsets(proposal, target) -> np.ndarray:
+    """encode_offsets from Box properties and math.log."""
+    pcx, pcy = proposal.center
+    gcx, gcy = target.center
+    return np.array(
+        [
+            (gcx - pcx) / proposal.width,
+            (gcy - pcy) / proposal.height,
+            math.log(target.width / proposal.width),
+            math.log(target.height / proposal.height),
+        ]
+    )
+
+
+def scalar_decode_offsets_float(proposal, t):
+    """decode_offsets_float from Box properties and math.exp."""
+    dx, dy, dw, dh = (float(v) for v in t)
+    if not all(math.isfinite(v) for v in (dx, dy, dw, dh)):
+        raise InputError("decode_offsets: offsets must be finite")
+    pcx, pcy = proposal.center
+    cx = pcx + dx * proposal.width
+    cy = pcy + dy * proposal.height
+    w = proposal.width * math.exp(min(dw, BBOX_XFORM_CLIP))
+    h = proposal.height * math.exp(min(dh, BBOX_XFORM_CLIP))
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+
+
+def scalar_decode_offsets(proposal, t, height, width):
+    """decode_offsets by scalar clipping and math.floor rounding."""
+    x0, y0, x1, y1 = scalar_decode_offsets_float(proposal, t)
+    x0 = min(max(x0, 0.0), float(width))
+    y0 = min(max(y0, 0.0), float(height))
+    x1 = min(max(x1, 0.0), float(width))
+    y1 = min(max(y1, 0.0), float(height))
+    ix0 = int(math.floor(x0 + 0.5))
+    iy0 = int(math.floor(y0 + 0.5))
+    ix1 = int(math.floor(x1 + 0.5))
+    iy1 = int(math.floor(y1 + 0.5))
+    if ix0 >= ix1 or iy0 >= iy1:
+        return None
+    return Box(ix0, iy0, ix1, iy1)
+
+
+def scalar_run_inference(scorer, dataset, nms_iou=0.3, score_min=1e-3) -> list[Detection]:
+    """run_inference decoding one proposal at a time, with greedy_nms."""
+    detections = []
+    for record in sorted(dataset.records, key=lambda r: r.image_id):
+        class_scores, offsets = fused_scores(scorer, record.features)
+        shifted = [
+            scalar_decode_offsets(p, offsets[r], record.height, record.width)
+            for r, p in enumerate(record.proposals)
+        ]
+        valid = [r for r, b in enumerate(shifted) if b is not None]
+        for c in range(scorer.num_classes):
+            scored = [r for r in valid if class_scores[c, r] > score_min]
+            scores = [float(class_scores[c, r]) for r in scored]
+            keep = greedy_nms([shifted[r] for r in scored], scores, nms_iou)
+            detections.extend(Detection(record.image_id, c, shifted[scored[k]], scores[k]) for k in keep)
+    return detections

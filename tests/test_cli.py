@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from slv.cli import main
 from slv.datasets import load_dataset, load_detections, load_pseudo_labels
 
@@ -265,3 +267,43 @@ class TestExitCodes:
         code, captured = run(["--config", config, "--out", tmp_path, "generate"], capsys)
         assert code == 1
         assert "config" in captured.err
+
+    @pytest.mark.parametrize("kind", ["dataset", "config", "detections", "scorer"])
+    def test_non_utf8_file_is_one(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe not utf-8\n")
+        dataset = FIXTURES / "eval_dataset.jsonl"
+        argv = {
+            "dataset": ["vote", bad],
+            "config": ["--config", bad, "generate"],
+            "detections": ["evaluate", bad, dataset],
+            "scorer": ["vote", dataset, "--scorer", bad],
+        }[kind]
+        code, captured = run(["--out", tmp_path / "out"] + argv, capsys)
+        assert code == 1
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert str(bad) in captured.err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"vote": 5}, "'vote'"),
+            ({"vote": {"t_score": "high"}}, "'t_score'"),
+            ({"vote": {"t_b_per_class": [1]}}, "'t_b_per_class'"),
+            ({"train": {"learning_rate": [1.0]}}, "'learning_rate'"),
+            ({"train": {"ramp_length": None}}, "'ramp_length'"),
+            ({"evaluate": {"iou_threshold": "half"}}, "'iou_threshold'"),
+        ],
+    )
+    def test_config_value_of_wrong_type_is_one(self, tmp_path, capsys, config, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        dataset = FIXTURES / "eval_dataset.jsonl"
+        command = {
+            "vote": ["vote", dataset],
+            "train": ["train", dataset, "--iterations", "1"],
+            "evaluate": ["evaluate", FIXTURES / "eval_detections.jsonl", dataset],
+        }[next(iter(config))]
+        code, captured = run(["--config", path, "--out", tmp_path / "out"] + command, capsys)
+        assert code == 1
+        assert captured.err.startswith("error: ") and key in captured.err

@@ -113,6 +113,29 @@ class TestDatasetValidation:
         with pytest.raises(DatasetFormatError, match=r":2: field 'labels'"):
             load_dataset(target)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"features": [[0.5, 1.0], [0.5]]}, "malformed record"),
+            ({"scores": {"a": 1}}, "malformed record"),
+            ({"labels": [[1], 0]}, "malformed record"),
+            ({"proposals": 7}, "malformed record"),
+            ({"gt": 3}, "malformed record"),
+            ({"height": 2**63}, "field 'height'/'width'"),
+        ],
+    )
+    def test_malformed_record_names_line(self, tmp_path, field, message):
+        header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 1})
+        record = {"id": "x", "height": 10, "width": 10, "labels": [1], "proposals": [[0, 0, 5, 5]]}
+        target = self._write(tmp_path, [header, json.dumps({**record, **field})])
+        with pytest.raises(DatasetFormatError, match=f":2: {message}"):
+            load_dataset(target)
+
+    def test_class_names_must_be_a_list(self, tmp_path):
+        header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 1, "class_names": 5})
+        with pytest.raises(DatasetFormatError, match="class_names"):
+            load_dataset(self._write(tmp_path, [header]))
+
     def test_invalid_json_names_line(self, tmp_path):
         header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 1})
         target = self._write(tmp_path, [header, "{not json"])

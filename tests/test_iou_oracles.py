@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slv.geometry import Box, iou, nms
+from slv.geometry import Box, boxes_to_array, iou, nms
 from slv.mil import ScoreMatrix, build_clusters
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets
@@ -98,6 +98,7 @@ def test_nms_matches_oracle(data):
     scores = data.draw(st.lists(SCORES, min_size=len(boxes), max_size=len(boxes)))
     threshold = data.draw(THRESHOLDS)
     assert nms(boxes, scores, threshold) == greedy_nms(boxes, scores, threshold)
+    assert nms(boxes_to_array(boxes), scores, threshold) == greedy_nms(boxes, scores, threshold)
 
 
 def test_no_proposals():

@@ -23,7 +23,7 @@ from slv.mil import (
     wsddn_scores,
 )
 
-from helpers import finite_difference_gradient, relative_error
+from helpers import fails_after, finite_difference_gradient, relative_error
 
 
 def random_probability_matrix(rng, rows, cols, kind=OVER_CLASSES):
@@ -240,6 +240,18 @@ class TestBuildClusters:
     def test_no_positive_class_errors(self):
         with pytest.raises(InputError):
             build_clusters(ScoreMatrix(np.array([[0.5]])), [Box(0, 0, 5, 5)], np.array([0]))
+
+    def test_iou_threshold_outside_unit_interval_fails_fast(self):
+        # Above 1 a seed never absorbs itself, so an unchecked call would
+        # never return.
+        scores = ScoreMatrix(np.array([[0.8, 0.7]]))
+        boxes = [Box(0, 0, 5, 5), Box(0, 0, 5, 5)]
+        with fails_after(5):
+            for bad in (1.5, 1.0 + 1e-12, 0.0, -0.5, math.nan):
+                with pytest.raises(InputError, match=r"iou_threshold must be in \(0, 1\]"):
+                    build_clusters(scores, boxes, np.array([1]), iou_threshold=bad)
+        out = build_clusters(scores, boxes, np.array([1]), iou_threshold=1.0)
+        assert [c.members for c in out.clusters] == [(0, 1)]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
