@@ -45,11 +45,9 @@ from .voting import (
     write_pgm,
 )
 from .targets import (
-    LossWeightSchedule,
     ProposalTargets,
     assign_targets,
     decode_offsets,
-    decode_offsets_float,
     encode_offsets,
     loss_weight,
     slv_loss,

@@ -25,8 +25,10 @@ PRODUCT = "product"                # entrywise product of the two above
 PROB_EPS = 1e-8
 _SUM_TOL = 1e-9
 
-# Proposals scoring below this floor for a class never seed a new cluster;
-# keeps noise from spawning one singleton cluster per proposal.
+# A seed absorbs every unassigned proposal whose IoU with it reaches
+# CLUSTER_IOU. Proposals scoring below CLUSTER_CENTER_FLOOR for a class never
+# seed a new cluster; keeps noise from spawning one singleton cluster per proposal.
+CLUSTER_IOU = 0.5
 CLUSTER_CENTER_FLOOR = 0.01
 
 
@@ -182,20 +184,16 @@ def build_clusters(
     scores: ScoreMatrix,
     boxes: Sequence[Box],
     y: np.ndarray,
-    iou_threshold: float = 0.5,
-    center_floor: float = CLUSTER_CENTER_FLOOR,
 ) -> ClusterSet:
     """Greedy proposal clustering around high-scoring centers.
 
     Simplified scheme (the full graph-based cluster generation is out of
     scope): per positive class, the highest-scoring unassigned proposal
     seeds a cluster and absorbs every unassigned proposal whose IoU with
-    it reaches `iou_threshold`; seeding stops below `center_floor`.
+    it reaches CLUSTER_IOU; seeding stops below CLUSTER_CENTER_FLOOR.
     Leftover proposals form the background cluster, each weighted by one
     minus its best positive-class score.
     """
-    if not 0.0 < iou_threshold <= 1.0:  # above 1 a seed never absorbs itself
-        raise InputError(f"build_clusters: iou_threshold must be in (0, 1], got {iou_threshold}")
     pos = positive_classes(y)
     if not pos:
         raise InputError("build_clusters: image has no positive class")
@@ -214,10 +212,10 @@ def build_clusters(
             # The first maximum: highest score, then lowest index. An assigned
             # center means no proposal is left.
             center = int(candidates.argmax())
-            if not unassigned[center] or data[c, center] < center_floor:
+            if not unassigned[center] or data[c, center] < CLUSTER_CENTER_FLOOR:
                 break
             row = iou_matrix(arr[center : center + 1], arr)[0]
-            members = np.flatnonzero(unassigned & (row >= iou_threshold))
+            members = np.flatnonzero(unassigned & (row >= CLUSTER_IOU))
             unassigned[members] = False
             candidates[members] = -np.inf
             clusters.append(Cluster(label=c, members=tuple(members.tolist()), score=float(data[c, center])))
@@ -240,6 +238,8 @@ def refinement_loss(phi_k: ScoreMatrix, clusters: ClusterSet) -> tuple[float, np
     """
     probs = phi_k.data
     num = clusters.num_proposals
+    if num == 0:
+        raise InputError("refinement_loss: no proposals to average over")
     if phi_k.cols != num:
         raise InputError(f"refinement_loss: {phi_k.cols} score columns but {num} proposals")
     if phi_k.rows < 2:

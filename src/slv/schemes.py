@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, DatasetRecord
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .geometry import Box, iou
 from .mil import ScoreMatrix, build_clusters, positive_classes
 from .voting import VoteConfig, generate_supervision
@@ -36,10 +36,9 @@ def label_clustering(
     scores: ScoreMatrix,
     boxes: Sequence[Box],
     y: np.ndarray,
-    iou_threshold: float = 0.5,
 ) -> dict[int, list[Box]]:
     """Highest-scoring proposal of every foreground cluster, per class."""
-    clusters = build_clusters(scores, boxes, y, iou_threshold)
+    clusters = build_clusters(scores, boxes, y)
     out: dict[int, list[Box]] = {}
     for cluster in clusters.clusters:
         members = list(cluster.members)
@@ -74,7 +73,6 @@ def compare_schemes(
     dataset: Dataset,
     score_fn: Callable[[DatasetRecord], ScoreMatrix],
     vote_config: VoteConfig | None = None,
-    cluster_iou: float = 0.5,
 ) -> list[SchemeStats]:
     """Label every record under each scheme and score the labels.
 
@@ -82,8 +80,6 @@ def compare_schemes(
     class in its image; the statistic is the mean of those best IoUs, per
     class and overall. Requires ground truth on every record.
     """
-    if not 0.0 < cluster_iou <= 1.0:
-        raise ConfigError(f"compare_schemes: cluster_iou must be in (0, 1], got {cluster_iou}")
     vote_config = vote_config or VoteConfig()
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
     for record in sorted(dataset.records, key=lambda r: r.image_id):
@@ -92,7 +88,7 @@ def compare_schemes(
         scores = score_fn(record)
         labeled = {
             SCHEME_CONVENTIONAL: label_conventional(scores, record.proposals, record.labels),
-            SCHEME_CLUSTERING: label_clustering(scores, record.proposals, record.labels, cluster_iou),
+            SCHEME_CLUSTERING: label_clustering(scores, record.proposals, record.labels),
             SCHEME_SLV: label_slv(scores, record, vote_config),
         }
         for name, by_class in labeled.items():

@@ -17,6 +17,11 @@ from .voting import Supervision
 
 IGNORED = -1  # label marker for proposals excluded from both loss terms
 
+# IoU with the best voted box >= FG_IOU is foreground, IoU in
+# [BG_IOU_RANGE[0], BG_IOU_RANGE[1]) background, anything else ignored.
+FG_IOU = 0.5
+BG_IOU_RANGE = (0.1, 0.5)
+
 SMOOTH_L1_BETA = 1.0
 
 # Upper clamp on the decoded log size ratios dw, dh, as in the Detectron and
@@ -109,11 +114,6 @@ def decode_boxes(proposals: np.ndarray, t: np.ndarray, height: int, width: int) 
     return np.floor(clipped + 0.5).astype(np.int64)
 
 
-def decode_offsets_float(proposal: Box, t: Sequence[float]) -> tuple[float, float, float, float]:
-    """decode_boxes_float for one proposal and its offsets."""
-    return tuple(decode_boxes_float(boxes_to_array([proposal]), np.reshape(t, (1, 4)))[0].tolist())
-
-
 def decode_offsets(proposal: Box, t: Sequence[float], height: int, width: int) -> Box | None:
     """decode_boxes for one proposal and its offsets; None when the decoded
     box is empty after clipping."""
@@ -127,22 +127,14 @@ def assign_targets(
     boxes: Sequence[Box],
     sup: Supervision,
     num_classes: int,
-    fg_iou: float = 0.5,
-    bg_iou_range: tuple[float, float] = (0.1, 0.5),
 ) -> ProposalTargets:
     """Match each proposal to its best-overlapping voted box.
 
-    IoU >= fg_iou makes a proposal foreground for that box's class, with
-    encoded regression offsets; IoU in [lo, hi) makes it background;
+    IoU >= FG_IOU makes a proposal foreground for that box's class, with
+    encoded regression offsets; IoU in BG_IOU_RANGE makes it background;
     anything else is ignored. An empty Supervision ignores everything.
     """
-    lo, hi = bg_iou_range
-    if not 0.0 <= lo < hi:
-        raise ConfigError(f"assign_targets: bad background IoU range [{lo}, {hi})")
-    if fg_iou < hi:
-        raise ConfigError(
-            f"assign_targets: foreground threshold {fg_iou} overlaps background band ending at {hi}"
-        )
+    lo, hi = BG_IOU_RANGE
     arr = boxes_to_array(boxes)
     num = len(arr)
     labels = np.full(num, IGNORED, dtype=np.int64)
@@ -154,7 +146,7 @@ def assign_targets(
         # argmax takes the first maximum, so the lowest voted index wins ties.
         best = overlaps.argmax(axis=1)
         best_iou = overlaps[np.arange(num), best]
-        fg = best_iou >= fg_iou
+        fg = best_iou >= FG_IOU
         labels[(lo <= best_iou) & (best_iou < hi)] = num_classes
         labels[fg] = np.array([c for c, _ in voted])[best[fg]]
         offsets[fg] = encode_boxes(arr[fg], voted_arr[best[fg]])
@@ -162,15 +154,15 @@ def assign_targets(
     return ProposalTargets(labels=labels, offsets=offsets, weights=weights, num_classes=num_classes)
 
 
-def smooth_l1(x: np.ndarray, beta: float = SMOOTH_L1_BETA) -> np.ndarray:
-    """Elementwise smooth L1: quadratic inside |x| < beta, linear outside."""
+def smooth_l1(x: np.ndarray) -> np.ndarray:
+    """Elementwise smooth L1: quadratic inside |x| < SMOOTH_L1_BETA, linear outside."""
     ax = np.abs(x)
-    quad = np.minimum(ax, beta)  # branch-free; also avoids squaring huge values
-    return 0.5 * quad * quad / beta + (ax - quad)
+    quad = np.minimum(ax, SMOOTH_L1_BETA)  # branch-free; also avoids squaring huge values
+    return 0.5 * quad * quad / SMOOTH_L1_BETA + (ax - quad)
 
 
-def smooth_l1_grad(x: np.ndarray, beta: float = SMOOTH_L1_BETA) -> np.ndarray:
-    return np.clip(x, -beta, beta) / beta
+def smooth_l1_grad(x: np.ndarray) -> np.ndarray:
+    return np.clip(x, -SMOOTH_L1_BETA, SMOOTH_L1_BETA) / SMOOTH_L1_BETA
 
 
 def slv_loss(
@@ -222,25 +214,17 @@ def slv_loss(
     return cls_loss + loc_loss, grad_scores, grad_offsets, False
 
 
-@dataclass(frozen=True)
-class LossWeightSchedule:
-    """Linear ramp for the multi-task loss weight: 0 at iteration 0, 1 from
-    `ramp_length` onward. An infinite ramp keeps the weight at 0."""
-
-    ramp_length: float
-
-    def __post_init__(self) -> None:
-        if not self.ramp_length > 0:
-            raise ConfigError(f"ramp_length must be positive, got {self.ramp_length}")
-
-
-def loss_weight(schedule: LossWeightSchedule, i: int) -> float:
-    """Ramp value at iteration i."""
+def loss_weight(ramp_length: float, i: int) -> float:
+    """Multi-task loss weight at iteration i: a linear ramp from 0 at
+    iteration 0 to 1 from `ramp_length` onward. An infinite ramp keeps the
+    weight at 0."""
+    if not ramp_length > 0:
+        raise ConfigError(f"ramp_length must be positive, got {ramp_length}")
     if i < 0:
         raise InputError(f"loss_weight: iteration index must be >= 0, got {i}")
-    if math.isinf(schedule.ramp_length):
+    if math.isinf(ramp_length):
         return 0.0
-    return min(i / schedule.ramp_length, 1.0)
+    return min(i / ramp_length, 1.0)
 
 
 def total_loss(l_mil: float, l_refine: Sequence[float], l_slv: float, w_slv: float) -> float:

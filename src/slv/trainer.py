@@ -40,11 +40,14 @@ from .mil import (
     wsddn_scores,
 )
 from .geometry import Box, boxes_to_array, nms
-from .targets import LossWeightSchedule, assign_targets, decode_boxes, loss_weight, slv_loss, total_loss
+from .targets import assign_targets, decode_boxes, loss_weight, slv_loss, total_loss
 from .voting import Supervision, VoteConfig, generate_supervision, write_pgm
 
 SCORER_SCHEMA = "slv/scorer"
 TRACE_SCHEMA = "slv/trace"
+
+REFINEMENTS = 3  # refinement branches, as in OICR
+INIT_SCALE = 0.01  # standard deviation of the initial weights
 
 
 @dataclass
@@ -65,18 +68,16 @@ class ToyScorer:
         num_classes: int,
         feature_dim: int,
         rng: np.random.Generator,
-        refinements: int = 3,
-        scale: float = 0.01,
     ) -> "ToyScorer":
         def draw(rows: int) -> np.ndarray:
-            return scale * rng.standard_normal((rows, feature_dim))
+            return INIT_SCALE * rng.standard_normal((rows, feature_dim))
 
         return cls(
             num_classes=num_classes,
             feature_dim=feature_dim,
             w_cls=draw(num_classes),
             w_det=draw(num_classes),
-            w_refine=[draw(num_classes + 1) for _ in range(refinements)],
+            w_refine=[draw(num_classes + 1) for _ in range(REFINEMENTS)],
             w_slv_cls=draw(num_classes + 1),
             w_slv_reg=draw(4),
         )
@@ -159,12 +160,7 @@ class TrainConfig:
     learning_rate: float = 1.0
     ramp_length: float = 100.0  # math.inf keeps the multi-task weight at 0
     mil_only: bool = False
-    refinements: int = 3
-    cluster_iou: float = 0.5
-    fg_iou: float = 0.5
-    bg_iou_range: tuple[float, float] = (0.1, 0.5)
     vote: VoteConfig = field(default_factory=VoteConfig)
-    init_scale: float = 0.01
     init_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -172,10 +168,8 @@ class TrainConfig:
             raise ConfigError("train config: iterations must be positive")
         if self.learning_rate <= 0:
             raise ConfigError("train config: learning_rate must be positive")
-        if self.refinements <= 0:
-            raise ConfigError("train config: refinements must be positive")
-        if not 0.0 < self.cluster_iou <= 1.0:
-            raise ConfigError(f"train config: cluster_iou must be in (0, 1], got {self.cluster_iou}")
+        if not self.ramp_length > 0:
+            raise ConfigError(f"train config: ramp_length must be positive, got {self.ramp_length}")
 
 
 @dataclass(frozen=True)
@@ -237,18 +231,11 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     records = _training_records(dataset)
     num_classes = dataset.num_classes
     rng = np.random.default_rng(config.init_seed)
-    scorer = ToyScorer.initialize(
-        num_classes,
-        records[0].features.shape[1],
-        rng,
-        refinements=config.refinements,
-        scale=config.init_scale,
-    )
-    schedule = LossWeightSchedule(ramp_length=config.ramp_length)
+    scorer = ToyScorer.initialize(num_classes, records[0].features.shape[1], rng)
     trace: list[TraceEntry] = []
     n = len(records)
     for it in range(config.iterations):
-        w_s = 0.0 if config.mil_only else loss_weight(schedule, it)
+        w_s = 0.0 if config.mil_only else loss_weight(config.ramp_length, it)
         grads = {
             "cls": np.zeros_like(scorer.w_cls),
             "det": np.zeros_like(scorer.w_det),
@@ -257,7 +244,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         }
         grads_refine = [np.zeros_like(w) for w in scorer.w_refine]
         sum_mil = 0.0
-        sum_refine = np.zeros(config.refinements)
+        sum_refine = np.zeros(len(scorer.w_refine))
         sum_slv = 0.0
         sum_total = 0.0
         for record in records:
@@ -278,9 +265,9 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             refine_losses = []
             refined: list[ScoreMatrix] = []
             previous = phi0
-            for k in range(config.refinements):
-                phi_k = softmax_over_classes(_finite_logits(scorer.w_refine[k], feats, it))
-                clusters = build_clusters(previous, record.proposals, y, config.cluster_iou)
+            for k, w_k in enumerate(scorer.w_refine):
+                phi_k = softmax_over_classes(_finite_logits(w_k, feats, it))
+                clusters = build_clusters(previous, record.proposals, y)
                 l_k, d_phi_k = refinement_loss(phi_k, clusters)
                 grads_refine[k] += softmax_backward(phi_k.data, d_phi_k, axis=0) @ feats
                 refine_losses.append(l_k)
@@ -293,13 +280,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
                 supervision = generate_supervision(
                     phi_bar, record.proposals, y, record.height, record.width, config.vote
                 )
-                proposal_targets = assign_targets(
-                    record.proposals,
-                    supervision,
-                    num_classes,
-                    fg_iou=config.fg_iou,
-                    bg_iou_range=config.bg_iou_range,
-                )
+                proposal_targets = assign_targets(record.proposals, supervision, num_classes)
                 phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
                 t_s = (scorer.w_slv_reg @ feats.T).T
                 if not np.isfinite(t_s).all():
@@ -320,8 +301,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         lr = config.learning_rate / n
         scorer.w_cls -= lr * grads["cls"]
         scorer.w_det -= lr * grads["det"]
-        for k in range(config.refinements):
-            scorer.w_refine[k] -= lr * grads_refine[k]
+        for w_k, g_k in zip(scorer.w_refine, grads_refine):
+            w_k -= lr * g_k
         scorer.w_slv_cls -= lr * grads["slv_cls"]
         scorer.w_slv_reg -= lr * grads["slv_reg"]
         weights = [scorer.w_cls, scorer.w_det, scorer.w_slv_cls, scorer.w_slv_reg, *scorer.w_refine]

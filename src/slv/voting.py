@@ -5,7 +5,9 @@ minimum bounding rectangles of its connected regions as pseudo ground truth.
 Two accumulation kernels are provided: a fast 2-D difference-array version
 (constant work per box plus two prefix-sum passes) and a naive definitional
 version used as its oracle. Both share the half-open pixel convention from
-`geometry`, so they agree exactly.
+`geometry`. Their maps agree within float rounding, since they add the same
+scores in different orders; a cell whose exact value is `t_b * peak` can
+therefore binarize differently, and the voted boxes can differ at such ties.
 """
 
 from __future__ import annotations

@@ -6,34 +6,18 @@ implementation paths they check."""
 
 from __future__ import annotations
 
-import contextlib
 import math
-import signal
 
 import numpy as np
 
 from slv.errors import InputError, NumericalError
 from slv.evaluation import Detection
 from slv.geometry import Box, iou
-from slv.mil import PROB_EPS, Cluster, ClusterSet
-from slv.targets import BBOX_XFORM_CLIP, IGNORED, ProposalTargets, smooth_l1, smooth_l1_grad
+from slv.mil import CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet
+from slv.targets import (
+    BBOX_XFORM_CLIP, BG_IOU_RANGE, FG_IOU, IGNORED, ProposalTargets, smooth_l1, smooth_l1_grad,
+)
 from slv.trainer import fused_scores
-
-
-@contextlib.contextmanager
-def fails_after(seconds: int):
-    """Turn a call that never returns into a test failure (main thread only)."""
-
-    def expire(*_):
-        raise AssertionError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -104,7 +88,7 @@ def bounding_rect(component) -> tuple[int, int, int, int]:
     return min(cols), min(rows), max(cols) + 1, max(rows) + 1
 
 
-def greedy_clusters(scores, boxes, y, iou_threshold=0.5, center_floor=0.01) -> ClusterSet:
+def greedy_clusters(scores, boxes, y) -> ClusterSet:
     """build_clusters by set walking and one scalar iou() per pair."""
     data = scores.data
     pos = np.flatnonzero(np.asarray(y) == 1).tolist()
@@ -113,9 +97,9 @@ def greedy_clusters(scores, boxes, y, iou_threshold=0.5, center_floor=0.01) -> C
     for c in pos:
         while unassigned:
             center = min(unassigned, key=lambda r: (-data[c, r], r))
-            if data[c, center] < center_floor:
+            if data[c, center] < CLUSTER_CENTER_FLOOR:
                 break
-            members = sorted(r for r in unassigned if iou(boxes[center], boxes[r]) >= iou_threshold)
+            members = sorted(r for r in unassigned if iou(boxes[center], boxes[r]) >= CLUSTER_IOU)
             unassigned.difference_update(members)
             clusters.append(Cluster(label=c, members=tuple(members), score=float(data[c, center])))
     background = tuple(sorted(unassigned))
@@ -123,9 +107,9 @@ def greedy_clusters(scores, boxes, y, iou_threshold=0.5, center_floor=0.01) -> C
     return ClusterSet(tuple(clusters), background, np.array(weights), len(boxes))
 
 
-def matched_targets(boxes, sup, num_classes, fg_iou=0.5, bg_iou_range=(0.1, 0.5)) -> ProposalTargets:
+def matched_targets(boxes, sup, num_classes) -> ProposalTargets:
     """assign_targets by a per-proposal loop over the voted boxes."""
-    lo, hi = bg_iou_range
+    lo, hi = BG_IOU_RANGE
     labels = np.full(len(boxes), IGNORED, dtype=np.int64)
     offsets = np.zeros((len(boxes), 4))
     weights = np.zeros(len(boxes))
@@ -133,7 +117,7 @@ def matched_targets(boxes, sup, num_classes, fg_iou=0.5, bg_iou_range=(0.1, 0.5)
     for r, proposal in enumerate(boxes if voted else []):
         ious = [iou(proposal, g) for _, g in voted]
         best = max(range(len(voted)), key=lambda m: (ious[m], -m))
-        if ious[best] >= fg_iou:
+        if ious[best] >= FG_IOU:
             labels[r] = voted[best][0]
             offsets[r] = scalar_encode_offsets(proposal, voted[best][1])
             weights[r] = 1.0
@@ -156,6 +140,8 @@ def scalar_refinement_loss(phi_k, clusters):
     """refinement_loss one cluster, then one background proposal, at a time."""
     probs = phi_k.data
     num = clusters.num_proposals
+    if num == 0:
+        raise InputError("refinement_loss: no proposals to average over")
     bg_row = phi_k.rows - 1
     grad = np.zeros_like(probs)
     total = 0.0
@@ -224,7 +210,7 @@ def scalar_encode_offsets(proposal, target) -> np.ndarray:
 
 
 def scalar_decode_offsets_float(proposal, t):
-    """decode_offsets_float from Box properties and math.exp."""
+    """One row of decode_boxes_float from Box properties and math.exp."""
     dx, dy, dw, dh = (float(v) for v in t)
     if not all(math.isfinite(v) for v in (dx, dy, dw, dh)):
         raise InputError("decode_offsets: offsets must be finite")

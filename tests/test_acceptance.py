@@ -18,7 +18,7 @@ from slv.geometry import Box
 from slv.mil import RAW, ScoreMatrix, build_clusters, mil_loss, refinement_loss, softmax_over_classes
 from slv.schemes import compare_schemes
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
-from slv.targets import LossWeightSchedule, assign_targets, loss_weight, slv_loss
+from slv.targets import assign_targets, loss_weight, slv_loss
 from slv.trainer import TrainConfig, train_toy
 from slv.voting import (
     VOC2007_CLASSES,
@@ -209,10 +209,9 @@ def test_total_loss_degeneracy_and_ramp_contract():
             assert a.loss_total == b.loss_total      # bit-exact
             assert a.weight_slv == 0.0
 
-        schedule = LossWeightSchedule(ramp_length=120)
-        assert loss_weight(schedule, 0) == 0.0
-        assert loss_weight(schedule, 120) == 1.0
-        assert loss_weight(schedule, 60) == 0.5
+        assert loss_weight(120, 0) == 0.0
+        assert loss_weight(120, 120) == 1.0
+        assert loss_weight(120, 60) == 0.5
 
 
 def test_metric_oracle_on_hand_built_fixture():

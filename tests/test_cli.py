@@ -267,6 +267,13 @@ class TestExitCodes:
         code, captured = run(["--config", config, "--out", tmp_path, "generate"], capsys)
         assert code == 1
         assert "config" in captured.err
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        train = ["--out", tmp_path / "t", "train", tmp_path / "data" / "dataset.jsonl", "--iterations", "1"]
+        for ramp in ("0", "-5", "nan"):
+            for extra in ([], ["--mil-only"]):
+                code, captured = run(train + ["--ramp", ramp] + extra, capsys)
+                assert code == 1
+                assert captured.err.startswith("error: ") and "ramp_length must be positive" in captured.err
 
     @pytest.mark.parametrize("kind", ["dataset", "config", "detections", "scorer"])
     def test_non_utf8_file_is_one(self, tmp_path, capsys, kind):

@@ -54,8 +54,20 @@ def assert_same_targets(got, want):
 
 
 def test_tie_boxes_hit_every_threshold_exactly():
+    """Clustering and target assignment match their oracles on every tie-box
+    pair, so a strict/non-strict slip at CLUSTER_IOU, CLUSTER_CENTER_FLOOR,
+    FG_IOU or the background floor fails here, not only when hypothesis
+    happens to draw such a pair."""
     values = {iou(a, b) for a in TIE_BOXES for b in TIE_BOXES}
     assert {0.1, 0.3, 0.5} <= values
+    y = np.array([1])
+    num = len(TIE_BOXES)
+    for row in ([0.01] * num, np.linspace(0.9, 0.2, num), np.linspace(0.2, 0.9, num)):
+        scores = ScoreMatrix(np.array([row]))
+        assert_same_clusters(build_clusters(scores, TIE_BOXES, y), greedy_clusters(scores, TIE_BOXES, y))
+    for g in TIE_BOXES:
+        sup = Supervision({0: [g]})
+        assert_same_targets(assign_targets(TIE_BOXES, sup, 1), matched_targets(TIE_BOXES, sup, 1))
 
 
 @given(data=st.data())
@@ -66,13 +78,8 @@ def test_build_clusters_matches_oracle(data):
     y = data.draw(st.lists(st.integers(0, 1), min_size=num_classes, max_size=num_classes).filter(any))
     row = st.lists(SCORES, min_size=len(boxes), max_size=len(boxes))
     scores = ScoreMatrix(np.array(data.draw(st.lists(row, min_size=num_classes, max_size=num_classes))))
-    threshold = data.draw(THRESHOLDS)
-    floor = data.draw(st.sampled_from([0.01, 0.5]))
     y = np.array(y)
-    assert_same_clusters(
-        build_clusters(scores, boxes, y, threshold, floor),
-        greedy_clusters(scores, boxes, y, threshold, floor),
-    )
+    assert_same_clusters(build_clusters(scores, boxes, y), greedy_clusters(scores, boxes, y))
 
 
 @given(data=st.data())
@@ -82,12 +89,8 @@ def test_assign_targets_matches_oracle(data):
     num_classes = data.draw(st.integers(1, 3))
     classes = data.draw(st.sets(st.integers(0, num_classes - 1)))
     sup = Supervision({c: data.draw(st.lists(tie_boxes, max_size=4)) for c in sorted(classes)})
-    fg_iou, bg_range = data.draw(
-        st.sampled_from([(0.5, (0.1, 0.5)), (0.3, (0.1, 0.3)), (0.5, (0.0, 0.3)), (0.3, (0.0, 0.1))])
-    )
     assert_same_targets(
-        assign_targets(boxes, sup, num_classes, fg_iou, bg_range),
-        matched_targets(boxes, sup, num_classes, fg_iou, bg_range),
+        assign_targets(boxes, sup, num_classes), matched_targets(boxes, sup, num_classes)
     )
 
 

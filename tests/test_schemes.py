@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slv.datasets import Dataset, DatasetRecord
-from slv.errors import ConfigError, InputError
+from slv.errors import InputError
 from slv.geometry import Box
 from slv.mil import ScoreMatrix
 from slv.schemes import (
@@ -15,8 +15,6 @@ from slv.schemes import (
     label_conventional,
 )
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
-
-from helpers import fails_after
 
 
 def record_scores(record):
@@ -84,13 +82,6 @@ class TestCompareSchemes:
         dataset = Dataset(records=[record], num_classes=1)
         with pytest.raises(InputError, match="ground truth"):
             compare_schemes(dataset, record_scores)
-
-    def test_cluster_iou_outside_unit_interval_rejected(self):
-        dataset = generate_synthetic(SyntheticSceneConfig(num_images=1, image_size=32, proposals_per_image=8), 1)
-        with fails_after(5):
-            for bad in (1.5, 0.0):
-                with pytest.raises(ConfigError, match="cluster_iou"):
-                    compare_schemes(dataset, record_scores, cluster_iou=bad)
 
 
 class TestSchemeReport:

@@ -125,9 +125,9 @@ class TestTrainToy:
             TrainConfig(iterations=0)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0)
-        for bad in (1.5, 0.0, math.nan):
-            with pytest.raises(ConfigError, match="cluster_iou"):
-                TrainConfig(cluster_iou=bad)
+        for bad in (0.0, -5.0, math.nan):
+            with pytest.raises(ConfigError, match="ramp_length"):
+                TrainConfig(ramp_length=bad)
 
 
 class TestScorerPersistence:
