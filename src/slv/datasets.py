@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, InputError
 from .evaluation import Detection, GroundTruthSet
-from .geometry import Box, clip_box
+from .geometry import Box, boxes_to_array, clip_box
 from .voting import Supervision
 
 log = logging.getLogger(__name__)
@@ -32,17 +32,22 @@ MAX_IMAGE_SIDE = 65535
 
 @dataclass
 class DatasetRecord:
-    """One image: size, binary class labels, proposals, and optional
-    per-proposal features, score matrix, and ground-truth boxes."""
+    """One image: size, binary class labels, proposals as one (R, 4) int64
+    array of (x0, y0, x1, y1) rows (a Box list given here is stacked into
+    one), and optional per-proposal features, score matrix, and
+    ground-truth boxes."""
 
     image_id: str
     height: int
     width: int
     labels: np.ndarray
-    proposals: list[Box]
+    proposals: np.ndarray                    # (R, 4) int64
     features: np.ndarray | None = None       # (R, D)
     scores: np.ndarray | None = None         # (num_classes, R)
     gt_boxes: dict[int, list[Box]] | None = None
+
+    def __post_init__(self) -> None:
+        self.proposals = boxes_to_array(self.proposals)
 
     @property
     def num_proposals(self) -> int:
@@ -131,7 +136,8 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
                 raise DatasetFormatError(f"{where}: field 'gt'[{k}] must have 'class' and 'box'")
             c = entry["class"]
-            if not isinstance(c, int) or not 0 <= c < num_classes:
+            # `type(c) is int` rejects JSON booleans, which isinstance counts as ints.
+            if type(c) is not int or not 0 <= c < num_classes:
                 raise DatasetFormatError(f"{where}: field 'gt'[{k}].class {c!r} out of range")
             box = _box_from_json(entry["box"], f"{where}: field 'gt'[{k}].box")
             if box.x1 > width or box.y1 > height:
@@ -224,7 +230,7 @@ def _record_to_json(record: DatasetRecord) -> dict:
         "height": record.height,
         "width": record.width,
         "labels": np.asarray(record.labels).astype(int).tolist(),
-        "proposals": [list(b.as_tuple()) for b in record.proposals],
+        "proposals": record.proposals.tolist(),
         "features": record.features.tolist() if record.features is not None else None,
         "scores": record.scores.tolist() if record.scores is not None else None,
     }
@@ -273,12 +279,17 @@ def load_pseudo_labels(path: str | Path) -> list[tuple[str, Supervision]]:
         where = f"{path}:{lineno}"
         if "id" not in obj or "boxes" not in obj:
             raise DatasetFormatError(f"{where}: record must have 'id' and 'boxes'")
+        if not isinstance(obj["boxes"], list):
+            raise DatasetFormatError(f"{where}: field 'boxes' must be a list")
         by_class: dict[int, list[Box]] = {}
         for k, entry in enumerate(obj["boxes"]):
             if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
                 raise DatasetFormatError(f"{where}: field 'boxes'[{k}] must have 'class' and 'box'")
+            c = entry["class"]
+            if type(c) is not int or c < 0:
+                raise DatasetFormatError(f"{where}: field 'boxes'[{k}].class {c!r} is not a class id")
             box = _box_from_json(entry["box"], f"{where}: field 'boxes'[{k}].box")
-            by_class.setdefault(int(entry["class"]), []).append(box)
+            by_class.setdefault(c, []).append(box)
         out.append((str(obj["id"]), Supervision(boxes_by_class=by_class)))
     return out
 
@@ -311,7 +322,7 @@ def load_detections(path: str | Path) -> list[Detection]:
         for key in ("id", "class", "box", "score"):
             if key not in obj:
                 raise DatasetFormatError(f"{where}: missing field {key!r}")
-        if not isinstance(obj["class"], int):
+        if type(obj["class"]) is not int:
             raise DatasetFormatError(f"{where}: field 'class' must be an integer")
         box = _box_from_json(obj["box"], f"{where}: field 'box'")
         try:

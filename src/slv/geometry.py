@@ -66,6 +66,10 @@ class Box:
         return (self.x0, self.y0, self.x1, self.y1)
 
 
+# Proposals as Box objects or an (N, 4) int64 array of (x0, y0, x1, y1) rows.
+Boxes = Sequence[Box] | np.ndarray
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
     iw = min(a.x1, b.x1) - max(a.x0, b.x0)
@@ -77,7 +81,7 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def nms(boxes: Sequence[Box] | np.ndarray, scores: Sequence[float], iou_threshold: float) -> list[int]:
+def nms(boxes: Boxes, scores: Sequence[float], iou_threshold: float) -> list[int]:
     """Greedy non-maximum suppression over Boxes or an (N, 4) box array.
 
     Returns the retained indices sorted by descending score; equal scores
@@ -205,7 +209,7 @@ def clip_box(b: Box | tuple[int, int, int, int], height: int, width: int) -> Box
     return Box(cx0, cy0, cx1, cy1)
 
 
-def boxes_to_array(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
+def boxes_to_array(boxes: Boxes) -> np.ndarray:
     """Stack boxes into an (N, 4) int64 array of (x0, y0, x1, y1) rows; an
     (N, 4) array passes through."""
     if isinstance(boxes, np.ndarray):
@@ -231,7 +235,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
 
 
-def pairwise_iou(boxes: Sequence[Box]) -> np.ndarray:
+def pairwise_iou(boxes: Boxes) -> np.ndarray:
     """(N, N) IoU matrix; matches iou() entrywise."""
     arr = boxes_to_array(boxes).astype(np.float64)
     return iou_matrix(arr, arr)

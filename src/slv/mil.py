@@ -9,21 +9,13 @@ gradients are zero inside the clamped region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import Box, boxes_to_array, iou_matrix
-
-# Normalization tags for ScoreMatrix.
-RAW = "raw"
-OVER_CLASSES = "over_classes"      # every column sums to 1
-OVER_PROPOSALS = "over_proposals"  # every row sums to 1
-PRODUCT = "product"                # entrywise product of the two above
+from .geometry import Boxes, boxes_to_array, iou_matrix
 
 PROB_EPS = 1e-8
-_SUM_TOL = 1e-9
 
 # A seed absorbs every unassigned proposal whose IoU with it reaches
 # CLUSTER_IOU. Proposals scoring below CLUSTER_CENTER_FLOOR for a class never
@@ -34,35 +26,22 @@ CLUSTER_CENTER_FLOOR = 0.01
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """A (rows x cols) score grid tagged with its normalization state.
+    """A finite (rows x cols) score grid.
 
     rows is the number of classes (plus one trailing background row for
     refinement-style matrices); cols is the number of proposals. The
-    underlying array is treated as immutable.
+    underlying array is treated as immutable; the function that made a
+    matrix documents its normalization.
     """
 
     data: np.ndarray
-    kind: str = RAW
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise InputError(f"ScoreMatrix must be 2-D, got shape {arr.shape}")
-        if self.kind not in (RAW, OVER_CLASSES, OVER_PROPOSALS, PRODUCT):
-            raise InputError(f"unknown ScoreMatrix kind {self.kind!r}")
         if not np.isfinite(arr).all():
             raise InputError("ScoreMatrix entries must be finite")
-        if self.kind != RAW:
-            if arr.min(initial=0.0) < -_SUM_TOL or arr.max(initial=0.0) > 1.0 + _SUM_TOL:
-                raise InputError(f"{self.kind} ScoreMatrix entries must lie in [0, 1]")
-            if self.kind == OVER_CLASSES and arr.size:
-                sums = arr.sum(axis=0)
-                if np.abs(sums - 1.0).max() > _SUM_TOL:
-                    raise InputError("over_classes ScoreMatrix columns must sum to 1")
-            if self.kind == OVER_PROPOSALS and arr.size:
-                sums = arr.sum(axis=1)
-                if np.abs(sums - 1.0).max() > _SUM_TOL:
-                    raise InputError("over_proposals ScoreMatrix rows must sum to 1")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -93,12 +72,12 @@ def _softmax(arr: np.ndarray, axis: int) -> np.ndarray:
 
 def softmax_over_classes(x: ScoreMatrix) -> ScoreMatrix:
     """Softmax each column over classes; columns of the result sum to 1."""
-    return ScoreMatrix(_softmax(x.data, axis=0), kind=OVER_CLASSES)
+    return ScoreMatrix(_softmax(x.data, axis=0))
 
 
 def softmax_over_proposals(x: ScoreMatrix) -> ScoreMatrix:
     """Softmax each row over proposals; rows of the result sum to 1."""
-    return ScoreMatrix(_softmax(x.data, axis=1), kind=OVER_PROPOSALS)
+    return ScoreMatrix(_softmax(x.data, axis=1))
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray, axis: int) -> np.ndarray:
@@ -108,22 +87,17 @@ def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray, axis: int) -> np
 
 
 def wsddn_scores(sigma_cls: ScoreMatrix, sigma_det: ScoreMatrix) -> ScoreMatrix:
-    """Entrywise product of the classification and detection streams."""
-    if sigma_cls.kind != OVER_CLASSES:
-        raise InputError(f"wsddn_scores: first factor must be {OVER_CLASSES}, got {sigma_cls.kind}")
-    if sigma_det.kind != OVER_PROPOSALS:
-        raise InputError(f"wsddn_scores: second factor must be {OVER_PROPOSALS}, got {sigma_det.kind}")
+    """Entrywise product of the classification stream (softmax over
+    classes) and the detection stream (softmax over proposals)."""
     if sigma_cls.data.shape != sigma_det.data.shape:
         raise InputError(
             f"wsddn_scores: shape mismatch {sigma_cls.data.shape} vs {sigma_det.data.shape}"
         )
-    return ScoreMatrix(sigma_cls.data * sigma_det.data, kind=PRODUCT)
+    return ScoreMatrix(sigma_cls.data * sigma_det.data)
 
 
 def image_scores(phi0: ScoreMatrix) -> np.ndarray:
-    """Per-class image scores: sum the product matrix over proposals."""
-    if phi0.kind != PRODUCT:
-        raise InputError(f"image_scores: expected a {PRODUCT} matrix, got {phi0.kind}")
+    """Per-class image scores: sum the wsddn_scores product over proposals."""
     return phi0.data.sum(axis=1)
 
 
@@ -174,15 +148,12 @@ class ClusterSet:
         object.__setattr__(
             self, "background_weights", np.asarray(self.background_weights, dtype=np.float64)
         )
-        covered: list[int] = [r for c in self.clusters for r in c.members]
-        covered.extend(self.background)
-        assert sorted(covered) == list(range(self.num_proposals)), "clusters must partition proposals"
         assert len(self.background) == len(self.background_weights)
 
 
 def build_clusters(
     scores: ScoreMatrix,
-    boxes: Sequence[Box],
+    boxes: Boxes,
     y: np.ndarray,
 ) -> ClusterSet:
     """Greedy proposal clustering around high-scoring centers.
@@ -281,15 +252,12 @@ def refinement_loss(phi_k: ScoreMatrix, clusters: ClusterSet) -> tuple[float, np
 
 
 def average_refined_scores(*matrices: ScoreMatrix) -> ScoreMatrix:
-    """Entrywise mean of same-shape, same-kind score matrices."""
+    """Entrywise mean of same-shape score matrices."""
     if not matrices:
         raise InputError("average_refined_scores: no matrices given")
     shape = matrices[0].data.shape
-    kind = matrices[0].kind
     for m in matrices[1:]:
         if m.data.shape != shape:
             raise InputError(f"average_refined_scores: shape mismatch {m.data.shape} vs {shape}")
-        if m.kind != kind:
-            raise InputError(f"average_refined_scores: kind mismatch {m.kind} vs {kind}")
     mean = sum(m.data for m in matrices) / len(matrices)
-    return ScoreMatrix(mean, kind=kind)
+    return ScoreMatrix(mean)

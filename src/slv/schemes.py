@@ -11,7 +11,7 @@ import numpy as np
 
 from .datasets import Dataset, DatasetRecord
 from .errors import InputError
-from .geometry import Box, iou
+from .geometry import Box, Boxes, boxes_to_array, iou
 from .mil import ScoreMatrix, build_clusters, positive_classes
 from .voting import VoteConfig, generate_supervision
 
@@ -22,28 +22,30 @@ ALL_SCHEMES = (SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV)  # report ord
 
 
 def label_conventional(
-    scores: ScoreMatrix, boxes: Sequence[Box], y: np.ndarray
+    scores: ScoreMatrix, boxes: Boxes, y: np.ndarray
 ) -> dict[int, list[Box]]:
     """One box per positive class: the single highest-scoring proposal."""
+    arr = boxes_to_array(boxes)
     out: dict[int, list[Box]] = {}
     for c in positive_classes(y):
         r = int(np.argmax(scores.data[c]))
-        out[c] = [boxes[r]]
+        out[c] = [Box(*arr[r].tolist())]
     return out
 
 
 def label_clustering(
     scores: ScoreMatrix,
-    boxes: Sequence[Box],
+    boxes: Boxes,
     y: np.ndarray,
 ) -> dict[int, list[Box]]:
     """Highest-scoring proposal of every foreground cluster, per class."""
-    clusters = build_clusters(scores, boxes, y)
+    arr = boxes_to_array(boxes)
+    clusters = build_clusters(scores, arr, y)
     out: dict[int, list[Box]] = {}
     for cluster in clusters.clusters:
         members = list(cluster.members)
         best = min(members, key=lambda r: (-scores.data[cluster.label, r], r))
-        out.setdefault(cluster.label, []).append(boxes[best])
+        out.setdefault(cluster.label, []).append(Box(*arr[best].tolist()))
     return out
 
 

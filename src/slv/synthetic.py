@@ -115,12 +115,12 @@ def _jitter_boxes(
     return np.stack([x0, y0, x1, y1], axis=1)
 
 
-def _random_box(rng: np.random.Generator, size: int) -> Box:
+def _random_box(rng: np.random.Generator, size: int) -> tuple[int, int, int, int]:
     w = int(rng.integers(max(2, size // 12), max(3, size // 3)))
     h = int(rng.integers(max(2, size // 12), max(3, size // 3)))
     x0 = int(rng.integers(0, size - w + 1))
     y0 = int(rng.integers(0, size - h + 1))
-    return Box(x0, y0, x0 + w, y0 + h)
+    return x0, y0, x0 + w, y0 + h
 
 
 def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
@@ -151,18 +151,15 @@ def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
             owner_class += [c] * n_obj
             owner_base += [_FULL_SCORE] * n_full
             owner_base += [_PART_SCORE_DOMINANT if dom else _PART_SCORE_WEAK] * n_part
-        groups.append(
-            np.array([_random_box(rng, size).as_tuple() for _ in range(n_context)], dtype=np.int64)
-        )
+        groups.append(np.array([_random_box(rng, size) for _ in range(n_context)], dtype=np.int64))
         boxes = np.concatenate(groups)
-        proposals = [Box(*row) for row in boxes.tolist()]
 
         labels = np.zeros(config.num_classes, dtype=np.int64)
         for c in classes:
             labels[c] = 1
         positive = np.flatnonzero(labels).tolist()
 
-        num = len(proposals)
+        num = len(boxes)
         n_owned = num - n_context
         scores = rng.uniform(0.0, _NOISE_SCORE_MAX, size=(config.num_classes, num))
         wobble = 1.0 + rng.uniform(-_SCORE_WOBBLE, _SCORE_WOBBLE, size=n_owned)
@@ -193,7 +190,7 @@ def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
                 height=size,
                 width=size,
                 labels=labels,
-                proposals=proposals,
+                proposals=boxes,
                 features=features,
                 scores=scores,
                 gt_boxes=gt_boxes,

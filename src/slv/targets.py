@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import Box, boxes_to_array, iou_matrix
+from .geometry import Box, Boxes, boxes_to_array, iou_matrix
 from .mil import PROB_EPS, ScoreMatrix
 from .voting import Supervision
 
@@ -124,7 +124,7 @@ def decode_offsets(proposal: Box, t: Sequence[float], height: int, width: int) -
 
 
 def assign_targets(
-    boxes: Sequence[Box],
+    boxes: Boxes,
     sup: Supervision,
     num_classes: int,
 ) -> ProposalTargets:

@@ -39,7 +39,7 @@ from .mil import (
     softmax_over_proposals,
     wsddn_scores,
 )
-from .geometry import Box, boxes_to_array, nms
+from .geometry import Box, nms
 from .targets import assign_targets, decode_boxes, loss_weight, slv_loss, total_loss
 from .voting import Supervision, VoteConfig, generate_supervision, write_pgm
 
@@ -345,7 +345,7 @@ def run_inference(
         if record.features is None:
             raise InputError(f"run_inference: record {record.image_id!r} has no features")
         class_scores, offsets = fused_scores(scorer, record.features)
-        decoded = decode_boxes(boxes_to_array(record.proposals), offsets, record.height, record.width)
+        decoded = decode_boxes(record.proposals, offsets, record.height, record.width)
         valid = np.flatnonzero((decoded[:, 0] < decoded[:, 2]) & (decoded[:, 1] < decoded[:, 3]))
         for c in range(scorer.num_classes):
             scored = valid[class_scores[c, valid] > score_min]

@@ -12,14 +12,14 @@ therefore binarize differently, and the voted boxes can differ at such ties.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import BinaryGrid, Box, boxes_to_array, region_boxes
+from .geometry import BinaryGrid, Box, Boxes, boxes_to_array, region_boxes
 from .mil import ScoreMatrix, positive_classes
 
 # PASCAL VOC 2007/2012 category names, index order used for class ids.
@@ -112,7 +112,7 @@ class Supervision:
 
 
 def select_candidates(
-    phi_bar: ScoreMatrix, boxes: Sequence[Box], c: int, t_score: float
+    phi_bar: ScoreMatrix, boxes: Boxes, c: int, t_score: float
 ) -> np.ndarray:
     """Indices of proposals whose class-c score strictly exceeds t_score."""
     if phi_bar.cols != len(boxes):
@@ -123,7 +123,7 @@ def select_candidates(
 
 
 def _check_accumulate_inputs(
-    candidates: Iterable[int], boxes: Sequence[Box], scores: np.ndarray, height: int, width: int
+    candidates: Iterable[int], boxes: Boxes, scores: np.ndarray, height: int, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (candidate indices, scores, (K, 4) array of the candidates' boxes)."""
     if height <= 0 or width <= 0:
@@ -136,7 +136,7 @@ def _check_accumulate_inputs(
         raise InputError("accumulate: candidate index out of range")
     if idx.size and (not np.isfinite(scores[idx]).all() or scores[idx].min() < 0.0):
         raise InputError("accumulate: candidate scores must be finite and non-negative")
-    arr = boxes_to_array([boxes[i] for i in idx.tolist()])
+    arr = boxes_to_array(boxes)[idx]
     outside = np.flatnonzero((arr[:, 2] > width) | (arr[:, 3] > height))
     if outside.size:
         b = tuple(arr[outside[0]].tolist())
@@ -146,7 +146,7 @@ def _check_accumulate_inputs(
 
 def accumulate_fast(
     candidates: Iterable[int],
-    boxes: Sequence[Box],
+    boxes: Boxes,
     scores: np.ndarray,
     height: int,
     width: int,
@@ -177,18 +177,17 @@ def accumulate_fast(
 
 def accumulate_naive(
     candidates: Iterable[int],
-    boxes: Sequence[Box],
+    boxes: Boxes,
     scores: np.ndarray,
     height: int,
     width: int,
     class_id: int = 0,
 ) -> LikelihoodMap:
     """Definitional oracle for accumulate_fast: one rectangle add per box."""
-    idx, scores, _ = _check_accumulate_inputs(candidates, boxes, scores, height, width)
+    idx, scores, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
     acc = np.zeros((height, width), dtype=np.float64)
-    for i in idx.tolist():
-        b = boxes[i]
-        acc[b.y0 : b.y1, b.x0 : b.x1] += scores[i]
+    for i, (x0, y0, x1, y1) in zip(idx.tolist(), arr.tolist()):
+        acc[y0:y1, x0:x1] += scores[i]
     return LikelihoodMap(acc, class_id=class_id)
 
 
@@ -222,7 +221,7 @@ def vote_boxes(grid: BinaryGrid) -> list[Box]:
 
 
 def _vote_class(
-    phi_bar: ScoreMatrix, boxes: Sequence[Box], c: int, height: int, width: int, config: VoteConfig
+    phi_bar: ScoreMatrix, boxes: Boxes, c: int, height: int, width: int, config: VoteConfig
 ) -> tuple[LikelihoodMap, list[Box]]:
     """One class's normalized likelihood map and the boxes it votes.
 
@@ -241,7 +240,7 @@ def _vote_class(
 
 def generate_supervision(
     phi_bar: ScoreMatrix,
-    boxes: Sequence[Box],
+    boxes: Boxes,
     y: np.ndarray,
     height: int,
     width: int,

@@ -245,7 +245,7 @@ def scalar_run_inference(scorer, dataset, nms_iou=0.3, score_min=1e-3) -> list[D
         class_scores, offsets = fused_scores(scorer, record.features)
         shifted = [
             scalar_decode_offsets(p, offsets[r], record.height, record.width)
-            for r, p in enumerate(record.proposals)
+            for r, p in enumerate(Box(*row) for row in record.proposals.tolist())
         ]
         valid = [r for r, b in enumerate(shifted) if b is not None]
         for c in range(scorer.num_classes):

@@ -15,7 +15,7 @@ import pytest
 from slv.datasets import load_dataset, load_detections
 from slv.evaluation import evaluate_detections, format_report, match_detections
 from slv.geometry import Box
-from slv.mil import RAW, ScoreMatrix, build_clusters, mil_loss, refinement_loss, softmax_over_classes
+from slv.mil import ScoreMatrix, build_clusters, mil_loss, refinement_loss, softmax_over_classes
 from slv.schemes import compare_schemes
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets, loss_weight, slv_loss
@@ -111,9 +111,9 @@ def test_gradient_suite_matches_finite_differences():
             probs = softmax_over_classes(
                 ScoreMatrix(rng.uniform(-1, 1, (num_classes + 1, num_proposals)))
             ).data
-            _, grad = refinement_loss(ScoreMatrix(probs, kind=RAW), clusters)
+            _, grad = refinement_loss(ScoreMatrix(probs), clusters)
             numeric = finite_difference_gradient(
-                lambda p: refinement_loss(ScoreMatrix(p, kind=RAW), clusters)[0], probs
+                lambda p: refinement_loss(ScoreMatrix(p), clusters)[0], probs
             )
             worst = max(worst, relative_error(grad, numeric))
 
@@ -125,12 +125,12 @@ def test_gradient_suite_matches_finite_differences():
             t_s = targets.offsets + rng.uniform(0.1, 0.8, (num_proposals, 4)) * rng.choice(
                 [-1.0, 1.0], (num_proposals, 4)
             )
-            _, g_scores, g_offsets, _ = slv_loss(ScoreMatrix(probs, kind=RAW), t_s, targets)
+            _, g_scores, g_offsets, _ = slv_loss(ScoreMatrix(probs), t_s, targets)
             numeric_scores = finite_difference_gradient(
-                lambda p: slv_loss(ScoreMatrix(p, kind=RAW), t_s, targets)[0], probs
+                lambda p: slv_loss(ScoreMatrix(p), t_s, targets)[0], probs
             )
             numeric_offsets = finite_difference_gradient(
-                lambda t: slv_loss(ScoreMatrix(probs, kind=RAW), t, targets)[0], t_s
+                lambda t: slv_loss(ScoreMatrix(probs), t, targets)[0], t_s
             )
             worst = max(worst, relative_error(g_scores, numeric_scores))
             worst = max(worst, relative_error(g_offsets, numeric_offsets))

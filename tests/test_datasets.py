@@ -17,6 +17,7 @@ from slv.datasets import (
 from slv.errors import DatasetFormatError
 from slv.evaluation import Detection
 from slv.geometry import Box
+from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.voting import Supervision
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -61,7 +62,7 @@ class TestDatasetRoundTrip:
             assert parsed.image_id == original.image_id
             assert parsed.height == original.height and parsed.width == original.width
             assert np.array_equal(parsed.labels, original.labels)
-            assert parsed.proposals == original.proposals
+            assert np.array_equal(parsed.proposals, original.proposals)
             if original.features is None:
                 assert parsed.features is None
             else:
@@ -101,7 +102,7 @@ class TestDatasetValidation:
         target = self._write(tmp_path, [header, record])
         with caplog.at_level("WARNING"):
             loaded = load_dataset(target)
-        assert loaded.records[0].proposals == [Box(5, 5, 10, 10)]
+        assert loaded.records[0].proposals.tolist() == [[5, 5, 10, 10]]
         assert "clipped" in caplog.text
 
     def test_bad_labels_length_names_line_and_field(self, tmp_path):
@@ -178,6 +179,35 @@ class TestDatasetValidation:
         with pytest.raises(DatasetFormatError, match="gt"):
             load_dataset(target)
 
+    def test_boolean_gt_class_rejected(self, tmp_path):
+        header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 2})
+        record = json.dumps(
+            {
+                "id": "x",
+                "height": 10,
+                "width": 10,
+                "labels": [0, 1],
+                "proposals": [],
+                "gt": [{"class": True, "box": [0, 0, 5, 5]}],
+            }
+        )
+        target = self._write(tmp_path, [header, record])
+        with pytest.raises(DatasetFormatError, match=r":2: field 'gt'\[0\]\.class True"):
+            load_dataset(target)
+
+    def test_records_hold_proposals_as_int64_arrays(self, tmp_path):
+        header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 1})
+        record = json.dumps({"id": "x", "height": 10, "width": 10, "labels": [1], "proposals": []})
+        empty = load_dataset(self._write(tmp_path, [header, record])).records[0]
+        built = small_dataset().records[0]
+        save_dataset(small_dataset(), tmp_path / "small.jsonl")
+        loaded = load_dataset(tmp_path / "small.jsonl").records[0]
+        generated = generate_synthetic(SyntheticSceneConfig(num_images=1), 0).records[0]
+        for rec, num in [(empty, 0), (built, 2), (loaded, 2), (generated, 40)]:
+            assert isinstance(rec.proposals, np.ndarray)
+            assert rec.proposals.dtype == np.int64 and rec.proposals.shape == (num, 4)
+        assert loaded.proposals.tolist() == [[0, 0, 10, 10], [5, 5, 20, 15]]
+
     def test_golden_fixture_roundtrips_byte_identical(self, tmp_path):
         src = FIXTURES / "eval_dataset.jsonl"
         loaded = load_dataset(src)
@@ -208,6 +238,26 @@ class TestPseudoLabels:
         assert json.loads(lines[1]) == {"id": "only", "boxes": []}
 
 
+    @pytest.mark.parametrize(
+        "boxes, message",
+        [
+            ([{"class": "x", "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class 'x'"),
+            ([{"class": 1.7, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class 1\.7"),
+            ([{"class": -3, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class -3"),
+            ([{"class": True, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class True"),
+            (7, "field 'boxes' must be a list"),
+            ({"class": 0, "box": [0, 0, 5, 5]}, "field 'boxes' must be a list"),
+        ],
+        ids=["string", "float", "negative", "bool", "number-boxes", "object-boxes"],
+    )
+    def test_bad_record_names_line(self, tmp_path, boxes, message):
+        target = tmp_path / "labels.jsonl"
+        header = json.dumps({"schema": "slv/pseudo-labels", "version": 1})
+        target.write_text(header + "\n" + json.dumps({"id": "a", "boxes": boxes}) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=":2: " + message):
+            load_pseudo_labels(target)
+
+
 class TestDetectionsFile:
     def test_roundtrip(self, tmp_path):
         dets = [
@@ -228,4 +278,16 @@ class TestDetectionsFile:
             encoding="utf-8",
         )
         with pytest.raises(DatasetFormatError, match=r":2: missing field 'score'"):
+            load_detections(target)
+
+    def test_boolean_class_rejected(self, tmp_path):
+        target = tmp_path / "dets.jsonl"
+        target.write_text(
+            json.dumps({"schema": "slv/detections", "version": 1})
+            + "\n"
+            + json.dumps({"id": "a", "class": True, "box": [0, 0, 5, 5], "score": 0.5})
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetFormatError, match=r":2: field 'class' must be an integer"):
             load_detections(target)

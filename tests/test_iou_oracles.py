@@ -41,6 +41,8 @@ box_lists = st.lists(tie_boxes, min_size=1, max_size=5).flatmap(
 
 
 def assert_same_clusters(got, want):
+    covered = [r for c in got.clusters for r in c.members] + list(got.background)
+    assert sorted(covered) == list(range(got.num_proposals)), "clusters must partition proposals"
     assert got.clusters == want.clusters
     assert got.background == want.background
     assert np.array_equal(got.background_weights, want.background_weights)
@@ -122,9 +124,10 @@ def test_dense_synthetic_records_match_oracles():
     dataset = generate_synthetic(config, 5)
     for record in dataset:
         scores = ScoreMatrix(record.scores)
+        boxes = [Box(*row) for row in record.proposals.tolist()]
         assert_same_clusters(
             build_clusters(scores, record.proposals, record.labels),
-            greedy_clusters(scores, record.proposals, record.labels),
+            greedy_clusters(scores, boxes, record.labels),
         )
         sup = generate_supervision(
             scores, record.proposals, record.labels, record.height, record.width, VoteConfig()
@@ -132,7 +135,7 @@ def test_dense_synthetic_records_match_oracles():
         assert not sup.is_empty
         assert_same_targets(
             assign_targets(record.proposals, sup, dataset.num_classes),
-            matched_targets(record.proposals, sup, dataset.num_classes),
+            matched_targets(boxes, sup, dataset.num_classes),
         )
         top = record.scores.max(axis=0).tolist()
-        assert nms(record.proposals, top, 0.3) == greedy_nms(record.proposals, top, 0.3)
+        assert nms(record.proposals, top, 0.3) == greedy_nms(boxes, top, 0.3)

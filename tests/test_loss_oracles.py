@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from slv.errors import InputError, NumericalError, SlvError
 from slv.geometry import Box, boxes_to_array
-from slv.mil import PROB_EPS, RAW, Cluster, ClusterSet, ScoreMatrix, refinement_loss
+from slv.mil import PROB_EPS, Cluster, ClusterSet, ScoreMatrix, refinement_loss
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import (
     BBOX_XFORM_CLIP,
@@ -81,7 +81,7 @@ def cluster_case(seed, num_classes, num, background):
     """A score matrix and a random partition into clusters (up to four,
     some larger than eight members) and, optionally, background."""
     rng = np.random.default_rng(seed)
-    phi = ScoreMatrix(pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0), kind=RAW)
+    phi = ScoreMatrix(pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0))
     owner = rng.integers(-1 if background else 0, 4, num)
     clusters = tuple(
         Cluster(int(rng.integers(num_classes)), tuple(np.flatnonzero(owner == k).tolist()), float(s))
@@ -122,7 +122,7 @@ def test_refinement_loss_error_precedence():
     # A NaN in cluster 0 comes before the missing row of cluster 1, which
     # comes before a NaN among the background proposals.
     clusters = ClusterSet((Cluster(0, (0,), 1.0), Cluster(1, (1,), 1.0)), (2,), np.array([1.0]), 3)
-    phi = ScoreMatrix(np.full((2, 3), 0.5), kind=RAW)
+    phi = ScoreMatrix(np.full((2, 3), 0.5))
     phi.data[1, 2] = np.nan
     with pytest.raises(InputError, match="cluster 1 labeled 1 has no row"):
         refinement_loss(phi, clusters)
@@ -146,7 +146,7 @@ def test_slv_loss_matches_oracle(seed, num_classes, num, all_ignored):
         (labels != IGNORED).astype(np.float64), num_classes,
     )
     t_s = pooled(rng, OFFSETS[:6], (num, 4), -5.0, 5.0)
-    phi = ScoreMatrix(pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0), kind=RAW)
+    phi = ScoreMatrix(pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0))
     assert_same_outcome(slv_loss(phi, t_s, targets), scalar_slv_loss(phi, t_s, targets))
 
 
@@ -249,7 +249,8 @@ def test_run_inference_drops_empty_decodes_like_oracle():
     scorer = inference_scorer(2, 30.0)
     record = INFERENCE_DATA.records[0]
     _, t = scorer.slv_heads(record.features)
-    dropped = [scalar_decode_offsets(p, t[r], record.height, record.width) is None for r, p in enumerate(record.proposals)]
+    proposals = [Box(*row) for row in record.proposals.tolist()]
+    dropped = [scalar_decode_offsets(p, t[r], record.height, record.width) is None for r, p in enumerate(proposals)]
     assert any(dropped) and not all(dropped)
     detections = run_inference(scorer, INFERENCE_DATA)
     assert detections and detections == scalar_run_inference(scorer, INFERENCE_DATA)

@@ -8,10 +8,6 @@ from hypothesis import strategies as st
 from slv.errors import InputError
 from slv.geometry import Box
 from slv.mil import (
-    OVER_CLASSES,
-    OVER_PROPOSALS,
-    PRODUCT,
-    RAW,
     ScoreMatrix,
     average_refined_scores,
     build_clusters,
@@ -26,18 +22,14 @@ from slv.mil import (
 from helpers import finite_difference_gradient, relative_error
 
 
-def random_probability_matrix(rng, rows, cols, kind=OVER_CLASSES):
-    logits = rng.uniform(-1.0, 1.0, (rows, cols))
-    if kind == OVER_CLASSES:
-        return softmax_over_classes(ScoreMatrix(logits))
-    return softmax_over_proposals(ScoreMatrix(logits))
+def random_probability_matrix(rng, rows, cols, softmax=softmax_over_classes):
+    return softmax(ScoreMatrix(rng.uniform(-1.0, 1.0, (rows, cols))))
 
 
 class TestSoftmax:
     def test_uniform_logits_over_classes(self):
         out = softmax_over_classes(ScoreMatrix(np.zeros((2, 3))))
         assert np.array_equal(out.data, np.full((2, 3), 0.5))
-        assert out.kind == OVER_CLASSES
 
     def test_exact_column(self):
         x = ScoreMatrix(np.array([[math.log(1.0)], [math.log(3.0)]]))
@@ -47,7 +39,6 @@ class TestSoftmax:
     def test_uniform_logits_over_proposals(self):
         out = softmax_over_proposals(ScoreMatrix(np.zeros((2, 4))))
         assert np.array_equal(out.data, np.full((2, 4), 0.25))
-        assert out.kind == OVER_PROPOSALS
 
     def test_exact_row(self):
         x = ScoreMatrix(np.array([[math.log(1.0), math.log(1.0), math.log(2.0)]]))
@@ -90,21 +81,20 @@ class TestWsddnScores:
     def test_uniform_detection_stream(self):
         rng = np.random.default_rng(3)
         sigma_cls = random_probability_matrix(rng, 3, 5)
-        sigma_det = ScoreMatrix(np.full((3, 5), 0.2), kind=OVER_PROPOSALS)
+        sigma_det = ScoreMatrix(np.full((3, 5), 0.2))
         out = wsddn_scores(sigma_cls, sigma_det)
         assert np.allclose(out.data, sigma_cls.data / 5.0, rtol=0, atol=1e-16)
-        assert out.kind == PRODUCT
 
     def test_zero_factor_zeroes_entry(self):
-        sigma_cls = ScoreMatrix(np.array([[0.0], [1.0]]), kind=OVER_CLASSES)
-        sigma_det = ScoreMatrix(np.array([[1.0], [1.0]]), kind=OVER_PROPOSALS)
+        sigma_cls = ScoreMatrix(np.array([[0.0], [1.0]]))
+        sigma_det = ScoreMatrix(np.array([[1.0], [1.0]]))
         out = wsddn_scores(sigma_cls, sigma_det)
         assert out.data[0, 0] == 0.0
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(5)
         sigma_cls = random_probability_matrix(rng, 3, 5)
-        sigma_det = random_probability_matrix(rng, 3, 5, kind=OVER_PROPOSALS)
+        sigma_det = random_probability_matrix(rng, 3, 5, softmax_over_proposals)
         out = wsddn_scores(sigma_cls, sigma_det)
         for c in range(3):
             for r in range(5):
@@ -115,28 +105,22 @@ class TestWsddnScores:
         with pytest.raises(InputError):
             wsddn_scores(
                 random_probability_matrix(rng, 3, 5),
-                random_probability_matrix(rng, 3, 4, kind=OVER_PROPOSALS),
+                random_probability_matrix(rng, 3, 4, softmax_over_proposals),
             )
-
-    def test_kind_checked(self):
-        rng = np.random.default_rng(9)
-        a = random_probability_matrix(rng, 3, 5)
-        with pytest.raises(InputError):
-            wsddn_scores(a, a)
 
 
 class TestImageScores:
     def test_single_proposal_is_column(self):
         rng = np.random.default_rng(13)
         sigma_cls = random_probability_matrix(rng, 4, 1)
-        sigma_det = ScoreMatrix(np.ones((4, 1)), kind=OVER_PROPOSALS)
+        sigma_det = ScoreMatrix(np.ones((4, 1)))
         phi0 = wsddn_scores(sigma_cls, sigma_det)
         assert np.array_equal(image_scores(phi0), phi0.data[:, 0])
 
     def test_uniform_everything_gives_one_over_c(self):
         c, r = 4, 6
-        sigma_cls = ScoreMatrix(np.full((c, r), 1.0 / c), kind=OVER_CLASSES)
-        sigma_det = ScoreMatrix(np.full((c, r), 1.0 / r), kind=OVER_PROPOSALS)
+        sigma_cls = ScoreMatrix(np.full((c, r), 1.0 / c))
+        sigma_det = ScoreMatrix(np.full((c, r), 1.0 / r))
         phi = image_scores(wsddn_scores(sigma_cls, sigma_det))
         assert phi == pytest.approx([1.0 / c] * c, abs=1e-12)
 
@@ -145,7 +129,7 @@ class TestImageScores:
     def test_never_exceeds_one(self, seed):
         rng = np.random.default_rng(seed)
         sigma_cls = random_probability_matrix(rng, 3, 7)
-        sigma_det = random_probability_matrix(rng, 3, 7, kind=OVER_PROPOSALS)
+        sigma_det = random_probability_matrix(rng, 3, 7, softmax_over_proposals)
         phi = image_scores(wsddn_scores(sigma_cls, sigma_det))
         assert phi.max() <= 1.0 + 1e-9
         assert phi.min() >= 0.0
@@ -267,7 +251,7 @@ class TestRefinementLoss:
     def test_perfect_foreground_cluster_is_free(self):
         probs = np.array([[1.0], [0.0]])
         clusters = build_clusters(ScoreMatrix(np.array([[1.0]])), [Box(0, 0, 5, 5)], np.array([1]))
-        loss, grad = refinement_loss(ScoreMatrix(probs, kind=RAW), clusters)
+        loss, grad = refinement_loss(ScoreMatrix(probs), clusters)
         assert loss == pytest.approx(0.0, abs=1e-7)
 
     def test_single_background_closed_form(self):
@@ -280,7 +264,7 @@ class TestRefinementLoss:
             num_proposals=1,
         )
         probs = np.array([[0.5], [0.5]])  # one class row plus background row
-        loss, grad = refinement_loss(ScoreMatrix(probs, kind=RAW), clusters)
+        loss, grad = refinement_loss(ScoreMatrix(probs), clusters)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         assert grad[1, 0] == pytest.approx(-1.0 / 0.5, abs=1e-12)
 
@@ -299,9 +283,9 @@ class TestRefinementLoss:
             cluster_scores = ScoreMatrix(rng.uniform(0.05, 1.0, (c, r)))
             clusters = build_clusters(cluster_scores, boxes, y)
             probs = random_probability_matrix(rng, c + 1, r).data
-            _, grad = refinement_loss(ScoreMatrix(probs, kind=RAW), clusters)
+            _, grad = refinement_loss(ScoreMatrix(probs), clusters)
             numeric = finite_difference_gradient(
-                lambda p: refinement_loss(ScoreMatrix(p, kind=RAW), clusters)[0], probs
+                lambda p: refinement_loss(ScoreMatrix(p), clusters)[0], probs
             )
             assert relative_error(grad, numeric) < 1e-5
 
@@ -312,10 +296,9 @@ class TestAverageRefinedScores:
         m = random_probability_matrix(rng, 4, 3)
         out = average_refined_scores(m, m, m)
         assert np.allclose(out.data, m.data, rtol=0, atol=1e-16)
-        assert out.kind == m.kind
 
     def test_single_entry_mean(self):
-        mats = [ScoreMatrix(np.array([[v]]), kind=RAW) for v in (0.0, 0.0, 3.0)]
+        mats = [ScoreMatrix(np.array([[v]])) for v in (0.0, 0.0, 3.0)]
         assert average_refined_scores(*mats).data[0, 0] == pytest.approx(1.0)
 
     def test_matches_elementwise_oracle(self):

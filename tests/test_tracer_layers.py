@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import slv  # noqa: F401  (imports every module the tracer patches)
+import slv.cli  # imports every module the tracer patches
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,4 +37,36 @@ def test_install_and_restore_leave_no_wrapper():
         assert tracer.leftover_wrappers()
     finally:
         t.restore()
+    assert tracer.leftover_wrappers() == []
+
+
+def test_counters_read_array_records(tmp_path):
+    """Counters read `len(boxes)` and `result.num_proposals` from arguments
+    and results at the call boundary; with proposals held as arrays, a small
+    traced pipeline must still count them."""
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    data = str(tmp_path / "data" / "dataset.jsonl")
+    scorer = ["--scorer", str(tmp_path / "train" / "scorer.json")]
+    stages = [
+        ["generate", "--images", "3", "--size", "48", "--proposals", "20"],
+        ["train", data, "--iterations", "2", "--ramp", "1", "--emit-detections"],
+        ["vote", data, *scorer],
+        ["compare-schemes", data, *scorer],
+    ]
+    try:
+        t.install()
+        for out, argv in zip(["data", "train", "vote", "cmp"], stages):
+            assert slv.cli.main(["--out", str(tmp_path / out), *argv]) == 0
+    finally:
+        t.restore()
+    m = t.metrics()
+    for key in (
+        "mil.build_clusters.proposals",
+        "voting.accumulate_fast.boxes",
+        "geometry.nms.boxes_in",
+        "voting.vote_boxes.regions",
+    ):
+        assert m[key] > 0, key
+    assert m["targets.assign_targets.fg"] + m["targets.assign_targets.bg"] + m["targets.assign_targets.ignored"] > 0
     assert tracer.leftover_wrappers() == []
