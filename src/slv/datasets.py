@@ -11,6 +11,7 @@ import json
 import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ DETECTIONS_SCHEMA = "slv/detections"
 SCHEMA_VERSION = 1
 # JPEG's limit; larger sides would make vote grids that cannot be allocated.
 MAX_IMAGE_SIDE = 65535
+CLIPPED = "%s: proposal %d %s clipped to %s for %dx%d image"  # log format
 
 
 @dataclass
@@ -79,10 +81,56 @@ class Dataset:
 def _box_from_json(raw, where: str) -> Box:
     if not isinstance(raw, list) or len(raw) != 4:
         raise DatasetFormatError(f"{where}: box must be a 4-element list, got {raw!r}")
+    for name, value in zip(("x0", "y0", "x1", "y1"), raw):
+        # `type(value) is int` rejects JSON booleans, which Box would take as 0 and 1.
+        if type(value) is not int:
+            raise DatasetFormatError(f"{where}: box coordinate {name}={value!r} is not an integer")
     try:
         return Box(*raw)
     except InputError as exc:
         raise DatasetFormatError(f"{where}: {exc}") from None
+
+
+def _proposal_rows(raw, height: int, width: int, where: str) -> list[Box]:
+    """Proposals checked row by row: the first bad row raises its message,
+    and rows reaching past the image are clipped with a warning."""
+    proposals: list[Box] = []
+    for k, row in enumerate(raw):
+        box = _box_from_json(row, f"{where}: field 'proposals'[{k}]")
+        if box.x1 > width or box.y1 > height:
+            clipped = clip_box(box, height, width)
+            log.warning(CLIPPED, where, k, box.as_tuple(), clipped.as_tuple(), height, width)
+            box = clipped
+        proposals.append(box)
+    return proposals
+
+
+def _proposals_from_json(raw, height: int, width: int, where: str) -> np.ndarray:
+    """A record's proposals as one (N, 4) int64 array, checked as one array.
+
+    Rows of four JSON integers (not booleans) that make a `Box` whose top-left
+    corner lies inside the image pass; rows reaching past the image are
+    clipped with the warning `_proposal_rows` gives. Anything else goes row
+    by row through `_proposal_rows`, which raises the first bad row's
+    message, or clips a coordinate too large for int64.
+    """
+    try:
+        plain = type(raw) is list and set(map(len, raw)) <= {4} and set(map(type, chain.from_iterable(raw))) <= {int}
+        arr = np.array(raw, dtype=np.int64).reshape(-1, 4) if plain else None
+    except (TypeError, OverflowError):  # a row without a length, a coordinate beyond int64
+        arr = None
+    if arr is None:
+        return boxes_to_array(_proposal_rows(raw, height, width, where))
+    top_left, bottom_right, size = arr[:, :2], arr[:, 2:], (width, height)
+    if ((top_left < 0) | (top_left >= bottom_right) | (top_left >= size)).any():
+        return boxes_to_array(_proposal_rows(raw, height, width, where))
+    over = np.flatnonzero((bottom_right > size).any(axis=1))
+    if over.size:
+        clipped = np.minimum(arr, size * 2)
+        for k in over.tolist():
+            log.warning(CLIPPED, where, k, tuple(arr[k].tolist()), tuple(clipped[k].tolist()), height, width)
+        arr = clipped
+    return arr
 
 
 def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, where: str) -> DatasetRecord:
@@ -91,24 +139,14 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             raise DatasetFormatError(f"{where}: missing field {key!r}")
     image_id = str(obj["id"])
     height, width = obj["height"], obj["width"]
-    if not all(isinstance(v, int) and 0 < v <= MAX_IMAGE_SIDE for v in (height, width)):
+    if not all(type(v) is int and 0 < v <= MAX_IMAGE_SIDE for v in (height, width)):
         raise DatasetFormatError(f"{where}: field 'height'/'width' must be integers in [1, {MAX_IMAGE_SIDE}]")
     labels = np.asarray(obj["labels"])
     if labels.shape != (num_classes,) or not np.isin(labels, (0, 1)).all():
         raise DatasetFormatError(
             f"{where}: field 'labels' must be a 0/1 vector of length {num_classes}"
         )
-    proposals: list[Box] = []
-    for k, raw in enumerate(obj["proposals"]):
-        box = _box_from_json(raw, f"{where}: field 'proposals'[{k}]")
-        if box.x1 > width or box.y1 > height:
-            clipped = clip_box(box, height, width)
-            log.warning(
-                "%s: proposal %d %s clipped to %s for %dx%d image",
-                where, k, box.as_tuple(), clipped.as_tuple(), height, width,
-            )
-            box = clipped
-        proposals.append(box)
+    proposals = _proposals_from_json(obj["proposals"], height, width, where)
     features = None
     if obj.get("features") is not None:
         features = np.asarray(obj["features"], dtype=np.float64)
@@ -193,10 +231,10 @@ def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     header, lines = _read_header(path, DATASET_SCHEMA)
     num_classes = header.get("num_classes")
-    if not isinstance(num_classes, int) or num_classes <= 0:
+    if type(num_classes) is not int or num_classes <= 0:
         raise DatasetFormatError(f"{path}:1: header field 'num_classes' must be a positive integer")
     feature_dim = header.get("feature_dim")
-    if feature_dim is not None and (not isinstance(feature_dim, int) or feature_dim <= 0):
+    if feature_dim is not None and (type(feature_dim) is not int or feature_dim <= 0):
         raise DatasetFormatError(f"{path}:1: header field 'feature_dim' must be a positive integer")
     class_names = header.get("class_names")
     if class_names is not None:

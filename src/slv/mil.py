@@ -54,11 +54,17 @@ class ScoreMatrix:
 
 
 def positive_classes(y: np.ndarray) -> list[int]:
-    """Indices of positive labels in a binary image-label vector."""
+    """Indices of positive labels in a binary image-label vector.
+
+    Every entry must compare equal to 0 or 1 (ints, bools and floats do; NaN,
+    strings and other objects do not). Two comparisons, not `np.isin`, since
+    this runs on every clustering and vote call.
+    """
     y = np.asarray(y)
-    if y.ndim != 1 or not np.isin(y, (0, 1)).all():
+    ones = y == 1
+    if y.ndim != 1 or not (ones | (y == 0)).all():
         raise InputError("image label must be a 1-D vector of 0/1 entries")
-    return np.flatnonzero(y == 1).tolist()
+    return np.flatnonzero(ones).tolist()
 
 
 def _softmax(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -111,7 +117,7 @@ def mil_loss(phi: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if phi.shape != y.shape or phi.ndim != 1:
         raise InputError(f"mil_loss: shape mismatch phi {phi.shape} vs y {y.shape}")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise InputError("mil_loss: labels must be 0/1 indicators")
     if not np.isfinite(phi).all() or phi.min(initial=0.0) < 0.0 or phi.max(initial=0.0) > 1.0 + 1e-9:
         raise InputError("mil_loss: image scores must lie in [0, 1]")
@@ -155,6 +161,7 @@ def build_clusters(
     scores: ScoreMatrix,
     boxes: Boxes,
     y: np.ndarray,
+    ious: np.ndarray | None = None,
 ) -> ClusterSet:
     """Greedy proposal clustering around high-scoring centers.
 
@@ -164,6 +171,11 @@ def build_clusters(
     it reaches CLUSTER_IOU; seeding stops below CLUSTER_CENTER_FLOOR.
     Leftover proposals form the background cluster, each weighted by one
     minus its best positive-class score.
+
+    Each seed's IoU row is read from `ious`, the boxes' (N, N)
+    `iou_matrix(boxes, boxes)`, when given (a trainer that clusters the same
+    proposals many times computes it once); otherwise the row is computed
+    for that seed alone. Both give the same clusters.
     """
     pos = positive_classes(y)
     if not pos:
@@ -173,6 +185,8 @@ def build_clusters(
         raise InputError(f"build_clusters: {scores.cols} score columns but {num} boxes")
     if scores.rows < max(pos) + 1:
         raise InputError("build_clusters: score matrix has no row for some positive class")
+    if ious is not None and ious.shape != (num, num):
+        raise InputError(f"build_clusters: IoU matrix of shape {ious.shape} for {num} boxes")
     data = scores.data
     arr = boxes_to_array(boxes)
     unassigned = np.ones(num, dtype=bool)
@@ -185,7 +199,7 @@ def build_clusters(
             center = int(candidates.argmax())
             if not unassigned[center] or data[c, center] < CLUSTER_CENTER_FLOOR:
                 break
-            row = iou_matrix(arr[center : center + 1], arr)[0]
+            row = iou_matrix(arr[center : center + 1], arr)[0] if ious is None else ious[center]
             members = np.flatnonzero(unassigned & (row >= CLUSTER_IOU))
             unassigned[members] = False
             candidates[members] = -np.inf

@@ -39,7 +39,7 @@ from .mil import (
     softmax_over_proposals,
     wsddn_scores,
 )
-from .geometry import Box, nms
+from .geometry import Box, iou_matrix, nms
 from .targets import assign_targets, decode_boxes, loss_weight, slv_loss, total_loss
 from .voting import Supervision, VoteConfig, generate_supervision, write_pgm
 
@@ -83,17 +83,14 @@ class ToyScorer:
         )
 
     def refined_scores(self, feats: np.ndarray) -> list[ScoreMatrix]:
-        return [
-            softmax_over_classes(ScoreMatrix(w @ feats.T)) for w in self.w_refine
-        ]
+        return [softmax_over_classes(ScoreMatrix(_scorer_head(w, feats))) for w in self.w_refine]
 
     def refined_average(self, feats: np.ndarray) -> ScoreMatrix:
         return average_refined_scores(*self.refined_scores(feats))
 
     def slv_heads(self, feats: np.ndarray) -> tuple[ScoreMatrix, np.ndarray]:
-        phi_s = softmax_over_classes(ScoreMatrix(self.w_slv_cls @ feats.T))
-        t_s = (self.w_slv_reg @ feats.T).T
-        return phi_s, t_s
+        phi_s = softmax_over_classes(ScoreMatrix(_scorer_head(self.w_slv_cls, feats)))
+        return phi_s, _scorer_head(self.w_slv_reg, feats).T
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -201,9 +198,24 @@ def save_trace(trace: list[TraceEntry], path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _finite_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> ScoreMatrix:
+def _head(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """`w @ feats.T`; an overflow shows as a non-finite entry for the caller
+    to report, not as a RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z = w @ feats.T
+        return w @ feats.T
+
+
+def _scorer_head(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """One head of a given scorer; finite weights whose products overflow
+    are an input error (callers add the record)."""
+    z = _head(w, feats)
+    if not np.isfinite(z).all():
+        raise InputError("scorer weights give non-finite outputs")
+    return z
+
+
+def _finite_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> ScoreMatrix:
+    z = _head(w, feats)
     if not np.isfinite(z).all():
         raise NumericalError(f"training diverged at iteration {iteration}")
     return ScoreMatrix(z)
@@ -229,6 +241,9 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     non-finite.
     """
     records = _training_records(dataset)
+    # Proposals never change, so each record's IoU matrix (8 N^2 bytes) is
+    # computed once for every clustering call of the run.
+    proposal_ious = [iou_matrix(r.proposals, r.proposals) for r in records]
     num_classes = dataset.num_classes
     rng = np.random.default_rng(config.init_seed)
     scorer = ToyScorer.initialize(num_classes, records[0].features.shape[1], rng)
@@ -247,7 +262,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         sum_refine = np.zeros(len(scorer.w_refine))
         sum_slv = 0.0
         sum_total = 0.0
-        for record in records:
+        for record, ious in zip(records, proposal_ious):
             feats = record.features
             y = record.labels
 
@@ -267,7 +282,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             previous = phi0
             for k, w_k in enumerate(scorer.w_refine):
                 phi_k = softmax_over_classes(_finite_logits(w_k, feats, it))
-                clusters = build_clusters(previous, record.proposals, y)
+                clusters = build_clusters(previous, record.proposals, y, ious)
                 l_k, d_phi_k = refinement_loss(phi_k, clusters)
                 grads_refine[k] += softmax_backward(phi_k.data, d_phi_k, axis=0) @ feats
                 refine_losses.append(l_k)
@@ -282,7 +297,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
                 )
                 proposal_targets = assign_targets(record.proposals, supervision, num_classes)
                 phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
-                t_s = (scorer.w_slv_reg @ feats.T).T
+                t_s = _head(scorer.w_slv_reg, feats).T
                 if not np.isfinite(t_s).all():
                     raise NumericalError(f"training diverged at iteration {it}")
                 l_slv, d_phi_s, d_t_s, _vacuous = slv_loss(phi_s, t_s, proposal_targets)
@@ -344,7 +359,10 @@ def run_inference(
     for record in sorted(dataset.records, key=lambda r: r.image_id):
         if record.features is None:
             raise InputError(f"run_inference: record {record.image_id!r} has no features")
-        class_scores, offsets = fused_scores(scorer, record.features)
+        try:
+            class_scores, offsets = fused_scores(scorer, record.features)
+        except InputError as exc:
+            raise InputError(f"run_inference: record {record.image_id!r}: {exc}") from None
         decoded = decode_boxes(record.proposals, offsets, record.height, record.width)
         valid = np.flatnonzero((decoded[:, 0] < decoded[:, 2]) & (decoded[:, 1] < decoded[:, 3]))
         for c in range(scorer.num_classes):
@@ -369,7 +387,10 @@ def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> ScoreMatr
                 f"record {record.image_id!r} has {record.features.shape[1]} features per proposal,"
                 f" the scorer expects {scorer.feature_dim}"
             )
-        return scorer.refined_average(record.features)
+        try:
+            return scorer.refined_average(record.features)
+        except InputError as exc:
+            raise InputError(f"record {record.image_id!r}: {exc}") from None
     if record.scores is not None:
         return ScoreMatrix(record.scores)
     return None

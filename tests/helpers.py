@@ -1,8 +1,8 @@
 """Shared test oracles: central finite differences, a literal per-pixel
 accumulation loop, a flood-fill region labeling, scalar-IoU loops for
-greedy clustering, target assignment and NMS, and per-proposal loops for
-the losses and the box coding. These stay independent of the
-implementation paths they check."""
+greedy clustering, target assignment and NMS, per-proposal loops for
+the losses and the box coding, and a per-row proposal loader. These stay
+independent of the implementation paths they check."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from slv.errors import InputError, NumericalError
+from slv.errors import DatasetFormatError, InputError, NumericalError
 from slv.evaluation import Detection
-from slv.geometry import Box, iou
+from slv.geometry import Box, clip_box, iou
 from slv.mil import CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet
 from slv.targets import (
     BBOX_XFORM_CLIP, BG_IOU_RANGE, FG_IOU, IGNORED, ProposalTargets, smooth_l1, smooth_l1_grad,
@@ -254,3 +254,29 @@ def scalar_run_inference(scorer, dataset, nms_iou=0.3, score_min=1e-3) -> list[D
             keep = greedy_nms([shifted[r] for r in scored], scores, nms_iou)
             detections.extend(Detection(record.image_id, c, shifted[scored[k]], scores[k]) for k in keep)
     return detections
+
+
+def rowwise_proposals(raw, height, width, where) -> tuple[list[list[int]], list[str]]:
+    """A dataset record's proposal rows checked and clipped one at a time, one
+    Box each; intentionally dumb. Returns (rows, clip warnings) or raises the
+    first bad row's message."""
+    rows, warnings = [], []
+    for k, row in enumerate(raw):
+        at = f"{where}: field 'proposals'[{k}]"
+        if not isinstance(row, list) or len(row) != 4:
+            raise DatasetFormatError(f"{at}: box must be a 4-element list, got {row!r}")
+        for name, value in zip(("x0", "y0", "x1", "y1"), row):
+            if type(value) is not int:
+                raise DatasetFormatError(f"{at}: box coordinate {name}={value!r} is not an integer")
+        try:
+            box = Box(*row)
+        except InputError as exc:
+            raise DatasetFormatError(f"{at}: {exc}") from None
+        if box.x1 > width or box.y1 > height:
+            clipped = clip_box(box, height, width)
+            warnings.append(
+                f"{where}: proposal {k} {box.as_tuple()} clipped to {clipped.as_tuple()} for {height}x{width} image"
+            )
+            box = clipped
+        rows.append(list(box.as_tuple()))
+    return rows, warnings

@@ -250,6 +250,16 @@ class TestExitCodes:
         _, scorer = self._trained_scorer(tmp_path, 3)
         self._vote_is_one(tmp_path, capsys, dataset, scorer, "features per proposal")
 
+    def test_overflowing_scorer_is_one_and_names_the_record(self, tmp_path, capsys):
+        dataset, scorer = self._trained_scorer(tmp_path, 2)
+        payload = json.loads(scorer.read_text())
+        payload["weights"]["refine"][0] = [[1e308] * len(row) for row in payload["weights"]["refine"][0]]
+        scorer.write_text(json.dumps(payload))
+        for command in ("vote", "compare-schemes"):
+            code, captured = run(["--out", tmp_path / "v", command, dataset, "--scorer", scorer], capsys)
+            assert code == 1
+            assert captured.err.splitlines() == ["error: record 'synth-0000': scorer weights give non-finite outputs"]
+
     def test_huge_learning_rate_detections_do_not_overflow(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert run(["--seed", "3", "--out", data_dir] + GENERATE_ARGS)[0] == 0

@@ -5,6 +5,7 @@ configs. Every run must end in exit code 0, 1 or 2, never an exception.
 Large integers are drawn only as 2**63: sizes in the tens of thousands
 would make vote grids of many gigabytes instead of a quick error."""
 
+import copy
 import json
 import random
 
@@ -42,7 +43,8 @@ def inputs(tmp_path_factory):
 
 
 def edit_json(obj, rng):
-    """Replace, drop or append one node of a parsed JSON line."""
+    """Replace, drop or append one node of a parsed JSON line. Inserted values
+    are copies, so later edits never grow REPLACEMENTS or make cycles."""
     nodes = []
 
     def walk(node):
@@ -53,17 +55,17 @@ def edit_json(obj, rng):
 
     walk(obj)
     if not nodes:
-        return rng.choice(REPLACEMENTS)
+        return copy.deepcopy(rng.choice(REPLACEMENTS))
     parent, key = rng.choice(nodes)
     op = rng.random()
     if op < 0.6:
-        parent[key] = rng.choice(REPLACEMENTS)
+        parent[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
     elif op < 0.8:
         del parent[key]
     elif isinstance(parent, list):
-        parent.append(rng.choice(REPLACEMENTS))
+        parent.append(copy.deepcopy(rng.choice(REPLACEMENTS)))
     else:
-        parent[f"extra{key}"] = rng.choice(REPLACEMENTS)
+        parent[f"extra{key}"] = copy.deepcopy(rng.choice(REPLACEMENTS))
     return obj
 
 

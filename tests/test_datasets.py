@@ -1,8 +1,11 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slv.datasets import (
     Dataset,
@@ -14,13 +17,39 @@ from slv.datasets import (
     save_detections,
     save_pseudo_labels,
 )
-from slv.errors import DatasetFormatError
+from slv.errors import DatasetFormatError, InputError
 from slv.evaluation import Detection
 from slv.geometry import Box
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.voting import Supervision
 
+from helpers import rowwise_proposals
+
 FIXTURES = Path(__file__).parent / "fixtures"
+HEADER = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
+RECORD = {"id": "x", "height": 10, "width": 10, "labels": [1], "proposals": [[0, 0, 5, 5]]}
+
+
+def write_dataset(path, header=None, record=None):
+    """A one-record dataset file: HEADER and RECORD updated with the given fields."""
+    lines = [{**HEADER, **(header or {})}, {**RECORD, **(record or {})}]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    return path
+
+
+class LogMessages(logging.Handler):
+    """Collects the messages logged to `slv.datasets` inside a with-block."""
+
+    def __enter__(self):
+        self.messages = []
+        logging.getLogger("slv.datasets").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("slv.datasets").removeHandler(self)
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
 
 
 def small_dataset():
@@ -208,6 +237,98 @@ class TestDatasetValidation:
             assert rec.proposals.dtype == np.int64 and rec.proposals.shape == (num, 4)
         assert loaded.proposals.tolist() == [[0, 0, 10, 10], [5, 5, 20, 15]]
 
+    @pytest.mark.parametrize(
+        "proposals, message",
+        [
+            ([[0, 0, 5, 5], [0, 0.5, 5, 5]], "{at}[1]: box coordinate y0=0.5 is not an integer"),
+            ([[-1, 0, 5, 5]], "{at}[0]: box coordinates must be non-negative, got (-1, 0, 5, 5)"),
+            ([[3, 0, 3, 5]], "{at}[0]: box must have positive width and height, got (3, 0, 3, 5)"),
+            ([[0, 0, 5]], "{at}[0]: box must be a 4-element list, got [0, 0, 5]"),
+            ([[2**63, 0, 2**63 + 1, 5]],
+             "clip_box: box (9223372036854775808, 0, 9223372036854775809, 5) lies outside a 10x10 image"),
+            ([[0, 0, 5, 5], [12, 0, 15, 5]], "clip_box: box (12, 0, 15, 5) lies outside a 10x10 image"),
+            ([[False, False, True, True]], "{at}[0]: box coordinate x0=False is not an integer"),
+            ([[5, 5, 20, 20], [0, 0, 5], [-1, 0, 1, 1]], "{at}[1]: box must be a 4-element list, got [0, 0, 5]"),
+        ],
+        ids=["float", "negative", "zero-width", "three-elements", "2**63", "outside", "bool", "first-bad-row"],
+    )
+    def test_bad_proposal_row_raises_its_message(self, tmp_path, proposals, message):
+        target = write_dataset(tmp_path / "ds.jsonl", record={"proposals": proposals})
+        with pytest.raises(InputError) as info:
+            load_dataset(target)
+        assert str(info.value) == message.format(at=f"{target}:2: field 'proposals'")
+
+    @pytest.mark.parametrize(
+        "proposals, rows, clipped",
+        [
+            ([], [], []),
+            ([[0, 0, 10, 10], [9, 9, 10, 10]], [[0, 0, 10, 10], [9, 9, 10, 10]], []),
+            ([[5, 5, 20, 20]], [[5, 5, 10, 10]], ["proposal 0 (5, 5, 20, 20) clipped to (5, 5, 10, 10)"]),
+            ([[1, 1, 2, 2], [0, 0, 2**63, 5]], [[1, 1, 2, 2], [0, 0, 10, 5]],
+             ["proposal 1 (0, 0, 9223372036854775808, 5) clipped to (0, 0, 10, 5)"]),
+        ],
+        ids=["empty", "inside", "clipped", "2**63-clipped"],
+    )
+    def test_valid_proposals_load_as_rows(self, tmp_path, proposals, rows, clipped):
+        target = write_dataset(tmp_path / "ds.jsonl", record={"proposals": proposals})
+        with LogMessages() as messages:
+            record = load_dataset(target).records[0]
+        assert record.proposals.dtype == np.int64 and record.proposals.shape == (len(rows), 4)
+        assert record.proposals.tolist() == rows
+        assert messages == [f"{target}:2: {m} for 10x10 image" for m in clipped]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    lambda x, y, w, h: [x, y, x + w, y + h],
+                    st.integers(0, 12), st.integers(0, 10), st.integers(1, 6), st.integers(1, 6),
+                ),
+                st.lists(
+                    st.one_of(st.integers(-1, 14), st.sampled_from([2**63, -(2**63) - 1, 0.5, 3.0, True, None])),
+                    min_size=3,
+                    max_size=5,
+                ),
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_check_matches_rowwise_oracle(self, tmp_path_factory, proposals):
+        """The array check accepts, clips and warns about exactly the rows the
+        row-by-row checks did, and otherwise raises the first bad row's message."""
+        target = tmp_path_factory.getbasetemp() / "rows.jsonl"
+        write_dataset(target, record={"width": 12, "proposals": proposals})
+        where = f"{target}:2"
+        try:
+            want = rowwise_proposals(proposals, 10, 12, where)
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                load_dataset(target)
+            assert str(info.value) == str(exc)
+            return
+        with LogMessages() as messages:
+            record = load_dataset(target).records[0]
+        assert record.proposals.dtype == np.int64 and record.proposals.shape == (len(want[0]), 4)
+        assert (record.proposals.tolist(), messages) == want
+
+    @pytest.mark.parametrize(
+        "header, record, message",
+        [
+            ({"num_classes": True}, {}, ":1: header field 'num_classes' must be a positive integer"),
+            ({"feature_dim": True}, {}, ":1: header field 'feature_dim' must be a positive integer"),
+            ({}, {"height": True}, ":2: field 'height'/'width' must be integers"),
+            ({}, {"width": True}, ":2: field 'height'/'width' must be integers"),
+            ({}, {"gt": [{"class": 0, "box": [0, 0, 5, True]}]},
+             r":2: field 'gt'\[0\]\.box: box coordinate y1=True is not an integer"),
+        ],
+        ids=["num_classes", "feature_dim", "height", "width", "gt-box"],
+    )
+    def test_json_booleans_are_not_integers(self, tmp_path, header, record, message):
+        target = write_dataset(tmp_path / "ds.jsonl", header, record)
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(target)
+
     def test_golden_fixture_roundtrips_byte_identical(self, tmp_path):
         src = FIXTURES / "eval_dataset.jsonl"
         loaded = load_dataset(src)
@@ -245,10 +366,11 @@ class TestPseudoLabels:
             ([{"class": 1.7, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class 1\.7"),
             ([{"class": -3, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class -3"),
             ([{"class": True, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class True"),
+            ([{"class": 0, "box": [0, 0, True, 5]}], r"field 'boxes'\[0\]\.box: box coordinate x1=True is not"),
             (7, "field 'boxes' must be a list"),
             ({"class": 0, "box": [0, 0, 5, 5]}, "field 'boxes' must be a list"),
         ],
-        ids=["string", "float", "negative", "bool", "number-boxes", "object-boxes"],
+        ids=["string", "float", "negative", "bool", "bool-box", "number-boxes", "object-boxes"],
     )
     def test_bad_record_names_line(self, tmp_path, boxes, message):
         target = tmp_path / "labels.jsonl"
@@ -290,4 +412,16 @@ class TestDetectionsFile:
             encoding="utf-8",
         )
         with pytest.raises(DatasetFormatError, match=r":2: field 'class' must be an integer"):
+            load_detections(target)
+
+    def test_boolean_box_coordinate_rejected(self, tmp_path):
+        target = tmp_path / "dets.jsonl"
+        target.write_text(
+            json.dumps({"schema": "slv/detections", "version": 1})
+            + "\n"
+            + json.dumps({"id": "a", "class": 0, "box": [False, 0, 5, 5], "score": 0.5})
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetFormatError, match=r":2: field 'box': box coordinate x0=False is not an integer"):
             load_detections(target)

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slv.geometry import Box, boxes_to_array, iou, nms
+from slv.geometry import Box, boxes_to_array, iou, iou_matrix, nms
 from slv.mil import ScoreMatrix, build_clusters
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets
@@ -64,24 +64,45 @@ def test_tie_boxes_hit_every_threshold_exactly():
     assert {0.1, 0.3, 0.5} <= values
     y = np.array([1])
     num = len(TIE_BOXES)
+    tie = boxes_to_array(TIE_BOXES)
     for row in ([0.01] * num, np.linspace(0.9, 0.2, num), np.linspace(0.2, 0.9, num)):
         scores = ScoreMatrix(np.array([row]))
-        assert_same_clusters(build_clusters(scores, TIE_BOXES, y), greedy_clusters(scores, TIE_BOXES, y))
+        want = greedy_clusters(scores, TIE_BOXES, y)
+        assert_same_clusters(build_clusters(scores, TIE_BOXES, y), want)
+        assert_same_clusters(build_clusters(scores, TIE_BOXES, y, iou_matrix(tie, tie)), want)
     for g in TIE_BOXES:
         sup = Supervision({0: [g]})
         assert_same_targets(assign_targets(TIE_BOXES, sup, 1), matched_targets(TIE_BOXES, sup, 1))
 
 
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_build_clusters_matches_oracle(data):
-    boxes = data.draw(box_lists)
-    num_classes = data.draw(st.integers(1, 3))
-    y = data.draw(st.lists(st.integers(0, 1), min_size=num_classes, max_size=num_classes).filter(any))
+@st.composite
+def cluster_inputs(draw):
+    """(scores, boxes, y) with tie-heavy boxes and at least one positive class."""
+    boxes = draw(box_lists)
+    num_classes = draw(st.integers(1, 3))
+    y = draw(st.lists(st.integers(0, 1), min_size=num_classes, max_size=num_classes).filter(any))
     row = st.lists(SCORES, min_size=len(boxes), max_size=len(boxes))
-    scores = ScoreMatrix(np.array(data.draw(st.lists(row, min_size=num_classes, max_size=num_classes))))
-    y = np.array(y)
+    scores = ScoreMatrix(np.array(draw(st.lists(row, min_size=num_classes, max_size=num_classes))))
+    return scores, boxes, np.array(y)
+
+
+@given(cluster_inputs())
+@settings(max_examples=300, deadline=None)
+def test_build_clusters_matches_oracle(inputs):
+    scores, boxes, y = inputs
     assert_same_clusters(build_clusters(scores, boxes, y), greedy_clusters(scores, boxes, y))
+
+
+@given(cluster_inputs())
+@settings(max_examples=300, deadline=None)
+def test_build_clusters_with_iou_matrix_matches_rows_and_oracle(inputs):
+    """Seed rows read from a precomputed matrix give the clusters of seed rows
+    computed one at a time, and of the scalar oracle."""
+    scores, boxes, y = inputs
+    arr = boxes_to_array(boxes)
+    got = build_clusters(scores, arr, y, iou_matrix(arr, arr))
+    assert_same_clusters(got, build_clusters(scores, boxes, y))
+    assert_same_clusters(got, greedy_clusters(scores, boxes, y))
 
 
 @given(data=st.data())
@@ -125,10 +146,10 @@ def test_dense_synthetic_records_match_oracles():
     for record in dataset:
         scores = ScoreMatrix(record.scores)
         boxes = [Box(*row) for row in record.proposals.tolist()]
-        assert_same_clusters(
-            build_clusters(scores, record.proposals, record.labels),
-            greedy_clusters(scores, boxes, record.labels),
-        )
+        want = greedy_clusters(scores, boxes, record.labels)
+        assert_same_clusters(build_clusters(scores, record.proposals, record.labels), want)
+        ious = iou_matrix(record.proposals, record.proposals)
+        assert_same_clusters(build_clusters(scores, record.proposals, record.labels, ious), want)
         sup = generate_supervision(
             scores, record.proposals, record.labels, record.height, record.width, VoteConfig()
         )

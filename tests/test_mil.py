@@ -13,6 +13,7 @@ from slv.mil import (
     build_clusters,
     image_scores,
     mil_loss,
+    positive_classes,
     refinement_loss,
     softmax_over_classes,
     softmax_over_proposals,
@@ -135,6 +136,38 @@ class TestImageScores:
         assert phi.min() >= 0.0
 
 
+LABEL_VECTORS = {
+    "int": np.array([1, 0, 1]),
+    "int-2": np.array([1, 2]),
+    "bool": np.array([True, False]),
+    "float": np.array([1.0, 0.0]),
+    "float-half": np.array([0.5, 1.0]),
+    "nan": np.array([np.nan, 1.0]),
+    "str": np.array(["1", "0"]),
+    "object": np.array([1, 0], dtype=object),
+    "object-none": np.array([1, None], dtype=object),
+}
+
+
+@pytest.mark.parametrize("y", LABEL_VECTORS.values(), ids=LABEL_VECTORS.keys())
+def test_label_checks_agree_with_isin(y):
+    """positive_classes and mil_loss accept exactly the label vectors whose
+    entries np.isin finds in {0, 1}."""
+    binary = bool(np.isin(y, (0, 1)).all())
+    if binary:
+        assert positive_classes(y) == [k for k, v in enumerate(y.tolist()) if v == 1]
+    else:
+        with pytest.raises(InputError):
+            positive_classes(y)
+    if y.dtype.kind in "biuf":
+        phi = np.full(len(y), 0.5)
+        if binary:
+            assert mil_loss(phi, y)[0] == pytest.approx(len(y) * math.log(2.0))
+        else:
+            with pytest.raises(InputError):
+                mil_loss(phi, y)
+
+
 class TestMilLoss:
     def test_perfect_prediction_limit(self):
         eps = 1e-6
@@ -224,6 +257,12 @@ class TestBuildClusters:
     def test_no_positive_class_errors(self):
         with pytest.raises(InputError):
             build_clusters(ScoreMatrix(np.array([[0.5]])), [Box(0, 0, 5, 5)], np.array([0]))
+
+    def test_iou_matrix_must_match_the_boxes(self):
+        scores = ScoreMatrix(np.array([[0.9, 0.7]]))
+        boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
+        with pytest.raises(InputError, match=r"IoU matrix of shape \(1, 2\) for 2 boxes"):
+            build_clusters(scores, boxes, np.array([1]), np.zeros((1, 2)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)

@@ -199,6 +199,14 @@ class TestInference:
             assert 0 <= det.class_id < dataset.num_classes
             assert det.box.x1 <= 48 and det.box.y1 <= 48
 
+    def test_overflowing_offsets_name_the_record(self):
+        dataset = small_synthetic(num_images=2)
+        scorer, _ = train_toy(dataset, quick_config(iterations=2))
+        scorer.w_slv_reg[:] = 1e308
+        first = min(r.image_id for r in dataset.records)
+        with pytest.raises(InputError, match=f"run_inference: record '{first}': scorer weights give non-finite"):
+            run_inference(scorer, dataset)
+
 
 class TestVoteDataset:
     def test_records_without_scores_skipped_but_run_continues(self):
