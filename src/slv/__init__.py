@@ -20,7 +20,6 @@ from .geometry import (
 from .mil import (
     Cluster,
     ClusterSet,
-    ScoreMatrix,
     average_refined_scores,
     build_clusters,
     image_scores,

@@ -97,6 +97,10 @@ def _proposal_rows(raw, height: int, width: int, where: str) -> list[Box]:
     proposals: list[Box] = []
     for k, row in enumerate(raw):
         box = _box_from_json(row, f"{where}: field 'proposals'[{k}]")
+        if box.x0 >= width or box.y0 >= height:
+            raise DatasetFormatError(
+                f"{where}: field 'proposals'[{k}]: box {box.as_tuple()} lies outside a {height}x{width} image"
+            )
         if box.x1 > width or box.y1 > height:
             clipped = clip_box(box, height, width)
             log.warning(CLIPPED, where, k, box.as_tuple(), clipped.as_tuple(), height, width)
@@ -133,6 +137,12 @@ def _proposals_from_json(raw, height: int, width: int, where: str) -> np.ndarray
     return arr
 
 
+def _numbers_only(rows: list) -> bool:
+    """Whether the rows of a 2-D JSON array hold only numbers; numpy would
+    also take booleans and numeric strings."""
+    return set(map(type, chain.from_iterable(rows))) <= {int, float}
+
+
 def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, where: str) -> DatasetRecord:
     for key in ("id", "height", "width", "labels", "proposals"):
         if key not in obj:
@@ -141,10 +151,11 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
     height, width = obj["height"], obj["width"]
     if not all(type(v) is int and 0 < v <= MAX_IMAGE_SIDE for v in (height, width)):
         raise DatasetFormatError(f"{where}: field 'height'/'width' must be integers in [1, {MAX_IMAGE_SIDE}]")
-    labels = np.asarray(obj["labels"])
-    if labels.shape != (num_classes,) or not np.isin(labels, (0, 1)).all():
+    labels = obj["labels"]
+    # `type(v) is int` rejects JSON booleans and floats, which compare equal to 0 and 1.
+    if np.shape(labels) != (num_classes,) or not set(map(type, labels)) <= {int} or not set(labels) <= {0, 1}:
         raise DatasetFormatError(
-            f"{where}: field 'labels' must be a 0/1 vector of length {num_classes}"
+            f"{where}: field 'labels' must be a length-{num_classes} list of JSON integers 0 and 1"
         )
     proposals = _proposals_from_json(obj["proposals"], height, width, where)
     features = None
@@ -156,6 +167,8 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             raise DatasetFormatError(
                 f"{where}: field 'features' has dimension {features.shape[1]}, header says {feature_dim}"
             )
+        if not _numbers_only(obj["features"]):
+            raise DatasetFormatError(f"{where}: field 'features' must hold JSON numbers only")
         if not np.isfinite(features).all():
             raise DatasetFormatError(f"{where}: field 'features' contains non-finite values")
     scores = None
@@ -165,6 +178,8 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             raise DatasetFormatError(
                 f"{where}: field 'scores' must be ({num_classes}, {len(proposals)})"
             )
+        if not _numbers_only(obj["scores"]):
+            raise DatasetFormatError(f"{where}: field 'scores' must hold JSON numbers only")
         if not np.isfinite(scores).all():
             raise DatasetFormatError(f"{where}: field 'scores' contains non-finite values")
     gt_boxes = None
@@ -185,7 +200,7 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
         image_id=image_id,
         height=height,
         width=width,
-        labels=labels.astype(np.int64),
+        labels=np.array(labels, dtype=np.int64),
         proposals=proposals,
         features=features,
         scores=scores,
@@ -247,7 +262,7 @@ def load_dataset(path: str | Path) -> Dataset:
             records.append(_record_from_json(obj, num_classes, feature_dim, f"{path}:{lineno}"))
         except InputError:
             raise
-        except (TypeError, ValueError) as exc:  # a field of the wrong JSON type, or a ragged array
+        except (TypeError, ValueError, OverflowError) as exc:  # a wrong JSON type, a ragged array, an int too big for a float
             raise DatasetFormatError(f"{path}:{lineno}: malformed record: {exc}") from None
     seen: set[str] = set()
     for record in records:

@@ -1,7 +1,10 @@
 """Two-stream proposal scoring, the image-level loss, and cluster refinement.
 
-Score matrices are classes x proposals. Matrices with a background row
-keep it as the LAST row. All log arguments are clamped to
+Score matrices are plain (C, N) float64 arrays: rows are classes, columns
+are proposals. Matrices with a background row keep it as the LAST row.
+Callers pass finite matrices (the dataset loader, the scorer heads and the
+trainer's logits each check theirs); the function that makes a matrix
+documents its normalization. All log arguments are clamped to
 [PROB_EPS, 1 - PROB_EPS] so losses stay finite on saturated inputs;
 gradients are zero inside the clamped region.
 """
@@ -22,35 +25,6 @@ PROB_EPS = 1e-8
 # seed a new cluster; keeps noise from spawning one singleton cluster per proposal.
 CLUSTER_IOU = 0.5
 CLUSTER_CENTER_FLOOR = 0.01
-
-
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """A finite (rows x cols) score grid.
-
-    rows is the number of classes (plus one trailing background row for
-    refinement-style matrices); cols is the number of proposals. The
-    underlying array is treated as immutable; the function that made a
-    matrix documents its normalization.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InputError(f"ScoreMatrix must be 2-D, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InputError("ScoreMatrix entries must be finite")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
 
 
 def positive_classes(y: np.ndarray) -> list[int]:
@@ -76,14 +50,14 @@ def _softmax(arr: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_over_classes(x: ScoreMatrix) -> ScoreMatrix:
+def softmax_over_classes(x: np.ndarray) -> np.ndarray:
     """Softmax each column over classes; columns of the result sum to 1."""
-    return ScoreMatrix(_softmax(x.data, axis=0))
+    return _softmax(x, axis=0)
 
 
-def softmax_over_proposals(x: ScoreMatrix) -> ScoreMatrix:
+def softmax_over_proposals(x: np.ndarray) -> np.ndarray:
     """Softmax each row over proposals; rows of the result sum to 1."""
-    return ScoreMatrix(_softmax(x.data, axis=1))
+    return _softmax(x, axis=1)
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray, axis: int) -> np.ndarray:
@@ -92,19 +66,19 @@ def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray, axis: int) -> np
     return probs * (grad_probs - inner)
 
 
-def wsddn_scores(sigma_cls: ScoreMatrix, sigma_det: ScoreMatrix) -> ScoreMatrix:
+def wsddn_scores(sigma_cls: np.ndarray, sigma_det: np.ndarray) -> np.ndarray:
     """Entrywise product of the classification stream (softmax over
     classes) and the detection stream (softmax over proposals)."""
-    if sigma_cls.data.shape != sigma_det.data.shape:
+    if sigma_cls.shape != sigma_det.shape:
         raise InputError(
-            f"wsddn_scores: shape mismatch {sigma_cls.data.shape} vs {sigma_det.data.shape}"
+            f"wsddn_scores: shape mismatch {sigma_cls.shape} vs {sigma_det.shape}"
         )
-    return ScoreMatrix(sigma_cls.data * sigma_det.data)
+    return sigma_cls * sigma_det
 
 
-def image_scores(phi0: ScoreMatrix) -> np.ndarray:
+def image_scores(phi0: np.ndarray) -> np.ndarray:
     """Per-class image scores: sum the wsddn_scores product over proposals."""
-    return phi0.data.sum(axis=1)
+    return phi0.sum(axis=1)
 
 
 def mil_loss(phi: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -158,7 +132,7 @@ class ClusterSet:
 
 
 def build_clusters(
-    scores: ScoreMatrix,
+    scores: np.ndarray,
     boxes: Boxes,
     y: np.ndarray,
     ious: np.ndarray | None = None,
@@ -181,39 +155,38 @@ def build_clusters(
     if not pos:
         raise InputError("build_clusters: image has no positive class")
     num = len(boxes)
-    if scores.cols != num:
-        raise InputError(f"build_clusters: {scores.cols} score columns but {num} boxes")
-    if scores.rows < max(pos) + 1:
+    if scores.shape[1] != num:
+        raise InputError(f"build_clusters: {scores.shape[1]} score columns but {num} boxes")
+    if len(scores) < max(pos) + 1:
         raise InputError("build_clusters: score matrix has no row for some positive class")
     if ious is not None and ious.shape != (num, num):
         raise InputError(f"build_clusters: IoU matrix of shape {ious.shape} for {num} boxes")
-    data = scores.data
     arr = boxes_to_array(boxes)
     unassigned = np.ones(num, dtype=bool)
     clusters: list[Cluster] = []
     for c in pos:
-        candidates = np.where(unassigned, data[c], -np.inf)
+        candidates = np.where(unassigned, scores[c], -np.inf)
         while candidates.size:
             # The first maximum: highest score, then lowest index. An assigned
             # center means no proposal is left.
             center = int(candidates.argmax())
-            if not unassigned[center] or data[c, center] < CLUSTER_CENTER_FLOOR:
+            if not unassigned[center] or scores[c, center] < CLUSTER_CENTER_FLOOR:
                 break
             row = iou_matrix(arr[center : center + 1], arr)[0] if ious is None else ious[center]
             members = np.flatnonzero(unassigned & (row >= CLUSTER_IOU))
             unassigned[members] = False
             candidates[members] = -np.inf
-            clusters.append(Cluster(label=c, members=tuple(members.tolist()), score=float(data[c, center])))
+            clusters.append(Cluster(label=c, members=tuple(members.tolist()), score=float(scores[c, center])))
     background = np.flatnonzero(unassigned)
     return ClusterSet(
         clusters=tuple(clusters),
         background=tuple(background.tolist()),
-        background_weights=np.clip(1.0 - data[pos][:, background].max(axis=0), 0.0, 1.0),
+        background_weights=np.clip(1.0 - scores[pos][:, background].max(axis=0), 0.0, 1.0),
         num_proposals=num,
     )
 
 
-def refinement_loss(phi_k: ScoreMatrix, clusters: ClusterSet) -> tuple[float, np.ndarray]:
+def refinement_loss(phi_k: np.ndarray, clusters: ClusterSet) -> tuple[float, np.ndarray]:
     """Weighted cross-entropy over proposal clusters.
 
     phi_k must carry a trailing background row. Foreground clusters
@@ -221,29 +194,28 @@ def refinement_loss(phi_k: ScoreMatrix, clusters: ClusterSet) -> tuple[float, np
     background proposals contribute their weighted log background score.
     Returns (loss, gradient wrt phi_k entries).
     """
-    probs = phi_k.data
     num = clusters.num_proposals
     if num == 0:
         raise InputError("refinement_loss: no proposals to average over")
-    if phi_k.cols != num:
-        raise InputError(f"refinement_loss: {phi_k.cols} score columns but {num} proposals")
-    if phi_k.rows < 2:
+    if phi_k.shape[1] != num:
+        raise InputError(f"refinement_loss: {phi_k.shape[1]} score columns but {num} proposals")
+    if len(phi_k) < 2:
         raise InputError("refinement_loss: matrix needs class rows plus a background row")
-    bg_row = phi_k.rows - 1
+    bg_row = len(phi_k) - 1
     cs = clusters.clusters
     # Clusters before the first one without a class row are checked first, so
     # an error names the first bad cluster.
     ok = next((n for n, c in enumerate(cs) if c.label >= bg_row), len(cs))
     labels = np.array([c.label for c in cs[:ok]], dtype=np.int64)
     sizes = np.array([c.size for c in cs[:ok]], dtype=np.int64)
-    means = np.array([probs[c.label, c.members].sum() for c in cs[:ok]], dtype=np.float64) / sizes
+    means = np.array([phi_k[c.label, c.members].sum() for c in cs[:ok]], dtype=np.float64) / sizes
     bad = np.flatnonzero(np.isnan(means))
     if bad.size:
         raise NumericalError(f"refinement_loss: bad log argument in cluster {bad[0]}")
     if ok < len(cs):
         raise InputError(f"refinement_loss: cluster {ok} labeled {cs[ok].label} has no row")
     background = np.array(clusters.background, dtype=np.int64)
-    p = probs[bg_row, background]
+    p = phi_k[bg_row, background]
     bad = np.flatnonzero(np.isnan(p))
     if bad.size:
         raise NumericalError(
@@ -256,7 +228,7 @@ def refinement_loss(phi_k: ScoreMatrix, clusters: ClusterSet) -> tuple[float, np
     # Added one by one, clusters then background: np.sum would sum pairwise.
     for v in np.concatenate([cluster_terms, weights * np.log(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))]).tolist():
         total += v
-    grad = np.zeros_like(probs)
+    grad = np.zeros_like(phi_k)
     hit = np.flatnonzero((PROB_EPS < means) & (means < 1.0 - PROB_EPS))
     cols = [r for n in hit.tolist() for r in cs[n].members]
     grad[np.repeat(labels[hit], sizes[hit]), cols] -= np.repeat(scores[hit] / (num * means[hit]), sizes[hit])
@@ -265,13 +237,12 @@ def refinement_loss(phi_k: ScoreMatrix, clusters: ClusterSet) -> tuple[float, np
     return -total / num, grad
 
 
-def average_refined_scores(*matrices: ScoreMatrix) -> ScoreMatrix:
+def average_refined_scores(*matrices: np.ndarray) -> np.ndarray:
     """Entrywise mean of same-shape score matrices."""
     if not matrices:
         raise InputError("average_refined_scores: no matrices given")
-    shape = matrices[0].data.shape
+    shape = matrices[0].shape
     for m in matrices[1:]:
-        if m.data.shape != shape:
-            raise InputError(f"average_refined_scores: shape mismatch {m.data.shape} vs {shape}")
-    mean = sum(m.data for m in matrices) / len(matrices)
-    return ScoreMatrix(mean)
+        if m.shape != shape:
+            raise InputError(f"average_refined_scores: shape mismatch {m.shape} vs {shape}")
+    return sum(matrices) / len(matrices)

@@ -12,7 +12,7 @@ import numpy as np
 from .datasets import Dataset, DatasetRecord
 from .errors import InputError
 from .geometry import Box, Boxes, boxes_to_array, iou
-from .mil import ScoreMatrix, build_clusters, positive_classes
+from .mil import build_clusters, positive_classes
 from .voting import VoteConfig, generate_supervision
 
 SCHEME_CONVENTIONAL = "conventional"
@@ -22,19 +22,19 @@ ALL_SCHEMES = (SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV)  # report ord
 
 
 def label_conventional(
-    scores: ScoreMatrix, boxes: Boxes, y: np.ndarray
+    scores: np.ndarray, boxes: Boxes, y: np.ndarray
 ) -> dict[int, list[Box]]:
     """One box per positive class: the single highest-scoring proposal."""
     arr = boxes_to_array(boxes)
     out: dict[int, list[Box]] = {}
     for c in positive_classes(y):
-        r = int(np.argmax(scores.data[c]))
+        r = int(np.argmax(scores[c]))
         out[c] = [Box(*arr[r].tolist())]
     return out
 
 
 def label_clustering(
-    scores: ScoreMatrix,
+    scores: np.ndarray,
     boxes: Boxes,
     y: np.ndarray,
 ) -> dict[int, list[Box]]:
@@ -44,13 +44,13 @@ def label_clustering(
     out: dict[int, list[Box]] = {}
     for cluster in clusters.clusters:
         members = list(cluster.members)
-        best = min(members, key=lambda r: (-scores.data[cluster.label, r], r))
+        best = min(members, key=lambda r: (-scores[cluster.label, r], r))
         out.setdefault(cluster.label, []).append(Box(*arr[best].tolist()))
     return out
 
 
 def label_slv(
-    scores: ScoreMatrix,
+    scores: np.ndarray,
     record: DatasetRecord,
     config: VoteConfig,
 ) -> dict[int, list[Box]]:
@@ -73,7 +73,7 @@ class SchemeStats:
 
 def compare_schemes(
     dataset: Dataset,
-    score_fn: Callable[[DatasetRecord], ScoreMatrix],
+    score_fn: Callable[[DatasetRecord], np.ndarray],
     vote_config: VoteConfig | None = None,
 ) -> list[SchemeStats]:
     """Label every record under each scheme and score the labels.
@@ -88,11 +88,14 @@ def compare_schemes(
         if not record.gt_boxes:
             raise InputError(f"compare_schemes: record {record.image_id!r} has no ground truth")
         scores = score_fn(record)
-        labeled = {
-            SCHEME_CONVENTIONAL: label_conventional(scores, record.proposals, record.labels),
-            SCHEME_CLUSTERING: label_clustering(scores, record.proposals, record.labels),
-            SCHEME_SLV: label_slv(scores, record, vote_config),
-        }
+        try:
+            labeled = {
+                SCHEME_CONVENTIONAL: label_conventional(scores, record.proposals, record.labels),
+                SCHEME_CLUSTERING: label_clustering(scores, record.proposals, record.labels),
+                SCHEME_SLV: label_slv(scores, record, vote_config),
+            }
+        except InputError as exc:
+            raise InputError(f"record {record.image_id!r}: {exc}") from None
         for name, by_class in labeled.items():
             for c, labeled_boxes in by_class.items():
                 gt = record.gt_boxes.get(c, [])

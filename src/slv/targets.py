@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .geometry import Box, Boxes, boxes_to_array, iou_matrix
-from .mil import PROB_EPS, ScoreMatrix
+from .mil import PROB_EPS
 from .voting import Supervision
 
 IGNORED = -1  # label marker for proposals excluded from both loss terms
@@ -166,7 +166,7 @@ def smooth_l1_grad(x: np.ndarray) -> np.ndarray:
 
 
 def slv_loss(
-    phi_s: ScoreMatrix,
+    phi_s: np.ndarray,
     t_s: np.ndarray,
     targets: ProposalTargets,
 ) -> tuple[float, np.ndarray, np.ndarray, bool]:
@@ -180,21 +180,21 @@ def slv_loss(
     """
     t_s = np.asarray(t_s, dtype=np.float64)
     num = targets.labels.shape[0]
-    if phi_s.cols != num:
-        raise InputError(f"slv_loss: {phi_s.cols} score columns but {num} proposals")
-    if phi_s.rows != targets.num_classes + 1:
+    if phi_s.shape[1] != num:
+        raise InputError(f"slv_loss: {phi_s.shape[1]} score columns but {num} proposals")
+    if len(phi_s) != targets.num_classes + 1:
         raise InputError(
-            f"slv_loss: expected {targets.num_classes + 1} score rows, got {phi_s.rows}"
+            f"slv_loss: expected {targets.num_classes + 1} score rows, got {len(phi_s)}"
         )
     if t_s.shape != (num, 4):
         raise InputError(f"slv_loss: offsets must have shape ({num}, 4), got {t_s.shape}")
-    grad_scores = np.zeros_like(phi_s.data)
+    grad_scores = np.zeros_like(phi_s)
     grad_offsets = np.zeros_like(t_s)
     valid = np.flatnonzero(targets.valid_mask)
     if valid.size == 0:
         return 0.0, grad_scores, grad_offsets, True
     labels = targets.labels[valid]
-    p = phi_s.data[labels, valid]
+    p = phi_s[labels, valid]
     cls_loss = 0.0
     # Subtracted one by one in proposal order, as the loss has always summed.
     for clamped in np.clip(p, PROB_EPS, 1.0 - PROB_EPS).tolist():

@@ -16,6 +16,7 @@ re-localization offsets before per-class NMS.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,6 @@ from .datasets import Dataset, DatasetRecord
 from .errors import ConfigError, InputError, NumericalError
 from .evaluation import Detection
 from .mil import (
-    ScoreMatrix,
     average_refined_scores,
     build_clusters,
     image_scores,
@@ -82,14 +82,18 @@ class ToyScorer:
             w_slv_reg=draw(4),
         )
 
-    def refined_scores(self, feats: np.ndarray) -> list[ScoreMatrix]:
-        return [softmax_over_classes(ScoreMatrix(_scorer_head(w, feats))) for w in self.w_refine]
+    def heads(self) -> list[np.ndarray]:
+        """Every weight matrix, in the order `[w_cls, w_det, *w_refine, w_slv_cls, w_slv_reg]`."""
+        return [self.w_cls, self.w_det, *self.w_refine, self.w_slv_cls, self.w_slv_reg]
 
-    def refined_average(self, feats: np.ndarray) -> ScoreMatrix:
+    def refined_scores(self, feats: np.ndarray) -> list[np.ndarray]:
+        return [softmax_over_classes(_scorer_head(w, feats)) for w in self.w_refine]
+
+    def refined_average(self, feats: np.ndarray) -> np.ndarray:
         return average_refined_scores(*self.refined_scores(feats))
 
-    def slv_heads(self, feats: np.ndarray) -> tuple[ScoreMatrix, np.ndarray]:
-        phi_s = softmax_over_classes(ScoreMatrix(_scorer_head(self.w_slv_cls, feats)))
+    def slv_heads(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi_s = softmax_over_classes(_scorer_head(self.w_slv_cls, feats))
         return phi_s, _scorer_head(self.w_slv_reg, feats).T
 
     def save(self, path: str | Path) -> None:
@@ -163,8 +167,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.iterations <= 0:
             raise ConfigError("train config: iterations must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("train config: learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also rejects NaN
+            raise ConfigError(
+                f"train config: learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if not self.ramp_length > 0:
             raise ConfigError(f"train config: ramp_length must be positive, got {self.ramp_length}")
 
@@ -183,17 +189,7 @@ def save_trace(trace: list[TraceEntry], path: str | Path) -> None:
     payload = {
         "schema": TRACE_SCHEMA,
         "version": 1,
-        "entries": [
-            {
-                "iteration": e.iteration,
-                "loss_mil": e.loss_mil,
-                "loss_refine": list(e.loss_refine),
-                "loss_slv": e.loss_slv,
-                "weight_slv": e.weight_slv,
-                "loss_total": e.loss_total,
-            }
-            for e in trace
-        ],
+        "entries": [dataclasses.asdict(e) for e in trace],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -214,11 +210,11 @@ def _scorer_head(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return z
 
 
-def _finite_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> ScoreMatrix:
+def _finite_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> np.ndarray:
     z = _head(w, feats)
     if not np.isfinite(z).all():
         raise NumericalError(f"training diverged at iteration {iteration}")
-    return ScoreMatrix(z)
+    return z
 
 
 def _training_records(dataset: Dataset) -> list[DatasetRecord]:
@@ -251,13 +247,9 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     n = len(records)
     for it in range(config.iterations):
         w_s = 0.0 if config.mil_only else loss_weight(config.ramp_length, it)
-        grads = {
-            "cls": np.zeros_like(scorer.w_cls),
-            "det": np.zeros_like(scorer.w_det),
-            "slv_cls": np.zeros_like(scorer.w_slv_cls),
-            "slv_reg": np.zeros_like(scorer.w_slv_reg),
-        }
-        grads_refine = [np.zeros_like(w) for w in scorer.w_refine]
+        # Aligned with scorer.heads(); the names below alias its arrays.
+        grads = [np.zeros_like(w) for w in scorer.heads()]
+        g_cls, g_det, *grads_refine, g_slv_cls, g_slv_reg = grads
         sum_mil = 0.0
         sum_refine = np.zeros(len(scorer.w_refine))
         sum_slv = 0.0
@@ -272,19 +264,19 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             phi_img = image_scores(phi0)
             l_mil, d_phi_img = mil_loss(phi_img, y)
             # image score sums over proposals, so its gradient broadcasts
-            d_sigma_cls = d_phi_img[:, None] * sigma_det.data
-            d_sigma_det = d_phi_img[:, None] * sigma_cls.data
-            grads["cls"] += softmax_backward(sigma_cls.data, d_sigma_cls, axis=0) @ feats
-            grads["det"] += softmax_backward(sigma_det.data, d_sigma_det, axis=1) @ feats
+            d_sigma_cls = d_phi_img[:, None] * sigma_det
+            d_sigma_det = d_phi_img[:, None] * sigma_cls
+            g_cls += softmax_backward(sigma_cls, d_sigma_cls, axis=0) @ feats
+            g_det += softmax_backward(sigma_det, d_sigma_det, axis=1) @ feats
 
             refine_losses = []
-            refined: list[ScoreMatrix] = []
+            refined: list[np.ndarray] = []
             previous = phi0
             for k, w_k in enumerate(scorer.w_refine):
                 phi_k = softmax_over_classes(_finite_logits(w_k, feats, it))
                 clusters = build_clusters(previous, record.proposals, y, ious)
                 l_k, d_phi_k = refinement_loss(phi_k, clusters)
-                grads_refine[k] += softmax_backward(phi_k.data, d_phi_k, axis=0) @ feats
+                grads_refine[k] += softmax_backward(phi_k, d_phi_k, axis=0) @ feats
                 refine_losses.append(l_k)
                 refined.append(phi_k)
                 previous = phi_k
@@ -297,13 +289,11 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
                 )
                 proposal_targets = assign_targets(record.proposals, supervision, num_classes)
                 phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
-                t_s = _head(scorer.w_slv_reg, feats).T
-                if not np.isfinite(t_s).all():
-                    raise NumericalError(f"training diverged at iteration {it}")
+                t_s = _finite_logits(scorer.w_slv_reg, feats, it).T
                 l_slv, d_phi_s, d_t_s, _vacuous = slv_loss(phi_s, t_s, proposal_targets)
                 if w_s > 0.0:
-                    grads["slv_cls"] += w_s * (softmax_backward(phi_s.data, d_phi_s, axis=0) @ feats)
-                    grads["slv_reg"] += w_s * (d_t_s.T @ feats)
+                    g_slv_cls += w_s * (softmax_backward(phi_s, d_phi_s, axis=0) @ feats)
+                    g_slv_reg += w_s * (d_t_s.T @ feats)
 
             if not all(math.isfinite(v) for v in (l_mil, *refine_losses, l_slv)):
                 raise NumericalError(f"training diverged at iteration {it}")
@@ -314,15 +304,11 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             sum_total += l_total
 
         lr = config.learning_rate / n
-        scorer.w_cls -= lr * grads["cls"]
-        scorer.w_det -= lr * grads["det"]
-        for w_k, g_k in zip(scorer.w_refine, grads_refine):
-            w_k -= lr * g_k
-        scorer.w_slv_cls -= lr * grads["slv_cls"]
-        scorer.w_slv_reg -= lr * grads["slv_reg"]
-        weights = [scorer.w_cls, scorer.w_det, scorer.w_slv_cls, scorer.w_slv_reg, *scorer.w_refine]
-        if not all(np.isfinite(w).all() for w in weights):
-            raise NumericalError(f"training diverged at iteration {it}")
+        with np.errstate(over="ignore"):  # an overflowing step shows as a non-finite weight
+            for w, g in zip(scorer.heads(), grads):
+                w -= lr * g
+                if not np.isfinite(w).all():
+                    raise NumericalError(f"training diverged at iteration {it}")
 
         trace.append(
             TraceEntry(
@@ -340,9 +326,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
 def fused_scores(scorer: ToyScorer, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Test-time scores and offsets: mean of the refinement branches and
     the re-classification branch (foreground rows), plus the offsets."""
-    matrices = scorer.refined_scores(feats)
     phi_s, t_s = scorer.slv_heads(feats)
-    stack = [m.data for m in matrices] + [phi_s.data]
+    stack = [*scorer.refined_scores(feats), phi_s]
     fused = sum(stack) / len(stack)
     return fused[: scorer.num_classes], t_s
 
@@ -378,7 +363,7 @@ def run_inference(
     return detections
 
 
-def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> ScoreMatrix | None:
+def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> np.ndarray | None:
     """Score matrix for a record: the scorer's averaged refinement
     branches when available, else the record's embedded matrix."""
     if scorer is not None and record.features is not None:
@@ -391,9 +376,7 @@ def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> ScoreMatr
             return scorer.refined_average(record.features)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
-    if record.scores is not None:
-        return ScoreMatrix(record.scores)
-    return None
+    return record.scores
 
 
 def vote_dataset(
@@ -423,8 +406,11 @@ def vote_dataset(
         if heatmap_dir is not None:
             # Called within this iteration, so `record` is still this record.
             on_map = lambda m: write_pgm(m, heatmap_dir / f"{record.image_id}_class{m.class_id}.pgm")
-        sup = generate_supervision(
-            matrix, record.proposals, record.labels, record.height, record.width, config, on_map
-        )
+        try:
+            sup = generate_supervision(
+                matrix, record.proposals, record.labels, record.height, record.width, config, on_map
+            )
+        except InputError as exc:
+            raise InputError(f"record {record.image_id!r}: {exc}") from None
         results.append((record.image_id, sup))
     return results, skipped

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .geometry import BinaryGrid, Box, Boxes, boxes_to_array, region_boxes
-from .mil import ScoreMatrix, positive_classes
+from .mil import positive_classes
 
 # PASCAL VOC 2007/2012 category names, index order used for class ids.
 VOC2007_CLASSES = (
@@ -112,14 +112,14 @@ class Supervision:
 
 
 def select_candidates(
-    phi_bar: ScoreMatrix, boxes: Boxes, c: int, t_score: float
+    phi_bar: np.ndarray, boxes: Boxes, c: int, t_score: float
 ) -> np.ndarray:
     """Indices of proposals whose class-c score strictly exceeds t_score."""
-    if phi_bar.cols != len(boxes):
-        raise InputError(f"select_candidates: {phi_bar.cols} score columns but {len(boxes)} boxes")
-    if not 0 <= c < phi_bar.rows:
-        raise InputError(f"select_candidates: class {c} out of range for {phi_bar.rows} rows")
-    return np.flatnonzero(phi_bar.data[c] > t_score)
+    if phi_bar.shape[1] != len(boxes):
+        raise InputError(f"select_candidates: {phi_bar.shape[1]} score columns but {len(boxes)} boxes")
+    if not 0 <= c < len(phi_bar):
+        raise InputError(f"select_candidates: class {c} out of range for {len(phi_bar)} rows")
+    return np.flatnonzero(phi_bar[c] > t_score)
 
 
 def _check_accumulate_inputs(
@@ -134,8 +134,13 @@ def _check_accumulate_inputs(
     idx = np.asarray(list(candidates), dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= len(boxes)):
         raise InputError("accumulate: candidate index out of range")
-    if idx.size and (not np.isfinite(scores[idx]).all() or scores[idx].min() < 0.0):
+    picked = scores[idx]
+    if idx.size and (not np.isfinite(picked).all() or picked.min() < 0.0):
         raise InputError("accumulate: candidate scores must be finite and non-negative")
+    # Each box deposits its score four times, so 4 * sum bounds every prefix sum.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(4.0 * picked.sum()):
+            raise InputError("accumulate: candidate scores are too large to sum")
     arr = boxes_to_array(boxes)[idx]
     outside = np.flatnonzero((arr[:, 2] > width) | (arr[:, 3] > height))
     if outside.size:
@@ -221,7 +226,7 @@ def vote_boxes(grid: BinaryGrid) -> list[Box]:
 
 
 def _vote_class(
-    phi_bar: ScoreMatrix, boxes: Boxes, c: int, height: int, width: int, config: VoteConfig
+    phi_bar: np.ndarray, boxes: Boxes, c: int, height: int, width: int, config: VoteConfig
 ) -> tuple[LikelihoodMap, list[Box]]:
     """One class's normalized likelihood map and the boxes it votes.
 
@@ -231,7 +236,7 @@ def _vote_class(
     candidates = select_candidates(phi_bar, boxes, c, config.t_score)
     if candidates.size == 0:
         return LikelihoodMap(np.zeros((height, width)), c, normalized=True, empty=True), []
-    likelihood = accumulate_fast(candidates, boxes, phi_bar.data[c], height, width, class_id=c)
+    likelihood = accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c)
     normalized = normalize(likelihood)
     if normalized.empty:
         return normalized, []
@@ -239,7 +244,7 @@ def _vote_class(
 
 
 def generate_supervision(
-    phi_bar: ScoreMatrix,
+    phi_bar: np.ndarray,
     boxes: Boxes,
     y: np.ndarray,
     height: int,
@@ -259,11 +264,11 @@ def generate_supervision(
     pos = positive_classes(y)
     if not pos:
         raise InputError("generate_supervision: image has no positive class")
-    if phi_bar.cols != len(boxes):
+    if phi_bar.shape[1] != len(boxes):
         raise InputError(
-            f"generate_supervision: {phi_bar.cols} score columns but {len(boxes)} boxes"
+            f"generate_supervision: {phi_bar.shape[1]} score columns but {len(boxes)} boxes"
         )
-    if phi_bar.rows < len(y):
+    if len(phi_bar) < len(y):
         raise InputError("generate_supervision: score matrix has no row for some class")
     voted: dict[int, list[Box]] = {}
     for c in pos:

@@ -90,20 +90,19 @@ def bounding_rect(component) -> tuple[int, int, int, int]:
 
 def greedy_clusters(scores, boxes, y) -> ClusterSet:
     """build_clusters by set walking and one scalar iou() per pair."""
-    data = scores.data
     pos = np.flatnonzero(np.asarray(y) == 1).tolist()
     unassigned = set(range(len(boxes)))
     clusters = []
     for c in pos:
         while unassigned:
-            center = min(unassigned, key=lambda r: (-data[c, r], r))
-            if data[c, center] < CLUSTER_CENTER_FLOOR:
+            center = min(unassigned, key=lambda r: (-scores[c, r], r))
+            if scores[c, center] < CLUSTER_CENTER_FLOOR:
                 break
             members = sorted(r for r in unassigned if iou(boxes[center], boxes[r]) >= CLUSTER_IOU)
             unassigned.difference_update(members)
-            clusters.append(Cluster(label=c, members=tuple(members), score=float(data[c, center])))
+            clusters.append(Cluster(label=c, members=tuple(members), score=float(scores[c, center])))
     background = tuple(sorted(unassigned))
-    weights = [min(max(1.0 - max(data[c, r] for c in pos), 0.0), 1.0) for r in background]
+    weights = [min(max(1.0 - max(scores[c, r] for c in pos), 0.0), 1.0) for r in background]
     return ClusterSet(tuple(clusters), background, np.array(weights), len(boxes))
 
 
@@ -138,18 +137,17 @@ def greedy_nms(boxes, scores, iou_threshold) -> list[int]:
 
 def scalar_refinement_loss(phi_k, clusters):
     """refinement_loss one cluster, then one background proposal, at a time."""
-    probs = phi_k.data
     num = clusters.num_proposals
     if num == 0:
         raise InputError("refinement_loss: no proposals to average over")
-    bg_row = phi_k.rows - 1
-    grad = np.zeros_like(probs)
+    bg_row = len(phi_k) - 1
+    grad = np.zeros_like(phi_k)
     total = 0.0
     for n, cluster in enumerate(clusters.clusters):
         if cluster.label >= bg_row:
             raise InputError(f"refinement_loss: cluster {n} labeled {cluster.label} has no row")
         members = list(cluster.members)
-        mean_score = probs[cluster.label, members].sum() / cluster.size
+        mean_score = phi_k[cluster.label, members].sum() / cluster.size
         arg = np.clip(mean_score, PROB_EPS, 1.0 - PROB_EPS)
         if not np.isfinite(arg) or arg <= 0.0:
             raise NumericalError(f"refinement_loss: bad log argument in cluster {n}")
@@ -157,7 +155,7 @@ def scalar_refinement_loss(phi_k, clusters):
         if PROB_EPS < mean_score < 1.0 - PROB_EPS:
             grad[cluster.label, members] -= cluster.score / (num * mean_score)
     for r, weight in zip(clusters.background, clusters.background_weights):
-        p = probs[bg_row, r]
+        p = phi_k[bg_row, r]
         arg = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
         if not np.isfinite(arg) or arg <= 0.0:
             raise NumericalError(f"refinement_loss: bad log argument for background proposal {r}")
@@ -170,16 +168,15 @@ def scalar_refinement_loss(phi_k, clusters):
 def scalar_slv_loss(phi_s, t_s, targets):
     """slv_loss with the classification term one labeled proposal at a time."""
     t_s = np.asarray(t_s, dtype=np.float64)
-    grad_scores = np.zeros_like(phi_s.data)
+    grad_scores = np.zeros_like(phi_s)
     grad_offsets = np.zeros_like(t_s)
     valid = np.flatnonzero(targets.valid_mask)
     if valid.size == 0:
         return 0.0, grad_scores, grad_offsets, True
-    probs = phi_s.data
     cls_loss = 0.0
     for r in valid.tolist():
         label = int(targets.labels[r])
-        p = probs[label, r]
+        p = phi_s[label, r]
         clamped = float(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
         cls_loss -= math.log(clamped)
         if PROB_EPS < p < 1.0 - PROB_EPS:
@@ -272,6 +269,8 @@ def rowwise_proposals(raw, height, width, where) -> tuple[list[list[int]], list[
             box = Box(*row)
         except InputError as exc:
             raise DatasetFormatError(f"{at}: {exc}") from None
+        if box.x0 >= width or box.y0 >= height:
+            raise DatasetFormatError(f"{at}: box {box.as_tuple()} lies outside a {height}x{width} image")
         if box.x1 > width or box.y1 > height:
             clipped = clip_box(box, height, width)
             warnings.append(

@@ -15,7 +15,7 @@ import pytest
 from slv.datasets import load_dataset, load_detections
 from slv.evaluation import evaluate_detections, format_report, match_detections
 from slv.geometry import Box
-from slv.mil import ScoreMatrix, build_clusters, mil_loss, refinement_loss, softmax_over_classes
+from slv.mil import build_clusters, mil_loss, refinement_loss, softmax_over_classes
 from slv.schemes import compare_schemes
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets, loss_weight, slv_loss
@@ -106,14 +106,14 @@ def test_gradient_suite_matches_finite_differences():
             y_pos = np.zeros(num_classes, dtype=int)
             y_pos[int(rng.integers(num_classes))] = 1
             clusters = build_clusters(
-                ScoreMatrix(rng.uniform(0.05, 1.0, (num_classes, num_proposals))), boxes, y_pos
+                rng.uniform(0.05, 1.0, (num_classes, num_proposals)), boxes, y_pos
             )
             probs = softmax_over_classes(
-                ScoreMatrix(rng.uniform(-1, 1, (num_classes + 1, num_proposals)))
-            ).data
-            _, grad = refinement_loss(ScoreMatrix(probs), clusters)
+                rng.uniform(-1, 1, (num_classes + 1, num_proposals))
+            )
+            _, grad = refinement_loss(probs, clusters)
             numeric = finite_difference_gradient(
-                lambda p: refinement_loss(ScoreMatrix(p), clusters)[0], probs
+                lambda p: refinement_loss(p, clusters)[0], probs
             )
             worst = max(worst, relative_error(grad, numeric))
 
@@ -125,12 +125,12 @@ def test_gradient_suite_matches_finite_differences():
             t_s = targets.offsets + rng.uniform(0.1, 0.8, (num_proposals, 4)) * rng.choice(
                 [-1.0, 1.0], (num_proposals, 4)
             )
-            _, g_scores, g_offsets, _ = slv_loss(ScoreMatrix(probs), t_s, targets)
+            _, g_scores, g_offsets, _ = slv_loss(probs, t_s, targets)
             numeric_scores = finite_difference_gradient(
-                lambda p: slv_loss(ScoreMatrix(p), t_s, targets)[0], probs
+                lambda p: slv_loss(p, t_s, targets)[0], probs
             )
             numeric_offsets = finite_difference_gradient(
-                lambda t: slv_loss(ScoreMatrix(probs), t, targets)[0], t_s
+                lambda t: slv_loss(probs, t, targets)[0], t_s
             )
             worst = max(worst, relative_error(g_scores, numeric_scores))
             worst = max(worst, relative_error(g_offsets, numeric_offsets))
@@ -155,7 +155,7 @@ def test_single_voter_exactness():
             phi[class_id, 0] = 0.37
             y = np.zeros(rows, dtype=int)
             y[class_id] = 1
-            sup = generate_supervision(ScoreMatrix(phi), [box], y, height, width, config)
+            sup = generate_supervision(phi, [box], y, height, width, config)
             assert sup.boxes_by_class == {class_id: [box]}
             voted = sup.boxes_by_class[class_id][0]
             assert voted.as_tuple() == box.as_tuple()
@@ -170,7 +170,7 @@ def test_scheme_comparison_separation():
         config = SyntheticSceneConfig(num_images=50, part_bias=0.9)
         dataset = generate_synthetic(config, seed=0)
         stats = {
-            s.scheme: s for s in compare_schemes(dataset, lambda r: ScoreMatrix(r.scores))
+            s.scheme: s for s in compare_schemes(dataset, lambda r: r.scores)
         }
         slv_iou = stats["slv"].overall
         conventional_iou = stats["conventional"].overall

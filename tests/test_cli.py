@@ -215,6 +215,27 @@ class TestExitCodes:
         assert code == 2
         assert "diverged at iteration" in captured.err
 
+    def test_overflowing_weight_update_is_two(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run(["--seed", "3", "--out", data_dir] + GENERATE_ARGS + ["--images", "1"])[0] == 0
+        code, captured = run(
+            ["--out", tmp_path / "t", "train", data_dir / "dataset.jsonl", "--iterations", "1", "--lr", "1.7e308"],
+            capsys,
+        )
+        assert code == 2
+        # One iteration: only the check on the updated weights can catch it.
+        assert captured.err.splitlines() == ["numerical error: training diverged at iteration 0"]
+
+    def test_non_finite_learning_rate_is_one(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"train": {"learning_rate": float("inf")}}))  # writes Infinity
+        train = ["--out", tmp_path / "t", "train", FIXTURES / "eval_dataset.jsonl", "--iterations", "1"]
+        for argv in (train + ["--lr", "inf"], train + ["--lr", "nan"], ["--config", config] + train):
+            code, captured = run(argv, capsys)
+            assert code == 1
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: ") and "learning_rate must be positive and finite" in line
+
     def _trained_scorer(self, tmp_path, classes):
         data_dir = tmp_path / f"data{classes}"
         args = ["--seed", "3", "--out", data_dir] + GENERATE_ARGS + ["--classes", str(classes)]
@@ -259,6 +280,20 @@ class TestExitCodes:
             code, captured = run(["--out", tmp_path / "v", command, dataset, "--scorer", scorer], capsys)
             assert code == 1
             assert captured.err.splitlines() == ["error: record 'synth-0000': scorer weights give non-finite outputs"]
+
+    def test_scores_too_large_to_vote_are_one_and_name_the_record(self, tmp_path, capsys):
+        dataset = tmp_path / "huge.jsonl"
+        record = {
+            "id": "huge", "height": 10, "width": 10, "labels": [1],
+            "proposals": [[0, 0, 5, 5], [1, 1, 6, 6], [0, 0, 6, 6]], "scores": [[1e308] * 3],
+            "gt": [{"class": 0, "box": [0, 0, 6, 6]}],
+        }
+        header = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
+        dataset.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        for command in (["vote", dataset, "--emit-heatmaps"], ["compare-schemes", dataset]):
+            code, captured = run(["--out", tmp_path / "o"] + command, capsys)
+            assert code == 1
+            assert captured.err.splitlines() == ["error: record 'huge': accumulate: candidate scores are too large to sum"]
 
     def test_huge_learning_rate_detections_do_not_overflow(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

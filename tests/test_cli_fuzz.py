@@ -10,7 +10,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slv.cli import main
@@ -89,6 +89,7 @@ def damage(data: bytes, how: str, rng: random.Random) -> bytes:
     how=st.sampled_from(["truncate", "non-utf8", "json", "json"]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(kind="config", how="json", seed=347433028)  # learning_rate becomes Infinity
 @settings(max_examples=200, deadline=None)
 def test_damaged_inputs_exit_cleanly(inputs, kind, how, seed):
     root, valid = inputs

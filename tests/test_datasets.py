@@ -152,6 +152,7 @@ class TestDatasetValidation:
             ({"proposals": 7}, "malformed record"),
             ({"gt": 3}, "malformed record"),
             ({"height": 2**63}, "field 'height'/'width'"),
+            ({"features": [[10**400]]}, "malformed record: int too large to convert to float"),
         ],
     )
     def test_malformed_record_names_line(self, tmp_path, field, message):
@@ -245,8 +246,8 @@ class TestDatasetValidation:
             ([[3, 0, 3, 5]], "{at}[0]: box must have positive width and height, got (3, 0, 3, 5)"),
             ([[0, 0, 5]], "{at}[0]: box must be a 4-element list, got [0, 0, 5]"),
             ([[2**63, 0, 2**63 + 1, 5]],
-             "clip_box: box (9223372036854775808, 0, 9223372036854775809, 5) lies outside a 10x10 image"),
-            ([[0, 0, 5, 5], [12, 0, 15, 5]], "clip_box: box (12, 0, 15, 5) lies outside a 10x10 image"),
+             "{at}[0]: box (9223372036854775808, 0, 9223372036854775809, 5) lies outside a 10x10 image"),
+            ([[0, 0, 5, 5], [12, 0, 15, 5]], "{at}[1]: box (12, 0, 15, 5) lies outside a 10x10 image"),
             ([[False, False, True, True]], "{at}[0]: box coordinate x0=False is not an integer"),
             ([[5, 5, 20, 20], [0, 0, 5], [-1, 0, 1, 1]], "{at}[1]: box must be a 4-element list, got [0, 0, 5]"),
         ],
@@ -321,11 +322,35 @@ class TestDatasetValidation:
             ({}, {"width": True}, ":2: field 'height'/'width' must be integers"),
             ({}, {"gt": [{"class": 0, "box": [0, 0, 5, True]}]},
              r":2: field 'gt'\[0\]\.box: box coordinate y1=True is not an integer"),
+            ({}, {"labels": [True]}, r":2: field 'labels' must be a length-1 list of JSON integers 0 and 1"),
+            ({}, {"labels": [1.0]}, r":2: field 'labels' must be a length-1 list of JSON integers 0 and 1"),
+            ({"num_classes": 2}, {"labels": [1, False]}, r":2: field 'labels' must be a length-2 list"),
+            ({}, {"features": [[0.5, True]]}, r":2: field 'features' must hold JSON numbers only"),
+            ({}, {"features": [["0.5"]]}, r":2: field 'features' must hold JSON numbers only"),
+            ({}, {"scores": [[False]]}, r":2: field 'scores' must hold JSON numbers only"),
         ],
-        ids=["num_classes", "feature_dim", "height", "width", "gt-box"],
+        ids=[
+            "num_classes", "feature_dim", "height", "width", "gt-box",
+            "label-bool", "label-float", "second-label-bool", "feature-bool", "feature-string", "score-bool",
+        ],
     )
     def test_json_booleans_are_not_integers(self, tmp_path, header, record, message):
         target = write_dataset(tmp_path / "ds.jsonl", header, record)
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(target)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"features": [[0.5, float("nan")]]}, ":2: field 'features' contains non-finite values"),
+            ({"scores": [[float("inf")]]}, ":2: field 'scores' contains non-finite values"),
+        ],
+        ids=["features", "scores"],
+    )
+    def test_non_finite_matrices_rejected(self, tmp_path, record, message):
+        """The loader is where embedded score matrices are checked for
+        finiteness; the kernels that take them check only shapes."""
+        target = write_dataset(tmp_path / "ds.jsonl", record=record)
         with pytest.raises(DatasetFormatError, match=message):
             load_dataset(target)
 

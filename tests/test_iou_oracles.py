@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slv.geometry import Box, boxes_to_array, iou, iou_matrix, nms
-from slv.mil import ScoreMatrix, build_clusters
+from slv.mil import build_clusters
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets
 from slv.voting import Supervision, VoteConfig, generate_supervision
@@ -66,7 +66,7 @@ def test_tie_boxes_hit_every_threshold_exactly():
     num = len(TIE_BOXES)
     tie = boxes_to_array(TIE_BOXES)
     for row in ([0.01] * num, np.linspace(0.9, 0.2, num), np.linspace(0.2, 0.9, num)):
-        scores = ScoreMatrix(np.array([row]))
+        scores = np.array([row])
         want = greedy_clusters(scores, TIE_BOXES, y)
         assert_same_clusters(build_clusters(scores, TIE_BOXES, y), want)
         assert_same_clusters(build_clusters(scores, TIE_BOXES, y, iou_matrix(tie, tie)), want)
@@ -82,7 +82,7 @@ def cluster_inputs(draw):
     num_classes = draw(st.integers(1, 3))
     y = draw(st.lists(st.integers(0, 1), min_size=num_classes, max_size=num_classes).filter(any))
     row = st.lists(SCORES, min_size=len(boxes), max_size=len(boxes))
-    scores = ScoreMatrix(np.array(draw(st.lists(row, min_size=num_classes, max_size=num_classes))))
+    scores = np.array(draw(st.lists(row, min_size=num_classes, max_size=num_classes)))
     return scores, boxes, np.array(y)
 
 
@@ -130,8 +130,8 @@ def test_nms_matches_oracle(data):
 def test_no_proposals():
     y = np.array([1])
     assert_same_clusters(
-        build_clusters(ScoreMatrix(np.zeros((1, 0))), [], y),
-        greedy_clusters(ScoreMatrix(np.zeros((1, 0))), [], y),
+        build_clusters(np.zeros((1, 0)), [], y),
+        greedy_clusters(np.zeros((1, 0)), [], y),
     )
     sup = Supervision({0: [Box(0, 0, 2, 2)]})
     assert_same_targets(assign_targets([], sup, 1), matched_targets([], sup, 1))
@@ -144,7 +144,7 @@ def test_dense_synthetic_records_match_oracles():
     )
     dataset = generate_synthetic(config, 5)
     for record in dataset:
-        scores = ScoreMatrix(record.scores)
+        scores = record.scores
         boxes = [Box(*row) for row in record.proposals.tolist()]
         want = greedy_clusters(scores, boxes, record.labels)
         assert_same_clusters(build_clusters(scores, record.proposals, record.labels), want)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from slv.errors import InputError, NumericalError, SlvError
 from slv.geometry import Box, boxes_to_array
-from slv.mil import PROB_EPS, Cluster, ClusterSet, ScoreMatrix, refinement_loss
+from slv.mil import PROB_EPS, Cluster, ClusterSet, refinement_loss
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import (
     BBOX_XFORM_CLIP,
@@ -81,7 +81,7 @@ def cluster_case(seed, num_classes, num, background):
     """A score matrix and a random partition into clusters (up to four,
     some larger than eight members) and, optionally, background."""
     rng = np.random.default_rng(seed)
-    phi = ScoreMatrix(pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0))
+    phi = pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0)
     owner = rng.integers(-1 if background else 0, 4, num)
     clusters = tuple(
         Cluster(int(rng.integers(num_classes)), tuple(np.flatnonzero(owner == k).tolist()), float(s))
@@ -108,7 +108,7 @@ def test_refinement_loss_matches_oracle(seed, num_classes, num, background):
 @settings(max_examples=300, deadline=None)
 def test_refinement_loss_names_first_bad_cluster_or_proposal(seed, num_classes, num, background, nans, relabeled):
     rng, phi, clusters = cluster_case(seed, num_classes, num, background)
-    phi.data[rng.integers(0, num_classes + 1, nans), rng.integers(0, num, nans)] = np.nan  # after the finiteness check
+    phi[rng.integers(0, num_classes + 1, nans), rng.integers(0, num, nans)] = np.nan
     members = list(clusters.clusters)
     for n in rng.integers(0, len(members), relabeled if members else 0).tolist():
         members[n] = Cluster(num_classes + int(rng.integers(0, 3)), members[n].members, members[n].score)
@@ -122,15 +122,15 @@ def test_refinement_loss_error_precedence():
     # A NaN in cluster 0 comes before the missing row of cluster 1, which
     # comes before a NaN among the background proposals.
     clusters = ClusterSet((Cluster(0, (0,), 1.0), Cluster(1, (1,), 1.0)), (2,), np.array([1.0]), 3)
-    phi = ScoreMatrix(np.full((2, 3), 0.5))
-    phi.data[1, 2] = np.nan
+    phi = np.full((2, 3), 0.5)
+    phi[1, 2] = np.nan
     with pytest.raises(InputError, match="cluster 1 labeled 1 has no row"):
         refinement_loss(phi, clusters)
-    phi.data[0, 0] = np.nan
+    phi[0, 0] = np.nan
     with pytest.raises(NumericalError, match="in cluster 0"):
         refinement_loss(phi, clusters)
     clusters = ClusterSet((Cluster(0, (0, 1), 1.0),), (2,), np.array([1.0]), 3)
-    phi.data[0, 0] = 0.5
+    phi[0, 0] = 0.5
     with pytest.raises(NumericalError, match="background proposal 2"):
         refinement_loss(phi, clusters)
 
@@ -146,7 +146,7 @@ def test_slv_loss_matches_oracle(seed, num_classes, num, all_ignored):
         (labels != IGNORED).astype(np.float64), num_classes,
     )
     t_s = pooled(rng, OFFSETS[:6], (num, 4), -5.0, 5.0)
-    phi = ScoreMatrix(pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0))
+    phi = pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0)
     assert_same_outcome(slv_loss(phi, t_s, targets), scalar_slv_loss(phi, t_s, targets))
 
 

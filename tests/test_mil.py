@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from slv.errors import InputError
 from slv.geometry import Box
 from slv.mil import (
-    ScoreMatrix,
     average_refined_scores,
     build_clusters,
     image_scores,
@@ -24,73 +23,67 @@ from helpers import finite_difference_gradient, relative_error
 
 
 def random_probability_matrix(rng, rows, cols, softmax=softmax_over_classes):
-    return softmax(ScoreMatrix(rng.uniform(-1.0, 1.0, (rows, cols))))
+    return softmax(rng.uniform(-1.0, 1.0, (rows, cols)))
 
 
 class TestSoftmax:
     def test_uniform_logits_over_classes(self):
-        out = softmax_over_classes(ScoreMatrix(np.zeros((2, 3))))
-        assert np.array_equal(out.data, np.full((2, 3), 0.5))
+        out = softmax_over_classes(np.zeros((2, 3)))
+        assert np.array_equal(out, np.full((2, 3), 0.5))
 
     def test_exact_column(self):
-        x = ScoreMatrix(np.array([[math.log(1.0)], [math.log(3.0)]]))
+        x = np.array([[math.log(1.0)], [math.log(3.0)]])
         out = softmax_over_classes(x)
-        assert out.data[:, 0] == pytest.approx([0.25, 0.75], abs=1e-15)
+        assert out[:, 0] == pytest.approx([0.25, 0.75], abs=1e-15)
 
     def test_uniform_logits_over_proposals(self):
-        out = softmax_over_proposals(ScoreMatrix(np.zeros((2, 4))))
-        assert np.array_equal(out.data, np.full((2, 4), 0.25))
+        out = softmax_over_proposals(np.zeros((2, 4)))
+        assert np.array_equal(out, np.full((2, 4), 0.25))
 
     def test_exact_row(self):
-        x = ScoreMatrix(np.array([[math.log(1.0), math.log(1.0), math.log(2.0)]]))
+        x = np.array([[math.log(1.0), math.log(1.0), math.log(2.0)]])
         out = softmax_over_proposals(x)
-        assert out.data[0] == pytest.approx([0.25, 0.25, 0.5], abs=1e-15)
+        assert out[0] == pytest.approx([0.25, 0.25, 0.5], abs=1e-15)
 
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(7)
         logits = rng.uniform(-3.0, 3.0, (4, 8))
         naive = np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True)
-        out = softmax_over_classes(ScoreMatrix(logits))
-        assert np.abs(out.data - naive).max() < 1e-12
+        out = softmax_over_classes(logits)
+        assert np.abs(out - naive).max() < 1e-12
 
     def test_transpose_duality(self):
         rng = np.random.default_rng(11)
         logits = rng.uniform(-2.0, 2.0, (3, 5))
-        by_proposals = softmax_over_proposals(ScoreMatrix(logits))
-        by_classes_t = softmax_over_classes(ScoreMatrix(logits.T))
-        assert np.allclose(by_proposals.data, by_classes_t.data.T, rtol=0, atol=1e-15)
+        by_proposals = softmax_over_proposals(logits)
+        by_classes_t = softmax_over_classes(logits.T)
+        assert np.allclose(by_proposals, by_classes_t.T, rtol=0, atol=1e-15)
 
     @given(st.integers(0, 10_000), st.floats(-50.0, 50.0, allow_nan=False))
     @settings(max_examples=40)
     def test_shift_invariance(self, seed, shift):
         rng = np.random.default_rng(seed)
         logits = rng.uniform(-2.0, 2.0, (3, 4))
-        base = softmax_over_classes(ScoreMatrix(logits))
+        base = softmax_over_classes(logits)
         shifted = logits.copy()
         shifted[:, 1] += shift  # constant added to one column
-        out = softmax_over_classes(ScoreMatrix(shifted))
-        assert np.abs(out.data - base.data).max() < 1e-12
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InputError):
-            ScoreMatrix(np.array([[np.nan, 0.0]]))
-        with pytest.raises(InputError):
-            ScoreMatrix(np.array([[np.inf, 0.0]]))
+        out = softmax_over_classes(shifted)
+        assert np.abs(out - base).max() < 1e-12
 
 
 class TestWsddnScores:
     def test_uniform_detection_stream(self):
         rng = np.random.default_rng(3)
         sigma_cls = random_probability_matrix(rng, 3, 5)
-        sigma_det = ScoreMatrix(np.full((3, 5), 0.2))
+        sigma_det = np.full((3, 5), 0.2)
         out = wsddn_scores(sigma_cls, sigma_det)
-        assert np.allclose(out.data, sigma_cls.data / 5.0, rtol=0, atol=1e-16)
+        assert np.allclose(out, sigma_cls / 5.0, rtol=0, atol=1e-16)
 
     def test_zero_factor_zeroes_entry(self):
-        sigma_cls = ScoreMatrix(np.array([[0.0], [1.0]]))
-        sigma_det = ScoreMatrix(np.array([[1.0], [1.0]]))
+        sigma_cls = np.array([[0.0], [1.0]])
+        sigma_det = np.array([[1.0], [1.0]])
         out = wsddn_scores(sigma_cls, sigma_det)
-        assert out.data[0, 0] == 0.0
+        assert out[0, 0] == 0.0
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(5)
@@ -99,7 +92,7 @@ class TestWsddnScores:
         out = wsddn_scores(sigma_cls, sigma_det)
         for c in range(3):
             for r in range(5):
-                assert out.data[c, r] == sigma_cls.data[c, r] * sigma_det.data[c, r]
+                assert out[c, r] == sigma_cls[c, r] * sigma_det[c, r]
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(9)
@@ -114,14 +107,14 @@ class TestImageScores:
     def test_single_proposal_is_column(self):
         rng = np.random.default_rng(13)
         sigma_cls = random_probability_matrix(rng, 4, 1)
-        sigma_det = ScoreMatrix(np.ones((4, 1)))
+        sigma_det = np.ones((4, 1))
         phi0 = wsddn_scores(sigma_cls, sigma_det)
-        assert np.array_equal(image_scores(phi0), phi0.data[:, 0])
+        assert np.array_equal(image_scores(phi0), phi0[:, 0])
 
     def test_uniform_everything_gives_one_over_c(self):
         c, r = 4, 6
-        sigma_cls = ScoreMatrix(np.full((c, r), 1.0 / c))
-        sigma_det = ScoreMatrix(np.full((c, r), 1.0 / r))
+        sigma_cls = np.full((c, r), 1.0 / c)
+        sigma_det = np.full((c, r), 1.0 / r)
         phi = image_scores(wsddn_scores(sigma_cls, sigma_det))
         assert phi == pytest.approx([1.0 / c] * c, abs=1e-12)
 
@@ -223,7 +216,7 @@ def _simple_boxes():
 
 class TestBuildClusters:
     def test_single_proposal_single_class(self):
-        scores = ScoreMatrix(np.array([[0.8]]))
+        scores = np.array([[0.8]])
         out = build_clusters(scores, [Box(0, 0, 5, 5)], np.array([1]))
         assert len(out.clusters) == 1
         assert out.clusters[0].members == (0,)
@@ -231,7 +224,7 @@ class TestBuildClusters:
         assert out.background == ()
 
     def test_two_disjoint_proposals_two_singletons(self):
-        scores = ScoreMatrix(np.array([[0.9, 0.7]]))
+        scores = np.array([[0.9, 0.7]])
         boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
         out = build_clusters(scores, boxes, np.array([1]))
         assert [c.members for c in out.clusters] == [(0,), (1,)]
@@ -239,7 +232,7 @@ class TestBuildClusters:
 
     def test_high_overlap_pair_merges_with_higher_center(self):
         # IoU of the two boxes is 90/100 = 0.9
-        scores = ScoreMatrix(np.array([[0.6, 0.8]]))
+        scores = np.array([[0.6, 0.8]])
         boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 9)]
         out = build_clusters(scores, boxes, np.array([1]))
         assert len(out.clusters) == 1
@@ -247,7 +240,7 @@ class TestBuildClusters:
         assert out.clusters[0].score == pytest.approx(0.8)  # center is the higher scorer
 
     def test_below_floor_goes_to_background(self):
-        scores = ScoreMatrix(np.array([[0.9, 0.002]]))
+        scores = np.array([[0.9, 0.002]])
         boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
         out = build_clusters(scores, boxes, np.array([1]))
         assert [c.members for c in out.clusters] == [(0,)]
@@ -256,10 +249,10 @@ class TestBuildClusters:
 
     def test_no_positive_class_errors(self):
         with pytest.raises(InputError):
-            build_clusters(ScoreMatrix(np.array([[0.5]])), [Box(0, 0, 5, 5)], np.array([0]))
+            build_clusters(np.array([[0.5]]), [Box(0, 0, 5, 5)], np.array([0]))
 
     def test_iou_matrix_must_match_the_boxes(self):
-        scores = ScoreMatrix(np.array([[0.9, 0.7]]))
+        scores = np.array([[0.9, 0.7]])
         boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
         with pytest.raises(InputError, match=r"IoU matrix of shape \(1, 2\) for 2 boxes"):
             build_clusters(scores, boxes, np.array([1]), np.zeros((1, 2)))
@@ -277,7 +270,7 @@ class TestBuildClusters:
         c = int(rng.integers(1, 4))
         y = np.zeros(c, dtype=int)
         y[rng.integers(0, c)] = 1
-        scores = ScoreMatrix(rng.uniform(0.0, 1.0, (c, r)))
+        scores = rng.uniform(0.0, 1.0, (c, r))
         out = build_clusters(scores, boxes, y)
         covered = sorted([m for cl in out.clusters for m in cl.members] + list(out.background))
         assert covered == list(range(r))
@@ -289,8 +282,8 @@ class TestBuildClusters:
 class TestRefinementLoss:
     def test_perfect_foreground_cluster_is_free(self):
         probs = np.array([[1.0], [0.0]])
-        clusters = build_clusters(ScoreMatrix(np.array([[1.0]])), [Box(0, 0, 5, 5)], np.array([1]))
-        loss, grad = refinement_loss(ScoreMatrix(probs), clusters)
+        clusters = build_clusters(np.array([[1.0]]), [Box(0, 0, 5, 5)], np.array([1]))
+        loss, grad = refinement_loss(probs, clusters)
         assert loss == pytest.approx(0.0, abs=1e-7)
 
     def test_single_background_closed_form(self):
@@ -303,7 +296,7 @@ class TestRefinementLoss:
             num_proposals=1,
         )
         probs = np.array([[0.5], [0.5]])  # one class row plus background row
-        loss, grad = refinement_loss(ScoreMatrix(probs), clusters)
+        loss, grad = refinement_loss(probs, clusters)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         assert grad[1, 0] == pytest.approx(-1.0 / 0.5, abs=1e-12)
 
@@ -319,12 +312,12 @@ class TestRefinementLoss:
             y = np.zeros(c, dtype=int)
             y[rng.integers(0, c)] = 1
             y[rng.integers(0, c)] = 1
-            cluster_scores = ScoreMatrix(rng.uniform(0.05, 1.0, (c, r)))
+            cluster_scores = rng.uniform(0.05, 1.0, (c, r))
             clusters = build_clusters(cluster_scores, boxes, y)
-            probs = random_probability_matrix(rng, c + 1, r).data
-            _, grad = refinement_loss(ScoreMatrix(probs), clusters)
+            probs = random_probability_matrix(rng, c + 1, r)
+            _, grad = refinement_loss(probs, clusters)
             numeric = finite_difference_gradient(
-                lambda p: refinement_loss(ScoreMatrix(p), clusters)[0], probs
+                lambda p: refinement_loss(p, clusters)[0], probs
             )
             assert relative_error(grad, numeric) < 1e-5
 
@@ -334,11 +327,11 @@ class TestAverageRefinedScores:
         rng = np.random.default_rng(31)
         m = random_probability_matrix(rng, 4, 3)
         out = average_refined_scores(m, m, m)
-        assert np.allclose(out.data, m.data, rtol=0, atol=1e-16)
+        assert np.allclose(out, m, rtol=0, atol=1e-16)
 
     def test_single_entry_mean(self):
-        mats = [ScoreMatrix(np.array([[v]])) for v in (0.0, 0.0, 3.0)]
-        assert average_refined_scores(*mats).data[0, 0] == pytest.approx(1.0)
+        mats = [np.array([[v]]) for v in (0.0, 0.0, 3.0)]
+        assert average_refined_scores(*mats)[0, 0] == pytest.approx(1.0)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(37)
@@ -346,8 +339,8 @@ class TestAverageRefinedScores:
         out = average_refined_scores(*mats)
         for c in range(3):
             for r in range(4):
-                expected = (mats[0].data[c, r] + mats[1].data[c, r] + mats[2].data[c, r]) / 3
-                assert out.data[c, r] == pytest.approx(expected, abs=1e-15)
+                expected = (mats[0][c, r] + mats[1][c, r] + mats[2][c, r]) / 3
+                assert out[c, r] == pytest.approx(expected, abs=1e-15)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(41)

@@ -4,7 +4,6 @@ import pytest
 from slv.datasets import Dataset, DatasetRecord
 from slv.errors import InputError
 from slv.geometry import Box
-from slv.mil import ScoreMatrix
 from slv.schemes import (
     SCHEME_CLUSTERING,
     SCHEME_CONVENTIONAL,
@@ -18,7 +17,7 @@ from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 
 
 def record_scores(record):
-    return ScoreMatrix(record.scores)
+    return record.scores
 
 
 def stats_by_name(stats):
@@ -27,12 +26,12 @@ def stats_by_name(stats):
 
 class TestLabelers:
     def test_conventional_picks_argmax(self):
-        scores = ScoreMatrix(np.array([[0.2, 0.7, 0.1]]))
+        scores = np.array([[0.2, 0.7, 0.1]])
         boxes = [Box(0, 0, 4, 4), Box(4, 4, 8, 8), Box(8, 8, 12, 12)]
         assert label_conventional(scores, boxes, np.array([1])) == {0: [boxes[1]]}
 
     def test_clustering_emits_every_cluster_center(self):
-        scores = ScoreMatrix(np.array([[0.9, 0.8, 0.7]]))
+        scores = np.array([[0.9, 0.8, 0.7]])
         boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 9), Box(40, 40, 50, 50)]
         out = label_clustering(scores, boxes, np.array([1]))
         assert out == {0: [boxes[0], boxes[2]]}

@@ -5,7 +5,7 @@ import pytest
 
 from slv.errors import ConfigError, InputError
 from slv.geometry import Box, boxes_to_array, iou
-from slv.mil import ScoreMatrix, softmax_over_classes
+from slv.mil import softmax_over_classes
 from slv.targets import (
     IGNORED,
     assign_targets,
@@ -131,7 +131,7 @@ class TestSlvLoss:
 
     def test_perfect_prediction_near_zero(self):
         targets = self._targets_one_fg()
-        phi = ScoreMatrix(np.array([[1.0], [0.0]]))
+        phi = np.array([[1.0], [0.0]])
         loss, g_scores, g_offsets, vacuous = slv_loss(phi, targets.offsets, targets)
         assert not vacuous
         assert loss == pytest.approx(0.0, abs=1e-7)
@@ -139,7 +139,7 @@ class TestSlvLoss:
 
     def test_localization_closed_form(self):
         targets = self._targets_one_fg()
-        phi = ScoreMatrix(np.array([[1.0], [0.0]]))
+        phi = np.array([[1.0], [0.0]])
         t_s = targets.offsets + 0.5
         loss, _, g_offsets, _ = slv_loss(phi, t_s, targets)
         assert loss == pytest.approx(0.125, abs=1e-7)  # 4 * (0.5^2 / 2) / 4
@@ -149,14 +149,14 @@ class TestSlvLoss:
         p = Box(0, 0, 30, 9)
         g = Box(0, 0, 30, 30)
         targets = assign_targets([p], Supervision({0: [g]}), num_classes=1)
-        phi = ScoreMatrix(np.array([[0.5], [0.5]]))
+        phi = np.array([[0.5], [0.5]])
         loss, g_scores, _, _ = slv_loss(phi, np.zeros((1, 4)), targets)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         assert g_scores[1, 0] == pytest.approx(-2.0)
 
     def test_vacuous_instance(self):
         targets = assign_targets([Box(0, 0, 5, 5)], Supervision(), num_classes=1)
-        phi = ScoreMatrix(np.array([[0.5], [0.5]]))
+        phi = np.array([[0.5], [0.5]])
         loss, g_scores, g_offsets, vacuous = slv_loss(phi, np.zeros((1, 4)), targets)
         assert vacuous
         assert loss == 0.0
@@ -175,17 +175,17 @@ class TestSlvLoss:
                 proposals.append(random_box(rng))
             targets = assign_targets(proposals, sup, num_classes=num_classes)
             probs = softmax_over_classes(
-                ScoreMatrix(rng.uniform(-1, 1, (num_classes + 1, num_proposals)))
-            ).data
+                rng.uniform(-1, 1, (num_classes + 1, num_proposals))
+            )
             # keep |prediction - target| away from the smooth-L1 kink at 1
             diff = rng.uniform(0.1, 0.8, (num_proposals, 4)) * rng.choice([-1, 1], (num_proposals, 4))
             t_s = targets.offsets + diff
-            _, g_scores, g_offsets, _ = slv_loss(ScoreMatrix(probs), t_s, targets)
+            _, g_scores, g_offsets, _ = slv_loss(probs, t_s, targets)
             numeric_scores = finite_difference_gradient(
-                lambda p: slv_loss(ScoreMatrix(p), t_s, targets)[0], probs
+                lambda p: slv_loss(p, t_s, targets)[0], probs
             )
             numeric_offsets = finite_difference_gradient(
-                lambda t: slv_loss(ScoreMatrix(probs), t, targets)[0], t_s
+                lambda t: slv_loss(probs, t, targets)[0], t_s
             )
             assert relative_error(g_scores, numeric_scores) < 1e-5
             assert relative_error(g_offsets, numeric_offsets) < 1e-5
@@ -193,9 +193,9 @@ class TestSlvLoss:
     def test_shape_validation(self):
         targets = self._targets_one_fg()
         with pytest.raises(InputError):
-            slv_loss(ScoreMatrix(np.array([[1.0], [0.0]])), np.zeros((2, 4)), targets)
+            slv_loss(np.array([[1.0], [0.0]]), np.zeros((2, 4)), targets)
         with pytest.raises(InputError):
-            slv_loss(ScoreMatrix(np.array([[1.0]])), np.zeros((1, 4)), targets)
+            slv_loss(np.array([[1.0]]), np.zeros((1, 4)), targets)
 
     def test_non_negative_and_loc_zero_iff_exact(self):
         rng = np.random.default_rng(99)
@@ -203,10 +203,10 @@ class TestSlvLoss:
         for _ in range(20):
             probs = np.abs(rng.dirichlet(np.ones(2))).reshape(2, 1)
             t_s = targets.offsets + rng.uniform(-0.5, 0.5, (1, 4))
-            loss, _, _, _ = slv_loss(ScoreMatrix(probs), t_s, targets)
+            loss, _, _, _ = slv_loss(probs, t_s, targets)
             assert loss >= 0.0
         # localization term vanishes exactly when predictions hit the targets
-        phi = ScoreMatrix(np.array([[0.7], [0.3]]))
+        phi = np.array([[0.7], [0.3]])
         exact, _, _, _ = slv_loss(phi, targets.offsets, targets)
         off, _, _, _ = slv_loss(phi, targets.offsets + 1e-3, targets)
         assert exact == pytest.approx(-math.log(0.7), abs=1e-12)

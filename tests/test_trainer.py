@@ -123,8 +123,9 @@ class TestTrainToy:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(iterations=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=-1.0)
+        for bad in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
         for bad in (0.0, -5.0, math.nan):
             with pytest.raises(ConfigError, match="ramp_length"):
                 TrainConfig(ramp_length=bad)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from slv.errors import ConfigError, InputError
 from slv.geometry import Box
-from slv.mil import ScoreMatrix
 from slv.voting import (
     VOC2007_CLASSES,
     LikelihoodMap,
@@ -44,17 +43,17 @@ def random_instance(rng, max_size=24, max_boxes=8, dyadic=False):
 
 class TestSelectCandidates:
     def test_all_zero_scores(self):
-        phi = ScoreMatrix(np.zeros((2, 3)))
+        phi = np.zeros((2, 3))
         out = select_candidates(phi, [Box(0, 0, 2, 2)] * 3, 0, t_score=0.001)
         assert out.size == 0
 
     def test_default_threshold_filters_low_scores(self):
-        phi = ScoreMatrix(np.array([[0.0005, 0.002, 0.5]]))
+        phi = np.array([[0.0005, 0.002, 0.5]])
         out = select_candidates(phi, [Box(0, 0, 2, 2)] * 3, 0, t_score=0.001)
         assert out.tolist() == [1, 2]
 
     def test_equal_to_threshold_excluded(self):
-        phi = ScoreMatrix(np.array([[0.001, 0.25]]))
+        phi = np.array([[0.001, 0.25]])
         out = select_candidates(phi, [Box(0, 0, 2, 2)] * 2, 0, t_score=0.001)
         assert out.tolist() == [1]
 
@@ -105,6 +104,15 @@ class TestAccumulate:
         for kernel in (accumulate_fast, accumulate_naive):
             with pytest.raises(InputError):
                 kernel([0], boxes, np.array([0.5]), 8, 8)
+
+    def test_scores_whose_sum_overflows_rejected(self):
+        boxes = [Box(0, 0, 5, 5), Box(1, 1, 6, 6), Box(0, 0, 6, 6)]
+        for kernel in (accumulate_fast, accumulate_naive):
+            with pytest.raises(InputError, match="too large to sum"):
+                kernel([0, 1, 2], boxes, np.full(3, 1e308), 8, 8)
+            # 4 * 3 * 1e307 is finite, so every prefix sum is.
+            out = kernel([0, 1, 2], boxes, np.full(3, 1e307), 8, 8)
+            assert out.data.max() == pytest.approx(3e307)
 
     def test_empty_candidates_give_zero_map(self):
         out = accumulate_fast([], [Box(0, 0, 2, 2)], np.array([0.5]), 4, 4)
@@ -197,32 +205,32 @@ class TestVoteConfig:
 class TestGenerateSupervision:
     def test_single_voter_recovers_box_exactly(self):
         box = Box(3, 4, 11, 9)
-        phi = ScoreMatrix(np.array([[0.6]]))
+        phi = np.array([[0.6]])
         sup = generate_supervision(phi, [box], np.array([1]), 16, 16, VoteConfig())
         assert sup.boxes_by_class == {0: [box]}
 
     def test_two_positive_classes_two_box_lists(self):
         boxes = [Box(0, 0, 5, 5), Box(10, 10, 15, 15)]
-        phi = ScoreMatrix(np.array([[0.9, 0.0], [0.0, 0.8]]))
+        phi = np.array([[0.9, 0.0], [0.0, 0.8]])
         sup = generate_supervision(phi, boxes, np.array([1, 1]), 20, 20, VoteConfig())
         assert sup.classes() == [0, 1]
         assert sup.boxes_by_class[0] == [boxes[0]]
         assert sup.boxes_by_class[1] == [boxes[1]]
 
     def test_all_scores_below_threshold_is_empty_not_error(self):
-        phi = ScoreMatrix(np.array([[0.0005]]))
+        phi = np.array([[0.0005]])
         sup = generate_supervision(phi, [Box(0, 0, 4, 4)], np.array([1]), 8, 8, VoteConfig())
         assert sup.is_empty
         assert sup.boxes_by_class == {}
 
     def test_no_positive_class_errors(self):
-        phi = ScoreMatrix(np.array([[0.5]]))
+        phi = np.array([[0.5]])
         with pytest.raises(InputError):
             generate_supervision(phi, [Box(0, 0, 4, 4)], np.array([0]), 8, 8, VoteConfig())
 
     def test_negative_class_ignores_scores(self):
         boxes = [Box(0, 0, 5, 5), Box(10, 10, 15, 15)]
-        phi = ScoreMatrix(np.array([[0.9, 0.0], [0.0, 0.8]]))
+        phi = np.array([[0.9, 0.0], [0.0, 0.8]])
         sup = generate_supervision(phi, boxes, np.array([1, 0]), 20, 20, VoteConfig())
         assert sup.classes() == [0]
 
@@ -267,7 +275,7 @@ class TestVotingProperties:
     def test_voted_boxes_inside_candidate_union(self, seed):
         rng = np.random.default_rng(seed)
         height, width, boxes, scores = random_instance(rng)
-        phi = ScoreMatrix(scores.reshape(1, -1))
+        phi = scores.reshape(1, -1)
         sup = generate_supervision(phi, boxes, np.array([1]), height, width, VoteConfig())
         candidates = select_candidates(phi, boxes, 0, 0.001).tolist()
         if not candidates:
@@ -289,11 +297,11 @@ class TestVotingProperties:
         rng = np.random.default_rng(seed)
         height, width, boxes, scores = random_instance(rng, dyadic=True)
         y = np.array([1])
-        phi = ScoreMatrix(scores.reshape(1, -1))
+        phi = scores.reshape(1, -1)
         base = generate_supervision(phi, boxes, y, height, width, VoteConfig())
         perm = rng.permutation(len(boxes))
         shuffled = generate_supervision(
-            ScoreMatrix(scores[perm].reshape(1, -1)),
+            scores[perm].reshape(1, -1),
             [boxes[int(i)] for i in perm],
             y,
             height,
