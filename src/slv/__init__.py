@@ -32,6 +32,7 @@ from .mil import (
 from .voting import (
     LikelihoodMap,
     Supervision,
+    VoteBatch,
     VoteConfig,
     accumulate_fast,
     accumulate_naive,

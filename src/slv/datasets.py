@@ -143,6 +143,19 @@ def _numbers_only(rows: list) -> bool:
     return set(map(type, chain.from_iterable(rows))) <= {int, float}
 
 
+def _number_matrix(raw) -> np.ndarray | None:
+    """A JSON list of equal-length lists of numbers as an (R, C) float64
+    array, or None for anything else. Checking the types first lets numpy
+    skip its per-element type inference, which is what makes np.asarray on
+    nested lists slow; the values are the same bit for bit."""
+    if type(raw) is not list or not raw or not set(map(type, raw)) <= {list}:
+        return None
+    width = len(raw[0])
+    if set(map(len, raw)) != {width} or not _numbers_only(raw):
+        return None
+    return np.fromiter(chain.from_iterable(raw), np.float64, len(raw) * width).reshape(len(raw), width)
+
+
 def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, where: str) -> DatasetRecord:
     for key in ("id", "height", "width", "labels", "proposals"):
         if key not in obj:
@@ -160,25 +173,29 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
     proposals = _proposals_from_json(obj["proposals"], height, width, where)
     features = None
     if obj.get("features") is not None:
-        features = np.asarray(obj["features"], dtype=np.float64)
+        features = numbers = _number_matrix(obj["features"])
+        if numbers is None:  # numpy raises, or the checks below reject its array
+            features = np.asarray(obj["features"], dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != len(proposals):
             raise DatasetFormatError(f"{where}: field 'features' must be (num_proposals, D)")
         if feature_dim is not None and features.shape[1] != feature_dim:
             raise DatasetFormatError(
                 f"{where}: field 'features' has dimension {features.shape[1]}, header says {feature_dim}"
             )
-        if not _numbers_only(obj["features"]):
+        if numbers is None and not _numbers_only(obj["features"]):
             raise DatasetFormatError(f"{where}: field 'features' must hold JSON numbers only")
         if not np.isfinite(features).all():
             raise DatasetFormatError(f"{where}: field 'features' contains non-finite values")
     scores = None
     if obj.get("scores") is not None:
-        scores = np.asarray(obj["scores"], dtype=np.float64)
+        scores = numbers = _number_matrix(obj["scores"])
+        if numbers is None:
+            scores = np.asarray(obj["scores"], dtype=np.float64)
         if scores.shape != (num_classes, len(proposals)):
             raise DatasetFormatError(
                 f"{where}: field 'scores' must be ({num_classes}, {len(proposals)})"
             )
-        if not _numbers_only(obj["scores"]):
+        if numbers is None and not _numbers_only(obj["scores"]):
             raise DatasetFormatError(f"{where}: field 'scores' must hold JSON numbers only")
         if not np.isfinite(scores).all():
             raise DatasetFormatError(f"{where}: field 'scores' contains non-finite values")
@@ -378,6 +395,9 @@ def load_detections(path: str | Path) -> list[Detection]:
         if type(obj["class"]) is not int:
             raise DatasetFormatError(f"{where}: field 'class' must be an integer")
         box = _box_from_json(obj["box"], f"{where}: field 'box'")
+        # `type(...)` rejects JSON booleans and numeric strings, which float() takes.
+        if type(obj["score"]) not in (int, float):
+            raise DatasetFormatError(f"{where}: field 'score' must be a JSON number")
         try:
             out.append(
                 Detection(
@@ -387,6 +407,6 @@ def load_detections(path: str | Path) -> list[Detection]:
                     score=float(obj["score"]),
                 )
             )
-        except (InputError, TypeError, ValueError) as exc:
+        except (InputError, OverflowError) as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
     return out

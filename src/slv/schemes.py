@@ -13,7 +13,7 @@ from .datasets import Dataset, DatasetRecord
 from .errors import InputError
 from .geometry import Box, Boxes, boxes_to_array, iou
 from .mil import build_clusters, positive_classes
-from .voting import VoteConfig, generate_supervision
+from .voting import VoteBatch, VoteConfig, generate_supervision
 
 SCHEME_CONVENTIONAL = "conventional"
 SCHEME_CLUSTERING = "clustering"
@@ -84,25 +84,32 @@ def compare_schemes(
     """
     vote_config = vote_config or VoteConfig()
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
-    for record in sorted(dataset.records, key=lambda r: r.image_id):
+
+    def add_ious(name: str, record: DatasetRecord, by_class: dict[int, list[Box]]) -> None:
+        for c, labeled_boxes in by_class.items():
+            gt = record.gt_boxes.get(c, [])
+            if not gt:
+                continue
+            bucket = ious[name].setdefault(c, [])
+            bucket.extend(max(iou(b, g) for g in gt) for b in labeled_boxes)
+
+    records = sorted(dataset.records, key=lambda r: r.image_id)
+    batch = VoteBatch(vote_config)
+    for record in records:
         if not record.gt_boxes:
             raise InputError(f"compare_schemes: record {record.image_id!r} has no ground truth")
         scores = score_fn(record)
         try:
-            labeled = {
-                SCHEME_CONVENTIONAL: label_conventional(scores, record.proposals, record.labels),
-                SCHEME_CLUSTERING: label_clustering(scores, record.proposals, record.labels),
-                SCHEME_SLV: label_slv(scores, record, vote_config),
-            }
+            conventional = label_conventional(scores, record.proposals, record.labels)
+            clustering = label_clustering(scores, record.proposals, record.labels)
+            batch.add(scores, record.proposals, record.labels, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
-        for name, by_class in labeled.items():
-            for c, labeled_boxes in by_class.items():
-                gt = record.gt_boxes.get(c, [])
-                if not gt:
-                    continue
-                bucket = ious[name].setdefault(c, [])
-                bucket.extend(max(iou(b, g) for g in gt) for b in labeled_boxes)
+        add_ious(SCHEME_CONVENTIONAL, record, conventional)
+        add_ious(SCHEME_CLUSTERING, record, clustering)
+    # Adding the voted boxes' IoUs last keeps each (scheme, class) list in record order.
+    for record, sup in zip(records, batch.supervisions()):
+        add_ious(SCHEME_SLV, record, sup.boxes_by_class)
     stats = []
     for name in ALL_SCHEMES:
         per_class = {c: float(np.mean(v)) for c, v in sorted(ious[name].items())}

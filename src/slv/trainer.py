@@ -2,11 +2,21 @@
 
 The scorer stands in for the network heads: one linear map per head from
 proposal features to classification/detection logits, refinement logits,
-and the re-classification/re-localization outputs. Each iteration runs the
-whole forward pass, votes pseudo ground truth from the averaged refinement
-scores (treated as a constant, no gradient flows through the vote), and
-descends on the weighted total loss. Voted supervision only influences the
-weights once the ramp weight is positive.
+and the re-classification/re-localization outputs. Each iteration runs in
+three phases:
+
+1. the forward pass and the three refinement stages of every record;
+2. one `VoteBatch` over every record's averaged refinement scores (treated
+   as a constant, no gradient flows through the vote), so all the
+   iteration's (record, class) grids share one region-labeling pass;
+   skipped under `mil_only`;
+3. per record, in record order: proposal targets from the voted boxes, the
+   SLV loss and its gradients, and the loss sums.
+
+Gradients and loss sums add up record by record, in record order; then
+the weights descend on the weighted total loss.
+Voted supervision only influences the weights once the ramp weight is
+positive.
 
 Test-time detection scores are the arithmetic mean of the three refinement
 branches and the re-classification branch (an assumption; the combination
@@ -24,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, DatasetRecord
+from .datasets import Dataset, DatasetRecord, _numbers_only
 from .errors import ConfigError, InputError, NumericalError
 from .evaluation import Detection
 from .mil import (
@@ -41,7 +51,7 @@ from .mil import (
 )
 from .geometry import Box, iou_matrix, nms
 from .targets import assign_targets, decode_boxes, loss_weight, slv_loss, total_loss
-from .voting import Supervision, VoteConfig, generate_supervision, write_pgm
+from .voting import Supervision, VoteBatch, VoteConfig, write_pgm
 
 SCORER_SCHEMA = "slv/scorer"
 TRACE_SCHEMA = "slv/trace"
@@ -140,6 +150,8 @@ class ToyScorer:
                 w = None
             if w is None or w.shape != (rows, d):
                 raise InputError(f"{path}: 'weights.{name}' must be a {rows}x{d} matrix")
+            if not _numbers_only(raw):
+                raise InputError(f"{path}: 'weights.{name}' must hold JSON numbers only")
             if not np.isfinite(w).all():
                 raise InputError(f"{path}: 'weights.{name}' contains non-finite values")
             return w
@@ -250,10 +262,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         # Aligned with scorer.heads(); the names below alias its arrays.
         grads = [np.zeros_like(w) for w in scorer.heads()]
         g_cls, g_det, *grads_refine, g_slv_cls, g_slv_reg = grads
-        sum_mil = 0.0
-        sum_refine = np.zeros(len(scorer.w_refine))
-        sum_slv = 0.0
-        sum_total = 0.0
+        # Phase 1: forward pass and refinement of every record.
+        forward = []
         for record, ious in zip(records, proposal_ious):
             feats = record.features
             y = record.labels
@@ -280,14 +290,28 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
                 refine_losses.append(l_k)
                 refined.append(phi_k)
                 previous = phi_k
+            forward.append((l_mil, refine_losses, refined))
 
+        # Phase 2: one vote over every record's averaged refinement scores.
+        if not config.mil_only:
+            batch = VoteBatch(config.vote)
+            for record, (_, _, refined) in zip(records, forward):
+                batch.add(
+                    average_refined_scores(*refined),
+                    record.proposals, record.labels, record.height, record.width,
+                )
+            supervisions = batch.supervisions()
+
+        # Phase 3: targets, the SLV loss and its gradients, record by record.
+        sum_mil = 0.0
+        sum_refine = np.zeros(len(scorer.w_refine))
+        sum_slv = 0.0
+        sum_total = 0.0
+        for r, (record, (l_mil, refine_losses, _)) in enumerate(zip(records, forward)):
+            feats = record.features
             l_slv = 0.0
             if not config.mil_only:
-                phi_bar = average_refined_scores(*refined)
-                supervision = generate_supervision(
-                    phi_bar, record.proposals, y, record.height, record.width, config.vote
-                )
-                proposal_targets = assign_targets(record.proposals, supervision, num_classes)
+                proposal_targets = assign_targets(record.proposals, supervisions[r], num_classes)
                 phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
                 t_s = _finite_logits(scorer.w_slv_reg, feats, it).T
                 l_slv, d_phi_s, d_t_s, _vacuous = slv_loss(phi_s, t_s, proposal_targets)
@@ -392,11 +416,12 @@ def vote_dataset(
     likelihood map of every (record, positive class) pair is exported as
     `<image_id>_class<c>.pgm` there.
     """
-    results: list[tuple[str, Supervision]] = []
+    voted: list[str] = []
     skipped: list[str] = []
     if heatmap_dir is not None:
         heatmap_dir = Path(heatmap_dir)
         heatmap_dir.mkdir(parents=True, exist_ok=True)
+    batch = VoteBatch(config)
     for record in sorted(dataset.records, key=lambda r: r.image_id):
         matrix = resolve_scores(record, scorer)
         if matrix is None:
@@ -404,13 +429,11 @@ def vote_dataset(
             continue
         on_map = None
         if heatmap_dir is not None:
-            # Called within this iteration, so `record` is still this record.
+            # Called within `add`, so `record` is still this record.
             on_map = lambda m: write_pgm(m, heatmap_dir / f"{record.image_id}_class{m.class_id}.pgm")
         try:
-            sup = generate_supervision(
-                matrix, record.proposals, record.labels, record.height, record.width, config, on_map
-            )
+            batch.add(matrix, record.proposals, record.labels, record.height, record.width, on_map)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
-        results.append((record.image_id, sup))
-    return results, skipped
+        voted.append(record.image_id)
+    return list(zip(voted, batch.supervisions())), skipped

@@ -225,22 +225,94 @@ def vote_boxes(grid: BinaryGrid) -> list[Box]:
     return [Box(*rect) for rect in region_boxes(grid).tolist()]
 
 
-def _vote_class(
-    phi_bar: np.ndarray, boxes: Boxes, c: int, height: int, width: int, config: VoteConfig
-) -> tuple[LikelihoodMap, list[Box]]:
-    """One class's normalized likelihood map and the boxes it votes.
+# A batch labels its waiting binary grids once they reach this many cells,
+# so one pass holds at most this plus one grid; the grids and their stacked
+# copy take about one byte a cell each.
+BATCH_CELLS = 1 << 22
 
-    A class with no candidate gets an all-zero map; an all-zero map, flagged
-    `empty`, votes no box.
+
+class VoteBatch:
+    """Votes of many images, with one region-labeling pass per chunk of grids.
+
+    `add` runs one image's per-class steps at once (candidate selection,
+    accumulation, normalization, binarization), so a bad input raises while
+    its caller still knows the image; each normalized map goes to `on_map`
+    as it is made and is not kept. The binary grids wait until
+    `supervisions`, or until they pass BATCH_CELLS, and are then stacked
+    into one buffer and labeled together: every grid gets a block of
+    Hmax + 1 rows whose last row stays blank, so regions cannot join across
+    grids and each grid's regions keep their row-major order.
     """
-    candidates = select_candidates(phi_bar, boxes, c, config.t_score)
-    if candidates.size == 0:
-        return LikelihoodMap(np.zeros((height, width)), c, normalized=True, empty=True), []
-    likelihood = accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c)
-    normalized = normalize(likelihood)
-    if normalized.empty:
-        return normalized, []
-    return normalized, vote_boxes(binarize(normalized, config.t_b_for(c)))
+
+    def __init__(self, config: VoteConfig) -> None:
+        self.config = config
+        self._voted: list[dict[int, list[Box]]] = []
+        self._waiting: list[tuple[dict[int, list[Box]], int, BinaryGrid]] = []
+        self._cells = 0
+
+    def add(
+        self,
+        phi_bar: np.ndarray,
+        boxes: Boxes,
+        y: np.ndarray,
+        height: int,
+        width: int,
+        on_map: Callable[[LikelihoodMap], None] | None = None,
+    ) -> None:
+        """Vote every positive class of one image.
+
+        A class with no candidate gets an all-zero map; an all-zero map,
+        flagged `empty`, votes no box. `on_map`, when given, receives the
+        normalized map of every positive class.
+        """
+        pos = positive_classes(y)
+        if not pos:
+            raise InputError("generate_supervision: image has no positive class")
+        if phi_bar.shape[1] != len(boxes):
+            raise InputError(
+                f"generate_supervision: {phi_bar.shape[1]} score columns but {len(boxes)} boxes"
+            )
+        if len(phi_bar) < len(y):
+            raise InputError("generate_supervision: score matrix has no row for some class")
+        voted: dict[int, list[Box]] = {}
+        self._voted.append(voted)
+        for c in pos:
+            candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
+            if candidates.size == 0:
+                normalized = LikelihoodMap(np.zeros((height, width)), c, normalized=True, empty=True)
+            else:
+                normalized = normalize(
+                    accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c)
+                )
+            if on_map is not None:
+                on_map(normalized)
+            if not normalized.empty:
+                grid = binarize(normalized, self.config.t_b_for(c))
+                self._waiting.append((voted, c, grid))
+                self._cells += grid.size
+        if self._cells >= BATCH_CELLS:
+            self._label()
+
+    def _label(self) -> None:
+        """Label every waiting grid in one pass and file the boxes by image and class."""
+        if not self._waiting:
+            return
+        block = 1 + max(grid.shape[0] for _, _, grid in self._waiting)
+        width = max(grid.shape[1] for _, _, grid in self._waiting)
+        stacked = np.zeros((len(self._waiting), block, width), dtype=bool)
+        for k, (_, _, grid) in enumerate(self._waiting):
+            stacked[k, : grid.shape[0], : grid.shape[1]] = grid
+        for b in vote_boxes(stacked.reshape(-1, width)):
+            k = b.y0 // block
+            voted, c, _ = self._waiting[k]
+            voted.setdefault(c, []).append(Box(b.x0, b.y0 - k * block, b.x1, b.y1 - k * block))
+        self._waiting = []
+        self._cells = 0
+
+    def supervisions(self) -> list[Supervision]:
+        """One Supervision per added image, in the order they were added."""
+        self._label()
+        return [Supervision(boxes_by_class=voted) for voted in self._voted]
 
 
 def generate_supervision(
@@ -259,25 +331,11 @@ def generate_supervision(
     bounding rectangles of the surviving regions. Classes with no candidate
     or an empty map contribute no boxes; that is a valid, empty vote.
     `on_map`, when given, receives the normalized map of every positive
-    class, all-zero for a class with no candidate.
+    class, all-zero for a class with no candidate. A one-image VoteBatch.
     """
-    pos = positive_classes(y)
-    if not pos:
-        raise InputError("generate_supervision: image has no positive class")
-    if phi_bar.shape[1] != len(boxes):
-        raise InputError(
-            f"generate_supervision: {phi_bar.shape[1]} score columns but {len(boxes)} boxes"
-        )
-    if len(phi_bar) < len(y):
-        raise InputError("generate_supervision: score matrix has no row for some class")
-    voted: dict[int, list[Box]] = {}
-    for c in pos:
-        normalized, rects = _vote_class(phi_bar, boxes, c, height, width, config)
-        if on_map is not None:
-            on_map(normalized)
-        if rects:
-            voted[c] = rects
-    return Supervision(boxes_by_class=voted)
+    batch = VoteBatch(config)
+    batch.add(phi_bar, boxes, y, height, width, on_map)
+    return batch.supervisions()[0]
 
 
 def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:

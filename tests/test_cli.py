@@ -271,6 +271,37 @@ class TestExitCodes:
         _, scorer = self._trained_scorer(tmp_path, 3)
         self._vote_is_one(tmp_path, capsys, dataset, scorer, "features per proposal")
 
+    @pytest.mark.parametrize("head, value", [("cls", True), ("det", "0.5"), ("refine", False)])
+    def test_scorer_weights_of_wrong_json_type_are_one(self, tmp_path, capsys, head, value):
+        dataset, scorer = self._trained_scorer(tmp_path, 2)
+        payload = json.loads(scorer.read_text())
+        matrix = payload["weights"][head][0] if head == "refine" else payload["weights"][head]
+        matrix[0][0] = value
+        scorer.write_text(json.dumps(payload))
+        name = "refine[0]" if head == "refine" else head
+        code, captured = run(["--out", tmp_path / "v", "vote", dataset, "--scorer", scorer], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {scorer}: 'weights.{name}' must hold JSON numbers only"]
+
+    @pytest.mark.parametrize(
+        "score, message",
+        [
+            (True, "field 'score' must be a JSON number"),
+            ("0.5", "field 'score' must be a JSON number"),
+            (10**400, "int too large to convert to float"),
+        ],
+        ids=["bool", "string", "huge-int"],
+    )
+    def test_detection_score_of_wrong_json_type_is_one(self, tmp_path, capsys, score, message):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(
+            json.dumps({"schema": "slv/detections", "version": 1}) + "\n"
+            + json.dumps({"id": "img1", "class": 0, "box": [0, 0, 5, 5], "score": score}) + "\n"
+        )
+        code, captured = run(["--out", tmp_path, "evaluate", dets, FIXTURES / "eval_dataset.jsonl"], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {dets}:2: {message}"]
+
     def test_overflowing_scorer_is_one_and_names_the_record(self, tmp_path, capsys):
         dataset, scorer = self._trained_scorer(tmp_path, 2)
         payload = json.loads(scorer.read_text())

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from slv.datasets import (
     Dataset,
     DatasetRecord,
+    _number_matrix,
     load_dataset,
     load_detections,
     load_pseudo_labels,
@@ -353,6 +354,37 @@ class TestDatasetValidation:
         target = write_dataset(tmp_path / "ds.jsonl", record=record)
         with pytest.raises(DatasetFormatError, match=message):
             load_dataset(target)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.integers(-(2**80), 2**80) | st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_number_matrix_equals_numpy_bit_for_bit(self, rows):
+        """The loader's fast conversion of `features` and `scores` gives the
+        array np.asarray gives, bit for bit (-0.0, subnormals and integers
+        beyond 2**53 included)."""
+        got = _number_matrix(rows)
+        want = np.asarray(rows, dtype=np.float64)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[], [[0.5], [0.5, 1.0]], [[True]], [["0.5"]], [[[0.5]]], [0.5], (([0.5],)), {"a": [1]}, 7],
+        ids=["empty", "ragged", "bool", "string", "nested", "flat", "tuple", "dict", "number"],
+    )
+    def test_number_matrix_leaves_the_rest_to_numpy(self, raw):
+        assert _number_matrix(raw) is None
 
     def test_golden_fixture_roundtrips_byte_identical(self, tmp_path):
         src = FIXTURES / "eval_dataset.jsonl"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from slv.errors import InputError
 from slv.geometry import (
     Box,
+    _label_runs,
     boxes_to_array,
     clip_box,
     connected_components,
@@ -251,6 +252,54 @@ class TestRegionBoxes:
             region_boxes(np.zeros(4, dtype=bool))
         with pytest.raises(InputError):
             connected_components(np.zeros((2, 2, 2), dtype=bool))
+
+
+def serpentine(side):
+    """One path of full rows joined at alternating ends, so the union-find
+    must merge runs that first look like separate regions, row after row."""
+    grid = np.zeros((side, side), dtype=bool)
+    grid[::2] = True
+    for i in range(1, side, 2):
+        grid[i, -1 if i % 4 == 1 else 0] = True
+    return grid
+
+
+def staircase(side):
+    """A one-pixel diagonal from the top right to the bottom left: every run
+    touches the next only at a corner."""
+    return np.fliplr(np.eye(side, dtype=bool))
+
+
+def comb(side):
+    """Full columns joined at alternating ends: every row holds many runs,
+    and only the first and last rows link them."""
+    return serpentine(side).T
+
+
+class TestLabelRuns:
+    """The array union-find of `_label_runs` against the flood-fill oracle."""
+
+    def assert_matches_oracle(self, grid):
+        rows, starts, ends, labels = _label_runs(grid)
+        keys = np.stack([rows, starts]).T.tolist()
+        assert keys == sorted(keys)  # row-major runs
+        assert grid[rows, starts].all() and (ends > starts).all()
+        regions = [set() for _ in range(int(labels.max(initial=-1)) + 1)]
+        for i, s, e, k in zip(rows.tolist(), starts.tolist(), ends.tolist(), labels.tolist()):
+            regions[k].update((i, j) for j in range(s, e))
+        assert regions == flood_fill_components(grid)
+
+    @given(grids(max_side=40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_grids(self, grid):
+        self.assert_matches_oracle(grid)
+
+    @pytest.mark.parametrize("shape", [serpentine, staircase, comb])
+    @pytest.mark.parametrize("side", [1, 2, 7, 64, 301])
+    def test_chains(self, shape, side):
+        grid = shape(side)
+        self.assert_matches_oracle(grid)
+        assert _label_runs(grid)[3].max() == 0  # one region
 
 
 class TestIouMatrix:

@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slv import voting
 from slv.errors import ConfigError, InputError
 from slv.geometry import Box
 from slv.voting import (
     VOC2007_CLASSES,
     LikelihoodMap,
+    VoteBatch,
     VoteConfig,
     accumulate_fast,
     accumulate_naive,
@@ -233,6 +237,68 @@ class TestGenerateSupervision:
         phi = np.array([[0.9, 0.0], [0.0, 0.8]])
         sup = generate_supervision(phi, boxes, np.array([1, 0]), 20, 20, VoteConfig())
         assert sup.classes() == [0]
+
+
+@st.composite
+def vote_images(draw):
+    """Images of mixed sizes with 1-3 positive classes out of 3 and scores
+    from a small tie-heavy set; 0.0 and 0.0005 are at or below t_score, so
+    some classes have no candidate and vote an all-zero map."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    boxes = []
+    for _ in range(draw(st.integers(0, 8))):
+        x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        boxes.append(Box(x0, y0, draw(st.integers(x0 + 1, width)), draw(st.integers(y0 + 1, height))))
+    levels = st.sampled_from([0.0, 0.0005, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7])
+    phi = np.array(draw(st.lists(st.lists(levels, min_size=len(boxes), max_size=len(boxes)), min_size=3, max_size=3)))
+    y = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=3, max_size=3).filter(any)))
+    return phi.reshape(3, len(boxes)), boxes, y, height, width
+
+
+def per_grid_vote(phi, boxes, y, height, width, config):
+    """The vote one grid at a time from the public per-grid steps, with the
+    maps it makes as (class, empty, bytes)."""
+    voted, maps = {}, []
+    for c in np.flatnonzero(y == 1).tolist():
+        candidates = select_candidates(phi, boxes, c, config.t_score)
+        if candidates.size == 0:
+            maps.append((c, True, np.zeros((height, width)).tobytes()))
+            continue
+        normalized = normalize(accumulate_fast(candidates, boxes, phi[c], height, width))
+        maps.append((c, normalized.empty, normalized.data.tobytes()))
+        rects = [] if normalized.empty else vote_boxes(binarize(normalized, config.t_b_for(c)))
+        if rects:
+            voted[c] = rects
+    return voted, maps
+
+
+class TestVoteBatch:
+    @given(
+        st.lists(vote_images(), min_size=1, max_size=6),
+        st.dictionaries(st.integers(0, 2), st.sampled_from([0.2, 0.25, 0.5, 0.75]), max_size=3),
+        st.sampled_from([1, 300, voting.BATCH_CELLS]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_record_and_per_grid_votes(self, images, t_b, cells):
+        """The batched vote gives every image the boxes, in the same order,
+        and the heatmaps of the per-grid vote and of generate_supervision,
+        whatever the chunk budget."""
+        config = VoteConfig(t_b_per_class=t_b)
+        maps = []
+        with mock.patch.object(voting, "BATCH_CELLS", cells):
+            batch = VoteBatch(config)
+            for image in images:
+                batch.add(*image, on_map=lambda m: maps.append((m.class_id, m.empty, m.data.tobytes())))
+            batched = batch.supervisions()
+        assert len(batched) == len(images)
+        want_maps = []
+        for image, sup in zip(images, batched):
+            voted, image_maps = per_grid_vote(*image, config)
+            want_maps += image_maps
+            single = generate_supervision(*image, config)
+            assert list(sup.boxes_by_class.items()) == list(voted.items())
+            assert list(single.boxes_by_class.items()) == list(voted.items())
+        assert maps == want_maps
 
 
 class TestVotingProperties:
