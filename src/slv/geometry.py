@@ -116,19 +116,23 @@ def _label_runs(grid: BinaryGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     if grid.ndim != 2:
         raise InputError(f"region labeling: expected a 2-D grid, got shape {grid.shape}")
     height, width = grid.shape
-    padded = np.zeros((height, width + 2), dtype=np.int8)
-    padded[:, 1:-1] = grid.astype(bool, copy=False)
-    # Within a row the edges alternate +1 (run start) and -1 (run end).
-    edge_rows, edge_cols = np.nonzero(np.diff(padded, axis=1))
-    rows, starts, ends = edge_rows[0::2], edge_cols[0::2], edge_cols[1::2]
+    stride = width + 2
+    padded = np.zeros((height, stride), dtype=bool)
+    padded[:, 1:-1] = grid
+    # Every padded row starts and ends blank, so the flat array changes value
+    # in pairs within rows: after row * stride + start and after
+    # row * stride + end for each run. These row-major keys order the runs.
+    flat = padded.ravel()
+    changes = np.flatnonzero(flat[1:] != flat[:-1])
+    first, past = changes[0::2], changes[1::2]
+    rows = first // stride
+    starts, ends = first - rows * stride, past - rows * stride
 
     # The runs of the row above that touch run [s, e) under 8-connectivity,
     # those with start <= e and end >= s, form one contiguous id range
-    # [lo, hi); row-major keys order the starts and the ends alike.
-    stride = width + 2
-    above = (rows - 1) * stride
-    lo = np.searchsorted(rows * stride + ends, above + starts, side="left")
-    hi = np.searchsorted(rows * stride + starts, above + ends, side="right")
+    # [lo, hi).
+    lo = np.searchsorted(past, first - stride, side="left")
+    hi = np.searchsorted(first, past - stride, side="right")
 
     # One edge (run, other) per touching pair; lo <= hi always holds.
     counts = hi - lo

@@ -234,14 +234,12 @@ BATCH_CELLS = 1 << 22
 class VoteBatch:
     """Votes of many images, with one region-labeling pass per chunk of grids.
 
-    `add` runs one image's per-class steps at once (candidate selection,
-    accumulation, normalization, binarization), so a bad input raises while
-    its caller still knows the image; each normalized map goes to `on_map`
-    as it is made and is not kept. The binary grids wait until
-    `supervisions`, or until they pass BATCH_CELLS, and are then stacked
-    into one buffer and labeled together: every grid gets a block of
-    Hmax + 1 rows whose last row stays blank, so regions cannot join across
-    grids and each grid's regions keep their row-major order.
+    `add` runs an image's per-class steps at once, so a bad input raises
+    while the caller still knows the image, and hands each normalized map to
+    `on_map` without keeping it. The binary grids wait until `supervisions`
+    (or BATCH_CELLS) and are labeled stacked in one buffer: each grid gets a
+    block of Hmax + 1 rows whose last row stays blank, so regions cannot
+    join across grids and keep their row-major order within each grid.
     """
 
     def __init__(self, config: VoteConfig) -> None:
@@ -261,9 +259,13 @@ class VoteBatch:
     ) -> None:
         """Vote every positive class of one image.
 
-        A class with no candidate gets an all-zero map; an all-zero map,
-        flagged `empty`, votes no box. `on_map`, when given, receives the
-        normalized map of every positive class.
+        Per class: filter candidates by t_score, accumulate their scores
+        spatially, normalize, and binarize at the class threshold; the
+        bounding rectangles of the surviving regions are the class's voted
+        boxes. Classes with no candidate or an empty map contribute no boxes;
+        that is a valid, empty vote. `on_map`, when given, receives the
+        normalized map of every positive class, all-zero for a class with no
+        candidate.
         """
         pos = positive_classes(y)
         if not pos:
@@ -324,15 +326,8 @@ def generate_supervision(
     config: VoteConfig,
     on_map: Callable[[LikelihoodMap], None] | None = None,
 ) -> Supervision:
-    """Vote pseudo ground-truth boxes for every positive class of an image.
-
-    Per class: filter candidates by t_score, accumulate their scores
-    spatially, normalize, binarize at the class threshold, and take the
-    bounding rectangles of the surviving regions. Classes with no candidate
-    or an empty map contribute no boxes; that is a valid, empty vote.
-    `on_map`, when given, receives the normalized map of every positive
-    class, all-zero for a class with no candidate. A one-image VoteBatch.
-    """
+    """Vote pseudo ground-truth boxes for every positive class of an image:
+    a one-image `VoteBatch`."""
     batch = VoteBatch(config)
     batch.add(phi_bar, boxes, y, height, width, on_map)
     return batch.supervisions()[0]
