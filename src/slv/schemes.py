@@ -84,32 +84,30 @@ def compare_schemes(
     """
     vote_config = vote_config or VoteConfig()
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
-
-    def add_ious(name: str, record: DatasetRecord, by_class: dict[int, list[Box]]) -> None:
-        for c, labeled_boxes in by_class.items():
-            gt = record.gt_boxes.get(c, [])
-            if not gt:
-                continue
-            bucket = ious[name].setdefault(c, [])
-            bucket.extend(max(iou(b, g) for g in gt) for b in labeled_boxes)
-
     records = sorted(dataset.records, key=lambda r: r.image_id)
+    labeled: list[dict[str, dict[int, list[Box]]]] = []
     batch = VoteBatch(vote_config)
     for record in records:
         if not record.gt_boxes:
             raise InputError(f"compare_schemes: record {record.image_id!r} has no ground truth")
         scores = score_fn(record)
         try:
-            conventional = label_conventional(scores, record.proposals, record.labels)
-            clustering = label_clustering(scores, record.proposals, record.labels)
+            labeled.append({
+                SCHEME_CONVENTIONAL: label_conventional(scores, record.proposals, record.labels),
+                SCHEME_CLUSTERING: label_clustering(scores, record.proposals, record.labels),
+            })
             batch.add(scores, record.proposals, record.labels, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
-        add_ious(SCHEME_CONVENTIONAL, record, conventional)
-        add_ious(SCHEME_CLUSTERING, record, clustering)
-    # Adding the voted boxes' IoUs last keeps each (scheme, class) list in record order.
-    for record, sup in zip(records, batch.supervisions()):
-        add_ious(SCHEME_SLV, record, sup.boxes_by_class)
+    for record, by_scheme, sup in zip(records, labeled, batch.supervisions()):
+        by_scheme[SCHEME_SLV] = sup.boxes_by_class
+        for name, by_class in by_scheme.items():
+            for c, labeled_boxes in by_class.items():
+                gt = record.gt_boxes.get(c, [])
+                if not gt:
+                    continue
+                bucket = ious[name].setdefault(c, [])
+                bucket.extend(max(iou(b, g) for g in gt) for b in labeled_boxes)
     stats = []
     for name in ALL_SCHEMES:
         per_class = {c: float(np.mean(v)) for c, v in sorted(ious[name].items())}

@@ -342,6 +342,7 @@ def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:
     data = likelihood.data
     if not likelihood.normalized:
         raise InputError("write_pgm: map must be normalized first")
-    quantized = np.rint(255.0 * data).astype(np.uint8)
+    scaled = 255.0 * data
+    quantized = np.rint(scaled, out=scaled).astype(np.uint8)  # one map-sized temporary
     header = f"P5\n{likelihood.width} {likelihood.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + quantized.tobytes(order="C"))
