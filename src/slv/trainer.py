@@ -14,9 +14,8 @@ three phases:
    SLV loss and its gradients, and the loss sums.
 
 Gradients and loss sums add up record by record, in record order; then
-the weights descend on the weighted total loss.
-Voted supervision only influences the weights once the ramp weight is
-positive.
+the weights descend on the weighted total loss. Voted supervision only
+influences the weights once the ramp weight is positive.
 
 Test-time detection scores are the arithmetic mean of the three refinement
 branches and the re-classification branch (an assumption; the combination
