@@ -35,9 +35,8 @@ CLIPPED = "%s: proposal %d %s clipped to %s for %dx%d image"  # log format
 @dataclass
 class DatasetRecord:
     """One image: size, binary class labels, proposals as one (R, 4) int64
-    array of (x0, y0, x1, y1) rows (a Box list given here is stacked into
-    one), and optional per-proposal features, score matrix, and
-    ground-truth boxes."""
+    array of (x0, y0, x1, y1) rows, and optional per-proposal features,
+    score matrix, and ground-truth boxes (`Box` lists by class id)."""
 
     image_id: str
     height: int
@@ -47,9 +46,6 @@ class DatasetRecord:
     features: np.ndarray | None = None       # (R, D)
     scores: np.ndarray | None = None         # (num_classes, R)
     gt_boxes: dict[int, list[Box]] | None = None
-
-    def __post_init__(self) -> None:
-        self.proposals = boxes_to_array(self.proposals)
 
     @property
     def num_proposals(self) -> int:

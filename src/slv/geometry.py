@@ -66,9 +66,6 @@ class Box:
         return (self.x0, self.y0, self.x1, self.y1)
 
 
-# Proposals as Box objects or an (N, 4) int64 array of (x0, y0, x1, y1) rows.
-Boxes = Sequence[Box] | np.ndarray
-
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
@@ -81,8 +78,8 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def nms(boxes: Boxes, scores: Sequence[float], iou_threshold: float) -> list[int]:
-    """Greedy non-maximum suppression over Boxes or an (N, 4) box array.
+def nms(boxes: np.ndarray, scores: Sequence[float], iou_threshold: float) -> list[int]:
+    """Greedy non-maximum suppression over an (N, 4) box array.
 
     Returns the retained indices sorted by descending score; equal scores
     are broken by lower index. A box is suppressed when its IoU with an
@@ -92,13 +89,12 @@ def nms(boxes: Boxes, scores: Sequence[float], iou_threshold: float) -> list[int
         raise InputError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
     if not 0.0 < iou_threshold < 1.0:
         raise InputError(f"nms: iou_threshold must be in (0, 1), got {iou_threshold}")
-    arr = boxes_to_array(boxes)
     suppressed = np.zeros(len(boxes), dtype=bool)
     kept: list[int] = []
     for i in sorted(range(len(boxes)), key=lambda r: (-scores[r], r)):
         if not suppressed[i]:
             kept.append(i)
-            suppressed |= iou_matrix(arr[i : i + 1], arr)[0] > iou_threshold
+            suppressed |= iou_matrix(boxes[i : i + 1], boxes)[0] > iou_threshold
     return kept
 
 
@@ -215,11 +211,8 @@ def clip_box(b: Box | tuple[int, int, int, int], height: int, width: int) -> Box
     return Box(cx0, cy0, cx1, cy1)
 
 
-def boxes_to_array(boxes: Boxes) -> np.ndarray:
-    """Stack boxes into an (N, 4) int64 array of (x0, y0, x1, y1) rows; an
-    (N, 4) array passes through."""
-    if isinstance(boxes, np.ndarray):
-        return boxes
+def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
+    """Stack boxes into an (N, 4) int64 array of (x0, y0, x1, y1) rows."""
     if not boxes:
         return np.zeros((0, 4), dtype=np.int64)
     return np.array([b.as_tuple() for b in boxes], dtype=np.int64)
@@ -241,7 +234,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
 
 
-def pairwise_iou(boxes: Boxes) -> np.ndarray:
-    """(N, N) IoU matrix; matches iou() entrywise."""
-    arr = boxes_to_array(boxes).astype(np.float64)
+def pairwise_iou(boxes: np.ndarray) -> np.ndarray:
+    """(N, N) IoU matrix of an (N, 4) box array; matches iou() entrywise."""
+    arr = boxes.astype(np.float64)
     return iou_matrix(arr, arr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import Boxes, boxes_to_array, iou_matrix
+from .geometry import iou_matrix
 
 PROB_EPS = 1e-8
 
@@ -133,7 +133,7 @@ class ClusterSet:
 
 def build_clusters(
     scores: np.ndarray,
-    boxes: Boxes,
+    boxes: np.ndarray,
     y: np.ndarray,
     ious: np.ndarray | None = None,
 ) -> ClusterSet:
@@ -161,7 +161,6 @@ def build_clusters(
         raise InputError("build_clusters: score matrix has no row for some positive class")
     if ious is not None and ious.shape != (num, num):
         raise InputError(f"build_clusters: IoU matrix of shape {ious.shape} for {num} boxes")
-    arr = boxes_to_array(boxes)
     unassigned = np.ones(num, dtype=bool)
     clusters: list[Cluster] = []
     for c in pos:
@@ -172,7 +171,7 @@ def build_clusters(
             center = int(candidates.argmax())
             if not unassigned[center] or scores[c, center] < CLUSTER_CENTER_FLOOR:
                 break
-            row = iou_matrix(arr[center : center + 1], arr)[0] if ious is None else ious[center]
+            row = iou_matrix(boxes[center : center + 1], boxes)[0] if ious is None else ious[center]
             members = np.flatnonzero(unassigned & (row >= CLUSTER_IOU))
             unassigned[members] = False
             candidates[members] = -np.inf

@@ -11,7 +11,7 @@ import numpy as np
 
 from .datasets import Dataset, DatasetRecord
 from .errors import InputError
-from .geometry import Box, Boxes, boxes_to_array, iou
+from .geometry import Box, iou
 from .mil import build_clusters, positive_classes
 from .voting import VoteBatch, VoteConfig, generate_supervision
 
@@ -22,30 +22,28 @@ ALL_SCHEMES = (SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV)  # report ord
 
 
 def label_conventional(
-    scores: np.ndarray, boxes: Boxes, y: np.ndarray
+    scores: np.ndarray, boxes: np.ndarray, y: np.ndarray
 ) -> dict[int, list[Box]]:
     """One box per positive class: the single highest-scoring proposal."""
-    arr = boxes_to_array(boxes)
     out: dict[int, list[Box]] = {}
     for c in positive_classes(y):
         r = int(np.argmax(scores[c]))
-        out[c] = [Box(*arr[r].tolist())]
+        out[c] = [Box(*boxes[r].tolist())]
     return out
 
 
 def label_clustering(
     scores: np.ndarray,
-    boxes: Boxes,
+    boxes: np.ndarray,
     y: np.ndarray,
 ) -> dict[int, list[Box]]:
     """Highest-scoring proposal of every foreground cluster, per class."""
-    arr = boxes_to_array(boxes)
-    clusters = build_clusters(scores, arr, y)
+    clusters = build_clusters(scores, boxes, y)
     out: dict[int, list[Box]] = {}
     for cluster in clusters.clusters:
         members = list(cluster.members)
         best = min(members, key=lambda r: (-scores[cluster.label, r], r))
-        out.setdefault(cluster.label, []).append(Box(*arr[best].tolist()))
+        out.setdefault(cluster.label, []).append(Box(*boxes[best].tolist()))
     return out
 
 

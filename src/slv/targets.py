@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import Box, Boxes, boxes_to_array, iou_matrix
+from .geometry import Box, boxes_to_array, iou_matrix
 from .mil import PROB_EPS
 from .voting import Supervision
 
@@ -124,7 +124,7 @@ def decode_offsets(proposal: Box, t: Sequence[float], height: int, width: int) -
 
 
 def assign_targets(
-    boxes: Boxes,
+    boxes: np.ndarray,
     sup: Supervision,
     num_classes: int,
 ) -> ProposalTargets:
@@ -135,21 +135,20 @@ def assign_targets(
     anything else is ignored. An empty Supervision ignores everything.
     """
     lo, hi = BG_IOU_RANGE
-    arr = boxes_to_array(boxes)
-    num = len(arr)
+    num = len(boxes)
     labels = np.full(num, IGNORED, dtype=np.int64)
     offsets = np.zeros((num, 4), dtype=np.float64)
     voted = sup.all_boxes()
     if voted:
         voted_arr = boxes_to_array([g for _, g in voted])
-        overlaps = iou_matrix(arr, voted_arr)
+        overlaps = iou_matrix(boxes, voted_arr)
         # argmax takes the first maximum, so the lowest voted index wins ties.
         best = overlaps.argmax(axis=1)
         best_iou = overlaps[np.arange(num), best]
         fg = best_iou >= FG_IOU
         labels[(lo <= best_iou) & (best_iou < hi)] = num_classes
         labels[fg] = np.array([c for c, _ in voted])[best[fg]]
-        offsets[fg] = encode_boxes(arr[fg], voted_arr[best[fg]])
+        offsets[fg] = encode_boxes(boxes[fg], voted_arr[best[fg]])
     weights = (labels != IGNORED).astype(np.float64)
     return ProposalTargets(labels=labels, offsets=offsets, weights=weights, num_classes=num_classes)
 

@@ -12,14 +12,14 @@ therefore binarize differently, and the voted boxes can differ at such ties.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import BinaryGrid, Box, Boxes, boxes_to_array, region_boxes
+from .geometry import BinaryGrid, Box, region_boxes
 from .mil import positive_classes
 
 # PASCAL VOC 2007/2012 category names, index order used for class ids.
@@ -112,7 +112,7 @@ class Supervision:
 
 
 def select_candidates(
-    phi_bar: np.ndarray, boxes: Boxes, c: int, t_score: float
+    phi_bar: np.ndarray, boxes: np.ndarray, c: int, t_score: float
 ) -> np.ndarray:
     """Indices of proposals whose class-c score strictly exceeds t_score."""
     if phi_bar.shape[1] != len(boxes):
@@ -123,35 +123,34 @@ def select_candidates(
 
 
 def _check_accumulate_inputs(
-    candidates: Iterable[int], boxes: Boxes, scores: np.ndarray, height: int, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (candidate indices, scores, (K, 4) array of the candidates' boxes)."""
+    candidates: np.ndarray, boxes: np.ndarray, scores: np.ndarray, height: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated candidate scores and (K, 4) array of the candidates' boxes."""
     if height <= 0 or width <= 0:
         raise InputError(f"accumulate: image size must be positive, got {height}x{width}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(boxes),):
         raise InputError(f"accumulate: {len(boxes)} boxes but scores shape {scores.shape}")
-    idx = np.asarray(list(candidates), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= len(boxes)):
+    if candidates.size and (candidates.min() < 0 or candidates.max() >= len(boxes)):
         raise InputError("accumulate: candidate index out of range")
-    picked = scores[idx]
-    if idx.size and (not np.isfinite(picked).all() or picked.min() < 0.0):
+    picked = scores[candidates]
+    if candidates.size and (not np.isfinite(picked).all() or picked.min() < 0.0):
         raise InputError("accumulate: candidate scores must be finite and non-negative")
     # Each box deposits its score four times, so 4 * sum bounds every prefix sum.
     with np.errstate(over="ignore"):
         if not np.isfinite(4.0 * picked.sum()):
             raise InputError("accumulate: candidate scores are too large to sum")
-    arr = boxes_to_array(boxes)[idx]
+    arr = boxes[candidates]
     outside = np.flatnonzero((arr[:, 2] > width) | (arr[:, 3] > height))
     if outside.size:
         b = tuple(arr[outside[0]].tolist())
         raise InputError(f"accumulate: box {b} exceeds the {height}x{width} image; clip first")
-    return idx, scores, arr
+    return picked, arr
 
 
 def accumulate_fast(
-    candidates: Iterable[int],
-    boxes: Boxes,
+    candidates: np.ndarray,
+    boxes: np.ndarray,
     scores: np.ndarray,
     height: int,
     width: int,
@@ -163,15 +162,13 @@ def accumulate_fast(
     an (H+1)x(W+1) grid; two prefix-sum passes spread the deposits, giving
     O(H*W + len(candidates)) total work.
     """
-    idx, scores, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
+    s, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
     diff = np.zeros((height + 1, width + 1), dtype=np.float64)
-    if idx.size:
-        s = scores[idx]
-        x0, y0, x1, y1 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        np.add.at(diff, (y0, x0), s)
-        np.add.at(diff, (y0, x1), -s)
-        np.add.at(diff, (y1, x0), -s)
-        np.add.at(diff, (y1, x1), s)
+    x0, y0, x1, y1 = arr.T
+    np.add.at(diff, (y0, x0), s)
+    np.add.at(diff, (y0, x1), -s)
+    np.add.at(diff, (y1, x0), -s)
+    np.add.at(diff, (y1, x1), s)
     np.cumsum(diff, axis=0, out=diff)
     np.cumsum(diff, axis=1, out=diff)
     acc = diff[:height, :width]
@@ -181,18 +178,18 @@ def accumulate_fast(
 
 
 def accumulate_naive(
-    candidates: Iterable[int],
-    boxes: Boxes,
+    candidates: np.ndarray,
+    boxes: np.ndarray,
     scores: np.ndarray,
     height: int,
     width: int,
     class_id: int = 0,
 ) -> LikelihoodMap:
     """Definitional oracle for accumulate_fast: one rectangle add per box."""
-    idx, scores, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
+    picked, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
     acc = np.zeros((height, width), dtype=np.float64)
-    for i, (x0, y0, x1, y1) in zip(idx.tolist(), arr.tolist()):
-        acc[y0:y1, x0:x1] += scores[i]
+    for s, (x0, y0, x1, y1) in zip(picked.tolist(), arr.tolist()):
+        acc[y0:y1, x0:x1] += s
     return LikelihoodMap(acc, class_id=class_id)
 
 
@@ -251,7 +248,7 @@ class VoteBatch:
     def add(
         self,
         phi_bar: np.ndarray,
-        boxes: Boxes,
+        boxes: np.ndarray,
         y: np.ndarray,
         height: int,
         width: int,
@@ -319,7 +316,7 @@ class VoteBatch:
 
 def generate_supervision(
     phi_bar: np.ndarray,
-    boxes: Boxes,
+    boxes: np.ndarray,
     y: np.ndarray,
     height: int,
     width: int,

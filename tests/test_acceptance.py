@@ -14,7 +14,7 @@ import pytest
 
 from slv.datasets import load_dataset, load_detections
 from slv.evaluation import evaluate_detections, format_report, match_detections
-from slv.geometry import Box
+from slv.geometry import Box, boxes_to_array
 from slv.mil import build_clusters, mil_loss, refinement_loss, softmax_over_classes
 from slv.schemes import compare_schemes
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
@@ -71,9 +71,9 @@ def test_oracle_equivalence_fast_vs_naive():
         for _ in range(200):
             height = int(rng.integers(4, 65))
             width = int(rng.integers(4, 65))
-            boxes = random_boxes(rng, height, width, int(rng.integers(1, 51)))
+            boxes = boxes_to_array(random_boxes(rng, height, width, int(rng.integers(1, 51))))
             scores = rng.uniform(0.0005, 1.0, len(boxes))
-            candidates = [i for i in range(len(boxes)) if rng.random() < 0.85]
+            candidates = np.array([i for i in range(len(boxes)) if rng.random() < 0.85], dtype=np.int64)
             fast = accumulate_fast(candidates, boxes, scores, height, width)
             naive = accumulate_naive(candidates, boxes, scores, height, width)
             deviation = float(np.abs(fast.data - naive.data).max()) if fast.data.size else 0.0
@@ -106,7 +106,7 @@ def test_gradient_suite_matches_finite_differences():
             y_pos = np.zeros(num_classes, dtype=int)
             y_pos[int(rng.integers(num_classes))] = 1
             clusters = build_clusters(
-                rng.uniform(0.05, 1.0, (num_classes, num_proposals)), boxes, y_pos
+                rng.uniform(0.05, 1.0, (num_classes, num_proposals)), boxes_to_array(boxes), y_pos
             )
             probs = softmax_over_classes(
                 rng.uniform(-1, 1, (num_classes + 1, num_proposals))
@@ -121,7 +121,7 @@ def test_gradient_suite_matches_finite_differences():
             sup_class = int(rng.integers(num_classes))
             from slv.voting import Supervision
 
-            targets = assign_targets(boxes, Supervision({sup_class: [sup_box]}), num_classes)
+            targets = assign_targets(boxes_to_array(boxes), Supervision({sup_class: [sup_box]}), num_classes)
             t_s = targets.offsets + rng.uniform(0.1, 0.8, (num_proposals, 4)) * rng.choice(
                 [-1.0, 1.0], (num_proposals, 4)
             )
@@ -155,7 +155,7 @@ def test_single_voter_exactness():
             phi[class_id, 0] = 0.37
             y = np.zeros(rows, dtype=int)
             y[class_id] = 1
-            sup = generate_supervision(phi, [box], y, height, width, config)
+            sup = generate_supervision(phi, boxes_to_array([box]), y, height, width, config)
             assert sup.boxes_by_class == {class_id: [box]}
             voted = sup.boxes_by_class[class_id][0]
             assert voted.as_tuple() == box.as_tuple()
@@ -254,9 +254,9 @@ def test_performance_fast_accumulation():
     with criterion("fast accumulation performance (1200x1200, 2000 boxes)"):
         rng = np.random.default_rng(1200)
         height = width = 1200
-        boxes = random_boxes(rng, height, width, 2000)
+        boxes = boxes_to_array(random_boxes(rng, height, width, 2000))
         scores = rng.uniform(0.001, 1.0, 2000)
-        candidates = list(range(2000))
+        candidates = np.arange(2000)
 
         fast_times = []
         for _ in range(5):

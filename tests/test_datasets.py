@@ -20,7 +20,7 @@ from slv.datasets import (
 )
 from slv.errors import DatasetFormatError, InputError
 from slv.evaluation import Detection
-from slv.geometry import Box
+from slv.geometry import Box, boxes_to_array
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.voting import Supervision
 
@@ -60,7 +60,7 @@ def small_dataset():
             height=20,
             width=30,
             labels=np.array([1, 0]),
-            proposals=[Box(0, 0, 10, 10), Box(5, 5, 20, 15)],
+            proposals=boxes_to_array([Box(0, 0, 10, 10), Box(5, 5, 20, 15)]),
             features=np.array([[0.1, 0.2], [0.3, 0.4]]),
             scores=np.array([[0.5, 0.25], [0.0, 0.125]]),
             gt_boxes={0: [Box(1, 1, 9, 9)]},
@@ -70,7 +70,7 @@ def small_dataset():
             height=20,
             width=30,
             labels=np.array([0, 1]),
-            proposals=[Box(2, 3, 7, 9)],
+            proposals=boxes_to_array([Box(2, 3, 7, 9)]),
             features=np.array([[0.9, -0.5]]),
             scores=None,
             gt_boxes=None,
@@ -230,11 +230,10 @@ class TestDatasetValidation:
         header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 1})
         record = json.dumps({"id": "x", "height": 10, "width": 10, "labels": [1], "proposals": []})
         empty = load_dataset(self._write(tmp_path, [header, record])).records[0]
-        built = small_dataset().records[0]
         save_dataset(small_dataset(), tmp_path / "small.jsonl")
         loaded = load_dataset(tmp_path / "small.jsonl").records[0]
         generated = generate_synthetic(SyntheticSceneConfig(num_images=1), 0).records[0]
-        for rec, num in [(empty, 0), (built, 2), (loaded, 2), (generated, 40)]:
+        for rec, num in [(empty, 0), (loaded, 2), (generated, 40)]:
             assert isinstance(rec.proposals, np.ndarray)
             assert rec.proposals.dtype == np.int64 and rec.proposals.shape == (num, 4)
         assert loaded.proposals.tolist() == [[0, 0, 10, 10], [5, 5, 20, 15]]

@@ -74,10 +74,10 @@ class TestIou:
 
 class TestNms:
     def test_singleton(self):
-        assert nms([Box(0, 0, 5, 5)], [0.3], 0.5) == [0]
+        assert nms(boxes_to_array([Box(0, 0, 5, 5)]), [0.3], 0.5) == [0]
 
     def test_identical_pair_suppressed(self):
-        kept = nms([Box(0, 0, 5, 5), Box(0, 0, 5, 5)], [0.9, 0.8], 0.5)
+        kept = nms(boxes_to_array([Box(0, 0, 5, 5), Box(0, 0, 5, 5)]), [0.9, 0.8], 0.5)
         assert kept == [0]
 
     def test_hand_traced_three_boxes(self):
@@ -86,16 +86,16 @@ class TestNms:
         box2 = Box(0, 0, 10, 6)  # inter 60, union 100 -> 0.6
         box1 = Box(50, 50, 60, 60)
         assert iou(box0, box2) == pytest.approx(0.6)
-        kept = nms([box0, box1, box2], [0.9, 0.8, 0.7], 0.5)
+        kept = nms(boxes_to_array([box0, box1, box2]), [0.9, 0.8, 0.7], 0.5)
         assert kept == [0, 1]
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            nms([Box(0, 0, 5, 5)], [0.5, 0.1], 0.5)
+            nms(boxes_to_array([Box(0, 0, 5, 5)]), [0.5, 0.1], 0.5)
 
     def test_bad_threshold(self):
         with pytest.raises(InputError):
-            nms([Box(0, 0, 5, 5)], [0.5], 1.0)
+            nms(boxes_to_array([Box(0, 0, 5, 5)]), [0.5], 1.0)
 
     @given(
         st.lists(boxes_strategy(), min_size=1, max_size=8),
@@ -104,12 +104,12 @@ class TestNms:
     @settings(max_examples=60)
     def test_order_independent_for_distinct_scores(self, boxes, rnd):
         scores = [1.0 - 0.07 * i for i in range(len(boxes))]
-        kept = {boxes[i].as_tuple() for i in nms(boxes, scores, 0.5)}
+        kept = {boxes[i].as_tuple() for i in nms(boxes_to_array(boxes), scores, 0.5)}
         perm = list(range(len(boxes)))
         rnd.shuffle(perm)
         shuffled_kept = {
             boxes[perm[i]].as_tuple()
-            for i in nms([boxes[p] for p in perm], [scores[p] for p in perm], 0.5)
+            for i in nms(boxes_to_array([boxes[p] for p in perm]), [scores[p] for p in perm], 0.5)
         }
         assert kept == shuffled_kept
 
@@ -316,7 +316,7 @@ class TestIouMatrix:
     @given(st.lists(boxes_strategy(), max_size=8))
     @settings(max_examples=50)
     def test_pairwise_matches_scalar_iou(self, boxes):
-        assert pairwise_iou(boxes).tolist() == [[iou(p, q) for q in boxes] for p in boxes]
+        assert pairwise_iou(boxes_to_array(boxes)).tolist() == [[iou(p, q) for q in boxes] for p in boxes]
 
 
 class TestClipBox:

@@ -176,7 +176,7 @@ def test_assign_targets_matches_oracle_on_wide_boxes(seed, num, num_classes):
             voted.append(Box(max(x0, 0), max(y0, 0), max(x1, x0 + 1, 1), max(y1, y0 + 1, 1)))
         sup[c] = voted
     sup = Supervision(sup)
-    got, want = assign_targets(proposals, sup, num_classes), matched_targets(proposals, sup, num_classes)
+    got, want = assign_targets(boxes_to_array(proposals), sup, num_classes), matched_targets(proposals, sup, num_classes)
     assert got.labels.tolist() == want.labels.tolist()
     assert np.array_equal(got.offsets, want.offsets)
     assert np.array_equal(got.weights, want.weights)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slv.errors import InputError
-from slv.geometry import Box
+from slv.geometry import Box, boxes_to_array
 from slv.mil import (
     average_refined_scores,
     build_clusters,
@@ -217,7 +217,7 @@ def _simple_boxes():
 class TestBuildClusters:
     def test_single_proposal_single_class(self):
         scores = np.array([[0.8]])
-        out = build_clusters(scores, [Box(0, 0, 5, 5)], np.array([1]))
+        out = build_clusters(scores, boxes_to_array([Box(0, 0, 5, 5)]), np.array([1]))
         assert len(out.clusters) == 1
         assert out.clusters[0].members == (0,)
         assert out.clusters[0].score == pytest.approx(0.8)
@@ -226,7 +226,7 @@ class TestBuildClusters:
     def test_two_disjoint_proposals_two_singletons(self):
         scores = np.array([[0.9, 0.7]])
         boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
-        out = build_clusters(scores, boxes, np.array([1]))
+        out = build_clusters(scores, boxes_to_array(boxes), np.array([1]))
         assert [c.members for c in out.clusters] == [(0,), (1,)]
         assert [c.score for c in out.clusters] == pytest.approx([0.9, 0.7])
 
@@ -234,7 +234,7 @@ class TestBuildClusters:
         # IoU of the two boxes is 90/100 = 0.9
         scores = np.array([[0.6, 0.8]])
         boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 9)]
-        out = build_clusters(scores, boxes, np.array([1]))
+        out = build_clusters(scores, boxes_to_array(boxes), np.array([1]))
         assert len(out.clusters) == 1
         assert out.clusters[0].members == (0, 1)
         assert out.clusters[0].score == pytest.approx(0.8)  # center is the higher scorer
@@ -242,20 +242,20 @@ class TestBuildClusters:
     def test_below_floor_goes_to_background(self):
         scores = np.array([[0.9, 0.002]])
         boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
-        out = build_clusters(scores, boxes, np.array([1]))
+        out = build_clusters(scores, boxes_to_array(boxes), np.array([1]))
         assert [c.members for c in out.clusters] == [(0,)]
         assert out.background == (1,)
         assert out.background_weights[0] == pytest.approx(1.0 - 0.002)
 
     def test_no_positive_class_errors(self):
         with pytest.raises(InputError):
-            build_clusters(np.array([[0.5]]), [Box(0, 0, 5, 5)], np.array([0]))
+            build_clusters(np.array([[0.5]]), boxes_to_array([Box(0, 0, 5, 5)]), np.array([0]))
 
     def test_iou_matrix_must_match_the_boxes(self):
         scores = np.array([[0.9, 0.7]])
         boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
         with pytest.raises(InputError, match=r"IoU matrix of shape \(1, 2\) for 2 boxes"):
-            build_clusters(scores, boxes, np.array([1]), np.zeros((1, 2)))
+            build_clusters(scores, boxes_to_array(boxes), np.array([1]), np.zeros((1, 2)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -271,7 +271,7 @@ class TestBuildClusters:
         y = np.zeros(c, dtype=int)
         y[rng.integers(0, c)] = 1
         scores = rng.uniform(0.0, 1.0, (c, r))
-        out = build_clusters(scores, boxes, y)
+        out = build_clusters(scores, boxes_to_array(boxes), y)
         covered = sorted([m for cl in out.clusters for m in cl.members] + list(out.background))
         assert covered == list(range(r))
         assert all(0.0 <= cl.score <= 1.0 for cl in out.clusters)
@@ -282,7 +282,7 @@ class TestBuildClusters:
 class TestRefinementLoss:
     def test_perfect_foreground_cluster_is_free(self):
         probs = np.array([[1.0], [0.0]])
-        clusters = build_clusters(np.array([[1.0]]), [Box(0, 0, 5, 5)], np.array([1]))
+        clusters = build_clusters(np.array([[1.0]]), boxes_to_array([Box(0, 0, 5, 5)]), np.array([1]))
         loss, grad = refinement_loss(probs, clusters)
         assert loss == pytest.approx(0.0, abs=1e-7)
 
@@ -313,7 +313,7 @@ class TestRefinementLoss:
             y[rng.integers(0, c)] = 1
             y[rng.integers(0, c)] = 1
             cluster_scores = rng.uniform(0.05, 1.0, (c, r))
-            clusters = build_clusters(cluster_scores, boxes, y)
+            clusters = build_clusters(cluster_scores, boxes_to_array(boxes), y)
             probs = random_probability_matrix(rng, c + 1, r)
             _, grad = refinement_loss(probs, clusters)
             numeric = finite_difference_gradient(

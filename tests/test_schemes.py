@@ -3,7 +3,7 @@ import pytest
 
 from slv.datasets import Dataset, DatasetRecord
 from slv.errors import InputError
-from slv.geometry import Box
+from slv.geometry import Box, boxes_to_array
 from slv.schemes import (
     SCHEME_CLUSTERING,
     SCHEME_CONVENTIONAL,
@@ -28,12 +28,12 @@ class TestLabelers:
     def test_conventional_picks_argmax(self):
         scores = np.array([[0.2, 0.7, 0.1]])
         boxes = [Box(0, 0, 4, 4), Box(4, 4, 8, 8), Box(8, 8, 12, 12)]
-        assert label_conventional(scores, boxes, np.array([1])) == {0: [boxes[1]]}
+        assert label_conventional(scores, boxes_to_array(boxes), np.array([1])) == {0: [boxes[1]]}
 
     def test_clustering_emits_every_cluster_center(self):
         scores = np.array([[0.9, 0.8, 0.7]])
         boxes = [Box(0, 0, 10, 10), Box(0, 0, 10, 9), Box(40, 40, 50, 50)]
-        out = label_clustering(scores, boxes, np.array([1]))
+        out = label_clustering(scores, boxes_to_array(boxes), np.array([1]))
         assert out == {0: [boxes[0], boxes[2]]}
 
 
@@ -45,7 +45,7 @@ class TestCompareSchemes:
             height=32,
             width=32,
             labels=np.array([1]),
-            proposals=[box],
+            proposals=boxes_to_array([box]),
             scores=np.array([[0.9]]),
             gt_boxes={0: [box]},
         )
@@ -75,7 +75,7 @@ class TestCompareSchemes:
             height=16,
             width=16,
             labels=np.array([1]),
-            proposals=[Box(0, 0, 8, 8)],
+            proposals=boxes_to_array([Box(0, 0, 8, 8)]),
             scores=np.array([[0.5]]),
         )
         dataset = Dataset(records=[record], num_classes=1)
@@ -91,7 +91,7 @@ class TestSchemeReport:
             height=16,
             width=16,
             labels=np.array([1]),
-            proposals=[box],
+            proposals=boxes_to_array([box]),
             scores=np.array([[0.9]]),
             gt_boxes={0: [box]},
         )

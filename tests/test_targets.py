@@ -89,7 +89,7 @@ class TestAssignTargets:
     def test_identity_match_is_foreground(self):
         g = Box(10, 10, 30, 30)
         sup = Supervision({2: [g]})
-        targets = assign_targets([g], sup, num_classes=3)
+        targets = assign_targets(boxes_to_array([g]), sup, num_classes=3)
         assert targets.labels.tolist() == [2]
         assert np.array_equal(targets.offsets[0], np.zeros(4))
         assert targets.weights.tolist() == [1.0]
@@ -99,7 +99,7 @@ class TestAssignTargets:
         g = Box(0, 0, 30, 30)
         p = Box(0, 0, 30, 9)  # IoU 270/900 = 0.3
         assert iou(p, g) == pytest.approx(0.3)
-        targets = assign_targets([p], Supervision({0: [g]}), num_classes=2)
+        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g]}), num_classes=2)
         assert targets.labels.tolist() == [2]  # background marker = num_classes
         assert targets.weights.tolist() == [1.0]
         assert targets.num_foreground == 0
@@ -107,12 +107,12 @@ class TestAssignTargets:
     def test_low_iou_is_ignored(self):
         g = Box(0, 0, 30, 30)
         p = Box(60, 60, 70, 70)
-        targets = assign_targets([p], Supervision({0: [g]}), num_classes=2)
+        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g]}), num_classes=2)
         assert targets.labels.tolist() == [IGNORED]
         assert targets.weights.tolist() == [0.0]
 
     def test_empty_supervision_ignores_everything(self):
-        targets = assign_targets([Box(0, 0, 5, 5), Box(5, 5, 9, 9)], Supervision(), num_classes=2)
+        targets = assign_targets(boxes_to_array([Box(0, 0, 5, 5), Box(5, 5, 9, 9)]), Supervision(), num_classes=2)
         assert targets.labels.tolist() == [IGNORED, IGNORED]
         assert not targets.valid_mask.any()
 
@@ -120,14 +120,14 @@ class TestAssignTargets:
         g0 = Box(0, 0, 20, 20)
         g1 = Box(10, 0, 30, 20)
         p = Box(8, 0, 28, 20)  # closer to g1
-        targets = assign_targets([p], Supervision({0: [g0], 1: [g1]}), num_classes=2)
+        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g0], 1: [g1]}), num_classes=2)
         assert targets.labels.tolist() == [1]
 
 
 class TestSlvLoss:
     def _targets_one_fg(self):
         g = Box(10, 10, 30, 30)
-        return assign_targets([g], Supervision({0: [g]}), num_classes=1)
+        return assign_targets(boxes_to_array([g]), Supervision({0: [g]}), num_classes=1)
 
     def test_perfect_prediction_near_zero(self):
         targets = self._targets_one_fg()
@@ -148,14 +148,14 @@ class TestSlvLoss:
     def test_single_background_cross_entropy(self):
         p = Box(0, 0, 30, 9)
         g = Box(0, 0, 30, 30)
-        targets = assign_targets([p], Supervision({0: [g]}), num_classes=1)
+        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g]}), num_classes=1)
         phi = np.array([[0.5], [0.5]])
         loss, g_scores, _, _ = slv_loss(phi, np.zeros((1, 4)), targets)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         assert g_scores[1, 0] == pytest.approx(-2.0)
 
     def test_vacuous_instance(self):
-        targets = assign_targets([Box(0, 0, 5, 5)], Supervision(), num_classes=1)
+        targets = assign_targets(boxes_to_array([Box(0, 0, 5, 5)]), Supervision(), num_classes=1)
         phi = np.array([[0.5], [0.5]])
         loss, g_scores, g_offsets, vacuous = slv_loss(phi, np.zeros((1, 4)), targets)
         assert vacuous
@@ -173,7 +173,7 @@ class TestSlvLoss:
                 proposals.append(g)  # guaranteed foreground
             while len(proposals) < num_proposals:
                 proposals.append(random_box(rng))
-            targets = assign_targets(proposals, sup, num_classes=num_classes)
+            targets = assign_targets(boxes_to_array(proposals), sup, num_classes=num_classes)
             probs = softmax_over_classes(
                 rng.uniform(-1, 1, (num_classes + 1, num_proposals))
             )

@@ -7,7 +7,7 @@ import pytest
 
 from slv.datasets import Dataset, DatasetRecord
 from slv.errors import ConfigError, InputError, NumericalError
-from slv.geometry import Box
+from slv.geometry import Box, boxes_to_array
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import (
     ToyScorer,
@@ -93,7 +93,7 @@ class TestTrainToy:
             height=32,
             width=32,
             labels=np.array([1]),
-            proposals=[box],
+            proposals=boxes_to_array([box]),
             features=np.array([[1.0, 0.5, 0.5, -0.7, -0.7, 0.9]]),
         )
         dataset = Dataset(records=[record], num_classes=1, feature_dim=6)
@@ -114,7 +114,7 @@ class TestTrainToy:
             height=16,
             width=16,
             labels=np.array([1]),
-            proposals=[Box(0, 0, 8, 8)],
+            proposals=boxes_to_array([Box(0, 0, 8, 8)]),
         )
         dataset = Dataset(records=[record], num_classes=1)
         with pytest.raises(InputError, match="features"):
@@ -216,7 +216,7 @@ class TestVoteDataset:
             height=16,
             width=16,
             labels=np.array([1]),
-            proposals=[Box(2, 2, 10, 10)],
+            proposals=boxes_to_array([Box(2, 2, 10, 10)]),
             scores=np.array([[0.9]]),
         )
         without = DatasetRecord(
@@ -224,7 +224,7 @@ class TestVoteDataset:
             height=16,
             width=16,
             labels=np.array([1]),
-            proposals=[Box(2, 2, 10, 10)],
+            proposals=boxes_to_array([Box(2, 2, 10, 10)]),
         )
         dataset = Dataset(records=[with_scores, without], num_classes=1)
         results, skipped = vote_dataset(dataset, VoteConfig())
@@ -237,7 +237,7 @@ class TestVoteDataset:
             height=8,
             width=8,
             labels=np.array([1, 0, 1]),
-            proposals=[Box(1, 1, 5, 5), Box(3, 3, 7, 7)],
+            proposals=boxes_to_array([Box(1, 1, 5, 5), Box(3, 3, 7, 7)]),
             scores=np.array([[0.8, 0.0], [0.0, 0.0], [0.0, 0.6]]),
         )
         dataset = Dataset(records=[record], num_classes=3)
@@ -253,12 +253,12 @@ class TestVoteDataset:
             height=8,
             width=8,
             labels=np.array([1, 1]),
-            proposals=[Box(1, 1, 5, 5), Box(3, 3, 7, 7)],
+            proposals=boxes_to_array([Box(1, 1, 5, 5), Box(3, 3, 7, 7)]),
             scores=np.array([[0.8, 0.3], [0.0, 0.0]]),
         )
         dataset = Dataset(records=[record], num_classes=2)
         vote_dataset(dataset, VoteConfig(), heatmap_dir=tmp_path / "maps")
-        expected = normalize(accumulate_fast([0, 1], record.proposals, record.scores[0], 8, 8))
+        expected = normalize(accumulate_fast(np.array([0, 1]), record.proposals, record.scores[0], 8, 8))
         write_pgm(expected, tmp_path / "expected.pgm")
         assert (tmp_path / "maps" / "im_class0.pgm").read_bytes() == (
             tmp_path / "expected.pgm"

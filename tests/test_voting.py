@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slv import voting
 from slv.errors import ConfigError, InputError
-from slv.geometry import Box
+from slv.geometry import Box, boxes_to_array
 from slv.voting import (
     VOC2007_CLASSES,
     LikelihoodMap,
@@ -48,26 +48,26 @@ def random_instance(rng, max_size=24, max_boxes=8, dyadic=False):
 class TestSelectCandidates:
     def test_all_zero_scores(self):
         phi = np.zeros((2, 3))
-        out = select_candidates(phi, [Box(0, 0, 2, 2)] * 3, 0, t_score=0.001)
+        out = select_candidates(phi, boxes_to_array([Box(0, 0, 2, 2)] * 3), 0, t_score=0.001)
         assert out.size == 0
 
     def test_default_threshold_filters_low_scores(self):
         phi = np.array([[0.0005, 0.002, 0.5]])
-        out = select_candidates(phi, [Box(0, 0, 2, 2)] * 3, 0, t_score=0.001)
+        out = select_candidates(phi, boxes_to_array([Box(0, 0, 2, 2)] * 3), 0, t_score=0.001)
         assert out.tolist() == [1, 2]
 
     def test_equal_to_threshold_excluded(self):
         phi = np.array([[0.001, 0.25]])
-        out = select_candidates(phi, [Box(0, 0, 2, 2)] * 2, 0, t_score=0.001)
+        out = select_candidates(phi, boxes_to_array([Box(0, 0, 2, 2)] * 2), 0, t_score=0.001)
         assert out.tolist() == [1]
 
 
 class TestAccumulate:
     def test_single_box_constant_inside(self):
-        boxes = [Box(1, 2, 4, 5)]
+        boxes = boxes_to_array([Box(1, 2, 4, 5)])
         scores = np.array([0.7])
         for kernel in (accumulate_fast, accumulate_naive):
-            out = kernel([0], boxes, scores, 6, 6)
+            out = kernel(np.array([0]), boxes, scores, 6, 6)
             expected = np.zeros((6, 6))
             expected[2:5, 1:4] = 0.7
             assert np.array_equal(out.data, expected)
@@ -80,17 +80,17 @@ class TestAccumulate:
         assert oracle[0, 0] == pytest.approx(0.3)
         assert oracle[5, 5] == pytest.approx(0.5)
         for kernel in (accumulate_fast, accumulate_naive):
-            out = kernel([0, 1], boxes, scores, 6, 6)
+            out = kernel(np.array([0, 1]), boxes_to_array(boxes), scores, 6, 6)
             assert np.abs(out.data - oracle).max() < 1e-15
 
     def test_kernels_match_per_pixel_oracle(self):
         rng = np.random.default_rng(1234)
         for _ in range(25):
             height, width, boxes, scores = random_instance(rng, max_size=12, max_boxes=6)
-            candidates = list(range(len(boxes)))
+            candidates = np.arange(len(boxes))
             oracle = per_pixel_accumulate(candidates, boxes, scores, height, width)
-            fast = accumulate_fast(candidates, boxes, scores, height, width)
-            naive = accumulate_naive(candidates, boxes, scores, height, width)
+            fast = accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width)
+            naive = accumulate_naive(candidates, boxes_to_array(boxes), scores, height, width)
             assert np.abs(fast.data - oracle).max() < 1e-9
             assert np.abs(naive.data - oracle).max() < 1e-9
 
@@ -98,28 +98,28 @@ class TestAccumulate:
         rng = np.random.default_rng(99)
         for _ in range(60):
             height, width, boxes, scores = random_instance(rng, max_size=48, max_boxes=30)
-            candidates = [i for i in range(len(boxes)) if rng.random() < 0.8]
-            fast = accumulate_fast(candidates, boxes, scores, height, width)
-            naive = accumulate_naive(candidates, boxes, scores, height, width)
+            candidates = np.array([i for i in range(len(boxes)) if rng.random() < 0.8], dtype=np.int64)
+            fast = accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width)
+            naive = accumulate_naive(candidates, boxes_to_array(boxes), scores, height, width)
             assert np.abs(fast.data - naive.data).max() <= 1e-9
 
     def test_out_of_bounds_box_rejected(self):
-        boxes = [Box(0, 0, 10, 10)]
+        boxes = boxes_to_array([Box(0, 0, 10, 10)])
         for kernel in (accumulate_fast, accumulate_naive):
             with pytest.raises(InputError):
-                kernel([0], boxes, np.array([0.5]), 8, 8)
+                kernel(np.array([0]), boxes, np.array([0.5]), 8, 8)
 
     def test_scores_whose_sum_overflows_rejected(self):
-        boxes = [Box(0, 0, 5, 5), Box(1, 1, 6, 6), Box(0, 0, 6, 6)]
+        boxes = boxes_to_array([Box(0, 0, 5, 5), Box(1, 1, 6, 6), Box(0, 0, 6, 6)])
         for kernel in (accumulate_fast, accumulate_naive):
             with pytest.raises(InputError, match="too large to sum"):
-                kernel([0, 1, 2], boxes, np.full(3, 1e308), 8, 8)
+                kernel(np.arange(3), boxes, np.full(3, 1e308), 8, 8)
             # 4 * 3 * 1e307 is finite, so every prefix sum is.
-            out = kernel([0, 1, 2], boxes, np.full(3, 1e307), 8, 8)
+            out = kernel(np.arange(3), boxes, np.full(3, 1e307), 8, 8)
             assert out.data.max() == pytest.approx(3e307)
 
     def test_empty_candidates_give_zero_map(self):
-        out = accumulate_fast([], [Box(0, 0, 2, 2)], np.array([0.5]), 4, 4)
+        out = accumulate_fast(np.array([], dtype=np.int64), boxes_to_array([Box(0, 0, 2, 2)]), np.array([0.5]), 4, 4)
         assert not out.data.any()
 
 
@@ -167,7 +167,7 @@ class TestBinarize:
 class TestVoteBoxes:
     def test_single_voter_round_trip(self):
         box = Box(2, 1, 7, 5)
-        likelihood = accumulate_fast([0], [box], np.array([0.4]), 8, 10)
+        likelihood = accumulate_fast(np.array([0]), boxes_to_array([box]), np.array([0.4]), 8, 10)
         grid = binarize(normalize(likelihood), 0.5)
         assert vote_boxes(grid) == [box]
 
@@ -210,32 +210,32 @@ class TestGenerateSupervision:
     def test_single_voter_recovers_box_exactly(self):
         box = Box(3, 4, 11, 9)
         phi = np.array([[0.6]])
-        sup = generate_supervision(phi, [box], np.array([1]), 16, 16, VoteConfig())
+        sup = generate_supervision(phi, boxes_to_array([box]), np.array([1]), 16, 16, VoteConfig())
         assert sup.boxes_by_class == {0: [box]}
 
     def test_two_positive_classes_two_box_lists(self):
         boxes = [Box(0, 0, 5, 5), Box(10, 10, 15, 15)]
         phi = np.array([[0.9, 0.0], [0.0, 0.8]])
-        sup = generate_supervision(phi, boxes, np.array([1, 1]), 20, 20, VoteConfig())
+        sup = generate_supervision(phi, boxes_to_array(boxes), np.array([1, 1]), 20, 20, VoteConfig())
         assert sup.classes() == [0, 1]
         assert sup.boxes_by_class[0] == [boxes[0]]
         assert sup.boxes_by_class[1] == [boxes[1]]
 
     def test_all_scores_below_threshold_is_empty_not_error(self):
         phi = np.array([[0.0005]])
-        sup = generate_supervision(phi, [Box(0, 0, 4, 4)], np.array([1]), 8, 8, VoteConfig())
+        sup = generate_supervision(phi, boxes_to_array([Box(0, 0, 4, 4)]), np.array([1]), 8, 8, VoteConfig())
         assert sup.is_empty
         assert sup.boxes_by_class == {}
 
     def test_no_positive_class_errors(self):
         phi = np.array([[0.5]])
         with pytest.raises(InputError):
-            generate_supervision(phi, [Box(0, 0, 4, 4)], np.array([0]), 8, 8, VoteConfig())
+            generate_supervision(phi, boxes_to_array([Box(0, 0, 4, 4)]), np.array([0]), 8, 8, VoteConfig())
 
     def test_negative_class_ignores_scores(self):
         boxes = [Box(0, 0, 5, 5), Box(10, 10, 15, 15)]
         phi = np.array([[0.9, 0.0], [0.0, 0.8]])
-        sup = generate_supervision(phi, boxes, np.array([1, 0]), 20, 20, VoteConfig())
+        sup = generate_supervision(phi, boxes_to_array(boxes), np.array([1, 0]), 20, 20, VoteConfig())
         assert sup.classes() == [0]
 
 
@@ -252,7 +252,7 @@ def vote_images(draw):
     levels = st.sampled_from([0.0, 0.0005, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7])
     phi = np.array(draw(st.lists(st.lists(levels, min_size=len(boxes), max_size=len(boxes)), min_size=3, max_size=3)))
     y = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=3, max_size=3).filter(any)))
-    return phi.reshape(3, len(boxes)), boxes, y, height, width
+    return phi.reshape(3, len(boxes)), boxes_to_array(boxes), y, height, width
 
 
 def per_grid_vote(phi, boxes, y, height, width, config):
@@ -307,9 +307,9 @@ class TestVotingProperties:
     def test_score_scale_equivariance_power_of_two(self, seed, factor):
         rng = np.random.default_rng(seed)
         height, width, boxes, scores = random_instance(rng)
-        candidates = list(range(len(boxes)))
-        base = normalize(accumulate_fast(candidates, boxes, scores, height, width))
-        scaled = normalize(accumulate_fast(candidates, boxes, scores * factor, height, width))
+        candidates = np.arange(len(boxes))
+        base = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width))
+        scaled = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores * factor, height, width))
         assert np.array_equal(base.data, scaled.data)
         assert np.array_equal(binarize(base, 0.5), binarize(scaled, 0.5))
         assert vote_boxes(binarize(base, 0.5)) == vote_boxes(binarize(scaled, 0.5))
@@ -320,9 +320,9 @@ class TestVotingProperties:
         rng = np.random.default_rng(seed)
         height, width, boxes, scores = random_instance(rng)
         factor = float(rng.uniform(0.1, 7.0))
-        candidates = list(range(len(boxes)))
-        base = normalize(accumulate_fast(candidates, boxes, scores, height, width))
-        scaled = normalize(accumulate_fast(candidates, boxes, scores * factor, height, width))
+        candidates = np.arange(len(boxes))
+        base = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width))
+        scaled = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores * factor, height, width))
         assert np.abs(base.data - scaled.data).max() < 1e-12
         assert vote_boxes(binarize(base, 0.5)) == vote_boxes(binarize(scaled, 0.5))
 
@@ -331,7 +331,7 @@ class TestVotingProperties:
     def test_raising_threshold_never_grows_regions(self, seed):
         rng = np.random.default_rng(seed)
         height, width, boxes, scores = random_instance(rng)
-        likelihood = normalize(accumulate_fast(range(len(boxes)), boxes, scores, height, width))
+        likelihood = normalize(accumulate_fast(np.arange(len(boxes)), boxes_to_array(boxes), scores, height, width))
         low = binarize(likelihood, 0.3)
         high = binarize(likelihood, 0.7)
         assert not (high & ~low).any()  # true cells at 0.7 are a subset of those at 0.3
@@ -342,8 +342,8 @@ class TestVotingProperties:
         rng = np.random.default_rng(seed)
         height, width, boxes, scores = random_instance(rng)
         phi = scores.reshape(1, -1)
-        sup = generate_supervision(phi, boxes, np.array([1]), height, width, VoteConfig())
-        candidates = select_candidates(phi, boxes, 0, 0.001).tolist()
+        sup = generate_supervision(phi, boxes_to_array(boxes), np.array([1]), height, width, VoteConfig())
+        candidates = select_candidates(phi, boxes_to_array(boxes), 0, 0.001).tolist()
         if not candidates:
             assert sup.is_empty
             return
@@ -364,11 +364,11 @@ class TestVotingProperties:
         height, width, boxes, scores = random_instance(rng, dyadic=True)
         y = np.array([1])
         phi = scores.reshape(1, -1)
-        base = generate_supervision(phi, boxes, y, height, width, VoteConfig())
+        base = generate_supervision(phi, boxes_to_array(boxes), y, height, width, VoteConfig())
         perm = rng.permutation(len(boxes))
         shuffled = generate_supervision(
             scores[perm].reshape(1, -1),
-            [boxes[int(i)] for i in perm],
+            boxes_to_array([boxes[int(i)] for i in perm]),
             y,
             height,
             width,
@@ -379,7 +379,7 @@ class TestVotingProperties:
 
 class TestPgmExport:
     def test_golden_bytes(self, tmp_path):
-        likelihood = normalize(accumulate_fast([0], [Box(1, 1, 3, 3)], np.array([0.5]), 4, 4))
+        likelihood = normalize(accumulate_fast(np.array([0]), boxes_to_array([Box(1, 1, 3, 3)]), np.array([0.5]), 4, 4))
         path = tmp_path / "map.pgm"
         write_pgm(likelihood, path)
         body = bytes(
