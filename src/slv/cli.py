@@ -121,14 +121,14 @@ def _section(config: dict, name: str) -> dict:
 def _pick(cli_value, section: dict, key: str, default):
     """The command-line value, else the config value, else the default. A
     config value must have the default's JSON type; an integer passes for
-    a float."""
+    a float, and a boolean only for a boolean."""
     if cli_value is not None:
         return cli_value
     if key not in section:
         return default
     value = section[key]
     kinds = (int, float) if isinstance(default, float) else type(default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
         raise ConfigError(f"config key {key!r} must be of type {type(default).__name__}, got {value!r}")
     return value
 
@@ -139,14 +139,17 @@ def _vote_config(args, config: dict) -> VoteConfig:
     if preset not in (None, "voc2007"):
         raise InputError(f"unknown vote preset {preset!r}")
     base = voc2007_config() if preset == "voc2007" else VoteConfig()
-    per_class = section.get("t_b_per_class")
-    if per_class is None:
+    raw = section.get("t_b_per_class")
+    if raw is None:
         per_class = base.t_b_per_class
     else:
         try:
-            per_class = {int(k): float(v) for k, v in dict(per_class).items()}
+            per_class = {int(k): v for k, v in dict(raw).items()}
         except (TypeError, ValueError):
-            raise ConfigError(f"config key 't_b_per_class' must map class ids to numbers, got {per_class!r}") from None
+            per_class = None
+        # `type(v)` rejects JSON booleans and numeric strings, which float() takes.
+        if per_class is None or not set(map(type, per_class.values())) <= {int, float}:
+            raise ConfigError(f"config key 't_b_per_class' must map class ids to numbers, got {raw!r}")
     return VoteConfig(
         t_score=_pick(getattr(args, "t_score", None), section, "t_score", base.t_score),
         t_b_default=_pick(getattr(args, "t_b", None), section, "t_b_default", base.t_b_default),
@@ -185,7 +188,7 @@ def _train_config(args, config: dict) -> TrainConfig:
         iterations=_pick(args.iterations, section, "iterations", 200),
         learning_rate=_pick(args.lr, section, "learning_rate", 1.0),
         ramp_length=ramp,
-        mil_only=bool(args.mil_only or section.get("mil_only", False)),
+        mil_only=_pick(args.mil_only or None, section, "mil_only", False),
         vote=_vote_config(args, config),
         init_seed=args.seed,
     )

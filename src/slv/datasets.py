@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -152,6 +152,26 @@ def _number_matrix(raw) -> np.ndarray | None:
     return np.fromiter(chain.from_iterable(raw), np.float64, len(raw) * width).reshape(len(raw), width)
 
 
+def _number_field(obj: dict, key: str, where: str, shape_problem: Callable[[tuple], str | None]) -> np.ndarray | None:
+    """A record's matrix field as a float64 array, or None when absent. The
+    first problem raises, in this order: `shape_problem(shape)` (a message
+    or None), an entry that is not a JSON number, a non-finite entry."""
+    raw = obj.get(key)
+    if raw is None:
+        return None
+    arr = numbers = _number_matrix(raw)
+    if numbers is None:  # numpy raises, or the checks below reject its array
+        arr = np.asarray(raw, dtype=np.float64)
+    problem = shape_problem(arr.shape)
+    if problem is not None:
+        raise DatasetFormatError(f"{where}: field '{key}' {problem}")
+    if numbers is None and not _numbers_only(raw):
+        raise DatasetFormatError(f"{where}: field '{key}' must hold JSON numbers only")
+    if not np.isfinite(arr).all():
+        raise DatasetFormatError(f"{where}: field '{key}' contains non-finite values")
+    return arr
+
+
 def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, where: str) -> DatasetRecord:
     for key in ("id", "height", "width", "labels", "proposals"):
         if key not in obj:
@@ -167,34 +187,17 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             f"{where}: field 'labels' must be a length-{num_classes} list of JSON integers 0 and 1"
         )
     proposals = _proposals_from_json(obj["proposals"], height, width, where)
-    features = None
-    if obj.get("features") is not None:
-        features = numbers = _number_matrix(obj["features"])
-        if numbers is None:  # numpy raises, or the checks below reject its array
-            features = np.asarray(obj["features"], dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] != len(proposals):
-            raise DatasetFormatError(f"{where}: field 'features' must be (num_proposals, D)")
-        if feature_dim is not None and features.shape[1] != feature_dim:
-            raise DatasetFormatError(
-                f"{where}: field 'features' has dimension {features.shape[1]}, header says {feature_dim}"
-            )
-        if numbers is None and not _numbers_only(obj["features"]):
-            raise DatasetFormatError(f"{where}: field 'features' must hold JSON numbers only")
-        if not np.isfinite(features).all():
-            raise DatasetFormatError(f"{where}: field 'features' contains non-finite values")
-    scores = None
-    if obj.get("scores") is not None:
-        scores = numbers = _number_matrix(obj["scores"])
-        if numbers is None:
-            scores = np.asarray(obj["scores"], dtype=np.float64)
-        if scores.shape != (num_classes, len(proposals)):
-            raise DatasetFormatError(
-                f"{where}: field 'scores' must be ({num_classes}, {len(proposals)})"
-            )
-        if numbers is None and not _numbers_only(obj["scores"]):
-            raise DatasetFormatError(f"{where}: field 'scores' must hold JSON numbers only")
-        if not np.isfinite(scores).all():
-            raise DatasetFormatError(f"{where}: field 'scores' contains non-finite values")
+
+    def features_shape(shape: tuple) -> str | None:
+        if len(shape) != 2 or shape[0] != len(proposals):
+            return "must be (num_proposals, D)"
+        if feature_dim is not None and shape[1] != feature_dim:
+            return f"has dimension {shape[1]}, header says {feature_dim}"
+        return None
+
+    want = (num_classes, len(proposals))
+    features = _number_field(obj, "features", where, features_shape)
+    scores = _number_field(obj, "scores", where, lambda shape: None if shape == want else f"must be {want}")
     gt_boxes = None
     if obj.get("gt") is not None:
         gt_boxes = {}

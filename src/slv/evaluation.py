@@ -171,6 +171,8 @@ def evaluate_detections(
 ) -> EvalResult:
     """Full evaluation over every class present in the ground truth or the
     detections. Classes with detections but no ground truth score AP 0."""
+    if not 0.0 <= iou_threshold < 1.0:  # NaN fails too
+        raise InputError(f"evaluate_detections: iou_threshold must be in [0, 1), got {iou_threshold}")
     classes = sorted(set(gt.class_ids()) | {d.class_id for d in dets})
     if not classes:
         raise InputError("evaluate_detections: nothing to evaluate")

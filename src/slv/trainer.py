@@ -363,6 +363,10 @@ def run_inference(
 ) -> list[Detection]:
     """Detections for every record: shift proposals by the regression
     offsets, then per-class NMS on the fused scores."""
+    if not 0.0 < nms_iou < 1.0:
+        raise InputError(f"run_inference: nms_iou must be in (0, 1), got {nms_iou}")
+    if not math.isfinite(score_min):
+        raise InputError(f"run_inference: score_min must be finite, got {score_min}")
     detections: list[Detection] = []
     for record in sorted(dataset.records, key=lambda r: r.image_id):
         if record.features is None:

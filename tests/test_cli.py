@@ -376,6 +376,10 @@ class TestExitCodes:
             ({"train": {"learning_rate": [1.0]}}, "'learning_rate'"),
             ({"train": {"ramp_length": None}}, "'ramp_length'"),
             ({"evaluate": {"iou_threshold": "half"}}, "'iou_threshold'"),
+            ({"train": {"mil_only": "false"}}, "'mil_only'"),
+            ({"train": {"mil_only": 0}}, "'mil_only'"),
+            ({"vote": {"t_b_per_class": {"0": "0.3"}}}, "'t_b_per_class'"),
+            ({"vote": {"t_b_per_class": {"0": True}}}, "'t_b_per_class'"),
         ],
     )
     def test_config_value_of_wrong_type_is_one(self, tmp_path, capsys, config, key):
@@ -390,3 +394,42 @@ class TestExitCodes:
         code, captured = run(["--config", path, "--out", tmp_path / "out"] + command, capsys)
         assert code == 1
         assert captured.err.startswith("error: ") and key in captured.err
+
+    def test_config_mil_only_boolean_is_read(self, tmp_path):
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        weights = {}
+        for value in (True, False):
+            path = tmp_path / f"{value}.json"
+            path.write_text(json.dumps({"train": {"mil_only": value}}))
+            out = tmp_path / str(value)
+            argv = ["--config", path, "--out", out, "train", tmp_path / "data" / "dataset.jsonl", "--iterations", "3"]
+            assert run(argv + ["--ramp", "1"])[0] == 0
+            weights[value] = [e["weight_slv"] for e in json.loads((out / "trace.json").read_text())["entries"]]
+        assert weights == {True: [0.0, 0.0, 0.0], False: [0.0, 1.0, 1.0]}
+
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "1", "-0.1"])
+    def test_evaluation_iou_threshold_out_of_range_is_one(self, tmp_path, capsys, threshold):
+        argv = ["evaluate", FIXTURES / "eval_detections.jsonl", FIXTURES / "eval_dataset.jsonl"]
+        code, captured = run(["--out", tmp_path] + argv + ["--iou-threshold", threshold], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: evaluate_detections: iou_threshold must be in [0, 1), got {float(threshold)}"
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--det-score-min", "nan"], "score_min must be finite, got nan"),
+            (["--det-score-min", "inf"], "score_min must be finite, got inf"),
+            # No proposal scores above 2, so NMS never runs to check its threshold.
+            (["--nms-iou", "1.5", "--det-score-min", "2"], "nms_iou must be in (0, 1), got 1.5"),
+            (["--nms-iou", "nan"], "nms_iou must be in (0, 1), got nan"),
+        ],
+        ids=["score-nan", "score-inf", "nms-unreached", "nms-nan"],
+    )
+    def test_inference_thresholds_are_checked_before_the_loop(self, tmp_path, capsys, flags, message):
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        train = ["--out", tmp_path / "t", "train", tmp_path / "data" / "dataset.jsonl", "--iterations", "1"]
+        code, captured = run(train + ["--emit-detections"] + flags, capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: run_inference: {message}"]
