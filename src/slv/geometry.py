@@ -66,7 +66,6 @@ class Box:
         return (self.x0, self.y0, self.x1, self.y1)
 
 
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1]."""
     iw = min(a.x1, b.x1) - max(a.x0, b.x0)
