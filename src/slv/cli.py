@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +38,8 @@ from .trainer import (
 from .voting import VoteConfig, voc2007_config
 
 log = logging.getLogger("slv")
+
+_CLASS_ID = re.compile(r"0|[1-9][0-9]*")  # a class id as a config-file key
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +136,9 @@ def _pick(cli_value, section: dict, key: str, default):
     return value
 
 
-def _vote_config(args, config: dict) -> VoteConfig:
+def _vote_config(args, config: dict, num_classes: int) -> VoteConfig:
+    """The vote thresholds; config-file `t_b_per_class` keys must be decimal
+    class ids below the dataset's `num_classes` (the preset's are not checked)."""
     section = _section(config, "vote")
     preset = getattr(args, "preset", None) or section.get("preset")
     if preset not in (None, "voc2007"):
@@ -143,13 +148,16 @@ def _vote_config(args, config: dict) -> VoteConfig:
     if raw is None:
         per_class = base.t_b_per_class
     else:
-        try:
-            per_class = {int(k): v for k, v in dict(raw).items()}
-        except (TypeError, ValueError):
-            per_class = None
         # `type(v)` rejects JSON booleans and numeric strings, which float() takes.
-        if per_class is None or not set(map(type, per_class.values())) <= {int, float}:
+        if not isinstance(raw, dict) or not set(map(type, raw.values())) <= {int, float}:
             raise ConfigError(f"config key 't_b_per_class' must map class ids to numbers, got {raw!r}")
+        # int() would also read "1_0", " 1" or "01", and ignore ids past the last class.
+        bad = [k for k in raw if not (_CLASS_ID.fullmatch(k) and int(k) < num_classes)]
+        if bad:
+            raise ConfigError(
+                f"config key 't_b_per_class' has {bad[0]!r}, not a class id below {num_classes}"
+            )
+        per_class = {int(k): v for k, v in raw.items()}
     return VoteConfig(
         t_score=_pick(getattr(args, "t_score", None), section, "t_score", base.t_score),
         t_b_default=_pick(getattr(args, "t_b", None), section, "t_b_default", base.t_b_default),
@@ -177,26 +185,28 @@ def _cmd_generate(args, config: dict) -> int:
     return 0
 
 
-def _train_config(args, config: dict) -> TrainConfig:
+def _train_config(args, config: dict, num_classes: int) -> TrainConfig:
     section = _section(config, "train")
     ramp = section.get("ramp_length", 100.0) if args.ramp is None else args.ramp
     try:
-        ramp = float(ramp)  # a string such as "inf" or "50" is allowed
+        ramp_length = float(ramp)  # a string such as "inf" or "50" is allowed
     except (TypeError, ValueError):
-        raise ConfigError(f"config key 'ramp_length' must be a number or a numeric string, got {ramp!r}") from None
+        ramp_length = None
+    if ramp_length is None or isinstance(ramp, bool):  # float(True) is 1.0
+        raise ConfigError(f"config key 'ramp_length' must be a number or a numeric string, got {ramp!r}")
     return TrainConfig(
         iterations=_pick(args.iterations, section, "iterations", 200),
         learning_rate=_pick(args.lr, section, "learning_rate", 1.0),
-        ramp_length=ramp,
+        ramp_length=ramp_length,
         mil_only=_pick(args.mil_only or None, section, "mil_only", False),
-        vote=_vote_config(args, config),
+        vote=_vote_config(args, config, num_classes),
         init_seed=args.seed,
     )
 
 
 def _cmd_train(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
-    train_config = _train_config(args, config)
+    train_config = _train_config(args, config, dataset.num_classes)
     scorer, trace = train_toy(dataset, train_config)
     args.out.mkdir(parents=True, exist_ok=True)
     scorer.save(args.out / "scorer.json")
@@ -219,7 +229,7 @@ def _cmd_train(args, config: dict) -> int:
 
 def _cmd_vote(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
-    vote_config = _vote_config(args, config)
+    vote_config = _vote_config(args, config, dataset.num_classes)
     scorer = ToyScorer.load(args.scorer) if args.scorer else None
     args.out.mkdir(parents=True, exist_ok=True)
     heatmap_dir = args.out / "heatmaps" if args.emit_heatmaps else None
@@ -235,7 +245,7 @@ def _cmd_vote(args, config: dict) -> int:
 
 def _cmd_compare_schemes(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
-    vote_config = _vote_config(args, config)
+    vote_config = _vote_config(args, config, dataset.num_classes)
     scorer = ToyScorer.load(args.scorer) if args.scorer else None
 
     def score_fn(record):

@@ -131,6 +131,95 @@ class ClusterSet:
         assert len(self.background) == len(self.background_weights)
 
 
+@dataclass(frozen=True)
+class ClusterBatch:
+    """The clusters and background of several records as flat arrays.
+
+    Clusters are grouped by record, in record order, and a record's clusters
+    keep their `ClusterSet` order. Cluster k belongs to record `record[k]` and
+    holds the next `sizes[k]` entries of `members`. Background entry b is
+    proposal `background[b]` of record `background_record[b]`, grouped by
+    record the same way.
+    """
+
+    record: np.ndarray  # (K,) int64
+    label: np.ndarray  # (K,) int64
+    score: np.ndarray  # (K,) float64, the center proposal's class score
+    sizes: np.ndarray  # (K,) int64
+    members: np.ndarray  # (sizes.sum(),) int64 proposal indices
+    background_record: np.ndarray  # (B,) int64
+    background: np.ndarray  # (B,) int64 proposal indices
+    background_weights: np.ndarray  # (B,) float64, in [0, 1]
+
+
+def cluster_records(
+    scores: np.ndarray,
+    boxes: np.ndarray,
+    labels: np.ndarray,
+    ious: np.ndarray | None = None,
+) -> ClusterBatch:
+    """`build_clusters` of R records with N proposals each, in one pass.
+
+    `scores` is the (R, C', N) stack of their score matrices, `boxes` the
+    (R, N, 4) stack of their proposals and `labels` an (R, C) bool mask of
+    their positive classes, C <= C', at least one per record. `ious`, when
+    given, is the (R, N, N) stack of each record's `iou_matrix(boxes[r],
+    boxes[r])`; otherwise each seed's row is computed for that seed alone.
+    Per class, every record whose label has it takes its next seed in the
+    same numpy step, until no record seeds. Each record gets the clusters,
+    background and weights of its own `build_clusters` call.
+    """
+    num_records, num_classes, num = len(scores), labels.shape[1], scores.shape[2]
+    unassigned = np.ones((num_records, num), dtype=bool)
+    owner = np.full((num_records, num), -1, dtype=np.int64)  # cluster ids in seeding order
+    # (records, classes, center scores) of each seeding step
+    steps = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    found = 0
+    for c in range(num_classes if num else 0):
+        active = np.flatnonzero(labels[:, c])
+        candidates = np.where(unassigned[active], scores[active, c], -np.inf)
+        while active.size:
+            # The first maximum: highest score, then lowest index. An assigned
+            # center means no proposal is left.
+            center = candidates.argmax(axis=1)
+            conf = scores[active, c, center]
+            go = unassigned[active, center] & ~(conf < CLUSTER_CENTER_FLOOR)
+            active, center, conf, candidates = active[go], center[go], conf[go], candidates[go]
+            if not active.size:
+                break
+            if ious is None:
+                rows = np.stack([iou_matrix(boxes[r, s][None], boxes[r])[0] for r, s in zip(active, center)])
+            else:
+                rows = ious[active, center]
+            hit, cols = np.nonzero(unassigned[active] & (rows >= CLUSTER_IOU))
+            owner[active[hit], cols] = found + hit
+            unassigned[active[hit], cols] = False
+            candidates[hit, cols] = -np.inf
+            steps.append((active, np.full(active.size, c), conf))
+            found += active.size
+    record, label, conf = (np.concatenate(parts) for parts in zip(*steps))
+    # Renumber the clusters record by record; the stable sort keeps each
+    # record's class-then-seed order. Sorting the proposals by cluster then
+    # puts the background first and each cluster's members in index order.
+    order = np.argsort(record, kind="stable")
+    rank = np.full(found + 1, -1, dtype=np.int64)  # the last entry maps background -1 to -1
+    rank[order] = np.arange(found)
+    flat = rank[owner].ravel()
+    by_cluster = np.argsort(flat, kind="stable")
+    background, members = np.split(by_cluster, [np.count_nonzero(flat < 0)])
+    top = np.where(labels[:, :, None], scores[:, :num_classes], -np.inf).max(axis=1).ravel()
+    return ClusterBatch(
+        record=record[order],
+        label=label[order],
+        score=conf[order],
+        sizes=np.bincount(flat[members], minlength=found),
+        members=members % num,
+        background_record=background // num,
+        background=background % num,
+        background_weights=np.clip(1.0 - top[background], 0.0, 1.0),
+    )
+
+
 def build_clusters(
     scores: np.ndarray,
     boxes: np.ndarray,
@@ -147,9 +236,9 @@ def build_clusters(
     minus its best positive-class score.
 
     Each seed's IoU row is read from `ious`, the boxes' (N, N)
-    `iou_matrix(boxes, boxes)`, when given (a trainer that clusters the same
-    proposals many times computes it once); otherwise the row is computed
-    for that seed alone. Both give the same clusters.
+    `iou_matrix(boxes, boxes)`, when given; otherwise the row is computed
+    for that seed alone. Both give the same clusters. A one-record
+    `cluster_records` call.
     """
     pos = positive_classes(y)
     if not pos:
@@ -161,28 +250,67 @@ def build_clusters(
         raise InputError("build_clusters: score matrix has no row for some positive class")
     if ious is not None and ious.shape != (num, num):
         raise InputError(f"build_clusters: IoU matrix of shape {ious.shape} for {num} boxes")
-    unassigned = np.ones(num, dtype=bool)
-    clusters: list[Cluster] = []
-    for c in pos:
-        candidates = np.where(unassigned, scores[c], -np.inf)
-        while candidates.size:
-            # The first maximum: highest score, then lowest index. An assigned
-            # center means no proposal is left.
-            center = int(candidates.argmax())
-            if not unassigned[center] or scores[c, center] < CLUSTER_CENTER_FLOOR:
-                break
-            row = iou_matrix(boxes[center : center + 1], boxes)[0] if ious is None else ious[center]
-            members = np.flatnonzero(unassigned & (row >= CLUSTER_IOU))
-            unassigned[members] = False
-            candidates[members] = -np.inf
-            clusters.append(Cluster(label=c, members=tuple(members.tolist()), score=float(scores[c, center])))
-    background = np.flatnonzero(unassigned)
-    return ClusterSet(
-        clusters=tuple(clusters),
-        background=tuple(background.tolist()),
-        background_weights=np.clip(1.0 - scores[pos][:, background].max(axis=0), 0.0, 1.0),
-        num_proposals=num,
+    mask = (np.asarray(y) == 1)[None, : len(scores)]
+    batch = cluster_records(scores[None], np.asarray(boxes)[None], mask, None if ious is None else ious[None])
+    ends = np.cumsum(batch.sizes).tolist()
+    members = batch.members.tolist()
+    clusters = tuple(
+        Cluster(label=c, members=tuple(members[a:b]), score=s)
+        for c, s, a, b in zip(batch.label.tolist(), batch.score.tolist(), [0, *ends], ends)
     )
+    return ClusterSet(clusters, tuple(batch.background.tolist()), batch.background_weights, num)
+
+
+def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray, np.ndarray]:
+    """`refinement_loss` of R records in one pass.
+
+    `phi` is the (R, C + 1, N) stack of their matrices, and every cluster's
+    label must have a class row. Returns the (R,) losses and the
+    (R, C + 1, N) gradients. A NaN raises the error of the first record
+    whose own call would raise one.
+    """
+    num_records, bg_row, num = phi.shape[0], phi.shape[1] - 1, phi.shape[2]
+    sizes = batch.sizes
+    of_member = np.repeat(np.arange(len(sizes)), sizes)
+    rows = (batch.record[of_member], batch.label[of_member], batch.members)
+    values = phi[rows]
+    # One `.sum()` per cluster, over its members in order: a segmented
+    # reduction would add them in another order and change bits.
+    ends = np.cumsum(sizes).tolist()
+    means = np.array([values[a:b].sum() for a, b in zip([0, *ends], ends)], dtype=np.float64) / sizes
+    p = phi[batch.background_record, bg_row, batch.background]
+    bad, bad_bg = np.flatnonzero(np.isnan(means)), np.flatnonzero(np.isnan(p))
+    if bad.size or bad_bg.size:
+        first = min(batch.record[bad[:1]].tolist() + batch.background_record[bad_bg[:1]].tolist())
+        if bad.size and batch.record[bad[0]] == first:
+            n = bad[0] - np.searchsorted(batch.record, first)
+            raise NumericalError(f"refinement_loss: bad log argument in cluster {n}")
+        raise NumericalError(
+            f"refinement_loss: bad log argument for background proposal {batch.background[bad_bg[0]]}"
+        )
+    weights = batch.background_weights
+    cluster_terms = batch.score * sizes * np.log(np.clip(means, PROB_EPS, 1.0 - PROB_EPS))
+    bg_terms = weights * np.log(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
+    # Each record adds its terms one by one, clusters then background, from
+    # 0.0 (np.sum would sum pairwise): a table with a zero first column,
+    # summed along rows by cumsum.
+    owners = np.concatenate([batch.record, batch.background_record])
+    order = np.argsort(owners, kind="stable")
+    owners = owners[order]
+    counts = np.bincount(owners, minlength=num_records)
+    table = np.zeros((num_records, 1 + counts.max(initial=0)))
+    table[owners, 1 + np.arange(len(owners)) - np.repeat(np.cumsum(counts) - counts, counts)] = (
+        np.concatenate([cluster_terms, bg_terms])[order]
+    )
+    grad = np.zeros_like(phi)
+    hit = (PROB_EPS < means) & (means < 1.0 - PROB_EPS)
+    step = np.zeros(len(sizes))
+    step[hit] = batch.score[hit] / (num * means[hit])
+    on = hit[of_member]
+    grad[rows[0][on], rows[1][on], rows[2][on]] -= step[of_member[on]]
+    inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
+    grad[batch.background_record[inside], bg_row, batch.background[inside]] -= weights[inside] / (num * p[inside])
+    return -np.cumsum(table, axis=1)[:, -1] / num, grad
 
 
 def refinement_loss(phi_k: np.ndarray, clusters: ClusterSet) -> tuple[float, np.ndarray]:
@@ -191,7 +319,8 @@ def refinement_loss(phi_k: np.ndarray, clusters: ClusterSet) -> tuple[float, np.
     phi_k must carry a trailing background row. Foreground clusters
     contribute their confidence-and-size-weighted log mean member score;
     background proposals contribute their weighted log background score.
-    Returns (loss, gradient wrt phi_k entries).
+    Returns (loss, gradient wrt phi_k entries). A one-record
+    `refinement_losses` call.
     """
     num = clusters.num_proposals
     if num == 0:
@@ -200,40 +329,31 @@ def refinement_loss(phi_k: np.ndarray, clusters: ClusterSet) -> tuple[float, np.
         raise InputError(f"refinement_loss: {phi_k.shape[1]} score columns but {num} proposals")
     if len(phi_k) < 2:
         raise InputError("refinement_loss: matrix needs class rows plus a background row")
-    bg_row = len(phi_k) - 1
     cs = clusters.clusters
-    # Clusters before the first one without a class row are checked first, so
-    # an error names the first bad cluster.
-    ok = next((n for n, c in enumerate(cs) if c.label >= bg_row), len(cs))
-    labels = np.array([c.label for c in cs[:ok]], dtype=np.int64)
-    sizes = np.array([c.size for c in cs[:ok]], dtype=np.int64)
-    means = np.array([phi_k[c.label, c.members].sum() for c in cs[:ok]], dtype=np.float64) / sizes
-    bad = np.flatnonzero(np.isnan(means))
-    if bad.size:
-        raise NumericalError(f"refinement_loss: bad log argument in cluster {bad[0]}")
+    ok = next((n for n, c in enumerate(cs) if c.label >= len(phi_k) - 1), len(cs))
     if ok < len(cs):
+        # A NaN among the clusters before the first one without a class row
+        # is reported first.
+        refinement_losses(phi_k[None], _one_record(cs[:ok], (), ()))
         raise InputError(f"refinement_loss: cluster {ok} labeled {cs[ok].label} has no row")
-    background = np.array(clusters.background, dtype=np.int64)
-    p = phi_k[bg_row, background]
-    bad = np.flatnonzero(np.isnan(p))
-    if bad.size:
-        raise NumericalError(
-            f"refinement_loss: bad log argument for background proposal {background[bad[0]]}"
-        )
-    scores = np.array([c.score for c in cs], dtype=np.float64)
-    weights = clusters.background_weights
-    cluster_terms = scores * sizes * np.log(np.clip(means, PROB_EPS, 1.0 - PROB_EPS))
-    total = 0.0
-    # Added one by one, clusters then background: np.sum would sum pairwise.
-    for v in np.concatenate([cluster_terms, weights * np.log(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))]).tolist():
-        total += v
-    grad = np.zeros_like(phi_k)
-    hit = np.flatnonzero((PROB_EPS < means) & (means < 1.0 - PROB_EPS))
-    cols = [r for n in hit.tolist() for r in cs[n].members]
-    grad[np.repeat(labels[hit], sizes[hit]), cols] -= np.repeat(scores[hit] / (num * means[hit]), sizes[hit])
-    inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
-    grad[bg_row, background[inside]] -= weights[inside] / (num * p[inside])
-    return -total / num, grad
+    losses, grads = refinement_losses(
+        phi_k[None], _one_record(cs, clusters.background, clusters.background_weights)
+    )
+    return float(losses[0]), grads[0]
+
+
+def _one_record(clusters, background, weights) -> ClusterBatch:
+    """A `ClusterSet`'s clusters and background as a one-record batch."""
+    return ClusterBatch(
+        record=np.zeros(len(clusters), dtype=np.int64),
+        label=np.array([c.label for c in clusters], dtype=np.int64),
+        score=np.array([c.score for c in clusters], dtype=np.float64),
+        sizes=np.array([c.size for c in clusters], dtype=np.int64),
+        members=np.array([r for c in clusters for r in c.members], dtype=np.int64),
+        background_record=np.zeros(len(background), dtype=np.int64),
+        background=np.array(background, dtype=np.int64),
+        background_weights=np.asarray(weights, dtype=np.float64),
+    )
 
 
 def average_refined_scores(*matrices: np.ndarray) -> np.ndarray:

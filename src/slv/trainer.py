@@ -5,7 +5,10 @@ proposal features to classification/detection logits, refinement logits,
 and the re-classification/re-localization outputs. Each iteration runs in
 three phases:
 
-1. the forward pass and the three refinement stages of every record;
+1. the MIL head of every record, record by record; then the three
+   refinement stages one at a time, each clustering and scoring all the
+   records of a proposal count in one `cluster_records` and one
+   `refinement_losses` call;
 2. one `VoteBatch` over every record's averaged refinement scores (treated
    as a constant, no gradient flows through the vote), so all the
    iteration's (record, class) grids share one region-labeling pass;
@@ -38,11 +41,11 @@ from .errors import ConfigError, InputError, NumericalError
 from .evaluation import Detection
 from .mil import (
     average_refined_scores,
-    build_clusters,
+    cluster_records,
     image_scores,
     mil_loss,
     positive_classes,
-    refinement_loss,
+    refinement_losses,
     softmax_backward,
     softmax_over_classes,
     softmax_over_proposals,
@@ -240,6 +243,24 @@ def _training_records(dataset: Dataset) -> list[DatasetRecord]:
     return records
 
 
+def _proposal_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """The records grouped by proposal count, each group as (record
+    indices, (R, N, 4) proposals, (R, N, N) proposal IoU matrices, (R, C)
+    positive-class mask). Proposals never change, so the IoU stack (8 N^2
+    bytes a record) is computed once for every clustering call of the run."""
+    by_count: dict[int, list[int]] = {}
+    for i, record in enumerate(records):
+        by_count.setdefault(len(record.proposals), []).append(i)
+    groups = []
+    for members in by_count.values():
+        boxes = np.stack([records[i].proposals for i in members])
+        ious = np.empty((len(members), boxes.shape[1], boxes.shape[1]))
+        for stack, b in zip(ious, boxes):
+            stack[...] = iou_matrix(b, b)
+        groups.append((members, boxes, ious, np.stack([records[i].labels == 1 for i in members])))
+    return groups
+
+
 def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[TraceEntry]]:
     """Train the linear scorer by full-batch descent on the total loss.
 
@@ -248,9 +269,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     non-finite.
     """
     records = _training_records(dataset)
-    # Proposals never change, so each record's IoU matrix (8 N^2 bytes) is
-    # computed once for every clustering call of the run.
-    proposal_ious = [iou_matrix(r.proposals, r.proposals) for r in records]
+    groups = _proposal_groups(records)
     num_classes = dataset.num_classes
     rng = np.random.default_rng(config.init_seed)
     scorer = ToyScorer.initialize(num_classes, records[0].features.shape[1], rng)
@@ -261,42 +280,47 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         # Aligned with scorer.heads(); the names below alias its arrays.
         grads = [np.zeros_like(w) for w in scorer.heads()]
         g_cls, g_det, *grads_refine, g_slv_cls, g_slv_reg = grads
-        # Phase 1: forward pass and refinement of every record.
-        forward = []
-        for record, ious in zip(records, proposal_ious):
+        # Phase 1: the MIL head of every record, then the refinement stages.
+        losses_mil = []
+        previous = []
+        for record in records:
             feats = record.features
-            y = record.labels
-
             sigma_cls = softmax_over_classes(_finite_logits(scorer.w_cls, feats, it))
             sigma_det = softmax_over_proposals(_finite_logits(scorer.w_det, feats, it))
             phi0 = wsddn_scores(sigma_cls, sigma_det)
             phi_img = image_scores(phi0)
-            l_mil, d_phi_img = mil_loss(phi_img, y)
+            l_mil, d_phi_img = mil_loss(phi_img, record.labels)
             # image score sums over proposals, so its gradient broadcasts
             d_sigma_cls = d_phi_img[:, None] * sigma_det
             d_sigma_det = d_phi_img[:, None] * sigma_cls
             g_cls += softmax_backward(sigma_cls, d_sigma_cls, axis=0) @ feats
             g_det += softmax_backward(sigma_det, d_sigma_det, axis=1) @ feats
+            losses_mil.append(l_mil)
+            previous.append(phi0)
 
-            refine_losses = []
-            refined: list[np.ndarray] = []
-            previous = phi0
-            for k, w_k in enumerate(scorer.w_refine):
-                phi_k = softmax_over_classes(_finite_logits(w_k, feats, it))
-                clusters = build_clusters(previous, record.proposals, y, ious)
-                l_k, d_phi_k = refinement_loss(phi_k, clusters)
-                grads_refine[k] += softmax_backward(phi_k, d_phi_k, axis=0) @ feats
-                refine_losses.append(l_k)
-                refined.append(phi_k)
-                previous = phi_k
-            forward.append((l_mil, refine_losses, refined))
+        refine_losses: list[list[float]] = [[] for _ in records]
+        stages = []
+        for k, w_k in enumerate(scorer.w_refine):
+            stage = [softmax_over_classes(_finite_logits(w_k, r.features, it)) for r in records]
+            d_stage: list[np.ndarray] = [None] * n
+            for members, boxes, ious, labels in groups:
+                clusters = cluster_records(np.stack([previous[i] for i in members]), boxes, labels, ious)
+                losses, d_phi = refinement_losses(np.stack([stage[i] for i in members]), clusters)
+                for i, l_k, d_phi_k in zip(members, losses.tolist(), d_phi):
+                    refine_losses[i].append(l_k)
+                    d_stage[i] = d_phi_k
+            for record, phi_k, d_phi_k in zip(records, stage, d_stage):
+                grads_refine[k] += softmax_backward(phi_k, d_phi_k, axis=0) @ record.features
+            stages.append(stage)
+            previous = stage
+        refined = list(zip(*stages))
 
         # Phase 2: one vote over every record's averaged refinement scores.
         if not config.mil_only:
             batch = VoteBatch(config.vote)
-            for record, (_, _, refined) in zip(records, forward):
+            for record, phis in zip(records, refined):
                 batch.add(
-                    average_refined_scores(*refined),
+                    average_refined_scores(*phis),
                     record.proposals, record.labels, record.height, record.width,
                 )
             supervisions = batch.supervisions()
@@ -306,7 +330,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         sum_refine = np.zeros(len(scorer.w_refine))
         sum_slv = 0.0
         sum_total = 0.0
-        for r, (record, (l_mil, refine_losses, _)) in enumerate(zip(records, forward)):
+        for r, (record, l_mil, l_refine) in enumerate(zip(records, losses_mil, refine_losses)):
             feats = record.features
             l_slv = 0.0
             if not config.mil_only:
@@ -318,11 +342,11 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
                     g_slv_cls += w_s * (softmax_backward(phi_s, d_phi_s, axis=0) @ feats)
                     g_slv_reg += w_s * (d_t_s.T @ feats)
 
-            if not all(math.isfinite(v) for v in (l_mil, *refine_losses, l_slv)):
+            if not all(math.isfinite(v) for v in (l_mil, *l_refine, l_slv)):
                 raise NumericalError(f"training diverged at iteration {it}")
-            l_total = total_loss(l_mil, refine_losses, l_slv, w_s)
+            l_total = total_loss(l_mil, l_refine, l_slv, w_s)
             sum_mil += l_mil
-            sum_refine += np.asarray(refine_losses)
+            sum_refine += np.asarray(l_refine)
             sum_slv += l_slv
             sum_total += l_total
 

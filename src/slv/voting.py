@@ -12,6 +12,8 @@ therefore binarize differently, and the voted boxes can differ at such ties.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,12 +136,18 @@ def _check_accumulate_inputs(
     if candidates.size and (candidates.min() < 0 or candidates.max() >= len(boxes)):
         raise InputError("accumulate: candidate index out of range")
     picked = scores[candidates]
-    if candidates.size and (not np.isfinite(picked).all() or picked.min() < 0.0):
-        raise InputError("accumulate: candidate scores must be finite and non-negative")
-    # Each box deposits its score four times, so 4 * sum bounds every prefix sum.
-    with np.errstate(over="ignore"):
-        if not np.isfinite(4.0 * picked.sum()):
-            raise InputError("accumulate: candidate scores are too large to sum")
+    if candidates.size:
+        top = float(picked.max())
+        if not (picked.min() >= 0.0 and top < math.inf):  # NaN fails both
+            raise InputError("accumulate: candidate scores must be finite and non-negative")
+        # Each box deposits its score four times, so 4 * sum bounds every
+        # prefix sum; sum <= max / 4 is that test, as scaling by 4 is exact.
+        # The sum itself can overflow, so it is taken only when K * max,
+        # which bounds it, does not settle the test.
+        if top * candidates.size > sys.float_info.max / 8:
+            with np.errstate(over="ignore"):
+                if not picked.sum() <= sys.float_info.max / 4:
+                    raise InputError("accumulate: candidate scores are too large to sum")
     arr = boxes[candidates]
     outside = np.flatnonzero((arr[:, 2] > width) | (arr[:, 3] > height))
     if outside.size:
