@@ -190,7 +190,7 @@ def _train_config(args, config: dict, num_classes: int) -> TrainConfig:
     ramp = section.get("ramp_length", 100.0) if args.ramp is None else args.ramp
     try:
         ramp_length = float(ramp)  # a string such as "inf" or "50" is allowed
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ramp_length = None
     if ramp_length is None or isinstance(ramp, bool):  # float(True) is 1.0
         raise ConfigError(f"config key 'ramp_length' must be a number or a numeric string, got {ramp!r}")

@@ -407,6 +407,53 @@ class TestExitCodes:
             weights[value] = [e["weight_slv"] for e in json.loads((out / "trace.json").read_text())["entries"]]
         assert weights == {True: [0.0, 0.0, 0.0], False: [0.0, 1.0, 1.0]}
 
+    @pytest.mark.parametrize("ramp", [True, False, 10**400], ids=["true", "false", "huge-int"])
+    def test_config_ramp_length_must_be_a_number(self, tmp_path, capsys, ramp):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {"ramp_length": ramp}}))
+        train = ["train", FIXTURES / "eval_dataset.jsonl", "--iterations", "1"]
+        code, captured = run(["--config", path, "--out", tmp_path / "out"] + train, capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: config key 'ramp_length' must be a number or a numeric string, got {ramp!r}"
+        ]
+
+    def test_config_ramp_length_takes_numbers_and_numeric_strings(self, tmp_path):
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        weights = []
+        for ramp in (2, 2.0, "2", "inf"):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"train": {"ramp_length": ramp}}))
+            out = tmp_path / "out"
+            argv = ["--config", path, "--out", out, "train", tmp_path / "data" / "dataset.jsonl", "--iterations", "3"]
+            assert run(argv)[0] == 0
+            weights.append([e["weight_slv"] for e in json.loads((out / "trace.json").read_text())["entries"]])
+        assert weights == [[0.0, 0.5, 1.0]] * 3 + [[0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("key", ["1_0", "2", "99", "-1", "01", " 1", "1.0", "", "\u0661"])
+    def test_config_t_b_per_class_keys_must_be_class_ids(self, tmp_path, capsys, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"vote": {"t_b_per_class": {"0": 0.3, key: 0.2}}}))
+        dataset = FIXTURES / "eval_dataset.jsonl"  # 2 classes
+        code, captured = run(["--config", path, "--out", tmp_path / "out", "vote", dataset], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: config key 't_b_per_class' has {key!r}, not a class id below 2"
+        ]
+
+    def test_config_t_b_per_class_keys_are_checked_against_the_loaded_dataset(self, tmp_path, capsys):
+        """Every command that votes checks the keys; the voc2007 preset's
+        class 14 is not a config-file key, so it passes on 2-class data."""
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        data = tmp_path / "data" / "dataset.jsonl"
+        commands = [["train", data, "--iterations", "1"], ["vote", data], ["compare-schemes", data]]
+        for key, code in (("2", 1), ("1", 0)):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({"vote": {"preset": "voc2007", "t_b_per_class": {key: 0.3}}}))
+            for command in commands:
+                got, captured = run(["--config", path, "--out", tmp_path / "out"] + command, capsys)
+                assert got == code, (key, command, captured.err)
+
     @pytest.mark.parametrize("threshold", ["nan", "1.5", "1", "-0.1"])
     def test_evaluation_iou_threshold_out_of_range_is_one(self, tmp_path, capsys, threshold):
         argv = ["evaluate", FIXTURES / "eval_detections.jsonl", FIXTURES / "eval_dataset.jsonl"]

@@ -26,6 +26,13 @@ from slv.voting import (
 
 from helpers import per_pixel_accumulate
 
+MAX = np.finfo(np.float64).max
+# Around the largest score sum that stays finite when quadrupled.
+EDGE_SCORES = [
+    0.0, -0.0, 0.5, 1e300, MAX / 16, MAX / 8, np.nextafter(MAX / 8, np.inf), MAX / 4,
+    np.nextafter(MAX / 4, np.inf), MAX / 3, MAX, np.inf, -1.0, -np.inf, np.nan,
+]
+
 
 def random_instance(rng, max_size=24, max_boxes=8, dyadic=False):
     height = int(rng.integers(4, max_size + 1))
@@ -117,6 +124,27 @@ class TestAccumulate:
             # 4 * 3 * 1e307 is finite, so every prefix sum is.
             out = kernel(np.arange(3), boxes, np.full(3, 1e307), 8, 8)
             assert out.data.max() == pytest.approx(3e307)
+
+    @given(st.lists(st.sampled_from(EDGE_SCORES), min_size=1, max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_score_checks_equal_the_plain_tests(self, picked):
+        """The fused score checks accept and reject what `isfinite`, `min`
+        and `isfinite(4 * sum)` do, with the same message first."""
+        scores = np.array(picked)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(scores).all() or scores.min() < 0.0:
+                want = "accumulate: candidate scores must be finite and non-negative"
+            elif not np.isfinite(4.0 * scores.sum()):
+                want = "accumulate: candidate scores are too large to sum"
+            else:
+                want = None
+        boxes = boxes_to_array([Box(0, 0, 1, 1)] * len(picked))
+        try:
+            accumulate_fast(np.arange(len(picked)), boxes, scores, 2, 2)
+            got = None
+        except InputError as exc:
+            got = str(exc)
+        assert got == want
 
     def test_empty_candidates_give_zero_map(self):
         out = accumulate_fast(np.array([], dtype=np.int64), boxes_to_array([Box(0, 0, 2, 2)]), np.array([0.5]), 4, 4)
