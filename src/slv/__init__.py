@@ -19,12 +19,15 @@ from .geometry import (
 )
 from .mil import (
     Cluster,
+    ClusterBatch,
     ClusterSet,
     average_refined_scores,
     build_clusters,
+    cluster_records,
     image_scores,
     mil_loss,
     refinement_loss,
+    refinement_losses,
     softmax_over_classes,
     softmax_over_proposals,
     wsddn_scores,

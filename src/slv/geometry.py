@@ -218,15 +218,16 @@ def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU of the rows of two (N, 4) and (M, 4) box arrays.
+    """(..., N, M) IoU of the rows of (..., N, 4) and (..., M, 4) box arrays,
+    with any leading axes broadcast.
 
     With integer-valued coordinates, integer or float, intersections and
     unions are exact, so each entry equals iou() of the same two boxes.
     Clustering and NMS call it with one row at a time, so it keeps the
     numpy call count low.
     """
-    ax0, ay0, ax1, ay1 = a.T[:, :, None]  # (N, 1) columns against (M,) rows
-    bx0, by0, bx1, by1 = b.T
+    ax0, ay0, ax1, ay1 = a.transpose(-1, *range(a.ndim - 1))[..., None]  # (..., N, 1) columns
+    bx0, by0, bx1, by1 = b.transpose(-1, *range(b.ndim - 1))[..., None, :]  # against (..., 1, M) rows
     iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
     ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = np.maximum(iw, 0) * np.maximum(ih, 0)

@@ -135,11 +135,10 @@ class ClusterSet:
 class ClusterBatch:
     """The clusters and background of several records as flat arrays.
 
-    Clusters are grouped by record, in record order, and a record's clusters
-    keep their `ClusterSet` order. Cluster k belongs to record `record[k]` and
-    holds the next `sizes[k]` entries of `members`. Background entry b is
-    proposal `background[b]` of record `background_record[b]`, grouped by
-    record the same way.
+    Cluster k belongs to record `record[k]` and holds the next `sizes[k]`
+    entries of `members`; a record's clusters, taken in batch order, are in
+    `ClusterSet` order. Background entry b is proposal `background[b]` of
+    record `background_record[b]`, grouped by record in record order.
     """
 
     record: np.ndarray  # (K,) int64
@@ -171,52 +170,61 @@ def cluster_records(
     """
     num_records, num_classes, num = len(scores), labels.shape[1], scores.shape[2]
     unassigned = np.ones((num_records, num), dtype=bool)
-    owner = np.full((num_records, num), -1, dtype=np.int64)  # cluster ids in seeding order
-    # (records, classes, center scores) of each seeding step
-    steps = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    found = 0
-    for c in range(num_classes if num else 0):
-        active = np.flatnonzero(labels[:, c])
-        candidates = np.where(unassigned[active], scores[active, c], -np.inf)
-        while active.size:
+    taken = np.full((num_records, num), -1, dtype=np.int64)  # the seeding step that took each proposal
+    steps: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, records, center scores)
+    for c, positive in enumerate(labels.T if num else ()):
+        active = positive.nonzero()[0]
+        if not active.size:
+            continue
+        free, took, own_boxes = unassigned[active], taken[active], boxes[active]
+        candidates = np.where(free, scores[active, c], -np.inf)
+        while True:
             # The first maximum: highest score, then lowest index. An assigned
-            # center means no proposal is left.
+            # center reads -inf, so no proposal is left (scores are finite).
+            # A record that stops stays stopped, as nothing of it changes.
             center = candidates.argmax(axis=1)
-            conf = scores[active, c, center]
-            go = unassigned[active, center] & ~(conf < CLUSTER_CENTER_FLOOR)
-            active, center, conf, candidates = active[go], center[go], conf[go], candidates[go]
-            if not active.size:
+            conf = candidates.max(axis=1)
+            go = conf >= CLUSTER_CENTER_FLOOR
+            seeded = active[go]
+            if not seeded.size:
                 break
             if ious is None:
-                rows = np.stack([iou_matrix(boxes[r, s][None], boxes[r])[0] for r, s in zip(active, center)])
+                rows = iou_matrix(own_boxes[np.arange(active.size), center][:, None], own_boxes)[:, 0]
             else:
                 rows = ious[active, center]
-            hit, cols = np.nonzero(unassigned[active] & (rows >= CLUSTER_IOU))
-            owner[active[hit], cols] = found + hit
-            unassigned[active[hit], cols] = False
-            candidates[hit, cols] = -np.inf
-            steps.append((active, np.full(active.size, c), conf))
-            found += active.size
-    record, label, conf = (np.concatenate(parts) for parts in zip(*steps))
-    # Renumber the clusters record by record; the stable sort keeps each
-    # record's class-then-seed order. Sorting the proposals by cluster then
-    # puts the background first and each cluster's members in index order.
-    order = np.argsort(record, kind="stable")
-    rank = np.full(found + 1, -1, dtype=np.int64)  # the last entry maps background -1 to -1
-    rank[order] = np.arange(found)
-    flat = rank[owner].ravel()
-    by_cluster = np.argsort(flat, kind="stable")
-    background, members = np.split(by_cluster, [np.count_nonzero(flat < 0)])
+            members = free & (rows >= CLUSTER_IOU)
+            if seeded.size < active.size:
+                members &= go[:, None]
+            free ^= members
+            candidates[members] = -np.inf
+            took[members] = len(steps)
+            steps.append((c, seeded, conf[go]))
+        unassigned[active], taken[active] = free, took
+    # Clusters in seeding order: by class, then seed, then record, so each
+    # record's own clusters are in class-then-seed order. Sorting the
+    # proposals by step puts the background first and each cluster's
+    # members together, by record and then index.
+    counts = [seeded.size for _, seeded, _ in steps]
+    record = np.concatenate([np.zeros(0, dtype=np.int64)] + [seeded for _, seeded, _ in steps])
+    score = np.concatenate([np.zeros(0)] + [s for _, _, s in steps])
+    flat = taken.ravel()
+    by_step = np.argsort(flat, kind="stable")
+    split = np.count_nonzero(flat < 0)
+    background_record, background = np.divmod(by_step[:split], num)
+    member_record, members = np.divmod(by_step[split:], num)
+    # A cluster is its (step, record) pair; both orders above list them alike.
+    keys = np.repeat(np.arange(len(steps)), counts) * num_records + record
+    cluster = np.searchsorted(keys, flat[by_step[split:]] * num_records + member_record)
     top = np.where(labels[:, :, None], scores[:, :num_classes], -np.inf).max(axis=1).ravel()
     return ClusterBatch(
-        record=record[order],
-        label=label[order],
-        score=conf[order],
-        sizes=np.bincount(flat[members], minlength=found),
-        members=members % num,
-        background_record=background // num,
-        background=background % num,
-        background_weights=np.clip(1.0 - top[background], 0.0, 1.0),
+        record=record,
+        label=np.repeat(np.array([c for c, _, _ in steps], dtype=np.int64), counts),
+        score=score,
+        sizes=np.bincount(cluster, minlength=len(record)),
+        members=members,
+        background_record=background_record,
+        background=background,
+        background_weights=np.clip(1.0 - top[by_step[:split]], 0.0, 1.0),
     )
 
 
