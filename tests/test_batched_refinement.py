@@ -27,6 +27,7 @@ from slv.mil import (
     build_clusters,
     cluster_records,
     refinement_losses,
+    softmax_backward,
 )
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import TrainConfig, train_toy
@@ -151,10 +152,9 @@ def oracle_refinement_losses(phi, sets):
     return np.array([loss for loss, _ in out]), np.stack([grad for _, grad in out])
 
 
-def test_training_on_mixed_proposal_counts_matches_the_oracles(monkeypatch):
+def mixed_dataset() -> Dataset:
     """Records of three proposal counts, interleaved in image-id order, so
-    the trainer's groups are not contiguous: every gradient must still add
-    up record by record."""
+    the trainer's groups are not contiguous."""
     records = []
     for proposals, seed in ((16, 1), (20, 2), (24, 3)):
         config = SyntheticSceneConfig(num_images=2, image_size=48, num_classes=2, objects_per_image=1, proposals_per_image=proposals)
@@ -162,7 +162,11 @@ def test_training_on_mixed_proposal_counts_matches_the_oracles(monkeypatch):
             dataclasses.replace(r, image_id=f"img{k}-{proposals}")
             for k, r in enumerate(generate_synthetic(config, seed).records)
         ]
-    dataset = Dataset(records, num_classes=2)
+    return Dataset(records, num_classes=2)
+
+
+def test_training_on_mixed_proposal_counts_matches_the_oracles(monkeypatch):
+    dataset = mixed_dataset()
     config = TrainConfig(iterations=3, ramp_length=2.0)
     got = train_toy(dataset, config)
     monkeypatch.setattr(slv.trainer, "cluster_records", oracle_cluster_records)
@@ -171,3 +175,21 @@ def test_training_on_mixed_proposal_counts_matches_the_oracles(monkeypatch):
     for a, b in zip(got[0].heads(), want[0].heads()):
         assert np.array_equal(a, b)
     assert got[1] == want[1]
+
+
+def test_refinement_gradients_add_up_in_record_order(monkeypatch):
+    """Each refinement stage's gradient accumulator sees the records in
+    image-id order, as a per-record loop would, whatever the groups."""
+    dataset = mixed_dataset()
+    seen = []
+
+    def spy(probs, grad_probs, axis):
+        if axis == 0 and len(probs) == dataset.num_classes + 1:
+            seen.append(probs.shape[1])
+        return softmax_backward(probs, grad_probs, axis)
+
+    monkeypatch.setattr(slv.trainer, "softmax_backward", spy)
+    train_toy(dataset, TrainConfig(iterations=1, mil_only=True))
+    counts = [len(r.proposals) for r in sorted(dataset.records, key=lambda r: r.image_id)]
+    assert counts == [16, 20, 24] * 2
+    assert seen == counts * slv.trainer.REFINEMENTS
