@@ -289,10 +289,12 @@ def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray,
     p = phi[batch.background_record, bg_row, batch.background]
     bad, bad_bg = np.flatnonzero(np.isnan(means)), np.flatnonzero(np.isnan(p))
     if bad.size or bad_bg.size:
-        first = min(batch.record[bad[:1]].tolist() + batch.background_record[bad_bg[:1]].tolist())
-        if bad.size and batch.record[bad[0]] == first:
-            n = bad[0] - np.searchsorted(batch.record, first)
-            raise NumericalError(f"refinement_loss: bad log argument in cluster {n}")
+        first = min(
+            batch.record[bad].min(initial=num_records), batch.background_record[bad_bg].min(initial=num_records)
+        )
+        bad = np.flatnonzero(np.isnan(means[batch.record == first]))  # among that record's clusters
+        if bad.size:
+            raise NumericalError(f"refinement_loss: bad log argument in cluster {bad[0]}")
         raise NumericalError(
             f"refinement_loss: bad log argument for background proposal {batch.background[bad_bg[0]]}"
         )

@@ -122,19 +122,22 @@ def test_records_below_the_floor_form_no_cluster():
 
 
 def test_refinement_losses_name_the_first_bad_record():
-    # Record 0 has a NaN only among its background, record 1 in its second
-    # cluster: record 0 comes first.
+    # Clusters in seeding order: record 1's first, record 0's, record 1's
+    # second. Record 0 also has proposal 1 as background.
     batch = ClusterBatch(
-        record=np.array([0, 1, 1]), label=np.array([0, 0, 0]), score=np.ones(3),
-        sizes=np.array([1, 1, 1]), members=np.array([0, 0, 1]),
+        record=np.array([1, 0, 1]), label=np.zeros(3, dtype=np.int64), score=np.ones(3),
+        sizes=np.ones(3, dtype=np.int64), members=np.array([0, 0, 1]),
         background_record=np.array([0]), background=np.array([1]), background_weights=np.ones(1),
     )
     phi = np.full((2, 2, 2), 0.5)
-    phi[0, 1, 1] = phi[1, 0, 1] = np.nan
-    with pytest.raises(NumericalError, match="background proposal 1"):
+    phi[1, 0, 1] = phi[0, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="in cluster 0$"):
+        refinement_losses(phi, batch)
+    phi[0, 0, 0], phi[0, 1, 1] = 0.5, np.nan
+    with pytest.raises(NumericalError, match="background proposal 1$"):
         refinement_losses(phi, batch)
     phi[0, 1, 1] = 0.5
-    with pytest.raises(NumericalError, match="in cluster 1"):
+    with pytest.raises(NumericalError, match="in cluster 1$"):
         refinement_losses(phi, batch)
 
 
