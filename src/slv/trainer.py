@@ -313,12 +313,11 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
                 grads_refine[k] += softmax_backward(phi_k, d_phi_k, axis=0) @ record.features
             stages.append(stage)
             previous = stage
-        refined = list(zip(*stages))
 
         # Phase 2: one vote over every record's averaged refinement scores.
         if not config.mil_only:
             batch = VoteBatch(config.vote)
-            for record, phis in zip(records, refined):
+            for record, phis in zip(records, zip(*stages)):
                 batch.add(
                     average_refined_scores(*phis),
                     record.proposals, record.labels, record.height, record.width,
