@@ -82,18 +82,28 @@ def nms(boxes: np.ndarray, scores: Sequence[float], iou_threshold: float) -> lis
 
     Returns the retained indices sorted by descending score; equal scores
     are broken by lower index. A box is suppressed when its IoU with an
-    already retained box exceeds the threshold.
+    already retained box exceeds the threshold. Each kept box's IoU row is
+    the same `inter / union` division as `iou_matrix`, taken from box
+    columns and areas computed once per call.
     """
     if len(boxes) != len(scores):
         raise InputError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
     if not 0.0 < iou_threshold < 1.0:
         raise InputError(f"nms: iou_threshold must be in (0, 1), got {iou_threshold}")
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():  # argsort and sorted() place NaN differently
+        raise InputError("nms: scores must be finite")
+    x0, y0, x1, y1 = np.asarray(boxes).T
+    areas = (x1 - x0) * (y1 - y0)
     suppressed = np.zeros(len(boxes), dtype=bool)
     kept: list[int] = []
-    for i in sorted(range(len(boxes)), key=lambda r: (-scores[r], r)):
+    for i in np.argsort(-scores, kind="stable").tolist():
         if not suppressed[i]:
             kept.append(i)
-            suppressed |= iou_matrix(boxes[i : i + 1], boxes)[0] > iou_threshold
+            iw = np.minimum(x1[i], x1) - np.maximum(x0[i], x0)
+            ih = np.minimum(y1[i], y1) - np.maximum(y0[i], y0)
+            inter = np.maximum(iw, 0) * np.maximum(ih, 0)
+            suppressed |= inter / (areas[i] + areas - inter) > iou_threshold
     return kept
 
 
@@ -223,8 +233,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     With integer-valued coordinates, integer or float, intersections and
     unions are exact, so each entry equals iou() of the same two boxes.
-    Clustering and NMS call it with one row at a time, so it keeps the
-    numpy call count low.
+    Clustering without a precomputed matrix calls it one seed row at a
+    time, so it keeps the numpy call count low.
     """
     ax0, ay0, ax1, ay1 = a.transpose(-1, *range(a.ndim - 1))[..., None]  # (..., N, 1) columns
     bx0, by0, bx1, by1 = b.transpose(-1, *range(b.ndim - 1))[..., None, :]  # against (..., 1, M) rows

@@ -156,6 +156,13 @@ def _check_accumulate_inputs(
     return picked, arr
 
 
+# From this map width on, accumulate_fast's first prefix pass adds whole
+# rows. Timed in place against a column cumsum: 0.14 against 0.23 ms on a
+# 257x257 grid and 1.2 against 5.3 ms on 1201x1201, but 1.2 against 0.4 ms
+# on 1201 rows of 97 columns, where the per-row call cost dominates.
+ROW_PASS_WIDTH = 256
+
+
 def accumulate_fast(
     candidates: np.ndarray,
     boxes: np.ndarray,
@@ -169,6 +176,11 @@ def accumulate_fast(
     Difference-array kernel: each box deposits +s/-s at its four corners on
     an (H+1)x(W+1) grid; two prefix-sum passes spread the deposits, giving
     O(H*W + len(candidates)) total work.
+
+    The first pass runs down the columns. On maps at least ROW_PASS_WIDTH
+    wide it adds each row to the next with one vector add, since a column
+    cumsum would stride a full row between its elements; both forms add
+    prev + cur in row order, so the sums are bit-identical.
     """
     s, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
     diff = np.zeros((height + 1, width + 1), dtype=np.float64)
@@ -177,7 +189,13 @@ def accumulate_fast(
     np.add.at(diff, (y0, x1), -s)
     np.add.at(diff, (y1, x0), -s)
     np.add.at(diff, (y1, x1), s)
-    np.cumsum(diff, axis=0, out=diff)
+    if width >= ROW_PASS_WIDTH:
+        prev = diff[0]
+        for row in diff[1:]:
+            np.add(row, prev, out=row)
+            prev = row
+    else:
+        np.cumsum(diff, axis=0, out=diff)
     np.cumsum(diff, axis=1, out=diff)
     acc = diff[:height, :width]
     # Cancellation can leave sub-ulp negatives where the exact value is 0.
@@ -202,18 +220,21 @@ def accumulate_naive(
 
 
 def normalize(likelihood: LikelihoodMap) -> LikelihoodMap:
-    """Scale a map into [0, 1] by its maximum entry.
+    """Scale a map into [0, 1] by its maximum entry, in place.
 
-    An all-zero map cannot be scaled; it is returned unchanged with the
-    `empty` flag set so callers can skip voting for that class.
+    The map's own array is divided and returned in a map flagged
+    `normalized`, so the argument's data holds the scaled values afterwards.
+    An all-zero map cannot be scaled; its array is returned unchanged with
+    the `empty` flag set so callers can skip voting for that class.
     """
     data = likelihood.data
     if data.size and data.min() < 0.0:
         raise InputError("normalize: map entries must be non-negative")
     peak = data.max() if data.size else 0.0
     if peak <= 0.0:
-        return LikelihoodMap(data.copy(), likelihood.class_id, normalized=True, empty=True)
-    return LikelihoodMap(data / peak, likelihood.class_id, normalized=True, empty=False)
+        return LikelihoodMap(data, likelihood.class_id, normalized=True, empty=True)
+    np.divide(data, peak, out=data)
+    return LikelihoodMap(data, likelihood.class_id, normalized=True, empty=False)
 
 
 def binarize(likelihood: LikelihoodMap, t_b: float) -> BinaryGrid:
@@ -350,4 +371,6 @@ def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:
     scaled = 255.0 * data
     quantized = np.rint(scaled, out=scaled).astype(np.uint8)  # one map-sized temporary
     header = f"P5\n{likelihood.width} {likelihood.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quantized.tobytes(order="C"))
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(quantized)

@@ -1,8 +1,9 @@
 """Shared test oracles: central finite differences, a literal per-pixel
-accumulation loop, a flood-fill region labeling, scalar-IoU loops for
-greedy clustering, target assignment and NMS, per-proposal loops for
-the losses and the box coding, and a per-row proposal loader. These stay
-independent of the implementation paths they check."""
+accumulation loop, a two-cumsum difference-array kernel, a flood-fill
+region labeling, scalar-IoU loops for greedy clustering, target assignment
+and NMS, per-proposal loops for the losses and the box coding, and a
+per-row proposal loader. These stay independent of the implementation
+paths they check."""
 
 from __future__ import annotations
 
@@ -53,6 +54,18 @@ def per_pixel_accumulate(candidates, boxes, scores, height, width) -> np.ndarray
                     total += scores[r]
             out[i, j] = total
     return out
+
+
+def two_cumsum_accumulate(candidates, boxes, scores, height, width) -> np.ndarray:
+    """The difference-array kernel with both prefix passes as whole-axis
+    cumsums, the reference for accumulate_fast's bits on any grid shape."""
+    diff = np.zeros((height + 1, width + 1))
+    # Corner by corner, as the kernel deposits, so shared cells sum alike.
+    for sign, (xc, yc) in ((1.0, (0, 1)), (-1.0, (2, 1)), (-1.0, (0, 3)), (1.0, (2, 3))):
+        for r in candidates:
+            diff[boxes[r, yc], boxes[r, xc]] += sign * scores[r]
+    acc = np.cumsum(np.cumsum(diff, axis=0), axis=1)[:height, :width]
+    return np.maximum(acc, 0.0)
 
 
 def flood_fill_components(grid) -> list[set[tuple[int, int]]]:

@@ -97,6 +97,12 @@ class TestNms:
         with pytest.raises(InputError):
             nms(boxes_to_array([Box(0, 0, 5, 5)]), [0.5], 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        boxes = boxes_to_array([Box(0, 0, 5, 5), Box(10, 10, 15, 15)])
+        with pytest.raises(InputError, match="nms: scores must be finite"):
+            nms(boxes, [0.5, bad], 0.5)
+
     @given(
         st.lists(boxes_strategy(), min_size=1, max_size=8),
         st.randoms(use_true_random=False),

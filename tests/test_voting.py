@@ -24,7 +24,7 @@ from slv.voting import (
     write_pgm,
 )
 
-from helpers import per_pixel_accumulate
+from helpers import per_pixel_accumulate, two_cumsum_accumulate
 
 MAX = np.finfo(np.float64).max
 # Around the largest score sum that stays finite when quadrupled.
@@ -146,6 +146,26 @@ class TestAccumulate:
             got = str(exc)
         assert got == want
 
+    @pytest.mark.parametrize(
+        "height, width", [(255, 255), (256, 256), (257, 257), (97, 1201), (1201, 97)]
+    )
+    def test_fast_is_bit_identical_to_two_cumsums(self, height, width):
+        """Around ROW_PASS_WIDTH and on tall and wide grids, the row-order
+        first pass gives the same bits as a column cumsum."""
+        rng = np.random.default_rng(height * 10_000 + width)
+        n = 300
+        # Edges drawn from small pools, borders included, so many cells
+        # take several deposits.
+        xs = np.sort(rng.choice(np.r_[0, width, rng.integers(1, width, 14)], (n, 2)), axis=1)
+        ys = np.sort(rng.choice(np.r_[0, height, rng.integers(1, height, 14)], (n, 2)), axis=1)
+        keep = (xs[:, 0] < xs[:, 1]) & (ys[:, 0] < ys[:, 1])
+        boxes = np.stack([xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1]], axis=1)[keep]
+        n = len(boxes)
+        scores = rng.uniform(0.001, 1.0, n)
+        candidates = np.flatnonzero(rng.random(n) < 0.9)
+        fast = accumulate_fast(candidates, boxes, scores, height, width)
+        assert np.array_equal(fast.data, two_cumsum_accumulate(candidates, boxes, scores, height, width))
+
     def test_empty_candidates_give_zero_map(self):
         out = accumulate_fast(np.array([], dtype=np.int64), boxes_to_array([Box(0, 0, 2, 2)]), np.array([0.5]), 4, 4)
         assert not out.data.any()
@@ -160,9 +180,18 @@ class TestNormalize:
         assert out.normalized and not out.empty
 
     def test_all_zero_flagged_empty(self):
-        out = normalize(LikelihoodMap(np.zeros((3, 3))))
+        zeros = np.zeros((3, 3))
+        out = normalize(LikelihoodMap(zeros))
         assert out.empty and out.normalized
-        assert not out.data.any()
+        assert out.data is zeros and not zeros.any()
+
+    def test_scales_the_given_array_in_place(self):
+        raw = np.array([[0.0, 3.0], [6.0, 1.5]])
+        likelihood = LikelihoodMap(raw)
+        out = normalize(likelihood)
+        assert out.data is raw and likelihood.data is raw
+        assert np.array_equal(raw, np.array([[0.0, 3.0], [6.0, 1.5]]) / 6.0)
+        assert out.class_id == likelihood.class_id
 
     def test_constant_map_becomes_all_ones(self):
         out = normalize(LikelihoodMap(np.full((2, 2), 0.3)))
