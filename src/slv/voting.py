@@ -177,10 +177,10 @@ def accumulate_fast(
     an (H+1)x(W+1) grid; two prefix-sum passes spread the deposits, giving
     O(H*W + len(candidates)) total work.
 
-    The first pass runs down the columns. On maps at least ROW_PASS_WIDTH
-    wide it adds each row to the next with one vector add, since a column
-    cumsum would stride a full row between its elements; both forms add
-    prev + cur in row order, so the sums are bit-identical.
+    On maps at least ROW_PASS_WIDTH wide, the first (down the columns)
+    pass adds each row to the next with one vector add instead of a column
+    cumsum, which strides a full row between elements; both add prev + cur
+    in row order, so the sums are bit-identical.
     """
     s, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
     diff = np.zeros((height + 1, width + 1), dtype=np.float64)
@@ -359,6 +359,12 @@ def generate_supervision(
     return batch.supervisions()[0]
 
 
+# write_pgm quantizes blocks of whole rows of about this many cells, so its
+# float temporary stays small instead of matching the map (11.5 MB at
+# 1200x1200), and its pages are reused rather than faulted in per map.
+PGM_BLOCK_CELLS = 1 << 16
+
+
 def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:
     """Export a normalized map as binary PGM (P5, maxval 255, row-major).
 
@@ -368,9 +374,10 @@ def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:
     data = likelihood.data
     if not likelihood.normalized:
         raise InputError("write_pgm: map must be normalized first")
-    scaled = 255.0 * data
-    quantized = np.rint(scaled, out=scaled).astype(np.uint8)  # one map-sized temporary
     header = f"P5\n{likelihood.width} {likelihood.height}\n255\n".encode("ascii")
+    rows = max(1, PGM_BLOCK_CELLS // likelihood.width)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(quantized)
+        for start in range(0, likelihood.height, rows):
+            scaled = 255.0 * data[start : start + rows]
+            f.write(np.rint(scaled, out=scaled).astype(np.uint8, order="C"))

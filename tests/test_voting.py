@@ -191,7 +191,6 @@ class TestNormalize:
         out = normalize(likelihood)
         assert out.data is raw and likelihood.data is raw
         assert np.array_equal(raw, np.array([[0.0, 3.0], [6.0, 1.5]]) / 6.0)
-        assert out.class_id == likelihood.class_id
 
     def test_constant_map_becomes_all_ones(self):
         out = normalize(LikelihoodMap(np.full((2, 2), 0.3)))
@@ -456,3 +455,20 @@ class TestPgmExport:
         path = tmp_path / "q.pgm"
         write_pgm(likelihood, path)
         assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
+
+    def test_blocks_join_into_the_whole_map(self, tmp_path):
+        """A map of several row blocks, the last one partial, gives the bytes
+        of quantizing it whole."""
+        width = 1200
+        height = 3 * (voting.PGM_BLOCK_CELLS // width) - 7
+        data = np.random.default_rng(7).random((height, width))
+        path = tmp_path / "blocks.pgm"
+        write_pgm(LikelihoodMap(data, normalized=True), path)
+        body = np.rint(255.0 * data).astype(np.uint8).tobytes()
+        assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + body
+
+    def test_column_major_map_written_row_major(self, tmp_path):
+        data = np.asfortranarray([[0.0, 0.5, 1.0], [1.0, 0.0, 0.25]])
+        path = tmp_path / "f.pgm"
+        write_pgm(LikelihoodMap(data, normalized=True), path)
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 255, 0, 64])
