@@ -2,12 +2,19 @@
 scores over the pixels they cover; the normalized, thresholded map votes
 minimum bounding rectangles of its connected regions as pseudo ground truth.
 
+A sum of box indicators is constant between the boxes' distinct edges, so
+the fast path holds a map as the cells of the grid those edges cut, not as
+pixels: accumulation, normalization, binarization and region labeling all
+run on cells, and pixels are built only for the heatmap bytes and for
+callers that ask for them (`LikelihoodMap.data`).
+
 Two accumulation kernels are provided: a fast 2-D difference-array version
-(constant work per box plus two prefix-sum passes) and a naive definitional
-version used as its oracle. Both share the half-open pixel convention from
-`geometry`. Their maps agree within float rounding, since they add the same
-scores in different orders; a cell whose exact value is `t_b * peak` can
-therefore binarize differently, and the voted boxes can differ at such ties.
+on the edge grid (constant work per box plus two prefix-sum passes) and a
+naive definitional version on pixels used as its oracle. Both share the
+half-open pixel convention from `geometry`. Their maps agree within float
+rounding, since they add the same scores in different orders; a cell whose
+exact value is `t_b * peak` can therefore binarize differently, and the
+voted boxes can differ at such ties.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,30 +43,59 @@ VOC2007_CLASSES = (
 
 @dataclass(frozen=True)
 class LikelihoodMap:
-    """Per-pixel accumulation grid for one class.
+    """Accumulation grid of one class, held as cells between box edges.
+
+    `cells[a, b]` is the value of every pixel in rows
+    `y_edges[a]:y_edges[a + 1]` and columns `x_edges[b]:x_edges[b + 1]`.
+    The edges are strictly increasing, start at 0 and end at the image's
+    height and width. Without edges, `cells` is a pixel array, every cell
+    one pixel. `data` is the pixel array; it is built on request unless the
+    cells are pixels, in which case it is `cells` itself.
 
     `normalized` marks maps scaled into [0, 1]; `empty` marks all-zero maps
     that had nothing to normalize.
     """
 
-    data: np.ndarray
+    cells: np.ndarray
     class_id: int = 0
     normalized: bool = False
     empty: bool = False
+    y_edges: np.ndarray | None = None
+    x_edges: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = np.asarray(self.cells, dtype=np.float64)
         if arr.ndim != 2:
             raise InputError(f"LikelihoodMap must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "cells", arr)
+        for name, cells in (("y_edges", arr.shape[0]), ("x_edges", arr.shape[1])):
+            edges = getattr(self, name)
+            if edges is None:
+                object.__setattr__(self, name, np.arange(cells + 1))
+            elif len(edges) != cells + 1:
+                raise InputError(f"LikelihoodMap: {len(edges)} {name} for {cells} cells")
+        if self.height <= 0 or self.width <= 0:
+            raise InputError(f"LikelihoodMap has no pixels, got {self.height}x{self.width}")
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return int(self.y_edges[-1])
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return int(self.x_edges[-1])
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.pixels(self.cells)
+
+    def pixels(self, per_cell: np.ndarray) -> np.ndarray:
+        """An array over this map's cells (the map's own, or a binarized
+        grid of it) expanded to one entry per pixel."""
+        if per_cell.shape == (self.height, self.width):
+            return per_cell
+        rows = np.repeat(per_cell, np.diff(self.y_edges), axis=0)
+        return np.repeat(rows, np.diff(self.x_edges), axis=1)
 
 
 @dataclass(frozen=True)
@@ -156,11 +194,14 @@ def _check_accumulate_inputs(
     return picked, arr
 
 
-# From this map width on, accumulate_fast's first prefix pass adds whole
-# rows. Timed in place against a column cumsum: 0.14 against 0.23 ms on a
-# 257x257 grid and 1.2 against 5.3 ms on 1201x1201, but 1.2 against 0.4 ms
-# on 1201 rows of 97 columns, where the per-row call cost dominates.
-ROW_PASS_WIDTH = 256
+def _cell_index(lo: np.ndarray, hi: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct edges of one axis (0, `size` and every box side) and the
+    edge index of each pixel coordinate from 0 to `size`."""
+    mask = np.zeros(size + 1, dtype=bool)
+    mask[lo] = True
+    mask[hi] = True
+    mask[0] = mask[size] = True
+    return np.flatnonzero(mask), np.cumsum(mask) - 1
 
 
 def accumulate_fast(
@@ -173,34 +214,32 @@ def accumulate_fast(
 ) -> LikelihoodMap:
     """Sum each candidate's score over the pixels its box covers.
 
-    Difference-array kernel: each box deposits +s/-s at its four corners on
-    an (H+1)x(W+1) grid; two prefix-sum passes spread the deposits, giving
-    O(H*W + len(candidates)) total work.
+    Difference-array kernel on the grid that the candidates' distinct edges
+    cut: each box deposits +s/-s at its four corners on an (Ey)x(Ex) grid of
+    edges, and two prefix-sum passes spread the deposits over the cells
+    between them, giving O(Ey*Ex + H + W + len(candidates)) total work.
 
-    On maps at least ROW_PASS_WIDTH wide, the first (down the columns)
-    pass adds each row to the next with one vector add instead of a column
-    cumsum, which strides a full row between elements; both add prev + cur
-    in row order, so the sums are bit-identical.
+    The bits are those of the same kernel on the (H+1)x(W+1) pixel grid:
+    there, every row and column between two edges holds no deposit, so
+    its prefix step adds an exact 0.0 to the carried sum, and every other
+    addition is the same addition in the same order.
     """
     s, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
-    diff = np.zeros((height + 1, width + 1), dtype=np.float64)
     x0, y0, x1, y1 = arr.T
-    np.add.at(diff, (y0, x0), s)
-    np.add.at(diff, (y0, x1), -s)
-    np.add.at(diff, (y1, x0), -s)
-    np.add.at(diff, (y1, x1), s)
-    if width >= ROW_PASS_WIDTH:
-        prev = diff[0]
-        for row in diff[1:]:
-            np.add(row, prev, out=row)
-            prev = row
-    else:
-        np.cumsum(diff, axis=0, out=diff)
+    y_edges, y_index = _cell_index(y0, y1, height)
+    x_edges, x_index = _cell_index(x0, x1, width)
+    diff = np.zeros((len(y_edges), len(x_edges)), dtype=np.float64)
+    top, bottom, left, right = y_index[y0], y_index[y1], x_index[x0], x_index[x1]
+    np.add.at(diff, (top, left), s)
+    np.add.at(diff, (top, right), -s)
+    np.add.at(diff, (bottom, left), -s)
+    np.add.at(diff, (bottom, right), s)
+    np.cumsum(diff, axis=0, out=diff)
     np.cumsum(diff, axis=1, out=diff)
-    acc = diff[:height, :width]
+    cells = diff[:-1, :-1]
     # Cancellation can leave sub-ulp negatives where the exact value is 0.
-    np.maximum(acc, 0.0, out=acc)
-    return LikelihoodMap(acc, class_id=class_id)
+    np.maximum(cells, 0.0, out=cells)
+    return LikelihoodMap(cells, class_id, y_edges=y_edges, x_edges=x_edges)
 
 
 def accumulate_naive(
@@ -222,34 +261,38 @@ def accumulate_naive(
 def normalize(likelihood: LikelihoodMap) -> LikelihoodMap:
     """Scale a map into [0, 1] by its maximum entry, in place.
 
-    The map's own array is divided and returned in a map flagged
-    `normalized`, so the argument's data holds the scaled values afterwards.
-    An all-zero map cannot be scaled; its array is returned unchanged with
+    The map's own cells are divided and returned in a map flagged
+    `normalized`, so the argument's cells hold the scaled values afterwards.
+    An all-zero map cannot be scaled; its cells are returned unchanged with
     the `empty` flag set so callers can skip voting for that class.
     """
-    data = likelihood.data
-    if data.size and data.min() < 0.0:
+    cells = likelihood.cells
+    if cells.min() < 0.0:
         raise InputError("normalize: map entries must be non-negative")
-    peak = data.max() if data.size else 0.0
+    peak = cells.max()
+    edges = likelihood.y_edges, likelihood.x_edges
     if peak <= 0.0:
-        return LikelihoodMap(data, likelihood.class_id, normalized=True, empty=True)
-    np.divide(data, peak, out=data)
-    return LikelihoodMap(data, likelihood.class_id, normalized=True, empty=False)
+        return LikelihoodMap(cells, likelihood.class_id, True, True, *edges)
+    np.divide(cells, peak, out=cells)
+    return LikelihoodMap(cells, likelihood.class_id, True, False, *edges)
 
 
 def binarize(likelihood: LikelihoodMap, t_b: float) -> BinaryGrid:
-    """Cells strictly above t_b in a normalized map."""
+    """Cells strictly above t_b in a normalized map, over the map's cells."""
     if not likelihood.normalized:
         raise InputError("binarize: map must be normalized first")
     if not 0.0 < t_b < 1.0:
         raise InputError(f"binarize: t_b must be in (0, 1), got {t_b}")
-    return likelihood.data > t_b
+    return likelihood.cells > t_b
 
 
 def vote_boxes(grid: BinaryGrid) -> list[Box]:
-    """Minimum bounding rectangles of the grid's connected regions."""
+    """Minimum bounding rectangles of the grid's connected regions, in the
+    grid's own cells."""
     return [Box(*rect) for rect in region_boxes(grid).tolist()]
 
+
+_CORNERS = attrgetter("x0", "y0", "x1", "y1")
 
 # A batch labels its waiting binary grids once they reach this many cells,
 # so one pass holds at most this plus one grid; the grids and their stacked
@@ -263,15 +306,19 @@ class VoteBatch:
     `add` runs an image's per-class steps at once, so a bad input raises
     while the caller still knows the image, and hands each normalized map to
     `on_map` without keeping it. The binary grids wait until `supervisions`
-    (or BATCH_CELLS) and are labeled stacked in one buffer: each grid gets a
-    block of Hmax + 1 rows whose last row stays blank, so regions cannot
-    join across grids and keep their row-major order within each grid.
+    (or BATCH_CELLS) and are labeled stacked in one buffer: each cell grid
+    gets a block of Hmax + 1 rows whose last row stays blank, so regions
+    cannot join across grids and keep their row-major order within each
+    grid. A region's cells are 8-connected exactly when its pixels are, so
+    the labeling runs on cells, and one gather through the grids' edges
+    turns every region's cell rectangle into pixels.
     """
 
     def __init__(self, config: VoteConfig) -> None:
         self.config = config
         self._voted: list[dict[int, list[Box]]] = []
-        self._waiting: list[tuple[dict[int, list[Box]], int, BinaryGrid]] = []
+        # (image's votes, class, cell grid, its y edges, its x edges)
+        self._waiting: list[tuple[dict[int, list[Box]], int, BinaryGrid, np.ndarray, np.ndarray]] = []
         self._cells = 0
 
     def add(
@@ -290,8 +337,8 @@ class VoteBatch:
         bounding rectangles of the surviving regions are the class's voted
         boxes. Classes with no candidate or an empty map contribute no boxes;
         that is a valid, empty vote. `on_map`, when given, receives the
-        normalized map of every positive class, all-zero for a class with no
-        candidate.
+        normalized map of every positive class, one zero cell for a class
+        with no candidate.
         """
         pos = positive_classes(y)
         if not pos:
@@ -307,7 +354,9 @@ class VoteBatch:
         for c in pos:
             candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
             if candidates.size == 0:
-                normalized = LikelihoodMap(np.zeros((height, width)), c, normalized=True, empty=True)
+                normalized = LikelihoodMap(
+                    np.zeros((1, 1)), c, True, True, np.array([0, height]), np.array([0, width])
+                )
             else:
                 normalized = normalize(
                     accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c)
@@ -316,7 +365,7 @@ class VoteBatch:
                 on_map(normalized)
             if not normalized.empty:
                 grid = binarize(normalized, self.config.t_b_for(c))
-                self._waiting.append((voted, c, grid))
+                self._waiting.append((voted, c, grid, normalized.y_edges, normalized.x_edges))
                 self._cells += grid.size
         if self._cells >= BATCH_CELLS:
             self._label()
@@ -325,15 +374,29 @@ class VoteBatch:
         """Label every waiting grid in one pass and file the boxes by image and class."""
         if not self._waiting:
             return
-        block = 1 + max(grid.shape[0] for _, _, grid in self._waiting)
-        width = max(grid.shape[1] for _, _, grid in self._waiting)
+        block = 1 + max(w[2].shape[0] for w in self._waiting)
+        width = max(w[2].shape[1] for w in self._waiting)
         stacked = np.zeros((len(self._waiting), block, width), dtype=bool)
-        for k, (_, _, grid) in enumerate(self._waiting):
-            stacked[k, : grid.shape[0], : grid.shape[1]] = grid
-        for b in vote_boxes(stacked.reshape(-1, width)):
-            k = b.y0 // block
-            voted, c, _ = self._waiting[k]
-            voted.setdefault(c, []).append(Box(b.x0, b.y0 - k * block, b.x1, b.y1 - k * block))
+        y_edges = np.zeros((len(self._waiting), block), dtype=np.int64)
+        x_edges = np.zeros((len(self._waiting), width + 1), dtype=np.int64)
+        for k, (_, _, grid, ye, xe) in enumerate(self._waiting):
+            rows, cols = grid.shape
+            stacked[k, :rows, :cols] = grid
+            y_edges[k, : rows + 1] = ye
+            x_edges[k, : cols + 1] = xe
+        # Rectangles in the stack's cells; a region's block is its grid.
+        cell_boxes = vote_boxes(stacked.reshape(-1, width))
+        rects = np.array(list(map(_CORNERS, cell_boxes)), dtype=np.int64).reshape(-1, 4)
+        k = rects[:, 1] // block
+        rects[:, 1::2] -= (k * block)[:, None]
+        rects[:, 0::2] = x_edges[k[:, None], rects[:, 0::2]]
+        rects[:, 1::2] = y_edges[k[:, None], rects[:, 1::2]]
+        boxes = list(starmap(Box, rects.tolist()))
+        # Regions come in grid order; file each grid's run of boxes at once.
+        starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
+        for lo, hi in zip(starts, [*starts[1:], len(boxes)]):
+            voted, c = self._waiting[k[lo]][:2]
+            voted.setdefault(c, []).extend(boxes[lo:hi])
         self._waiting = []
         self._cells = 0
 
@@ -359,25 +422,21 @@ def generate_supervision(
     return batch.supervisions()[0]
 
 
-# write_pgm quantizes blocks of whole rows of about this many cells, so its
-# float temporary stays small instead of matching the map (11.5 MB at
-# 1200x1200), and its pages are reused rather than faulted in per map.
-PGM_BLOCK_CELLS = 1 << 16
-
-
 def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:
     """Export a normalized map as binary PGM (P5, maxval 255, row-major).
 
-    Pixel byte = round(255 * value). Quantization happens only here; the
-    in-memory map stays double precision.
+    Pixel byte = round(255 * value). Quantization happens only here, once
+    per cell; the in-memory map stays double precision. Each cell row is
+    widened to the map's width in bytes and written once per pixel row it
+    spans.
     """
-    data = likelihood.data
     if not likelihood.normalized:
         raise InputError("write_pgm: map must be normalized first")
     header = f"P5\n{likelihood.width} {likelihood.height}\n255\n".encode("ascii")
-    rows = max(1, PGM_BLOCK_CELLS // likelihood.width)
+    scaled = 255.0 * likelihood.cells
+    quantized = np.rint(scaled, out=scaled).astype(np.uint8)
+    rows = np.repeat(quantized, np.diff(likelihood.x_edges), axis=1)
     with open(path, "wb") as f:
         f.write(header)
-        for start in range(0, likelihood.height, rows):
-            scaled = 255.0 * data[start : start + rows]
-            f.write(np.rint(scaled, out=scaled).astype(np.uint8, order="C"))
+        for row, repeats in zip(rows, np.diff(likelihood.y_edges).tolist()):
+            f.write(row.tobytes() * repeats)

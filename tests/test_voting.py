@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slv import voting
 from slv.errors import ConfigError, InputError
-from slv.geometry import Box, boxes_to_array
+from slv.geometry import Box, boxes_to_array, region_boxes
 from slv.voting import (
     VOC2007_CLASSES,
     LikelihoodMap,
@@ -150,8 +150,8 @@ class TestAccumulate:
         "height, width", [(255, 255), (256, 256), (257, 257), (97, 1201), (1201, 97)]
     )
     def test_fast_is_bit_identical_to_two_cumsums(self, height, width):
-        """Around ROW_PASS_WIDTH and on tall and wide grids, the row-order
-        first pass gives the same bits as a column cumsum."""
+        """On square grids around 256 columns and on tall and wide grids,
+        the edge-grid kernel's map gives the pixel kernel's bits."""
         rng = np.random.default_rng(height * 10_000 + width)
         n = 300
         # Edges drawn from small pools, borders included, so many cells
@@ -200,6 +200,17 @@ class TestNormalize:
         with pytest.raises(InputError):
             normalize(LikelihoodMap(np.array([[-0.1, 0.2]])))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_map_without_pixels_rejected(self, shape):
+        """A map with no pixels fails where it is made, not later in
+        normalize or as a ZeroDivisionError in write_pgm."""
+        with pytest.raises(InputError, match="no pixels"):
+            LikelihoodMap(np.zeros(shape), normalized=True)
+
+    def test_edges_must_match_the_cells(self):
+        with pytest.raises(InputError):
+            LikelihoodMap(np.zeros((2, 1)), y_edges=np.array([0, 4]), x_edges=np.array([0, 3]))
+
 
 class TestBinarize:
     def test_strictly_greater(self):
@@ -224,7 +235,8 @@ class TestVoteBoxes:
     def test_single_voter_round_trip(self):
         box = Box(2, 1, 7, 5)
         likelihood = accumulate_fast(np.array([0]), boxes_to_array([box]), np.array([0.4]), 8, 10)
-        grid = binarize(normalize(likelihood), 0.5)
+        normalized = normalize(likelihood)
+        grid = normalized.pixels(binarize(normalized, 0.5))
         assert vote_boxes(grid) == [box]
 
     def test_two_separated_regions(self):
@@ -322,7 +334,9 @@ def per_grid_vote(phi, boxes, y, height, width, config):
             continue
         normalized = normalize(accumulate_fast(candidates, boxes, phi[c], height, width))
         maps.append((c, normalized.empty, normalized.data.tobytes()))
-        rects = [] if normalized.empty else vote_boxes(binarize(normalized, config.t_b_for(c)))
+        if normalized.empty:
+            continue
+        rects = vote_boxes(normalized.pixels(binarize(normalized, config.t_b_for(c))))
         if rects:
             voted[c] = rects
     return voted, maps
@@ -355,6 +369,63 @@ class TestVoteBatch:
             assert list(sup.boxes_by_class.items()) == list(voted.items())
             assert list(single.boxes_by_class.items()) == list(voted.items())
         assert maps == want_maps
+
+
+@st.composite
+def edge_grid_instances(draw):
+    """Tie-heavy votes: box sides from small pools that hold 0, H and W,
+    single-pixel and full-image boxes, scores from a small set (0.0 and
+    0.001 are not above t_score), and sizes on both sides of 256."""
+    sizes = st.one_of(st.integers(1, 40), st.integers(250, 300))
+    height, width = draw(sizes), draw(sizes)
+    ys = [0, height, *draw(st.lists(st.integers(0, height), max_size=3))]
+    xs = [0, width, *draw(st.lists(st.integers(0, width), max_size=3))]
+    boxes = []
+    for kind in draw(st.lists(st.sampled_from(["pool", "pixel", "full"]), min_size=1, max_size=10)):
+        if kind == "full":
+            boxes.append((0, 0, width, height))
+        elif kind == "pixel":
+            x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+            boxes.append((x, y, x + 1, y + 1))
+        else:
+            x0, x1 = sorted(draw(st.lists(st.sampled_from(xs), min_size=2, max_size=2, unique=True)))
+            y0, y1 = sorted(draw(st.lists(st.sampled_from(ys), min_size=2, max_size=2, unique=True)))
+            boxes.append((x0, y0, x1, y1))
+    levels = st.sampled_from([0.0, 1e-3, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7])
+    scores = np.array(draw(st.lists(levels, min_size=len(boxes), max_size=len(boxes))))
+    t_b = draw(st.sampled_from([0.2, 0.25, 0.5, 0.75]))
+    return height, width, np.array(boxes, dtype=np.int64), scores, t_b
+
+
+class TestEdgeGrid:
+    @given(edge_grid_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_cells_give_the_pixel_kernel_bytes_boxes_and_heatmap(self, tmp_path_factory, instance):
+        """The vote on the edge grid equals the pixel-grid vote bit for bit:
+        the expanded map, the voted boxes and the heatmap bytes."""
+        height, width, boxes, scores, t_b = instance
+        candidates = select_candidates(scores.reshape(1, -1), boxes, 0, 0.001)
+        pixels = two_cumsum_accumulate(candidates, boxes, scores, height, width)
+
+        likelihood = accumulate_fast(candidates, boxes, scores, height, width)
+        for edges, size in ((likelihood.y_edges, height), (likelihood.x_edges, width)):
+            assert edges[0] == 0 and edges[-1] == size and (np.diff(edges) > 0).all()
+        assert likelihood.cells.shape == (len(likelihood.y_edges) - 1, len(likelihood.x_edges) - 1)
+        assert likelihood.data.tobytes() == pixels.tobytes()
+
+        path = tmp_path_factory.mktemp("pgm") / "map.pgm"
+        config = VoteConfig(t_b_default=t_b)
+        sup = generate_supervision(
+            scores.reshape(1, -1), boxes, np.array([1]), height, width, config,
+            on_map=lambda m: write_pgm(m, path),
+        )
+        peak = pixels.max()
+        if peak > 0.0:
+            pixels /= peak
+        want = [] if peak <= 0.0 else [Box(*r) for r in region_boxes(pixels > t_b).tolist()]
+        assert sup.boxes_by_class.get(0, []) == want
+        body = np.rint(255 * pixels).astype(np.uint8).tobytes()
+        assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + body
 
 
 class TestVotingProperties:
@@ -457,10 +528,9 @@ class TestPgmExport:
         assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
 
     def test_blocks_join_into_the_whole_map(self, tmp_path):
-        """A map of several row blocks, the last one partial, gives the bytes
-        of quantizing it whole."""
+        """A wide map of random pixels gives the bytes of quantizing it whole."""
         width = 1200
-        height = 3 * (voting.PGM_BLOCK_CELLS // width) - 7
+        height = 155
         data = np.random.default_rng(7).random((height, width))
         path = tmp_path / "blocks.pgm"
         write_pgm(LikelihoodMap(data, normalized=True), path)
