@@ -23,7 +23,7 @@ import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import chain, starmap
 from operator import attrgetter
 from pathlib import Path
 
@@ -68,12 +68,13 @@ class LikelihoodMap:
         if arr.ndim != 2:
             raise InputError(f"LikelihoodMap must be 2-D, got shape {arr.shape}")
         object.__setattr__(self, "cells", arr)
-        for name, cells in (("y_edges", arr.shape[0]), ("x_edges", arr.shape[1])):
-            edges = getattr(self, name)
-            if edges is None:
-                object.__setattr__(self, name, np.arange(cells + 1))
-            elif len(edges) != cells + 1:
-                raise InputError(f"LikelihoodMap: {len(edges)} {name} for {cells} cells")
+        rows, cols = arr.shape
+        if self.y_edges is None:
+            object.__setattr__(self, "y_edges", np.arange(rows + 1))
+        if self.x_edges is None:
+            object.__setattr__(self, "x_edges", np.arange(cols + 1))
+        if len(self.y_edges) != rows + 1 or len(self.x_edges) != cols + 1:
+            raise InputError(f"LikelihoodMap: {rows}x{cols} cells need one more edge on each axis")
         if self.height <= 0 or self.width <= 0:
             raise InputError(f"LikelihoodMap has no pixels, got {self.height}x{self.width}")
 
@@ -201,7 +202,9 @@ def _cell_index(lo: np.ndarray, hi: np.ndarray, size: int) -> tuple[np.ndarray, 
     mask[lo] = True
     mask[hi] = True
     mask[0] = mask[size] = True
-    return np.flatnonzero(mask), np.cumsum(mask) - 1
+    index = np.add.accumulate(mask, dtype=np.intp)
+    index -= 1
+    return mask.nonzero()[0], index
 
 
 def accumulate_fast(
@@ -236,10 +239,9 @@ def accumulate_fast(
     np.add.at(diff, (bottom, right), s)
     np.cumsum(diff, axis=0, out=diff)
     np.cumsum(diff, axis=1, out=diff)
-    cells = diff[:-1, :-1]
     # Cancellation can leave sub-ulp negatives where the exact value is 0.
-    np.maximum(cells, 0.0, out=cells)
-    return LikelihoodMap(cells, class_id, y_edges=y_edges, x_edges=x_edges)
+    np.maximum(diff, 0.0, out=diff)
+    return LikelihoodMap(diff[:-1, :-1], class_id, y_edges=y_edges, x_edges=x_edges)
 
 
 def accumulate_naive(
@@ -374,28 +376,29 @@ class VoteBatch:
         """Label every waiting grid in one pass and file the boxes by image and class."""
         if not self._waiting:
             return
-        block = 1 + max(w[2].shape[0] for w in self._waiting)
-        width = max(w[2].shape[1] for w in self._waiting)
-        stacked = np.zeros((len(self._waiting), block, width), dtype=bool)
-        y_edges = np.zeros((len(self._waiting), block), dtype=np.int64)
-        x_edges = np.zeros((len(self._waiting), width + 1), dtype=np.int64)
-        for k, (_, _, grid, ye, xe) in enumerate(self._waiting):
-            rows, cols = grid.shape
-            stacked[k, :rows, :cols] = grid
-            y_edges[k, : rows + 1] = ye
-            x_edges[k, : cols + 1] = xe
+        waiting = self._waiting
+        block = 1 + max(w[2].shape[0] for w in waiting)
+        width = max(w[2].shape[1] for w in waiting)
+        stacked = np.zeros((len(waiting), block, width), dtype=bool)
+        for k, (_, _, grid, _, _) in enumerate(waiting):
+            stacked[k, : grid.shape[0], : grid.shape[1]] = grid
+        # Every grid's edges end to end, and the offset of each grid's own.
+        y_edges = np.concatenate([w[3] for w in waiting])
+        x_edges = np.concatenate([w[4] for w in waiting])
+        y_start = np.cumsum([0] + [len(w[3]) for w in waiting])
+        x_start = np.cumsum([0] + [len(w[4]) for w in waiting])
         # Rectangles in the stack's cells; a region's block is its grid.
         cell_boxes = vote_boxes(stacked.reshape(-1, width))
-        rects = np.array(list(map(_CORNERS, cell_boxes)), dtype=np.int64).reshape(-1, 4)
+        corners = chain.from_iterable(map(_CORNERS, cell_boxes))
+        rects = np.fromiter(corners, np.int64, 4 * len(cell_boxes)).reshape(-1, 4)
         k = rects[:, 1] // block
-        rects[:, 1::2] -= (k * block)[:, None]
-        rects[:, 0::2] = x_edges[k[:, None], rects[:, 0::2]]
-        rects[:, 1::2] = y_edges[k[:, None], rects[:, 1::2]]
+        rects[:, 0::2] = x_edges[rects[:, 0::2] + x_start[k, None]]
+        rects[:, 1::2] = y_edges[rects[:, 1::2] + (y_start[k] - k * block)[:, None]]
         boxes = list(starmap(Box, rects.tolist()))
         # Regions come in grid order; file each grid's run of boxes at once.
         starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
         for lo, hi in zip(starts, [*starts[1:], len(boxes)]):
-            voted, c = self._waiting[k[lo]][:2]
+            voted, c = waiting[k[lo]][:2]
             voted.setdefault(c, []).extend(boxes[lo:hi])
         self._waiting = []
         self._cells = 0
