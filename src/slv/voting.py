@@ -438,8 +438,9 @@ def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:
     header = f"P5\n{likelihood.width} {likelihood.height}\n255\n".encode("ascii")
     scaled = 255.0 * likelihood.cells
     quantized = np.rint(scaled, out=scaled).astype(np.uint8)
-    rows = np.repeat(quantized, np.diff(likelihood.x_edges), axis=1)
+    xe, ye = likelihood.x_edges, likelihood.y_edges
+    column_cell = np.repeat(np.arange(len(xe) - 1), xe[1:] - xe[:-1])
+    rows = quantized.take(column_cell, axis=1)
     with open(path, "wb") as f:
         f.write(header)
-        for row, repeats in zip(rows, np.diff(likelihood.y_edges).tolist()):
-            f.write(row.tobytes() * repeats)
+        f.write(rows.repeat(ye[1:] - ye[:-1], axis=0))
