@@ -54,6 +54,7 @@ from .targets import (
     encode_offsets,
     loss_weight,
     slv_loss,
+    slv_losses,
     total_loss,
 )
 from .evaluation import (

@@ -51,13 +51,15 @@ def _softmax(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def softmax_over_classes(x: np.ndarray) -> np.ndarray:
-    """Softmax each column over classes; columns of the result sum to 1."""
-    return _softmax(x, axis=0)
+    """Softmax each column over classes; columns of the result sum to 1.
+    A (..., C, N) stack of matrices is normalized matrix by matrix."""
+    return _softmax(x, axis=-2)
 
 
 def softmax_over_proposals(x: np.ndarray) -> np.ndarray:
-    """Softmax each row over proposals; rows of the result sum to 1."""
-    return _softmax(x, axis=1)
+    """Softmax each row over proposals; rows of the result sum to 1.
+    A (..., C, N) stack of matrices is normalized matrix by matrix."""
+    return _softmax(x, axis=-1)
 
 
 def softmax_backward(probs: np.ndarray, grad_probs: np.ndarray, axis: int) -> np.ndarray:

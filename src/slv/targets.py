@@ -125,7 +125,7 @@ def decode_offsets(proposal: Box, t: Sequence[float], height: int, width: int) -
 
 def assign_targets(
     boxes: np.ndarray,
-    sup: Supervision,
+    sup: Supervision | Sequence[Supervision],
     num_classes: int,
 ) -> ProposalTargets:
     """Match each proposal to its best-overlapping voted box.
@@ -133,22 +133,39 @@ def assign_targets(
     IoU >= FG_IOU makes a proposal foreground for that box's class, with
     encoded regression offsets; IoU in BG_IOU_RANGE makes it background;
     anything else is ignored. An empty Supervision ignores everything.
+
+    `boxes` is one record's (N, 4) proposals and `sup` its Supervision, or
+    the (R, N, 4) proposals of R records and their R Supervisions; the
+    targets' rows are then the R·N proposals, record by record. Each
+    record's voted boxes are padded to the group's widest vote, so one IoU
+    matrix serves the group.
     """
+    if boxes.ndim == 2:
+        boxes, sup = boxes[None], [sup]
     lo, hi = BG_IOU_RANGE
-    num = len(boxes)
-    labels = np.full(num, IGNORED, dtype=np.int64)
-    offsets = np.zeros((num, 4), dtype=np.float64)
-    voted = sup.all_boxes()
-    if voted:
-        voted_arr = boxes_to_array([g for _, g in voted])
-        overlaps = iou_matrix(boxes, voted_arr)
+    num_records, num = boxes.shape[:2]
+    labels = np.full(num_records * num, IGNORED, dtype=np.int64)
+    offsets = np.zeros((num_records * num, 4), dtype=np.float64)
+    voted = [s.all_boxes() for s in sup]
+    counts = np.array([len(v) for v in voted], dtype=np.int64)
+    width = int(counts.max(initial=0))
+    if width:
+        # Unit-box padding, read as IoU -1 so it never wins and leaves a
+        # record without votes ignored.
+        slots = np.arange(width) < counts[:, None]
+        voted_arr = np.tile(np.array([0, 0, 1, 1], dtype=np.int64), (num_records, width, 1))
+        voted_arr[slots] = boxes_to_array([g for v in voted for _, g in v])
+        classes = np.zeros((num_records, width), dtype=np.int64)
+        classes[slots] = [c for v in voted for c, _ in v]
+        overlaps = np.where(slots[:, None], iou_matrix(boxes, voted_arr), -1.0)
         # argmax takes the first maximum, so the lowest voted index wins ties.
-        best = overlaps.argmax(axis=1)
-        best_iou = overlaps[np.arange(num), best]
+        best = overlaps.argmax(axis=2)
+        best_iou = np.take_along_axis(overlaps, best[..., None], axis=2).ravel()
+        best = (best + width * np.arange(num_records)[:, None]).ravel()  # into the flat voted rows
         fg = best_iou >= FG_IOU
         labels[(lo <= best_iou) & (best_iou < hi)] = num_classes
-        labels[fg] = np.array([c for c, _ in voted])[best[fg]]
-        offsets[fg] = encode_boxes(boxes[fg], voted_arr[best[fg]])
+        labels[fg] = classes.ravel()[best[fg]]
+        offsets[fg] = encode_boxes(boxes.reshape(-1, 4)[fg], voted_arr.reshape(-1, 4)[best[fg]])
     weights = (labels != IGNORED).astype(np.float64)
     return ProposalTargets(labels=labels, offsets=offsets, weights=weights, num_classes=num_classes)
 
@@ -164,6 +181,56 @@ def smooth_l1_grad(x: np.ndarray) -> np.ndarray:
     return np.clip(x, -SMOOTH_L1_BETA, SMOOTH_L1_BETA) / SMOOTH_L1_BETA
 
 
+def slv_losses(
+    phi_s: np.ndarray,
+    t_s: np.ndarray,
+    targets: ProposalTargets,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`slv_loss` of R records with N proposals each, in one pass.
+
+    `phi_s` is the (R, C + 1, N) stack of their score matrices, `t_s` the
+    (R, N, 4) stack of their offsets and `targets` a group `assign_targets`
+    result, R·N rows record by record. Returns the (R,) losses, the
+    gradients wrt `phi_s` and `t_s`, and the (R,) vacuous flags; each
+    record gets the bits of its own `slv_loss` call.
+    """
+    num_records, num = phi_s.shape[0], phi_s.shape[2]
+    grad_scores = np.zeros_like(phi_s)
+    grad_offsets = np.zeros_like(t_s)
+    valid = targets.valid_mask.reshape(num_records, num)
+    counts = valid.sum(axis=1)
+    record, column = valid.nonzero()  # record by record, in proposal order
+    labels = targets.labels.reshape(num_records, num)[record, column]
+    p = phi_s[record, labels, column]
+    # Each record subtracts its logs one by one in proposal order, from 0.0:
+    # a table with a zero first column, summed along rows by cumsum and
+    # negated (rounding is symmetric in sign).
+    table = np.zeros((num_records, 1 + counts.max(initial=0)))
+    table[record, 1 + np.arange(len(record)) - np.repeat(np.cumsum(counts) - counts, counts)] = [
+        math.log(clamped) for clamped in np.clip(p, PROB_EPS, 1.0 - PROB_EPS).tolist()
+    ]
+    vacuous = counts == 0
+    losses = -np.cumsum(table, axis=1)[:, -1] / np.maximum(counts, 1)
+    inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
+    grad_scores[record[inside], labels[inside], column[inside]] = -1.0 / (counts[record[inside]] * p[inside])
+    fg = targets.foreground_mask.reshape(num_records, num)
+    fg_counts = fg.sum(axis=1)
+    record, column = fg.nonzero()
+    diff = t_s[record, column] - targets.offsets.reshape(num_records, num, 4)[record, column]
+    # huge prediction errors overflow a sum to inf; callers treat a
+    # non-finite loss as divergence, so no warning is needed here
+    with np.errstate(over="ignore"):
+        terms = smooth_l1(diff)
+        ends = np.cumsum(fg_counts).tolist()
+        # One `.sum()` per record with foreground, over its own contiguous rows.
+        for r, (a, b) in enumerate(zip([0, *ends], ends)):
+            if a < b:
+                losses[r] += terms[a:b].sum() / (4.0 * fg_counts[r])
+    grad_offsets[record, column] = smooth_l1_grad(diff) / (4.0 * fg_counts[record, None])
+    losses[vacuous] = 0.0
+    return losses, grad_scores, grad_offsets, vacuous
+
+
 def slv_loss(
     phi_s: np.ndarray,
     t_s: np.ndarray,
@@ -175,7 +242,8 @@ def slv_loss(
     background row) over non-ignored proposals. Localization: mean smooth
     L1 over the four offset coordinates of foreground proposals. Returns
     (loss, grad wrt phi_s, grad wrt t_s, vacuous); a vacuous result (no
-    labeled proposal at all) is zero loss with zero gradients.
+    labeled proposal at all) is zero loss with zero gradients. A one-record
+    `slv_losses` call.
     """
     t_s = np.asarray(t_s, dtype=np.float64)
     num = targets.labels.shape[0]
@@ -187,30 +255,8 @@ def slv_loss(
         )
     if t_s.shape != (num, 4):
         raise InputError(f"slv_loss: offsets must have shape ({num}, 4), got {t_s.shape}")
-    grad_scores = np.zeros_like(phi_s)
-    grad_offsets = np.zeros_like(t_s)
-    valid = np.flatnonzero(targets.valid_mask)
-    if valid.size == 0:
-        return 0.0, grad_scores, grad_offsets, True
-    labels = targets.labels[valid]
-    p = phi_s[labels, valid]
-    cls_loss = 0.0
-    # Subtracted one by one in proposal order, as the loss has always summed.
-    for clamped in np.clip(p, PROB_EPS, 1.0 - PROB_EPS).tolist():
-        cls_loss -= math.log(clamped)
-    cls_loss /= valid.size
-    inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
-    grad_scores[labels[inside], valid[inside]] = -1.0 / (valid.size * p[inside])
-    fg = np.flatnonzero(targets.foreground_mask)
-    loc_loss = 0.0
-    if fg.size:
-        diff = t_s[fg] - targets.offsets[fg]
-        # huge prediction errors overflow the sum to inf; callers treat a
-        # non-finite loss as divergence, so no warning is needed here
-        with np.errstate(over="ignore"):
-            loc_loss = float(smooth_l1(diff).sum() / (4.0 * fg.size))
-        grad_offsets[fg] = smooth_l1_grad(diff) / (4.0 * fg.size)
-    return cls_loss + loc_loss, grad_scores, grad_offsets, False
+    losses, grad_scores, grad_offsets, vacuous = slv_losses(phi_s[None], t_s[None], targets)
+    return float(losses[0]), grad_scores[0], grad_offsets[0], bool(vacuous[0])
 
 
 def loss_weight(ramp_length: float, i: int) -> float:

@@ -2,22 +2,25 @@
 
 The scorer stands in for the network heads: one linear map per head from
 proposal features to classification/detection logits, refinement logits,
-and the re-classification/re-localization outputs. Each iteration runs in
-three phases:
+and the re-classification/re-localization outputs. The records are grouped
+by proposal count once per run, and every head runs once per group, on the
+group's (R, N, D) feature stack: one logit product, one softmax and one
+gradient product per head and group. Each iteration runs in three phases:
 
-1. the MIL head of every record, record by record; then the three
-   refinement stages one at a time, each clustering and scoring all the
-   records of a proposal count in one `cluster_records` and one
-   `refinement_losses` call;
+1. the MIL head of every group; then the three refinement stages one at a
+   time, each clustering and scoring a group in one `cluster_records` and
+   one `refinement_losses` call;
 2. one `VoteBatch` over every record's averaged refinement scores (treated
    as a constant, no gradient flows through the vote), so all the
    iteration's (record, class) grids share one region-labeling pass;
    skipped under `mil_only`;
-3. per record, in record order: proposal targets from the voted boxes, the
-   SLV loss and its gradients, and the loss sums.
+3. per group: proposal targets from the voted boxes in one
+   `assign_targets` call, and the SLV loss and its gradients in one
+   `slv_losses` call.
 
-Gradients and loss sums add up record by record, in record order; then
-the weights descend on the weighted total loss. Voted supervision only
+Gradient products and loss sums add up record by record, in record order
+across the groups, so the bits are those of a per-record loop; then the
+weights descend on the weighted total loss. Voted supervision only
 influences the weights once the ramp weight is positive.
 
 Test-time detection scores are the arithmetic mean of the three refinement
@@ -52,7 +55,7 @@ from .mil import (
     wsddn_scores,
 )
 from .geometry import Box, iou_matrix, nms
-from .targets import assign_targets, decode_boxes, loss_weight, slv_loss, total_loss
+from .targets import assign_targets, decode_boxes, loss_weight, slv_losses, total_loss
 from .voting import Supervision, VoteBatch, VoteConfig, write_pgm
 
 SCORER_SCHEMA = "slv/scorer"
@@ -209,10 +212,11 @@ def save_trace(trace: list[TraceEntry], path: str | Path) -> None:
 
 
 def _head(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """`w @ feats.T`; an overflow shows as a non-finite entry for the caller
-    to report, not as a RuntimeWarning."""
+    """`w @ feats.T` for one record's (N, D) features, or one such product
+    per matrix of an (R, N, D) stack; an overflow shows as a non-finite
+    entry for the caller to report, not as a RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return w @ feats.T
+        return w @ feats.swapaxes(-1, -2)
 
 
 def _scorer_head(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -238,16 +242,22 @@ def _training_records(dataset: Dataset) -> list[DatasetRecord]:
     for record in records:
         if record.features is None:
             raise InputError(f"train_toy: record {record.image_id!r} has no features")
+        if record.features.shape[1] != records[0].features.shape[1]:
+            raise InputError(
+                f"train_toy: record {record.image_id!r} has {record.features.shape[1]} features per proposal,"
+                f" record {records[0].image_id!r} has {records[0].features.shape[1]}"
+            )
         if not positive_classes(record.labels):
             raise InputError(f"train_toy: record {record.image_id!r} has no positive class")
     return records
 
 
-def _proposal_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+def _proposal_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The records grouped by proposal count, each group as (record
-    indices, (R, N, 4) proposals, (R, N, N) proposal IoU matrices, (R, C)
-    positive-class mask). Proposals never change, so the IoU stack (8 N^2
-    bytes a record) is computed once for every clustering call of the run."""
+    indices, (R, N, 4) proposals, (R, N, D) features, (R, N, N) proposal
+    IoU matrices, (R, C) positive-class mask). Proposals and features never
+    change, so the stacks (the IoU stack is 8 N^2 bytes a record) are
+    built once for every head and clustering call of the run."""
     by_count: dict[int, list[int]] = {}
     for i, record in enumerate(records):
         by_count.setdefault(len(record.proposals), []).append(i)
@@ -257,7 +267,8 @@ def _proposal_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.n
         ious = np.empty((len(members), boxes.shape[1], boxes.shape[1]))
         for stack, b in zip(ious, boxes):
             stack[...] = iou_matrix(b, b)
-        groups.append((members, boxes, ious, np.stack([records[i].labels == 1 for i in members])))
+        feats = np.stack([records[i].features for i in members])
+        groups.append((members, boxes, feats, ious, np.stack([records[i].labels == 1 for i in members])))
     return groups
 
 
@@ -270,6 +281,16 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     """
     records = _training_records(dataset)
     groups = _proposal_groups(records)
+    places: list[tuple[int, int]] = [None] * len(records)  # (group, row of its stacks) of each record
+    for g, group in enumerate(groups):
+        for j, i in enumerate(group[0]):
+            places[i] = (g, j)
+
+    def in_record_order(acc: np.ndarray, products: list[np.ndarray]) -> None:
+        """Add every record's product, a row of its group's stack, to `acc`."""
+        for g, j in places:
+            acc += products[g][j]
+
     num_classes = dataset.num_classes
     rng = np.random.default_rng(config.init_seed)
     scorer = ToyScorer.initialize(num_classes, records[0].features.shape[1], rng)
@@ -280,67 +301,71 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         # Aligned with scorer.heads(); the names below alias its arrays.
         grads = [np.zeros_like(w) for w in scorer.heads()]
         g_cls, g_det, *grads_refine, g_slv_cls, g_slv_reg = grads
-        # Phase 1: the MIL head of every record, then the refinement stages.
-        losses_mil = []
-        previous = []
-        for record in records:
-            feats = record.features
+        # Phase 1: the MIL head of every group, then the refinement stages.
+        losses_mil = [0.0] * n
+        previous, products_cls, products_det = [], [], []
+        for members, _, feats, _, _ in groups:
             sigma_cls = softmax_over_classes(_finite_logits(scorer.w_cls, feats, it))
             sigma_det = softmax_over_proposals(_finite_logits(scorer.w_det, feats, it))
             phi0 = wsddn_scores(sigma_cls, sigma_det)
-            phi_img = image_scores(phi0)
-            l_mil, d_phi_img = mil_loss(phi_img, record.labels)
+            d_phi_img = np.empty(phi0.shape[:2])
+            for j, i in enumerate(members):
+                losses_mil[i], d_phi_img[j] = mil_loss(image_scores(phi0[j]), records[i].labels)
             # image score sums over proposals, so its gradient broadcasts
-            d_sigma_cls = d_phi_img[:, None] * sigma_det
-            d_sigma_det = d_phi_img[:, None] * sigma_cls
-            g_cls += softmax_backward(sigma_cls, d_sigma_cls, axis=0) @ feats
-            g_det += softmax_backward(sigma_det, d_sigma_det, axis=1) @ feats
-            losses_mil.append(l_mil)
+            d_sigma_cls = d_phi_img[..., None] * sigma_det
+            d_sigma_det = d_phi_img[..., None] * sigma_cls
+            products_cls.append(softmax_backward(sigma_cls, d_sigma_cls, axis=1) @ feats)
+            products_det.append(softmax_backward(sigma_det, d_sigma_det, axis=2) @ feats)
             previous.append(phi0)
+        in_record_order(g_cls, products_cls)
+        in_record_order(g_det, products_det)
 
         refine_losses: list[list[float]] = [[] for _ in records]
         stages = []
         for k, w_k in enumerate(scorer.w_refine):
-            stage = [softmax_over_classes(_finite_logits(w_k, r.features, it)) for r in records]
-            d_stage: list[np.ndarray] = [None] * n
-            for members, boxes, ious, labels in groups:
-                clusters = cluster_records(np.stack([previous[i] for i in members]), boxes, labels, ious)
-                losses, d_phi = refinement_losses(np.stack([stage[i] for i in members]), clusters)
-                for i, l_k, d_phi_k in zip(members, losses.tolist(), d_phi):
+            stage = [softmax_over_classes(_finite_logits(w_k, group[2], it)) for group in groups]
+            d_stage = []
+            for (members, boxes, _, ious, labels), phi_prev, phi_k in zip(groups, previous, stage):
+                losses, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, ious))
+                for i, l_k in zip(members, losses.tolist()):
                     refine_losses[i].append(l_k)
-                    d_stage[i] = d_phi_k
-            for record, phi_k, d_phi_k in zip(records, stage, d_stage):
-                grads_refine[k] += softmax_backward(phi_k, d_phi_k, axis=0) @ record.features
+                d_stage.append(d_phi)
+            for record, (g, j) in zip(records, places):
+                grads_refine[k] += softmax_backward(stage[g][j], d_stage[g][j], axis=0) @ record.features
             stages.append(stage)
             previous = stage
 
         # Phase 2: one vote over every record's averaged refinement scores.
         if not config.mil_only:
+            averages = [average_refined_scores(*phis) for phis in zip(*stages)]
             batch = VoteBatch(config.vote)
-            for record, phis in zip(records, zip(*stages)):
-                batch.add(
-                    average_refined_scores(*phis),
-                    record.proposals, record.labels, record.height, record.width,
-                )
+            for record, (g, j) in zip(records, places):
+                batch.add(averages[g][j], record.proposals, record.labels, record.height, record.width)
             supervisions = batch.supervisions()
 
-        # Phase 3: targets, the SLV loss and its gradients, record by record.
+        # Phase 3: targets, the SLV loss and its gradients, group by group.
+        losses_slv = [0.0] * n
+        if not config.mil_only:
+            products_cls, products_reg = [], []
+            for members, boxes, feats, _, _ in groups:
+                proposal_targets = assign_targets(boxes, [supervisions[i] for i in members], num_classes)
+                phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
+                t_s = _finite_logits(scorer.w_slv_reg, feats, it).swapaxes(1, 2)
+                losses, d_phi_s, d_t_s, _vacuous = slv_losses(phi_s, t_s, proposal_targets)
+                for i, l_slv in zip(members, losses.tolist()):
+                    losses_slv[i] = l_slv
+                if w_s > 0.0:
+                    products_cls.append(w_s * (softmax_backward(phi_s, d_phi_s, axis=1) @ feats))
+                    products_reg.append(w_s * (d_t_s.swapaxes(1, 2) @ feats))
+            if w_s > 0.0:
+                in_record_order(g_slv_cls, products_cls)
+                in_record_order(g_slv_reg, products_reg)
+
         sum_mil = 0.0
         sum_refine = np.zeros(len(scorer.w_refine))
         sum_slv = 0.0
         sum_total = 0.0
-        for r, (record, l_mil, l_refine) in enumerate(zip(records, losses_mil, refine_losses)):
-            feats = record.features
-            l_slv = 0.0
-            if not config.mil_only:
-                proposal_targets = assign_targets(record.proposals, supervisions[r], num_classes)
-                phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
-                t_s = _finite_logits(scorer.w_slv_reg, feats, it).T
-                l_slv, d_phi_s, d_t_s, _vacuous = slv_loss(phi_s, t_s, proposal_targets)
-                if w_s > 0.0:
-                    g_slv_cls += w_s * (softmax_backward(phi_s, d_phi_s, axis=0) @ feats)
-                    g_slv_reg += w_s * (d_t_s.T @ feats)
-
+        for l_mil, l_refine, l_slv in zip(losses_mil, refine_losses, losses_slv):
             if not all(math.isfinite(v) for v in (l_mil, *l_refine, l_slv)):
                 raise NumericalError(f"training diverged at iteration {it}")
             l_total = total_loss(l_mil, l_refine, l_slv, w_s)

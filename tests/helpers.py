@@ -1,9 +1,10 @@
 """Shared test oracles: central finite differences, a literal per-pixel
 accumulation loop, a two-cumsum difference-array kernel, a flood-fill
 region labeling, scalar-IoU loops for greedy clustering, target assignment
-and NMS, per-proposal loops for the losses and the box coding, and a
-per-row proposal loader. These stay independent of the implementation
-paths they check."""
+and NMS, per-proposal loops for the losses and the box coding, a per-row
+proposal loader, and the trainer's loop with every head run one record
+at a time. These stay independent of the implementation paths they
+check."""
 
 from __future__ import annotations
 
@@ -11,14 +12,21 @@ import math
 
 import numpy as np
 
+from slv.datasets import Dataset, DatasetRecord
 from slv.errors import DatasetFormatError, InputError, NumericalError
 from slv.evaluation import Detection
-from slv.geometry import Box, clip_box, iou
-from slv.mil import CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet
-from slv.targets import (
-    BBOX_XFORM_CLIP, BG_IOU_RANGE, FG_IOU, IGNORED, ProposalTargets, smooth_l1, smooth_l1_grad,
+from slv.geometry import Box, clip_box, iou, iou_matrix
+from slv.mil import (
+    CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet, average_refined_scores, cluster_records,
+    image_scores, mil_loss, refinement_losses, softmax_backward, softmax_over_classes, softmax_over_proposals,
+    wsddn_scores,
 )
-from slv.trainer import fused_scores
+from slv.targets import (
+    BBOX_XFORM_CLIP, BG_IOU_RANGE, FG_IOU, IGNORED, ProposalTargets, assign_targets, loss_weight, slv_loss,
+    smooth_l1, smooth_l1_grad, total_loss,
+)
+from slv.trainer import ToyScorer, TraceEntry, TrainConfig, _training_records, fused_scores
+from slv.voting import VoteBatch
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -292,3 +300,136 @@ def rowwise_proposals(raw, height, width, where) -> tuple[list[list[int]], list[
             box = clipped
         rows.append(list(box.as_tuple()))
     return rows, warnings
+
+
+def per_record_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> np.ndarray:
+    """One record's logits `w @ feats.T`, checked as the trainer checks them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = w @ feats.T
+    if not np.isfinite(z).all():
+        raise NumericalError(f"training diverged at iteration {iteration}")
+    return z
+
+
+def per_record_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """The records grouped by proposal count, each group as (record
+    indices, (R, N, 4) proposals, (R, N, N) proposal IoU matrices, (R, C)
+    positive-class mask). Proposals never change, so the IoU stack (8 N^2
+    bytes a record) is computed once for every clustering call of the run."""
+    by_count: dict[int, list[int]] = {}
+    for i, record in enumerate(records):
+        by_count.setdefault(len(record.proposals), []).append(i)
+    groups = []
+    for members in by_count.values():
+        boxes = np.stack([records[i].proposals for i in members])
+        ious = np.empty((len(members), boxes.shape[1], boxes.shape[1]))
+        for stack, b in zip(ious, boxes):
+            stack[...] = iou_matrix(b, b)
+        groups.append((members, boxes, ious, np.stack([records[i].labels == 1 for i in members])))
+    return groups
+
+
+def per_record_train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[TraceEntry]]:
+    """train_toy as it ran before its heads were stacked by proposal count:
+    every head's logits, softmaxes and gradient products one record at a
+    time, and targets and the SLV loss one record at a time. Only
+    clustering and the refinement loss run per group, as they did."""
+    records = _training_records(dataset)
+    groups = per_record_groups(records)
+    num_classes = dataset.num_classes
+    rng = np.random.default_rng(config.init_seed)
+    scorer = ToyScorer.initialize(num_classes, records[0].features.shape[1], rng)
+    trace: list[TraceEntry] = []
+    n = len(records)
+    for it in range(config.iterations):
+        w_s = 0.0 if config.mil_only else loss_weight(config.ramp_length, it)
+        # Aligned with scorer.heads(); the names below alias its arrays.
+        grads = [np.zeros_like(w) for w in scorer.heads()]
+        g_cls, g_det, *grads_refine, g_slv_cls, g_slv_reg = grads
+        # Phase 1: the MIL head of every record, then the refinement stages.
+        losses_mil = []
+        previous = []
+        for record in records:
+            feats = record.features
+            sigma_cls = softmax_over_classes(per_record_logits(scorer.w_cls, feats, it))
+            sigma_det = softmax_over_proposals(per_record_logits(scorer.w_det, feats, it))
+            phi0 = wsddn_scores(sigma_cls, sigma_det)
+            phi_img = image_scores(phi0)
+            l_mil, d_phi_img = mil_loss(phi_img, record.labels)
+            # image score sums over proposals, so its gradient broadcasts
+            d_sigma_cls = d_phi_img[:, None] * sigma_det
+            d_sigma_det = d_phi_img[:, None] * sigma_cls
+            g_cls += softmax_backward(sigma_cls, d_sigma_cls, axis=0) @ feats
+            g_det += softmax_backward(sigma_det, d_sigma_det, axis=1) @ feats
+            losses_mil.append(l_mil)
+            previous.append(phi0)
+
+        refine_losses: list[list[float]] = [[] for _ in records]
+        stages = []
+        for k, w_k in enumerate(scorer.w_refine):
+            stage = [softmax_over_classes(per_record_logits(w_k, r.features, it)) for r in records]
+            d_stage: list[np.ndarray] = [None] * n
+            for members, boxes, ious, labels in groups:
+                clusters = cluster_records(np.stack([previous[i] for i in members]), boxes, labels, ious)
+                losses, d_phi = refinement_losses(np.stack([stage[i] for i in members]), clusters)
+                for i, l_k, d_phi_k in zip(members, losses.tolist(), d_phi):
+                    refine_losses[i].append(l_k)
+                    d_stage[i] = d_phi_k
+            for record, phi_k, d_phi_k in zip(records, stage, d_stage):
+                grads_refine[k] += softmax_backward(phi_k, d_phi_k, axis=0) @ record.features
+            stages.append(stage)
+            previous = stage
+
+        # Phase 2: one vote over every record's averaged refinement scores.
+        if not config.mil_only:
+            batch = VoteBatch(config.vote)
+            for record, phis in zip(records, zip(*stages)):
+                batch.add(
+                    average_refined_scores(*phis),
+                    record.proposals, record.labels, record.height, record.width,
+                )
+            supervisions = batch.supervisions()
+
+        # Phase 3: targets, the SLV loss and its gradients, record by record.
+        sum_mil = 0.0
+        sum_refine = np.zeros(len(scorer.w_refine))
+        sum_slv = 0.0
+        sum_total = 0.0
+        for r, (record, l_mil, l_refine) in enumerate(zip(records, losses_mil, refine_losses)):
+            feats = record.features
+            l_slv = 0.0
+            if not config.mil_only:
+                proposal_targets = assign_targets(record.proposals, supervisions[r], num_classes)
+                phi_s = softmax_over_classes(per_record_logits(scorer.w_slv_cls, feats, it))
+                t_s = per_record_logits(scorer.w_slv_reg, feats, it).T
+                l_slv, d_phi_s, d_t_s, _vacuous = slv_loss(phi_s, t_s, proposal_targets)
+                if w_s > 0.0:
+                    g_slv_cls += w_s * (softmax_backward(phi_s, d_phi_s, axis=0) @ feats)
+                    g_slv_reg += w_s * (d_t_s.T @ feats)
+
+            if not all(math.isfinite(v) for v in (l_mil, *l_refine, l_slv)):
+                raise NumericalError(f"training diverged at iteration {it}")
+            l_total = total_loss(l_mil, l_refine, l_slv, w_s)
+            sum_mil += l_mil
+            sum_refine += np.asarray(l_refine)
+            sum_slv += l_slv
+            sum_total += l_total
+
+        lr = config.learning_rate / n
+        with np.errstate(over="ignore"):  # an overflowing step shows as a non-finite weight
+            for w, g in zip(scorer.heads(), grads):
+                w -= lr * g
+                if not np.isfinite(w).all():
+                    raise NumericalError(f"training diverged at iteration {it}")
+
+        trace.append(
+            TraceEntry(
+                iteration=it,
+                loss_mil=sum_mil / n,
+                loss_refine=tuple(sum_refine / n),
+                loss_slv=sum_slv / n,
+                weight_slv=w_s,
+                loss_total=sum_total / n,
+            )
+        )
+    return scorer, trace

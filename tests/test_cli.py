@@ -226,6 +226,26 @@ class TestExitCodes:
         # One iteration: only the check on the updated weights can catch it.
         assert captured.err.splitlines() == ["numerical error: training diverged at iteration 0"]
 
+    def test_mixed_feature_widths_are_one(self, tmp_path, capsys):
+        # Without a header feature_dim the loader takes any width per record;
+        # training needs one width for all of them.
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        header, *lines = (tmp_path / "data" / "dataset.jsonl").read_text().splitlines()
+        header = json.loads(header)
+        del header["feature_dim"]
+        narrow = json.loads(lines[2])
+        narrow["features"] = [row[:-1] for row in narrow["features"]]
+        lines[2] = json.dumps(narrow)
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join([json.dumps(header), *lines]) + "\n")
+        code, captured = run(["--out", tmp_path / "t", "train", mixed, "--iterations", "1"], capsys)
+        assert code == 1
+        width = len(json.loads(lines[0])["features"][0])
+        assert captured.err.splitlines() == [
+            f"error: train_toy: record {narrow['id']!r} has {width - 1} features per proposal,"
+            f" record {json.loads(lines[0])['id']!r} has {width}"
+        ]
+
     def test_non_finite_learning_rate_is_one(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"train": {"learning_rate": float("inf")}}))  # writes Infinity
