@@ -9,6 +9,7 @@ codes: 0 success, 1 input error, 2 numerical error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import re
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--iterations", type=int, default=None)
     train.add_argument("--lr", type=float, default=None)
     train.add_argument("--ramp", type=float, default=None, help="ramp length in iterations (inf keeps the voted-supervision weight at 0)")
-    train.add_argument("--mil-only", action="store_true", help="drop the voted-supervision branch entirely")
+    train.add_argument("--mil-only", action="store_true", default=None, help="drop the voted-supervision branch entirely")
     train.add_argument("--emit-detections", action="store_true", help="also run inference and write detections.jsonl")
     train.add_argument("--nms-iou", type=float, default=None)
     train.add_argument("--det-score-min", type=float, default=None)
@@ -100,7 +101,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: Path | None) -> dict:
+# Every config-file key: (section, key) -> (JSON type, the `args` field of
+# the flag that overrides it). A key that neither sets keeps the default of
+# the dataclass field or function parameter it feeds.
+_KEYS: dict[tuple[str, str], tuple[type, str | None]] = {
+    ("synthetic", "num_images"): (int, "images"),
+    ("synthetic", "image_size"): (int, "size"),
+    ("synthetic", "num_classes"): (int, "classes"),
+    ("synthetic", "objects_per_image"): (int, "objects"),
+    ("synthetic", "proposals_per_image"): (int, "proposals"),
+    ("synthetic", "jitter"): (float, "jitter"),
+    ("synthetic", "part_bias"): (float, "bias"),
+    ("synthetic", "feature_noise"): (float, None),
+    ("train", "iterations"): (int, "iterations"),
+    ("train", "learning_rate"): (float, "lr"),
+    ("train", "ramp_length"): (float, "ramp"),
+    ("train", "mil_only"): (bool, "mil_only"),
+    ("train", "nms_iou"): (float, "nms_iou"),
+    ("train", "det_score_min"): (float, "det_score_min"),
+    ("vote", "preset"): (str, "preset"),
+    ("vote", "t_score"): (float, "t_score"),
+    ("vote", "t_b_default"): (float, "t_b"),
+    ("vote", "t_b_per_class"): (dict, None),
+    ("evaluate", "iou_threshold"): (float, "iou_threshold"),
+    ("evaluate", "interpolation"): (str, "interpolation"),
+}
+
+# The train keys that `run_inference` takes, by its parameter names.
+_INFERENCE = {"nms_iou": "nms_iou", "det_score_min": "score_min"}
+
+
+def _checked(key: str, kind: type, value):
+    """The config value if it has the key's JSON type. A boolean passes only
+    for a bool; any number passes for a float and comes back as one, and
+    `ramp_length` may also be a numeric string such as "inf". `t_b_per_class`
+    maps class ids to numbers."""
+    if key == "t_b_per_class":
+        # `type(v)` rejects JSON booleans and numeric strings, which float() takes.
+        if isinstance(value, dict) and set(map(type, value.values())) <= {int, float}:
+            return value
+        raise ConfigError(f"config key 't_b_per_class' must map class ids to numbers, got {value!r}")
+    ramp = key == "ramp_length"
+    kinds = ((int, float, str) if ramp else (int, float)) if kind is float else kind
+    try:
+        if isinstance(value, bool) == (kind is bool) and isinstance(value, kinds):
+            return float(value) if kind is float else value  # float() fails past the float range
+    except (ValueError, OverflowError):
+        pass
+    expected = "a number or a numeric string" if ramp else f"of type {kind.__name__}"
+    raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+def _load_config(path: Path | None) -> dict[str, dict]:
+    """The config file's sections, every key and value checked against _KEYS."""
     if path is None:
         return {}
     try:
@@ -111,72 +164,43 @@ def _load_config(path: Path | None) -> dict:
         raise InputError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise InputError(f"config file {path}: top level must be an object")
+    for name, section in config.items():
+        if name not in {s for s, _ in _KEYS}:
+            raise ConfigError(f"unknown config section {name!r}")
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
+        for key, value in section.items():
+            if (name, key) not in _KEYS:
+                raise ConfigError(f"unknown config key {key!r} in section {name!r}")
+            section[key] = _checked(key, _KEYS[name, key][0], value)
     return config
 
 
-def _section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
-    return section
-
-
-def _pick(cli_value, section: dict, key: str, default):
-    """The command-line value, else the config value, else the default. A
-    config value must have the default's JSON type; an integer passes for
-    a float, and a boolean only for a boolean."""
-    if cli_value is not None:
-        return cli_value
-    if key not in section:
-        return default
-    value = section[key]
-    kinds = (int, float) if isinstance(default, float) else type(default)
-    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"config key {key!r} must be of type {type(default).__name__}, got {value!r}")
-    return value
+def _settings(args, config: dict, section: str) -> dict:
+    """The section's keys that are set: by their flag, else by the config file."""
+    flags = {key: getattr(args, flag, None) for (s, key), (_, flag) in _KEYS.items() if s == section and flag}
+    return {**config.get(section, {}), **{key: v for key, v in flags.items() if v is not None}}
 
 
 def _vote_config(args, config: dict, num_classes: int) -> VoteConfig:
     """The vote thresholds; config-file `t_b_per_class` keys must be decimal
     class ids below the dataset's `num_classes` (the preset's are not checked)."""
-    section = _section(config, "vote")
-    preset = getattr(args, "preset", None) or section.get("preset")
+    settings = _settings(args, config, "vote")
+    preset = settings.pop("preset", None)
     if preset not in (None, "voc2007"):
         raise InputError(f"unknown vote preset {preset!r}")
-    base = voc2007_config() if preset == "voc2007" else VoteConfig()
-    raw = section.get("t_b_per_class")
-    if raw is None:
-        per_class = base.t_b_per_class
-    else:
-        # `type(v)` rejects JSON booleans and numeric strings, which float() takes.
-        if not isinstance(raw, dict) or not set(map(type, raw.values())) <= {int, float}:
-            raise ConfigError(f"config key 't_b_per_class' must map class ids to numbers, got {raw!r}")
+    if "t_b_per_class" in settings:
+        raw = settings["t_b_per_class"]
         # int() would also read "1_0", " 1" or "01", and ignore ids past the last class.
         bad = [k for k in raw if not (_CLASS_ID.fullmatch(k) and int(k) < num_classes)]
         if bad:
-            raise ConfigError(
-                f"config key 't_b_per_class' has {bad[0]!r}, not a class id below {num_classes}"
-            )
-        per_class = {int(k): v for k, v in raw.items()}
-    return VoteConfig(
-        t_score=_pick(getattr(args, "t_score", None), section, "t_score", base.t_score),
-        t_b_default=_pick(getattr(args, "t_b", None), section, "t_b_default", base.t_b_default),
-        t_b_per_class=per_class,
-    )
+            raise ConfigError(f"config key 't_b_per_class' has {bad[0]!r}, not a class id below {num_classes}")
+        settings["t_b_per_class"] = {int(k): v for k, v in raw.items()}
+    return dataclasses.replace(voc2007_config() if preset else VoteConfig(), **settings)
 
 
 def _cmd_generate(args, config: dict) -> int:
-    section = _section(config, "synthetic")
-    scene = SyntheticSceneConfig(
-        num_images=_pick(args.images, section, "num_images", 50),
-        image_size=_pick(args.size, section, "image_size", 96),
-        num_classes=_pick(args.classes, section, "num_classes", 3),
-        objects_per_image=_pick(args.objects, section, "objects_per_image", 2),
-        proposals_per_image=_pick(args.proposals, section, "proposals_per_image", 40),
-        jitter=_pick(args.jitter, section, "jitter", 0.05),
-        part_bias=_pick(args.bias, section, "part_bias", 0.9),
-        feature_noise=_pick(None, section, "feature_noise", 0.05),
-    )
+    scene = SyntheticSceneConfig(**_settings(args, config, "synthetic"))
     dataset = generate_synthetic(scene, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     target = args.out / "dataset.jsonl"
@@ -185,28 +209,12 @@ def _cmd_generate(args, config: dict) -> int:
     return 0
 
 
-def _train_config(args, config: dict, num_classes: int) -> TrainConfig:
-    section = _section(config, "train")
-    ramp = section.get("ramp_length", 100.0) if args.ramp is None else args.ramp
-    try:
-        ramp_length = float(ramp)  # a string such as "inf" or "50" is allowed
-    except (TypeError, ValueError, OverflowError):
-        ramp_length = None
-    if ramp_length is None or isinstance(ramp, bool):  # float(True) is 1.0
-        raise ConfigError(f"config key 'ramp_length' must be a number or a numeric string, got {ramp!r}")
-    return TrainConfig(
-        iterations=_pick(args.iterations, section, "iterations", 200),
-        learning_rate=_pick(args.lr, section, "learning_rate", 1.0),
-        ramp_length=ramp_length,
-        mil_only=_pick(args.mil_only or None, section, "mil_only", False),
-        vote=_vote_config(args, config, num_classes),
-        init_seed=args.seed,
-    )
-
-
 def _cmd_train(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
-    train_config = _train_config(args, config, dataset.num_classes)
+    settings = _settings(args, config, "train")
+    inference = {name: settings.pop(key) for key, name in _INFERENCE.items() if key in settings}
+    vote_config = _vote_config(args, config, dataset.num_classes)
+    train_config = TrainConfig(**settings, vote=vote_config, init_seed=args.seed)
     scorer, trace = train_toy(dataset, train_config)
     args.out.mkdir(parents=True, exist_ok=True)
     scorer.save(args.out / "scorer.json")
@@ -215,13 +223,7 @@ def _cmd_train(args, config: dict) -> int:
     print(f"trained {train_config.iterations} iterations on {len(dataset)} records")
     print(f"loss_total first {first.loss_total:.6f} last {last.loss_total:.6f}")
     if args.emit_detections:
-        section = _section(config, "train")
-        detections = run_inference(
-            scorer,
-            dataset,
-            nms_iou=_pick(args.nms_iou, section, "nms_iou", 0.3),
-            score_min=_pick(args.det_score_min, section, "det_score_min", 1e-3),
-        )
+        detections = run_inference(scorer, dataset, **inference)
         save_detections(detections, args.out / "detections.jsonl")
         print(f"wrote {len(detections)} detections to {args.out / 'detections.jsonl'}")
     return 0
@@ -263,7 +265,6 @@ def _cmd_compare_schemes(args, config: dict) -> int:
 
 
 def _cmd_evaluate(args, config: dict) -> int:
-    section = _section(config, "evaluate")
     dataset = load_dataset(args.dataset)
     detections = load_detections(args.detections)
     for d in detections:
@@ -271,12 +272,7 @@ def _cmd_evaluate(args, config: dict) -> int:
             raise InputError(
                 f"detection for image {d.image_id!r} has unknown class id {d.class_id}"
             )
-    result = evaluate_detections(
-        detections,
-        dataset.ground_truth(),
-        iou_threshold=_pick(args.iou_threshold, section, "iou_threshold", 0.5),
-        interpolation=_pick(args.interpolation, section, "interpolation", ALL_POINTS),
-    )
+    result = evaluate_detections(detections, dataset.ground_truth(), **_settings(args, config, "evaluate"))
     report = format_report(result)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "metrics.txt").write_text(report, encoding="utf-8")

@@ -23,8 +23,7 @@ import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, starmap
-from operator import attrgetter
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -288,13 +287,11 @@ def binarize(likelihood: LikelihoodMap, t_b: float) -> BinaryGrid:
     return likelihood.cells > t_b
 
 
-def vote_boxes(grid: BinaryGrid) -> list[Box]:
+def vote_boxes(grid: BinaryGrid) -> np.ndarray:
     """Minimum bounding rectangles of the grid's connected regions, in the
-    grid's own cells."""
-    return [Box(*rect) for rect in region_boxes(grid).tolist()]
+    grid's own cells: `region_boxes`' (K, 4) int64 array."""
+    return region_boxes(grid)
 
-
-_CORNERS = attrgetter("x0", "y0", "x1", "y1")
 
 # A batch labels its waiting binary grids once they reach this many cells,
 # so one pass holds at most this plus one grid; the grids and their stacked
@@ -388,9 +385,7 @@ class VoteBatch:
         y_start = np.cumsum([0] + [len(w[3]) for w in waiting])
         x_start = np.cumsum([0] + [len(w[4]) for w in waiting])
         # Rectangles in the stack's cells; a region's block is its grid.
-        cell_boxes = vote_boxes(stacked.reshape(-1, width))
-        corners = chain.from_iterable(map(_CORNERS, cell_boxes))
-        rects = np.fromiter(corners, np.int64, 4 * len(cell_boxes)).reshape(-1, 4)
+        rects = vote_boxes(stacked.reshape(-1, width))
         k = rects[:, 1] // block
         rects[:, 0::2] = x_edges[rects[:, 0::2] + x_start[k, None]]
         rects[:, 1::2] = y_edges[rects[:, 1::2] + (y_start[k] - k * block)[:, None]]

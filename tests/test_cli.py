@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from slv.cli import main
+from slv.cli import _KEYS, _load_config, main
 from slv.datasets import load_dataset, load_detections, load_pseudo_labels
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -400,6 +400,7 @@ class TestExitCodes:
             ({"train": {"mil_only": 0}}, "'mil_only'"),
             ({"vote": {"t_b_per_class": {"0": "0.3"}}}, "'t_b_per_class'"),
             ({"vote": {"t_b_per_class": {"0": True}}}, "'t_b_per_class'"),
+            ({"train": {"learning_rate": 10**400}}, "'learning_rate'"),
         ],
     )
     def test_config_value_of_wrong_type_is_one(self, tmp_path, capsys, config, key):
@@ -500,3 +501,64 @@ class TestExitCodes:
         code, captured = run(train + ["--emit-detections"] + flags, capsys)
         assert code == 1
         assert captured.err.splitlines() == [f"error: run_inference: {message}"]
+
+
+class TestConfigKeys:
+    @pytest.fixture(scope="class")
+    def commands(self, tmp_path_factory):
+        """One argv per command, on inputs each command runs cleanly."""
+        root = tmp_path_factory.mktemp("keys")
+        assert run(["--seed", "3", "--out", root] + GENERATE_ARGS)[0] == 0
+        data = root / "dataset.jsonl"
+        return {
+            "generate": GENERATE_ARGS,
+            "train": ["train", data, "--iterations", "1"],
+            "vote": ["vote", data],
+            "compare-schemes": ["compare-schemes", data],
+            "evaluate": ["evaluate", FIXTURES / "eval_detections.jsonl", FIXTURES / "eval_dataset.jsonl"],
+        }
+
+    @pytest.mark.parametrize("command", ["generate", "train", "vote", "compare-schemes", "evaluate"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"sythetic": {"num_images": 3}}, "unknown config section 'sythetic'"),
+            ({"synthetic": {"num_imagse": 3}}, "unknown config key 'num_imagse' in section 'synthetic'"),
+            ({"train": {"iteratons": 1}}, "unknown config key 'iteratons' in section 'train'"),
+            ({"vote": {"t_scor": 0.1}}, "unknown config key 't_scor' in section 'vote'"),
+            ({"evaluate": {"iou_treshold": 0.5}}, "unknown config key 'iou_treshold' in section 'evaluate'"),
+        ],
+        ids=["section", "synthetic-key", "train-key", "vote-key", "evaluate-key"],
+    )
+    def test_misspelled_section_or_key_is_one(self, tmp_path, capsys, commands, command, config, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code, captured = run(["--config", path, "--out", tmp_path / "out"] + commands[command], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_flags_override_the_config_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"synthetic": {"num_images": 2, "image_size": 32}, "train": {"iterations": 4}}))
+        assert run(["--config", path, "--out", tmp_path / "data", "generate", "--images", "3"])[0] == 0
+        data = load_dataset(tmp_path / "data" / "dataset.jsonl")
+        assert (len(data), data.records[0].height) == (3, 32)
+        train = ["train", tmp_path / "data" / "dataset.jsonl", "--iterations", "2"]
+        assert run(["--config", path, "--out", tmp_path / "t"] + train)[0] == 0
+        assert len(json.loads((tmp_path / "t" / "trace.json").read_text())["entries"]) == 2
+
+    def test_readme_config_example_matches_the_key_table(self, tmp_path):
+        """Every key of README's example is in the table with the same JSON
+        type (an integer is also a JSON number), and every table key is in
+        the example."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        example = json.loads(block)
+        keys = {(name, key): value for name, section in example.items() for key, value in section.items()}
+        assert sorted(keys) == sorted(_KEYS)
+        for (name, key), value in keys.items():
+            kind = _KEYS[name, key][0]
+            assert (float if kind is float and type(value) is int else type(value)) is kind, (name, key, value)
+        path = tmp_path / "example.json"
+        path.write_text(block)
+        assert _load_config(path) == example

@@ -237,16 +237,16 @@ class TestVoteBoxes:
         likelihood = accumulate_fast(np.array([0]), boxes_to_array([box]), np.array([0.4]), 8, 10)
         normalized = normalize(likelihood)
         grid = normalized.pixels(binarize(normalized, 0.5))
-        assert vote_boxes(grid) == [box]
+        assert vote_boxes(grid).tolist() == [list(box.as_tuple())]
 
     def test_two_separated_regions(self):
         grid = np.zeros((8, 8), dtype=bool)
         grid[0:2, 0:2] = True
         grid[5:8, 5:7] = True
-        assert vote_boxes(grid) == [Box(0, 0, 2, 2), Box(5, 5, 7, 8)]
+        assert vote_boxes(grid).tolist() == [[0, 0, 2, 2], [5, 5, 7, 8]]
 
     def test_empty_grid(self):
-        assert vote_boxes(np.zeros((4, 4), dtype=bool)) == []
+        assert vote_boxes(np.zeros((4, 4), dtype=bool)).tolist() == []
 
 
 class TestVoteConfig:
@@ -336,9 +336,9 @@ def per_grid_vote(phi, boxes, y, height, width, config):
         maps.append((c, normalized.empty, normalized.data.tobytes()))
         if normalized.empty:
             continue
-        rects = vote_boxes(normalized.pixels(binarize(normalized, config.t_b_for(c))))
+        rects = vote_boxes(normalized.pixels(binarize(normalized, config.t_b_for(c)))).tolist()
         if rects:
-            voted[c] = rects
+            voted[c] = [Box(*r) for r in rects]
     return voted, maps
 
 
@@ -439,7 +439,7 @@ class TestVotingProperties:
         scaled = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores * factor, height, width))
         assert np.array_equal(base.data, scaled.data)
         assert np.array_equal(binarize(base, 0.5), binarize(scaled, 0.5))
-        assert vote_boxes(binarize(base, 0.5)) == vote_boxes(binarize(scaled, 0.5))
+        assert vote_boxes(binarize(base, 0.5)).tolist() == vote_boxes(binarize(scaled, 0.5)).tolist()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -451,7 +451,7 @@ class TestVotingProperties:
         base = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width))
         scaled = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores * factor, height, width))
         assert np.abs(base.data - scaled.data).max() < 1e-12
-        assert vote_boxes(binarize(base, 0.5)) == vote_boxes(binarize(scaled, 0.5))
+        assert vote_boxes(binarize(base, 0.5)).tolist() == vote_boxes(binarize(scaled, 0.5)).tolist()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
