@@ -240,7 +240,7 @@ def _cmd_vote(args, config: dict) -> int:
         log.error("record %s has no scores and no scorer was given; skipped", image_id)
     target = args.out / "pseudo_labels.jsonl"
     save_pseudo_labels(results, target)
-    boxes = sum(len(sup.all_boxes()) for _, sup in results)
+    boxes = sum(len(sup.boxes) for _, sup in results)
     print(f"voted {boxes} boxes over {len(results)} records to {target}")
     return 0
 

@@ -336,7 +336,7 @@ def save_pseudo_labels(items: Iterable[tuple[str, Supervision]], path: str | Pat
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for image_id, sup in items:
-            boxes = [{"class": c, "box": list(b.as_tuple())} for c, b in sup.all_boxes()]
+            boxes = [{"class": c, "box": b} for c, b in sup.all_boxes()]
             fh.write(json.dumps({"id": image_id, "boxes": boxes}) + "\n")
 
 
@@ -350,16 +350,21 @@ def load_pseudo_labels(path: str | Path) -> list[tuple[str, Supervision]]:
             raise DatasetFormatError(f"{where}: record must have 'id' and 'boxes'")
         if not isinstance(obj["boxes"], list):
             raise DatasetFormatError(f"{where}: field 'boxes' must be a list")
-        by_class: dict[int, list[Box]] = {}
+        classes, rows = [], []
         for k, entry in enumerate(obj["boxes"]):
             if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
                 raise DatasetFormatError(f"{where}: field 'boxes'[{k}] must have 'class' and 'box'")
             c = entry["class"]
             if type(c) is not int or c < 0:
                 raise DatasetFormatError(f"{where}: field 'boxes'[{k}].class {c!r} is not a class id")
-            box = _box_from_json(entry["box"], f"{where}: field 'boxes'[{k}].box")
-            by_class.setdefault(c, []).append(box)
-        out.append((str(obj["id"]), Supervision(boxes_by_class=by_class)))
+            classes.append(c)
+            rows.append(_box_from_json(entry["box"], f"{where}: field 'boxes'[{k}].box").as_tuple())
+        try:
+            classes, rows = np.array(classes, dtype=np.int64), np.array(rows, dtype=np.int64).reshape(-1, 4)
+        except OverflowError:
+            raise DatasetFormatError(f"{where}: a class id or box coordinate exceeds int64") from None
+        order = np.argsort(classes, kind="stable")  # by class, then in file order
+        out.append((str(obj["id"]), Supervision(rows[order], classes[order])))
     return out
 
 

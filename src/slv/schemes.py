@@ -11,9 +11,9 @@ import numpy as np
 
 from .datasets import Dataset, DatasetRecord
 from .errors import InputError
-from .geometry import Box, iou
+from .geometry import boxes_to_array, iou_matrix
 from .mil import build_clusters, positive_classes
-from .voting import VoteBatch, VoteConfig, generate_supervision
+from .voting import Supervision, VoteBatch, VoteConfig, generate_supervision
 
 SCHEME_CONVENTIONAL = "conventional"
 SCHEME_CLUSTERING = "clustering"
@@ -21,41 +21,26 @@ SCHEME_SLV = "slv"
 ALL_SCHEMES = (SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV)  # report order
 
 
-def label_conventional(
-    scores: np.ndarray, boxes: np.ndarray, y: np.ndarray
-) -> dict[int, list[Box]]:
+def label_conventional(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Supervision:
     """One box per positive class: the single highest-scoring proposal."""
-    out: dict[int, list[Box]] = {}
-    for c in positive_classes(y):
-        r = int(np.argmax(scores[c]))
-        out[c] = [Box(*boxes[r].tolist())]
-    return out
+    classes = np.array(positive_classes(y), dtype=np.int64)
+    if not len(boxes):  # a record without proposals labels nothing
+        return Supervision()
+    return Supervision(boxes[scores[classes].argmax(axis=1)], classes)
 
 
-def label_clustering(
-    scores: np.ndarray,
-    boxes: np.ndarray,
-    y: np.ndarray,
-) -> dict[int, list[Box]]:
-    """Highest-scoring proposal of every foreground cluster, per class."""
-    clusters = build_clusters(scores, boxes, y)
-    out: dict[int, list[Box]] = {}
-    for cluster in clusters.clusters:
-        members = list(cluster.members)
-        best = min(members, key=lambda r: (-scores[cluster.label, r], r))
-        out.setdefault(cluster.label, []).append(Box(*boxes[best].tolist()))
-    return out
+def label_clustering(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Supervision:
+    """Highest-scoring proposal of every foreground cluster; the clusters
+    come by class, then in seeding order."""
+    clusters = build_clusters(scores, boxes, y).clusters
+    best = [min(c.members, key=lambda r: (-scores[c.label, r], r)) for c in clusters]
+    return Supervision(boxes[best], np.array([c.label for c in clusters], dtype=np.int64))
 
 
-def label_slv(
-    scores: np.ndarray,
-    record: DatasetRecord,
-    config: VoteConfig,
-) -> dict[int, list[Box]]:
-    sup = generate_supervision(
+def label_slv(scores: np.ndarray, record: DatasetRecord, config: VoteConfig) -> Supervision:
+    return generate_supervision(
         scores, record.proposals, record.labels, record.height, record.width, config
     )
-    return {c: list(bs) for c, bs in sup.boxes_by_class.items()}
 
 
 @dataclass(frozen=True)
@@ -83,7 +68,7 @@ def compare_schemes(
     vote_config = vote_config or VoteConfig()
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
     records = sorted(dataset.records, key=lambda r: r.image_id)
-    labeled: list[dict[str, dict[int, list[Box]]]] = []
+    labeled: list[dict[str, Supervision]] = []
     batch = VoteBatch(vote_config)
     for record in records:
         if not record.gt_boxes:
@@ -98,14 +83,18 @@ def compare_schemes(
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
     for record, by_scheme, sup in zip(records, labeled, batch.supervisions()):
-        by_scheme[SCHEME_SLV] = sup.boxes_by_class
-        for name, by_class in by_scheme.items():
-            for c, labeled_boxes in by_class.items():
-                gt = record.gt_boxes.get(c, [])
-                if not gt:
-                    continue
-                bucket = ious[name].setdefault(c, [])
-                bucket.extend(max(iou(b, g) for g in gt) for b in labeled_boxes)
+        by_scheme[SCHEME_SLV] = sup
+        gt = boxes_to_array([b for bs in record.gt_boxes.values() for b in bs])
+        gt_classes = np.array([c for c, bs in record.gt_boxes.items() for _ in bs], dtype=np.int64)
+        # The three schemes' boxes in one IoU matrix: each box's best IoU
+        # with the ground truth of its own class, -1 when its class has none.
+        classes = np.concatenate([s.classes for s in by_scheme.values()])
+        overlaps = iou_matrix(np.concatenate([s.boxes for s in by_scheme.values()]), gt)
+        best = np.where(classes[:, None] == gt_classes, overlaps, -1.0).max(axis=1, initial=-1.0)
+        names = [name for name, s in by_scheme.items() for _ in range(len(s.classes))]
+        for name, c, value in zip(names, classes.tolist(), best.tolist()):
+            if value >= 0.0:
+                ious[name].setdefault(c, []).append(value)
     stats = []
     for name in ALL_SCHEMES:
         per_class = {c: float(np.mean(v)) for c, v in sorted(ious[name].items())}

@@ -146,17 +146,16 @@ def assign_targets(
     num_records, num = boxes.shape[:2]
     labels = np.full(num_records * num, IGNORED, dtype=np.int64)
     offsets = np.zeros((num_records * num, 4), dtype=np.float64)
-    voted = [s.all_boxes() for s in sup]
-    counts = np.array([len(v) for v in voted], dtype=np.int64)
+    counts = np.array([len(s.classes) for s in sup], dtype=np.int64)
     width = int(counts.max(initial=0))
     if width:
         # Unit-box padding, read as IoU -1 so it never wins and leaves a
         # record without votes ignored.
         slots = np.arange(width) < counts[:, None]
         voted_arr = np.tile(np.array([0, 0, 1, 1], dtype=np.int64), (num_records, width, 1))
-        voted_arr[slots] = boxes_to_array([g for v in voted for _, g in v])
+        voted_arr[slots] = np.concatenate([s.boxes for s in sup])
         classes = np.zeros((num_records, width), dtype=np.int64)
-        classes[slots] = [c for v in voted for c, _ in v]
+        classes[slots] = np.concatenate([s.classes for s in sup])
         overlaps = np.where(slots[:, None], iou_matrix(boxes, voted_arr), -1.0)
         # argmax takes the first maximum, so the lowest voted index wins ties.
         best = overlaps.argmax(axis=2)

@@ -23,13 +23,12 @@ import math
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .geometry import BinaryGrid, Box, region_boxes
+from .geometry import BinaryGrid, region_boxes
 from .mil import positive_classes
 
 # PASCAL VOC 2007/2012 category names, index order used for class ids.
@@ -133,22 +132,18 @@ def voc2007_config() -> VoteConfig:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Supervision:
-    """Voted pseudo ground truth: class id -> voted boxes, positive classes only."""
+    """One image's voted pseudo ground truth: `boxes`, a (K, 4) int64 array
+    of (x0, y0, x1, y1) rows, and `classes`, their (K,) int64 class ids,
+    ordered by class and then in vote order. Positive classes only."""
 
-    boxes_by_class: dict[int, list[Box]] = field(default_factory=dict)
+    boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
+    classes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.boxes_by_class.values())
-
-    def classes(self) -> list[int]:
-        return sorted(self.boxes_by_class)
-
-    def all_boxes(self) -> list[tuple[int, Box]]:
-        """(class_id, box) pairs, ordered by class then vote order."""
-        return [(c, b) for c in self.classes() for b in self.boxes_by_class[c]]
+    def all_boxes(self) -> list[tuple[int, list[int]]]:
+        """(class_id, [x0, y0, x1, y1]) pairs in order: the JSON view."""
+        return list(zip(self.classes.tolist(), self.boxes.tolist()))
 
 
 def select_candidates(
@@ -315,9 +310,10 @@ class VoteBatch:
 
     def __init__(self, config: VoteConfig) -> None:
         self.config = config
-        self._voted: list[dict[int, list[Box]]] = []
-        # (image's votes, class, cell grid, its y edges, its x edges)
-        self._waiting: list[tuple[dict[int, list[Box]], int, BinaryGrid, np.ndarray, np.ndarray]] = []
+        self._voted: list[Supervision] = []
+        self._images = 0  # images added since the last labeling pass
+        # (image, counted from the last pass; class; cell grid; its y edges; its x edges)
+        self._waiting: list[tuple[int, int, BinaryGrid, np.ndarray, np.ndarray]] = []
         self._cells = 0
 
     def add(
@@ -348,8 +344,8 @@ class VoteBatch:
             )
         if len(phi_bar) < len(y):
             raise InputError("generate_supervision: score matrix has no row for some class")
-        voted: dict[int, list[Box]] = {}
-        self._voted.append(voted)
+        image = self._images
+        self._images += 1
         for c in pos:
             candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
             if candidates.size == 0:
@@ -364,44 +360,44 @@ class VoteBatch:
                 on_map(normalized)
             if not normalized.empty:
                 grid = binarize(normalized, self.config.t_b_for(c))
-                self._waiting.append((voted, c, grid, normalized.y_edges, normalized.x_edges))
+                self._waiting.append((image, c, grid, normalized.y_edges, normalized.x_edges))
                 self._cells += grid.size
         if self._cells >= BATCH_CELLS:
             self._label()
 
     def _label(self) -> None:
-        """Label every waiting grid in one pass and file the boxes by image and class."""
-        if not self._waiting:
-            return
+        """Label every waiting grid in one pass and give each image of the
+        pass its Supervision."""
         waiting = self._waiting
-        block = 1 + max(w[2].shape[0] for w in waiting)
-        width = max(w[2].shape[1] for w in waiting)
-        stacked = np.zeros((len(waiting), block, width), dtype=bool)
-        for k, (_, _, grid, _, _) in enumerate(waiting):
-            stacked[k, : grid.shape[0], : grid.shape[1]] = grid
-        # Every grid's edges end to end, and the offset of each grid's own.
-        y_edges = np.concatenate([w[3] for w in waiting])
-        x_edges = np.concatenate([w[4] for w in waiting])
-        y_start = np.cumsum([0] + [len(w[3]) for w in waiting])
-        x_start = np.cumsum([0] + [len(w[4]) for w in waiting])
-        # Rectangles in the stack's cells; a region's block is its grid.
-        rects = vote_boxes(stacked.reshape(-1, width))
-        k = rects[:, 1] // block
-        rects[:, 0::2] = x_edges[rects[:, 0::2] + x_start[k, None]]
-        rects[:, 1::2] = y_edges[rects[:, 1::2] + (y_start[k] - k * block)[:, None]]
-        boxes = list(starmap(Box, rects.tolist()))
-        # Regions come in grid order; file each grid's run of boxes at once.
-        starts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
-        for lo, hi in zip(starts, [*starts[1:], len(boxes)]):
-            voted, c = waiting[k[lo]][:2]
-            voted.setdefault(c, []).extend(boxes[lo:hi])
-        self._waiting = []
-        self._cells = 0
+        rects, k = np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        if waiting:
+            block = 1 + max(w[2].shape[0] for w in waiting)
+            width = max(w[2].shape[1] for w in waiting)
+            stacked = np.zeros((len(waiting), block, width), dtype=bool)
+            for g, (_, _, grid, _, _) in enumerate(waiting):
+                stacked[g, : grid.shape[0], : grid.shape[1]] = grid
+            # Every grid's edges end to end, and the offset of each grid's own.
+            y_edges = np.concatenate([w[3] for w in waiting])
+            x_edges = np.concatenate([w[4] for w in waiting])
+            y_start = np.cumsum([0] + [len(w[3]) for w in waiting])
+            x_start = np.cumsum([0] + [len(w[4]) for w in waiting])
+            # Rectangles in the stack's cells; a region's block is its grid.
+            rects = vote_boxes(stacked.reshape(-1, width))
+            k = rects[:, 1] // block
+            rects[:, 0::2] = x_edges[rects[:, 0::2] + x_start[k, None]]
+            rects[:, 1::2] = y_edges[rects[:, 1::2] + (y_start[k] - k * block)[:, None]]
+        image = np.array([w[0] for w in waiting], dtype=np.int64)[k]
+        classes = np.array([w[1] for w in waiting], dtype=np.int64)[k]
+        # Regions come in grid order, so by image and then class: each
+        # image's boxes are one run.
+        bounds = np.searchsorted(image, np.arange(self._images + 1)).tolist()
+        self._voted += [Supervision(rects[a:b], classes[a:b]) for a, b in zip(bounds, bounds[1:])]
+        self._waiting, self._cells, self._images = [], 0, 0
 
     def supervisions(self) -> list[Supervision]:
         """One Supervision per added image, in the order they were added."""
         self._label()
-        return [Supervision(boxes_by_class=voted) for voted in self._voted]
+        return list(self._voted)
 
 
 def generate_supervision(

@@ -1,10 +1,11 @@
 """Shared test oracles: central finite differences, a literal per-pixel
 accumulation loop, a two-cumsum difference-array kernel, a flood-fill
-region labeling, scalar-IoU loops for greedy clustering, target assignment
-and NMS, per-proposal loops for the losses and the box coding, a per-row
-proposal loader, and the trainer's loop with every head run one record
-at a time. These stay independent of the implementation paths they
-check."""
+region labeling, scalar-IoU loops for greedy clustering, target assignment,
+NMS and the scheme comparison, per-proposal loops for the losses and the
+box coding, a per-row proposal loader, and the trainer's loop with every
+head run one record at a time. These stay independent of the
+implementation paths they check. `by_class` and `supervision` convert
+voted supervision to and from `Box` lists by class."""
 
 from __future__ import annotations
 
@@ -26,7 +27,25 @@ from slv.targets import (
     smooth_l1, smooth_l1_grad, total_loss,
 )
 from slv.trainer import ToyScorer, TraceEntry, TrainConfig, _training_records, fused_scores
-from slv.voting import VoteBatch
+from slv.schemes import ALL_SCHEMES, SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV, SchemeStats
+from slv.voting import Supervision, VoteBatch, generate_supervision
+
+
+def by_class(sup: Supervision) -> dict[int, list[Box]]:
+    """A Supervision's boxes as `Box` lists by class id, in vote order."""
+    out: dict[int, list[Box]] = {}
+    for c, box in sup.all_boxes():
+        out.setdefault(c, []).append(Box(*box))
+    return out
+
+
+def supervision(boxes_by_class: dict[int, list[Box]]) -> Supervision:
+    """A Supervision of `Box` lists by class id, ordered by class."""
+    pairs = [(c, b.as_tuple()) for c in sorted(boxes_by_class) for b in boxes_by_class[c]]
+    return Supervision(
+        np.array([b for _, b in pairs], dtype=np.int64).reshape(-1, 4),
+        np.array([c for c, _ in pairs], dtype=np.int64),
+    )
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -133,7 +152,7 @@ def matched_targets(boxes, sup, num_classes) -> ProposalTargets:
     labels = np.full(len(boxes), IGNORED, dtype=np.int64)
     offsets = np.zeros((len(boxes), 4))
     weights = np.zeros(len(boxes))
-    voted = sup.all_boxes()
+    voted = [(c, g) for c, bs in by_class(sup).items() for g in bs]
     for r, proposal in enumerate(boxes if voted else []):
         ious = [iou(proposal, g) for _, g in voted]
         best = max(range(len(voted)), key=lambda m: (ious[m], -m))
@@ -145,6 +164,44 @@ def matched_targets(boxes, sup, num_classes) -> ProposalTargets:
             labels[r] = num_classes
             weights[r] = 1.0
     return ProposalTargets(labels, offsets, weights, num_classes)
+
+
+def scalar_compare_schemes(dataset, score_fn, vote_config) -> list[SchemeStats]:
+    """compare_schemes as a loop over `Box` lists: every scheme labels a
+    record with a `{class: [Box]}` dict, and each labeled box scores its
+    best scalar iou() against the ground truth of its own class."""
+    ious = {name: {} for name in ALL_SCHEMES}
+    for record in sorted(dataset.records, key=lambda r: r.image_id):
+        scores, boxes = score_fn(record), [Box(*row) for row in record.proposals.tolist()]
+        pos = np.flatnonzero(np.asarray(record.labels) == 1).tolist()
+        clustering: dict[int, list[Box]] = {}
+        for cluster in greedy_clusters(scores, boxes, record.labels).clusters:
+            best = min(cluster.members, key=lambda r: (-scores[cluster.label, r], r))
+            clustering.setdefault(cluster.label, []).append(boxes[best])
+        voted = generate_supervision(
+            scores, record.proposals, record.labels, record.height, record.width, vote_config
+        )
+        by_scheme = {
+            SCHEME_CONVENTIONAL: {c: [boxes[int(np.argmax(scores[c]))]] for c in pos if boxes},
+            SCHEME_CLUSTERING: clustering,
+            SCHEME_SLV: by_class(voted),
+        }
+        for name, labeled in by_scheme.items():
+            for c, labeled_boxes in labeled.items():
+                gt = record.gt_boxes.get(c, [])
+                if gt:
+                    ious[name].setdefault(c, []).extend(max(iou(b, g) for g in gt) for b in labeled_boxes)
+    stats = []
+    for name in ALL_SCHEMES:
+        flat = [x for v in ious[name].values() for x in v]
+        stats.append(SchemeStats(
+            scheme=name,
+            per_class={c: float(np.mean(v)) for c, v in sorted(ious[name].items())},
+            per_class_count={c: len(v) for c, v in sorted(ious[name].items())},
+            overall=float(np.mean(flat)) if flat else 0.0,
+            count=len(flat),
+        ))
+    return stats
 
 
 def greedy_nms(boxes, scores, iou_threshold) -> list[int]:

@@ -29,7 +29,7 @@ from slv.voting import (
     voc2007_config,
 )
 
-from helpers import finite_difference_gradient, relative_error
+from helpers import by_class, finite_difference_gradient, relative_error, supervision
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,9 +119,7 @@ def test_gradient_suite_matches_finite_differences():
 
             sup_box = boxes[0]
             sup_class = int(rng.integers(num_classes))
-            from slv.voting import Supervision
-
-            targets = assign_targets(boxes_to_array(boxes), Supervision({sup_class: [sup_box]}), num_classes)
+            targets = assign_targets(boxes_to_array(boxes), supervision({sup_class: [sup_box]}), num_classes)
             t_s = targets.offsets + rng.uniform(0.1, 0.8, (num_proposals, 4)) * rng.choice(
                 [-1.0, 1.0], (num_proposals, 4)
             )
@@ -156,8 +154,8 @@ def test_single_voter_exactness():
             y = np.zeros(rows, dtype=int)
             y[class_id] = 1
             sup = generate_supervision(phi, boxes_to_array([box]), y, height, width, config)
-            assert sup.boxes_by_class == {class_id: [box]}
-            voted = sup.boxes_by_class[class_id][0]
+            assert by_class(sup) == {class_id: [box]}
+            voted = by_class(sup)[class_id][0]
             assert voted.as_tuple() == box.as_tuple()
 
 

@@ -18,9 +18,8 @@ from slv.geometry import Box, boxes_to_array
 from slv.mil import PROB_EPS, refinement_losses
 from slv.targets import assign_targets, slv_loss, slv_losses
 from slv.trainer import TrainConfig, train_toy
-from slv.voting import Supervision
 
-from helpers import matched_targets, per_record_train_toy, scalar_slv_loss
+from helpers import matched_targets, per_record_train_toy, scalar_slv_loss, supervision
 from test_batched_refinement import mixed_dataset
 
 CONFIGS = {
@@ -123,7 +122,7 @@ def target_groups(draw):
         phi = np.array(draw(st.lists(line, min_size=num_classes + 1, max_size=num_classes + 1)))
         offsets = st.lists(st.sampled_from([0.0, -0.5, 0.25, 1.0, -3.0]), min_size=4, max_size=4)
         t_s = np.array(draw(st.lists(offsets, min_size=num, max_size=num)))
-        records.append((proposals, Supervision(sup), phi, t_s))
+        records.append((proposals, supervision(sup), phi, t_s))
     return num_classes, records
 
 

@@ -346,6 +346,22 @@ class TestExitCodes:
             assert code == 1
             assert captured.err.splitlines() == ["error: record 'huge': accumulate: candidate scores are too large to sum"]
 
+    def test_record_without_proposals_votes_and_compares_nothing(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.jsonl"
+        record = {
+            "id": "empty", "height": 10, "width": 10, "labels": [1, 1],
+            "proposals": [], "scores": [[], []], "gt": [{"class": 0, "box": [0, 0, 6, 6]}],
+        }
+        header = {"schema": "slv/dataset", "version": 1, "num_classes": 2}
+        dataset.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        code, captured = run(["--out", tmp_path / "v", "vote", dataset], capsys)
+        assert code == 0, captured.err
+        code, captured = run(["--out", tmp_path / "c", "compare-schemes", dataset], capsys)
+        assert code == 0, captured.err
+        assert captured.out.splitlines() == [
+            f"scheme {name} overall mean_iou 0.000000 n 0" for name in ("clustering", "conventional", "slv")
+        ]
+
     def test_huge_learning_rate_detections_do_not_overflow(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert run(["--seed", "3", "--out", data_dir] + GENERATE_ARGS)[0] == 0

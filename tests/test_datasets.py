@@ -22,9 +22,8 @@ from slv.errors import DatasetFormatError, InputError
 from slv.evaluation import Detection
 from slv.geometry import Box, boxes_to_array
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
-from slv.voting import Supervision
 
-from helpers import rowwise_proposals
+from helpers import by_class, rowwise_proposals, supervision
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HEADER = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
@@ -397,19 +396,19 @@ class TestDatasetValidation:
 class TestPseudoLabels:
     def test_roundtrip(self, tmp_path):
         items = [
-            ("a", Supervision({0: [Box(1, 1, 5, 5)], 2: [Box(3, 3, 9, 9), Box(0, 0, 2, 2)]})),
-            ("b", Supervision()),
+            ("a", supervision({0: [Box(1, 1, 5, 5)], 2: [Box(3, 3, 9, 9), Box(0, 0, 2, 2)]})),
+            ("b", supervision({})),
         ]
         target = tmp_path / "labels.jsonl"
         save_pseudo_labels(items, target)
         loaded = load_pseudo_labels(target)
-        assert [(i, s.boxes_by_class) for i, s in loaded] == [
-            (i, s.boxes_by_class) for i, s in items
+        assert [(i, by_class(s)) for i, s in loaded] == [
+            (i, by_class(s)) for i, s in items
         ]
 
     def test_empty_supervision_keeps_record(self, tmp_path):
         target = tmp_path / "labels.jsonl"
-        save_pseudo_labels([("only", Supervision())], target)
+        save_pseudo_labels([("only", supervision({}))], target)
         lines = target.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1]) == {"id": "only", "boxes": []}
@@ -425,8 +424,10 @@ class TestPseudoLabels:
             ([{"class": 0, "box": [0, 0, True, 5]}], r"field 'boxes'\[0\]\.box: box coordinate x1=True is not"),
             (7, "field 'boxes' must be a list"),
             ({"class": 0, "box": [0, 0, 5, 5]}, "field 'boxes' must be a list"),
+            ([{"class": 2**63, "box": [0, 0, 5, 5]}], "a class id or box coordinate exceeds int64"),
+            ([{"class": 0, "box": [0, 0, 5, 2**64]}], "a class id or box coordinate exceeds int64"),
         ],
-        ids=["string", "float", "negative", "bool", "bool-box", "number-boxes", "object-boxes"],
+        ids=["string", "float", "negative", "bool", "bool-box", "number-boxes", "object-boxes", "huge-class", "huge-box"],
     )
     def test_bad_record_names_line(self, tmp_path, boxes, message):
         target = tmp_path / "labels.jsonl"

@@ -10,9 +10,9 @@ from slv.geometry import Box, boxes_to_array, iou, iou_matrix, nms
 from slv.mil import build_clusters
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets
-from slv.voting import Supervision, VoteConfig, generate_supervision
+from slv.voting import VoteConfig, generate_supervision
 
-from helpers import greedy_clusters, greedy_nms, matched_targets
+from helpers import greedy_clusters, greedy_nms, matched_targets, supervision
 
 # Pairs among these meet at IoU exactly 0.1 (1 vs 10 wide), 0.3 (3 vs 10),
 # 0.5 (1 vs 2, 5 vs 10, 10x1 vs 10x2) and 1/3, 0.2, 0.25, ...
@@ -71,7 +71,7 @@ def test_tie_boxes_hit_every_threshold_exactly():
         assert_same_clusters(build_clusters(scores, tie, y), want)
         assert_same_clusters(build_clusters(scores, TIE_BOXES, y, iou_matrix(tie, tie)), want)
     for g in TIE_BOXES:
-        sup = Supervision({0: [g]})
+        sup = supervision({0: [g]})
         assert_same_targets(assign_targets(tie, sup, 1), matched_targets(TIE_BOXES, sup, 1))
 
 
@@ -111,7 +111,7 @@ def test_assign_targets_matches_oracle(data):
     boxes = data.draw(box_lists)
     num_classes = data.draw(st.integers(1, 3))
     classes = data.draw(st.sets(st.integers(0, num_classes - 1)))
-    sup = Supervision({c: data.draw(st.lists(tie_boxes, max_size=4)) for c in sorted(classes)})
+    sup = supervision({c: data.draw(st.lists(tie_boxes, max_size=4)) for c in sorted(classes)})
     assert_same_targets(
         assign_targets(boxes_to_array(boxes), sup, num_classes), matched_targets(boxes, sup, num_classes)
     )
@@ -132,7 +132,7 @@ def test_no_proposals():
         build_clusters(np.zeros((1, 0)), boxes_to_array([]), y),
         greedy_clusters(np.zeros((1, 0)), [], y),
     )
-    sup = Supervision({0: [Box(0, 0, 2, 2)]})
+    sup = supervision({0: [Box(0, 0, 2, 2)]})
     assert_same_targets(assign_targets(boxes_to_array([]), sup, 1), matched_targets([], sup, 1))
     assert nms(boxes_to_array([]), [], 0.5) == []
 
@@ -152,7 +152,7 @@ def test_dense_synthetic_records_match_oracles():
         sup = generate_supervision(
             scores, record.proposals, record.labels, record.height, record.width, VoteConfig()
         )
-        assert not sup.is_empty
+        assert len(sup.boxes)
         assert_same_targets(
             assign_targets(record.proposals, sup, dataset.num_classes),
             matched_targets(boxes, sup, dataset.num_classes),

@@ -31,7 +31,6 @@ from slv.targets import (
     slv_loss,
 )
 from slv.trainer import ToyScorer, run_inference
-from slv.voting import Supervision
 
 from helpers import (
     matched_targets,
@@ -41,6 +40,7 @@ from helpers import (
     scalar_refinement_loss,
     scalar_run_inference,
     scalar_slv_loss,
+    supervision,
 )
 
 SATURATED = [0.0, PROB_EPS / 2, PROB_EPS, 2 * PROB_EPS, 0.5, 1 - 2 * PROB_EPS, 1 - PROB_EPS, 1 - PROB_EPS / 2, 1.0]
@@ -175,7 +175,7 @@ def test_assign_targets_matches_oracle_on_wide_boxes(seed, num, num_classes):
             x0, y0, x1, y1 = (boxes_to_array([proposals[p]])[0] + rng.integers(-3, 4, 4)).tolist()
             voted.append(Box(max(x0, 0), max(y0, 0), max(x1, x0 + 1, 1), max(y1, y0 + 1, 1)))
         sup[c] = voted
-    sup = Supervision(sup)
+    sup = supervision(sup)
     got, want = assign_targets(boxes_to_array(proposals), sup, num_classes), matched_targets(proposals, sup, num_classes)
     assert got.labels.tolist() == want.labels.tolist()
     assert np.array_equal(got.offsets, want.offsets)

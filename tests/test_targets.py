@@ -16,9 +16,8 @@ from slv.targets import (
     slv_loss,
     total_loss,
 )
-from slv.voting import Supervision
 
-from helpers import finite_difference_gradient, relative_error
+from helpers import finite_difference_gradient, relative_error, supervision
 
 
 def random_box(rng, size=100, min_side=4, max_side=30):
@@ -88,7 +87,7 @@ class TestEncodeDecode:
 class TestAssignTargets:
     def test_identity_match_is_foreground(self):
         g = Box(10, 10, 30, 30)
-        sup = Supervision({2: [g]})
+        sup = supervision({2: [g]})
         targets = assign_targets(boxes_to_array([g]), sup, num_classes=3)
         assert targets.labels.tolist() == [2]
         assert np.array_equal(targets.offsets[0], np.zeros(4))
@@ -99,7 +98,7 @@ class TestAssignTargets:
         g = Box(0, 0, 30, 30)
         p = Box(0, 0, 30, 9)  # IoU 270/900 = 0.3
         assert iou(p, g) == pytest.approx(0.3)
-        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g]}), num_classes=2)
+        targets = assign_targets(boxes_to_array([p]), supervision({0: [g]}), num_classes=2)
         assert targets.labels.tolist() == [2]  # background marker = num_classes
         assert targets.weights.tolist() == [1.0]
         assert targets.num_foreground == 0
@@ -107,12 +106,12 @@ class TestAssignTargets:
     def test_low_iou_is_ignored(self):
         g = Box(0, 0, 30, 30)
         p = Box(60, 60, 70, 70)
-        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g]}), num_classes=2)
+        targets = assign_targets(boxes_to_array([p]), supervision({0: [g]}), num_classes=2)
         assert targets.labels.tolist() == [IGNORED]
         assert targets.weights.tolist() == [0.0]
 
     def test_empty_supervision_ignores_everything(self):
-        targets = assign_targets(boxes_to_array([Box(0, 0, 5, 5), Box(5, 5, 9, 9)]), Supervision(), num_classes=2)
+        targets = assign_targets(boxes_to_array([Box(0, 0, 5, 5), Box(5, 5, 9, 9)]), supervision({}), num_classes=2)
         assert targets.labels.tolist() == [IGNORED, IGNORED]
         assert not targets.valid_mask.any()
 
@@ -120,14 +119,14 @@ class TestAssignTargets:
         g0 = Box(0, 0, 20, 20)
         g1 = Box(10, 0, 30, 20)
         p = Box(8, 0, 28, 20)  # closer to g1
-        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g0], 1: [g1]}), num_classes=2)
+        targets = assign_targets(boxes_to_array([p]), supervision({0: [g0], 1: [g1]}), num_classes=2)
         assert targets.labels.tolist() == [1]
 
 
 class TestSlvLoss:
     def _targets_one_fg(self):
         g = Box(10, 10, 30, 30)
-        return assign_targets(boxes_to_array([g]), Supervision({0: [g]}), num_classes=1)
+        return assign_targets(boxes_to_array([g]), supervision({0: [g]}), num_classes=1)
 
     def test_perfect_prediction_near_zero(self):
         targets = self._targets_one_fg()
@@ -148,14 +147,14 @@ class TestSlvLoss:
     def test_single_background_cross_entropy(self):
         p = Box(0, 0, 30, 9)
         g = Box(0, 0, 30, 30)
-        targets = assign_targets(boxes_to_array([p]), Supervision({0: [g]}), num_classes=1)
+        targets = assign_targets(boxes_to_array([p]), supervision({0: [g]}), num_classes=1)
         phi = np.array([[0.5], [0.5]])
         loss, g_scores, _, _ = slv_loss(phi, np.zeros((1, 4)), targets)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         assert g_scores[1, 0] == pytest.approx(-2.0)
 
     def test_vacuous_instance(self):
-        targets = assign_targets(boxes_to_array([Box(0, 0, 5, 5)]), Supervision(), num_classes=1)
+        targets = assign_targets(boxes_to_array([Box(0, 0, 5, 5)]), supervision({}), num_classes=1)
         phi = np.array([[0.5], [0.5]])
         loss, g_scores, g_offsets, vacuous = slv_loss(phi, np.zeros((1, 4)), targets)
         assert vacuous
@@ -167,7 +166,7 @@ class TestSlvLoss:
         for _ in range(20):
             num_classes, num_proposals = 3, 6
             sup_boxes = {int(rng.integers(num_classes)): [random_box(rng)] for _ in range(2)}
-            sup = Supervision({c: bs for c, bs in sup_boxes.items()})
+            sup = supervision({c: bs for c, bs in sup_boxes.items()})
             proposals = []
             for c, (g,) in sup_boxes.items():
                 proposals.append(g)  # guaranteed foreground

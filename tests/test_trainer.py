@@ -19,6 +19,8 @@ from slv.trainer import (
 )
 from slv.voting import VoteConfig, accumulate_fast, normalize, write_pgm
 
+from helpers import by_class
+
 
 def small_synthetic(num_images=6, seed=5, **kwargs):
     config = SyntheticSceneConfig(
@@ -101,7 +103,7 @@ class TestTrainToy:
         assert all(math.isfinite(e.loss_total) for e in trace)
         results, skipped = vote_dataset(dataset, VoteConfig(), scorer=scorer)
         assert skipped == []
-        assert results[0][1].boxes_by_class == {0: [box]}
+        assert by_class(results[0][1]) == {0: [box]}
 
     def test_divergence_aborts_with_iteration(self):
         dataset = small_synthetic(num_images=2)

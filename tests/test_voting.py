@@ -24,7 +24,7 @@ from slv.voting import (
     write_pgm,
 )
 
-from helpers import per_pixel_accumulate, two_cumsum_accumulate
+from helpers import by_class, per_pixel_accumulate, two_cumsum_accumulate
 
 MAX = np.finfo(np.float64).max
 # Around the largest score sum that stays finite when quadrupled.
@@ -279,21 +279,21 @@ class TestGenerateSupervision:
         box = Box(3, 4, 11, 9)
         phi = np.array([[0.6]])
         sup = generate_supervision(phi, boxes_to_array([box]), np.array([1]), 16, 16, VoteConfig())
-        assert sup.boxes_by_class == {0: [box]}
+        assert by_class(sup) == {0: [box]}
 
     def test_two_positive_classes_two_box_lists(self):
         boxes = [Box(0, 0, 5, 5), Box(10, 10, 15, 15)]
         phi = np.array([[0.9, 0.0], [0.0, 0.8]])
         sup = generate_supervision(phi, boxes_to_array(boxes), np.array([1, 1]), 20, 20, VoteConfig())
-        assert sup.classes() == [0, 1]
-        assert sup.boxes_by_class[0] == [boxes[0]]
-        assert sup.boxes_by_class[1] == [boxes[1]]
+        assert sorted(by_class(sup)) == [0, 1]
+        assert by_class(sup)[0] == [boxes[0]]
+        assert by_class(sup)[1] == [boxes[1]]
 
     def test_all_scores_below_threshold_is_empty_not_error(self):
         phi = np.array([[0.0005]])
         sup = generate_supervision(phi, boxes_to_array([Box(0, 0, 4, 4)]), np.array([1]), 8, 8, VoteConfig())
-        assert sup.is_empty
-        assert sup.boxes_by_class == {}
+        assert len(sup.boxes) == 0
+        assert by_class(sup) == {}
 
     def test_no_positive_class_errors(self):
         phi = np.array([[0.5]])
@@ -304,7 +304,7 @@ class TestGenerateSupervision:
         boxes = [Box(0, 0, 5, 5), Box(10, 10, 15, 15)]
         phi = np.array([[0.9, 0.0], [0.0, 0.8]])
         sup = generate_supervision(phi, boxes_to_array(boxes), np.array([1, 0]), 20, 20, VoteConfig())
-        assert sup.classes() == [0]
+        assert sorted(by_class(sup)) == [0]
 
 
 @st.composite
@@ -366,8 +366,10 @@ class TestVoteBatch:
             voted, image_maps = per_grid_vote(*image, config)
             want_maps += image_maps
             single = generate_supervision(*image, config)
-            assert list(sup.boxes_by_class.items()) == list(voted.items())
-            assert list(single.boxes_by_class.items()) == list(voted.items())
+            assert list(by_class(sup).items()) == list(voted.items())
+            assert list(by_class(single).items()) == list(voted.items())
+            assert sup.boxes.dtype == sup.classes.dtype == np.int64
+            assert sup.boxes.shape == (len(sup.classes), 4)
         assert maps == want_maps
 
 
@@ -423,7 +425,7 @@ class TestEdgeGrid:
         if peak > 0.0:
             pixels /= peak
         want = [] if peak <= 0.0 else [Box(*r) for r in region_boxes(pixels > t_b).tolist()]
-        assert sup.boxes_by_class.get(0, []) == want
+        assert by_class(sup).get(0, []) == want
         body = np.rint(255 * pixels).astype(np.uint8).tobytes()
         assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + body
 
@@ -472,7 +474,7 @@ class TestVotingProperties:
         sup = generate_supervision(phi, boxes_to_array(boxes), np.array([1]), height, width, VoteConfig())
         candidates = select_candidates(phi, boxes_to_array(boxes), 0, 0.001).tolist()
         if not candidates:
-            assert sup.is_empty
+            assert len(sup.boxes) == 0
             return
         hull = Box(
             min(boxes[i].x0 for i in candidates),
@@ -480,7 +482,7 @@ class TestVotingProperties:
             max(boxes[i].x1 for i in candidates),
             max(boxes[i].y1 for i in candidates),
         )
-        for _, voted in sup.all_boxes():
+        for voted in by_class(sup).get(0, []):
             assert voted.x0 >= hull.x0 and voted.y0 >= hull.y0
             assert voted.x1 <= hull.x1 and voted.y1 <= hull.y1
 
@@ -501,7 +503,7 @@ class TestVotingProperties:
             width,
             VoteConfig(),
         )
-        assert base.boxes_by_class == shuffled.boxes_by_class
+        assert by_class(base) == by_class(shuffled)
 
 
 class TestPgmExport:
