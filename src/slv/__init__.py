@@ -58,16 +58,14 @@ from .targets import (
     total_loss,
 )
 from .evaluation import (
-    Detection,
+    Detections,
     EvalResult,
-    GroundTruthSet,
     average_precision,
     corloc,
     evaluate_detections,
     format_report,
     match_detections,
     mean_ap,
-    top_detections,
 )
 from .datasets import Dataset, DatasetRecord, load_dataset, save_dataset
 from .synthetic import SyntheticSceneConfig, generate_synthetic

@@ -267,11 +267,12 @@ def _cmd_compare_schemes(args, config: dict) -> int:
 def _cmd_evaluate(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     detections = load_detections(args.detections)
-    for d in detections:
-        if not 0 <= d.class_id < dataset.num_classes:
-            raise InputError(
-                f"detection for image {d.image_id!r} has unknown class id {d.class_id}"
-            )
+    images = {record.image_id for record in dataset.records}
+    for image_id, class_id in zip(detections.image_ids, detections.classes.tolist()):
+        if not 0 <= class_id < dataset.num_classes:
+            raise InputError(f"detection for image {image_id!r} has unknown class id {class_id}")
+        if image_id not in images:
+            raise InputError(f"detection for image {image_id!r}: no such image in the dataset")
     result = evaluate_detections(detections, dataset.ground_truth(), **_settings(args, config, "evaluate"))
     report = format_report(result)
     args.out.mkdir(parents=True, exist_ok=True)

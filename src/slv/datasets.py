@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Callable, Iterable, Sequence
+import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetFormatError, InputError
-from .evaluation import Detection, GroundTruthSet
+from .evaluation import Detections, GroundTruth
 from .geometry import Box, boxes_to_array, clip_box
 from .voting import Supervision
 
@@ -30,13 +31,15 @@ SCHEMA_VERSION = 1
 # JPEG's limit; larger sides would make vote grids that cannot be allocated.
 MAX_IMAGE_SIDE = 65535
 CLIPPED = "%s: proposal %d %s clipped to %s for %dx%d image"  # log format
+INT64_LIMIT = 2**63  # int64 holds [-INT64_LIMIT, INT64_LIMIT)
 
 
 @dataclass
 class DatasetRecord:
     """One image: size, binary class labels, proposals as one (R, 4) int64
     array of (x0, y0, x1, y1) rows, and optional per-proposal features,
-    score matrix, and ground-truth boxes (`Box` lists by class id)."""
+    score matrix, and ground-truth boxes ((G, 4) int64 arrays by class id,
+    rows in file order)."""
 
     image_id: str
     height: int
@@ -45,7 +48,7 @@ class DatasetRecord:
     proposals: np.ndarray                    # (R, 4) int64
     features: np.ndarray | None = None       # (R, D)
     scores: np.ndarray | None = None         # (num_classes, R)
-    gt_boxes: dict[int, list[Box]] | None = None
+    gt_boxes: dict[int, np.ndarray] | None = None
 
     @property
     def num_proposals(self) -> int:
@@ -65,13 +68,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def ground_truth(self) -> GroundTruthSet:
-        """Collect the records' ground-truth boxes for evaluation."""
-        out: dict[str, dict[int, list[Box]]] = {}
-        for record in self.records:
-            if record.gt_boxes:
-                out[record.image_id] = {c: list(bs) for c, bs in record.gt_boxes.items() if bs}
-        return GroundTruthSet(boxes=out)
+    def ground_truth(self) -> GroundTruth:
+        """The records' ground-truth boxes for evaluation, by image id."""
+        return {record.image_id: record.gt_boxes for record in self.records if record.gt_boxes}
 
 
 def _box_from_json(raw, where: str) -> Box:
@@ -200,7 +199,7 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
     scores = _number_field(obj, "scores", where, lambda shape: None if shape == want else f"must be {want}")
     gt_boxes = None
     if obj.get("gt") is not None:
-        gt_boxes = {}
+        gt_rows: dict[int, list[list[int]]] = {}
         for k, entry in enumerate(obj["gt"]):
             if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
                 raise DatasetFormatError(f"{where}: field 'gt'[{k}] must have 'class' and 'box'")
@@ -211,7 +210,8 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             box = _box_from_json(entry["box"], f"{where}: field 'gt'[{k}].box")
             if box.x1 > width or box.y1 > height:
                 raise DatasetFormatError(f"{where}: field 'gt'[{k}].box exceeds image bounds")
-            gt_boxes.setdefault(c, []).append(box)
+            gt_rows.setdefault(c, []).append(entry["box"])
+        gt_boxes = {c: np.array(rows, dtype=np.int64) for c, rows in gt_rows.items()}
     return DatasetRecord(
         image_id=image_id,
         height=height,
@@ -305,9 +305,9 @@ def _record_to_json(record: DatasetRecord) -> dict:
     }
     if record.gt_boxes is not None:
         obj["gt"] = [
-            {"class": c, "box": list(b.as_tuple())}
+            {"class": c, "box": box}
             for c in sorted(record.gt_boxes)
-            for b in record.gt_boxes[c]
+            for box in record.gt_boxes[c].tolist()
         ]
     else:
         obj["gt"] = None
@@ -368,49 +368,51 @@ def load_pseudo_labels(path: str | Path) -> list[tuple[str, Supervision]]:
     return out
 
 
-def save_detections(dets: Sequence[Detection], path: str | Path) -> None:
+def save_detections(dets: Detections, path: str | Path) -> None:
     path = Path(path)
     header = {"schema": DETECTIONS_SCHEMA, "version": SCHEMA_VERSION}
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for d in dets:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": d.image_id,
-                        "class": d.class_id,
-                        "box": list(d.box.as_tuple()),
-                        "score": d.score,
-                    }
-                )
-                + "\n"
-            )
+        for image_id, c, box, score in zip(dets.image_ids, dets.classes.tolist(), dets.boxes.tolist(), dets.scores.tolist()):
+            fh.write(json.dumps({"id": image_id, "class": c, "box": box, "score": score}) + "\n")
 
 
-def load_detections(path: str | Path) -> list[Detection]:
+def load_detections(path: str | Path) -> Detections:
+    """Load and validate a detections file; every line is checked before the
+    columns are built, and errors carry file:line positions."""
     path = Path(path)
     _, lines = _read_header(path, DETECTIONS_SCHEMA)
-    out: list[Detection] = []
+    ids: list[str] = []
+    classes: list[int] = []
+    boxes: list[list[int]] = []
+    scores: list[float] = []
     for lineno, obj in _parse_lines(path, lines):
         where = f"{path}:{lineno}"
         for key in ("id", "class", "box", "score"):
             if key not in obj:
                 raise DatasetFormatError(f"{where}: missing field {key!r}")
-        if type(obj["class"]) is not int:
+        c, box, score = obj["class"], obj["box"], obj["score"]
+        if type(c) is not int:
             raise DatasetFormatError(f"{where}: field 'class' must be an integer")
-        box = _box_from_json(obj["box"], f"{where}: field 'box'")
+        _box_from_json(box, f"{where}: field 'box'")
         # `type(...)` rejects JSON booleans and numeric strings, which float() takes.
-        if type(obj["score"]) not in (int, float):
+        if type(score) not in (int, float):
             raise DatasetFormatError(f"{where}: field 'score' must be a JSON number")
         try:
-            out.append(
-                Detection(
-                    image_id=str(obj["id"]),
-                    class_id=obj["class"],
-                    box=box,
-                    score=float(obj["score"]),
-                )
-            )
-        except (InputError, OverflowError) as exc:
+            score = float(score)
+        except OverflowError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
-    return out
+        if not math.isfinite(score):
+            raise DatasetFormatError(f"{where}: Detection score must be finite, got {score}")
+        if not -INT64_LIMIT <= c < INT64_LIMIT or max(box) >= INT64_LIMIT:  # box corners are non-negative
+            raise DatasetFormatError(f"{where}: a class id or box coordinate exceeds int64")
+        ids.append(str(obj["id"]))
+        classes.append(c)
+        boxes.append(box)
+        scores.append(score)
+    return Detections(
+        ids,
+        np.array(classes, dtype=np.int64),
+        np.array(boxes, dtype=np.int64).reshape(-1, 4),
+        np.array(scores, dtype=np.float64),
+    )

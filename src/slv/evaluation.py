@@ -3,76 +3,74 @@ per-class average precision, mAP, and CorLoc."""
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import Box, iou
+from .geometry import iou_matrix
 
 ALL_POINTS = "all_points"
 ELEVEN_POINT = "eleven_point"
 
 
-@dataclass(frozen=True)
-class Detection:
-    image_id: str
-    class_id: int
-    box: Box
-    score: float
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detections as columns: row k is a box `boxes[k]` of class `classes[k]`
+    on image `image_ids[k]`, scored `scores[k]`."""
+
+    image_ids: list[str]
+    classes: np.ndarray  # (D,) int64
+    boxes: np.ndarray  # (D, 4) int64
+    scores: np.ndarray  # (D,) float64
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise InputError(f"Detection score must be finite, got {self.score}")
+        if not np.isfinite(self.scores).all():  # argsort and sorted() place NaN differently
+            raise InputError("Detections: scores must be finite")
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
 
-@dataclass(frozen=True)
-class GroundTruthSet:
-    """Ground-truth boxes indexed by image id, then class id."""
-
-    boxes: dict[str, dict[int, list[Box]]] = field(default_factory=dict)
-
-    def boxes_for(self, image_id: str, class_id: int) -> list[Box]:
-        return self.boxes.get(image_id, {}).get(class_id, [])
-
-    def class_ids(self) -> list[int]:
-        return sorted({c for per_image in self.boxes.values() for c in per_image})
-
-    def images_with_class(self, class_id: int) -> list[str]:
-        return sorted(img for img, per_image in self.boxes.items() if per_image.get(class_id))
-
-    def num_gt(self, class_id: int) -> int:
-        return sum(len(per_image.get(class_id, [])) for per_image in self.boxes.values())
+# Ground-truth boxes by image id, then class id: (G, 4) int64 arrays.
+GroundTruth = Mapping[str, Mapping[int, np.ndarray]]
 
 
-def match_detections(
-    dets: Sequence[Detection], gt: GroundTruthSet, iou_threshold: float = 0.5
-) -> list[bool]:
+def _ranked_groups(dets: Detections) -> dict[tuple[str, int], list[int]]:
+    """Row indices of each (image, class) group of detections, in
+    descending score order with ties by row."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    classes = dets.classes.tolist()
+    for i in np.argsort(-dets.scores, kind="stable").tolist():
+        groups.setdefault((dets.image_ids[i], classes[i]), []).append(i)
+    return groups
+
+
+def match_detections(dets: Detections, gt: GroundTruth, iou_threshold: float = 0.5) -> list[bool]:
     """Greedy TP/FP flags, aligned with the input detections.
 
     Detections are visited in descending score order (ties by input
     order); each claims its best-overlapping unmatched ground-truth box of
-    the same image and class when the overlap strictly exceeds the
-    threshold. Later detections on an already claimed box are FP.
+    the same image and class (the first of equal overlaps) when the overlap
+    strictly exceeds the threshold. Later detections on an already claimed
+    box are FP. Detection boxes are compared as float64, so a huge box
+    cannot overflow its area.
     """
     flags = [False] * len(dets)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    claimed: set[tuple[str, int, int]] = set()
-    for i in order:
-        det = dets[i]
-        candidates = gt.boxes_for(det.image_id, det.class_id)
-        best_iou, best_m = 0.0, -1
-        for m, g in enumerate(candidates):
-            if (det.image_id, det.class_id, m) in claimed:
-                continue
-            overlap = iou(det.box, g)
-            if overlap > best_iou:
-                best_iou, best_m = overlap, m
-        if best_m >= 0 and best_iou > iou_threshold:
-            flags[i] = True
-            claimed.add((det.image_id, det.class_id, best_m))
+    boxes = dets.boxes.astype(np.float64)
+    for (image_id, class_id), rows in _ranked_groups(dets).items():
+        truth = gt.get(image_id, {}).get(class_id)
+        if truth is None:
+            continue
+        claimed = [False] * len(truth)
+        for i, overlaps in zip(rows, iou_matrix(boxes[rows], truth).tolist()):
+            best_iou, best_m = 0.0, -1
+            for m, overlap in enumerate(overlaps):
+                if overlap > best_iou and not claimed[m]:
+                    best_iou, best_m = overlap, m
+            if best_m >= 0 and best_iou > iou_threshold:
+                flags[i] = claimed[best_m] = True
     return flags
 
 
@@ -120,40 +118,26 @@ def mean_ap(per_class_ap: Mapping[int, float]) -> float:
     return float(sum(per_class_ap.values()) / len(per_class_ap))
 
 
-def top_detections(dets: Iterable[Detection]) -> dict[tuple[str, int], Detection]:
-    """Highest-scored detection per (image, class); ties keep the earlier one."""
-    best: dict[tuple[str, int], Detection] = {}
-    for det in dets:
-        key = (det.image_id, det.class_id)
-        if key not in best or det.score > best[key].score:
-            best[key] = det
-    return best
+def corloc(dets: Detections, gt: GroundTruth, flags: Sequence[bool]) -> dict[int, float]:
+    """Per-class fraction of class-positive images whose top detection of
+    that class is a true positive in `match_detections` flags.
 
-
-def corloc(
-    top_dets: Mapping[tuple[str, int], Detection],
-    gt: GroundTruthSet,
-    iou_threshold: float = 0.5,
-) -> dict[int, float]:
-    """Per-class fraction of class-positive images whose top detection
-    strictly overlaps some ground-truth box of that class.
-
-    Classes absent from every image are excluded from the result.
+    The top detection of an image and class is the first that matching
+    visits there, when every ground-truth box is still unclaimed, so it is
+    a true positive exactly when its IoU with some ground-truth box of that
+    class exceeds the threshold. Classes absent from every image are
+    excluded from the result.
     """
-    result: dict[int, float] = {}
-    for c in gt.class_ids():
-        images = gt.images_with_class(c)
-        if not images:
-            continue
-        correct = 0
-        for img in images:
-            det = top_dets.get((img, c))
-            if det is None:
-                continue
-            if any(iou(det.box, g) > iou_threshold for g in gt.boxes_for(img, c)):
-                correct += 1
-        result[c] = correct / len(images)
-    return result
+    if len(flags) != len(dets):
+        raise InputError(f"corloc: {len(flags)} flags but {len(dets)} detections")
+    top = {key: rows[0] for key, rows in _ranked_groups(dets).items()}
+    hits: dict[int, list[bool]] = {}
+    for image_id, per_image in gt.items():
+        for c, truth in per_image.items():
+            if len(truth):
+                i = top.get((image_id, c))
+                hits.setdefault(c, []).append(i is not None and flags[i])
+    return {c: sum(h) / len(h) for c, h in sorted(hits.items())}
 
 
 @dataclass(frozen=True)
@@ -164,8 +148,8 @@ class EvalResult:
 
 
 def evaluate_detections(
-    dets: Sequence[Detection],
-    gt: GroundTruthSet,
+    dets: Detections,
+    gt: GroundTruth,
     iou_threshold: float = 0.5,
     interpolation: str = ALL_POINTS,
 ) -> EvalResult:
@@ -173,21 +157,17 @@ def evaluate_detections(
     detections. Classes with detections but no ground truth score AP 0."""
     if not 0.0 <= iou_threshold < 1.0:  # NaN fails too
         raise InputError(f"evaluate_detections: iou_threshold must be in [0, 1), got {iou_threshold}")
-    classes = sorted(set(gt.class_ids()) | {d.class_id for d in dets})
+    classes = sorted({c for per_image in gt.values() for c in per_image} | set(dets.classes.tolist()))
     if not classes:
         raise InputError("evaluate_detections: nothing to evaluate")
     flags = match_detections(dets, gt, iou_threshold)
+    scores = dets.scores.tolist()
     ap: dict[int, float] = {}
     for c in classes:
-        idx = [i for i, d in enumerate(dets) if d.class_id == c]
-        ap[c] = average_precision(
-            [flags[i] for i in idx],
-            [dets[i].score for i in idx],
-            gt.num_gt(c),
-            interpolation,
-        )
-    loc = corloc(top_detections(dets), gt, iou_threshold)
-    return EvalResult(ap=ap, corloc=loc, mean_ap=mean_ap(ap))
+        idx = np.flatnonzero(dets.classes == c).tolist()
+        n_gt = sum(len(per_image.get(c, ())) for per_image in gt.values())
+        ap[c] = average_precision([flags[i] for i in idx], [scores[i] for i in idx], n_gt, interpolation)
+    return EvalResult(ap=ap, corloc=corloc(dets, gt, flags), mean_ap=mean_ap(ap))
 
 
 def format_report(result: EvalResult) -> str:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .datasets import Dataset, DatasetRecord
 from .errors import InputError
-from .geometry import boxes_to_array, iou_matrix
+from .geometry import iou_matrix
 from .mil import build_clusters, positive_classes
 from .voting import Supervision, VoteBatch, VoteConfig, generate_supervision
 
@@ -84,8 +84,8 @@ def compare_schemes(
             raise InputError(f"record {record.image_id!r}: {exc}") from None
     for record, by_scheme, sup in zip(records, labeled, batch.supervisions()):
         by_scheme[SCHEME_SLV] = sup
-        gt = boxes_to_array([b for bs in record.gt_boxes.values() for b in bs])
-        gt_classes = np.array([c for c, bs in record.gt_boxes.items() for _ in bs], dtype=np.int64)
+        gt = np.concatenate(list(record.gt_boxes.values()))
+        gt_classes = np.repeat(list(record.gt_boxes), [len(b) for b in record.gt_boxes.values()])
         # The three schemes' boxes in one IoU matrix: each box's best IoU
         # with the ground truth of its own class, -1 when its class has none.
         classes = np.concatenate([s.classes for s in by_scheme.values()])

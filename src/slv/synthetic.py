@@ -180,9 +180,9 @@ def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
             noisy = overlap + rng.normal(0.0, config.feature_noise, size=num)
             features[:, 5 + c] = np.clip(noisy, 0.0, 1.0)
 
-        gt_boxes: dict[int, list[Box]] = {}
+        gt_objects: dict[int, list[Box]] = {}
         for obj, c in zip(objects, classes):
-            gt_boxes.setdefault(c, []).append(obj)
+            gt_objects.setdefault(c, []).append(obj)
 
         records.append(
             DatasetRecord(
@@ -193,7 +193,7 @@ def generate_synthetic(config: SyntheticSceneConfig, seed: int) -> Dataset:
                 proposals=boxes,
                 features=features,
                 scores=scores,
-                gt_boxes=gt_boxes,
+                gt_boxes={c: boxes_to_array(objs) for c, objs in gt_objects.items()},
             )
         )
     return Dataset(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .datasets import Dataset, DatasetRecord, _numbers_only
 from .errors import ConfigError, InputError, NumericalError
-from .evaluation import Detection
+from .evaluation import Detections
 from .mil import (
     average_refined_scores,
     cluster_records,
@@ -54,7 +54,7 @@ from .mil import (
     softmax_over_proposals,
     wsddn_scores,
 )
-from .geometry import Box, iou_matrix, nms
+from .geometry import iou_matrix, nms
 from .targets import assign_targets, decode_boxes, loss_weight, slv_losses, total_loss
 from .voting import Supervision, VoteBatch, VoteConfig, write_pgm
 
@@ -408,14 +408,15 @@ def run_inference(
     dataset: Dataset,
     nms_iou: float = 0.3,
     score_min: float = 1e-3,
-) -> list[Detection]:
+) -> Detections:
     """Detections for every record: shift proposals by the regression
     offsets, then per-class NMS on the fused scores."""
     if not 0.0 < nms_iou < 1.0:
         raise InputError(f"run_inference: nms_iou must be in (0, 1), got {nms_iou}")
     if not math.isfinite(score_min):
         raise InputError(f"run_inference: score_min must be finite, got {score_min}")
-    detections: list[Detection] = []
+    ids: list[str] = []
+    classes, boxes, scores = [np.zeros(0, np.int64)], [np.zeros((0, 4), np.int64)], [np.zeros(0)]
     for record in sorted(dataset.records, key=lambda r: r.image_id):
         if record.features is None:
             raise InputError(f"run_inference: record {record.image_id!r} has no features")
@@ -429,13 +430,12 @@ def run_inference(
             scored = valid[class_scores[c, valid] > score_min]
             if not scored.size:
                 continue
-            scores = class_scores[c, scored].tolist()
-            # Boxes are built only for the detections NMS keeps.
-            detections.extend(
-                Detection(image_id=record.image_id, class_id=c, box=Box(*decoded[scored[k]].tolist()), score=scores[k])
-                for k in nms(decoded[scored], scores, iou_threshold=nms_iou)
-            )
-    return detections
+            kept = scored[nms(decoded[scored], class_scores[c, scored], iou_threshold=nms_iou)]
+            ids += [record.image_id] * len(kept)
+            classes.append(np.full(len(kept), c, dtype=np.int64))
+            boxes.append(decoded[kept])
+            scores.append(class_scores[c, kept])
+    return Detections(ids, np.concatenate(classes), np.concatenate(boxes), np.concatenate(scores))
 
 
 def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> np.ndarray | None:

@@ -1,11 +1,13 @@
 """Shared test oracles: central finite differences, a literal per-pixel
 accumulation loop, a two-cumsum difference-array kernel, a flood-fill
 region labeling, scalar-IoU loops for greedy clustering, target assignment,
-NMS and the scheme comparison, per-proposal loops for the losses and the
-box coding, a per-row proposal loader, and the trainer's loop with every
-head run one record at a time. These stay independent of the
-implementation paths they check. `by_class` and `supervision` convert
-voted supervision to and from `Box` lists by class."""
+NMS, the scheme comparison and detection evaluation, per-proposal loops
+for the losses and the box coding, a per-row proposal loader, and the
+trainer's loop with every head run one record at a time. These stay
+independent of the implementation paths they check. `by_class` and
+`supervision` convert voted supervision to and from `Box` lists by class;
+`detections`, `detection_rows` and `ground_truth` do the same for
+detection columns and ground-truth arrays."""
 
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ import numpy as np
 
 from slv.datasets import Dataset, DatasetRecord
 from slv.errors import DatasetFormatError, InputError, NumericalError
-from slv.evaluation import Detection
-from slv.geometry import Box, clip_box, iou, iou_matrix
+from slv.evaluation import ALL_POINTS, Detections, EvalResult, average_precision, mean_ap
+from slv.geometry import Box, boxes_to_array, clip_box, iou, iou_matrix
 from slv.mil import (
     CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet, average_refined_scores, cluster_records,
     image_scores, mil_loss, refinement_losses, softmax_backward, softmax_over_classes, softmax_over_proposals,
@@ -46,6 +48,74 @@ def supervision(boxes_by_class: dict[int, list[Box]]) -> Supervision:
         np.array([b for _, b in pairs], dtype=np.int64).reshape(-1, 4),
         np.array([c for c, _ in pairs], dtype=np.int64),
     )
+
+
+def detections(rows) -> Detections:
+    """Detections from (image id, class, Box, score) rows."""
+    return Detections(
+        [image_id for image_id, _, _, _ in rows],
+        np.array([c for _, c, _, _ in rows], dtype=np.int64),
+        np.array([b.as_tuple() for _, _, b, _ in rows], dtype=np.int64).reshape(-1, 4),
+        np.array([s for _, _, _, s in rows], dtype=np.float64),
+    )
+
+
+def detection_rows(dets: Detections) -> list[tuple[str, int, Box, float]]:
+    """Detection columns as (image id, class, Box, score) rows."""
+    boxes = [Box(*b) for b in dets.boxes.tolist()]
+    return list(zip(dets.image_ids, dets.classes.tolist(), boxes, dets.scores.tolist()))
+
+
+def ground_truth(boxes: dict[str, dict[int, list[Box]]]) -> dict[str, dict[int, np.ndarray]]:
+    """Ground truth `{image: {class: [Box]}}` as `{image: {class: (G, 4) array}}`."""
+    return {image_id: {c: boxes_to_array(bs) for c, bs in per_image.items()} for image_id, per_image in boxes.items()}
+
+
+def scalar_match(rows, gt, iou_threshold=0.5) -> list[bool]:
+    """match_detections as a loop over (image id, class, Box, score) rows and
+    `{image: {class: [Box]}}` ground truth: one scalar iou() per pair and a
+    set of claimed boxes."""
+    flags = [False] * len(rows)
+    claimed: set[tuple[str, int, int]] = set()
+    for i in sorted(range(len(rows)), key=lambda i: (-rows[i][3], i)):
+        image_id, c, box, _ = rows[i]
+        best_iou, best_m = 0.0, -1
+        for m, g in enumerate(gt.get(image_id, {}).get(c, [])):
+            if (image_id, c, m) in claimed:
+                continue
+            overlap = iou(box, g)
+            if overlap > best_iou:
+                best_iou, best_m = overlap, m
+        if best_m >= 0 and best_iou > iou_threshold:
+            flags[i] = True
+            claimed.add((image_id, c, best_m))
+    return flags
+
+
+def scalar_evaluate(rows, gt, iou_threshold=0.5, interpolation=ALL_POINTS) -> EvalResult:
+    """evaluate_detections over `scalar_match`, with the CorLoc top
+    detection of each (image, class) kept unless a later one scores higher."""
+    flags = scalar_match(rows, gt, iou_threshold)
+    gt_classes = sorted({c for per_image in gt.values() for c in per_image})
+    ap = {}
+    for c in sorted(set(gt_classes) | {row[1] for row in rows}):
+        idx = [i for i, row in enumerate(rows) if row[1] == c]
+        n_gt = sum(len(per_image.get(c, [])) for per_image in gt.values())
+        ap[c] = average_precision([flags[i] for i in idx], [rows[i][3] for i in idx], n_gt, interpolation)
+    top: dict[tuple[str, int], tuple[Box, float]] = {}
+    for image_id, c, box, score in rows:
+        if (image_id, c) not in top or score > top[image_id, c][1]:
+            top[image_id, c] = (box, score)
+    loc = {}
+    for c in gt_classes:
+        images = sorted(image_id for image_id, per_image in gt.items() if per_image.get(c))
+        if images:
+            correct = 0
+            for image_id in images:
+                if (image_id, c) in top and any(iou(top[image_id, c][0], g) > iou_threshold for g in gt[image_id][c]):
+                    correct += 1
+            loc[c] = correct / len(images)
+    return EvalResult(ap=ap, corloc=loc, mean_ap=mean_ap(ap))
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -188,7 +258,7 @@ def scalar_compare_schemes(dataset, score_fn, vote_config) -> list[SchemeStats]:
         }
         for name, labeled in by_scheme.items():
             for c, labeled_boxes in labeled.items():
-                gt = record.gt_boxes.get(c, [])
+                gt = [Box(*g) for g in record.gt_boxes[c].tolist()] if c in record.gt_boxes else []
                 if gt:
                     ious[name].setdefault(c, []).extend(max(iou(b, g) for g in gt) for b in labeled_boxes)
     stats = []
@@ -313,8 +383,9 @@ def scalar_decode_offsets(proposal, t, height, width):
     return Box(ix0, iy0, ix1, iy1)
 
 
-def scalar_run_inference(scorer, dataset, nms_iou=0.3, score_min=1e-3) -> list[Detection]:
-    """run_inference decoding one proposal at a time, with greedy_nms."""
+def scalar_run_inference(scorer, dataset, nms_iou=0.3, score_min=1e-3) -> list[tuple[str, int, Box, float]]:
+    """run_inference decoding one proposal at a time, with greedy_nms; the
+    detections come as (image id, class, Box, score) rows."""
     detections = []
     for record in sorted(dataset.records, key=lambda r: r.image_id):
         class_scores, offsets = fused_scores(scorer, record.features)
@@ -327,7 +398,7 @@ def scalar_run_inference(scorer, dataset, nms_iou=0.3, score_min=1e-3) -> list[D
             scored = [r for r in valid if class_scores[c, r] > score_min]
             scores = [float(class_scores[c, r]) for r in scored]
             keep = greedy_nms([shifted[r] for r in scored], scores, nms_iou)
-            detections.extend(Detection(record.image_id, c, shifted[scored[k]], scores[k]) for k in keep)
+            detections.extend((record.image_id, c, shifted[scored[k]], scores[k]) for k in keep)
     return detections
 
 

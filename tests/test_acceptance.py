@@ -221,8 +221,8 @@ def test_metric_oracle_on_hand_built_fixture():
         gt = dataset.ground_truth()
 
         flags = match_detections(detections, gt)
-        boundary = [d for d in detections if d.image_id == "img2"][0]
-        assert flags[detections.index(boundary)] is False  # IoU exactly 0.5 -> FP
+        boundary = detections.image_ids.index("img2")
+        assert flags[boundary] is False  # IoU exactly 0.5 -> FP
 
         result = evaluate_detections(detections, gt)
         assert result.ap == {0: 0.5, 1: 0.25}

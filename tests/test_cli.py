@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import slv
 from slv.cli import _KEYS, _load_config, main
 from slv.datasets import load_dataset, load_detections, load_pseudo_labels
 
@@ -185,6 +186,22 @@ class TestEvaluateGolden:
         )
         assert code == 1
         assert "unknown class id" in captured.err
+
+    def test_unknown_image_id_is_input_error(self, tmp_path, capsys):
+        """As in the PASCAL devkit, a detection on an image the dataset does
+        not have stops the evaluation instead of counting as a false positive."""
+        dets = tmp_path / "dets.jsonl"
+        lines = (FIXTURES / "eval_detections.jsonl").read_text().splitlines()
+        extra = [{"id": "img9", "class": 0, "box": [10, 10, 50, 50], "score": 0.99},
+                 {"id": "img8", "class": 1, "box": [0, 0, 5, 5], "score": 0.5}]
+        dets.write_text("\n".join(lines[:2] + [json.dumps(obj) for obj in extra] + lines[2:]) + "\n")
+        code, captured = run(
+            ["--out", tmp_path, "evaluate", dets, FIXTURES / "eval_dataset.jsonl"], capsys
+        )
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: detection for image 'img9': no such image in the dataset"]
+        assert not (tmp_path / "metrics.txt").exists()
 
 
 class TestExitCodes:
@@ -578,3 +595,12 @@ class TestConfigKeys:
         path = tmp_path / "example.json"
         path.write_text(block)
         assert _load_config(path) == example
+
+
+def test_readme_library_names_are_exported():
+    """Every name in README's `from slv import (...)` block is an attribute of `slv`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("from slv import (\n", 1)[1].split("\n)", 1)[0]
+    names = [name.strip() for line in block.splitlines() for name in line.split("#")[0].split(",") if name.strip()]
+    assert len(names) > 20
+    assert [name for name in names if not hasattr(slv, name)] == []

@@ -19,11 +19,10 @@ from slv.datasets import (
     save_pseudo_labels,
 )
 from slv.errors import DatasetFormatError, InputError
-from slv.evaluation import Detection
 from slv.geometry import Box, boxes_to_array
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 
-from helpers import by_class, rowwise_proposals, supervision
+from helpers import by_class, detection_rows, detections, rowwise_proposals, supervision
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HEADER = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
@@ -62,7 +61,7 @@ def small_dataset():
             proposals=boxes_to_array([Box(0, 0, 10, 10), Box(5, 5, 20, 15)]),
             features=np.array([[0.1, 0.2], [0.3, 0.4]]),
             scores=np.array([[0.5, 0.25], [0.0, 0.125]]),
-            gt_boxes={0: [Box(1, 1, 9, 9)]},
+            gt_boxes={0: boxes_to_array([Box(1, 1, 9, 9)])},
         ),
         DatasetRecord(
             image_id="b",
@@ -100,7 +99,20 @@ class TestDatasetRoundTrip:
                 assert parsed.scores is None
             else:
                 assert np.array_equal(parsed.scores, original.scores)
-            assert parsed.gt_boxes == original.gt_boxes
+            if original.gt_boxes is None:
+                assert parsed.gt_boxes is None
+            else:
+                assert parsed.gt_boxes.keys() == original.gt_boxes.keys()
+                for c, boxes in original.gt_boxes.items():
+                    assert parsed.gt_boxes[c].dtype == np.int64 and np.array_equal(parsed.gt_boxes[c], boxes)
+
+    def test_gt_boxes_are_int64_arrays_in_file_order(self, tmp_path):
+        gt = [{"class": 1, "box": [4, 4, 9, 9]}, {"class": 0, "box": [0, 0, 5, 5]}, {"class": 1, "box": [1, 2, 3, 4]}]
+        target = write_dataset(tmp_path / "ds.jsonl", {"num_classes": 2}, {"labels": [1, 1], "gt": gt})
+        loaded = load_dataset(target).records[0].gt_boxes
+        assert list(loaded) == [1, 0]
+        assert loaded[1].dtype == np.int64 and loaded[1].tolist() == [[4, 4, 9, 9], [1, 2, 3, 4]]
+        assert loaded[0].tolist() == [[0, 0, 5, 5]]
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         first = tmp_path / "one.jsonl"
@@ -439,13 +451,36 @@ class TestPseudoLabels:
 
 class TestDetectionsFile:
     def test_roundtrip(self, tmp_path):
-        dets = [
-            Detection("a", 0, Box(0, 0, 5, 5), 0.75),
-            Detection("b", 3, Box(1, 2, 3, 4), 0.125),
+        rows = [
+            ("a", 0, Box(0, 0, 5, 5), 0.75),
+            ("b", 3, Box(1, 2, 3, 4), 0.125),
         ]
         target = tmp_path / "dets.jsonl"
-        save_detections(dets, target)
-        assert load_detections(target) == dets
+        save_detections(detections(rows), target)
+        loaded = load_detections(target)
+        assert detection_rows(loaded) == rows
+        assert (loaded.classes.dtype, loaded.boxes.dtype, loaded.scores.dtype) == (np.int64, np.int64, np.float64)
+
+    def test_empty_file_loads_empty_columns(self, tmp_path):
+        target = tmp_path / "dets.jsonl"
+        target.write_text(json.dumps({"schema": "slv/detections", "version": 1}) + "\n", encoding="utf-8")
+        loaded = load_detections(target)
+        assert len(loaded) == 0 and loaded.boxes.shape == (0, 4) and loaded.classes.shape == loaded.scores.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "a", "class": 2**63, "box": [0, 0, 5, 5], "score": 0.5},
+            {"id": "a", "class": 0, "box": [0, 0, 5, 2**64], "score": 0.5},
+        ],
+        ids=["huge-class", "huge-box"],
+    )
+    def test_values_beyond_int64_name_line(self, tmp_path, record):
+        target = tmp_path / "dets.jsonl"
+        lines = [{"schema": "slv/detections", "version": 1}, {"id": "a", "class": 0, "box": [0, 0, 5, 5], "score": 0.5}, record]
+        target.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=":3: a class id or box coordinate exceeds int64"):
+            load_detections(target)
 
     def test_missing_field_names_line(self, tmp_path):
         target = tmp_path / "dets.jsonl"

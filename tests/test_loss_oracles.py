@@ -33,6 +33,7 @@ from slv.targets import (
 from slv.trainer import ToyScorer, run_inference
 
 from helpers import (
+    detection_rows,
     matched_targets,
     scalar_decode_offsets,
     scalar_decode_offsets_float,
@@ -240,7 +241,7 @@ def inference_scorer(seed, factor):
 @settings(max_examples=60, deadline=None)
 def test_run_inference_matches_oracle(seed, factor, nms_iou, score_min):
     scorer = inference_scorer(seed, factor)
-    assert run_inference(scorer, INFERENCE_DATA, nms_iou, score_min) == scalar_run_inference(
+    assert detection_rows(run_inference(scorer, INFERENCE_DATA, nms_iou, score_min)) == scalar_run_inference(
         scorer, INFERENCE_DATA, nms_iou, score_min
     )
 
@@ -253,4 +254,4 @@ def test_run_inference_drops_empty_decodes_like_oracle():
     dropped = [scalar_decode_offsets(p, t[r], record.height, record.width) is None for r, p in enumerate(proposals)]
     assert any(dropped) and not all(dropped)
     detections = run_inference(scorer, INFERENCE_DATA)
-    assert detections and detections == scalar_run_inference(scorer, INFERENCE_DATA)
+    assert detections and detection_rows(detections) == scalar_run_inference(scorer, INFERENCE_DATA)

@@ -58,7 +58,7 @@ class TestCompareSchemes:
             labels=np.array([1]),
             proposals=boxes_to_array([box]),
             scores=np.array([[0.9]]),
-            gt_boxes={0: [box]},
+            gt_boxes={0: boxes_to_array([box])},
         )
         dataset = Dataset(records=[record], num_classes=1)
         stats = stats_by_name(compare_schemes(dataset, record_scores))
@@ -88,7 +88,7 @@ class TestCompareSchemes:
             labels=np.array([1, 1]),
             proposals=boxes_to_array([]),
             scores=np.zeros((2, 0)),
-            gt_boxes={0: [Box(0, 0, 8, 8)]},
+            gt_boxes={0: boxes_to_array([Box(0, 0, 8, 8)])},
         )
         stats = compare_schemes(Dataset(records=[record], num_classes=2), record_scores)
         assert [(s.per_class, s.overall, s.count) for s in stats] == [({}, 0.0, 0)] * 3
@@ -131,7 +131,7 @@ def scheme_datasets(draw):
         ))
         records.append(DatasetRecord(
             image_id=f"r{k}", height=12, width=12, labels=np.array(labels),
-            proposals=boxes_to_array(proposals), scores=scores, gt_boxes=gt,
+            proposals=boxes_to_array(proposals), scores=scores, gt_boxes={c: boxes_to_array(bs) for c, bs in gt.items()},
         ))
     return Dataset(records=draw(st.permutations(records)), num_classes=num_classes)
 
@@ -155,7 +155,7 @@ class TestSchemeReport:
             labels=np.array([1]),
             proposals=boxes_to_array([box]),
             scores=np.array([[0.9]]),
-            gt_boxes={0: [box]},
+            gt_boxes={0: boxes_to_array([box])},
         )
         dataset = Dataset(records=[record], num_classes=1)
         report = format_scheme_report(compare_schemes(dataset, record_scores))

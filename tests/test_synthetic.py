@@ -17,7 +17,7 @@ def top_proposal_ious(dataset):
     for record in dataset:
         for c in positive_classes(record.labels):
             r = int(np.argmax(record.scores[c]))
-            out.append(max(iou(Box(*record.proposals[r].tolist()), g) for g in record.gt_boxes[c]))
+            out.append(max(iou(Box(*record.proposals[r].tolist()), Box(*g)) for g in record.gt_boxes[c].tolist()))
     return out
 
 
@@ -78,8 +78,9 @@ class TestGenerateSynthetic:
                 assert 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64
             for c, gts in record.gt_boxes.items():
                 assert record.labels[c] == 1
-                for g in gts:
-                    assert g.x1 <= 64 and g.y1 <= 64
+                assert gts.dtype == np.int64 and gts.shape[1:] == (4,)
+                for x0, y0, x1, y1 in gts.tolist():
+                    assert 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64
 
     def test_zero_bias_top_proposal_covers_object(self):
         config = SyntheticSceneConfig(num_images=20, part_bias=0.0)

@@ -43,7 +43,8 @@ def test_install_and_restore_leave_no_wrapper():
 def test_counters_read_array_records(tmp_path):
     """Counters read `len(boxes)` and `result.num_proposals` from arguments
     and results at the call boundary; with proposals held as arrays, a small
-    traced pipeline must still count them."""
+    traced pipeline must still count them. The detection counters read
+    `len(result)` of the inference columns and of the match flags."""
     tracer = load_tracer()
     t = tracer.Tracer()
     data = str(tmp_path / "data" / "dataset.jsonl")
@@ -53,10 +54,11 @@ def test_counters_read_array_records(tmp_path):
         ["train", data, "--iterations", "2", "--ramp", "1", "--emit-detections"],
         ["vote", data, *scorer],
         ["compare-schemes", data, *scorer],
+        ["evaluate", str(tmp_path / "train" / "detections.jsonl"), data],
     ]
     try:
         t.install()
-        for out, argv in zip(["data", "train", "vote", "cmp"], stages):
+        for out, argv in zip(["data", "train", "vote", "cmp", "eval"], stages):
             assert slv.cli.main(["--out", str(tmp_path / out), *argv]) == 0
     finally:
         t.restore()
@@ -69,4 +71,8 @@ def test_counters_read_array_records(tmp_path):
     ):
         assert m[key] > 0, key
     assert m["targets.assign_targets.fg"] + m["targets.assign_targets.bg"] + m["targets.assign_targets.ignored"] > 0
+    written = len((tmp_path / "train" / "detections.jsonl").read_text().splitlines()) - 1  # past the header
+    assert written > 0
+    assert m["trainer.run_inference.detections"] == written
+    assert m["evaluation.match_detections.flags"] == written
     assert tracer.leftover_wrappers() == []

@@ -19,7 +19,7 @@ from slv.trainer import (
 )
 from slv.voting import VoteConfig, accumulate_fast, normalize, write_pgm
 
-from helpers import by_class
+from helpers import by_class, detection_rows
 
 
 def small_synthetic(num_images=6, seed=5, **kwargs):
@@ -194,13 +194,13 @@ class TestInference:
         scorer, _ = train_toy(dataset, quick_config())
         dets_a = run_inference(scorer, dataset)
         dets_b = run_inference(scorer, dataset)
-        assert dets_a == dets_b
+        assert detection_rows(dets_a) == detection_rows(dets_b)
         assert dets_a
         ids = {r.image_id for r in dataset}
-        for det in dets_a:
-            assert det.image_id in ids
-            assert 0 <= det.class_id < dataset.num_classes
-            assert det.box.x1 <= 48 and det.box.y1 <= 48
+        for image_id, class_id, box, _ in detection_rows(dets_a):
+            assert image_id in ids
+            assert 0 <= class_id < dataset.num_classes
+            assert box.x1 <= 48 and box.y1 <= 48
 
     def test_overflowing_offsets_name_the_record(self):
         dataset = small_synthetic(num_images=2)
