@@ -30,6 +30,7 @@ from .synthetic import SyntheticSceneConfig, generate_synthetic
 from .trainer import (
     ToyScorer,
     TrainConfig,
+    check_inference,
     resolve_scores,
     run_inference,
     save_trace,
@@ -213,6 +214,7 @@ def _cmd_train(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     settings = _settings(args, config, "train")
     inference = {name: settings.pop(key) for key, name in _INFERENCE.items() if key in settings}
+    check_inference(**inference)
     vote_config = _vote_config(args, config, dataset.num_classes)
     train_config = TrainConfig(**settings, vote=vote_config, init_seed=args.seed)
     scorer, trace = train_toy(dataset, train_config)

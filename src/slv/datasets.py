@@ -1,8 +1,9 @@
 """Line-delimited JSON dataset, pseudo-label, and detection files.
 
 Every file starts with a header object carrying a `schema` tag and a
-`version`; records follow one per line. Files round-trip losslessly
-through load/save, which the golden-file tests rely on.
+`version`; records follow one per line. Dataset and detection files
+round-trip losslessly through load/save, which the golden-file tests rely
+on; pseudo-label files are only written.
 """
 
 from __future__ import annotations
@@ -338,34 +339,6 @@ def save_pseudo_labels(items: Iterable[tuple[str, Supervision]], path: str | Pat
         for image_id, sup in items:
             boxes = [{"class": c, "box": b} for c, b in sup.all_boxes()]
             fh.write(json.dumps({"id": image_id, "boxes": boxes}) + "\n")
-
-
-def load_pseudo_labels(path: str | Path) -> list[tuple[str, Supervision]]:
-    path = Path(path)
-    _, lines = _read_header(path, PSEUDO_LABEL_SCHEMA)
-    out: list[tuple[str, Supervision]] = []
-    for lineno, obj in _parse_lines(path, lines):
-        where = f"{path}:{lineno}"
-        if "id" not in obj or "boxes" not in obj:
-            raise DatasetFormatError(f"{where}: record must have 'id' and 'boxes'")
-        if not isinstance(obj["boxes"], list):
-            raise DatasetFormatError(f"{where}: field 'boxes' must be a list")
-        classes, rows = [], []
-        for k, entry in enumerate(obj["boxes"]):
-            if not isinstance(entry, dict) or "class" not in entry or "box" not in entry:
-                raise DatasetFormatError(f"{where}: field 'boxes'[{k}] must have 'class' and 'box'")
-            c = entry["class"]
-            if type(c) is not int or c < 0:
-                raise DatasetFormatError(f"{where}: field 'boxes'[{k}].class {c!r} is not a class id")
-            classes.append(c)
-            rows.append(_box_from_json(entry["box"], f"{where}: field 'boxes'[{k}].box").as_tuple())
-        try:
-            classes, rows = np.array(classes, dtype=np.int64), np.array(rows, dtype=np.int64).reshape(-1, 4)
-        except OverflowError:
-            raise DatasetFormatError(f"{where}: a class id or box coordinate exceeds int64") from None
-        order = np.argsort(classes, kind="stable")  # by class, then in file order
-        out.append((str(obj["id"]), Supervision(rows[order], classes[order])))
-    return out
 
 
 def save_detections(dets: Detections, path: str | Path) -> None:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +64,8 @@ TRACE_SCHEMA = "slv/trace"
 
 REFINEMENTS = 3  # refinement branches, as in OICR
 INIT_SCALE = 0.01  # standard deviation of the initial weights
+NMS_IOU = 0.3  # run_inference's default per-class NMS threshold
+SCORE_MIN = 1e-3  # run_inference's default: lower fused scores are dropped
 
 
 @dataclass
@@ -403,18 +406,24 @@ def fused_scores(scorer: ToyScorer, feats: np.ndarray) -> tuple[np.ndarray, np.n
     return fused[: scorer.num_classes], t_s
 
 
-def run_inference(
-    scorer: ToyScorer,
-    dataset: Dataset,
-    nms_iou: float = 0.3,
-    score_min: float = 1e-3,
-) -> Detections:
-    """Detections for every record: shift proposals by the regression
-    offsets, then per-class NMS on the fused scores."""
+def check_inference(nms_iou: float = NMS_IOU, score_min: float = SCORE_MIN) -> None:
+    """Reject thresholds `run_inference` cannot use; `train` calls this
+    before its first iteration."""
     if not 0.0 < nms_iou < 1.0:
         raise InputError(f"run_inference: nms_iou must be in (0, 1), got {nms_iou}")
     if not math.isfinite(score_min):
         raise InputError(f"run_inference: score_min must be finite, got {score_min}")
+
+
+def run_inference(
+    scorer: ToyScorer,
+    dataset: Dataset,
+    nms_iou: float = NMS_IOU,
+    score_min: float = SCORE_MIN,
+) -> Detections:
+    """Detections for every record: shift proposals by the regression
+    offsets, then per-class NMS on the fused scores."""
+    check_inference(nms_iou, score_min)
     ids: list[str] = []
     classes, boxes, scores = [np.zeros(0, np.int64)], [np.zeros((0, 4), np.int64)], [np.zeros(0)]
     for record in sorted(dataset.records, key=lambda r: r.image_id):
@@ -465,11 +474,15 @@ def vote_dataset(
     Records without a score source are reported in the second return value
     and skipped; the run continues. With `heatmap_dir` set, the normalized
     likelihood map of every (record, positive class) pair is exported as
-    `<image_id>_class<c>.pgm` there.
+    `<image_id>_class<c>.pgm` there, so an image id with a path separator
+    ('/' on every system) or NUL raises before any file is written.
     """
     voted: list[str] = []
     skipped: list[str] = []
     if heatmap_dir is not None:
+        for record in dataset.records:
+            if {"/", "\0", os.sep, os.altsep}.intersection(record.image_id):
+                raise InputError(f"record {record.image_id!r}: a heatmap file name cannot hold a path separator or NUL")
         heatmap_dir = Path(heatmap_dir)
         heatmap_dir.mkdir(parents=True, exist_ok=True)
     batch = VoteBatch(config)

@@ -49,15 +49,10 @@ class LikelihoodMap:
     height and width. Without edges, `cells` is a pixel array, every cell
     one pixel. `data` is the pixel array; it is built on request unless the
     cells are pixels, in which case it is `cells` itself.
-
-    `normalized` marks maps scaled into [0, 1]; `empty` marks all-zero maps
-    that had nothing to normalize.
     """
 
     cells: np.ndarray
     class_id: int = 0
-    normalized: bool = False
-    empty: bool = False
     y_edges: np.ndarray | None = None
     x_edges: np.ndarray | None = None
 
@@ -255,28 +250,20 @@ def accumulate_naive(
 
 
 def normalize(likelihood: LikelihoodMap) -> LikelihoodMap:
-    """Scale a map into [0, 1] by its maximum entry, in place.
-
-    The map's own cells are divided and returned in a map flagged
-    `normalized`, so the argument's cells hold the scaled values afterwards.
-    An all-zero map cannot be scaled; its cells are returned unchanged with
-    the `empty` flag set so callers can skip voting for that class.
-    """
+    """Scale a map's cells into [0, 1] by their maximum, in place, and
+    return the same map. An all-zero map has nothing to scale and stays
+    zero, so it binarizes to no region."""
     cells = likelihood.cells
     if cells.min() < 0.0:
         raise InputError("normalize: map entries must be non-negative")
     peak = cells.max()
-    edges = likelihood.y_edges, likelihood.x_edges
-    if peak <= 0.0:
-        return LikelihoodMap(cells, likelihood.class_id, True, True, *edges)
-    np.divide(cells, peak, out=cells)
-    return LikelihoodMap(cells, likelihood.class_id, True, False, *edges)
+    if peak > 0.0:
+        np.divide(cells, peak, out=cells)
+    return likelihood
 
 
 def binarize(likelihood: LikelihoodMap, t_b: float) -> BinaryGrid:
     """Cells strictly above t_b in a normalized map, over the map's cells."""
-    if not likelihood.normalized:
-        raise InputError("binarize: map must be normalized first")
     if not 0.0 < t_b < 1.0:
         raise InputError(f"binarize: t_b must be in (0, 1), got {t_b}")
     return likelihood.cells > t_b
@@ -330,38 +317,27 @@ class VoteBatch:
         Per class: filter candidates by t_score, accumulate their scores
         spatially, normalize, and binarize at the class threshold; the
         bounding rectangles of the surviving regions are the class's voted
-        boxes. Classes with no candidate or an empty map contribute no boxes;
-        that is a valid, empty vote. `on_map`, when given, receives the
-        normalized map of every positive class, one zero cell for a class
-        with no candidate.
+        boxes. A class with no candidate accumulates one zero cell, which
+        binarizes to no region: a valid, empty vote. `on_map`, when given,
+        receives the normalized map of every positive class.
         """
         pos = positive_classes(y)
         if not pos:
-            raise InputError("generate_supervision: image has no positive class")
+            raise InputError("vote: image has no positive class")
         if phi_bar.shape[1] != len(boxes):
-            raise InputError(
-                f"generate_supervision: {phi_bar.shape[1]} score columns but {len(boxes)} boxes"
-            )
+            raise InputError(f"vote: {phi_bar.shape[1]} score columns but {len(boxes)} boxes")
         if len(phi_bar) < len(y):
-            raise InputError("generate_supervision: score matrix has no row for some class")
+            raise InputError("vote: score matrix has no row for some class")
         image = self._images
         self._images += 1
         for c in pos:
             candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
-            if candidates.size == 0:
-                normalized = LikelihoodMap(
-                    np.zeros((1, 1)), c, True, True, np.array([0, height]), np.array([0, width])
-                )
-            else:
-                normalized = normalize(
-                    accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c)
-                )
+            likelihood = normalize(accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c))
             if on_map is not None:
-                on_map(normalized)
-            if not normalized.empty:
-                grid = binarize(normalized, self.config.t_b_for(c))
-                self._waiting.append((image, c, grid, normalized.y_edges, normalized.x_edges))
-                self._cells += grid.size
+                on_map(likelihood)
+            grid = binarize(likelihood, self.config.t_b_for(c))
+            self._waiting.append((image, c, grid, likelihood.y_edges, likelihood.x_edges))
+            self._cells += grid.size
         if self._cells >= BATCH_CELLS:
             self._label()
 
@@ -424,10 +400,11 @@ def write_pgm(likelihood: LikelihoodMap, path: str | Path) -> None:
     widened to the map's width in bytes and written once per pixel row it
     spans.
     """
-    if not likelihood.normalized:
+    cells = likelihood.cells
+    if not (cells.min() >= 0.0 and cells.max() <= 1.0):  # NaN fails both; the uint8 cast would wrap
         raise InputError("write_pgm: map must be normalized first")
     header = f"P5\n{likelihood.width} {likelihood.height}\n255\n".encode("ascii")
-    scaled = 255.0 * likelihood.cells
+    scaled = 255.0 * cells
     quantized = np.rint(scaled, out=scaled).astype(np.uint8)
     xe, ye = likelihood.x_edges, likelihood.y_edges
     column_cell = np.repeat(np.arange(len(xe) - 1), xe[1:] - xe[:-1])

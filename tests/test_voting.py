@@ -24,7 +24,7 @@ from slv.voting import (
     write_pgm,
 )
 
-from helpers import by_class, per_pixel_accumulate, two_cumsum_accumulate
+from helpers import bounding_rect, by_class, flood_fill_components, per_pixel_accumulate, two_cumsum_accumulate
 
 MAX = np.finfo(np.float64).max
 # Around the largest score sum that stays finite when quadrupled.
@@ -174,15 +174,17 @@ class TestAccumulate:
 class TestNormalize:
     def test_peak_becomes_one(self):
         raw = np.array([[0.0, 2.0], [4.0, 1.0]])
-        out = normalize(LikelihoodMap(raw))
+        likelihood = LikelihoodMap(raw)
+        out = normalize(likelihood)
         assert out.data[1, 0] == 1.0
         assert out.data[0, 1] == pytest.approx(0.5)
-        assert out.normalized and not out.empty
+        assert out is likelihood
 
     def test_all_zero_flagged_empty(self):
         zeros = np.zeros((3, 3))
-        out = normalize(LikelihoodMap(zeros))
-        assert out.empty and out.normalized
+        likelihood = LikelihoodMap(zeros)
+        out = normalize(likelihood)
+        assert out is likelihood
         assert out.data is zeros and not zeros.any()
 
     def test_scales_the_given_array_in_place(self):
@@ -205,7 +207,7 @@ class TestNormalize:
         """A map with no pixels fails where it is made, not later in
         normalize or as a ZeroDivisionError in write_pgm."""
         with pytest.raises(InputError, match="no pixels"):
-            LikelihoodMap(np.zeros(shape), normalized=True)
+            LikelihoodMap(np.zeros(shape))
 
     def test_edges_must_match_the_cells(self):
         with pytest.raises(InputError):
@@ -214,21 +216,17 @@ class TestNormalize:
 
 class TestBinarize:
     def test_strictly_greater(self):
-        grid = binarize(LikelihoodMap(np.array([[0.4, 0.5, 0.6]]), normalized=True), 0.5)
+        grid = binarize(LikelihoodMap(np.array([[0.4, 0.5, 0.6]])), 0.5)
         assert grid.tolist() == [[False, False, True]]
 
     def test_person_threshold(self):
-        grid = binarize(LikelihoodMap(np.array([[0.25, 0.15]]), normalized=True), 0.2)
+        grid = binarize(LikelihoodMap(np.array([[0.25, 0.15]])), 0.2)
         assert grid.tolist() == [[True, False]]
 
     def test_all_ones_all_true(self):
         for t_b in (0.2, 0.5, 0.99):
-            grid = binarize(LikelihoodMap(np.ones((2, 2)), normalized=True), t_b)
+            grid = binarize(LikelihoodMap(np.ones((2, 2))), t_b)
             assert grid.all()
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(InputError):
-            binarize(LikelihoodMap(np.ones((2, 2))), 0.5)
 
 
 class TestVoteBoxes:
@@ -325,21 +323,66 @@ def vote_images(draw):
 
 def per_grid_vote(phi, boxes, y, height, width, config):
     """The vote one grid at a time from the public per-grid steps, with the
-    maps it makes as (class, empty, bytes)."""
+    maps it makes as (class, bytes)."""
     voted, maps = {}, []
     for c in np.flatnonzero(y == 1).tolist():
         candidates = select_candidates(phi, boxes, c, config.t_score)
         if candidates.size == 0:
-            maps.append((c, True, np.zeros((height, width)).tobytes()))
+            maps.append((c, np.zeros((height, width)).tobytes()))
             continue
         normalized = normalize(accumulate_fast(candidates, boxes, phi[c], height, width))
-        maps.append((c, normalized.empty, normalized.data.tobytes()))
-        if normalized.empty:
-            continue
+        maps.append((c, normalized.data.tobytes()))
         rects = vote_boxes(normalized.pixels(binarize(normalized, config.t_b_for(c)))).tolist()
         if rects:
             voted[c] = [Box(*r) for r in rects]
     return voted, maps
+
+
+@st.composite
+def mixed_vote_batches(draw):
+    """Two to five images of different sizes over three classes. Each class
+    is positive with no candidate (every score at or below t_score, or no
+    proposal at all), positive and ordinary, or negative; the first image
+    has a positive class without candidates and the second an ordinary one,
+    so every batch mixes both."""
+    sizes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+    images = []
+    for i, (height, width) in enumerate(draw(st.lists(sizes, min_size=2, max_size=5, unique=True))):
+        boxes = []
+        for _ in range(draw(st.integers(int(i == 1), 8))):
+            x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+            boxes.append((x0, y0, draw(st.integers(x0 + 1, width)), draw(st.integers(y0 + 1, height))))
+        first = {0: ["none"], 1: ["ordinary"]}.get(i, ["none", "ordinary"])
+        kinds = [draw(st.sampled_from(first)), *(draw(st.sampled_from(["none", "ordinary", "negative"])) for _ in range(2))]
+        rows = []
+        for kind in kinds:
+            levels = [0.0, 0.0005, 0.001] if kind == "none" else [0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7]
+            row = st.lists(st.sampled_from(levels), min_size=len(boxes), max_size=len(boxes))
+            rows.append(draw(row.filter(lambda r: max(r) > 0.001) if kind == "ordinary" and boxes else row))
+        phi, y = np.array(rows).reshape(3, len(boxes)), np.array([kind != "negative" for kind in kinds], dtype=np.int64)
+        images.append((phi, np.array(boxes, dtype=np.int64).reshape(-1, 4), y, height, width))
+    return images
+
+
+def pixel_oracle_vote(phi, boxes, y, height, width, config):
+    """One image's vote on pixels, through the two-cumsum kernel and the
+    flood fill: its (K, 4) boxes and (K,) classes, and per positive class
+    the map's edges and PGM bytes."""
+    rects, classes, maps = [], [], []
+    for c in np.flatnonzero(y == 1).tolist():
+        candidates = np.flatnonzero(phi[c] > config.t_score)
+        pixels = two_cumsum_accumulate(candidates, boxes, phi[c], height, width)
+        if pixels.max() > 0.0:
+            pixels /= pixels.max()
+        regions = flood_fill_components(pixels > config.t_b_for(c))
+        rects += [bounding_rect(region) for region in regions]
+        classes += [c] * len(regions)
+        picked = boxes[candidates]
+        y_edges = np.unique(np.r_[0, height, picked[:, 1], picked[:, 3]]).tolist()
+        x_edges = np.unique(np.r_[0, width, picked[:, 0], picked[:, 2]]).tolist()
+        body = np.rint(255.0 * pixels).astype(np.uint8).tobytes()
+        maps.append((c, y_edges, x_edges, f"P5\n{width} {height}\n255\n".encode() + body))
+    return np.array(rects, dtype=np.int64).reshape(-1, 4), np.array(classes, dtype=np.int64), maps
 
 
 class TestVoteBatch:
@@ -358,7 +401,7 @@ class TestVoteBatch:
         with mock.patch.object(voting, "BATCH_CELLS", cells):
             batch = VoteBatch(config)
             for image in images:
-                batch.add(*image, on_map=lambda m: maps.append((m.class_id, m.empty, m.data.tobytes())))
+                batch.add(*image, on_map=lambda m: maps.append((m.class_id, m.data.tobytes())))
             batched = batch.supervisions()
         assert len(batched) == len(images)
         want_maps = []
@@ -371,6 +414,41 @@ class TestVoteBatch:
             assert sup.boxes.dtype == sup.classes.dtype == np.int64
             assert sup.boxes.shape == (len(sup.classes), 4)
         assert maps == want_maps
+
+    @given(
+        mixed_vote_batches(),
+        st.dictionaries(st.integers(0, 2), st.sampled_from([0.2, 0.25, 0.5, 0.75]), max_size=3),
+        st.sampled_from([1, voting.BATCH_CELLS]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_batches_equal_the_pixel_oracle(self, tmp_path_factory, images, t_b, cells):
+        """Classes without candidates take the same path as the rest: every
+        image's supervision, every map's edges (a 1x1 zero map on [0, H] and
+        [0, W] without candidates) and every heatmap's bytes equal the pixel
+        oracle's."""
+        config = VoteConfig(t_b_per_class=t_b)
+        folder = tmp_path_factory.mktemp("pgm")
+        maps = []
+
+        def on_map(m):
+            path = folder / f"{len(maps)}.pgm"
+            write_pgm(m, path)
+            maps.append((m.class_id, m.y_edges.tolist(), m.x_edges.tolist(), path.read_bytes()))
+
+        with mock.patch.object(voting, "BATCH_CELLS", cells):
+            batch = VoteBatch(config)
+            for image in images:
+                batch.add(*image, on_map=on_map)
+            batched = batch.supervisions()
+        want_maps = []
+        for image, sup in zip(images, batched, strict=True):
+            rects, classes, image_maps = pixel_oracle_vote(*image, config)
+            want_maps += image_maps
+            assert sup.boxes.tobytes() == rects.tobytes() and sup.boxes.shape == rects.shape
+            assert sup.classes.tobytes() == classes.tobytes() and sup.classes.shape == classes.shape
+        assert maps == want_maps
+        # The first image's class 0 has no candidate: one zero cell.
+        assert any(len(ys) == len(xs) == 2 and not body[-1] for _, ys, xs, body in maps)
 
 
 @st.composite
@@ -521,10 +599,10 @@ class TestPgmExport:
 
     def test_requires_normalized(self, tmp_path):
         with pytest.raises(InputError):
-            write_pgm(LikelihoodMap(np.ones((2, 2))), tmp_path / "x.pgm")
+            write_pgm(LikelihoodMap(np.array([[1.0, 2.0], [0.5, 0.0]])), tmp_path / "x.pgm")
 
     def test_quantization_rounds(self, tmp_path):
-        likelihood = LikelihoodMap(np.array([[0.0, 0.5, 1.0]]), normalized=True)
+        likelihood = LikelihoodMap(np.array([[0.0, 0.5, 1.0]]))
         path = tmp_path / "q.pgm"
         write_pgm(likelihood, path)
         assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
@@ -535,12 +613,12 @@ class TestPgmExport:
         height = 155
         data = np.random.default_rng(7).random((height, width))
         path = tmp_path / "blocks.pgm"
-        write_pgm(LikelihoodMap(data, normalized=True), path)
+        write_pgm(LikelihoodMap(data), path)
         body = np.rint(255.0 * data).astype(np.uint8).tobytes()
         assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + body
 
     def test_column_major_map_written_row_major(self, tmp_path):
         data = np.asfortranarray([[0.0, 0.5, 1.0], [1.0, 0.0, 0.25]])
         path = tmp_path / "f.pgm"
-        write_pgm(LikelihoodMap(data, normalized=True), path)
+        write_pgm(LikelihoodMap(data), path)
         assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 255, 0, 64])
