@@ -26,6 +26,7 @@ from .mil import (
     cluster_records,
     image_scores,
     mil_loss,
+    mil_losses,
     refinement_loss,
     refinement_losses,
     softmax_over_classes,

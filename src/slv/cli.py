@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import re
@@ -52,7 +53,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{message} (see `{self.prog} --help`)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `slv` argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="slv",
         description="Spatial likelihood voting pipeline for weakly supervised detection experiments.",

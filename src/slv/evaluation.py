@@ -55,18 +55,25 @@ def match_detections(dets: Detections, gt: GroundTruth, iou_threshold: float = 0
     the same image and class (the first of equal overlaps) when the overlap
     strictly exceeds the threshold. Later detections on an already claimed
     box are FP. Detection boxes are compared as float64, so a huge box
-    cannot overflow its area.
+    cannot overflow its area. Every group's overlaps come from one
+    `iou_matrix` call on (group, row) stacks padded to the largest group:
+    detection rows with the group's first row, truths with a unit box.
     """
     flags = [False] * len(dets)
-    boxes = dets.boxes.astype(np.float64)
-    for (image_id, class_id), rows in _ranked_groups(dets).items():
-        truth = gt.get(image_id, {}).get(class_id)
-        if truth is None:
-            continue
+    matched = [(rows, gt[image][c]) for (image, c), rows in _ranked_groups(dets).items() if c in gt.get(image, {})]
+    if not matched:
+        return flags
+    width = max(len(rows) for rows, _ in matched)
+    padded_rows = np.array([rows + rows[:1] * (width - len(rows)) for rows, _ in matched])
+    truths = np.tile(np.array([0, 0, 1, 1], dtype=np.int64), (len(matched), max(len(t) for _, t in matched), 1))
+    for stack, (_, truth) in zip(truths, matched):
+        stack[: len(truth)] = truth
+    ious = iou_matrix(dets.boxes.astype(np.float64)[padded_rows], truths).tolist()
+    for (rows, truth), group_ious in zip(matched, ious):
         claimed = [False] * len(truth)
-        for i, overlaps in zip(rows, iou_matrix(boxes[rows], truth).tolist()):
+        for i, overlaps in zip(rows, group_ious):
             best_iou, best_m = 0.0, -1
-            for m, overlap in enumerate(overlaps):
+            for m, overlap in enumerate(overlaps[: len(truth)]):
                 if overlap > best_iou and not claimed[m]:
                     best_iou, best_m = overlap, m
             if best_m >= 0 and best_iou > iou_threshold:

@@ -77,34 +77,53 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def nms(boxes: np.ndarray, scores: Sequence[float], iou_threshold: float) -> list[int]:
+def nms(boxes: np.ndarray, scores: Sequence[float], iou_threshold: float, groups: np.ndarray | None = None) -> list[int]:
     """Greedy non-maximum suppression over an (N, 4) box array.
 
     Returns the retained indices sorted by descending score; equal scores
     are broken by lower index. A box is suppressed when its IoU with an
-    already retained box exceeds the threshold. Each kept box's IoU row is
-    the same `inter / union` division as `iou_matrix`, taken from box
-    columns and areas computed once per call.
+    already retained box exceeds the threshold. With `groups`, an (N,)
+    integer array, a box suppresses only boxes of its own group, and the
+    result lists each group's retained indices in that order, groups by
+    ascending id; without it, every box is in one group. The groups run in
+    lockstep: each step computes every unfinished group's next kept box's
+    IoU row (the `inter / union` division of `iou_matrix`) at once.
     """
     if len(boxes) != len(scores):
         raise InputError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
+    if groups is not None and len(groups) != len(boxes):
+        raise InputError(f"nms: {len(boxes)} boxes but {len(groups)} group ids")
     if not 0.0 < iou_threshold < 1.0:
         raise InputError(f"nms: iou_threshold must be in (0, 1), got {iou_threshold}")
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():  # argsort and sorted() place NaN differently
         raise InputError("nms: scores must be finite")
-    x0, y0, x1, y1 = np.asarray(boxes).T
+    groups = np.zeros(len(scores), dtype=np.int64) if groups is None else np.asarray(groups)
+    order = np.argsort(-scores, kind="stable")
+    order = order[np.argsort(groups[order], kind="stable")]
+    _, starts, counts = np.unique(groups[order], return_index=True, return_counts=True)
+    # Row g of `index` is group g's boxes in rank order, padded with its
+    # first box; padding starts out of `live` and is never read back.
+    width = counts.max(initial=0)
+    live = np.arange(width) < counts[:, None]
+    index = order[np.where(live, starts[:, None] + np.arange(width), starts[:, None])]
+    x0, y0, x1, y1 = np.asarray(boxes)[index].transpose(2, 0, 1)
     areas = (x1 - x0) * (y1 - y0)
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    kept: list[int] = []
-    for i in np.argsort(-scores, kind="stable").tolist():
-        if not suppressed[i]:
-            kept.append(i)
-            iw = np.minimum(x1[i], x1) - np.maximum(x0[i], x0)
-            ih = np.minimum(y1[i], y1) - np.maximum(y0[i], y0)
-            inter = np.maximum(iw, 0) * np.maximum(ih, 0)
-            suppressed |= inter / (areas[i] + areas - inter) > iou_threshold
-    return kept
+    kept = np.zeros_like(live)
+    active = np.arange(len(counts))
+    while active.size:
+        rows = live[active]
+        top = rows.argmax(axis=1)
+        i = (active, top)
+        iw = np.minimum(x1[i][:, None], x1[active]) - np.maximum(x0[i][:, None], x0[active])
+        ih = np.minimum(y1[i][:, None], y1[active]) - np.maximum(y0[i][:, None], y0[active])
+        inter = np.maximum(iw, 0) * np.maximum(ih, 0)
+        rows &= ~(inter / (areas[i][:, None] + areas[active] - inter) > iou_threshold)
+        rows[np.arange(active.size), top] = False
+        kept[i] = True
+        live[active] = rows
+        active = active[rows.any(axis=1)]
+    return index[kept].tolist()
 
 
 def _label_runs(grid: BinaryGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

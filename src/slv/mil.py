@@ -79,29 +79,46 @@ def wsddn_scores(sigma_cls: np.ndarray, sigma_det: np.ndarray) -> np.ndarray:
 
 
 def image_scores(phi0: np.ndarray) -> np.ndarray:
-    """Per-class image scores: sum the wsddn_scores product over proposals."""
-    return phi0.sum(axis=1)
+    """Per-class image scores: sum the wsddn_scores product over proposals.
+    A (..., C, N) stack gives one (..., C) row per matrix."""
+    return phi0.sum(axis=-1)
+
+
+def mil_losses(phi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Binary cross-entropy of R images' scores against their labels.
+
+    `phi` and `y` are (R, C), entries of phi in [0, 1] before clamping.
+    Returns the (R,) losses and (R, C) gradients wrt phi; a bad row raises
+    the error of the first row whose own `mil_loss` call would raise.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if phi.shape != y.shape or phi.ndim != 2:
+        raise InputError(f"mil_loss: shape mismatch phi {phi.shape} vs y {y.shape}")
+    labels_ok = ((y == 0.0) | (y == 1.0)).all(axis=1)
+    ok = labels_ok & ((phi >= 0.0) & (phi <= 1.0 + 1e-9)).all(axis=1)  # NaN fails both
+    if not ok.all():
+        if not labels_ok[ok.argmin()]:
+            raise InputError("mil_loss: labels must be 0/1 indicators")
+        raise InputError("mil_loss: image scores must lie in [0, 1]")
+    clamped = np.clip(phi, PROB_EPS, 1.0 - PROB_EPS)
+    losses = -np.sum(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped), axis=1)
+    grad = (clamped - y) / (clamped * (1.0 - clamped))
+    grad = np.where((phi > PROB_EPS) & (phi < 1.0 - PROB_EPS), grad, 0.0)
+    return losses, grad
 
 
 def mil_loss(phi: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Binary cross-entropy of image scores against the image label.
 
     Returns (loss, gradient wrt phi). Entries of phi must lie in [0, 1]
-    before clamping.
+    before clamping. A one-record `mil_losses` call.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    phi, y = np.asarray(phi, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if phi.shape != y.shape or phi.ndim != 1:
         raise InputError(f"mil_loss: shape mismatch phi {phi.shape} vs y {y.shape}")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise InputError("mil_loss: labels must be 0/1 indicators")
-    if not np.isfinite(phi).all() or phi.min(initial=0.0) < 0.0 or phi.max(initial=0.0) > 1.0 + 1e-9:
-        raise InputError("mil_loss: image scores must lie in [0, 1]")
-    clamped = np.clip(phi, PROB_EPS, 1.0 - PROB_EPS)
-    loss = -float(np.sum(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)))
-    grad = (clamped - y) / (clamped * (1.0 - clamped))
-    grad = np.where((phi > PROB_EPS) & (phi < 1.0 - PROB_EPS), grad, 0.0)
-    return loss, grad
+    losses, grad = mil_losses(phi[None], y[None])
+    return float(losses[0]), grad[0]
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .mil import (
     average_refined_scores,
     cluster_records,
     image_scores,
-    mil_loss,
+    mil_losses,
     positive_classes,
     refinement_losses,
     softmax_backward,
@@ -307,13 +307,13 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         # Phase 1: the MIL head of every group, then the refinement stages.
         losses_mil = [0.0] * n
         previous, products_cls, products_det = [], [], []
-        for members, _, feats, _, _ in groups:
+        for members, _, feats, _, labels in groups:
             sigma_cls = softmax_over_classes(_finite_logits(scorer.w_cls, feats, it))
             sigma_det = softmax_over_proposals(_finite_logits(scorer.w_det, feats, it))
             phi0 = wsddn_scores(sigma_cls, sigma_det)
-            d_phi_img = np.empty(phi0.shape[:2])
-            for j, i in enumerate(members):
-                losses_mil[i], d_phi_img[j] = mil_loss(image_scores(phi0[j]), records[i].labels)
+            losses, d_phi_img = mil_losses(image_scores(phi0), labels)
+            for i, l_mil in zip(members, losses.tolist()):
+                losses_mil[i] = l_mil
             # image score sums over proposals, so its gradient broadcasts
             d_sigma_cls = d_phi_img[..., None] * sigma_det
             d_sigma_det = d_phi_img[..., None] * sigma_cls
@@ -327,14 +327,13 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         stages = []
         for k, w_k in enumerate(scorer.w_refine):
             stage = [softmax_over_classes(_finite_logits(w_k, group[2], it)) for group in groups]
-            d_stage = []
-            for (members, boxes, _, ious, labels), phi_prev, phi_k in zip(groups, previous, stage):
+            products = []
+            for (members, boxes, feats, ious, labels), phi_prev, phi_k in zip(groups, previous, stage):
                 losses, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, ious))
                 for i, l_k in zip(members, losses.tolist()):
                     refine_losses[i].append(l_k)
-                d_stage.append(d_phi)
-            for record, (g, j) in zip(records, places):
-                grads_refine[k] += softmax_backward(stage[g][j], d_stage[g][j], axis=0) @ record.features
+                products.append(softmax_backward(phi_k, d_phi, axis=1) @ feats)
+            in_record_order(grads_refine[k], products)
             stages.append(stage)
             previous = stage
 
@@ -422,11 +421,13 @@ def run_inference(
     score_min: float = SCORE_MIN,
 ) -> Detections:
     """Detections for every record: shift proposals by the regression
-    offsets, then per-class NMS on the fused scores."""
+    offsets, then per-class NMS on the fused scores, in one `nms` call
+    whose groups are the (record, class) pairs in image-id order."""
     check_inference(nms_iou, score_min)
-    ids: list[str] = []
-    classes, boxes, scores = [np.zeros(0, np.int64)], [np.zeros((0, 4), np.int64)], [np.zeros(0)]
-    for record in sorted(dataset.records, key=lambda r: r.image_id):
+    records = sorted(dataset.records, key=lambda r: r.image_id)
+    num_classes = scorer.num_classes
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4), np.int64), np.zeros(0))]
+    for position, record in enumerate(records):
         if record.features is None:
             raise InputError(f"run_inference: record {record.image_id!r} has no features")
         try:
@@ -434,17 +435,14 @@ def run_inference(
         except InputError as exc:
             raise InputError(f"run_inference: record {record.image_id!r}: {exc}") from None
         decoded = decode_boxes(record.proposals, offsets, record.height, record.width)
-        valid = np.flatnonzero((decoded[:, 0] < decoded[:, 2]) & (decoded[:, 1] < decoded[:, 3]))
-        for c in range(scorer.num_classes):
-            scored = valid[class_scores[c, valid] > score_min]
-            if not scored.size:
-                continue
-            kept = scored[nms(decoded[scored], class_scores[c, scored], iou_threshold=nms_iou)]
-            ids += [record.image_id] * len(kept)
-            classes.append(np.full(len(kept), c, dtype=np.int64))
-            boxes.append(decoded[kept])
-            scores.append(class_scores[c, kept])
-    return Detections(ids, np.concatenate(classes), np.concatenate(boxes), np.concatenate(scores))
+        valid = (decoded[:, 0] < decoded[:, 2]) & (decoded[:, 1] < decoded[:, 3])
+        # Class-major, so each (record, class) group lists its proposals in order.
+        c, p = np.nonzero(valid & (class_scores > score_min))
+        parts.append((position * num_classes + c, c, decoded[p], class_scores[c, p]))
+    groups, classes, boxes, scores = map(np.concatenate, zip(*parts))
+    kept = nms(boxes, scores, iou_threshold=nms_iou, groups=groups)
+    ids = [records[g].image_id for g in (groups[kept] // num_classes).tolist()]
+    return Detections(ids, classes[kept], boxes[kept], scores[kept])
 
 
 def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> np.ndarray | None:

@@ -328,16 +328,17 @@ class VoteBatch:
             raise InputError(f"vote: {phi_bar.shape[1]} score columns but {len(boxes)} boxes")
         if len(phi_bar) < len(y):
             raise InputError("vote: score matrix has no row for some class")
-        image = self._images
-        self._images += 1
+        grids = []  # queued only once every class has voted, so a failed add leaves nothing
         for c in pos:
             candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
             likelihood = normalize(accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c))
             if on_map is not None:
                 on_map(likelihood)
             grid = binarize(likelihood, self.config.t_b_for(c))
-            self._waiting.append((image, c, grid, likelihood.y_edges, likelihood.x_edges))
-            self._cells += grid.size
+            grids.append((self._images, c, grid, likelihood.y_edges, likelihood.x_edges))
+        self._images += 1
+        self._waiting += grids
+        self._cells += sum(grid.size for _, _, grid, _, _ in grids)
         if self._cells >= BATCH_CELLS:
             self._label()
 

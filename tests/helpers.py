@@ -24,7 +24,7 @@ from slv.evaluation import ALL_POINTS, Detections, EvalResult, average_precision
 from slv.geometry import Box, boxes_to_array, clip_box, iou, iou_matrix
 from slv.mil import (
     CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet, average_refined_scores, cluster_records,
-    image_scores, mil_loss, refinement_losses, softmax_backward, softmax_over_classes, softmax_over_proposals,
+    image_scores, refinement_losses, softmax_backward, softmax_over_classes, softmax_over_proposals,
     wsddn_scores,
 )
 from slv.targets import (
@@ -297,6 +297,24 @@ def greedy_nms(boxes, scores, iou_threshold) -> list[int]:
     return kept
 
 
+def row_mil_loss(phi, y) -> tuple[float, np.ndarray]:
+    """mil_loss as its one-record kernel was before `mil_losses`: the same
+    checks and clamp, one np.sum over a single 1-D score vector."""
+    phi = np.asarray(phi, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if phi.shape != y.shape or phi.ndim != 1:
+        raise InputError(f"mil_loss: shape mismatch phi {phi.shape} vs y {y.shape}")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise InputError("mil_loss: labels must be 0/1 indicators")
+    if not np.isfinite(phi).all() or phi.min(initial=0.0) < 0.0 or phi.max(initial=0.0) > 1.0 + 1e-9:
+        raise InputError("mil_loss: image scores must lie in [0, 1]")
+    clamped = np.clip(phi, PROB_EPS, 1.0 - PROB_EPS)
+    loss = -float(np.sum(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)))
+    grad = (clamped - y) / (clamped * (1.0 - clamped))
+    grad = np.where((phi > PROB_EPS) & (phi < 1.0 - PROB_EPS), grad, 0.0)
+    return loss, grad
+
+
 def scalar_refinement_loss(phi_k, clusters):
     """refinement_loss one cluster, then one background proposal, at a time."""
     num = clusters.num_proposals
@@ -497,7 +515,7 @@ def per_record_train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScor
             sigma_det = softmax_over_proposals(per_record_logits(scorer.w_det, feats, it))
             phi0 = wsddn_scores(sigma_cls, sigma_det)
             phi_img = image_scores(phi0)
-            l_mil, d_phi_img = mil_loss(phi_img, record.labels)
+            l_mil, d_phi_img = row_mil_loss(phi_img, record.labels)
             # image score sums over proposals, so its gradient broadcasts
             d_sigma_cls = d_phi_img[:, None] * sigma_det
             d_sigma_det = d_phi_img[:, None] * sigma_cls

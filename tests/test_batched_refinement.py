@@ -30,7 +30,7 @@ from slv.mil import (
     softmax_backward,
 )
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
-from slv.trainer import TrainConfig, train_toy
+from slv.trainer import ToyScorer, TrainConfig, train_toy
 
 from helpers import greedy_clusters, scalar_refinement_loss
 
@@ -181,18 +181,41 @@ def test_training_on_mixed_proposal_counts_matches_the_oracles(monkeypatch):
 
 
 def test_refinement_gradients_add_up_in_record_order(monkeypatch):
-    """Each refinement stage's gradient accumulator sees the records in
-    image-id order, as a per-record loop would, whatever the groups."""
+    """Each refinement stage's gradient is the records' products added in
+    image-id order, as a per-record loop would add them, whatever the
+    groups; the fixture's sums in that order and group by group differ."""
     dataset = mixed_dataset()
-    seen = []
-
-    def spy(probs, grad_probs, axis):
-        if axis == 0 and len(probs) == dataset.num_classes + 1:
-            seen.append(probs.shape[1])
-        return softmax_backward(probs, grad_probs, axis)
-
-    monkeypatch.setattr(slv.trainer, "softmax_backward", spy)
-    train_toy(dataset, TrainConfig(iterations=1, mil_only=True))
-    counts = [len(r.proposals) for r in sorted(dataset.records, key=lambda r: r.image_id)]
+    records = sorted(dataset.records, key=lambda r: r.image_id)
+    counts = [len(r.proposals) for r in records]
     assert counts == [16, 20, 24] * 2
-    assert seen == counts * slv.trainer.REFINEMENTS
+    calls = []
+
+    def spy(phi, batch):
+        losses, grads = refinement_losses(phi, batch)
+        calls.append((phi, grads))
+        return losses, grads
+
+    monkeypatch.setattr(slv.trainer, "refinement_losses", spy)
+    config = TrainConfig(iterations=1, mil_only=True)
+    trained, _ = train_toy(dataset, config)
+    dim = records[0].features.shape[1]
+    start = ToyScorer.initialize(dataset.num_classes, dim, np.random.default_rng(config.init_seed))
+    stages = [calls[k : k + 3] for k in range(0, len(calls), 3)]  # one call per proposal count, per stage
+    assert len(stages) == slv.trainer.REFINEMENTS
+    told_apart = False
+    for w0, w, stage in zip(start.w_refine, trained.w_refine, stages):
+        # Each record's product, from its own row of its group's stacks.
+        rows = {phi.shape[2]: iter(zip(phi, grads)) for phi, grads in stage}
+        products = []
+        for record in records:
+            phi, grad = next(rows[len(record.proposals)])
+            products.append(softmax_backward(phi, grad, axis=0) @ record.features)
+        by_id, by_group = np.zeros_like(w0), np.zeros_like(w0)
+        for p in products:
+            by_id += p
+        for first in range(3):
+            for p in products[first::3]:
+                by_group += p
+        assert np.array_equal(w, w0 - config.learning_rate / len(records) * by_id)
+        told_apart |= not np.array_equal(by_id, by_group)
+    assert told_apart

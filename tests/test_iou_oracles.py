@@ -126,6 +126,25 @@ def test_nms_matches_oracle(data):
     assert nms(boxes_to_array(boxes), scores, threshold) == greedy_nms(boxes, scores, threshold)
 
 
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_grouped_nms_matches_oracle_per_group(data):
+    """Grouped nms is greedy_nms run on each group alone, the groups' kept
+    indices listed by ascending group id. Ids come interleaved and unsorted,
+    scores tie, boxes repeat, and some groups hold one box."""
+    boxes = data.draw(st.one_of(st.just([]), box_lists))
+    scores = data.draw(st.lists(SCORES, min_size=len(boxes), max_size=len(boxes)))
+    groups = data.draw(st.lists(st.sampled_from([7, -2, 0, 3, 11]), min_size=len(boxes), max_size=len(boxes)))
+    threshold = data.draw(THRESHOLDS)
+    want = []
+    for g in sorted(set(groups)):
+        members = [i for i, h in enumerate(groups) if h == g]
+        kept = greedy_nms([boxes[i] for i in members], [scores[i] for i in members], threshold)
+        want += [members[k] for k in kept]
+    got = nms(boxes_to_array(boxes), scores, threshold, groups=np.array(groups, dtype=np.int64))
+    assert got == want
+
+
 def test_no_proposals():
     y = np.array([1])
     assert_same_clusters(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from slv.errors import InputError, NumericalError, SlvError
 from slv.geometry import Box, boxes_to_array
-from slv.mil import PROB_EPS, Cluster, ClusterSet, refinement_loss
+from slv.mil import PROB_EPS, Cluster, ClusterSet, mil_loss, mil_losses, refinement_loss
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import (
     BBOX_XFORM_CLIP,
@@ -35,6 +35,7 @@ from slv.trainer import ToyScorer, run_inference
 from helpers import (
     detection_rows,
     matched_targets,
+    row_mil_loss,
     scalar_decode_offsets,
     scalar_decode_offsets_float,
     scalar_encode_offsets,
@@ -43,6 +44,7 @@ from helpers import (
     scalar_slv_loss,
     supervision,
 )
+from test_batched_refinement import mixed_dataset
 
 SATURATED = [0.0, PROB_EPS / 2, PROB_EPS, 2 * PROB_EPS, 0.5, 1 - 2 * PROB_EPS, 1 - PROB_EPS, 1 - PROB_EPS / 2, 1.0]
 LARGE = [BBOX_XFORM_CLIP, np.nextafter(BBOX_XFORM_CLIP, np.inf), BBOX_XFORM_CLIP + 1, 1000.0, 1e300, sys.float_info.max]
@@ -244,6 +246,68 @@ def test_run_inference_matches_oracle(seed, factor, nms_iou, score_min):
     assert detection_rows(run_inference(scorer, INFERENCE_DATA, nms_iou, score_min)) == scalar_run_inference(
         scorer, INFERENCE_DATA, nms_iou, score_min
     )
+
+
+def test_run_inference_matches_oracle_on_mixed_proposal_counts():
+    """One NMS call over every (record, class) group gives the per-class
+    loop's detections on records of three proposal counts, interleaved in
+    image-id order, also where some groups have no score above score_min."""
+    dataset = mixed_dataset()
+    dim = dataset.records[0].features.shape[1]
+    partly_empty = False
+    for factor in (1.0, 30.0):
+        scorer = ToyScorer.initialize(dataset.num_classes, dim, np.random.default_rng(0))
+        for w in scorer.heads():
+            w *= factor
+        for score_min in (1e-3, 0.4):
+            got = detection_rows(run_inference(scorer, dataset, 0.3, score_min))
+            assert got == scalar_run_inference(scorer, dataset, 0.3, score_min)
+            detected = {(image_id, c) for image_id, c, _, _ in got}
+            partly_empty |= 0 < len(detected) < len(dataset.records) * dataset.num_classes
+    assert partly_empty
+
+
+SCORE_ERRORS = [-0.1, 1.0 + 1e-6, np.nan, np.inf, -np.inf]
+LABEL_ERRORS = [0.5, 2.0, -1.0, np.nan]
+
+
+def mil_outcome(fn, phi, y):
+    """`outcome` of a MIL loss call, its loss and gradient as bytes."""
+    got = outcome(fn, phi, y)
+    return got if isinstance(got[0], type) else (np.float64(got[0]).tobytes(), got[1].tobytes())
+
+
+@given(seed=seeds, rows=st.integers(1, 6), classes=st.integers(1, 20), bad=st.lists(st.booleans(), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_mil_losses_rows_match_mil_loss(seed, rows, classes, bad):
+    """Every row of `mil_losses` has the bytes of `mil_loss` on that row and
+    of the one-record kernel it replaced, scores at and beyond the clamp
+    included; a bad label or score raises the message of the first row
+    whose own call raises."""
+    rng = np.random.default_rng(seed)
+    phi = pooled(rng, SATURATED, (rows, classes), 0.0, 1.0)
+    y = rng.integers(0, 2, (rows, classes)).astype(np.float64)
+    for label in bad:
+        r, c = rng.integers(rows), rng.integers(classes)
+        if label:
+            y[r, c] = rng.choice(LABEL_ERRORS)
+        else:
+            phi[r, c] = rng.choice(SCORE_ERRORS)
+    want = [mil_outcome(row_mil_loss, phi[r], y[r]) for r in range(rows)]
+    assert [mil_outcome(mil_loss, phi[r], y[r]) for r in range(rows)] == want
+    errors = [w for w in want if isinstance(w[0], type)]
+    if errors:
+        assert outcome(mil_losses, phi, y) == errors[0]
+        return
+    losses, grads = mil_losses(phi, y)
+    assert [(np.float64(loss).tobytes(), grad.tobytes()) for loss, grad in zip(losses, grads)] == want
+
+
+def test_mil_losses_shape_errors():
+    with pytest.raises(InputError, match=r"^mil_loss: shape mismatch phi \(2, 3\) vs y \(2, 2\)$"):
+        mil_losses(np.full((2, 3), 0.5), np.ones((2, 2)))
+    with pytest.raises(InputError, match=r"^mil_loss: shape mismatch phi \(3,\) vs y \(3,\)$"):
+        mil_losses(np.full(3, 0.5), np.ones(3))
 
 
 def test_run_inference_drops_empty_decodes_like_oracle():

@@ -450,6 +450,26 @@ class TestVoteBatch:
         # The first image's class 0 has no candidate: one zero cell.
         assert any(len(ys) == len(xs) == 2 and not body[-1] for _, ys, xs, body in maps)
 
+    @pytest.mark.parametrize("bad_class", [0, 1], ids=["first-class", "second-class"])
+    def test_a_failed_add_leaves_nothing_behind(self, bad_class):
+        """An add that raises, on its first class or after an earlier class
+        voted, neither counts the image nor queues a grid: one good add then
+        gives exactly the Supervision a fresh batch gives."""
+        boxes = boxes_to_array([Box(1, 1, 5, 5), Box(0, 0, 20, 20)])  # box 1 exceeds the 8x8 image
+        phi_bar = np.full((2, 2), 0.0)
+        phi_bar[0, 1 if bad_class == 0 else 0] = 0.9
+        phi_bar[1, 1 if bad_class == 1 else 0] = 0.9
+        good = (np.array([[0.9, 0.0], [0.8, 0.0]]), boxes, np.array([1, 1]), 8, 8)
+        batch = VoteBatch(VoteConfig())
+        with pytest.raises(InputError, match="exceeds the 8x8 image"):
+            batch.add(phi_bar, boxes, np.array([1, 1]), 8, 8)
+        batch.add(*good)
+        fresh = VoteBatch(VoteConfig())
+        fresh.add(*good)
+        (got,), (want,) = batch.supervisions(), fresh.supervisions()
+        assert got.boxes.tobytes() == want.boxes.tobytes() and got.boxes.shape == want.boxes.shape
+        assert got.classes.tolist() == want.classes.tolist() == [0, 1]
+
 
 @st.composite
 def edge_grid_instances(draw):
