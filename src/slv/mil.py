@@ -41,6 +41,26 @@ def positive_classes(y: np.ndarray) -> list[int]:
     return np.flatnonzero(ones).tolist()
 
 
+def segment_sums(values: np.ndarray, counts) -> np.ndarray:
+    """Each segment's own `.sum()`, segment s being the next `counts[s]`
+    entries of the 1-D `values`. `np.add.reduceat` adds in another order."""
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
+    return np.array([values[a:b].sum() for a, b in zip([0, *ends], ends)], dtype=np.float64)
+
+
+def record_sums(values: np.ndarray, counts) -> np.ndarray:
+    """Each segment's rows added one by one from 0.0, as `total += row`
+    would add them, segment s being the next `counts[s]` rows of `values`
+    (entries, or arrays of any shape): a cumsum along a zero-led table.
+    A total that starts at 0.0 is never -0.0, so the zeros padding a
+    segment's row of the table leave its total as it is."""
+    counts = np.asarray(counts)
+    slots = np.arange(counts.max(initial=0)) < counts[:, None]
+    table = np.zeros((len(counts), 1 + slots.shape[1], *values.shape[1:]))
+    table[:, 1:][slots] = values
+    return np.cumsum(table, axis=1)[:, -1]
+
+
 def _softmax(arr: np.ndarray, axis: int) -> np.ndarray:
     # Max-subtraction may legitimately hit -inf for saturated logits;
     # exp(-inf) = 0 is the correct limit, so silence the overflow warning.
@@ -300,11 +320,7 @@ def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray,
     sizes = batch.sizes
     of_member = np.repeat(np.arange(len(sizes)), sizes)
     rows = (batch.record[of_member], batch.label[of_member], batch.members)
-    values = phi[rows]
-    # One `.sum()` per cluster, over its members in order: a segmented
-    # reduction would add them in another order and change bits.
-    ends = np.cumsum(sizes).tolist()
-    means = np.array([values[a:b].sum() for a, b in zip([0, *ends], ends)], dtype=np.float64) / sizes
+    means = segment_sums(phi[rows], sizes) / sizes
     p = phi[batch.background_record, bg_row, batch.background]
     bad, bad_bg = np.flatnonzero(np.isnan(means)), np.flatnonzero(np.isnan(p))
     if bad.size or bad_bg.size:
@@ -320,17 +336,9 @@ def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray,
     weights = batch.background_weights
     cluster_terms = batch.score * sizes * np.log(np.clip(means, PROB_EPS, 1.0 - PROB_EPS))
     bg_terms = weights * np.log(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
-    # Each record adds its terms one by one, clusters then background, from
-    # 0.0 (np.sum would sum pairwise): a table with a zero first column,
-    # summed along rows by cumsum.
+    # Each record adds its terms one by one, clusters then background.
     owners = np.concatenate([batch.record, batch.background_record])
-    order = np.argsort(owners, kind="stable")
-    owners = owners[order]
-    counts = np.bincount(owners, minlength=num_records)
-    table = np.zeros((num_records, 1 + counts.max(initial=0)))
-    table[owners, 1 + np.arange(len(owners)) - np.repeat(np.cumsum(counts) - counts, counts)] = (
-        np.concatenate([cluster_terms, bg_terms])[order]
-    )
+    terms = np.concatenate([cluster_terms, bg_terms])[np.argsort(owners, kind="stable")]
     grad = np.zeros_like(phi)
     hit = (PROB_EPS < means) & (means < 1.0 - PROB_EPS)
     step = np.zeros(len(sizes))
@@ -339,7 +347,7 @@ def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray,
     grad[rows[0][on], rows[1][on], rows[2][on]] -= step[of_member[on]]
     inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
     grad[batch.background_record[inside], bg_row, batch.background[inside]] -= weights[inside] / (num * p[inside])
-    return -np.cumsum(table, axis=1)[:, -1] / num, grad
+    return -record_sums(terms, np.bincount(owners, minlength=num_records)) / num, grad
 
 
 def refinement_loss(phi_k: np.ndarray, clusters: ClusterSet) -> tuple[float, np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .datasets import Dataset, DatasetRecord
+from .datasets import MAX_IMAGE_SIDE, Dataset, DatasetRecord
 from .geometry import Box, boxes_to_array, iou_matrix
 
 # Score model constants: full-extent proposals hold more total mass than
@@ -46,16 +46,16 @@ class SyntheticSceneConfig:
     feature_noise: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.num_images <= 0 or self.image_size < 16:
-            raise ConfigError("synthetic config: need num_images > 0 and image_size >= 16")
+        if self.num_images <= 0 or not 16 <= self.image_size <= MAX_IMAGE_SIDE:
+            raise ConfigError(f"synthetic config: need num_images > 0 and image_size in [16, {MAX_IMAGE_SIDE}]")
         if self.num_classes <= 0 or self.objects_per_image <= 0:
             raise ConfigError("synthetic config: need positive num_classes and objects_per_image")
         if self.proposals_per_image < self.objects_per_image * 4:
             raise ConfigError("synthetic config: need at least 4 proposals per object")
         if not 0.0 <= self.part_bias <= 1.0:
             raise ConfigError(f"synthetic config: part_bias must be in [0, 1], got {self.part_bias}")
-        if self.jitter < 0.0 or self.feature_noise < 0.0:
-            raise ConfigError("synthetic config: jitter and feature_noise must be >= 0")
+        if not (0.0 <= self.jitter <= 1.0 and 0.0 <= self.feature_noise < math.inf):  # also rejects NaN
+            raise ConfigError("synthetic config: jitter must be in [0, 1] and feature_noise finite and >= 0")
 
     @property
     def feature_dim(self) -> int:

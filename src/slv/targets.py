@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .geometry import Box, boxes_to_array, iou_matrix
-from .mil import PROB_EPS
+from .mil import PROB_EPS, record_sums, segment_sums
 from .voting import Supervision
 
 IGNORED = -1  # label marker for proposals excluded from both loss terms
@@ -201,15 +201,11 @@ def slv_losses(
     record, column = valid.nonzero()  # record by record, in proposal order
     labels = targets.labels.reshape(num_records, num)[record, column]
     p = phi_s[record, labels, column]
-    # Each record subtracts its logs one by one in proposal order, from 0.0:
-    # a table with a zero first column, summed along rows by cumsum and
-    # negated (rounding is symmetric in sign).
-    table = np.zeros((num_records, 1 + counts.max(initial=0)))
-    table[record, 1 + np.arange(len(record)) - np.repeat(np.cumsum(counts) - counts, counts)] = [
-        math.log(clamped) for clamped in np.clip(p, PROB_EPS, 1.0 - PROB_EPS).tolist()
-    ]
+    logs = np.array([math.log(clamped) for clamped in np.clip(p, PROB_EPS, 1.0 - PROB_EPS).tolist()])
     vacuous = counts == 0
-    losses = -np.cumsum(table, axis=1)[:, -1] / np.maximum(counts, 1)
+    # Each record subtracts its logs one by one in proposal order: their
+    # sequential sum, negated (rounding is symmetric in sign).
+    losses = -record_sums(logs, counts) / np.maximum(counts, 1)
     inside = (PROB_EPS < p) & (p < 1.0 - PROB_EPS)
     grad_scores[record[inside], labels[inside], column[inside]] = -1.0 / (counts[record[inside]] * p[inside])
     fg = targets.foreground_mask.reshape(num_records, num)
@@ -219,12 +215,9 @@ def slv_losses(
     # huge prediction errors overflow a sum to inf; callers treat a
     # non-finite loss as divergence, so no warning is needed here
     with np.errstate(over="ignore"):
-        terms = smooth_l1(diff)
-        ends = np.cumsum(fg_counts).tolist()
-        # One `.sum()` per record with foreground, over its own contiguous rows.
-        for r, (a, b) in enumerate(zip([0, *ends], ends)):
-            if a < b:
-                losses[r] += terms[a:b].sum() / (4.0 * fg_counts[r])
+        # One `.sum()` per record over its foreground rows. A record without
+        # foreground adds 0.0: its loss is positive, or vacuous and reset below.
+        losses += segment_sums(smooth_l1(diff).ravel(), 4 * fg_counts) / (4.0 * np.maximum(fg_counts, 1))
     grad_offsets[record, column] = smooth_l1_grad(diff) / (4.0 * fg_counts[record, None])
     losses[vacuous] = 0.0
     return losses, grad_scores, grad_offsets, vacuous
@@ -271,9 +264,17 @@ def loss_weight(ramp_length: float, i: int) -> float:
     return min(i / ramp_length, 1.0)
 
 
-def total_loss(l_mil: float, l_refine: Sequence[float], l_slv: float, w_slv: float) -> float:
-    """Weighted sum of the image loss, refinement losses, and voted-supervision loss."""
-    values = [l_mil, *l_refine, l_slv, w_slv]
-    if not all(math.isfinite(float(v)) for v in values):
+def total_loss(
+    l_mil: float | np.ndarray, l_refine: Sequence[float] | np.ndarray, l_slv: float | np.ndarray, w_slv: float
+) -> float | np.ndarray:
+    """Weighted sum of the image loss, refinement losses, and voted-supervision loss.
+
+    Takes one record's terms, or n records' (n,) `l_mil` and `l_slv` and
+    (n, K) `l_refine`: their (n,) totals then have the bits of n scalar calls.
+    """
+    l_mil, l_refine, l_slv, w_slv = (np.asarray(v, dtype=np.float64) for v in (l_mil, l_refine, l_slv, w_slv))
+    if not all(np.isfinite(v).all() for v in (l_mil, l_refine, l_slv, w_slv)):
         raise InputError("total_loss: all terms must be finite")
-    return float(l_mil) + float(sum(l_refine)) + float(w_slv) * float(l_slv)
+    refine = record_sums(l_refine.ravel(), np.full(l_mil.size, l_refine.shape[-1])).reshape(l_mil.shape)
+    totals = l_mil + refine + w_slv * l_slv
+    return float(totals) if totals.ndim == 0 else totals

@@ -18,9 +18,9 @@ gradient product per head and group. Each iteration runs in three phases:
    `assign_targets` call, and the SLV loss and its gradients in one
    `slv_losses` call.
 
-Gradient products and loss sums add up record by record, in record order
-across the groups, so the bits are those of a per-record loop; then the
-weights descend on the weighted total loss. Voted supervision only
+Gradient products and loss sums add up record by record in record order
+across the groups (`mil.record_sums`), so the bits are those of a
+per-record loop; then the weights descend on the weighted total loss. Voted supervision only
 influences the weights once the ramp weight is positive.
 
 Test-time detection scores are the arithmetic mean of the three refinement
@@ -32,6 +32,7 @@ re-localization offsets before per-class NMS.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from .mil import (
     image_scores,
     mil_losses,
     positive_classes,
+    record_sums,
     refinement_losses,
     softmax_backward,
     softmax_over_classes,
@@ -284,16 +286,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     """
     records = _training_records(dataset)
     groups = _proposal_groups(records)
-    places: list[tuple[int, int]] = [None] * len(records)  # (group, row of its stacks) of each record
-    for g, group in enumerate(groups):
-        for j, i in enumerate(group[0]):
-            places[i] = (g, j)
-
-    def in_record_order(acc: np.ndarray, products: list[np.ndarray]) -> None:
-        """Add every record's product, a row of its group's stack, to `acc`."""
-        for g, j in places:
-            acc += products[g][j]
-
+    # Where each record's row lies in its groups' rows, stacked in group order.
+    order = np.argsort(np.concatenate([members for members, *_ in groups]))
     num_classes = dataset.num_classes
     rng = np.random.default_rng(config.init_seed)
     scorer = ToyScorer.initialize(num_classes, records[0].features.shape[1], rng)
@@ -301,80 +295,68 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     n = len(records)
     for it in range(config.iterations):
         w_s = 0.0 if config.mil_only else loss_weight(config.ramp_length, it)
-        # Aligned with scorer.heads(); the names below alias its arrays.
-        grads = [np.zeros_like(w) for w in scorer.heads()]
-        g_cls, g_det, *grads_refine, g_slv_cls, g_slv_reg = grads
+        # Each group's stack of gradient products per head of scorer.heads(),
+        # and its (R,) losses per term: MIL, each refinement stage, SLV.
+        products: list[list[np.ndarray]] = [[] for _ in scorer.heads()]
+        p_cls, p_det, *p_refine, p_slv_cls, p_slv_reg = products
+        losses: list[list[np.ndarray]] = [[] for _ in range(len(scorer.w_refine) + 2)]
+        l_mil, *l_refine, l_slv = losses
         # Phase 1: the MIL head of every group, then the refinement stages.
-        losses_mil = [0.0] * n
-        previous, products_cls, products_det = [], [], []
-        for members, _, feats, _, labels in groups:
+        previous = []
+        for _, _, feats, _, labels in groups:
             sigma_cls = softmax_over_classes(_finite_logits(scorer.w_cls, feats, it))
             sigma_det = softmax_over_proposals(_finite_logits(scorer.w_det, feats, it))
             phi0 = wsddn_scores(sigma_cls, sigma_det)
-            losses, d_phi_img = mil_losses(image_scores(phi0), labels)
-            for i, l_mil in zip(members, losses.tolist()):
-                losses_mil[i] = l_mil
+            loss, d_phi_img = mil_losses(image_scores(phi0), labels)
+            l_mil.append(loss)
             # image score sums over proposals, so its gradient broadcasts
             d_sigma_cls = d_phi_img[..., None] * sigma_det
             d_sigma_det = d_phi_img[..., None] * sigma_cls
-            products_cls.append(softmax_backward(sigma_cls, d_sigma_cls, axis=1) @ feats)
-            products_det.append(softmax_backward(sigma_det, d_sigma_det, axis=2) @ feats)
+            p_cls.append(softmax_backward(sigma_cls, d_sigma_cls, axis=1) @ feats)
+            p_det.append(softmax_backward(sigma_det, d_sigma_det, axis=2) @ feats)
             previous.append(phi0)
-        in_record_order(g_cls, products_cls)
-        in_record_order(g_det, products_det)
 
-        refine_losses: list[list[float]] = [[] for _ in records]
         stages = []
-        for k, w_k in enumerate(scorer.w_refine):
+        for w_k, p_k, l_k in zip(scorer.w_refine, p_refine, l_refine):
             stage = [softmax_over_classes(_finite_logits(w_k, group[2], it)) for group in groups]
-            products = []
-            for (members, boxes, feats, ious, labels), phi_prev, phi_k in zip(groups, previous, stage):
-                losses, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, ious))
-                for i, l_k in zip(members, losses.tolist()):
-                    refine_losses[i].append(l_k)
-                products.append(softmax_backward(phi_k, d_phi, axis=1) @ feats)
-            in_record_order(grads_refine[k], products)
+            for (_, boxes, feats, ious, labels), phi_prev, phi_k in zip(groups, previous, stage):
+                loss, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, ious))
+                l_k.append(loss)
+                p_k.append(softmax_backward(phi_k, d_phi, axis=1) @ feats)
             stages.append(stage)
             previous = stage
 
-        # Phase 2: one vote over every record's averaged refinement scores.
         if not config.mil_only:
+            # Phase 2: one vote over every record's averaged refinement scores.
             averages = [average_refined_scores(*phis) for phis in zip(*stages)]
+            rows = list(itertools.chain(*averages))  # every record's matrix, in group order
             batch = VoteBatch(config.vote)
-            for record, (g, j) in zip(records, places):
-                batch.add(averages[g][j], record.proposals, record.labels, record.height, record.width)
-            supervisions = batch.supervisions()
+            for record, at in zip(records, order.tolist()):
+                batch.add(rows[at], record.proposals, record.labels, record.height, record.width)
+            supervisions = np.array(batch.supervisions(), dtype=object)
 
-        # Phase 3: targets, the SLV loss and its gradients, group by group.
-        losses_slv = [0.0] * n
-        if not config.mil_only:
-            products_cls, products_reg = [], []
+            # Phase 3: targets, the SLV loss and its gradients, group by group.
             for members, boxes, feats, _, _ in groups:
-                proposal_targets = assign_targets(boxes, [supervisions[i] for i in members], num_classes)
+                proposal_targets = assign_targets(boxes, supervisions[members], num_classes)
                 phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
                 t_s = _finite_logits(scorer.w_slv_reg, feats, it).swapaxes(1, 2)
-                losses, d_phi_s, d_t_s, _vacuous = slv_losses(phi_s, t_s, proposal_targets)
-                for i, l_slv in zip(members, losses.tolist()):
-                    losses_slv[i] = l_slv
+                loss, d_phi_s, d_t_s, _vacuous = slv_losses(phi_s, t_s, proposal_targets)
+                l_slv.append(loss)
                 if w_s > 0.0:
-                    products_cls.append(w_s * (softmax_backward(phi_s, d_phi_s, axis=1) @ feats))
-                    products_reg.append(w_s * (d_t_s.swapaxes(1, 2) @ feats))
-            if w_s > 0.0:
-                in_record_order(g_slv_cls, products_cls)
-                in_record_order(g_slv_reg, products_reg)
+                    p_slv_cls.append(w_s * (softmax_backward(phi_s, d_phi_s, axis=1) @ feats))
+                    p_slv_reg.append(w_s * (d_t_s.swapaxes(1, 2) @ feats))
 
-        sum_mil = 0.0
-        sum_refine = np.zeros(len(scorer.w_refine))
-        sum_slv = 0.0
-        sum_total = 0.0
-        for l_mil, l_refine, l_slv in zip(losses_mil, refine_losses, losses_slv):
-            if not all(math.isfinite(v) for v in (l_mil, *l_refine, l_slv)):
-                raise NumericalError(f"training diverged at iteration {it}")
-            l_total = total_loss(l_mil, l_refine, l_slv, w_s)
-            sum_mil += l_mil
-            sum_refine += np.asarray(l_refine)
-            sum_slv += l_slv
-            sum_total += l_total
+        # Every sum adds the records' rows one by one in record order.
+        grads = [
+            record_sums(np.concatenate(stacks)[order], [n])[0] if stacks else np.zeros_like(w)
+            for w, stacks in zip(scorer.heads(), products)
+        ]
+        terms = np.stack([np.concatenate(stacks)[order] if stacks else np.zeros(n) for stacks in losses], axis=1)
+        if not np.isfinite(terms).all():
+            raise NumericalError(f"training diverged at iteration {it}")
+        totals = total_loss(terms[:, 0], terms[:, 1:-1], terms[:, -1], w_s)
+        means = record_sums(np.column_stack([terms, totals]), [n])[0] / n
+        mean_mil, *mean_refine, mean_slv, mean_total = means.tolist()
 
         lr = config.learning_rate / n
         with np.errstate(over="ignore"):  # an overflowing step shows as a non-finite weight
@@ -386,11 +368,11 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         trace.append(
             TraceEntry(
                 iteration=it,
-                loss_mil=sum_mil / n,
-                loss_refine=tuple(sum_refine / n),
-                loss_slv=sum_slv / n,
+                loss_mil=mean_mil,
+                loss_refine=tuple(mean_refine),
+                loss_slv=mean_slv,
                 weight_slv=w_s,
-                loss_total=sum_total / n,
+                loss_total=mean_total,
             )
         )
     return scorer, trace
@@ -447,12 +429,17 @@ def run_inference(
 
 def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> np.ndarray | None:
     """Score matrix for a record: the scorer's averaged refinement
-    branches when available, else the record's embedded matrix."""
+    branches when available, else the record's embedded matrix. A scorer
+    of another feature width or class count than the record raises."""
     if scorer is not None and record.features is not None:
         if record.features.shape[1] != scorer.feature_dim:
             raise InputError(
                 f"record {record.image_id!r} has {record.features.shape[1]} features per proposal,"
                 f" the scorer expects {scorer.feature_dim}"
+            )
+        if len(record.labels) != scorer.num_classes:
+            raise InputError(
+                f"record {record.image_id!r} has {len(record.labels)} classes, the scorer has {scorer.num_classes}"
             )
         try:
             return scorer.refined_average(record.features)

@@ -41,3 +41,17 @@ def test_a_metric_whose_parent_spreads_wider_than_its_bound_is_unresolved():
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError, match="2 parent runs against 1 change runs"):
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25)
+
+
+def test_a_failed_run_drops_its_whole_pair():
+    """The parent fails pair 3 and the change pair 5: both sides keep the
+    other 8 pairs, aligned, where dropping each side's own failure would
+    leave 9 runs each and compare the change's pair 4 with the parent's 5."""
+    pairs = [{"parent": {"t": 1.0 + k, "x": 0.0}, "change": {"t": 0.5 + k}} for k in range(10)]
+    pairs[2]["parent"] = None
+    pairs[4]["change"] = None
+    values = bench_pairs.paired_values(pairs)
+    kept = [k for k in range(10) if k not in (2, 4)]
+    assert values == {"t": ([1.0 + k for k in kept], [0.5 + k for k in kept])}
+    assert bench_pairs.summarize(*values["t"], "lower", 0.25)["wins"] == 8
+    assert bench_pairs.paired_values([{"parent": None, "change": {"t": 1.0}}]) == {}

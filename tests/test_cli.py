@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slv
 from slv.cli import _KEYS, _load_config, main
 from slv.datasets import load_dataset, load_detections
+from slv.trainer import ToyScorer
 
 from helpers import pseudo_labels
 
@@ -46,6 +48,32 @@ class TestGenerate:
         dataset = load_dataset(tmp_path / "dataset.jsonl")
         assert len(dataset) == 2
         assert dataset.records[0].height == 32
+
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--jitter", "nan"], None),
+            (["--jitter", "inf"], None),
+            (["--jitter", "1e308"], None),
+            (["--jitter", "1.5"], None),
+            ([], {"synthetic": {"feature_noise": float("nan")}}),
+            ([], {"synthetic": {"feature_noise": float("inf")}}),
+            (["--size", "70000"], None),
+        ],
+        ids=["jitter-nan", "jitter-inf", "jitter-huge", "jitter-above-1", "noise-nan", "noise-inf", "size-too-large"],
+    )
+    def test_settings_that_crash_or_write_an_unloadable_dataset_are_one(self, tmp_path, capsys, flags, config):
+        argv = ["--seed", "3", "--out", tmp_path / "out"]
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))  # writes NaN and Infinity
+            argv += ["--config", path]
+        code, captured = run(argv + GENERATE_ARGS + flags, capsys)
+        assert code == 1
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: synthetic config: ")
+        assert not (tmp_path / "out" / "dataset.jsonl").exists()
 
 
 class TestVote:
@@ -342,6 +370,27 @@ class TestExitCodes:
         dataset, _ = self._trained_scorer(tmp_path, 2)
         _, scorer = self._trained_scorer(tmp_path, 3)
         self._vote_is_one(tmp_path, capsys, dataset, scorer, "features per proposal")
+
+    @pytest.mark.parametrize("scorer_classes", [2, 4])
+    @pytest.mark.parametrize("command", ["vote", "compare-schemes"])
+    def test_scorer_of_another_class_count_with_the_same_feature_width_is_one(
+        self, tmp_path, capsys, command, scorer_classes
+    ):
+        """A 3-class dataset has 8 features per proposal; so has a scorer of 2
+        or 4 classes built for 8 features. Voting with it would read the
+        wrong rows (a 2-class scorer's background row as class 2)."""
+        data_dir = tmp_path / "data"
+        assert run(["--seed", "3", "--out", data_dir] + GENERATE_ARGS + ["--classes", "3"])[0] == 0
+        scorer = tmp_path / "scorer.json"
+        ToyScorer.initialize(scorer_classes, 8, np.random.default_rng(0)).save(scorer)
+        out = tmp_path / "out"
+        extra = ["--emit-heatmaps"] if command == "vote" else []
+        code, captured = run(["--out", out, command, data_dir / "dataset.jsonl", "--scorer", scorer] + extra, capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: record 'synth-0000' has 3 classes, the scorer has {scorer_classes}"
+        ]
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("head, value", [("cls", True), ("det", "0.5"), ("refine", False)])
     def test_scorer_weights_of_wrong_json_type_are_one(self, tmp_path, capsys, head, value):

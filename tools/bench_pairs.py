@@ -14,7 +14,8 @@ parent's, and how many pairs the change won. A metric with a bound reads
 "unresolved" when the parent's own interquartile range is wider than that
 bound, relative to the parent's median: such a metric cannot tell a change
 from noise. `gap>IQR` says whether the medians lie further apart than the
-parent's IQR.
+parent's IQR. A pair with a run that fails or is not correct is left out
+of every metric, so the runs of a pair are only ever compared together.
 
 The summary also goes to DIR/pairs.json. The exit code is 1 when any run
 is not `correct: true` or does not finish. Standard library only.
@@ -62,6 +63,24 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "gap_exceeds_iqr": abs(c2 - p2) > iqr,
         "unresolved": bound is not None and p2 != 0 and iqr / abs(p2) > bound,
     }
+
+
+def paired_values(pairs: list[dict[str, dict[str, float] | None]]) -> dict[str, tuple[list[float], list[float]]]:
+    """Each metric's parent and change values over the pairs whose two runs
+    both succeeded. Pair k is `{"parent": metrics, "change": metrics}`, each
+    a name -> value dict, or None for a run that failed or was not correct;
+    a metric is kept in a pair only if both its runs report it."""
+    values: dict[str, tuple[list[float], list[float]]] = {}
+    for pair in pairs:
+        parent, change = pair["parent"], pair["change"]
+        if parent is None or change is None:
+            continue
+        for name, value in parent.items():
+            if name in change:
+                sides = values.setdefault(name, ([], []))
+                sides[0].append(value)
+                sides[1].append(change[name])
+    return values
 
 
 def extract(revision: str, target: Path) -> None:
@@ -117,24 +136,23 @@ def main(argv: list[str] | None = None) -> int:
     ok = True
     summary: dict[str, dict] = {}
     for workload in workloads:
-        values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+        pairs = []
         for k in range(args.pairs):
+            pair: dict[str, dict[str, float] | None] = {}
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 result = run_once(checkouts[side], workload, args.seed, args.seconds, args.trace)
+                pair[side] = None
                 if result is None or not result["correct"]:
                     print(f"{workload} pair {k + 1} {side}: run failed or not correct", file=sys.stderr)
                     ok = False
-                    continue
-                for name, metric in result["metrics"].items():
-                    values[side].setdefault(name, []).append(metric["value"])
+                else:
+                    pair[side] = {name: metric["value"] for name, metric in result["metrics"].items()}
+            pairs.append(pair)
             print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
         summary[workload] = {}
         print(f"workload {workload} seed {args.seed} pairs {args.pairs} seconds {args.seconds:g}")
         print("  metric, parent median [q1, q3], change median [q1, q3], change, wins, gap>IQR")
-        for name, parent_values in values["parent"].items():
-            change_values = values["change"].get(name, [])
-            if len(change_values) != len(parent_values):
-                continue  # a failed run broke the pairing; reported above
+        for name, (parent_values, change_values) in paired_values(pairs).items():
             declared = metrics.get(name, {})
             s = summarize(parent_values, change_values, declared.get("better", "lower"), declared.get("bound"))
             summary[workload][name] = {**s, "runs": {"parent": parent_values, "change": change_values}}
