@@ -20,8 +20,9 @@ gradient product per head and group. Each iteration runs in three phases:
 
 Gradient products and loss sums add up record by record in record order
 across the groups (`mil.record_sums`), so the bits are those of a
-per-record loop; then the weights descend on the weighted total loss. Voted supervision only
-influences the weights once the ramp weight is positive.
+per-record loop; then the weights descend on the weighted total loss.
+Voted supervision only influences the weights once the ramp weight is
+positive.
 
 Test-time detection scores are the arithmetic mean of the three refinement
 branches and the re-classification branch (an assumption; the combination
@@ -286,7 +287,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     """
     records = _training_records(dataset)
     groups = _proposal_groups(records)
-    # Where each record's row lies in its groups' rows, stacked in group order.
+    # order[i]: the row of record i among every group's rows, stacked in group order.
     order = np.argsort(np.concatenate([members for members, *_ in groups]))
     num_classes = dataset.num_classes
     rng = np.random.default_rng(config.init_seed)
@@ -464,15 +465,16 @@ def vote_dataset(
     """
     voted: list[str] = []
     skipped: list[str] = []
+    records = sorted(dataset.records, key=lambda r: r.image_id)
+    matrices = [resolve_scores(record, scorer) for record in records]  # a scorer error writes no heatmap
     if heatmap_dir is not None:
-        for record in dataset.records:
+        for record in records:
             if {"/", "\0", os.sep, os.altsep}.intersection(record.image_id):
                 raise InputError(f"record {record.image_id!r}: a heatmap file name cannot hold a path separator or NUL")
         heatmap_dir = Path(heatmap_dir)
         heatmap_dir.mkdir(parents=True, exist_ok=True)
     batch = VoteBatch(config)
-    for record in sorted(dataset.records, key=lambda r: r.image_id):
-        matrix = resolve_scores(record, scorer)
+    for record, matrix in zip(records, matrices):
         if matrix is None:
             skipped.append(record.image_id)
             continue

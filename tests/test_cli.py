@@ -392,6 +392,24 @@ class TestExitCodes:
         ]
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    def test_scorer_error_writes_no_heatmap_of_an_earlier_record(self, tmp_path, capsys):
+        """The first record has no features, so it votes from its embedded
+        scores; the scorer does not fit the second. No heatmap is written."""
+        data = tmp_path / "data"
+        assert run(["--seed", "3", "--out", data] + GENERATE_ARGS + ["--classes", "3"])[0] == 0
+        lines = (data / "dataset.jsonl").read_text().splitlines()
+        first = json.loads(lines[1])
+        del first["features"]
+        lines[1] = json.dumps(first)
+        (data / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+        scorer = tmp_path / "scorer.json"
+        ToyScorer.initialize(2, 8, np.random.default_rng(0)).save(scorer)
+        out = tmp_path / "out"
+        code, captured = run(["--out", out, "vote", data / "dataset.jsonl", "--scorer", scorer, "--emit-heatmaps"], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == ["error: record 'synth-0001' has 3 classes, the scorer has 2"]
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     @pytest.mark.parametrize("head, value", [("cls", True), ("det", "0.5"), ("refine", False)])
     def test_scorer_weights_of_wrong_json_type_are_one(self, tmp_path, capsys, head, value):
         dataset, scorer = self._trained_scorer(tmp_path, 2)
