@@ -49,7 +49,6 @@ class TestGenerate:
         assert len(dataset) == 2
         assert dataset.records[0].height == 32
 
-
     @pytest.mark.parametrize(
         "flags, config",
         [
