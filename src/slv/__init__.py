@@ -10,7 +10,6 @@ from .errors import ConfigError, DatasetFormatError, InputError, NumericalError,
 from .geometry import (
     BinaryGrid,
     Box,
-    clip_box,
     connected_components,
     iou,
     min_bounding_rect,
@@ -39,7 +38,6 @@ from .voting import (
     VoteBatch,
     VoteConfig,
     accumulate_fast,
-    accumulate_naive,
     binarize,
     generate_supervision,
     normalize,

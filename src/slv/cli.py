@@ -221,14 +221,15 @@ def _cmd_train(args, config: dict) -> int:
     vote_config = _vote_config(args, config, dataset.num_classes)
     train_config = TrainConfig(**settings, vote=vote_config, init_seed=args.seed)
     scorer, trace = train_toy(dataset, train_config)
+    # Inference runs before the first write, so a failed one leaves no file.
+    detections = run_inference(scorer, dataset, **inference) if args.emit_detections else None
     args.out.mkdir(parents=True, exist_ok=True)
     scorer.save(args.out / "scorer.json")
     save_trace(trace, args.out / "trace.json")
     first, last = trace[0], trace[-1]
     print(f"trained {train_config.iterations} iterations on {len(dataset)} records")
     print(f"loss_total first {first.loss_total:.6f} last {last.loss_total:.6f}")
-    if args.emit_detections:
-        detections = run_inference(scorer, dataset, **inference)
+    if detections is not None:
         save_detections(detections, args.out / "detections.jsonl")
         print(f"wrote {len(detections)} detections to {args.out / 'detections.jsonl'}")
     return 0
@@ -238,11 +239,12 @@ def _cmd_vote(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     vote_config = _vote_config(args, config, dataset.num_classes)
     scorer = ToyScorer.load(args.scorer) if args.scorer else None
-    args.out.mkdir(parents=True, exist_ok=True)
     heatmap_dir = args.out / "heatmaps" if args.emit_heatmaps else None
     results, skipped = vote_dataset(dataset, vote_config, scorer=scorer, heatmap_dir=heatmap_dir)
     for image_id in skipped:
         log.error("record %s has no scores and no scorer was given; skipped", image_id)
+    # Made after the vote, so a failed one leaves no folder (heatmaps make it earlier).
+    args.out.mkdir(parents=True, exist_ok=True)
     target = args.out / "pseudo_labels.jsonl"
     save_pseudo_labels(results, target)
     boxes = sum(len(sup.boxes) for _, sup in results)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, InputError
 from .evaluation import Detections, GroundTruth
-from .geometry import Box, boxes_to_array, clip_box
+from .geometry import Box, boxes_to_array
 from .voting import Supervision
 
 log = logging.getLogger(__name__)
@@ -51,10 +51,6 @@ class DatasetRecord:
     scores: np.ndarray | None = None         # (num_classes, R)
     gt_boxes: dict[int, np.ndarray] | None = None
 
-    @property
-    def num_proposals(self) -> int:
-        return len(self.proposals)
-
 
 @dataclass
 class Dataset:
@@ -63,11 +59,13 @@ class Dataset:
     feature_dim: int | None = None
     class_names: tuple[str, ...] | None = None
 
-    def __iter__(self):
-        return iter(self.records)
-
     def __len__(self) -> int:
         return len(self.records)
+
+    def in_id_order(self) -> list[DatasetRecord]:
+        """The records sorted by image id: the order every stage runs and
+        writes them in. The file order stays in `records`."""
+        return sorted(self.records, key=lambda r: r.image_id)
 
     def ground_truth(self) -> GroundTruth:
         """The records' ground-truth boxes for evaluation, by image id."""
@@ -98,7 +96,7 @@ def _proposal_rows(raw, height: int, width: int, where: str) -> list[Box]:
                 f"{where}: field 'proposals'[{k}]: box {box.as_tuple()} lies outside a {height}x{width} image"
             )
         if box.x1 > width or box.y1 > height:
-            clipped = clip_box(box, height, width)
+            clipped = Box(box.x0, box.y0, min(box.x1, width), min(box.y1, height))
             log.warning(CLIPPED, where, k, box.as_tuple(), clipped.as_tuple(), height, width)
             box = clipped
         proposals.append(box)

@@ -57,11 +57,6 @@ class Box:
     def area(self) -> int:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        """(cx, cy) in pixel units."""
-        return (self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x0, self.y0, self.x1, self.y1)
 
@@ -219,24 +214,6 @@ def min_bounding_rect(component: Iterable[Cell]) -> Box:
     rows = [c[0] for c in cells]
     cols = [c[1] for c in cells]
     return Box(x0=min(cols), y0=min(rows), x1=max(cols) + 1, y1=max(rows) + 1)
-
-
-def clip_box(b: Box | tuple[int, int, int, int], height: int, width: int) -> Box:
-    """Clamp a box (or raw signed coordinate 4-tuple) to an HxW image.
-
-    Raises InputError when the clamped box is empty, i.e. the input lies
-    entirely outside the image.
-    """
-    if height <= 0 or width <= 0:
-        raise InputError(f"clip_box: image size must be positive, got {height}x{width}")
-    x0, y0, x1, y1 = b.as_tuple() if isinstance(b, Box) else b
-    cx0 = min(max(x0, 0), width)
-    cy0 = min(max(y0, 0), height)
-    cx1 = min(max(x1, 0), width)
-    cy1 = min(max(y1, 0), height)
-    if cx0 >= cx1 or cy0 >= cy1:
-        raise InputError(f"clip_box: box {(x0, y0, x1, y1)} lies outside a {height}x{width} image")
-    return Box(cx0, cy0, cx1, cy1)
 
 
 def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:

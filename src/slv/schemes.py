@@ -67,7 +67,7 @@ def compare_schemes(
     """
     vote_config = vote_config or VoteConfig()
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
-    records = sorted(dataset.records, key=lambda r: r.image_id)
+    records = dataset.in_id_order()
     labeled: list[dict[str, Supervision]] = []
     batch = VoteBatch(vote_config)
     for record in records:

@@ -37,25 +37,21 @@ class ProposalTargets:
     labels[r] is a class id in [0, num_classes) for foreground, num_classes
     for background, IGNORED otherwise. offsets[r] holds the encoded
     regression target of foreground proposals and zeros elsewhere.
-    weights[r] is 1 for foreground/background and 0 for ignored.
     """
 
     labels: np.ndarray
     offsets: np.ndarray
-    weights: np.ndarray
     num_classes: int
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.int64)
         offsets = np.asarray(self.offsets, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if offsets.shape != (labels.shape[0], 4) or weights.shape != labels.shape:
+        if offsets.shape != (labels.shape[0], 4):
             raise InputError("ProposalTargets: inconsistent array shapes")
         if not np.isfinite(offsets).all():
             raise InputError("ProposalTargets: regression targets must be finite")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def foreground_mask(self) -> np.ndarray:
@@ -64,10 +60,6 @@ class ProposalTargets:
     @property
     def valid_mask(self) -> np.ndarray:
         return self.labels != IGNORED
-
-    @property
-    def num_foreground(self) -> int:
-        return int(self.foreground_mask.sum())
 
 
 def encode_boxes(proposals: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -165,8 +157,7 @@ def assign_targets(
         labels[(lo <= best_iou) & (best_iou < hi)] = num_classes
         labels[fg] = classes.ravel()[best[fg]]
         offsets[fg] = encode_boxes(boxes.reshape(-1, 4)[fg], voted_arr.reshape(-1, 4)[best[fg]])
-    weights = (labels != IGNORED).astype(np.float64)
-    return ProposalTargets(labels=labels, offsets=offsets, weights=weights, num_classes=num_classes)
+    return ProposalTargets(labels=labels, offsets=offsets, num_classes=num_classes)
 
 
 def smooth_l1(x: np.ndarray) -> np.ndarray:

@@ -242,7 +242,7 @@ def _finite_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> np.ndarr
 
 
 def _training_records(dataset: Dataset) -> list[DatasetRecord]:
-    records = sorted(dataset.records, key=lambda r: r.image_id)
+    records = dataset.in_id_order()
     if not records:
         raise InputError("train_toy: dataset is empty")
     for record in records:
@@ -407,7 +407,7 @@ def run_inference(
     offsets, then per-class NMS on the fused scores, in one `nms` call
     whose groups are the (record, class) pairs in image-id order."""
     check_inference(nms_iou, score_min)
-    records = sorted(dataset.records, key=lambda r: r.image_id)
+    records = dataset.in_id_order()
     num_classes = scorer.num_classes
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4), np.int64), np.zeros(0))]
     for position, record in enumerate(records):
@@ -465,7 +465,7 @@ def vote_dataset(
     """
     voted: list[str] = []
     skipped: list[str] = []
-    records = sorted(dataset.records, key=lambda r: r.image_id)
+    records = dataset.in_id_order()
     matrices = [resolve_scores(record, scorer) for record in records]  # a scorer error writes no heatmap
     if heatmap_dir is not None:
         for record in records:

@@ -3,18 +3,10 @@ scores over the pixels they cover; the normalized, thresholded map votes
 minimum bounding rectangles of its connected regions as pseudo ground truth.
 
 A sum of box indicators is constant between the boxes' distinct edges, so
-the fast path holds a map as the cells of the grid those edges cut, not as
-pixels: accumulation, normalization, binarization and region labeling all
-run on cells, and pixels are built only for the heatmap bytes and for
-callers that ask for them (`LikelihoodMap.data`).
-
-Two accumulation kernels are provided: a fast 2-D difference-array version
-on the edge grid (constant work per box plus two prefix-sum passes) and a
-naive definitional version on pixels used as its oracle. Both share the
-half-open pixel convention from `geometry`. Their maps agree within float
-rounding, since they add the same scores in different orders; a cell whose
-exact value is `t_b * peak` can therefore binarize differently, and the
-voted boxes can differ at such ties.
+a map is held as the cells of the grid those edges cut, not as pixels:
+accumulation, normalization, binarization and region labeling all run on
+cells, and pixels are built only for the heatmap bytes. Boxes follow the
+half-open pixel convention from `geometry`.
 """
 
 from __future__ import annotations
@@ -46,15 +38,13 @@ class LikelihoodMap:
     `cells[a, b]` is the value of every pixel in rows
     `y_edges[a]:y_edges[a + 1]` and columns `x_edges[b]:x_edges[b + 1]`.
     The edges are strictly increasing, start at 0 and end at the image's
-    height and width. Without edges, `cells` is a pixel array, every cell
-    one pixel. `data` is the pixel array; it is built on request unless the
-    cells are pixels, in which case it is `cells` itself.
+    height and width.
     """
 
     cells: np.ndarray
+    y_edges: np.ndarray
+    x_edges: np.ndarray
     class_id: int = 0
-    y_edges: np.ndarray | None = None
-    x_edges: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.cells, dtype=np.float64)
@@ -62,10 +52,6 @@ class LikelihoodMap:
             raise InputError(f"LikelihoodMap must be 2-D, got shape {arr.shape}")
         object.__setattr__(self, "cells", arr)
         rows, cols = arr.shape
-        if self.y_edges is None:
-            object.__setattr__(self, "y_edges", np.arange(rows + 1))
-        if self.x_edges is None:
-            object.__setattr__(self, "x_edges", np.arange(cols + 1))
         if len(self.y_edges) != rows + 1 or len(self.x_edges) != cols + 1:
             raise InputError(f"LikelihoodMap: {rows}x{cols} cells need one more edge on each axis")
         if self.height <= 0 or self.width <= 0:
@@ -78,18 +64,6 @@ class LikelihoodMap:
     @property
     def width(self) -> int:
         return int(self.x_edges[-1])
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.pixels(self.cells)
-
-    def pixels(self, per_cell: np.ndarray) -> np.ndarray:
-        """An array over this map's cells (the map's own, or a binarized
-        grid of it) expanded to one entry per pixel."""
-        if per_cell.shape == (self.height, self.width):
-            return per_cell
-        rows = np.repeat(per_cell, np.diff(self.y_edges), axis=0)
-        return np.repeat(rows, np.diff(self.x_edges), axis=1)
 
 
 @dataclass(frozen=True)
@@ -230,23 +204,7 @@ def accumulate_fast(
     np.cumsum(diff, axis=1, out=diff)
     # Cancellation can leave sub-ulp negatives where the exact value is 0.
     np.maximum(diff, 0.0, out=diff)
-    return LikelihoodMap(diff[:-1, :-1], class_id, y_edges=y_edges, x_edges=x_edges)
-
-
-def accumulate_naive(
-    candidates: np.ndarray,
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    height: int,
-    width: int,
-    class_id: int = 0,
-) -> LikelihoodMap:
-    """Definitional oracle for accumulate_fast: one rectangle add per box."""
-    picked, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
-    acc = np.zeros((height, width), dtype=np.float64)
-    for s, (x0, y0, x1, y1) in zip(picked.tolist(), arr.tolist()):
-        acc[y0:y1, x0:x1] += s
-    return LikelihoodMap(acc, class_id=class_id)
+    return LikelihoodMap(diff[:-1, :-1], y_edges, x_edges, class_id)
 
 
 def normalize(likelihood: LikelihoodMap) -> LikelihoodMap:

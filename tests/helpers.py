@@ -1,10 +1,13 @@
 """Shared test oracles: central finite differences, a literal per-pixel
-accumulation loop, a two-cumsum difference-array kernel, a flood-fill
+accumulation loop, one rectangle add per box (`accumulate_naive`), a
+two-cumsum difference-array kernel, a flood-fill
 region labeling, scalar-IoU loops for greedy clustering, target assignment,
 NMS, the scheme comparison and detection evaluation, per-proposal loops
 for the losses and the box coding, a per-row proposal loader, and the
 trainer's loop with every head run one record at a time. These stay
-independent of the implementation paths they check. `by_class` and
+independent of the implementation paths they check. `to_pixels` expands a
+vote map's cells to pixels, and `unit_map` makes a map of one-pixel
+cells. `by_class` and
 `supervision` convert voted supervision to and from `Box` lists by class,
 and `pseudo_labels` reads a pseudo-label file back with plain JSON;
 `detections`, `detection_rows` and `ground_truth` do the same for
@@ -21,7 +24,7 @@ import numpy as np
 from slv.datasets import Dataset, DatasetRecord
 from slv.errors import DatasetFormatError, InputError, NumericalError
 from slv.evaluation import ALL_POINTS, Detections, EvalResult, average_precision, mean_ap
-from slv.geometry import Box, boxes_to_array, clip_box, iou, iou_matrix
+from slv.geometry import Box, boxes_to_array, iou, iou_matrix
 from slv.mil import (
     CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet, average_refined_scores, cluster_records,
     image_scores, refinement_losses, softmax_backward, softmax_over_classes, softmax_over_proposals,
@@ -33,7 +36,7 @@ from slv.targets import (
 )
 from slv.trainer import ToyScorer, TraceEntry, TrainConfig, _training_records, fused_scores
 from slv.schemes import ALL_SCHEMES, SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV, SchemeStats
-from slv.voting import Supervision, VoteBatch, generate_supervision
+from slv.voting import LikelihoodMap, Supervision, VoteBatch, _check_accumulate_inputs, generate_supervision
 
 
 def by_class(sup: Supervision) -> dict[int, list[Box]]:
@@ -167,6 +170,30 @@ def per_pixel_accumulate(candidates, boxes, scores, height, width) -> np.ndarray
     return out
 
 
+def accumulate_naive(candidates, boxes, scores, height, width, class_id=0) -> LikelihoodMap:
+    """Definitional oracle for accumulate_fast: one rectangle add per box on
+    pixels, after the kernel's own input checks."""
+    picked, arr = _check_accumulate_inputs(candidates, boxes, scores, height, width)
+    acc = np.zeros((height, width), dtype=np.float64)
+    for s, (x0, y0, x1, y1) in zip(picked.tolist(), arr.tolist()):
+        acc[y0:y1, x0:x1] += s
+    return unit_map(acc, class_id)
+
+
+def unit_map(values, class_id=0) -> LikelihoodMap:
+    """A map of the given 2-D values whose every cell is one pixel."""
+    rows, cols = np.shape(values)
+    return LikelihoodMap(values, np.arange(rows + 1), np.arange(cols + 1), class_id)
+
+
+def to_pixels(likelihood: LikelihoodMap, per_cell: np.ndarray | None = None) -> np.ndarray:
+    """A map's cells, or an array over them such as its binarized grid,
+    expanded through the map's edges to one entry per pixel."""
+    per_cell = likelihood.cells if per_cell is None else per_cell
+    rows = np.repeat(per_cell, np.diff(likelihood.y_edges), axis=0)
+    return np.repeat(rows, np.diff(likelihood.x_edges), axis=1)
+
+
 def two_cumsum_accumulate(candidates, boxes, scores, height, width) -> np.ndarray:
     """The difference-array kernel with both prefix passes as whole-axis
     cumsums, the reference for accumulate_fast's bits on any grid shape."""
@@ -235,7 +262,6 @@ def matched_targets(boxes, sup, num_classes) -> ProposalTargets:
     lo, hi = BG_IOU_RANGE
     labels = np.full(len(boxes), IGNORED, dtype=np.int64)
     offsets = np.zeros((len(boxes), 4))
-    weights = np.zeros(len(boxes))
     voted = [(c, g) for c, bs in by_class(sup).items() for g in bs]
     for r, proposal in enumerate(boxes if voted else []):
         ious = [iou(proposal, g) for _, g in voted]
@@ -243,11 +269,9 @@ def matched_targets(boxes, sup, num_classes) -> ProposalTargets:
         if ious[best] >= FG_IOU:
             labels[r] = voted[best][0]
             offsets[r] = scalar_encode_offsets(proposal, voted[best][1])
-            weights[r] = 1.0
         elif lo <= ious[best] < hi:
             labels[r] = num_classes
-            weights[r] = 1.0
-    return ProposalTargets(labels, offsets, weights, num_classes)
+    return ProposalTargets(labels, offsets, num_classes)
 
 
 def scalar_compare_schemes(dataset, score_fn, vote_config) -> list[SchemeStats]:
@@ -373,9 +397,9 @@ def scalar_slv_loss(phi_s, t_s, targets):
 
 
 def scalar_encode_offsets(proposal, target) -> np.ndarray:
-    """encode_offsets from Box properties and math.log."""
-    pcx, pcy = proposal.center
-    gcx, gcy = target.center
+    """encode_offsets from Box corners and math.log."""
+    pcx, pcy = (proposal.x0 + proposal.x1) / 2.0, (proposal.y0 + proposal.y1) / 2.0
+    gcx, gcy = (target.x0 + target.x1) / 2.0, (target.y0 + target.y1) / 2.0
     return np.array(
         [
             (gcx - pcx) / proposal.width,
@@ -391,7 +415,7 @@ def scalar_decode_offsets_float(proposal, t):
     dx, dy, dw, dh = (float(v) for v in t)
     if not all(math.isfinite(v) for v in (dx, dy, dw, dh)):
         raise InputError("decode_offsets: offsets must be finite")
-    pcx, pcy = proposal.center
+    pcx, pcy = (proposal.x0 + proposal.x1) / 2.0, (proposal.y0 + proposal.y1) / 2.0
     cx = pcx + dx * proposal.width
     cy = pcy + dy * proposal.height
     w = proposal.width * math.exp(min(dw, BBOX_XFORM_CLIP))
@@ -453,7 +477,7 @@ def rowwise_proposals(raw, height, width, where) -> tuple[list[list[int]], list[
         if box.x0 >= width or box.y0 >= height:
             raise DatasetFormatError(f"{at}: box {box.as_tuple()} lies outside a {height}x{width} image")
         if box.x1 > width or box.y1 > height:
-            clipped = clip_box(box, height, width)
+            clipped = Box(box.x0, box.y0, min(box.x1, width), min(box.y1, height))
             warnings.append(
                 f"{where}: proposal {k} {box.as_tuple()} clipped to {clipped.as_tuple()} for {height}x{width} image"
             )

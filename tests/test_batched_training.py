@@ -145,7 +145,7 @@ def test_group_targets_and_losses_match_one_record_calls_and_oracles(inputs):
         for want in (one, oracle):
             assert targets.labels[rows].tolist() == want.labels.tolist()
             assert targets.offsets[rows].tobytes() == want.offsets.tobytes()
-            assert targets.weights[rows].tobytes() == want.weights.tobytes()
+            assert targets.valid_mask[rows].tobytes() == want.valid_mask.tobytes()
         for loss, g_scores, g_offsets, empty in (slv_loss(phi, t, one), scalar_slv_loss(phi, t, oracle)):
             assert np.float64(losses[r]).tobytes() == np.float64(loss).tobytes()
             assert np.array_equal(grad_scores[r], g_scores)

@@ -409,6 +409,41 @@ class TestExitCodes:
         assert captured.err.splitlines() == ["error: record 'synth-0001' has 3 classes, the scorer has 2"]
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    def test_failed_inference_leaves_no_training_output(self, tmp_path, capsys):
+        """Training succeeds, then a feature of 1e160 overflows the trained
+        scorer's outputs at inference: `--out` is never made."""
+        data = tmp_path / "data"
+        generate = ["generate", "--images", "3", "--size", "24", "--classes", "2", "--objects", "1", "--proposals", "6"]
+        assert run(["--seed", "1", "--out", data] + generate)[0] == 0
+        header, first, *rest = (data / "dataset.jsonl").read_text().splitlines()
+        record = json.loads(first)
+        record["features"][0][0] = 1e160
+        (data / "dataset.jsonl").write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+        out = tmp_path / "out"
+        code, captured = run(["--out", out, "train", data / "dataset.jsonl", "--iterations", "2", "--emit-detections"], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: run_inference: record 'synth-0000': scorer weights give non-finite outputs"
+        ]
+        assert not out.exists()
+
+    def test_failed_vote_makes_no_output_folder(self, tmp_path, capsys):
+        """The second record's scores are too large to sum; without heatmaps
+        nothing is written before the vote ends, and `--out` is never made."""
+        dataset = tmp_path / "huge.jsonl"
+        header = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
+        records = [
+            {"id": image_id, "height": 10, "width": 10, "labels": [1], "proposals": [[0, 0, 5, 5], [1, 1, 6, 6]],
+             "scores": [[score] * 2]}
+            for image_id, score in (("a", 0.5), ("b", 1e308))
+        ]
+        dataset.write_text("".join(json.dumps(line) + "\n" for line in [header, *records]))
+        out = tmp_path / "out"
+        code, captured = run(["--out", out, "vote", dataset], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == ["error: record 'b': accumulate: candidate scores are too large to sum"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("head, value", [("cls", True), ("det", "0.5"), ("refine", False)])
     def test_scorer_weights_of_wrong_json_type_are_one(self, tmp_path, capsys, head, value):
         dataset, scorer = self._trained_scorer(tmp_path, 2)
@@ -710,9 +745,13 @@ class TestConfigKeys:
 
 
 def test_readme_library_names_are_exported():
-    """Every name in README's `from slv import (...)` block is an attribute of `slv`."""
+    """README's `from slv import (...)` block runs against the package, and
+    binds every name it lists to that attribute of `slv`."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("from slv import (\n", 1)[1].split("\n)", 1)[0]
-    names = [name.strip() for line in block.splitlines() for name in line.split("#")[0].split(",") if name.strip()]
+    statement = "from slv import (\n" + readme.split("from slv import (\n", 1)[1].split("\n)", 1)[0] + "\n)"
+    names = [name.strip() for line in statement.splitlines()[1:-1] for name in line.split("#")[0].split(",") if name.strip()]
     assert len(names) > 20
     assert [name for name in names if not hasattr(slv, name)] == []
+    namespace: dict = {}
+    exec(compile(statement, "README.md", "exec"), namespace)
+    assert all(namespace[name] is getattr(slv, name) for name in names)

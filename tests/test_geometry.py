@@ -8,7 +8,6 @@ from slv.geometry import (
     Box,
     _label_runs,
     boxes_to_array,
-    clip_box,
     connected_components,
     iou,
     iou_matrix,
@@ -47,7 +46,6 @@ class TestBox:
         b = Box(np.int64(1), np.int32(2), np.int64(4), np.int64(6))
         assert b.as_tuple() == (1, 2, 4, 6)
         assert b.area == 12
-        assert b.center == (2.5, 4.0)
 
 
 class TestIou:
@@ -323,21 +321,6 @@ class TestIouMatrix:
     @settings(max_examples=50)
     def test_pairwise_matches_scalar_iou(self, boxes):
         assert pairwise_iou(boxes_to_array(boxes)).tolist() == [[iou(p, q) for q in boxes] for p in boxes]
-
-
-class TestClipBox:
-    def test_inside_unchanged(self):
-        assert clip_box(Box(0, 0, 10, 10), 100, 100) == Box(0, 0, 10, 10)
-
-    def test_signed_tuple_clamped_at_zero(self):
-        assert clip_box((-5, -5, 10, 10), 100, 100) == Box(0, 0, 10, 10)
-
-    def test_clamped_at_far_edge(self):
-        assert clip_box(Box(90, 90, 120, 130), 100, 100) == Box(90, 90, 100, 100)
-
-    def test_entirely_outside_errors(self):
-        with pytest.raises(InputError):
-            clip_box((120, 120, 130, 130), 100, 100)
 
 
 def test_boxes_to_array_roundtrip():

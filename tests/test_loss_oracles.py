@@ -145,8 +145,7 @@ def test_slv_loss_matches_oracle(seed, num_classes, num, all_ignored):
     labels = rng.integers(IGNORED, num_classes + 1, num) if not all_ignored else np.full(num, IGNORED)
     fg = (labels >= 0) & (labels < num_classes)
     targets = ProposalTargets(
-        labels, np.where(fg[:, None], pooled(rng, OFFSETS[:6], (num, 4), -3.0, 3.0), 0.0),
-        (labels != IGNORED).astype(np.float64), num_classes,
+        labels, np.where(fg[:, None], pooled(rng, OFFSETS[:6], (num, 4), -3.0, 3.0), 0.0), num_classes,
     )
     t_s = pooled(rng, OFFSETS[:6], (num, 4), -5.0, 5.0)
     phi = pooled(rng, SATURATED, (num_classes + 1, num), 0.0, 1.0)
@@ -182,7 +181,7 @@ def test_assign_targets_matches_oracle_on_wide_boxes(seed, num, num_classes):
     got, want = assign_targets(boxes_to_array(proposals), sup, num_classes), matched_targets(proposals, sup, num_classes)
     assert got.labels.tolist() == want.labels.tolist()
     assert np.array_equal(got.offsets, want.offsets)
-    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.valid_mask, want.valid_mask)
 
 
 @given(seed=seeds, num=st.integers(1, 16), height=st.integers(1, 64), width=st.integers(1, 64))

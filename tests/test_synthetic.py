@@ -14,7 +14,7 @@ def top_proposal_ious(dataset):
     """IoU of each record's top-scoring proposal (per positive class)
     against the best ground-truth box of that class."""
     out = []
-    for record in dataset:
+    for record in dataset.records:
         for c in positive_classes(record.labels):
             r = int(np.argmax(record.scores[c]))
             out.append(max(iou(Box(*record.proposals[r].tolist()), Box(*g)) for g in record.gt_boxes[c].tolist()))
@@ -65,8 +65,8 @@ class TestGenerateSynthetic:
         dataset = generate_synthetic(config, seed=3)
         assert dataset.num_classes == 4
         assert dataset.feature_dim == config.feature_dim
-        for record in dataset:
-            r = record.num_proposals
+        for record in dataset.records:
+            r = len(record.proposals)
             assert r == config.proposals_per_image
             assert record.features.shape == (r, config.feature_dim)
             assert record.scores.shape == (4, r)

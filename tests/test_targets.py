@@ -91,8 +91,8 @@ class TestAssignTargets:
         targets = assign_targets(boxes_to_array([g]), sup, num_classes=3)
         assert targets.labels.tolist() == [2]
         assert np.array_equal(targets.offsets[0], np.zeros(4))
-        assert targets.weights.tolist() == [1.0]
-        assert targets.num_foreground == 1
+        assert targets.valid_mask.tolist() == [True]
+        assert targets.foreground_mask.sum() == 1
 
     def test_mid_iou_is_background(self):
         g = Box(0, 0, 30, 30)
@@ -100,15 +100,15 @@ class TestAssignTargets:
         assert iou(p, g) == pytest.approx(0.3)
         targets = assign_targets(boxes_to_array([p]), supervision({0: [g]}), num_classes=2)
         assert targets.labels.tolist() == [2]  # background marker = num_classes
-        assert targets.weights.tolist() == [1.0]
-        assert targets.num_foreground == 0
+        assert targets.valid_mask.tolist() == [True]
+        assert targets.foreground_mask.sum() == 0
 
     def test_low_iou_is_ignored(self):
         g = Box(0, 0, 30, 30)
         p = Box(60, 60, 70, 70)
         targets = assign_targets(boxes_to_array([p]), supervision({0: [g]}), num_classes=2)
         assert targets.labels.tolist() == [IGNORED]
-        assert targets.weights.tolist() == [0.0]
+        assert targets.valid_mask.tolist() == [False]
 
     def test_empty_supervision_ignores_everything(self):
         targets = assign_targets(boxes_to_array([Box(0, 0, 5, 5), Box(5, 5, 9, 9)]), supervision({}), num_classes=2)

@@ -196,7 +196,7 @@ class TestInference:
         dets_b = run_inference(scorer, dataset)
         assert detection_rows(dets_a) == detection_rows(dets_b)
         assert dets_a
-        ids = {r.image_id for r in dataset}
+        ids = {r.image_id for r in dataset.records}
         for image_id, class_id, box, _ in detection_rows(dets_a):
             assert image_id in ids
             assert 0 <= class_id < dataset.num_classes

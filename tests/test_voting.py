@@ -14,7 +14,6 @@ from slv.voting import (
     VoteBatch,
     VoteConfig,
     accumulate_fast,
-    accumulate_naive,
     binarize,
     generate_supervision,
     normalize,
@@ -24,7 +23,10 @@ from slv.voting import (
     write_pgm,
 )
 
-from helpers import bounding_rect, by_class, flood_fill_components, per_pixel_accumulate, two_cumsum_accumulate
+from helpers import (
+    accumulate_naive, bounding_rect, by_class, flood_fill_components, per_pixel_accumulate, to_pixels,
+    two_cumsum_accumulate, unit_map,
+)
 
 MAX = np.finfo(np.float64).max
 # Around the largest score sum that stays finite when quadrupled.
@@ -77,7 +79,7 @@ class TestAccumulate:
             out = kernel(np.array([0]), boxes, scores, 6, 6)
             expected = np.zeros((6, 6))
             expected[2:5, 1:4] = 0.7
-            assert np.array_equal(out.data, expected)
+            assert np.array_equal(to_pixels(out), expected)
 
     def test_two_overlapping_boxes(self):
         boxes = [Box(0, 0, 4, 4), Box(2, 2, 6, 6)]
@@ -88,7 +90,7 @@ class TestAccumulate:
         assert oracle[5, 5] == pytest.approx(0.5)
         for kernel in (accumulate_fast, accumulate_naive):
             out = kernel(np.array([0, 1]), boxes_to_array(boxes), scores, 6, 6)
-            assert np.abs(out.data - oracle).max() < 1e-15
+            assert np.abs(to_pixels(out) - oracle).max() < 1e-15
 
     def test_kernels_match_per_pixel_oracle(self):
         rng = np.random.default_rng(1234)
@@ -98,8 +100,8 @@ class TestAccumulate:
             oracle = per_pixel_accumulate(candidates, boxes, scores, height, width)
             fast = accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width)
             naive = accumulate_naive(candidates, boxes_to_array(boxes), scores, height, width)
-            assert np.abs(fast.data - oracle).max() < 1e-9
-            assert np.abs(naive.data - oracle).max() < 1e-9
+            assert np.abs(to_pixels(fast) - oracle).max() < 1e-9
+            assert np.abs(to_pixels(naive) - oracle).max() < 1e-9
 
     def test_fast_equals_naive_on_random_instances(self):
         rng = np.random.default_rng(99)
@@ -108,7 +110,7 @@ class TestAccumulate:
             candidates = np.array([i for i in range(len(boxes)) if rng.random() < 0.8], dtype=np.int64)
             fast = accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width)
             naive = accumulate_naive(candidates, boxes_to_array(boxes), scores, height, width)
-            assert np.abs(fast.data - naive.data).max() <= 1e-9
+            assert np.abs(to_pixels(fast) - to_pixels(naive)).max() <= 1e-9
 
     def test_out_of_bounds_box_rejected(self):
         boxes = boxes_to_array([Box(0, 0, 10, 10)])
@@ -123,7 +125,7 @@ class TestAccumulate:
                 kernel(np.arange(3), boxes, np.full(3, 1e308), 8, 8)
             # 4 * 3 * 1e307 is finite, so every prefix sum is.
             out = kernel(np.arange(3), boxes, np.full(3, 1e307), 8, 8)
-            assert out.data.max() == pytest.approx(3e307)
+            assert to_pixels(out).max() == pytest.approx(3e307)
 
     @given(st.lists(st.sampled_from(EDGE_SCORES), min_size=1, max_size=9))
     @settings(max_examples=300, deadline=None)
@@ -164,50 +166,50 @@ class TestAccumulate:
         scores = rng.uniform(0.001, 1.0, n)
         candidates = np.flatnonzero(rng.random(n) < 0.9)
         fast = accumulate_fast(candidates, boxes, scores, height, width)
-        assert np.array_equal(fast.data, two_cumsum_accumulate(candidates, boxes, scores, height, width))
+        assert np.array_equal(to_pixels(fast), two_cumsum_accumulate(candidates, boxes, scores, height, width))
 
     def test_empty_candidates_give_zero_map(self):
         out = accumulate_fast(np.array([], dtype=np.int64), boxes_to_array([Box(0, 0, 2, 2)]), np.array([0.5]), 4, 4)
-        assert not out.data.any()
+        assert not to_pixels(out).any()
 
 
 class TestNormalize:
     def test_peak_becomes_one(self):
         raw = np.array([[0.0, 2.0], [4.0, 1.0]])
-        likelihood = LikelihoodMap(raw)
+        likelihood = unit_map(raw)
         out = normalize(likelihood)
-        assert out.data[1, 0] == 1.0
-        assert out.data[0, 1] == pytest.approx(0.5)
+        assert out.cells[1, 0] == 1.0
+        assert out.cells[0, 1] == pytest.approx(0.5)
         assert out is likelihood
 
     def test_all_zero_flagged_empty(self):
         zeros = np.zeros((3, 3))
-        likelihood = LikelihoodMap(zeros)
+        likelihood = unit_map(zeros)
         out = normalize(likelihood)
         assert out is likelihood
-        assert out.data is zeros and not zeros.any()
+        assert out.cells is zeros and not zeros.any()
 
     def test_scales_the_given_array_in_place(self):
         raw = np.array([[0.0, 3.0], [6.0, 1.5]])
-        likelihood = LikelihoodMap(raw)
+        likelihood = unit_map(raw)
         out = normalize(likelihood)
-        assert out.data is raw and likelihood.data is raw
+        assert out.cells is raw and likelihood.cells is raw
         assert np.array_equal(raw, np.array([[0.0, 3.0], [6.0, 1.5]]) / 6.0)
 
     def test_constant_map_becomes_all_ones(self):
-        out = normalize(LikelihoodMap(np.full((2, 2), 0.3)))
-        assert np.array_equal(out.data, np.ones((2, 2)))
+        out = normalize(unit_map(np.full((2, 2), 0.3)))
+        assert np.array_equal(out.cells, np.ones((2, 2)))
 
     def test_negative_entries_rejected(self):
         with pytest.raises(InputError):
-            normalize(LikelihoodMap(np.array([[-0.1, 0.2]])))
+            normalize(unit_map(np.array([[-0.1, 0.2]])))
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
     def test_map_without_pixels_rejected(self, shape):
         """A map with no pixels fails where it is made, not later in
         normalize or as a ZeroDivisionError in write_pgm."""
         with pytest.raises(InputError, match="no pixels"):
-            LikelihoodMap(np.zeros(shape))
+            unit_map(np.zeros(shape))
 
     def test_edges_must_match_the_cells(self):
         with pytest.raises(InputError):
@@ -216,16 +218,16 @@ class TestNormalize:
 
 class TestBinarize:
     def test_strictly_greater(self):
-        grid = binarize(LikelihoodMap(np.array([[0.4, 0.5, 0.6]])), 0.5)
+        grid = binarize(unit_map(np.array([[0.4, 0.5, 0.6]])), 0.5)
         assert grid.tolist() == [[False, False, True]]
 
     def test_person_threshold(self):
-        grid = binarize(LikelihoodMap(np.array([[0.25, 0.15]])), 0.2)
+        grid = binarize(unit_map(np.array([[0.25, 0.15]])), 0.2)
         assert grid.tolist() == [[True, False]]
 
     def test_all_ones_all_true(self):
         for t_b in (0.2, 0.5, 0.99):
-            grid = binarize(LikelihoodMap(np.ones((2, 2))), t_b)
+            grid = binarize(unit_map(np.ones((2, 2))), t_b)
             assert grid.all()
 
 
@@ -234,7 +236,7 @@ class TestVoteBoxes:
         box = Box(2, 1, 7, 5)
         likelihood = accumulate_fast(np.array([0]), boxes_to_array([box]), np.array([0.4]), 8, 10)
         normalized = normalize(likelihood)
-        grid = normalized.pixels(binarize(normalized, 0.5))
+        grid = to_pixels(normalized, binarize(normalized, 0.5))
         assert vote_boxes(grid).tolist() == [list(box.as_tuple())]
 
     def test_two_separated_regions(self):
@@ -331,8 +333,8 @@ def per_grid_vote(phi, boxes, y, height, width, config):
             maps.append((c, np.zeros((height, width)).tobytes()))
             continue
         normalized = normalize(accumulate_fast(candidates, boxes, phi[c], height, width))
-        maps.append((c, normalized.data.tobytes()))
-        rects = vote_boxes(normalized.pixels(binarize(normalized, config.t_b_for(c)))).tolist()
+        maps.append((c, to_pixels(normalized).tobytes()))
+        rects = vote_boxes(to_pixels(normalized, binarize(normalized, config.t_b_for(c)))).tolist()
         if rects:
             voted[c] = [Box(*r) for r in rects]
     return voted, maps
@@ -401,7 +403,7 @@ class TestVoteBatch:
         with mock.patch.object(voting, "BATCH_CELLS", cells):
             batch = VoteBatch(config)
             for image in images:
-                batch.add(*image, on_map=lambda m: maps.append((m.class_id, m.data.tobytes())))
+                batch.add(*image, on_map=lambda m: maps.append((m.class_id, to_pixels(m).tobytes())))
             batched = batch.supervisions()
         assert len(batched) == len(images)
         want_maps = []
@@ -511,7 +513,7 @@ class TestEdgeGrid:
         for edges, size in ((likelihood.y_edges, height), (likelihood.x_edges, width)):
             assert edges[0] == 0 and edges[-1] == size and (np.diff(edges) > 0).all()
         assert likelihood.cells.shape == (len(likelihood.y_edges) - 1, len(likelihood.x_edges) - 1)
-        assert likelihood.data.tobytes() == pixels.tobytes()
+        assert to_pixels(likelihood).tobytes() == pixels.tobytes()
 
         path = tmp_path_factory.mktemp("pgm") / "map.pgm"
         config = VoteConfig(t_b_default=t_b)
@@ -537,7 +539,7 @@ class TestVotingProperties:
         candidates = np.arange(len(boxes))
         base = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width))
         scaled = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores * factor, height, width))
-        assert np.array_equal(base.data, scaled.data)
+        assert np.array_equal(to_pixels(base), to_pixels(scaled))
         assert np.array_equal(binarize(base, 0.5), binarize(scaled, 0.5))
         assert vote_boxes(binarize(base, 0.5)).tolist() == vote_boxes(binarize(scaled, 0.5)).tolist()
 
@@ -550,7 +552,7 @@ class TestVotingProperties:
         candidates = np.arange(len(boxes))
         base = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores, height, width))
         scaled = normalize(accumulate_fast(candidates, boxes_to_array(boxes), scores * factor, height, width))
-        assert np.abs(base.data - scaled.data).max() < 1e-12
+        assert np.abs(to_pixels(base) - to_pixels(scaled)).max() < 1e-12
         assert vote_boxes(binarize(base, 0.5)).tolist() == vote_boxes(binarize(scaled, 0.5)).tolist()
 
     @given(st.integers(0, 10_000))
@@ -619,10 +621,10 @@ class TestPgmExport:
 
     def test_requires_normalized(self, tmp_path):
         with pytest.raises(InputError):
-            write_pgm(LikelihoodMap(np.array([[1.0, 2.0], [0.5, 0.0]])), tmp_path / "x.pgm")
+            write_pgm(unit_map(np.array([[1.0, 2.0], [0.5, 0.0]])), tmp_path / "x.pgm")
 
     def test_quantization_rounds(self, tmp_path):
-        likelihood = LikelihoodMap(np.array([[0.0, 0.5, 1.0]]))
+        likelihood = unit_map(np.array([[0.0, 0.5, 1.0]]))
         path = tmp_path / "q.pgm"
         write_pgm(likelihood, path)
         assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 128, 255])
@@ -633,12 +635,12 @@ class TestPgmExport:
         height = 155
         data = np.random.default_rng(7).random((height, width))
         path = tmp_path / "blocks.pgm"
-        write_pgm(LikelihoodMap(data), path)
+        write_pgm(unit_map(data), path)
         body = np.rint(255.0 * data).astype(np.uint8).tobytes()
         assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + body
 
     def test_column_major_map_written_row_major(self, tmp_path):
         data = np.asfortranarray([[0.0, 0.5, 1.0], [1.0, 0.0, 0.25]])
         path = tmp_path / "f.pgm"
-        write_pgm(LikelihoodMap(data), path)
+        write_pgm(unit_map(data), path)
         assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 255, 0, 64])
