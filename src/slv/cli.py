@@ -32,9 +32,9 @@ from .trainer import (
     ToyScorer,
     TrainConfig,
     check_inference,
-    resolve_scores,
     run_inference,
     save_trace,
+    score_source,
     train_toy,
     vote_dataset,
 )
@@ -243,7 +243,7 @@ def _cmd_vote(args, config: dict) -> int:
     results, skipped = vote_dataset(dataset, vote_config, scorer=scorer, heatmap_dir=heatmap_dir)
     for image_id in skipped:
         log.error("record %s has no scores and no scorer was given; skipped", image_id)
-    # Made after the vote, so a failed one leaves no folder (heatmaps make it earlier).
+    # Made after the vote, so a failed one leaves no folder (and no heatmap).
     args.out.mkdir(parents=True, exist_ok=True)
     target = args.out / "pseudo_labels.jsonl"
     save_pseudo_labels(results, target)
@@ -256,9 +256,10 @@ def _cmd_compare_schemes(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     vote_config = _vote_config(args, config, dataset.num_classes)
     scorer = ToyScorer.load(args.scorer) if args.scorer else None
+    resolve = score_source(dataset.in_id_order(), scorer)
 
     def score_fn(record):
-        matrix = resolve_scores(record, scorer)
+        matrix = resolve(record)
         if matrix is None:
             raise InputError(f"record {record.image_id!r} has no scores and no scorer was given")
         return matrix
@@ -275,11 +276,13 @@ def _cmd_evaluate(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     detections = load_detections(args.detections)
     images = {record.image_id for record in dataset.records}
-    for image_id, class_id in zip(detections.image_ids, detections.classes.tolist()):
-        if not 0 <= class_id < dataset.num_classes:
-            raise InputError(f"detection for image {image_id!r} has unknown class id {class_id}")
-        if image_id not in images:
-            raise InputError(f"detection for image {image_id!r}: no such image in the dataset")
+    classes = detections.classes
+    if not images.issuperset(detections.image_ids) or ((classes < 0) | (classes >= dataset.num_classes)).any():
+        for image_id, class_id in zip(detections.image_ids, classes.tolist()):  # name the first bad detection
+            if not 0 <= class_id < dataset.num_classes:
+                raise InputError(f"detection for image {image_id!r} has unknown class id {class_id}")
+            if image_id not in images:
+                raise InputError(f"detection for image {image_id!r}: no such image in the dataset")
     result = evaluate_detections(detections, dataset.ground_truth(), **_settings(args, config, "evaluate"))
     report = format_report(result)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -340,19 +340,56 @@ def save_pseudo_labels(items: Iterable[tuple[str, Supervision]], path: str | Pat
 
 
 def save_detections(dets: Detections, path: str | Path) -> None:
+    """Write one line per detection, with the bytes `json.dumps` gives the
+    row's object: each distinct id is quoted by `json.dumps` once, integers
+    print as `str` does and scores as the float `repr`, as `json.dumps`
+    prints them."""
     path = Path(path)
     header = {"schema": DETECTIONS_SCHEMA, "version": SCHEMA_VERSION}
+    quoted = {image_id: json.dumps(image_id) for image_id in dict.fromkeys(dets.image_ids)}
+    rows = zip(dets.image_ids, dets.classes.tolist(), dets.boxes.tolist(), dets.scores.tolist())
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for image_id, c, box, score in zip(dets.image_ids, dets.classes.tolist(), dets.boxes.tolist(), dets.scores.tolist()):
-            fh.write(json.dumps({"id": image_id, "class": c, "box": box, "score": score}) + "\n")
+        fh.writelines(
+            f'{{"id": {quoted[image_id]}, "class": {c}, "box": [{x0}, {y0}, {x1}, {y1}], "score": {score!r}}}\n'
+            for image_id, c, (x0, y0, x1, y1), score in rows
+        )
 
 
-def load_detections(path: str | Path) -> Detections:
-    """Load and validate a detections file; every line is checked before the
-    columns are built, and errors carry file:line positions."""
-    path = Path(path)
-    _, lines = _read_header(path, DETECTIONS_SCHEMA)
+def _detection_columns(objs: list) -> Detections | None:
+    """The parsed lines of a detections file as columns, when every line
+    passes the checks of `_detection_rows`, each made on a whole column;
+    None otherwise."""
+    if not set(map(type, objs)) <= {dict}:
+        return None
+    try:
+        ids, classes, boxes, scores = ([obj[key] for obj in objs] for key in ("id", "class", "box", "score"))
+    except KeyError:
+        return None
+    # `type(...)` rejects JSON booleans, which numpy would take as integers.
+    if not (
+        set(map(type, classes)) <= {int}
+        and set(map(type, boxes)) <= {list}
+        and set(map(len, boxes)) <= {4}
+        and set(map(type, chain.from_iterable(boxes))) <= {int}
+        and set(map(type, scores)) <= {int, float}
+    ):
+        return None
+    try:  # a value beyond int64, or an integer score beyond the float range, overflows
+        class_array = np.array(classes, dtype=np.int64)
+        box_array = np.array(boxes, dtype=np.int64).reshape(-1, 4)
+        score_array = np.array(scores, dtype=np.float64)
+    except OverflowError:
+        return None
+    x0, y0, x1, y1 = box_array.T
+    if ((x0 < 0) | (y0 < 0) | (x0 >= x1) | (y0 >= y1)).any() or not np.isfinite(score_array).all():
+        return None
+    return Detections(list(map(str, ids)), class_array, box_array, score_array)
+
+
+def _detection_rows(path: Path, lines: list[tuple[int, str]]) -> Detections:
+    """The detection lines checked one by one: the first bad line raises its
+    `file:line` message."""
     ids: list[str] = []
     classes: list[int] = []
     boxes: list[list[int]] = []
@@ -387,3 +424,17 @@ def load_detections(path: str | Path) -> Detections:
         np.array(boxes, dtype=np.int64).reshape(-1, 4),
         np.array(scores, dtype=np.float64),
     )
+
+
+def load_detections(path: str | Path) -> Detections:
+    """Load and validate a detections file, with one `json.loads` per line
+    (a string cannot span lines) and each check made on a whole column.
+    Only a file that fails a check goes through the line-by-line path,
+    which raises the first bad line's `file:line` message."""
+    path = Path(path)
+    _, lines = _read_header(path, DETECTIONS_SCHEMA)
+    try:
+        dets = _detection_columns([json.loads(raw) for _, raw in lines])
+    except json.JSONDecodeError:
+        dets = None
+    return dets if dets is not None else _detection_rows(path, lines)

@@ -26,6 +26,15 @@ class Detections:
     scores: np.ndarray  # (D,) float64
 
     def __post_init__(self) -> None:
+        rows = len(self.image_ids)
+        if np.shape(self.classes) != (rows,) or np.shape(self.scores) != (rows,) or np.shape(self.boxes) != (rows, 4):
+            raise InputError(
+                f"Detections: {rows} image ids need {rows} classes, {rows} scores and a ({rows}, 4) box array,"
+                f" got shapes {np.shape(self.classes)}, {np.shape(self.scores)} and {np.shape(self.boxes)}"
+            )
+        # Booleans are no class ids or corners: the detection file format rejects them.
+        if not all(np.issubdtype(np.asarray(column).dtype, np.integer) for column in (self.classes, self.boxes)):
+            raise InputError("Detections: classes and boxes must be integer arrays")
         if not np.isfinite(self.scores).all():  # argsort and sorted() place NaN differently
             raise InputError("Detections: scores must be finite")
 

@@ -95,14 +95,15 @@ def decode_boxes_float(proposals: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.hstack([centers - half, centers + half])
 
 
-def decode_boxes(proposals: np.ndarray, t: np.ndarray, height: int, width: int) -> np.ndarray:
+def decode_boxes(proposals: np.ndarray, t: np.ndarray, height: int | np.ndarray, width: int | np.ndarray) -> np.ndarray:
     """Apply offsets to every proposal row, clip to the image, round to pixels.
 
-    Returns (N, 4) int64 rows; a row with x0 >= x1 or y0 >= y1 is empty
-    after clipping (an invalid detection the caller should drop).
+    `height` and `width` are the image's, or (N,) arrays of each row's
+    image. Returns (N, 4) int64 rows; a row with x0 >= x1 or y0 >= y1 is
+    empty after clipping (an invalid detection the caller should drop).
     """
     decoded = decode_boxes_float(proposals, t)
-    clipped = np.minimum(np.maximum(decoded, 0.0), [float(width), float(height)] * 2)
+    clipped = np.minimum(np.maximum(decoded, 0.0), np.column_stack([width, height, width, height]).astype(np.float64))
     return np.floor(clipped + 0.5).astype(np.int64)
 
 

@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,7 +61,7 @@ from .mil import (
 )
 from .geometry import iou_matrix, nms
 from .targets import assign_targets, decode_boxes, loss_weight, slv_losses, total_loss
-from .voting import Supervision, VoteBatch, VoteConfig, write_pgm
+from .voting import LikelihoodMap, Supervision, VoteBatch, VoteConfig, write_pgm
 
 SCORER_SCHEMA = "slv/scorer"
 TRACE_SCHEMA = "slv/trace"
@@ -107,6 +108,7 @@ class ToyScorer:
         """Every weight matrix, in the order `[w_cls, w_det, *w_refine, w_slv_cls, w_slv_reg]`."""
         return [self.w_cls, self.w_det, *self.w_refine, self.w_slv_cls, self.w_slv_reg]
 
+    # Each head takes one record's (N, D) features or an (R, N, D) stack of them.
     def refined_scores(self, feats: np.ndarray) -> list[np.ndarray]:
         return [softmax_over_classes(_scorer_head(w, feats)) for w in self.w_refine]
 
@@ -115,7 +117,7 @@ class ToyScorer:
 
     def slv_heads(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi_s = softmax_over_classes(_scorer_head(self.w_slv_cls, feats))
-        return phi_s, _scorer_head(self.w_slv_reg, feats).T
+        return phi_s, _scorer_head(self.w_slv_reg, feats).swapaxes(-1, -2)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -258,22 +260,28 @@ def _training_records(dataset: Dataset) -> list[DatasetRecord]:
     return records
 
 
+def _feature_groups(records: list[DatasetRecord], indices) -> list[tuple[list[int], np.ndarray]]:
+    """The records at `indices` grouped by feature shape (proposal count and
+    width), in order of first appearance, each group as (its indices in the
+    given order, its (R, N, D) feature stack)."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i in indices:
+        by_shape.setdefault(records[i].features.shape, []).append(i)
+    return [(members, np.stack([records[i].features for i in members])) for members in by_shape.values()]
+
+
 def _proposal_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The records grouped by proposal count, each group as (record
     indices, (R, N, 4) proposals, (R, N, D) features, (R, N, N) proposal
     IoU matrices, (R, C) positive-class mask). Proposals and features never
     change, so the stacks (the IoU stack is 8 N^2 bytes a record) are
     built once for every head and clustering call of the run."""
-    by_count: dict[int, list[int]] = {}
-    for i, record in enumerate(records):
-        by_count.setdefault(len(record.proposals), []).append(i)
     groups = []
-    for members in by_count.values():
+    for members, feats in _feature_groups(records, range(len(records))):
         boxes = np.stack([records[i].proposals for i in members])
         ious = np.empty((len(members), boxes.shape[1], boxes.shape[1]))
         for stack, b in zip(ious, boxes):
             stack[...] = iou_matrix(b, b)
-        feats = np.stack([records[i].features for i in members])
         groups.append((members, boxes, feats, ious, np.stack([records[i].labels == 1 for i in members])))
     return groups
 
@@ -381,11 +389,12 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
 
 def fused_scores(scorer: ToyScorer, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Test-time scores and offsets: mean of the refinement branches and
-    the re-classification branch (foreground rows), plus the offsets."""
+    the re-classification branch (foreground rows), plus the offsets. For
+    an (R, N, D) feature stack, one (C, N) and one (N, 4) matrix a record."""
     phi_s, t_s = scorer.slv_heads(feats)
     stack = [*scorer.refined_scores(feats), phi_s]
     fused = sum(stack) / len(stack)
-    return fused[: scorer.num_classes], t_s
+    return fused[..., : scorer.num_classes, :], t_s
 
 
 def check_inference(nms_iou: float = NMS_IOU, score_min: float = SCORE_MIN) -> None:
@@ -405,23 +414,37 @@ def run_inference(
 ) -> Detections:
     """Detections for every record: shift proposals by the regression
     offsets, then per-class NMS on the fused scores, in one `nms` call
-    whose groups are the (record, class) pairs in image-id order."""
+    whose groups are the (record, class) pairs in image-id order. The
+    scorer and the box decoding run once per group of records with one
+    feature shape; an error names the first failing record in id order."""
     check_inference(nms_iou, score_min)
     records = dataset.in_id_order()
     num_classes = scorer.num_classes
+    scored = [i for i, record in enumerate(records) if record.features is not None]
+    failed = len(scored) < len(records)
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4), np.int64), np.zeros(0))]
-    for position, record in enumerate(records):
-        if record.features is None:
-            raise InputError(f"run_inference: record {record.image_id!r} has no features")
+    for members, feats in _feature_groups(records, scored):
         try:
-            class_scores, offsets = fused_scores(scorer, record.features)
-        except InputError as exc:
-            raise InputError(f"run_inference: record {record.image_id!r}: {exc}") from None
-        decoded = decode_boxes(record.proposals, offsets, record.height, record.width)
-        valid = (decoded[:, 0] < decoded[:, 2]) & (decoded[:, 1] < decoded[:, 3])
-        # Class-major, so each (record, class) group lists its proposals in order.
-        c, p = np.nonzero(valid & (class_scores > score_min))
-        parts.append((position * num_classes + c, c, decoded[p], class_scores[c, p]))
+            class_scores, offsets = fused_scores(scorer, feats)  # (R, C, N) and (R, N, 4)
+        except (InputError, ValueError):
+            failed = True
+            break
+        r, n = feats.shape[:2]
+        proposals = np.stack([records[i].proposals for i in members]).reshape(-1, 4)
+        sizes = np.array([(records[i].height, records[i].width) for i in members]).repeat(n, axis=0)
+        decoded = decode_boxes(proposals, offsets.reshape(-1, 4), sizes[:, 0], sizes[:, 1]).reshape(r, n, 4)
+        valid = (decoded[..., 0] < decoded[..., 2]) & (decoded[..., 1] < decoded[..., 3])
+        # Record- then class-major, so each (record, class) group lists its proposals in order.
+        k, c, p = np.nonzero(valid[:, None, :] & (class_scores > score_min))
+        parts.append((np.array(members)[k] * num_classes + c, c, decoded[k, p], class_scores[k, c, p]))
+    if failed:  # a one-record call raises each record's own error
+        for record in records:
+            if record.features is None:
+                raise InputError(f"run_inference: record {record.image_id!r} has no features")
+            try:
+                fused_scores(scorer, record.features)
+            except InputError as exc:
+                raise InputError(f"run_inference: record {record.image_id!r}: {exc}") from None
     groups, classes, boxes, scores = map(np.concatenate, zip(*parts))
     kept = nms(boxes, scores, iou_threshold=nms_iou, groups=groups)
     ids = [records[g].image_id for g in (groups[kept] // num_classes).tolist()]
@@ -449,6 +472,28 @@ def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> np.ndarra
     return record.scores
 
 
+def score_source(records: list[DatasetRecord], scorer: ToyScorer | None) -> Callable[[DatasetRecord], np.ndarray | None]:
+    """`resolve_scores` for each of `records`, with the scorer run once per
+    group of records with one feature shape. A record whose checks fail,
+    or whose group's call raises, is resolved on its own when asked for,
+    so its error is raised where the caller reaches that record."""
+    averages: dict[int, np.ndarray] = {}  # by record identity: ids need not be unique here
+    if scorer is not None:
+        fit = [
+            i for i, record in enumerate(records)
+            if record.features is not None
+            and record.features.shape[1] == scorer.feature_dim
+            and len(record.labels) == scorer.num_classes
+        ]
+        for members, feats in _feature_groups(records, fit):
+            try:
+                stack = scorer.refined_average(feats)
+            except InputError:
+                continue
+            averages.update(zip((id(records[i]) for i in members), stack))
+    return lambda record: averages[id(record)] if id(record) in averages else resolve_scores(record, scorer)
+
+
 def vote_dataset(
     dataset: Dataset,
     config: VoteConfig,
@@ -460,19 +505,20 @@ def vote_dataset(
     Records without a score source are reported in the second return value
     and skipped; the run continues. With `heatmap_dir` set, the normalized
     likelihood map of every (record, positive class) pair is exported as
-    `<image_id>_class<c>.pgm` there, so an image id with a path separator
-    ('/' on every system) or NUL raises before any file is written.
+    `<image_id>_class<c>.pgm` there once every record has voted, so a
+    failed vote writes nothing, and an image id with a path separator ('/'
+    on every system) or NUL raises before the vote.
     """
     voted: list[str] = []
     skipped: list[str] = []
     records = dataset.in_id_order()
-    matrices = [resolve_scores(record, scorer) for record in records]  # a scorer error writes no heatmap
+    resolve = score_source(records, scorer)
+    matrices = [resolve(record) for record in records]
     if heatmap_dir is not None:
         for record in records:
             if {"/", "\0", os.sep, os.altsep}.intersection(record.image_id):
                 raise InputError(f"record {record.image_id!r}: a heatmap file name cannot hold a path separator or NUL")
-        heatmap_dir = Path(heatmap_dir)
-        heatmap_dir.mkdir(parents=True, exist_ok=True)
+    maps: list[tuple[str, LikelihoodMap]] = []  # held as cells plus edges until the batch has labeled
     batch = VoteBatch(config)
     for record, matrix in zip(records, matrices):
         if matrix is None:
@@ -481,10 +527,16 @@ def vote_dataset(
         on_map = None
         if heatmap_dir is not None:
             # Called within `add`, so `record` is still this record.
-            on_map = lambda m: write_pgm(m, heatmap_dir / f"{record.image_id}_class{m.class_id}.pgm")
+            on_map = lambda m: maps.append((f"{record.image_id}_class{m.class_id}.pgm", m))
         try:
             batch.add(matrix, record.proposals, record.labels, record.height, record.width, on_map)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
         voted.append(record.image_id)
-    return list(zip(voted, batch.supervisions())), skipped
+    supervisions = batch.supervisions()
+    if heatmap_dir is not None:
+        heatmap_dir = Path(heatmap_dir)
+        heatmap_dir.mkdir(parents=True, exist_ok=True)
+        for name, likelihood in maps:
+            write_pgm(likelihood, heatmap_dir / name)
+    return list(zip(voted, supervisions)), skipped

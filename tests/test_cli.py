@@ -444,6 +444,57 @@ class TestExitCodes:
         assert captured.err.splitlines() == ["error: record 'b': accumulate: candidate scores are too large to sum"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "used-out"])
+    def test_failed_vote_writes_no_heatmap(self, tmp_path, capsys, existing):
+        """With `--emit-heatmaps`, record 'a' votes before 'b' fails: its map
+        is held until the batch has labeled, so `--out` is left as it was."""
+        dataset = tmp_path / "huge.jsonl"
+        header = {"schema": "slv/dataset", "version": 1, "num_classes": 1}
+        records = [
+            {"id": image_id, "height": 10, "width": 10, "labels": [1], "proposals": [[0, 0, 5, 5], [1, 1, 6, 6]],
+             "scores": [[score] * 2]}
+            for image_id, score in (("a", 0.5), ("b", 1e308))
+        ]
+        dataset.write_text("".join(json.dumps(line) + "\n" for line in [header, *records]))
+        out = tmp_path / "out"
+        if existing:
+            (out / "heatmaps").mkdir(parents=True)
+            (out / "heatmaps" / "old_class0.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        code, captured = run(["--out", out, "vote", dataset, "--emit-heatmaps"], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == ["error: record 'b': accumulate: candidate scores are too large to sum"]
+        assert out.exists() == existing
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    def test_compare_schemes_names_the_first_record_before_a_later_scorer_overflow(self, tmp_path, capsys):
+        """Record 'a' has no ground truth; the scorer's outputs overflow on
+        record 'b'. Scores are computed for every record up front, yet the
+        error names 'a', as a record-by-record run would."""
+        dataset = tmp_path / "two.jsonl"
+        header = {"schema": "slv/dataset", "version": 1, "num_classes": 1, "feature_dim": 2}
+        records = [
+            {"id": "a", "height": 10, "width": 10, "labels": [1], "proposals": [[0, 0, 5, 5]],
+             "features": [[0.5, 0.5]], "gt": None},
+            {"id": "b", "height": 10, "width": 10, "labels": [1], "proposals": [[0, 0, 5, 5], [1, 1, 6, 6]],
+             "features": [[1e308, 1e308], [0.5, 0.5]], "gt": [{"class": 0, "box": [0, 0, 5, 5]}]},
+        ]
+        dataset.write_text("".join(json.dumps(line) + "\n" for line in [header, *records]))
+        scorer = ToyScorer.initialize(1, 2, np.random.default_rng(0))
+        for w in scorer.heads():
+            w[...] = 1e10
+        scorer.save(tmp_path / "scorer.json")
+        out = tmp_path / "out"
+        code, captured = run(["--out", out, "compare-schemes", dataset, "--scorer", tmp_path / "scorer.json"], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == ["error: compare_schemes: record 'a' has no ground truth"]
+        records[0]["gt"] = [{"class": 0, "box": [0, 0, 5, 5]}]
+        dataset.write_text("".join(json.dumps(line) + "\n" for line in [header, *records]))
+        code, captured = run(["--out", out, "compare-schemes", dataset, "--scorer", tmp_path / "scorer.json"], capsys)
+        assert code == 1
+        assert captured.err.splitlines() == ["error: record 'b': scorer weights give non-finite outputs"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("head, value", [("cls", True), ("det", "0.5"), ("refine", False)])
     def test_scorer_weights_of_wrong_json_type_are_one(self, tmp_path, capsys, head, value):
         dataset, scorer = self._trained_scorer(tmp_path, 2)

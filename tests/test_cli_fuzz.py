@@ -1,6 +1,7 @@
 """slv.cli.main on damaged input files: truncated, non-UTF-8, NaN-laden,
 mis-shaped and extreme-valued datasets, scorers, detection files and
-configs. Every run must end in exit code 0, 1 or 2, never an exception.
+configs. Every run must end in exit code 0, 1 or 2, never an exception,
+and a run that exits non-zero leaves every path under `--out` as it was.
 
 Large integers are drawn only as 2**63: sizes in the tens of thousands
 would make vote grids of many gigabytes instead of a quick error."""
@@ -84,6 +85,14 @@ def damage(data: bytes, how: str, rng: random.Random) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def snapshot(out):
+    """Every path under `out` with its bytes (None for a folder), or None
+    when `out` does not exist."""
+    if not out.exists():
+        return None
+    return {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+
 @given(
     kind=st.sampled_from(["dataset", "scorer", "detections", "config"]),
     how=st.sampled_from(["truncate", "non-utf8", "json", "json"]),
@@ -99,12 +108,17 @@ def test_damaged_inputs_exit_cleanly(inputs, kind, how, seed):
     dataset, detections = str(files["dataset"]), str(files["detections"])
     config = ["--config", str(files["config"])] if kind == "config" else []
     commands = {
-        "dataset": [["vote", dataset], ["compare-schemes", dataset], ["evaluate", detections, dataset]],
-        "scorer": [["vote", dataset, "--scorer", str(files["scorer"])],
+        "dataset": [["vote", dataset, "--emit-heatmaps"], ["compare-schemes", dataset], ["evaluate", detections, dataset]],
+        "scorer": [["vote", dataset, "--scorer", str(files["scorer"]), "--emit-heatmaps"],
                    ["compare-schemes", dataset, "--scorer", str(files["scorer"])]],
         "detections": [["evaluate", detections, dataset]],
-        "config": [["vote", dataset], ["evaluate", detections, dataset]],
+        "config": [["vote", dataset, "--emit-heatmaps"], ["evaluate", detections, dataset]],
     }[kind]
     commands.append(["train", dataset, "--iterations", "2", "--emit-detections"])
+    out = root / "out"
     for command in commands:
-        assert main(["--out", str(root / "out")] + config + command) in (0, 1, 2)
+        before = snapshot(out)
+        code = main(["--out", str(out)] + config + command)
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert snapshot(out) == before, command

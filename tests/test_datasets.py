@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from slv.datasets import (
     Dataset,
     DatasetRecord,
+    _detection_rows,
     _number_matrix,
+    _read_header,
     load_dataset,
     load_detections,
     save_dataset,
@@ -18,6 +20,7 @@ from slv.datasets import (
     save_pseudo_labels,
 )
 from slv.errors import DatasetFormatError, InputError
+from slv.evaluation import Detections
 from slv.geometry import Box, boxes_to_array
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 
@@ -493,3 +496,142 @@ class TestDetectionsFile:
         )
         with pytest.raises(DatasetFormatError, match=r":2: field 'box': box coordinate x0=False is not an integer"):
             load_detections(target)
+
+
+ID_CHARS = st.one_of(
+    st.characters(),
+    st.characters(categories=["Cs"]),  # lone surrogates, which json.dumps escapes
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", " ", "é", "\U0001f600"]),
+)
+INT64 = st.one_of(st.sampled_from([-(2**63), -1, 0, 2**63 - 1]), st.integers(-(2**63), 2**63 - 1))
+SCORES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-7, 0.1, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.text(ID_CHARS, max_size=6), INT64, st.lists(INT64, min_size=4, max_size=4), SCORES),
+        max_size=8,
+    ),
+    repeat=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_detection_writer_gives_json_dumps_bytes(tmp_path_factory, rows, repeat):
+    """Each written line is `json.dumps` of the row's object, byte for byte:
+    escaped ids (quotes, backslashes, control characters, non-ASCII, lone
+    surrogates), int64 extremes and floats from -0.0 and 5e-324 to the
+    largest one."""
+    if repeat:
+        rows = rows + rows  # an id seen before reuses its quoted text
+    dets = Detections(
+        [r[0] for r in rows],
+        np.array([r[1] for r in rows], dtype=np.int64),
+        np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, 4),
+        np.array([r[3] for r in rows], dtype=np.float64),
+    )
+    target = tmp_path_factory.mktemp("writer") / "dets.jsonl"
+    save_detections(dets, target)
+    header = json.dumps({"schema": "slv/detections", "version": 1})
+    want = [header] + [json.dumps({"id": i, "class": c, "box": b, "score": s}) for i, c, b, s in rows]
+    assert target.read_bytes() == "".join(line + "\n" for line in want).encode("utf-8")
+
+
+VALID_DETECTION = {"id": "a", "class": 1, "box": [0, 1, 5, 6], "score": 0.5}
+DAMAGE = [
+    ("id", 7), ("id", True), ("id", None), ("id", ["x"]),
+    ("class", True), ("class", False), ("class", 0.0), ("class", 2**63), ("class", -(2**63) - 1),
+    ("class", -(2**63)), ("class", 2**63 - 1), ("class", "1"), ("class", None),
+    ("box", [0, 0, 5]), ("box", [0, 0, 5, 5, 5]), ("box", [True, 0, 5, 5]), ("box", [0, 0, 5, False]),
+    ("box", [0, 0, 5.0, 5]), ("box", [-1, 0, 5, 5]), ("box", [0, -1, 5, 5]), ("box", [5, 0, 5, 5]), ("box", [0, 6, 5, 5]),
+    ("box", [0, 0, 5, 2**63]), ("box", [0, 0, 5, 2**63 - 1]), ("box", [0, 0, 2**64, 5]), ("box", "0 0 5 5"),
+    ("box", None), ("box", [[0, 0, 5, 5]]),
+    ("score", True), ("score", False), ("score", "0.5"), ("score", None), ("score", 1),
+    ("score", 10**400), ("score", 2**1023), ("score", float("nan")), ("score", float("inf")),
+    ("score", -0.0), ("score", 5e-324), ("score", [0.5]),
+]
+
+
+def detection_line(edit=None, drop=None):
+    """A detection line with DAMAGE[edit] applied and the field `drop` removed."""
+    obj = dict(VALID_DETECTION)
+    if edit is not None:
+        key, value = DAMAGE[edit]
+        obj[key] = value
+    if drop is not None:
+        del obj[drop]
+    return json.dumps(obj)  # NaN and Infinity become those tokens
+
+
+def load_outcome(load, path):
+    """A loader's message, or its columns as comparable values."""
+    try:
+        dets = load(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return (
+        dets.image_ids,
+        (dets.classes.dtype, dets.classes.tolist()),
+        (dets.boxes.dtype, dets.boxes.shape, dets.boxes.tolist()),
+        (dets.scores.dtype, dets.scores.tobytes()),
+    )
+
+
+def rows_only(path):
+    _, lines = _read_header(path, "slv/detections")
+    return _detection_rows(path, lines)
+
+
+DAMAGED_LINES = (
+    [detection_line(edit) for edit in range(len(DAMAGE))]
+    + [detection_line(drop=key) for key in ("id", "class", "box", "score")]
+    + ["[]", "7", "null", "{", '{"id": "a", "class": 1, "box": [0, 1, 5, 6], "score": NaN}', " "]
+)
+DAMAGED_LINE = st.sampled_from(DAMAGED_LINES)
+
+
+def write_detection_lines(path, text):
+    header = json.dumps({"schema": "slv/detections", "version": 1})
+    path.write_text("\n".join([header, *text]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("line", DAMAGED_LINES)
+def test_each_damaged_line_gives_the_row_loader_outcome(tmp_path, line):
+    target = tmp_path / "dets.jsonl"
+    write_detection_lines(target, [detection_line(), line, detection_line()])
+    assert load_outcome(load_detections, target) == load_outcome(rows_only, target)
+
+
+@given(
+    valid=st.integers(0, 4),
+    damaged=st.lists(st.tuples(st.integers(0, 4), DAMAGED_LINE), max_size=2),
+    split=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_column_loader_matches_the_row_loader(tmp_path_factory, valid, damaged, split):
+    """On damaged lines the loader gives the row loader's first message,
+    or its columns: booleans, classes and corners past int64, integer
+    scores past the float range, empty boxes, missing fields, non-objects
+    and broken JSON, among valid lines. With `split`, a record's id string
+    spans a line break."""
+    text = [detection_line()] * valid
+    for at, line in damaged:
+        text.insert(at, line)
+    if split:
+        text.insert(valid // 2, '{"id": "a')
+        text.insert(valid // 2 + 1, 'b", "class": 0, "box": [0, 0, 5, 5], "score": 0.5}')
+    target = tmp_path_factory.mktemp("loader") / "dets.jsonl"
+    write_detection_lines(target, text)
+    assert load_outcome(load_detections, target) == load_outcome(rows_only, target)
+
+
+def test_a_string_across_a_line_break_is_invalid_json(tmp_path):
+    """Joined into one JSON array, the two halves parse as one record; each
+    line is parsed on its own, so the first half fails at its line."""
+    halves = ['{"id": "a', 'b", "class": 0, "box": [0, 0, 5, 5], "score": 0.5}']
+    assert json.loads("[" + ",".join(halves) + "]") == [{"id": "a,b", "class": 0, "box": [0, 0, 5, 5], "score": 0.5}]
+    target = tmp_path / "dets.jsonl"
+    target.write_text("\n".join([json.dumps({"schema": "slv/detections", "version": 1}), *halves]) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r"dets.jsonl:2: invalid JSON: Unterminated string"):
+        load_detections(target)

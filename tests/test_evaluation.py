@@ -7,6 +7,7 @@ from slv.errors import InputError
 from slv.evaluation import (
     ALL_POINTS,
     ELEVEN_POINT,
+    Detections,
     average_precision,
     corloc,
     evaluate_detections,
@@ -236,6 +237,37 @@ class TestColumns:
     def test_non_finite_score_rejected(self):
         with pytest.raises(InputError, match="scores must be finite"):
             detections([("img", 0, Box(0, 0, 5, 5), float("nan"))])
+
+    @pytest.mark.parametrize(
+        "ids, classes, boxes, scores",
+        [
+            (["a"], [0, 1], [[0, 0, 5, 5], [0, 0, 6, 6]], [0.5, 0.25]),  # one id, two rows of the rest
+            (["a", "b"], [0], [[0, 0, 5, 5], [0, 0, 6, 6]], [0.5, 0.25]),
+            (["a", "b"], [0, 1], [[0, 0, 5, 5]], [0.5, 0.25]),
+            (["a", "b"], [0, 1], [[0, 0, 5, 5], [0, 0, 6, 6]], [0.5]),
+            (["a"], [0], [[0, 0, 5]], [0.5]),
+            (["a"], [0], [0, 0, 5, 5], [0.5]),
+            (["a"], [[0]], [[0, 0, 5, 5]], [0.5]),
+            ([], [], np.zeros((0, 3)), []),
+        ],
+    )
+    def test_columns_of_other_lengths_rejected(self, ids, classes, boxes, scores):
+        """Each column has one entry per image id and `boxes` is (D, 4);
+        before this check, `save_detections` wrote only the shortest column's
+        rows."""
+        with pytest.raises(InputError, match=r"Detections: \d+ image ids need"):
+            Detections(ids, np.array(classes, dtype=np.int64), np.array(boxes, dtype=np.int64), np.array(scores))
+
+    @pytest.mark.parametrize(
+        "classes, boxes",
+        [(np.array([True]), np.array([[0, 0, 5, 5]])), (np.array([0]), np.array([[0.0, 0.0, 5.0, 5.0]]))],
+        ids=["bool-classes", "float-boxes"],
+    )
+    def test_non_integer_classes_or_boxes_rejected(self, classes, boxes):
+        """`save_detections` prints integers as `json.dumps` does; a boolean
+        class would print as `True`, which is not JSON."""
+        with pytest.raises(InputError, match="classes and boxes must be integer arrays"):
+            Detections(["a"], classes, boxes, np.array([0.5]))
 
     def test_huge_box_is_compared_without_overflow(self):
         # As int64, this box's area wraps to 0 and its IoU with the ground
