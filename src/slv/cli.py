@@ -31,10 +31,10 @@ from .synthetic import SyntheticSceneConfig, generate_synthetic
 from .trainer import (
     ToyScorer,
     TrainConfig,
+    _score_groups,
     check_inference,
     run_inference,
     save_trace,
-    score_source,
     train_toy,
     vote_dataset,
 )
@@ -256,10 +256,17 @@ def _cmd_compare_schemes(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     vote_config = _vote_config(args, config, dataset.num_classes)
     scorer = ToyScorer.load(args.scorer) if args.scorer else None
-    resolve = score_source(dataset.in_id_order(), scorer)
+    records = dataset.in_id_order()
+    scores = {record.image_id: record.scores for record in records}  # ids are unique in a loaded dataset
+    if scorer is not None:
+        groups, errors = _score_groups(records, scorer, ToyScorer.refined_average)
+        scores.update((records[i].image_id, matrix) for members, stack in groups for i, matrix in zip(members, stack))
+        scores.update((records[i].image_id, exc) for i, exc in errors.items())
 
     def score_fn(record):
-        matrix = resolve(record)
+        matrix = scores[record.image_id]
+        if isinstance(matrix, InputError):  # raised at the record's turn, after an earlier record's error
+            raise matrix
         if matrix is None:
             raise InputError(f"record {record.image_id!r} has no scores and no scorer was given")
         return matrix

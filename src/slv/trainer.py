@@ -70,6 +70,7 @@ REFINEMENTS = 3  # refinement branches, as in OICR
 INIT_SCALE = 0.01  # standard deviation of the initial weights
 NMS_IOU = 0.3  # run_inference's default per-class NMS threshold
 SCORE_MIN = 1e-3  # run_inference's default: lower fused scores are dropped
+OVERFLOW = "scorer weights give non-finite outputs"  # finite weights whose products overflow
 
 
 @dataclass
@@ -110,14 +111,14 @@ class ToyScorer:
 
     # Each head takes one record's (N, D) features or an (R, N, D) stack of them.
     def refined_scores(self, feats: np.ndarray) -> list[np.ndarray]:
-        return [softmax_over_classes(_scorer_head(w, feats)) for w in self.w_refine]
+        return [softmax_over_classes(_logits(w, feats, InputError(OVERFLOW))) for w in self.w_refine]
 
     def refined_average(self, feats: np.ndarray) -> np.ndarray:
         return average_refined_scores(*self.refined_scores(feats))
 
     def slv_heads(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        phi_s = softmax_over_classes(_scorer_head(self.w_slv_cls, feats))
-        return phi_s, _scorer_head(self.w_slv_reg, feats).swapaxes(-1, -2)
+        phi_s = softmax_over_classes(_logits(self.w_slv_cls, feats, InputError(OVERFLOW)))
+        return phi_s, _logits(self.w_slv_reg, feats, InputError(OVERFLOW)).swapaxes(-1, -2)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -219,27 +220,15 @@ def save_trace(trace: list[TraceEntry], path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _head(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
+def _logits(w: np.ndarray, feats: np.ndarray, error: Exception) -> np.ndarray:
     """`w @ feats.T` for one record's (N, D) features, or one such product
-    per matrix of an (R, N, D) stack; an overflow shows as a non-finite
-    entry for the caller to report, not as a RuntimeWarning."""
+    per matrix of an (R, N, D) stack. An overflow raises `error`, not a
+    RuntimeWarning: an InputError for a given scorer (callers add the
+    record), a NumericalError naming the iteration in training."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return w @ feats.swapaxes(-1, -2)
-
-
-def _scorer_head(w: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """One head of a given scorer; finite weights whose products overflow
-    are an input error (callers add the record)."""
-    z = _head(w, feats)
+        z = w @ feats.swapaxes(-1, -2)
     if not np.isfinite(z).all():
-        raise InputError("scorer weights give non-finite outputs")
-    return z
-
-
-def _finite_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> np.ndarray:
-    z = _head(w, feats)
-    if not np.isfinite(z).all():
-        raise NumericalError(f"training diverged at iteration {iteration}")
+        raise error
     return z
 
 
@@ -304,6 +293,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     n = len(records)
     for it in range(config.iterations):
         w_s = 0.0 if config.mil_only else loss_weight(config.ramp_length, it)
+        diverged = NumericalError(f"training diverged at iteration {it}")
         # Each group's stack of gradient products per head of scorer.heads(),
         # and its (R,) losses per term: MIL, each refinement stage, SLV.
         products: list[list[np.ndarray]] = [[] for _ in scorer.heads()]
@@ -313,8 +303,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         # Phase 1: the MIL head of every group, then the refinement stages.
         previous = []
         for _, _, feats, _, labels in groups:
-            sigma_cls = softmax_over_classes(_finite_logits(scorer.w_cls, feats, it))
-            sigma_det = softmax_over_proposals(_finite_logits(scorer.w_det, feats, it))
+            sigma_cls = softmax_over_classes(_logits(scorer.w_cls, feats, diverged))
+            sigma_det = softmax_over_proposals(_logits(scorer.w_det, feats, diverged))
             phi0 = wsddn_scores(sigma_cls, sigma_det)
             loss, d_phi_img = mil_losses(image_scores(phi0), labels)
             l_mil.append(loss)
@@ -327,7 +317,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
 
         stages = []
         for w_k, p_k, l_k in zip(scorer.w_refine, p_refine, l_refine):
-            stage = [softmax_over_classes(_finite_logits(w_k, group[2], it)) for group in groups]
+            stage = [softmax_over_classes(_logits(w_k, group[2], diverged)) for group in groups]
             for (_, boxes, feats, ious, labels), phi_prev, phi_k in zip(groups, previous, stage):
                 loss, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, ious))
                 l_k.append(loss)
@@ -347,8 +337,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             # Phase 3: targets, the SLV loss and its gradients, group by group.
             for members, boxes, feats, _, _ in groups:
                 proposal_targets = assign_targets(boxes, supervisions[members], num_classes)
-                phi_s = softmax_over_classes(_finite_logits(scorer.w_slv_cls, feats, it))
-                t_s = _finite_logits(scorer.w_slv_reg, feats, it).swapaxes(1, 2)
+                phi_s = softmax_over_classes(_logits(scorer.w_slv_cls, feats, diverged))
+                t_s = _logits(scorer.w_slv_reg, feats, diverged).swapaxes(1, 2)
                 loss, d_phi_s, d_t_s, _vacuous = slv_losses(phi_s, t_s, proposal_targets)
                 l_slv.append(loss)
                 if w_s > 0.0:
@@ -362,7 +352,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         ]
         terms = np.stack([np.concatenate(stacks)[order] if stacks else np.zeros(n) for stacks in losses], axis=1)
         if not np.isfinite(terms).all():
-            raise NumericalError(f"training diverged at iteration {it}")
+            raise diverged
         totals = total_loss(terms[:, 0], terms[:, 1:-1], terms[:, -1], w_s)
         means = record_sums(np.column_stack([terms, totals]), [n])[0] / n
         mean_mil, *mean_refine, mean_slv, mean_total = means.tolist()
@@ -372,7 +362,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             for w, g in zip(scorer.heads(), grads):
                 w -= lr * g
                 if not np.isfinite(w).all():
-                    raise NumericalError(f"training diverged at iteration {it}")
+                    raise diverged
 
         trace.append(
             TraceEntry(
@@ -395,6 +385,40 @@ def fused_scores(scorer: ToyScorer, feats: np.ndarray) -> tuple[np.ndarray, np.n
     stack = [*scorer.refined_scores(feats), phi_s]
     fused = sum(stack) / len(stack)
     return fused[..., : scorer.num_classes, :], t_s
+
+
+def _score_groups(
+    records: list[DatasetRecord], scorer: ToyScorer, head: Callable
+) -> tuple[list[tuple[list[int], object]], dict[int, InputError]]:
+    """`head(scorer, feats)` (`fused_scores` or `ToyScorer.refined_average`)
+    once per feature-shape group of the records with features, as (member
+    indices, the head's stacked outputs), and the InputError of each record
+    the scorer cannot score, by index: its feature width or class count
+    differs from the scorer's, or its own outputs overflow. Only a group
+    whose call raises is scored again, one record at a time."""
+    fit, scored, errors = [], [], {}
+    for i, record in enumerate(records):
+        if record.features is None:
+            continue
+        width = record.features.shape[1]
+        if width != scorer.feature_dim:
+            errors[i] = InputError(f"record {record.image_id!r} has {width} features per proposal, the scorer expects {scorer.feature_dim}")
+        elif len(record.labels) != scorer.num_classes:
+            errors[i] = InputError(
+                f"record {record.image_id!r} has {len(record.labels)} classes, the scorer has {scorer.num_classes}"
+            )
+        else:
+            fit.append(i)
+    for members, feats in _feature_groups(records, fit):
+        try:
+            scored.append((members, head(scorer, feats)))
+        except InputError:
+            for k, i in enumerate(members):
+                try:
+                    scored.append(([i], head(scorer, feats[k : k + 1])))
+                except InputError as exc:
+                    errors[i] = InputError(f"record {records[i].image_id!r}: {exc}")
+    return scored, errors
 
 
 def check_inference(nms_iou: float = NMS_IOU, score_min: float = SCORE_MIN) -> None:
@@ -420,16 +444,15 @@ def run_inference(
     check_inference(nms_iou, score_min)
     records = dataset.in_id_order()
     num_classes = scorer.num_classes
-    scored = [i for i, record in enumerate(records) if record.features is not None]
-    failed = len(scored) < len(records)
+    scored, errors = _score_groups(records, scorer, fused_scores)
+    for i, record in enumerate(records):
+        if record.features is None:
+            errors[i] = InputError(f"record {record.image_id!r} has no features")
+    if errors:
+        raise InputError(f"run_inference: {errors[min(errors)]}")
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4), np.int64), np.zeros(0))]
-    for members, feats in _feature_groups(records, scored):
-        try:
-            class_scores, offsets = fused_scores(scorer, feats)  # (R, C, N) and (R, N, 4)
-        except (InputError, ValueError):
-            failed = True
-            break
-        r, n = feats.shape[:2]
+    for members, (class_scores, offsets) in scored:  # (R, C, N) and (R, N, 4)
+        r, n = offsets.shape[:2]
         proposals = np.stack([records[i].proposals for i in members]).reshape(-1, 4)
         sizes = np.array([(records[i].height, records[i].width) for i in members]).repeat(n, axis=0)
         decoded = decode_boxes(proposals, offsets.reshape(-1, 4), sizes[:, 0], sizes[:, 1]).reshape(r, n, 4)
@@ -437,61 +460,10 @@ def run_inference(
         # Record- then class-major, so each (record, class) group lists its proposals in order.
         k, c, p = np.nonzero(valid[:, None, :] & (class_scores > score_min))
         parts.append((np.array(members)[k] * num_classes + c, c, decoded[k, p], class_scores[k, c, p]))
-    if failed:  # a one-record call raises each record's own error
-        for record in records:
-            if record.features is None:
-                raise InputError(f"run_inference: record {record.image_id!r} has no features")
-            try:
-                fused_scores(scorer, record.features)
-            except InputError as exc:
-                raise InputError(f"run_inference: record {record.image_id!r}: {exc}") from None
     groups, classes, boxes, scores = map(np.concatenate, zip(*parts))
     kept = nms(boxes, scores, iou_threshold=nms_iou, groups=groups)
     ids = [records[g].image_id for g in (groups[kept] // num_classes).tolist()]
     return Detections(ids, classes[kept], boxes[kept], scores[kept])
-
-
-def resolve_scores(record: DatasetRecord, scorer: ToyScorer | None) -> np.ndarray | None:
-    """Score matrix for a record: the scorer's averaged refinement
-    branches when available, else the record's embedded matrix. A scorer
-    of another feature width or class count than the record raises."""
-    if scorer is not None and record.features is not None:
-        if record.features.shape[1] != scorer.feature_dim:
-            raise InputError(
-                f"record {record.image_id!r} has {record.features.shape[1]} features per proposal,"
-                f" the scorer expects {scorer.feature_dim}"
-            )
-        if len(record.labels) != scorer.num_classes:
-            raise InputError(
-                f"record {record.image_id!r} has {len(record.labels)} classes, the scorer has {scorer.num_classes}"
-            )
-        try:
-            return scorer.refined_average(record.features)
-        except InputError as exc:
-            raise InputError(f"record {record.image_id!r}: {exc}") from None
-    return record.scores
-
-
-def score_source(records: list[DatasetRecord], scorer: ToyScorer | None) -> Callable[[DatasetRecord], np.ndarray | None]:
-    """`resolve_scores` for each of `records`, with the scorer run once per
-    group of records with one feature shape. A record whose checks fail,
-    or whose group's call raises, is resolved on its own when asked for,
-    so its error is raised where the caller reaches that record."""
-    averages: dict[int, np.ndarray] = {}  # by record identity: ids need not be unique here
-    if scorer is not None:
-        fit = [
-            i for i, record in enumerate(records)
-            if record.features is not None
-            and record.features.shape[1] == scorer.feature_dim
-            and len(record.labels) == scorer.num_classes
-        ]
-        for members, feats in _feature_groups(records, fit):
-            try:
-                stack = scorer.refined_average(feats)
-            except InputError:
-                continue
-            averages.update(zip((id(records[i]) for i in members), stack))
-    return lambda record: averages[id(record)] if id(record) in averages else resolve_scores(record, scorer)
 
 
 def vote_dataset(
@@ -512,8 +484,14 @@ def vote_dataset(
     voted: list[str] = []
     skipped: list[str] = []
     records = dataset.in_id_order()
-    resolve = score_source(records, scorer)
-    matrices = [resolve(record) for record in records]
+    matrices = [record.scores for record in records]
+    if scorer is not None:
+        groups, errors = _score_groups(records, scorer, ToyScorer.refined_average)
+        if errors:
+            raise errors[min(errors)]
+        for members, stack in groups:
+            for i, matrix in zip(members, stack):
+                matrices[i] = matrix
     if heatmap_dir is not None:
         for record in records:
             if {"/", "\0", os.sep, os.altsep}.intersection(record.image_id):

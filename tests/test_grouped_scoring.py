@@ -9,11 +9,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-import slv.trainer
 from slv.datasets import Dataset
 from slv.errors import InputError
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
-from slv.trainer import ToyScorer, fused_scores, resolve_scores, run_inference, score_source, vote_dataset
+from slv.trainer import ToyScorer, _score_groups, fused_scores, run_inference, vote_dataset
 from slv.voting import VoteConfig
 
 
@@ -67,13 +66,19 @@ def test_grouped_vote_scores_equal_one_record_calls(monkeypatch, scale):
     dataset = mixed_dataset()
     records = dataset.in_id_order()
     scorer = scaled_scorer(dataset, scale)
-    resolve = score_source(records, scorer)
+    shapes = {record.features.shape for record in records}
+    one_record = ToyScorer.refined_average
+    calls = []
     with monkeypatch.context() as patch:  # every record comes from its group's call
-        patch.setattr(slv.trainer, "resolve_scores", None)
-        grouped = [resolve(record) for record in records]
-    for record, matrix in zip(records, grouped):
-        assert np.array_equal(matrix, resolve_scores(record, scorer))
-    voted, skipped = vote_dataset(dataset, VoteConfig(), scorer=scorer)
+        patch.setattr(ToyScorer, "refined_average", lambda self, feats: calls.append(feats.shape) or one_record(self, feats))
+        groups, errors = _score_groups(records, scorer, ToyScorer.refined_average)
+        assert errors == {} and len(groups) == len(calls) == len(shapes)
+        voted, skipped = vote_dataset(dataset, VoteConfig(), scorer=scorer)
+        assert len(calls) == 2 * len(shapes)
+    assert sorted(i for members, _ in groups for i in members) == list(range(len(records)))
+    for members, stack in groups:
+        for i, matrix in zip(members, stack):
+            assert np.array_equal(matrix, one_record(scorer, records[i].features))
     assert skipped == []
     for (image_id, sup), record in zip(voted, records):
         (want,), _ = vote_dataset(Dataset([record], dataset.num_classes), VoteConfig(), scorer=scorer)
@@ -129,4 +134,38 @@ def test_vote_error_names_the_first_failing_record(damage, message):
     dataset = damaged_dataset(damage)
     with pytest.raises(InputError) as info:
         vote_dataset(dataset, VoteConfig(), scorer=scaled_scorer(dataset, 1e4))
+    assert str(info.value) == message
+
+
+def test_only_a_group_whose_call_raises_is_scored_again():
+    """'a' and 'c' share a group and 'c' overflows: 'a' is scored again on
+    its own, with the bits of a one-record call, and 'b' keeps its group's."""
+    dataset = damaged_dataset({"c": overflowing})
+    records = dataset.in_id_order()
+    scorer = scaled_scorer(dataset, 1e4)
+    calls = []
+    head = lambda s, feats: calls.append(len(feats)) or ToyScorer.refined_average(s, feats)
+    groups, errors = _score_groups(records, scorer, head)
+    assert calls == [2, 1, 1, 1]
+    assert {i: str(exc) for i, exc in errors.items()} == {2: "record 'c': scorer weights give non-finite outputs"}
+    assert [members for members, _ in groups] == [[0], [1]]
+    for members, stack in groups:
+        assert np.array_equal(stack[0], scorer.refined_average(records[members[0]].features))
+
+
+@pytest.mark.parametrize(
+    "classes, width, message",
+    [
+        (2, 8, "run_inference: record 'synth-0000' has 7 features per proposal, the scorer expects 8"),
+        (3, 7, "run_inference: record 'synth-0000' has 2 classes, the scorer has 3"),
+    ],
+)
+def test_inference_rejects_a_scorer_that_does_not_fit(classes, width, message):
+    """A 2-class dataset has 7 features per proposal: a wider scorer or one
+    of another class count (which could score classes the dataset lacks)
+    is rejected, naming the first record."""
+    dataset = generate_synthetic(SyntheticSceneConfig(num_images=2, num_classes=2), 0)
+    scorer = ToyScorer.initialize(classes, width, np.random.default_rng(0))
+    with pytest.raises(InputError) as info:
+        run_inference(scorer, dataset)
     assert str(info.value) == message

@@ -12,7 +12,6 @@ from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import (
     ToyScorer,
     TrainConfig,
-    resolve_scores,
     run_inference,
     train_toy,
     vote_dataset,
@@ -185,7 +184,7 @@ class TestScorerPersistence:
         dim = dataset.records[0].features.shape[1]
         scorer = ToyScorer.initialize(3, dim + 1, np.random.default_rng(0))
         with pytest.raises(InputError, match="features per proposal"):
-            resolve_scores(dataset.records[0], scorer)
+            vote_dataset(dataset, VoteConfig(), scorer=scorer)
 
 
 class TestInference:
