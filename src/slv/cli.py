@@ -31,7 +31,6 @@ from .synthetic import SyntheticSceneConfig, generate_synthetic
 from .trainer import (
     ToyScorer,
     TrainConfig,
-    _score_groups,
     check_inference,
     run_inference,
     save_trace,
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="slv",
         description="Spatial likelihood voting pipeline for weakly supervised detection experiments.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="random seed, a non-negative integer (default 0)")
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -256,22 +255,7 @@ def _cmd_compare_schemes(args, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     vote_config = _vote_config(args, config, dataset.num_classes)
     scorer = ToyScorer.load(args.scorer) if args.scorer else None
-    records = dataset.in_id_order()
-    scores = {record.image_id: record.scores for record in records}  # ids are unique in a loaded dataset
-    if scorer is not None:
-        groups, errors = _score_groups(records, scorer, ToyScorer.refined_average)
-        scores.update((records[i].image_id, matrix) for members, stack in groups for i, matrix in zip(members, stack))
-        scores.update((records[i].image_id, exc) for i, exc in errors.items())
-
-    def score_fn(record):
-        matrix = scores[record.image_id]
-        if isinstance(matrix, InputError):  # raised at the record's turn, after an earlier record's error
-            raise matrix
-        if matrix is None:
-            raise InputError(f"record {record.image_id!r} has no scores and no scorer was given")
-        return matrix
-
-    stats = compare_schemes(dataset, score_fn, vote_config)
+    stats = compare_schemes(dataset, vote_config, scorer)
     report = format_scheme_report(stats)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "scheme_report.txt").write_text(report, encoding="utf-8")
@@ -311,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            build_parser().error(f"argument --seed: must be a non-negative integer, got {args.seed}")
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)
     except NumericalError as exc:

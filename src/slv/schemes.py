@@ -4,7 +4,7 @@ spatial likelihood voting."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +13,7 @@ from .datasets import Dataset, DatasetRecord
 from .errors import InputError
 from .geometry import iou_matrix
 from .mil import build_clusters, positive_classes
+from .trainer import ToyScorer, vote_scores
 from .voting import Supervision, VoteBatch, VoteConfig, generate_supervision
 
 SCHEME_CONVENTIONAL = "conventional"
@@ -56,24 +57,30 @@ class SchemeStats:
 
 def compare_schemes(
     dataset: Dataset,
-    score_fn: Callable[[DatasetRecord], np.ndarray],
     vote_config: VoteConfig | None = None,
+    scorer: ToyScorer | None = None,
 ) -> list[SchemeStats]:
     """Label every record under each scheme and score the labels.
 
+    Every scheme labels a record from its `trainer.vote_scores` matrix.
     Every labeled box is matched against the ground-truth boxes of its
     class in its image; the statistic is the mean of those best IoUs, per
-    class and overall. Requires ground truth on every record.
+    class and overall. Requires ground truth and scores on every record;
+    an error names the first record in id order that fails.
     """
     vote_config = vote_config or VoteConfig()
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
     records = dataset.in_id_order()
+    matrices, errors = vote_scores(records, scorer)
     labeled: list[dict[str, Supervision]] = []
     batch = VoteBatch(vote_config)
-    for record in records:
+    for i, (record, scores) in enumerate(zip(records, matrices)):
         if not record.gt_boxes:
             raise InputError(f"compare_schemes: record {record.image_id!r} has no ground truth")
-        scores = score_fn(record)
+        if i in errors:
+            raise errors[i]
+        if scores is None:
+            raise InputError(f"record {record.image_id!r} has no scores and no scorer was given")
         try:
             labeled.append({
                 SCHEME_CONVENTIONAL: label_conventional(scores, record.proposals, record.labels),

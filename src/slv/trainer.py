@@ -70,6 +70,7 @@ REFINEMENTS = 3  # refinement branches, as in OICR
 INIT_SCALE = 0.01  # standard deviation of the initial weights
 NMS_IOU = 0.3  # run_inference's default per-class NMS threshold
 SCORE_MIN = 1e-3  # run_inference's default: lower fused scores are dropped
+NAME_MAX = 255  # bytes in a heatmap file name: the limit of common file systems
 OVERFLOW = "scorer weights give non-finite outputs"  # finite weights whose products overflow
 
 
@@ -154,8 +155,8 @@ class ToyScorer:
         if not isinstance(weights, dict) or not all(k in weights for k in keys):
             raise InputError(f"{path}: 'weights' must hold {', '.join(keys)}")
         refine = weights["refine"]
-        if not isinstance(refine, list) or not refine:
-            raise InputError(f"{path}: 'weights.refine' must be a non-empty list of matrices")
+        if not isinstance(refine, list) or len(refine) != REFINEMENTS:
+            raise InputError(f"{path}: 'weights.refine' must be a list of {REFINEMENTS} matrices")
 
         def matrix(name: str, raw, rows: int) -> np.ndarray:
             try:
@@ -466,6 +467,16 @@ def run_inference(
     return Detections(ids, classes[kept], boxes[kept], scores[kept])
 
 
+def vote_scores(records: list[DatasetRecord], scorer: ToyScorer | None) -> tuple[list[np.ndarray | None], dict[int, InputError]]:
+    """The score matrix each record votes on, and the InputError of each
+    record the scorer cannot score, by index (`_score_groups`). With a
+    scorer, a record with features votes on its `refined_average`; any
+    other record on its embedded scores, None when it has none."""
+    groups, errors = _score_groups(records, scorer, ToyScorer.refined_average) if scorer is not None else ([], {})
+    scored = {i: matrix for members, stack in groups for i, matrix in zip(members, stack)}
+    return [scored.get(i, record.scores) for i, record in enumerate(records)], errors
+
+
 def vote_dataset(
     dataset: Dataset,
     config: VoteConfig,
@@ -478,39 +489,40 @@ def vote_dataset(
     and skipped; the run continues. With `heatmap_dir` set, the normalized
     likelihood map of every (record, positive class) pair is exported as
     `<image_id>_class<c>.pgm` there once every record has voted, so a
-    failed vote writes nothing, and an image id with a path separator ('/'
-    on every system) or NUL raises before the vote.
+    failed vote writes nothing, and an image id that names no such file
+    (a path separator, '/' on every system, or NUL; a name the file system
+    cannot encode or longer than NAME_MAX bytes) raises before the vote.
     """
     voted: list[str] = []
     skipped: list[str] = []
     records = dataset.in_id_order()
-    matrices = [record.scores for record in records]
-    if scorer is not None:
-        groups, errors = _score_groups(records, scorer, ToyScorer.refined_average)
-        if errors:
-            raise errors[min(errors)]
-        for members, stack in groups:
-            for i, matrix in zip(members, stack):
-                matrices[i] = matrix
+    matrices, errors = vote_scores(records, scorer)
+    if errors:
+        raise errors[min(errors)]
     if heatmap_dir is not None:
         for record in records:
             if {"/", "\0", os.sep, os.altsep}.intersection(record.image_id):
                 raise InputError(f"record {record.image_id!r}: a heatmap file name cannot hold a path separator or NUL")
+            longest = f"{record.image_id}_class{max(positive_classes(record.labels), default=0)}.pgm"
+            try:
+                size = len(os.fsencode(longest))
+            except UnicodeError:
+                raise InputError(f"record {record.image_id!r}: the file system cannot encode its heatmap file name") from None
+            if size > NAME_MAX:
+                raise InputError(f"record {record.image_id!r}: its heatmap file name is longer than {NAME_MAX} bytes")
     maps: list[tuple[str, LikelihoodMap]] = []  # held as cells plus edges until the batch has labeled
     batch = VoteBatch(config)
     for record, matrix in zip(records, matrices):
         if matrix is None:
             skipped.append(record.image_id)
             continue
-        on_map = None
-        if heatmap_dir is not None:
-            # Called within `add`, so `record` is still this record.
-            on_map = lambda m: maps.append((f"{record.image_id}_class{m.class_id}.pgm", m))
         try:
-            batch.add(matrix, record.proposals, record.labels, record.height, record.width, on_map)
+            likelihoods = batch.add(matrix, record.proposals, record.labels, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
         voted.append(record.image_id)
+        if heatmap_dir is not None:
+            maps += [(f"{record.image_id}_class{m.class_id}.pgm", m) for m in likelihoods]
     supervisions = batch.supervisions()
     if heatmap_dir is not None:
         heatmap_dir = Path(heatmap_dir)

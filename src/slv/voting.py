@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -243,14 +243,14 @@ class VoteBatch:
     """Votes of many images, with one region-labeling pass per chunk of grids.
 
     `add` runs an image's per-class steps at once, so a bad input raises
-    while the caller still knows the image, and hands each normalized map to
-    `on_map` without keeping it. The binary grids wait until `supervisions`
-    (or BATCH_CELLS) and are labeled stacked in one buffer: each cell grid
-    gets a block of Hmax + 1 rows whose last row stays blank, so regions
-    cannot join across grids and keep their row-major order within each
-    grid. A region's cells are 8-connected exactly when its pixels are, so
-    the labeling runs on cells, and one gather through the grids' edges
-    turns every region's cell rectangle into pixels.
+    while the caller still knows the image, and returns the image's
+    normalized maps without keeping them. The binary grids wait until
+    `supervisions` (or BATCH_CELLS) and are labeled stacked in one buffer:
+    each cell grid gets a block of Hmax + 1 rows whose last row stays blank,
+    so regions cannot join across grids and keep their row-major order
+    within each grid. A region's cells are 8-connected exactly when its
+    pixels are, so the labeling runs on cells, and one gather through the
+    grids' edges turns every region's cell rectangle into pixels.
     """
 
     def __init__(self, config: VoteConfig) -> None:
@@ -268,16 +268,16 @@ class VoteBatch:
         y: np.ndarray,
         height: int,
         width: int,
-        on_map: Callable[[LikelihoodMap], None] | None = None,
-    ) -> None:
-        """Vote every positive class of one image.
+    ) -> list[LikelihoodMap]:
+        """Vote every positive class of one image and return the normalized
+        map of each, in class order.
 
         Per class: filter candidates by t_score, accumulate their scores
         spatially, normalize, and binarize at the class threshold; the
         bounding rectangles of the surviving regions are the class's voted
         boxes. A class with no candidate accumulates one zero cell, which
-        binarizes to no region: a valid, empty vote. `on_map`, when given,
-        receives the normalized map of every positive class.
+        binarizes to no region: a valid, empty vote. A failed add returns
+        nothing and leaves the batch as it was.
         """
         pos = positive_classes(y)
         if not pos:
@@ -286,19 +286,19 @@ class VoteBatch:
             raise InputError(f"vote: {phi_bar.shape[1]} score columns but {len(boxes)} boxes")
         if len(phi_bar) < len(y):
             raise InputError("vote: score matrix has no row for some class")
-        grids = []  # queued only once every class has voted, so a failed add leaves nothing
+        maps, grids = [], []  # grids queue only once every class has voted, so a failed add leaves nothing
         for c in pos:
             candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
             likelihood = normalize(accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c))
-            if on_map is not None:
-                on_map(likelihood)
             grid = binarize(likelihood, self.config.t_b_for(c))
+            maps.append(likelihood)
             grids.append((self._images, c, grid, likelihood.y_edges, likelihood.x_edges))
         self._images += 1
         self._waiting += grids
         self._cells += sum(grid.size for _, _, grid, _, _ in grids)
         if self._cells >= BATCH_CELLS:
             self._label()
+        return maps
 
     def _label(self) -> None:
         """Label every waiting grid in one pass and give each image of the
@@ -342,12 +342,11 @@ def generate_supervision(
     height: int,
     width: int,
     config: VoteConfig,
-    on_map: Callable[[LikelihoodMap], None] | None = None,
 ) -> Supervision:
     """Vote pseudo ground-truth boxes for every positive class of an image:
     a one-image `VoteBatch`."""
     batch = VoteBatch(config)
-    batch.add(phi_bar, boxes, y, height, width, on_map)
+    batch.add(phi_bar, boxes, y, height, width)
     return batch.supervisions()[0]
 
 

@@ -274,13 +274,13 @@ def matched_targets(boxes, sup, num_classes) -> ProposalTargets:
     return ProposalTargets(labels, offsets, num_classes)
 
 
-def scalar_compare_schemes(dataset, score_fn, vote_config) -> list[SchemeStats]:
+def scalar_compare_schemes(dataset, vote_config) -> list[SchemeStats]:
     """compare_schemes as a loop over `Box` lists: every scheme labels a
     record with a `{class: [Box]}` dict, and each labeled box scores its
     best scalar iou() against the ground truth of its own class."""
     ious = {name: {} for name in ALL_SCHEMES}
     for record in sorted(dataset.records, key=lambda r: r.image_id):
-        scores, boxes = score_fn(record), [Box(*row) for row in record.proposals.tolist()]
+        scores, boxes = record.scores, [Box(*row) for row in record.proposals.tolist()]
         pos = np.flatnonzero(np.asarray(record.labels) == 1).tolist()
         clustering: dict[int, list[Box]] = {}
         for cluster in greedy_clusters(scores, boxes, record.labels).clusters:

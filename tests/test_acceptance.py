@@ -167,7 +167,7 @@ def test_scheme_comparison_separation():
         config = SyntheticSceneConfig(num_images=50, part_bias=0.9)
         dataset = generate_synthetic(config, seed=0)
         stats = {
-            s.scheme: s for s in compare_schemes(dataset, lambda r: r.scores)
+            s.scheme: s for s in compare_schemes(dataset)
         }
         slv_iou = stats["slv"].overall
         conventional_iou = stats["conventional"].overall

@@ -144,19 +144,28 @@ class TestVote:
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
         return path
 
-    @pytest.mark.parametrize("image_id", ["../../escaped", "a\0b", "absolute"], ids=["relative", "nul", "absolute"])
-    def test_image_id_that_names_no_heatmap_file_is_input_error(self, tmp_path, capsys, image_id):
-        """An id with a path separator or NUL exits 1 with one line, and no
-        file is written, inside `--out` or outside it."""
+    @pytest.mark.parametrize(
+        "image_id, reason",
+        [
+            ("../../escaped", "a heatmap file name cannot hold a path separator or NUL"),
+            ("a\0b", "a heatmap file name cannot hold a path separator or NUL"),
+            ("absolute", "a heatmap file name cannot hold a path separator or NUL"),
+            ("b" * 300, "its heatmap file name is longer than 255 bytes"),
+            ("b\ud800", "the file system cannot encode its heatmap file name"),
+        ],
+        ids=["relative", "nul", "absolute", "too-long", "lone-surrogate"],
+    )
+    def test_image_id_that_names_no_heatmap_file_is_input_error(self, tmp_path, capsys, image_id, reason):
+        """An id with a path separator or NUL, or whose heatmap file name the
+        file system cannot encode or is past 255 bytes, exits 1 with one
+        line, and no file is written, inside `--out` or outside it."""
         if image_id == "absolute":
             image_id = str(tmp_path / "x")
-        dataset = self._one_class_records(tmp_path / "ids.jsonl", ("good", 1), (image_id, 1))
+        dataset = self._one_class_records(tmp_path / "ids.jsonl", ("a", 1), (image_id, 1))
         before = set(tmp_path.rglob("*"))
         code, captured = run(["--out", tmp_path / "a" / "out", "vote", dataset, "--emit-heatmaps"], capsys)
         assert code == 1
-        assert captured.err.splitlines() == [
-            f"error: record {image_id!r}: a heatmap file name cannot hold a path separator or NUL"
-        ]
+        assert captured.err.splitlines() == [f"error: record {image_id!r}: {reason}"]
         assert [p for p in tmp_path.rglob("*") if p not in before and not p.is_dir()] == []
 
     def test_image_without_positive_class_names_the_vote(self, tmp_path, capsys):
@@ -282,6 +291,20 @@ class TestExitCodes:
         code, captured = run(["frobnicate"], capsys)
         assert code == 1
         assert "--help" in captured.err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, command):
+        """numpy's generators take no negative seed: the parser rejects one
+        with one line, before anything is read or written."""
+        data_dir = tmp_path / "data"
+        assert run(["--out", data_dir] + GENERATE_ARGS)[0] == 0
+        argv = GENERATE_ARGS if command == "generate" else ["train", data_dir / "dataset.jsonl", "--iterations", "2"]
+        code, captured = run(["--seed", "-1", "--out", tmp_path / "out"] + argv, capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: argument --seed: must be a non-negative integer, got -1 (see `slv --help`)"
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_divergence_is_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

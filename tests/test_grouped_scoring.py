@@ -1,8 +1,9 @@
 """Inference, `vote --scorer` and `compare-schemes --scorer` run the scorer
 once per group of records with one feature shape. These tests hold the
 grouped results to one-record calls bit for bit, on records of several
-proposal counts and image sizes interleaved in image-id order, and check
-that an error still names the first failing record in that order."""
+proposal counts and image sizes interleaved in image-id order, check that
+an error still names the first failing record in that order, and that
+`vote` and `compare-schemes` read one score source (`vote_scores`)."""
 
 import dataclasses
 
@@ -11,6 +12,7 @@ import pytest
 
 from slv.datasets import Dataset
 from slv.errors import InputError
+from slv.schemes import compare_schemes
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import ToyScorer, _score_groups, fused_scores, run_inference, vote_dataset
 from slv.voting import VoteConfig
@@ -135,6 +137,37 @@ def test_vote_error_names_the_first_failing_record(damage, message):
     with pytest.raises(InputError) as info:
         vote_dataset(dataset, VoteConfig(), scorer=scaled_scorer(dataset, 1e4))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("without_features", [(), ("img0-8-32", "img1-12-48", "img1-5-40")], ids=["all-features", "some-without"])
+def test_vote_and_compare_schemes_read_one_score_source(without_features):
+    """With a scorer, `vote` and `compare-schemes` see each record with
+    features through its one-record `refined_average`, and each record
+    without features through its embedded scores."""
+    dataset = mixed_dataset()
+    scorer = scaled_scorer(dataset, 30.0)
+    records = [featureless(r) if r.image_id in without_features else r for r in dataset.records]
+    embedded = [r if r.features is None else dataclasses.replace(r, scores=scorer.refined_average(r.features)) for r in records]
+    given, want = Dataset(records, dataset.num_classes), Dataset(embedded, dataset.num_classes)
+    stats = compare_schemes(given, VoteConfig(), scorer)
+    assert stats == compare_schemes(want, VoteConfig())
+    assert stats != compare_schemes(given, VoteConfig())  # the scorer's matrices differ from the embedded ones
+    voted, skipped = vote_dataset(given, VoteConfig(), scorer)
+    want_voted, want_skipped = vote_dataset(want, VoteConfig())
+    assert skipped == want_skipped == []
+    assert [image_id for image_id, _ in voted] == [image_id for image_id, _ in want_voted]
+    for (_, got), (_, sup) in zip(voted, want_voted):
+        assert np.array_equal(got.boxes, sup.boxes) and np.array_equal(got.classes, sup.classes)
+
+
+def test_a_record_without_features_or_scores_is_skipped_by_vote_and_named_by_compare_schemes():
+    dataset = damaged_dataset({"b": lambda r: dataclasses.replace(r, features=None, scores=None)})
+    scorer = scaled_scorer(dataset, 1.0)
+    voted, skipped = vote_dataset(dataset, VoteConfig(), scorer=scorer)
+    assert [image_id for image_id, _ in voted] == ["a", "c"] and skipped == ["b"]
+    with pytest.raises(InputError) as info:
+        compare_schemes(dataset, VoteConfig(), scorer)
+    assert str(info.value) == "record 'b' has no scores and no scorer was given"
 
 
 def test_only_a_group_whose_call_raises_is_scored_again():

@@ -21,10 +21,6 @@ from slv.voting import VoteConfig
 from helpers import by_class, scalar_compare_schemes
 
 
-def record_scores(record):
-    return record.scores
-
-
 def stats_by_name(stats):
     return {s.scheme: s for s in stats}
 
@@ -61,7 +57,7 @@ class TestCompareSchemes:
             gt_boxes={0: boxes_to_array([box])},
         )
         dataset = Dataset(records=[record], num_classes=1)
-        stats = stats_by_name(compare_schemes(dataset, record_scores))
+        stats = stats_by_name(compare_schemes(dataset))
         for name in (SCHEME_CONVENTIONAL, SCHEME_CLUSTERING, SCHEME_SLV):
             assert stats[name].overall == pytest.approx(1.0)
             assert stats[name].count == 1
@@ -69,14 +65,14 @@ class TestCompareSchemes:
     def test_zero_bias_zero_jitter_all_schemes_near_perfect(self):
         config = SyntheticSceneConfig(num_images=12, part_bias=0.0, jitter=0.0, feature_noise=0.0)
         dataset = generate_synthetic(config, seed=21)
-        stats = stats_by_name(compare_schemes(dataset, record_scores))
+        stats = stats_by_name(compare_schemes(dataset))
         for name in (SCHEME_CONVENTIONAL, SCHEME_CLUSTERING, SCHEME_SLV):
             assert stats[name].overall > 0.95, name
 
     def test_full_bias_slv_beats_conventional(self):
         config = SyntheticSceneConfig(num_images=15, part_bias=1.0)
         dataset = generate_synthetic(config, seed=21)
-        stats = stats_by_name(compare_schemes(dataset, record_scores))
+        stats = stats_by_name(compare_schemes(dataset))
         assert stats[SCHEME_CONVENTIONAL].overall < 0.5
         assert stats[SCHEME_SLV].overall > stats[SCHEME_CONVENTIONAL].overall + 0.2
 
@@ -90,7 +86,7 @@ class TestCompareSchemes:
             scores=np.zeros((2, 0)),
             gt_boxes={0: boxes_to_array([Box(0, 0, 8, 8)])},
         )
-        stats = compare_schemes(Dataset(records=[record], num_classes=2), record_scores)
+        stats = compare_schemes(Dataset(records=[record], num_classes=2))
         assert [(s.per_class, s.overall, s.count) for s in stats] == [({}, 0.0, 0)] * 3
 
     def test_requires_ground_truth(self):
@@ -104,7 +100,7 @@ class TestCompareSchemes:
         )
         dataset = Dataset(records=[record], num_classes=1)
         with pytest.raises(InputError, match="ground truth"):
-            compare_schemes(dataset, record_scores)
+            compare_schemes(dataset)
 
 
 # Boxes of a 12x12 image drawn from a small pool, so labeled boxes often
@@ -141,8 +137,8 @@ def scheme_datasets(draw):
 def test_compare_schemes_matches_scalar_oracle(dataset):
     """Every field, `overall` and the per-class means included, equals the
     scalar loop's with `==`."""
-    got = compare_schemes(dataset, record_scores, VoteConfig())
-    assert got == scalar_compare_schemes(dataset, record_scores, VoteConfig())
+    got = compare_schemes(dataset, VoteConfig())
+    assert got == scalar_compare_schemes(dataset, VoteConfig())
 
 
 class TestSchemeReport:
@@ -158,7 +154,7 @@ class TestSchemeReport:
             gt_boxes={0: boxes_to_array([box])},
         )
         dataset = Dataset(records=[record], num_classes=1)
-        report = format_scheme_report(compare_schemes(dataset, record_scores))
+        report = format_scheme_report(compare_schemes(dataset))
         lines = report.splitlines()
         assert lines[0] == "scheme clustering class 0 mean_iou 1.000000 n 1"
         assert lines[1] == "scheme clustering overall mean_iou 1.000000 n 1"

@@ -158,13 +158,15 @@ class TestScorerPersistence:
             (lambda p: p["weights"]["slv_reg"][0].append(0.0), "weights.slv_reg"),
             (lambda p: p["weights"].pop("slv_cls"), "slv_cls"),
             (lambda p: p["weights"].update(refine=[]), "weights.refine"),
+            (lambda p: p["weights"].update(refine=p["weights"]["refine"][:1]), "weights.refine"),
+            (lambda p: p["weights"]["refine"].append(p["weights"]["refine"][0]), "weights.refine"),
             (lambda p: p["weights"]["det"][0].__setitem__(0, float("nan")), "non-finite"),
             (lambda p: p["weights"]["cls"][0].__setitem__(0, "x"), "weights.cls"),
             (lambda p: p.update(num_classes=True), "num_classes"),
             (lambda p: p.update(feature_dim=p["feature_dim"] + 1), "weights.cls"),
         ],
         ids=[
-            "refine-row-short", "slv-reg-wide", "slv-cls-missing", "refine-empty",
+            "refine-row-short", "slv-reg-wide", "slv-cls-missing", "refine-empty", "refine-one", "refine-four",
             "det-nan", "cls-string", "num-classes-bool", "feature-dim-off",
         ],
     )

@@ -403,7 +403,7 @@ class TestVoteBatch:
         with mock.patch.object(voting, "BATCH_CELLS", cells):
             batch = VoteBatch(config)
             for image in images:
-                batch.add(*image, on_map=lambda m: maps.append((m.class_id, to_pixels(m).tobytes())))
+                maps += [(m.class_id, to_pixels(m).tobytes()) for m in batch.add(*image)]
             batched = batch.supervisions()
         assert len(batched) == len(images)
         want_maps = []
@@ -432,15 +432,13 @@ class TestVoteBatch:
         folder = tmp_path_factory.mktemp("pgm")
         maps = []
 
-        def on_map(m):
-            path = folder / f"{len(maps)}.pgm"
-            write_pgm(m, path)
-            maps.append((m.class_id, m.y_edges.tolist(), m.x_edges.tolist(), path.read_bytes()))
-
         with mock.patch.object(voting, "BATCH_CELLS", cells):
             batch = VoteBatch(config)
             for image in images:
-                batch.add(*image, on_map=on_map)
+                for m in batch.add(*image):
+                    path = folder / f"{len(maps)}.pgm"
+                    write_pgm(m, path)
+                    maps.append((m.class_id, m.y_edges.tolist(), m.x_edges.tolist(), path.read_bytes()))
             batched = batch.supervisions()
         want_maps = []
         for image, sup in zip(images, batched, strict=True):
@@ -465,7 +463,7 @@ class TestVoteBatch:
         batch = VoteBatch(VoteConfig())
         with pytest.raises(InputError, match="exceeds the 8x8 image"):
             batch.add(phi_bar, boxes, np.array([1, 1]), 8, 8)
-        batch.add(*good)
+        assert [m.class_id for m in batch.add(*good)] == [0, 1]  # a successful add returns its maps
         fresh = VoteBatch(VoteConfig())
         fresh.add(*good)
         (got,), (want,) = batch.supervisions(), fresh.supervisions()
@@ -517,10 +515,10 @@ class TestEdgeGrid:
 
         path = tmp_path_factory.mktemp("pgm") / "map.pgm"
         config = VoteConfig(t_b_default=t_b)
-        sup = generate_supervision(
-            scores.reshape(1, -1), boxes, np.array([1]), height, width, config,
-            on_map=lambda m: write_pgm(m, path),
-        )
+        batch = VoteBatch(config)
+        (likelihood,) = batch.add(scores.reshape(1, -1), boxes, np.array([1]), height, width)
+        write_pgm(likelihood, path)
+        (sup,) = batch.supervisions()
         peak = pixels.max()
         if peak > 0.0:
             pixels /= peak
