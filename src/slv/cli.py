@@ -32,6 +32,7 @@ from .trainer import (
     ToyScorer,
     TrainConfig,
     check_inference,
+    missing_scores,
     run_inference,
     save_trace,
     train_toy,
@@ -241,7 +242,7 @@ def _cmd_vote(args, config: dict) -> int:
     heatmap_dir = args.out / "heatmaps" if args.emit_heatmaps else None
     results, skipped = vote_dataset(dataset, vote_config, scorer=scorer, heatmap_dir=heatmap_dir)
     for image_id in skipped:
-        log.error("record %s has no scores and no scorer was given; skipped", image_id)
+        log.error("record %s %s; skipped", image_id, missing_scores(scorer))
     # Made after the vote, so a failed one leaves no folder (and no heatmap).
     args.out.mkdir(parents=True, exist_ok=True)
     target = args.out / "pseudo_labels.jsonl"
@@ -307,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a valid input too large for this host, in any stage
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -82,7 +82,7 @@ def nms(boxes: np.ndarray, scores: Sequence[float], iou_threshold: float, groups
     result lists each group's retained indices in that order, groups by
     ascending id; without it, every box is in one group. The groups run in
     lockstep: each step computes every unfinished group's next kept box's
-    IoU row (the `inter / union` division of `iou_matrix`) at once.
+    IoU row (`_iou_rows`) at once.
     """
     if len(boxes) != len(scores):
         raise InputError(f"nms: {len(boxes)} boxes but {len(scores)} scores")
@@ -102,20 +102,15 @@ def nms(boxes: np.ndarray, scores: Sequence[float], iou_threshold: float, groups
     width = counts.max(initial=0)
     live = np.arange(width) < counts[:, None]
     index = order[np.where(live, starts[:, None] + np.arange(width), starts[:, None])]
-    x0, y0, x1, y1 = np.asarray(boxes)[index].transpose(2, 0, 1)
-    areas = (x1 - x0) * (y1 - y0)
+    columns = _box_columns(np.asarray(boxes)[index])
     kept = np.zeros_like(live)
     active = np.arange(len(counts))
     while active.size:
         rows = live[active]
         top = rows.argmax(axis=1)
-        i = (active, top)
-        iw = np.minimum(x1[i][:, None], x1[active]) - np.maximum(x0[i][:, None], x0[active])
-        ih = np.minimum(y1[i][:, None], y1[active]) - np.maximum(y0[i][:, None], y0[active])
-        inter = np.maximum(iw, 0) * np.maximum(ih, 0)
-        rows &= ~(inter / (areas[i][:, None] + areas[active] - inter) > iou_threshold)
+        rows &= ~(_iou_rows(columns[:, active], top) > iou_threshold)
         rows[np.arange(active.size), top] = False
-        kept[i] = True
+        kept[active, top] = True
         live[active] = rows
         active = active[rows.any(axis=1)]
     return index[kept].tolist()
@@ -229,8 +224,9 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     With integer-valued coordinates, integer or float, intersections and
     unions are exact, so each entry equals iou() of the same two boxes.
-    Clustering without a precomputed matrix calls it one seed row at a
-    time, so it keeps the numpy call count low.
+    NMS and clustering without a precomputed matrix need one row per picked
+    box; they take `_box_columns` once and each row from `_iou_rows`, the
+    same arithmetic in the same order.
     """
     ax0, ay0, ax1, ay1 = a.transpose(-1, *range(a.ndim - 1))[..., None]  # (..., N, 1) columns
     bx0, by0, bx1, by1 = b.transpose(-1, *range(b.ndim - 1))[..., None, :]  # against (..., 1, M) rows
@@ -238,6 +234,27 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = np.maximum(iw, 0) * np.maximum(ih, 0)
     return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
+
+
+def _box_columns(boxes: np.ndarray) -> np.ndarray:
+    """The (5, ..., N) stack of the x0, y0, x1, y1 columns of a (..., N, 4)
+    box array and its boxes' areas: the operand `_iou_rows` reads."""
+    columns = np.empty((5, *boxes.shape[:-1]), dtype=boxes.dtype)
+    columns[:4] = boxes.transpose(-1, *range(boxes.ndim - 1))
+    x0, y0, x1, y1 = columns[:4]
+    np.multiply(x1 - x0, y1 - y0, out=columns[4])
+    return columns
+
+
+def _iou_rows(columns: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """(A, N) IoU of box `picked[k]` of row k with every box of row k, for
+    the (5, A, N) `_box_columns` of A rows of N boxes: row k is
+    `iou_matrix(boxes[k, picked[k]][None], boxes[k])[0]`, bit for bit. The
+    x and y extents of the intersections are taken in the same calls."""
+    top = columns[:, np.arange(len(picked)), picked][..., None]  # (5, A, 1)
+    extents = np.maximum(np.minimum(top[2:4], columns[2:4]) - np.maximum(top[:2], columns[:2]), 0)
+    inter = extents[0] * extents[1]
+    return inter / (top[4] + columns[4] - inter)
 
 
 def pairwise_iou(boxes: np.ndarray) -> np.ndarray:

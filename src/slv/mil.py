@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import iou_matrix
+from .geometry import _box_columns, _iou_rows
 
 PROB_EPS = 1e-8
 
@@ -202,7 +202,8 @@ def cluster_records(
     (R, N, 4) stack of their proposals and `labels` an (R, C) bool mask of
     their positive classes, C <= C', at least one per record. `ious`, when
     given, is the (R, N, N) stack of each record's `iou_matrix(boxes[r],
-    boxes[r])`; otherwise each seed's row is computed for that seed alone.
+    boxes[r])`; otherwise each seed's row is computed for that seed alone,
+    by `_iou_rows` on box columns taken once per class.
     Per class, every record whose label has it takes its next seed in the
     same numpy step, until no record seeds. Each record gets the clusters,
     background and weights of its own `build_clusters` call.
@@ -215,7 +216,8 @@ def cluster_records(
         active = positive.nonzero()[0]
         if not active.size:
             continue
-        free, took, own_boxes = unassigned[active], taken[active], boxes[active]
+        free, took = unassigned[active], taken[active]
+        columns = _box_columns(boxes[active]) if ious is None else None
         candidates = np.where(free, scores[active, c], -np.inf)
         while True:
             # The first maximum: highest score, then lowest index. An assigned
@@ -228,7 +230,7 @@ def cluster_records(
             if not seeded.size:
                 break
             if ious is None:
-                rows = iou_matrix(own_boxes[np.arange(active.size), center][:, None], own_boxes)[:, 0]
+                rows = _iou_rows(columns, center)
             else:
                 rows = ious[active, center]
             members = free & (rows >= CLUSTER_IOU)

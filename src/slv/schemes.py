@@ -13,13 +13,14 @@ from .datasets import Dataset, DatasetRecord
 from .errors import InputError
 from .geometry import iou_matrix
 from .mil import build_clusters, positive_classes
-from .trainer import ToyScorer, vote_scores
+from .trainer import ToyScorer, missing_scores, vote_scores
 from .voting import Supervision, VoteBatch, VoteConfig, generate_supervision
 
 SCHEME_CONVENTIONAL = "conventional"
 SCHEME_CLUSTERING = "clustering"
 SCHEME_SLV = "slv"
 ALL_SCHEMES = (SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV)  # report order
+_LABELED = (SCHEME_CONVENTIONAL, SCHEME_CLUSTERING, SCHEME_SLV)  # labeling order
 
 
 def label_conventional(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Supervision:
@@ -42,6 +43,24 @@ def label_slv(scores: np.ndarray, record: DatasetRecord, config: VoteConfig) -> 
     return generate_supervision(
         scores, record.proposals, record.labels, record.height, record.width, config
     )
+
+
+def _ground_truth_stacks(records: Sequence[DatasetRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The records' ground-truth boxes as an (R, G, 4) stack and their
+    classes as (R, G), G the most boxes one record has; a record's boxes
+    come class by class, padded with unit boxes of class -1."""
+    parts = [(i, c, b) for i, record in enumerate(records) for c, b in record.gt_boxes.items()]
+    counts = [len(b) for _, _, b in parts]
+    owner = np.repeat(np.array([i for i, _, _ in parts], dtype=np.int64), counts)
+    sizes = np.bincount(owner, minlength=len(records))
+    slot = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+    boxes = np.concatenate([np.zeros((0, 4), np.int64)] + [b for _, _, b in parts])
+    gt = np.zeros((len(records), sizes.max(initial=0), 4), dtype=boxes.dtype)
+    gt[..., 2:] = 1
+    gt[owner, slot] = boxes
+    gt_classes = np.full(gt.shape[:2], -1, dtype=np.int64)
+    gt_classes[owner, slot] = np.repeat([c for _, c, _ in parts], counts)
+    return gt, gt_classes
 
 
 @dataclass(frozen=True)
@@ -69,10 +88,9 @@ def compare_schemes(
     an error names the first record in id order that fails.
     """
     vote_config = vote_config or VoteConfig()
-    ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
     records = dataset.in_id_order()
     matrices, errors = vote_scores(records, scorer)
-    labeled: list[dict[str, Supervision]] = []
+    labeled: list[tuple[Supervision, Supervision]] = []
     batch = VoteBatch(vote_config)
     for i, (record, scores) in enumerate(zip(records, matrices)):
         if not record.gt_boxes:
@@ -80,28 +98,32 @@ def compare_schemes(
         if i in errors:
             raise errors[i]
         if scores is None:
-            raise InputError(f"record {record.image_id!r} has no scores and no scorer was given")
+            raise InputError(f"record {record.image_id!r} {missing_scores(scorer)}")
         try:
-            labeled.append({
-                SCHEME_CONVENTIONAL: label_conventional(scores, record.proposals, record.labels),
-                SCHEME_CLUSTERING: label_clustering(scores, record.proposals, record.labels),
-            })
+            labeled.append((
+                label_conventional(scores, record.proposals, record.labels),
+                label_clustering(scores, record.proposals, record.labels),
+            ))
             batch.add(scores, record.proposals, record.labels, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
-    for record, by_scheme, sup in zip(records, labeled, batch.supervisions()):
-        by_scheme[SCHEME_SLV] = sup
-        gt = np.concatenate(list(record.gt_boxes.values()))
-        gt_classes = np.repeat(list(record.gt_boxes), [len(b) for b in record.gt_boxes.values()])
-        # The three schemes' boxes in one IoU matrix: each box's best IoU
-        # with the ground truth of its own class, -1 when its class has none.
-        classes = np.concatenate([s.classes for s in by_scheme.values()])
-        overlaps = iou_matrix(np.concatenate([s.boxes for s in by_scheme.values()]), gt)
-        best = np.where(classes[:, None] == gt_classes, overlaps, -1.0).max(axis=1, initial=-1.0)
-        names = [name for name, s in by_scheme.items() for _ in range(len(s.classes))]
-        for name, c, value in zip(names, classes.tolist(), best.tolist()):
-            if value >= 0.0:
-                ious[name].setdefault(c, []).append(value)
+    # Every labeled box, record by record in _LABELED order, against its
+    # record's ground truth padded with unit boxes of class -1 to the widest
+    # record, in one IoU matrix: each box's best IoU with the ground truth of
+    # its own class, -1 when its class has none.
+    sups = [s for pair, voted in zip(labeled, batch.supervisions()) for s in (*pair, voted)]
+    sizes = [len(s.classes) for s in sups]
+    owner = np.repeat(np.arange(len(sups)) // len(_LABELED), sizes)
+    gt, gt_classes = _ground_truth_stacks(records)
+    boxes = np.concatenate([np.zeros((0, 4), np.int64)] + [s.boxes for s in sups])
+    classes = np.concatenate([np.zeros(0, np.int64)] + [s.classes for s in sups])
+    overlaps = iou_matrix(boxes[:, None], gt[owner])[:, 0]
+    best = np.where(classes[:, None] == gt_classes[owner], overlaps, -1.0).max(axis=1, initial=-1.0)
+    ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
+    names = np.repeat(_LABELED * len(labeled), sizes).tolist()
+    for name, c, value in zip(names, classes.tolist(), best.tolist()):
+        if value >= 0.0:
+            ious[name].setdefault(c, []).append(value)
     stats = []
     for name in ALL_SCHEMES:
         per_class = {c: float(np.mean(v)) for c, v in sorted(ious[name].items())}

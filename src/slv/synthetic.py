@@ -33,6 +33,12 @@ _PART_FRACTION = (0.20, 0.35)
 _CONTEXT_SHARE = 0.15
 _PART_SHARE = 0.25  # of each object's proposal budget
 
+# Caps checked before anything is allocated. A record holds a classes x
+# proposals score matrix and (5 + classes) features per proposal, so at both
+# caps each of them takes 80 MB.
+MAX_CLASSES = 1000
+MAX_PROPOSALS = 10000
+
 
 @dataclass(frozen=True)
 class SyntheticSceneConfig:
@@ -48,10 +54,15 @@ class SyntheticSceneConfig:
     def __post_init__(self) -> None:
         if self.num_images <= 0 or not 16 <= self.image_size <= MAX_IMAGE_SIDE:
             raise ConfigError(f"synthetic config: need num_images > 0 and image_size in [16, {MAX_IMAGE_SIDE}]")
-        if self.num_classes <= 0 or self.objects_per_image <= 0:
-            raise ConfigError("synthetic config: need positive num_classes and objects_per_image")
-        if self.proposals_per_image < self.objects_per_image * 4:
-            raise ConfigError("synthetic config: need at least 4 proposals per object")
+        if not 0 < self.num_classes <= MAX_CLASSES:
+            raise ConfigError(f"synthetic config: need num_classes in [1, {MAX_CLASSES}], got {self.num_classes}")
+        if self.objects_per_image <= 0:
+            raise ConfigError("synthetic config: need positive objects_per_image")
+        if not self.objects_per_image * 4 <= self.proposals_per_image <= MAX_PROPOSALS:
+            raise ConfigError(
+                f"synthetic config: need at least 4 proposals per object and at most {MAX_PROPOSALS}"
+                f" per image, got {self.proposals_per_image}"
+            )
         if not 0.0 <= self.part_bias <= 1.0:
             raise ConfigError(f"synthetic config: part_bias must be in [0, 1], got {self.part_bias}")
         if not (0.0 <= self.jitter <= 1.0 and 0.0 <= self.feature_noise < math.inf):  # also rejects NaN

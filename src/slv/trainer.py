@@ -477,6 +477,13 @@ def vote_scores(records: list[DatasetRecord], scorer: ToyScorer | None) -> tuple
     return [scored.get(i, record.scores) for i, record in enumerate(records)], errors
 
 
+def missing_scores(scorer: ToyScorer | None) -> str:
+    """What a record lacks when `vote_scores` gives it no matrix."""
+    if scorer is None:
+        return "has no scores and no scorer was given"
+    return "has no features for the scorer and no embedded scores"
+
+
 def vote_dataset(
     dataset: Dataset,
     config: VoteConfig,

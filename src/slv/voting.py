@@ -182,8 +182,13 @@ def accumulate_fast(
 
     Difference-array kernel on the grid that the candidates' distinct edges
     cut: each box deposits +s/-s at its four corners on an (Ey)x(Ex) grid of
-    edges, and two prefix-sum passes spread the deposits over the cells
-    between them, giving O(Ey*Ex + H + W + len(candidates)) total work.
+    edges, and two prefix-sum passes (`np.add.accumulate`, which `np.cumsum`
+    calls) spread the deposits over the cells between them, giving
+    O(Ey*Ex + H + W + len(candidates)) total work. One `np.bincount` over
+    the flat corner cells makes every deposit: the top-left corners in
+    candidate order, then the top-right, bottom-left and bottom-right
+    ones, which is the order of four `np.add.at` calls, so each cell gets
+    the same additions in the same order.
 
     The bits are those of the same kernel on the (H+1)x(W+1) pixel grid:
     there, every row and column between two edges holds no deposit, so
@@ -194,14 +199,14 @@ def accumulate_fast(
     x0, y0, x1, y1 = arr.T
     y_edges, y_index = _cell_index(y0, y1, height)
     x_edges, x_index = _cell_index(x0, x1, width)
-    diff = np.zeros((len(y_edges), len(x_edges)), dtype=np.float64)
-    top, bottom, left, right = y_index[y0], y_index[y1], x_index[x0], x_index[x1]
-    np.add.at(diff, (top, left), s)
-    np.add.at(diff, (top, right), -s)
-    np.add.at(diff, (bottom, left), -s)
-    np.add.at(diff, (bottom, right), s)
-    np.cumsum(diff, axis=0, out=diff)
-    np.cumsum(diff, axis=1, out=diff)
+    shape = (len(y_edges), len(x_edges))
+    top, bottom = y_index[y0] * shape[1], y_index[y1] * shape[1]
+    left, right = x_index[x0], x_index[x1]
+    corners = np.concatenate([top + left, top + right, bottom + left, bottom + right])
+    diff = np.bincount(corners, np.concatenate([s, -s, -s, s]), shape[0] * shape[1])
+    diff = diff.astype(np.float64, copy=False).reshape(shape)  # no candidates give int64 zeros
+    np.add.accumulate(diff, axis=0, out=diff)
+    np.add.accumulate(diff, axis=1, out=diff)
     # Cancellation can leave sub-ulp negatives where the exact value is 0.
     np.maximum(diff, 0.0, out=diff)
     return LikelihoodMap(diff[:-1, :-1], y_edges, x_edges, class_id)

@@ -306,6 +306,38 @@ class TestExitCodes:
         ]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--classes", "2147483648"], "num_classes in [1, 1000], got 2147483648"),
+            (["--classes", "9223372036854775808"], "num_classes in [1, 1000], got 9223372036854775808"),
+            (["--proposals", "2147483648"], "at most 10000 per image, got 2147483648"),
+            (["--proposals", "9223372036854775808"], "at most 10000 per image, got 9223372036854775808"),
+        ],
+        ids=["classes-2^31", "classes-2^63", "proposals-2^31", "proposals-2^63"],
+    )
+    def test_generate_rejects_counts_past_their_caps(self, tmp_path, capsys, flags, message):
+        """Counts that numpy cannot allocate are rejected before any array
+        is made, with one line; each used to end in a numpy traceback."""
+        base = ["generate", "--images", "2", "--size", "24", "--objects", "1", "--proposals", "6"]
+        code, captured = run(["--out", tmp_path / "out"] + base + flags, capsys)
+        assert code == 1
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: synthetic config: ") and line.endswith(message)
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config, seed):
+            raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147483648,) and data type int64")
+
+        monkeypatch.setattr(slv.cli, "generate_synthetic", exhausted)
+        code, captured = run(["--out", tmp_path / "out"] + GENERATE_ARGS, capsys)
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: out of memory: Unable to allocate 16.0 GiB for an array with shape (2147483648,) and data type int64"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_is_two(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert run(["--seed", "3", "--out", data_dir] + GENERATE_ARGS)[0] == 0

@@ -10,7 +10,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slv.datasets import Dataset
+from slv.cli import main
+from slv.datasets import Dataset, save_dataset
 from slv.errors import InputError
 from slv.schemes import compare_schemes
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
@@ -167,7 +168,30 @@ def test_a_record_without_features_or_scores_is_skipped_by_vote_and_named_by_com
     assert [image_id for image_id, _ in voted] == ["a", "c"] and skipped == ["b"]
     with pytest.raises(InputError) as info:
         compare_schemes(dataset, VoteConfig(), scorer)
-    assert str(info.value) == "record 'b' has no scores and no scorer was given"
+    assert str(info.value) == "record 'b' has no features for the scorer and no embedded scores"
+
+
+@pytest.mark.parametrize(
+    "with_scorer, reason",
+    [
+        (True, "has no features for the scorer and no embedded scores"),
+        (False, "has no scores and no scorer was given"),
+    ],
+    ids=["scorer", "no-scorer"],
+)
+def test_vote_and_compare_schemes_say_what_an_unscored_record_lacks(tmp_path, caplog, with_scorer, reason):
+    dataset = damaged_dataset({"b": lambda r: dataclasses.replace(r, features=None, scores=None)})
+    save_dataset(dataset, tmp_path / "dataset.jsonl")
+    scorer = scaled_scorer(dataset, 1.0) if with_scorer else None
+    flags = []
+    if scorer is not None:
+        scorer.save(tmp_path / "scorer.json")
+        flags = ["--scorer", str(tmp_path / "scorer.json")]
+    assert main(["--out", str(tmp_path / "vote"), "vote", str(tmp_path / "dataset.jsonl"), *flags]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"record b {reason}; skipped"]
+    with pytest.raises(InputError) as info:
+        compare_schemes(dataset, VoteConfig(), scorer)
+    assert str(info.value) == f"record 'b' {reason}"
 
 
 def test_only_a_group_whose_call_raises_is_scored_again():

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slv.geometry import Box, boxes_to_array, iou, iou_matrix, nms
+from slv.geometry import Box, _box_columns, _iou_rows, boxes_to_array, iou, iou_matrix, nms
 from slv.mil import build_clusters
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets
@@ -143,6 +143,46 @@ def test_grouped_nms_matches_oracle_per_group(data):
         want += [members[k] for k in kept]
     got = nms(boxes_to_array(boxes), scores, threshold, groups=np.array(groups, dtype=np.int64))
     assert got == want
+
+
+@st.composite
+def related_rows(draw):
+    """An (A, N, 4) box stack, int64 or float64, whose rows grow from one
+    box by adding boxes identical to, nested in, sharing an edge with or
+    disjoint from an earlier box of the row (or a tie box), all scaled by
+    1, 4096 or 0.1 (which rounds); and one picked index per row."""
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    num = draw(st.integers(1, 9))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(small_boxes).as_tuple()]
+        while len(row) < num:
+            x0, y0, x1, y1 = draw(st.sampled_from(row))
+            step = draw(st.integers(1, 4))
+            row.append(draw(st.sampled_from([
+                (x0, y0, x1, y1),  # identical
+                (x0, y0, min(x0 + step, x1), min(y0 + step, y1)),  # nested, sharing a corner
+                (x1, y0, x1 + step, y1),  # sharing the right edge
+                (x0, y1, x1, y1 + step),  # sharing the bottom edge
+                (x1 + step, y1 + step, x1 + 2 * step, y1 + step + 1),  # disjoint
+                draw(st.sampled_from(TIE_BOXES)).as_tuple(),
+            ])))
+        stack.append(row)
+    picked = draw(st.lists(st.integers(0, num - 1), min_size=len(stack), max_size=len(stack)))
+    scale = draw(st.sampled_from([1, 4096, 0.1]))
+    return np.array(stack, dtype=dtype) * scale, np.array(picked)
+
+
+@given(related_rows())
+@settings(max_examples=300, deadline=None)
+def test_iou_rows_are_iou_matrix_rows_bit_for_bit(inputs):
+    """NMS and clustering take one IoU row per picked box from `_iou_rows`;
+    each row must have the bits of that box's `iou_matrix` row."""
+    boxes, picked = inputs
+    got = _iou_rows(_box_columns(boxes), picked)
+    want = np.stack([iou_matrix(row[k][None], row)[0] for row, k in zip(boxes, picked)])
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_no_proposals():

@@ -75,4 +75,22 @@ def test_counters_read_array_records(tmp_path):
     assert written > 0
     assert m["trainer.run_inference.detections"] == written
     assert m["evaluation.match_detections.flags"] == written
+    # The layers no stage of this pipeline calls: the functions only tests
+    # use, and `write_pgm`, as its vote writes no heatmaps. A change that
+    # stops calling any other layer would zero its metrics silently.
+    never_called = {f"{mod}.{fn}" for mod, fn, _ in tracer.LAYERS if m[f"{mod}.{fn}.calls"] == 0}
+    assert never_called == {
+        "geometry.iou",
+        "geometry.connected_components",
+        "geometry.min_bounding_rect",
+        "geometry.pairwise_iou",
+        "mil.mil_loss",
+        "mil.refinement_loss",
+        "schemes.label_slv",
+        "targets.encode_offsets",
+        "targets.decode_offsets",
+        "targets.slv_loss",
+        "voting.generate_supervision",
+        "voting.write_pgm",
+    }
     assert tracer.leftover_wrappers() == []
