@@ -31,7 +31,6 @@ DETECTIONS_SCHEMA = "slv/detections"
 SCHEMA_VERSION = 1
 # JPEG's limit; larger sides would make vote grids that cannot be allocated.
 MAX_IMAGE_SIDE = 65535
-CLIPPED = "%s: proposal %d %s clipped to %s for %dx%d image"  # log format
 INT64_LIMIT = 2**63  # int64 holds [-INT64_LIMIT, INT64_LIMIT)
 
 
@@ -97,37 +96,33 @@ def _proposal_rows(raw, height: int, width: int, where: str) -> list[Box]:
             )
         if box.x1 > width or box.y1 > height:
             clipped = Box(box.x0, box.y0, min(box.x1, width), min(box.y1, height))
-            log.warning(CLIPPED, where, k, box.as_tuple(), clipped.as_tuple(), height, width)
+            log.warning("%s: proposal %d %s clipped to %s for %dx%d image", where, k, box.as_tuple(), clipped.as_tuple(), height, width)
             box = clipped
         proposals.append(box)
     return proposals
 
 
-def _proposals_from_json(raw, height: int, width: int, where: str) -> np.ndarray:
-    """A record's proposals as one (N, 4) int64 array, checked as one array.
-
-    Rows of four JSON integers (not booleans) that make a `Box` whose top-left
-    corner lies inside the image pass; rows reaching past the image are
-    clipped with the warning `_proposal_rows` gives. Anything else goes row
-    by row through `_proposal_rows`, which raises the first bad row's
-    message, or clips a coordinate too large for int64.
-    """
+def _box_array(raw) -> np.ndarray | None:
+    """A JSON list of boxes as one (N, 4) int64 array, checked as one array:
+    every row must be four JSON integers (not booleans) within int64 that
+    make a valid `Box`. None for anything else."""
     try:
-        plain = type(raw) is list and set(map(len, raw)) <= {4} and set(map(type, chain.from_iterable(raw))) <= {int}
-        arr = np.array(raw, dtype=np.int64).reshape(-1, 4) if plain else None
+        if type(raw) is not list or not set(map(len, raw)) <= {4} or not set(map(type, chain.from_iterable(raw))) <= {int}:
+            return None
+        arr = np.array(raw, dtype=np.int64).reshape(-1, 4)
     except (TypeError, OverflowError):  # a row without a length, a coordinate beyond int64
-        arr = None
-    if arr is None:
+        return None
+    return None if ((arr[:, :2] < 0) | (arr[:, :2] >= arr[:, 2:])).any() else arr
+
+
+def _proposals_from_json(raw, height: int, width: int, where: str) -> np.ndarray:
+    """A record's proposals as one (N, 4) int64 array: a `_box_array` whose
+    rows all lie inside the image. Anything else, rows reaching past the
+    image included, goes row by row through `_proposal_rows`, which raises
+    the first bad row's message or clips with a warning."""
+    arr = _box_array(raw)
+    if arr is None or (arr[:, 2:] > (width, height)).any():
         return boxes_to_array(_proposal_rows(raw, height, width, where))
-    top_left, bottom_right, size = arr[:, :2], arr[:, 2:], (width, height)
-    if ((top_left < 0) | (top_left >= bottom_right) | (top_left >= size)).any():
-        return boxes_to_array(_proposal_rows(raw, height, width, where))
-    over = np.flatnonzero((bottom_right > size).any(axis=1))
-    if over.size:
-        clipped = np.minimum(arr, size * 2)
-        for k in over.tolist():
-            log.warning(CLIPPED, where, k, tuple(arr[k].tolist()), tuple(clipped[k].tolist()), height, width)
-        arr = clipped
     return arr
 
 
@@ -150,23 +145,21 @@ def _number_matrix(raw) -> np.ndarray | None:
     return np.fromiter(chain.from_iterable(raw), np.float64, len(raw) * width).reshape(len(raw), width)
 
 
-def _number_field(obj: dict, key: str, where: str, shape_problem: Callable[[tuple], str | None]) -> np.ndarray | None:
-    """A record's matrix field as a float64 array, or None when absent. The
-    first problem raises, in this order: `shape_problem(shape)` (a message
-    or None), an entry that is not a JSON number, a non-finite entry."""
-    raw = obj.get(key)
-    if raw is None:
-        return None
+def _number_field(raw, subject: str, shape_problem: Callable[[tuple], str | None]) -> np.ndarray:
+    """A JSON matrix, a record field or a scorer weight, as a float64 array.
+    The first problem raises `subject` and its message, in this order:
+    `shape_problem(shape)` (a message or None), an entry that is not a JSON
+    number, a non-finite entry. numpy's errors (ragged rows, say) propagate."""
     arr = numbers = _number_matrix(raw)
     if numbers is None:  # numpy raises, or the checks below reject its array
         arr = np.asarray(raw, dtype=np.float64)
     problem = shape_problem(arr.shape)
     if problem is not None:
-        raise DatasetFormatError(f"{where}: field '{key}' {problem}")
+        raise DatasetFormatError(f"{subject} {problem}")
     if numbers is None and not _numbers_only(raw):
-        raise DatasetFormatError(f"{where}: field '{key}' must hold JSON numbers only")
+        raise DatasetFormatError(f"{subject} must hold JSON numbers only")
     if not np.isfinite(arr).all():
-        raise DatasetFormatError(f"{where}: field '{key}' contains non-finite values")
+        raise DatasetFormatError(f"{subject} contains non-finite values")
     return arr
 
 
@@ -193,9 +186,12 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
             return f"has dimension {shape[1]}, header says {feature_dim}"
         return None
 
+    def matrix(key: str, shape_problem: Callable[[tuple], str | None]) -> np.ndarray | None:
+        return None if obj.get(key) is None else _number_field(obj[key], f"{where}: field '{key}'", shape_problem)
+
     want = (num_classes, len(proposals))
-    features = _number_field(obj, "features", where, features_shape)
-    scores = _number_field(obj, "scores", where, lambda shape: None if shape == want else f"must be {want}")
+    features = matrix("features", features_shape)
+    scores = matrix("scores", lambda shape: None if shape == want else f"must be {want}")
     gt_boxes = None
     if obj.get("gt") is not None:
         gt_rows: dict[int, list[list[int]]] = {}
@@ -223,6 +219,15 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
     )
 
 
+def _check_header(header, expected_schema: str, where: str) -> None:
+    """Raise unless `header` is a JSON object with the `schema` tag
+    `expected_schema` and the `version` SCHEMA_VERSION; `where` begins the message."""
+    if not isinstance(header, dict) or header.get("schema") != expected_schema:
+        raise DatasetFormatError(f"{where}: expected schema {expected_schema!r}")
+    if header.get("version") != SCHEMA_VERSION:
+        raise DatasetFormatError(f"{where}: unsupported version {header.get('version')!r}")
+
+
 def _read_header(path: Path, expected_schema: str) -> tuple[dict, list[tuple[int, str]]]:
     try:
         text = path.read_text(encoding="utf-8")
@@ -236,12 +241,7 @@ def _read_header(path: Path, expected_schema: str) -> tuple[dict, list[tuple[int
         header = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{path}:{lineno}: invalid JSON header: {exc}") from None
-    if not isinstance(header, dict) or header.get("schema") != expected_schema:
-        raise DatasetFormatError(f"{path}:{lineno}: expected schema {expected_schema!r}")
-    if header.get("version") != SCHEMA_VERSION:
-        raise DatasetFormatError(
-            f"{path}:{lineno}: unsupported version {header.get('version')!r}"
-        )
+    _check_header(header, expected_schema, f"{path}:{lineno}")
     return header, lines[1:]
 
 
@@ -270,7 +270,9 @@ def load_dataset(path: str | Path) -> Dataset:
     if class_names is not None:
         if not isinstance(class_names, list) or len(class_names) != num_classes:
             raise DatasetFormatError(f"{path}:1: header field 'class_names' length mismatch")
-        class_names = tuple(str(n) for n in class_names)
+        if not set(map(type, class_names)) <= {str}:  # other values would not save back as they were
+            raise DatasetFormatError(f"{path}:1: header field 'class_names' must hold strings only")
+        class_names = tuple(class_names)
     records = []
     for lineno, obj in _parse_lines(path, lines):
         try:
@@ -366,23 +368,16 @@ def _detection_columns(objs: list) -> Detections | None:
         ids, classes, boxes, scores = ([obj[key] for obj in objs] for key in ("id", "class", "box", "score"))
     except KeyError:
         return None
+    box_array = _box_array(boxes)
     # `type(...)` rejects JSON booleans, which numpy would take as integers.
-    if not (
-        set(map(type, classes)) <= {int}
-        and set(map(type, boxes)) <= {list}
-        and set(map(len, boxes)) <= {4}
-        and set(map(type, chain.from_iterable(boxes))) <= {int}
-        and set(map(type, scores)) <= {int, float}
-    ):
+    if box_array is None or not set(map(type, classes)) <= {int} or not set(map(type, scores)) <= {int, float}:
         return None
-    try:  # a value beyond int64, or an integer score beyond the float range, overflows
+    try:  # a class beyond int64, or an integer score beyond the float range, overflows
         class_array = np.array(classes, dtype=np.int64)
-        box_array = np.array(boxes, dtype=np.int64).reshape(-1, 4)
         score_array = np.array(scores, dtype=np.float64)
     except OverflowError:
         return None
-    x0, y0, x1, y1 = box_array.T
-    if ((x0 < 0) | (y0 < 0) | (x0 >= x1) | (y0 >= y1)).any() or not np.isfinite(score_array).all():
+    if not np.isfinite(score_array).all():
         return None
     return Detections(list(map(str, ids)), class_array, box_array, score_array)
 

@@ -23,9 +23,9 @@ ALL_SCHEMES = (SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV)  # report ord
 _LABELED = (SCHEME_CONVENTIONAL, SCHEME_CLUSTERING, SCHEME_SLV)  # labeling order
 
 
-def label_conventional(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Supervision:
-    """One box per positive class: the single highest-scoring proposal."""
-    classes = np.array(positive_classes(y), dtype=np.int64)
+def label_conventional(scores: np.ndarray, boxes: np.ndarray, classes: list[int]) -> Supervision:
+    """One box per positive class in `classes`: the single highest-scoring proposal."""
+    classes = np.array(classes, dtype=np.int64)
     if not len(boxes):  # a record without proposals labels nothing
         return Supervision()
     return Supervision(boxes[scores[classes].argmax(axis=1)], classes)
@@ -100,11 +100,12 @@ def compare_schemes(
         if scores is None:
             raise InputError(f"record {record.image_id!r} {missing_scores(scorer)}")
         try:
+            positive = positive_classes(record.labels)
             labeled.append((
-                label_conventional(scores, record.proposals, record.labels),
+                label_conventional(scores, record.proposals, positive),
                 label_clustering(scores, record.proposals, record.labels),
             ))
-            batch.add(scores, record.proposals, record.labels, record.height, record.width)
+            batch.add(scores, record.proposals, positive, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
     # Every labeled box, record by record in _LABELED order, against its

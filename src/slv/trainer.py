@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, DatasetRecord, _numbers_only
+from .datasets import SCHEMA_VERSION, Dataset, DatasetRecord, _check_header, _number_field
 from .errors import ConfigError, InputError, NumericalError
 from .evaluation import Detections
 from .mil import (
@@ -124,7 +124,7 @@ class ToyScorer:
     def save(self, path: str | Path) -> None:
         payload = {
             "schema": SCORER_SCHEMA,
-            "version": 1,
+            "version": SCHEMA_VERSION,
             "num_classes": self.num_classes,
             "feature_dim": self.feature_dim,
             "weights": {
@@ -139,14 +139,14 @@ class ToyScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "ToyScorer":
-        """Read a scorer written by `save`, checking every field's presence,
-        shape against num_classes/feature_dim, and finiteness."""
+        """Read a scorer written by `save`, checking its schema and version,
+        every field's presence, and each matrix's shape against
+        num_classes/feature_dim, its entries and their finiteness."""
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read scorer file {path}: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("schema") != SCORER_SCHEMA:
-            raise InputError(f"{path}: not a scorer file")
+        _check_header(payload, SCORER_SCHEMA, str(path))
         c, d = payload.get("num_classes"), payload.get("feature_dim")
         if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (c, d)):
             raise InputError(f"{path}: 'num_classes' and 'feature_dim' must be positive integers")
@@ -159,17 +159,13 @@ class ToyScorer:
             raise InputError(f"{path}: 'weights.refine' must be a list of {REFINEMENTS} matrices")
 
         def matrix(name: str, raw, rows: int) -> np.ndarray:
+            subject, problem = f"{path}: 'weights.{name}'", f"must be a {rows}x{d} matrix"
             try:
-                w = np.asarray(raw, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                w = None
-            if w is None or w.shape != (rows, d):
-                raise InputError(f"{path}: 'weights.{name}' must be a {rows}x{d} matrix")
-            if not _numbers_only(raw):
-                raise InputError(f"{path}: 'weights.{name}' must hold JSON numbers only")
-            if not np.isfinite(w).all():
-                raise InputError(f"{path}: 'weights.{name}' contains non-finite values")
-            return w
+                return _number_field(raw, subject, lambda shape: None if shape == (rows, d) else problem)
+            except InputError:
+                raise
+            except (TypeError, ValueError, OverflowError):  # numpy's: ragged rows, an integer beyond float64
+                raise InputError(f"{subject} {problem}") from None
 
         return cls(
             num_classes=c,
@@ -233,8 +229,9 @@ def _logits(w: np.ndarray, feats: np.ndarray, error: Exception) -> np.ndarray:
     return z
 
 
-def _training_records(dataset: Dataset) -> list[DatasetRecord]:
-    records = dataset.in_id_order()
+def _training_records(dataset: Dataset) -> tuple[list[DatasetRecord], list[list[int]]]:
+    """The records in id order, checked for training, and their positive classes."""
+    records, positives = dataset.in_id_order(), []
     if not records:
         raise InputError("train_toy: dataset is empty")
     for record in records:
@@ -245,9 +242,10 @@ def _training_records(dataset: Dataset) -> list[DatasetRecord]:
                 f"train_toy: record {record.image_id!r} has {record.features.shape[1]} features per proposal,"
                 f" record {records[0].image_id!r} has {records[0].features.shape[1]}"
             )
-        if not positive_classes(record.labels):
+        positives.append(positive_classes(record.labels))
+        if not positives[-1]:
             raise InputError(f"train_toy: record {record.image_id!r} has no positive class")
-    return records
+    return records, positives
 
 
 def _feature_groups(records: list[DatasetRecord], indices) -> list[tuple[list[int], np.ndarray]]:
@@ -283,7 +281,7 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
     means). Raises NumericalError naming the iteration if any loss goes
     non-finite.
     """
-    records = _training_records(dataset)
+    records, positives = _training_records(dataset)
     groups = _proposal_groups(records)
     # order[i]: the row of record i among every group's rows, stacked in group order.
     order = np.argsort(np.concatenate([members for members, *_ in groups]))
@@ -331,8 +329,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             averages = [average_refined_scores(*phis) for phis in zip(*stages)]
             rows = list(itertools.chain(*averages))  # every record's matrix, in group order
             batch = VoteBatch(config.vote)
-            for record, at in zip(records, order.tolist()):
-                batch.add(rows[at], record.proposals, record.labels, record.height, record.width)
+            for record, positive, at in zip(records, positives, order.tolist()):
+                batch.add(rows[at], record.proposals, positive, record.height, record.width)
             supervisions = np.array(batch.supervisions(), dtype=object)
 
             # Phase 3: targets, the SLV loss and its gradients, group by group.
@@ -524,7 +522,7 @@ def vote_dataset(
             skipped.append(record.image_id)
             continue
         try:
-            likelihoods = batch.add(matrix, record.proposals, record.labels, record.height, record.width)
+            likelihoods = batch.add(matrix, record.proposals, positive_classes(record.labels), record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
         voted.append(record.image_id)

@@ -270,12 +270,13 @@ class VoteBatch:
         self,
         phi_bar: np.ndarray,
         boxes: np.ndarray,
-        y: np.ndarray,
+        classes: list[int],
         height: int,
         width: int,
     ) -> list[LikelihoodMap]:
-        """Vote every positive class of one image and return the normalized
-        map of each, in class order.
+        """Vote every positive class of one image, `classes` in increasing
+        order as `mil.positive_classes` gives them, and return the
+        normalized map of each, in class order.
 
         Per class: filter candidates by t_score, accumulate their scores
         spatially, normalize, and binarize at the class threshold; the
@@ -284,15 +285,14 @@ class VoteBatch:
         binarizes to no region: a valid, empty vote. A failed add returns
         nothing and leaves the batch as it was.
         """
-        pos = positive_classes(y)
-        if not pos:
+        if not classes:
             raise InputError("vote: image has no positive class")
         if phi_bar.shape[1] != len(boxes):
             raise InputError(f"vote: {phi_bar.shape[1]} score columns but {len(boxes)} boxes")
-        if len(phi_bar) < len(y):
+        if len(phi_bar) <= max(classes):
             raise InputError("vote: score matrix has no row for some class")
         maps, grids = [], []  # grids queue only once every class has voted, so a failed add leaves nothing
-        for c in pos:
+        for c in classes:
             candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
             likelihood = normalize(accumulate_fast(candidates, boxes, phi_bar[c], height, width, class_id=c))
             grid = binarize(likelihood, self.config.t_b_for(c))
@@ -351,7 +351,7 @@ def generate_supervision(
     """Vote pseudo ground-truth boxes for every positive class of an image:
     a one-image `VoteBatch`."""
     batch = VoteBatch(config)
-    batch.add(phi_bar, boxes, y, height, width)
+    batch.add(phi_bar, boxes, positive_classes(y), height, width)
     return batch.supervisions()[0]
 
 

@@ -518,7 +518,7 @@ def per_record_train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScor
     every head's logits, softmaxes and gradient products one record at a
     time, and targets and the SLV loss one record at a time. Only
     clustering and the refinement loss run per group, as they did."""
-    records = _training_records(dataset)
+    records, positives = _training_records(dataset)
     groups = per_record_groups(records)
     num_classes = dataset.num_classes
     rng = np.random.default_rng(config.init_seed)
@@ -567,10 +567,10 @@ def per_record_train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScor
         # Phase 2: one vote over every record's averaged refinement scores.
         if not config.mil_only:
             batch = VoteBatch(config.vote)
-            for record, phis in zip(records, zip(*stages)):
+            for record, positive, phis in zip(records, positives, zip(*stages)):
                 batch.add(
                     average_refined_scores(*phis),
-                    record.proposals, record.labels, record.height, record.width,
+                    record.proposals, positive, record.height, record.width,
                 )
             supervisions = batch.supervisions()
 

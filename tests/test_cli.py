@@ -550,6 +550,28 @@ class TestExitCodes:
         assert captured.err.splitlines() == ["error: record 'b': scorer weights give non-finite outputs"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("version", 2, "unsupported version 2"),
+            ("version", None, "unsupported version None"),
+            ("version", "1", "unsupported version '1'"),
+            ("schema", "slv/dataset", "expected schema 'slv/scorer'"),
+        ],
+        ids=["version-2", "version-null", "version-string", "schema"],
+    )
+    def test_scorer_header_is_checked_as_record_headers_are(self, tmp_path, capsys, key, value, message):
+        dataset, scorer = self._trained_scorer(tmp_path, 2)
+        payload = json.loads(scorer.read_text())
+        payload[key] = value
+        scorer.write_text(json.dumps(payload))
+        out = tmp_path / "v"
+        for command in ("vote", "compare-schemes"):
+            code, captured = run(["--out", out, command, dataset, "--scorer", scorer], capsys)
+            assert code == 1
+            assert captured.err.splitlines() == [f"error: {scorer}: {message}"]
+            assert not out.exists()
+
     @pytest.mark.parametrize("head, value", [("cls", True), ("det", "0.5"), ("refine", False)])
     def test_scorer_weights_of_wrong_json_type_are_one(self, tmp_path, capsys, head, value):
         dataset, scorer = self._trained_scorer(tmp_path, 2)

@@ -1,12 +1,15 @@
 """slv.cli.main on damaged input files: truncated, non-UTF-8, NaN-laden,
 mis-shaped and extreme-valued datasets, scorers, detection files and
-configs. Every run must end in exit code 0, 1 or 2, never an exception,
-and a run that exits non-zero leaves every path under `--out` as it was.
+configs, and on extreme command-line flag values. Every run must end in
+exit code 0, 1 or 2, never an exception, and a run that exits non-zero
+leaves every path under `--out` as it was.
 
-Large integers are drawn only as 2**63: sizes in the tens of thousands
-would make vote grids of many gigabytes instead of a quick error."""
+Large integers in files are drawn only as 2**63: sizes in the tens of
+thousands would make vote grids of many gigabytes instead of a quick error."""
 
+import contextlib
 import copy
+import io
 import json
 import random
 
@@ -123,3 +126,58 @@ def test_damaged_inputs_exit_cleanly(inputs, kind, how, seed):
         assert code in (0, 1, 2)
         if code != 0:
             assert snapshot(out) == before, command
+
+
+# ROADMAP item 13's pools: every integer flag and every float flag of a
+# command is drawn from one of them, as `--flag=value` so that argparse
+# reads `-inf` and `-1e308` as values.
+INTEGERS = ["-1", "0", "1", "65536", str(2**31), str(2**63), "1.5", "x"]
+FLOATS = ["-1", "0", "1", "0.999999", "1e308", "-1e308", "inf", "-inf", "nan", "1e-320", "x"]
+# Counts that no bound rejects and that only make a run long: 65,536 images
+# or iterations and more.
+LONG = {"65536", str(2**31), str(2**63)}
+FLAGS = {
+    "generate": {"--seed": INTEGERS, "--images": INTEGERS, "--size": INTEGERS, "--classes": INTEGERS,
+                 "--objects": INTEGERS, "--proposals": INTEGERS, "--jitter": FLOATS, "--bias": FLOATS},
+    "train": {"--seed": INTEGERS, "--iterations": INTEGERS, "--lr": FLOATS, "--ramp": FLOATS,
+              "--nms-iou": FLOATS, "--det-score-min": FLOATS},
+    "vote": {"--t-score": FLOATS, "--t-b": FLOATS},
+    "evaluate": {"--iou-threshold": FLOATS},
+}
+ARGV_CASES = [
+    (command, flag, value)
+    for command, flags in FLAGS.items()
+    for flag, pool in flags.items()
+    for value in pool
+    if not (flag in ("--images", "--iterations") and value in LONG)
+]
+
+
+@given(case=st.sampled_from(ARGV_CASES))
+@settings(max_examples=400, deadline=None)  # above len(ARGV_CASES): hypothesis stops once every case ran
+def test_extreme_flag_values_exit_cleanly(inputs, case):
+    """One flag of one command at an extreme value, on a valid base command:
+    exit 0, 1 or 2; a failed run prints one error line and leaves `--out`
+    as it was."""
+    command, flag, value = case
+    root, valid = inputs
+    for name in ("dataset", "scorer", "detections"):  # the other test leaves damaged copies at `<name>.in`
+        (root / f"{name}.valid").write_bytes(valid[name])
+    dataset, scorer, detections = (str(root / f"{name}.valid") for name in ("dataset", "scorer", "detections"))
+    base = {
+        "generate": ["generate", "--images", "2", "--size", "24", "--classes", "2", "--objects", "1", "--proposals", "6"],
+        "train": ["train", dataset, "--iterations", "2", "--emit-detections"],
+        "vote": ["vote", dataset, "--scorer", scorer, "--emit-heatmaps"],
+        "evaluate": ["evaluate", detections, dataset],
+    }[command]
+    out = root / "argv-out"
+    argv = ["--out", str(out)] + ([f"{flag}={value}"] + base if flag == "--seed" else base + [f"{flag}={value}"])
+    before = snapshot(out)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code != 0:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(("error: ", "numerical error: ")), argv
+        assert snapshot(out) == before, argv

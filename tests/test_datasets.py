@@ -181,6 +181,19 @@ class TestDatasetValidation:
         with pytest.raises(DatasetFormatError, match="class_names"):
             load_dataset(self._write(tmp_path, [header]))
 
+    def test_class_names_must_be_strings(self, tmp_path):
+        """Other JSON values would load as their `str` and save back changed."""
+        header = {"schema": "slv/dataset", "version": 1, "num_classes": 3, "feature_dim": None, "class_names": [1, None, True]}
+        target = self._write(tmp_path, [json.dumps(header)])
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(target)
+        assert str(info.value) == f"{target}:1: header field 'class_names' must hold strings only"
+        header["class_names"] = ["cat", "", "1"]
+        target.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        copy = tmp_path / "copy.jsonl"
+        save_dataset(load_dataset(target), copy)
+        assert copy.read_bytes() == target.read_bytes()
+
     def test_invalid_json_names_line(self, tmp_path):
         header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 1})
         target = self._write(tmp_path, [header, "{not json"])

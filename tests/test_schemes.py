@@ -29,7 +29,7 @@ class TestLabelers:
     def test_conventional_picks_argmax(self):
         scores = np.array([[0.2, 0.7, 0.1]])
         boxes = [Box(0, 0, 4, 4), Box(4, 4, 8, 8), Box(8, 8, 12, 12)]
-        assert by_class(label_conventional(scores, boxes_to_array(boxes), np.array([1]))) == {0: [boxes[1]]}
+        assert by_class(label_conventional(scores, boxes_to_array(boxes), [0])) == {0: [boxes[1]]}
 
     def test_clustering_emits_every_cluster_center(self):
         scores = np.array([[0.9, 0.8, 0.7]])
@@ -39,8 +39,7 @@ class TestLabelers:
 
     def test_no_proposals_label_nothing(self):
         scores, boxes, y = np.zeros((2, 0)), boxes_to_array([]), np.array([1, 1])
-        for labeler in (label_conventional, label_clustering):
-            out = labeler(scores, boxes, y)
+        for out in (label_conventional(scores, boxes, [0, 1]), label_clustering(scores, boxes, y)):
             assert out.boxes.shape == (0, 4) and out.classes.shape == (0,)
 
 

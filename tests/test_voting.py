@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from slv import voting
 from slv.errors import ConfigError, InputError
+from slv.mil import positive_classes
 from slv.geometry import Box, boxes_to_array, region_boxes
 from slv.voting import (
     VOC2007_CLASSES,
@@ -323,6 +324,11 @@ def vote_images(draw):
     return phi.reshape(3, len(boxes)), boxes_to_array(boxes), y, height, width
 
 
+def add_image(batch, phi, boxes, y, height, width):
+    """`batch.add` on an image given, as to `generate_supervision`, by its label vector."""
+    return batch.add(phi, boxes, positive_classes(y), height, width)
+
+
 def per_grid_vote(phi, boxes, y, height, width, config):
     """The vote one grid at a time from the public per-grid steps, with the
     maps it makes as (class, bytes)."""
@@ -403,7 +409,7 @@ class TestVoteBatch:
         with mock.patch.object(voting, "BATCH_CELLS", cells):
             batch = VoteBatch(config)
             for image in images:
-                maps += [(m.class_id, to_pixels(m).tobytes()) for m in batch.add(*image)]
+                maps += [(m.class_id, to_pixels(m).tobytes()) for m in add_image(batch, *image)]
             batched = batch.supervisions()
         assert len(batched) == len(images)
         want_maps = []
@@ -435,7 +441,7 @@ class TestVoteBatch:
         with mock.patch.object(voting, "BATCH_CELLS", cells):
             batch = VoteBatch(config)
             for image in images:
-                for m in batch.add(*image):
+                for m in add_image(batch, *image):
                     path = folder / f"{len(maps)}.pgm"
                     write_pgm(m, path)
                     maps.append((m.class_id, m.y_edges.tolist(), m.x_edges.tolist(), path.read_bytes()))
@@ -459,10 +465,10 @@ class TestVoteBatch:
         phi_bar = np.full((2, 2), 0.0)
         phi_bar[0, 1 if bad_class == 0 else 0] = 0.9
         phi_bar[1, 1 if bad_class == 1 else 0] = 0.9
-        good = (np.array([[0.9, 0.0], [0.8, 0.0]]), boxes, np.array([1, 1]), 8, 8)
+        good = (np.array([[0.9, 0.0], [0.8, 0.0]]), boxes, [0, 1], 8, 8)
         batch = VoteBatch(VoteConfig())
         with pytest.raises(InputError, match="exceeds the 8x8 image"):
-            batch.add(phi_bar, boxes, np.array([1, 1]), 8, 8)
+            batch.add(phi_bar, boxes, [0, 1], 8, 8)
         assert [m.class_id for m in batch.add(*good)] == [0, 1]  # a successful add returns its maps
         fresh = VoteBatch(VoteConfig())
         fresh.add(*good)
@@ -516,7 +522,7 @@ class TestEdgeGrid:
         path = tmp_path_factory.mktemp("pgm") / "map.pgm"
         config = VoteConfig(t_b_default=t_b)
         batch = VoteBatch(config)
-        (likelihood,) = batch.add(scores.reshape(1, -1), boxes, np.array([1]), height, width)
+        (likelihood,) = batch.add(scores.reshape(1, -1), boxes, [0], height, width)
         write_pgm(likelihood, path)
         (sup,) = batch.supervisions()
         peak = pixels.max()
