@@ -167,8 +167,9 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
     for key in ("id", "height", "width", "labels", "proposals"):
         if key not in obj:
             raise DatasetFormatError(f"{where}: missing field {key!r}")
-    image_id = str(obj["id"])
-    height, width = obj["height"], obj["width"]
+    image_id, height, width = obj["id"], obj["height"], obj["width"]
+    if type(image_id) is not str:  # another value would not save back as it was
+        raise DatasetFormatError(f"{where}: field 'id' must be a string")
     if not all(type(v) is int and 0 < v <= MAX_IMAGE_SIDE for v in (height, width)):
         raise DatasetFormatError(f"{where}: field 'height'/'width' must be integers in [1, {MAX_IMAGE_SIDE}]")
     labels = obj["labels"]
@@ -221,10 +222,11 @@ def _record_from_json(obj: dict, num_classes: int, feature_dim: int | None, wher
 
 def _check_header(header, expected_schema: str, where: str) -> None:
     """Raise unless `header` is a JSON object with the `schema` tag
-    `expected_schema` and the `version` SCHEMA_VERSION; `where` begins the message."""
+    `expected_schema` and the `version` SCHEMA_VERSION as a JSON integer
+    (`true` and `1.0` compare equal to 1); `where` begins the message."""
     if not isinstance(header, dict) or header.get("schema") != expected_schema:
         raise DatasetFormatError(f"{where}: expected schema {expected_schema!r}")
-    if header.get("version") != SCHEMA_VERSION:
+    if header.get("version") != SCHEMA_VERSION or type(header["version"]) is not int:
         raise DatasetFormatError(f"{where}: unsupported version {header.get('version')!r}")
 
 
@@ -370,7 +372,8 @@ def _detection_columns(objs: list) -> Detections | None:
         return None
     box_array = _box_array(boxes)
     # `type(...)` rejects JSON booleans, which numpy would take as integers.
-    if box_array is None or not set(map(type, classes)) <= {int} or not set(map(type, scores)) <= {int, float}:
+    kinds = [set(map(type, column)) for column in (ids, classes, scores)]
+    if box_array is None or not (kinds[0] <= {str} and kinds[1] <= {int} and kinds[2] <= {int, float}):
         return None
     try:  # a class beyond int64, or an integer score beyond the float range, overflows
         class_array = np.array(classes, dtype=np.int64)
@@ -379,7 +382,7 @@ def _detection_columns(objs: list) -> Detections | None:
         return None
     if not np.isfinite(score_array).all():
         return None
-    return Detections(list(map(str, ids)), class_array, box_array, score_array)
+    return Detections(ids, class_array, box_array, score_array)
 
 
 def _detection_rows(path: Path, lines: list[tuple[int, str]]) -> Detections:
@@ -394,7 +397,9 @@ def _detection_rows(path: Path, lines: list[tuple[int, str]]) -> Detections:
         for key in ("id", "class", "box", "score"):
             if key not in obj:
                 raise DatasetFormatError(f"{where}: missing field {key!r}")
-        c, box, score = obj["class"], obj["box"], obj["score"]
+        image_id, c, box, score = obj["id"], obj["class"], obj["box"], obj["score"]
+        if type(image_id) is not str:
+            raise DatasetFormatError(f"{where}: field 'id' must be a string")
         if type(c) is not int:
             raise DatasetFormatError(f"{where}: field 'class' must be an integer")
         _box_from_json(box, f"{where}: field 'box'")
@@ -409,7 +414,7 @@ def _detection_rows(path: Path, lines: list[tuple[int, str]]) -> Detections:
             raise DatasetFormatError(f"{where}: Detection score must be finite, got {score}")
         if not -INT64_LIMIT <= c < INT64_LIMIT or max(box) >= INT64_LIMIT:  # box corners are non-negative
             raise DatasetFormatError(f"{where}: a class id or box coordinate exceeds int64")
-        ids.append(str(obj["id"]))
+        ids.append(image_id)
         classes.append(c)
         boxes.append(box)
         scores.append(score)

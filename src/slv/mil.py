@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import _box_columns, _iou_rows
+from .geometry import _box_columns, _iou_rows, iou_matrix
 
 PROB_EPS = 1e-8
 
@@ -25,6 +25,7 @@ PROB_EPS = 1e-8
 # seed a new cluster; keeps noise from spawning one singleton cluster per proposal.
 CLUSTER_IOU = 0.5
 CLUSTER_CENTER_FLOOR = 0.01
+ABSORB_CELLS = 1 << 14  # the most IoU entries `absorb_masks` computes at a time
 
 
 def positive_classes(y: np.ndarray) -> list[int]:
@@ -190,20 +191,29 @@ class ClusterBatch:
     background_weights: np.ndarray  # (B,) float64, in [0, 1]
 
 
-def cluster_records(
-    scores: np.ndarray,
-    boxes: np.ndarray,
-    labels: np.ndarray,
-    ious: np.ndarray | None = None,
-) -> ClusterBatch:
+def absorb_masks(boxes: np.ndarray) -> np.ndarray:
+    """The (R, N, N) bool stack `iou_matrix(b, b) >= CLUSTER_IOU` of an (R,
+    N, 4) proposal stack: [r, i, j] says whether proposal i of record r, as
+    a seed, absorbs proposal j. The IoU is taken in row blocks of at most
+    ABSORB_CELLS entries, so no (N, N) float array exists."""
+    num_records, num = boxes.shape[:2]
+    masks = np.empty((num_records, num, num), dtype=bool)
+    step = max(1, ABSORB_CELLS // max(num, 1))
+    for mask, b in zip(masks, boxes):
+        for start in range(0, num, step):
+            np.greater_equal(iou_matrix(b[start : start + step], b), CLUSTER_IOU, out=mask[start : start + step])
+    return masks
+
+
+def cluster_records(scores: np.ndarray, boxes: np.ndarray, labels: np.ndarray, absorbs: np.ndarray | None = None) -> ClusterBatch:
     """`build_clusters` of R records with N proposals each, in one pass.
 
     `scores` is the (R, C', N) stack of their score matrices, `boxes` the
     (R, N, 4) stack of their proposals and `labels` an (R, C) bool mask of
-    their positive classes, C <= C', at least one per record. `ious`, when
-    given, is the (R, N, N) stack of each record's `iou_matrix(boxes[r],
-    boxes[r])`; otherwise each seed's row is computed for that seed alone,
-    by `_iou_rows` on box columns taken once per class.
+    their positive classes, C <= C', at least one per record. `absorbs`,
+    when given, is the `absorb_masks(boxes)` stack, and each seed reads its
+    row; otherwise each seed's IoU row is computed for that seed alone, by
+    `_iou_rows` on box columns taken once per class.
     Per class, every record whose label has it takes its next seed in the
     same numpy step, until no record seeds. Each record gets the clusters,
     background and weights of its own `build_clusters` call.
@@ -217,7 +227,7 @@ def cluster_records(
         if not active.size:
             continue
         free, took = unassigned[active], taken[active]
-        columns = _box_columns(boxes[active]) if ious is None else None
+        columns = _box_columns(boxes[active]) if absorbs is None else None
         candidates = np.where(free, scores[active, c], -np.inf)
         while True:
             # The first maximum: highest score, then lowest index. An assigned
@@ -229,11 +239,7 @@ def cluster_records(
             seeded = active[go]
             if not seeded.size:
                 break
-            if ious is None:
-                rows = _iou_rows(columns, center)
-            else:
-                rows = ious[active, center]
-            members = free & (rows >= CLUSTER_IOU)
+            members = free & (_iou_rows(columns, center) >= CLUSTER_IOU if absorbs is None else absorbs[active, center])
             if seeded.size < active.size:
                 members &= go[:, None]
             free ^= members
@@ -269,12 +275,7 @@ def cluster_records(
     )
 
 
-def build_clusters(
-    scores: np.ndarray,
-    boxes: np.ndarray,
-    y: np.ndarray,
-    ious: np.ndarray | None = None,
-) -> ClusterSet:
+def build_clusters(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> ClusterSet:
     """Greedy proposal clustering around high-scoring centers.
 
     Simplified scheme (the full graph-based cluster generation is out of
@@ -284,10 +285,7 @@ def build_clusters(
     Leftover proposals form the background cluster, each weighted by one
     minus its best positive-class score.
 
-    Each seed's IoU row is read from `ious`, the boxes' (N, N)
-    `iou_matrix(boxes, boxes)`, when given; otherwise the row is computed
-    for that seed alone. Both give the same clusters. A one-record
-    `cluster_records` call.
+    A one-record `cluster_records` call.
     """
     pos = positive_classes(y)
     if not pos:
@@ -297,10 +295,8 @@ def build_clusters(
         raise InputError(f"build_clusters: {scores.shape[1]} score columns but {num} boxes")
     if len(scores) < max(pos) + 1:
         raise InputError("build_clusters: score matrix has no row for some positive class")
-    if ious is not None and ious.shape != (num, num):
-        raise InputError(f"build_clusters: IoU matrix of shape {ious.shape} for {num} boxes")
     mask = (np.asarray(y) == 1)[None, : len(scores)]
-    batch = cluster_records(scores[None], np.asarray(boxes)[None], mask, None if ious is None else ious[None])
+    batch = cluster_records(scores[None], np.asarray(boxes)[None], mask)
     ends = np.cumsum(batch.sizes).tolist()
     members = batch.members.tolist()
     clusters = tuple(

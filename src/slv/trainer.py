@@ -47,6 +47,7 @@ from .datasets import SCHEMA_VERSION, Dataset, DatasetRecord, _check_header, _nu
 from .errors import ConfigError, InputError, NumericalError
 from .evaluation import Detections
 from .mil import (
+    absorb_masks,
     average_refined_scores,
     cluster_records,
     image_scores,
@@ -59,7 +60,7 @@ from .mil import (
     softmax_over_proposals,
     wsddn_scores,
 )
-from .geometry import iou_matrix, nms
+from .geometry import nms
 from .targets import assign_targets, decode_boxes, loss_weight, slv_losses, total_loss
 from .voting import LikelihoodMap, Supervision, VoteBatch, VoteConfig, write_pgm
 
@@ -260,17 +261,14 @@ def _feature_groups(records: list[DatasetRecord], indices) -> list[tuple[list[in
 
 def _proposal_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The records grouped by proposal count, each group as (record
-    indices, (R, N, 4) proposals, (R, N, D) features, (R, N, N) proposal
-    IoU matrices, (R, C) positive-class mask). Proposals and features never
-    change, so the stacks (the IoU stack is 8 N^2 bytes a record) are
-    built once for every head and clustering call of the run."""
+    indices, (R, N, 4) proposals, (R, N, D) features, (R, N, N) bool
+    `absorb_masks` of the proposals, (R, C) positive-class mask). Proposals
+    and features never change, so the stacks (the mask stack is N^2 bytes
+    a record) are built once for every head and clustering call of the run."""
     groups = []
     for members, feats in _feature_groups(records, range(len(records))):
         boxes = np.stack([records[i].proposals for i in members])
-        ious = np.empty((len(members), boxes.shape[1], boxes.shape[1]))
-        for stack, b in zip(ious, boxes):
-            stack[...] = iou_matrix(b, b)
-        groups.append((members, boxes, feats, ious, np.stack([records[i].labels == 1 for i in members])))
+        groups.append((members, boxes, feats, absorb_masks(boxes), np.stack([records[i].labels == 1 for i in members])))
     return groups
 
 
@@ -317,8 +315,8 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         stages = []
         for w_k, p_k, l_k in zip(scorer.w_refine, p_refine, l_refine):
             stage = [softmax_over_classes(_logits(w_k, group[2], diverged)) for group in groups]
-            for (_, boxes, feats, ious, labels), phi_prev, phi_k in zip(groups, previous, stage):
-                loss, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, ious))
+            for (_, boxes, feats, absorbs, labels), phi_prev, phi_k in zip(groups, previous, stage):
+                loss, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, absorbs))
                 l_k.append(loss)
                 p_k.append(softmax_backward(phi_k, d_phi, axis=1) @ feats)
             stages.append(stage)

@@ -9,6 +9,7 @@ independent of the implementation paths they check. `to_pixels` expands a
 vote map's cells to pixels, and `unit_map` makes a map of one-pixel
 cells. `by_class` and
 `supervision` convert voted supervision to and from `Box` lists by class,
+`record_sets` splits a `ClusterBatch` into one `ClusterSet` per record,
 and `pseudo_labels` reads a pseudo-label file back with plain JSON;
 `detections`, `detection_rows` and `ground_truth` do the same for
 detection columns and ground-truth arrays."""
@@ -26,9 +27,9 @@ from slv.errors import DatasetFormatError, InputError, NumericalError
 from slv.evaluation import ALL_POINTS, Detections, EvalResult, average_precision, mean_ap
 from slv.geometry import Box, boxes_to_array, iou, iou_matrix
 from slv.mil import (
-    CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterSet, average_refined_scores, cluster_records,
-    image_scores, refinement_losses, softmax_backward, softmax_over_classes, softmax_over_proposals,
-    wsddn_scores,
+    CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterBatch, ClusterSet, average_refined_scores,
+    cluster_records, image_scores, refinement_losses, softmax_backward, softmax_over_classes,
+    softmax_over_proposals, wsddn_scores,
 )
 from slv.targets import (
     BBOX_XFORM_CLIP, BG_IOU_RANGE, FG_IOU, IGNORED, ProposalTargets, assign_targets, loss_weight, slv_loss,
@@ -45,6 +46,21 @@ def by_class(sup: Supervision) -> dict[int, list[Box]]:
     for c, box in sup.all_boxes():
         out.setdefault(c, []).append(Box(*box))
     return out
+
+
+def record_sets(batch: ClusterBatch, num_records: int, num: int) -> list[ClusterSet]:
+    """Split a batch into one ClusterSet per record."""
+    ends = np.cumsum(batch.sizes).tolist()
+    starts = [0, *ends[:-1]]
+    sets = []
+    for r in range(num_records):
+        clusters = tuple(
+            Cluster(int(batch.label[k]), tuple(batch.members[starts[k] : ends[k]].tolist()), float(batch.score[k]))
+            for k in np.flatnonzero(batch.record == r).tolist()
+        )
+        bg = batch.background_record == r
+        sets.append(ClusterSet(clusters, tuple(batch.background[bg].tolist()), batch.background_weights[bg], num))
+    return sets
 
 
 def supervision(boxes_by_class: dict[int, list[Box]]) -> Supervision:
@@ -497,19 +513,17 @@ def per_record_logits(w: np.ndarray, feats: np.ndarray, iteration: int) -> np.nd
 
 def per_record_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
     """The records grouped by proposal count, each group as (record
-    indices, (R, N, 4) proposals, (R, N, N) proposal IoU matrices, (R, C)
-    positive-class mask). Proposals never change, so the IoU stack (8 N^2
-    bytes a record) is computed once for every clustering call of the run."""
+    indices, (R, N, 4) proposals, (R, N, N) bool masks of proposal IoU >=
+    CLUSTER_IOU, (R, C) positive-class mask). Proposals never change, so
+    the mask stack is computed once for every clustering call of the run."""
     by_count: dict[int, list[int]] = {}
     for i, record in enumerate(records):
         by_count.setdefault(len(record.proposals), []).append(i)
     groups = []
     for members in by_count.values():
         boxes = np.stack([records[i].proposals for i in members])
-        ious = np.empty((len(members), boxes.shape[1], boxes.shape[1]))
-        for stack, b in zip(ious, boxes):
-            stack[...] = iou_matrix(b, b)
-        groups.append((members, boxes, ious, np.stack([records[i].labels == 1 for i in members])))
+        absorbs = np.stack([iou_matrix(b, b) >= CLUSTER_IOU for b in boxes])
+        groups.append((members, boxes, absorbs, np.stack([records[i].labels == 1 for i in members])))
     return groups
 
 
@@ -553,8 +567,8 @@ def per_record_train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScor
         for k, w_k in enumerate(scorer.w_refine):
             stage = [softmax_over_classes(per_record_logits(w_k, r.features, it)) for r in records]
             d_stage: list[np.ndarray] = [None] * n
-            for members, boxes, ious, labels in groups:
-                clusters = cluster_records(np.stack([previous[i] for i in members]), boxes, labels, ious)
+            for members, boxes, absorbs, labels in groups:
+                clusters = cluster_records(np.stack([previous[i] for i in members]), boxes, labels, absorbs)
                 losses, d_phi = refinement_losses(np.stack([stage[i] for i in members]), clusters)
                 for i, l_k, d_phi_k in zip(members, losses.tolist(), d_phi):
                     refine_losses[i].append(l_k)

@@ -4,8 +4,8 @@ its own `build_clusters` call and of `greedy_clusters`, and
 `refinement_losses` the loss bits and gradient of `scalar_refinement_loss`.
 Batches mix proposal counts, classes positive in only some records, and
 records whose scores all sit below the centre floor, with and without the
-IoU stack. `train_toy` must train bit for bit as it does with those oracles
-in place of the kernels."""
+absorb-mask stack. `train_toy` must train bit for bit as it does with those
+oracles in place of the kernels."""
 
 import dataclasses
 
@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 import slv.trainer
 from slv.datasets import Dataset
 from slv.errors import NumericalError
-from slv.geometry import Box, boxes_to_array, iou_matrix
+from slv.geometry import Box, boxes_to_array
 from slv.mil import (
     CLUSTER_CENTER_FLOOR,
     PROB_EPS,
     ClusterBatch,
-    ClusterSet,
-    Cluster,
+    absorb_masks,
     build_clusters,
     cluster_records,
     refinement_losses,
@@ -32,7 +31,7 @@ from slv.mil import (
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import ToyScorer, TrainConfig, train_toy
 
-from helpers import greedy_clusters, scalar_refinement_loss
+from helpers import greedy_clusters, record_sets, scalar_refinement_loss
 
 small_boxes = st.builds(
     lambda x, y, w, h: Box(x, y, x + w, y + h),
@@ -41,21 +40,6 @@ small_boxes = st.builds(
 SCORES = [0.0, 0.005, 0.01, 0.2, 0.5, 0.9]
 BELOW_FLOOR = [0.0, 0.005, np.nextafter(CLUSTER_CENTER_FLOOR, 0.0)]
 PROBS = [0.0, PROB_EPS / 2, PROB_EPS, 0.3, 0.5, 1 - PROB_EPS, 1.0]
-
-
-def record_sets(batch: ClusterBatch, num_records: int, num: int) -> list[ClusterSet]:
-    """Split a batch into one ClusterSet per record."""
-    ends = np.cumsum(batch.sizes).tolist()
-    starts = [0, *ends[:-1]]
-    sets = []
-    for r in range(num_records):
-        clusters = tuple(
-            Cluster(int(batch.label[k]), tuple(batch.members[starts[k] : ends[k]].tolist()), float(batch.score[k]))
-            for k in np.flatnonzero(batch.record == r).tolist()
-        )
-        bg = batch.background_record == r
-        sets.append(ClusterSet(clusters, tuple(batch.background[bg].tolist()), batch.background_weights[bg], num))
-    return sets
 
 
 def assert_same_clusters(got, want):
@@ -89,15 +73,14 @@ def record_groups(draw):
 
 @given(record_groups(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_batched_kernels_match_per_record_calls_and_oracles(inputs, with_ious):
+def test_batched_kernels_match_per_record_calls_and_oracles(inputs, with_masks):
     _, groups = inputs
     for records in groups:
         boxes = np.stack([boxes_to_array(b) for b, _, _, _ in records])
         labels = np.stack([y == 1 for _, y, _, _ in records])
         scores = np.stack([s for _, _, s, _ in records])
         phi = np.stack([p for _, _, _, p in records])
-        ious = np.stack([iou_matrix(b, b) for b in boxes]) if with_ious else None
-        batch = cluster_records(scores, boxes, labels, ious)
+        batch = cluster_records(scores, boxes, labels, absorb_masks(boxes) if with_masks else None)
         sets = record_sets(batch, len(records), boxes.shape[1])
         losses, grads = refinement_losses(phi, batch)
         assert losses.shape == (len(records),) and grads.shape == phi.shape
@@ -141,7 +124,7 @@ def test_refinement_losses_name_the_first_bad_record():
         refinement_losses(phi, batch)
 
 
-def oracle_cluster_records(scores, boxes, labels, ious):
+def oracle_cluster_records(scores, boxes, labels, absorbs):
     """cluster_records as greedy_clusters per record; the trainer hands the
     result only to `refinement_losses`."""
     return [

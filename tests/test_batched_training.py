@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import helpers
 import slv.trainer
 from slv.errors import NumericalError
-from slv.geometry import Box, boxes_to_array
-from slv.mil import PROB_EPS, refinement_losses
+from slv.geometry import Box, boxes_to_array, iou_matrix
+from slv.mil import CLUSTER_IOU, PROB_EPS, refinement_losses
+from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets, slv_loss, slv_losses
-from slv.trainer import TrainConfig, train_toy
+from slv.trainer import TrainConfig, _proposal_groups, _training_records, train_toy
 
 from helpers import matched_targets, per_record_train_toy, scalar_slv_loss, supervision
 from test_batched_refinement import mixed_dataset
@@ -33,6 +34,17 @@ def assert_same_training(got, want):
     for a, b in zip(got[0].heads(), want[0].heads(), strict=True):
         assert a.tobytes() == b.tobytes()
     assert got[1] == want[1]
+
+
+def test_proposal_groups_hold_one_byte_a_proposal_pair():
+    """On a dense shard (5 records of 300 proposals) a group keeps the
+    (R, N, N) bool stack `iou_matrix >= CLUSTER_IOU`, R N^2 bytes, in
+    place of an 8 R N^2-byte float IoU stack."""
+    config = SyntheticSceneConfig(num_images=5, image_size=64, proposals_per_image=300, objects_per_image=3)
+    records, _ = _training_records(generate_synthetic(config, 0))
+    [(_, boxes, _, absorbs, _)] = _proposal_groups(records)
+    assert absorbs.dtype == bool and absorbs.nbytes == 5 * 300 * 300
+    assert np.array_equal(absorbs, np.stack([iou_matrix(b, b) >= CLUSTER_IOU for b in boxes]))
 
 
 @pytest.mark.parametrize("name", CONFIGS)

@@ -55,3 +55,42 @@ def test_a_failed_run_drops_its_whole_pair():
     assert values == {"t": ([1.0 + k for k in kept], [0.5 + k for k in kept])}
     assert bench_pairs.summarize(*values["t"], "lower", 0.25)["wins"] == 8
     assert bench_pairs.paired_values([{"parent": None, "change": {"t": 1.0}}]) == {}
+
+
+CLAIM_PARENT = [4.0, 5.0, 6.0, 4.0, 5.0, 6.0, 4.0, 5.0, 6.0, 5.0]  # median 5, q1 4.25, q3 5.75: IQR 1.5
+
+
+def test_a_claim_needs_nine_wins_in_ten_and_a_better_median_past_the_iqr():
+    change = [2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 6.0]  # median 3, loses pair 10
+    s = bench_pairs.summarize(CLAIM_PARENT, change, "lower", 0.25)
+    assert s["change"] == {"median": 3.0, "q1": 2.25, "q3": 4.0}
+    assert s["wins"] == 9 and s["gap_exceeds_iqr"] and s["claim_met"]
+    mirrored = bench_pairs.summarize([-v for v in CLAIM_PARENT], [-v for v in change], "higher", 0.25)
+    assert mirrored["wins"] == 9 and mirrored["claim_met"]
+    eight = change[:8] + [7.0, 6.0]  # median still 3, loses pairs 9 and 10
+    s = bench_pairs.summarize(CLAIM_PARENT, eight, "lower", 0.25)
+    assert s["wins"] == 8 and s["gap_exceeds_iqr"] and not s["claim_met"]
+    closer = [v - 1.0 for v in CLAIM_PARENT]  # wins all 10, but the gap 1 is inside the IQR
+    s = bench_pairs.summarize(CLAIM_PARENT, closer, "lower", 0.25)
+    assert s["wins"] == 10 and not s["gap_exceeds_iqr"] and not s["claim_met"]
+
+
+def test_a_gap_past_the_iqr_in_the_wrong_direction_is_no_claim():
+    change = [2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 6.0]
+    s = bench_pairs.summarize(CLAIM_PARENT, change, "higher", 0.25)
+    assert s["wins"] == 1 and s["gap_exceeds_iqr"] and not s["claim_met"]
+
+
+def test_the_printed_row_shows_the_gap_and_the_claim():
+    change = [2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 6.0]
+    assert bench_pairs.HEADING.endswith(", wins, gap>IQR, claim")
+    met = bench_pairs.summarize(CLAIM_PARENT, change, "lower", None)
+    assert bench_pairs.row("peak_rss_mb", met) == (
+        "  peak_rss_mb                         5 [4.25, 5.75]            3 [2.25, 4]   -40.0%  9/10  yes  met"
+    )
+    wrong_way = bench_pairs.summarize(CLAIM_PARENT, change, "higher", None)
+    assert bench_pairs.row("map", wrong_way) == (
+        "  map                                 5 [4.25, 5.75]            3 [2.25, 4]   -40.0%  1/10  yes   no"
+    )
+    spread = bench_pairs.summarize(CLAIM_PARENT, change, "lower", 0.25)  # IQR 30 % of the median
+    assert bench_pairs.row("vote_s", spread).endswith("  9/10  yes  met  unresolved")

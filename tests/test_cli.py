@@ -556,9 +556,11 @@ class TestExitCodes:
             ("version", 2, "unsupported version 2"),
             ("version", None, "unsupported version None"),
             ("version", "1", "unsupported version '1'"),
+            ("version", True, "unsupported version True"),
+            ("version", 1.0, "unsupported version 1.0"),
             ("schema", "slv/dataset", "expected schema 'slv/scorer'"),
         ],
-        ids=["version-2", "version-null", "version-string", "schema"],
+        ids=["version-2", "version-null", "version-string", "version-true", "version-float", "schema"],
     )
     def test_scorer_header_is_checked_as_record_headers_are(self, tmp_path, capsys, key, value, message):
         dataset, scorer = self._trained_scorer(tmp_path, 2)
@@ -570,6 +572,20 @@ class TestExitCodes:
             code, captured = run(["--out", out, command, dataset, "--scorer", scorer], capsys)
             assert code == 1
             assert captured.err.splitlines() == [f"error: {scorer}: {message}"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["version-true", "version-float"])
+    def test_dataset_header_version_must_be_a_json_integer(self, tmp_path, capsys, version):
+        """`true` and `1.0` compare equal to 1 but are not the version 1."""
+        assert run(["--seed", "3", "--out", tmp_path / "data"] + GENERATE_ARGS)[0] == 0
+        dataset = tmp_path / "data" / "dataset.jsonl"
+        header, *records = dataset.read_text().splitlines(keepends=True)
+        dataset.write_text(json.dumps({**json.loads(header), "version": version}) + "\n" + "".join(records))
+        out = tmp_path / "out"
+        for command in ("train", "vote"):
+            code, captured = run(["--out", out, command, dataset], capsys)
+            assert code == 1
+            assert captured.err.splitlines() == [f"error: {dataset}:1: unsupported version {version!r}"]
             assert not out.exists()
 
     @pytest.mark.parametrize("head, value", [("cls", True), ("det", "0.5"), ("refine", False)])

@@ -194,6 +194,19 @@ class TestDatasetValidation:
         save_dataset(load_dataset(target), copy)
         assert copy.read_bytes() == target.read_bytes()
 
+    @pytest.mark.parametrize("image_id", [5, None], ids=["int", "null"])
+    def test_record_id_must_be_a_string(self, tmp_path, image_id):
+        """Another JSON value would load as its `str` and save back changed."""
+        full = {"feature_dim": None, "class_names": None}
+        target = write_dataset(tmp_path / "ds.jsonl", full, {"id": image_id})
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(target)
+        assert str(info.value) == f"{target}:2: field 'id' must be a string"
+        target = write_dataset(target, full, {"id": str(image_id), "features": None, "scores": None, "gt": None})
+        copy = tmp_path / "copy.jsonl"
+        save_dataset(load_dataset(target), copy)
+        assert copy.read_bytes() == target.read_bytes()
+
     def test_invalid_json_names_line(self, tmp_path):
         header = json.dumps({"schema": "slv/dataset", "version": 1, "num_classes": 1})
         target = self._write(tmp_path, [header, "{not json"])
@@ -452,6 +465,20 @@ class TestDetectionsFile:
         loaded = load_detections(target)
         assert detection_rows(loaded) == rows
         assert (loaded.classes.dtype, loaded.boxes.dtype, loaded.scores.dtype) == (np.int64, np.int64, np.float64)
+
+    @pytest.mark.parametrize("image_id", [5, None], ids=["int", "null"])
+    def test_id_must_be_a_string(self, tmp_path, image_id):
+        """Another JSON value would load as its `str` and save back changed;
+        the column loader falls back to the row loader, which names the line."""
+        target = tmp_path / "dets.jsonl"
+        write_detection_lines(target, [detection_line(), json.dumps({**VALID_DETECTION, "id": image_id})])
+        with pytest.raises(DatasetFormatError) as info:
+            load_detections(target)
+        assert str(info.value) == f"{target}:3: field 'id' must be a string"
+        write_detection_lines(target, [detection_line(), json.dumps({**VALID_DETECTION, "id": str(image_id)})])
+        copy = tmp_path / "copy.jsonl"
+        save_detections(load_detections(target), copy)
+        assert copy.read_bytes() == target.read_bytes()
 
     def test_empty_file_loads_empty_columns(self, tmp_path):
         target = tmp_path / "dets.jsonl"

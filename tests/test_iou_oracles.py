@@ -2,17 +2,21 @@
 on tie-heavy inputs: duplicate boxes, equal scores, and IoU exactly at the
 0.1, 0.3 and 0.5 thresholds."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slv.mil
 from slv.geometry import Box, _box_columns, _iou_rows, boxes_to_array, iou, iou_matrix, nms
-from slv.mil import build_clusters
+from slv.mil import CLUSTER_IOU, absorb_masks, build_clusters, cluster_records
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets
 from slv.voting import VoteConfig, generate_supervision
 
-from helpers import greedy_clusters, greedy_nms, matched_targets, supervision
+from helpers import greedy_clusters, greedy_nms, matched_targets, record_sets, supervision
 
 # Pairs among these meet at IoU exactly 0.1 (1 vs 10 wide), 0.3 (3 vs 10),
 # 0.5 (1 vs 2, 5 vs 10, 10x1 vs 10x2) and 1/3, 0.2, 0.25, ...
@@ -49,6 +53,13 @@ def assert_same_clusters(got, want):
     assert got.num_proposals == want.num_proposals
 
 
+def masked_clusters(scores, boxes, y):
+    """build_clusters with each seed's row read from the `absorb_masks`
+    stack, as training reads it: a one-record `cluster_records` call."""
+    batch = cluster_records(scores[None], boxes[None], (np.asarray(y) == 1)[None], absorb_masks(boxes[None]))
+    return record_sets(batch, 1, len(boxes))[0]
+
+
 def assert_same_targets(got, want):
     assert got.labels.tolist() == want.labels.tolist()
     assert np.array_equal(got.offsets, want.offsets)
@@ -69,7 +80,7 @@ def test_tie_boxes_hit_every_threshold_exactly():
         scores = np.array([row])
         want = greedy_clusters(scores, TIE_BOXES, y)
         assert_same_clusters(build_clusters(scores, tie, y), want)
-        assert_same_clusters(build_clusters(scores, TIE_BOXES, y, iou_matrix(tie, tie)), want)
+        assert_same_clusters(masked_clusters(scores, tie, y), want)
     for g in TIE_BOXES:
         sup = supervision({0: [g]})
         assert_same_targets(assign_targets(tie, sup, 1), matched_targets(TIE_BOXES, sup, 1))
@@ -96,11 +107,11 @@ def test_build_clusters_matches_oracle(inputs):
 @given(cluster_inputs())
 @settings(max_examples=300, deadline=None)
 def test_build_clusters_with_iou_matrix_matches_rows_and_oracle(inputs):
-    """Seed rows read from a precomputed matrix give the clusters of seed rows
-    computed one at a time, and of the scalar oracle."""
+    """Seed rows read from the absorb-mask stack give the clusters of seed
+    rows computed one at a time, and of the scalar oracle."""
     scores, boxes, y = inputs
     arr = boxes_to_array(boxes)
-    got = build_clusters(scores, arr, y, iou_matrix(arr, arr))
+    got = masked_clusters(scores, arr, y)
     assert_same_clusters(got, build_clusters(scores, arr, y))
     assert_same_clusters(got, greedy_clusters(scores, boxes, y))
 
@@ -143,6 +154,43 @@ def test_grouped_nms_matches_oracle_per_group(data):
         want += [members[k] for k in kept]
     got = nms(boxes_to_array(boxes), scores, threshold, groups=np.array(groups, dtype=np.int64))
     assert got == want
+
+
+@st.composite
+def box_stacks(draw):
+    """An (R, N, 4) stack of tie-heavy proposals, N from 0 to 14, and a cell
+    budget that puts N below, at or above one row block of `absorb_masks`."""
+    num = draw(st.integers(0, 14))
+    pool = draw(st.lists(tie_boxes, min_size=1, max_size=5))
+    rows = st.lists(st.sampled_from(pool), min_size=num, max_size=num)
+    stack = np.stack([boxes_to_array(r) for r in draw(st.lists(rows, min_size=1, max_size=3))])
+    return stack, draw(st.integers(1, 256))
+
+
+@given(box_stacks())
+@settings(max_examples=300, deadline=None)
+def test_absorb_masks_are_iou_matrix_thresholded_bit_for_bit(inputs):
+    """Each mask bit is `iou_matrix(b, b) >= CLUSTER_IOU`, whatever the row
+    blocks; tie boxes put IoU exactly at 0.5."""
+    boxes, cells = inputs
+    with mock.patch.object(slv.mil, "ABSORB_CELLS", cells):
+        got = absorb_masks(boxes)
+    want = np.stack([iou_matrix(b, b) >= CLUSTER_IOU for b in boxes])
+    assert got.dtype == bool and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("num", [127, 128, 129, 300])
+def test_absorb_masks_at_the_row_block_size(num):
+    """At the module's cell budget 128 rows of 128 boxes make one block:
+    127 and 128 boxes take one block, 129 and 300 several."""
+    assert slv.mil.ABSORB_CELLS == 128 * 128
+    rng = np.random.default_rng(num)
+    corners = rng.integers(0, 7, (2, num, 2))
+    boxes = np.concatenate([corners[0], corners[0] + 1 + rng.integers(0, 4, (num, 2))], axis=1)[None]
+    want = iou_matrix(boxes[0], boxes[0]) >= CLUSTER_IOU
+    assert np.count_nonzero(iou_matrix(boxes[0], boxes[0]) == CLUSTER_IOU)
+    assert absorb_masks(boxes)[0].tobytes() == want.tobytes()
 
 
 @st.composite
@@ -206,8 +254,7 @@ def test_dense_synthetic_records_match_oracles():
         boxes = [Box(*row) for row in record.proposals.tolist()]
         want = greedy_clusters(scores, boxes, record.labels)
         assert_same_clusters(build_clusters(scores, record.proposals, record.labels), want)
-        ious = iou_matrix(record.proposals, record.proposals)
-        assert_same_clusters(build_clusters(scores, record.proposals, record.labels, ious), want)
+        assert_same_clusters(masked_clusters(scores, record.proposals, record.labels), want)
         sup = generate_supervision(
             scores, record.proposals, record.labels, record.height, record.width, VoteConfig()
         )

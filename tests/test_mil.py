@@ -251,12 +251,6 @@ class TestBuildClusters:
         with pytest.raises(InputError):
             build_clusters(np.array([[0.5]]), boxes_to_array([Box(0, 0, 5, 5)]), np.array([0]))
 
-    def test_iou_matrix_must_match_the_boxes(self):
-        scores = np.array([[0.9, 0.7]])
-        boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
-        with pytest.raises(InputError, match=r"IoU matrix of shape \(1, 2\) for 2 boxes"):
-            build_clusters(scores, boxes_to_array(boxes), np.array([1]), np.zeros((1, 2)))
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)
     def test_partitions_all_proposals(self, seed):

@@ -14,6 +14,9 @@ parent's, and how many pairs the change won. A metric with a bound reads
 "unresolved" when the parent's own interquartile range is wider than that
 bound, relative to the parent's median: such a metric cannot tell a change
 from noise. `gap>IQR` says whether the medians lie further apart than the
+parent's IQR, in either direction. `claim` says whether the metric meets
+the rule a claimed gain must meet: the change wins at least 9 in 10 of the
+pairs, and its median is better than the parent's by more than the
 parent's IQR. A pair with a run that fails or is not correct is left out
 of every metric, so the runs of a pair are only ever compared together.
 
@@ -61,8 +64,24 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "wins": wins,
         "pairs": len(parent),
         "gap_exceeds_iqr": abs(c2 - p2) > iqr,
+        "claim_met": 10 * wins >= 9 * len(parent) and sign * (p2 - c2) > iqr,
         "unresolved": bound is not None and p2 != 0 and iqr / abs(p2) > bound,
     }
+
+
+HEADING = "  metric, parent median [q1, q3], change median [q1, q3], change, wins, gap>IQR, claim"
+
+
+def row(name: str, s: dict) -> str:
+    """The printed line of one metric's `summarize` result, under HEADING."""
+    p, c = s["parent"], s["change"]
+    return (
+        f"  {name:<24} {p['median']:>12.6g} [{p['q1']:.4g}, {p['q3']:.4g}]"
+        f" {c['median']:>12.6g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['change_pct']:>+7.1f}%"
+        f" {s['wins']:>2}/{s['pairs']:<2} {'yes' if s['gap_exceeds_iqr'] else 'no':>4}"
+        f" {'met' if s['claim_met'] else 'no':>4}"
+        + ("  unresolved" if s["unresolved"] else "")
+    )
 
 
 def paired_values(pairs: list[dict[str, dict[str, float] | None]]) -> dict[str, tuple[list[float], list[float]]]:
@@ -151,18 +170,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
         summary[workload] = {}
         print(f"workload {workload} seed {args.seed} pairs {args.pairs} seconds {args.seconds:g}")
-        print("  metric, parent median [q1, q3], change median [q1, q3], change, wins, gap>IQR")
+        print(HEADING)
         for name, (parent_values, change_values) in paired_values(pairs).items():
             declared = metrics.get(name, {})
             s = summarize(parent_values, change_values, declared.get("better", "lower"), declared.get("bound"))
             summary[workload][name] = {**s, "runs": {"parent": parent_values, "change": change_values}}
-            p, c = s["parent"], s["change"]
-            print(
-                f"  {name:<24} {p['median']:>12.6g} [{p['q1']:.4g}, {p['q3']:.4g}]"
-                f" {c['median']:>12.6g} [{c['q1']:.4g}, {c['q3']:.4g}] {s['change_pct']:>+7.1f}%"
-                f" {s['wins']:>2}/{s['pairs']:<2} {'yes' if s['gap_exceeds_iqr'] else 'no':>4}"
-                + ("  unresolved" if s["unresolved"] else "")
-            )
+            print(row(name, s))
     (args.work / "pairs.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return 0 if ok else 1
 
