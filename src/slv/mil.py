@@ -16,13 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .geometry import _box_columns, _iou_rows, iou_matrix
+from .geometry import _box_columns, _iou_rows
 
 PROB_EPS = 1e-8
 
 # A seed absorbs every unassigned proposal whose IoU with it reaches
 # CLUSTER_IOU. Proposals scoring below CLUSTER_CENTER_FLOOR for a class never
 # seed a new cluster; keeps noise from spawning one singleton cluster per proposal.
+# `absorb_masks` tests CLUSTER_IOU as the exact ratio p/q in int64, so it
+# must have a small denominator: 0.6 is 5404319552844595/2^53 and overflows.
 CLUSTER_IOU = 0.5
 CLUSTER_CENTER_FLOOR = 0.01
 ABSORB_CELLS = 1 << 14  # the most IoU entries `absorb_masks` computes at a time
@@ -193,53 +195,82 @@ class ClusterBatch:
 
 def absorb_masks(boxes: np.ndarray) -> np.ndarray:
     """The (R, N, N) bool stack `iou_matrix(b, b) >= CLUSTER_IOU` of an (R,
-    N, 4) proposal stack: [r, i, j] says whether proposal i of record r, as
-    a seed, absorbs proposal j. The IoU is taken in row blocks of at most
-    ABSORB_CELLS entries, so no (N, N) float array exists."""
+    N, 4) integer proposal stack: [r, i, j] says whether proposal i of
+    record r, as a seed, absorbs proposal j.
+
+    With p/q = CLUSTER_IOU exactly (1/2), IoU >= p/q is the integer test
+    (p + q) * inter >= p * (area_i + area_j). Proposals lie in images of at
+    most MAX_IMAGE_SIDE = 65,535 px a side, so areas are below 2^32 and the
+    test cannot overflow int64. It gives the bit of the float test: an exact
+    ratio inter/union on the other side of 1/2 is at least 1/(2 * union) >
+    2^-34 from it, farther than rounding the quotient (by at most 2^-53)
+    can move it, so the float quotient crosses 1/2 only where it equals it.
+    The test is symmetric: each record's upper triangle is taken in row
+    blocks of at most ABSORB_CELLS entries and mirrored, so no (N, N)
+    temporary exists.
+    """
     num_records, num = boxes.shape[:2]
+    p, q = CLUSTER_IOU.as_integer_ratio()
     masks = np.empty((num_records, num, num), dtype=bool)
     step = max(1, ABSORB_CELLS // max(num, 1))
-    for mask, b in zip(masks, boxes):
+    for mask, (x0, y0, x1, y1, area) in zip(masks, _box_columns(boxes).swapaxes(0, 1)):
+        area = p * area
         for start in range(0, num, step):
-            np.greater_equal(iou_matrix(b[start : start + step], b), CLUSTER_IOU, out=mask[start : start + step])
+            rows = slice(start, start + step)
+            iw = np.minimum(x1[rows, None], x1[start:])
+            iw -= np.maximum(x0[rows, None], x0[start:])
+            ih = np.minimum(y1[rows, None], y1[start:])
+            ih -= np.maximum(y0[rows, None], y0[start:])
+            inter = np.maximum(iw, 0, out=iw) * np.maximum(ih, 0, out=ih)
+            block = mask[rows, start:]
+            np.greater_equal((p + q) * inter, area[rows, None] + area[start:], out=block)
+            mask[start:, rows] = block.T
     return masks
 
 
 def cluster_records(scores: np.ndarray, boxes: np.ndarray, labels: np.ndarray, absorbs: np.ndarray | None = None) -> ClusterBatch:
-    """`build_clusters` of R records with N proposals each, in one pass.
+    """`build_clusters` of R records with N proposals each, for S score sets
+    over them, in one pass.
 
-    `scores` is the (R, C', N) stack of their score matrices, `boxes` the
-    (R, N, 4) stack of their proposals and `labels` an (R, C) bool mask of
-    their positive classes, C <= C', at least one per record. `absorbs`,
-    when given, is the `absorb_masks(boxes)` stack, and each seed reads its
-    row; otherwise each seed's IoU row is computed for that seed alone, by
-    `_iou_rows` on box columns taken once per class.
-    Per class, every record whose label has it takes its next seed in the
-    same numpy step, until no record seeds. Each record gets the clusters,
-    background and weights of its own `build_clusters` call.
+    `boxes` is the (R, N, 4) stack of the records' proposals, `labels` an
+    (R, C) bool mask of their positive classes, at least one per record, and
+    `scores` the (S * R, C', N) stack of the sets' score matrices, C <= C':
+    row m * R + r is set m's matrix of record r. `absorbs`, when given, is
+    the `absorb_masks(boxes)` stack, and each seed reads its record's row,
+    so the stack is never tiled; otherwise each seed's IoU row is computed
+    for that seed alone, by `_iou_rows` on box columns taken once per class.
+    Per class, every row whose record has it takes its next seed in the
+    same numpy step, until no row seeds. The batch names each row as a
+    record of its own, and each gets the clusters, background and weights
+    of its own `build_clusters` call.
     """
-    num_records, num_classes, num = len(scores), labels.shape[1], scores.shape[2]
-    unassigned = np.ones((num_records, num), dtype=bool)
-    taken = np.full((num_records, num), -1, dtype=np.int64)  # the seeding step that took each proposal
-    steps: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, records, center scores)
+    num_rows, num_classes, num = len(scores), labels.shape[1], scores.shape[2]
+    owner = np.arange(num_rows) % max(len(boxes), 1)  # the record of each row
+    labels = labels[owner]
+    unassigned = np.ones((num_rows, num), dtype=bool)
+    taken = np.full((num_rows, num), -1, dtype=np.int64)  # the seeding step that took each proposal
+    steps: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, rows, center scores)
     for c, positive in enumerate(labels.T if num else ()):
         active = positive.nonzero()[0]
         if not active.size:
             continue
-        free, took = unassigned[active], taken[active]
-        columns = _box_columns(boxes[active]) if absorbs is None else None
+        free, took, at = unassigned[active], taken[active], owner[active]
+        columns = _box_columns(boxes[at]) if absorbs is None else None
         candidates = np.where(free, scores[active, c], -np.inf)
         while True:
             # The first maximum: highest score, then lowest index. An assigned
             # center reads -inf, so no proposal is left (scores are finite).
-            # A record that stops stays stopped, as nothing of it changes.
+            # A row that stops stays stopped, as nothing of it changes.
             center = candidates.argmax(axis=1)
             conf = candidates.max(axis=1)
             go = conf >= CLUSTER_CENTER_FLOOR
             seeded = active[go]
             if not seeded.size:
                 break
-            members = free & (_iou_rows(columns, center) >= CLUSTER_IOU if absorbs is None else absorbs[active, center])
+            if absorbs is None:
+                members = free & (_iou_rows(columns, center) >= CLUSTER_IOU)
+            else:
+                members = free & absorbs[at, center]
             if seeded.size < active.size:
                 members &= go[:, None]
             free ^= members
@@ -247,10 +278,10 @@ def cluster_records(scores: np.ndarray, boxes: np.ndarray, labels: np.ndarray, a
             took[members] = len(steps)
             steps.append((c, seeded, conf[go]))
         unassigned[active], taken[active] = free, took
-    # Clusters in seeding order: by class, then seed, then record, so each
-    # record's own clusters are in class-then-seed order. Sorting the
+    # Clusters in seeding order: by class, then seed, then row, so each
+    # row's own clusters are in class-then-seed order. Sorting the
     # proposals by step puts the background first and each cluster's
-    # members together, by record and then index.
+    # members together, by row and then index.
     counts = [seeded.size for _, seeded, _ in steps]
     record = np.concatenate([np.zeros(0, dtype=np.int64)] + [seeded for _, seeded, _ in steps])
     score = np.concatenate([np.zeros(0)] + [s for _, _, s in steps])
@@ -259,9 +290,9 @@ def cluster_records(scores: np.ndarray, boxes: np.ndarray, labels: np.ndarray, a
     split = np.count_nonzero(flat < 0)
     background_record, background = np.divmod(by_step[:split], num)
     member_record, members = np.divmod(by_step[split:], num)
-    # A cluster is its (step, record) pair; both orders above list them alike.
-    keys = np.repeat(np.arange(len(steps)), counts) * num_records + record
-    cluster = np.searchsorted(keys, flat[by_step[split:]] * num_records + member_record)
+    # A cluster is its (step, row) pair; both orders above list them alike.
+    keys = np.repeat(np.arange(len(steps)), counts) * num_rows + record
+    cluster = np.searchsorted(keys, flat[by_step[split:]] * num_rows + member_record)
     top = np.where(labels[:, :, None], scores[:, :num_classes], -np.inf).max(axis=1).ravel()
     return ClusterBatch(
         record=record,

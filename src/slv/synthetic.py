@@ -35,9 +35,11 @@ _PART_SHARE = 0.25  # of each object's proposal budget
 
 # Caps checked before anything is allocated. A record holds a classes x
 # proposals score matrix and (5 + classes) features per proposal, so at both
-# caps each of them takes 80 MB.
+# caps each of them takes 80 MB. A run builds all its records in memory
+# before it writes the dataset.
 MAX_CLASSES = 1000
 MAX_PROPOSALS = 10000
+MAX_IMAGES = 10000
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,10 @@ class SyntheticSceneConfig:
     feature_noise: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.num_images <= 0 or not 16 <= self.image_size <= MAX_IMAGE_SIDE:
-            raise ConfigError(f"synthetic config: need num_images > 0 and image_size in [16, {MAX_IMAGE_SIDE}]")
+        if not 0 < self.num_images <= MAX_IMAGES:
+            raise ConfigError(f"synthetic config: need num_images in [1, {MAX_IMAGES}], got {self.num_images}")
+        if not 16 <= self.image_size <= MAX_IMAGE_SIDE:
+            raise ConfigError(f"synthetic config: need image_size in [16, {MAX_IMAGE_SIDE}], got {self.image_size}")
         if not 0 < self.num_classes <= MAX_CLASSES:
             raise ConfigError(f"synthetic config: need num_classes in [1, {MAX_CLASSES}], got {self.num_classes}")
         if self.objects_per_image <= 0:

@@ -7,9 +7,11 @@ by proposal count once per run, and every head runs once per group, on the
 group's (R, N, D) feature stack: one logit product, one softmax and one
 gradient product per head and group. Each iteration runs in three phases:
 
-1. the MIL head of every group; then the three refinement stages one at a
-   time, each clustering and scoring a group in one `cluster_records` and
-   one `refinement_losses` call;
+1. per group, the MIL head, then the three refinement stages together:
+   each stage is trained on the clusters of the scores before it (the MIL
+   scores for the first), and all of them are known before any loss, so
+   the group's three stages cluster in one `cluster_records` call and
+   score in one `refinement_losses` call (`_refine_group`);
 2. one `VoteBatch` over every record's averaged refinement scores (treated
    as a constant, no gradient flows through the vote), so all the
    iteration's (record, class) grids share one region-labeling pass;
@@ -272,6 +274,29 @@ def _proposal_groups(records: list[DatasetRecord]) -> list[tuple[list[int], np.n
     return groups
 
 
+def _refine_group(
+    w_refine: list[np.ndarray], phi0: np.ndarray, boxes: np.ndarray, feats: np.ndarray, absorbs: np.ndarray, labels: np.ndarray, error: Exception
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The refinement stages of one group: their averaged (R, C + 1, N)
+    scores, for the vote, the (K, R) losses of its K stages and each
+    stage's gradient product. Stage k clusters on stage k - 1's scores, the
+    first on the MIL scores `phi0` given a zero background row. All are
+    known before any loss, so one (K + 1, R, C + 1, N) stack holds them,
+    whose first and last K slots feed one `cluster_records` and one
+    `refinement_losses` call. The stack lives only in this call.
+    """
+    num_records, num_classes, num = phi0.shape
+    stack = np.zeros((len(w_refine) + 1, num_records, num_classes + 1, num))
+    stack[0, :, :-1] = phi0
+    for k, w in enumerate(w_refine, 1):
+        stack[k] = softmax_over_classes(_logits(w, feats, error))
+    batch = cluster_records(stack[:-1].reshape(-1, num_classes + 1, num), boxes, labels, absorbs)
+    losses, d_phi = refinement_losses(stack[1:].reshape(-1, num_classes + 1, num), batch)
+    d_phi = d_phi.reshape(stack[1:].shape)
+    products = [softmax_backward(phi, d, axis=1) @ feats for phi, d in zip(stack[1:], d_phi)]
+    return average_refined_scores(*stack[1:]), losses.reshape(len(w_refine), -1), products
+
+
 def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[TraceEntry]]:
     """Train the linear scorer by full-batch descent on the total loss.
 
@@ -297,9 +322,9 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
         p_cls, p_det, *p_refine, p_slv_cls, p_slv_reg = products
         losses: list[list[np.ndarray]] = [[] for _ in range(len(scorer.w_refine) + 2)]
         l_mil, *l_refine, l_slv = losses
-        # Phase 1: the MIL head of every group, then the refinement stages.
-        previous = []
-        for _, _, feats, _, labels in groups:
+        # Phase 1: per group, the MIL head, then the refinement stages.
+        averages = []  # each group's averaged refinement scores, for the vote
+        for _, boxes, feats, absorbs, labels in groups:
             sigma_cls = softmax_over_classes(_logits(scorer.w_cls, feats, diverged))
             sigma_det = softmax_over_proposals(_logits(scorer.w_det, feats, diverged))
             phi0 = wsddn_scores(sigma_cls, sigma_det)
@@ -310,21 +335,14 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             d_sigma_det = d_phi_img[..., None] * sigma_cls
             p_cls.append(softmax_backward(sigma_cls, d_sigma_cls, axis=1) @ feats)
             p_det.append(softmax_backward(sigma_det, d_sigma_det, axis=2) @ feats)
-            previous.append(phi0)
-
-        stages = []
-        for w_k, p_k, l_k in zip(scorer.w_refine, p_refine, l_refine):
-            stage = [softmax_over_classes(_logits(w_k, group[2], diverged)) for group in groups]
-            for (_, boxes, feats, absorbs, labels), phi_prev, phi_k in zip(groups, previous, stage):
-                loss, d_phi = refinement_losses(phi_k, cluster_records(phi_prev, boxes, labels, absorbs))
+            average, stage_losses, stage_products = _refine_group(scorer.w_refine, phi0, boxes, feats, absorbs, labels, diverged)
+            for l_k, p_k, loss, product in zip(l_refine, p_refine, stage_losses, stage_products):
                 l_k.append(loss)
-                p_k.append(softmax_backward(phi_k, d_phi, axis=1) @ feats)
-            stages.append(stage)
-            previous = stage
+                p_k.append(product)
+            averages.append(average)
 
         if not config.mil_only:
             # Phase 2: one vote over every record's averaged refinement scores.
-            averages = [average_refined_scores(*phis) for phis in zip(*stages)]
             rows = list(itertools.chain(*averages))  # every record's matrix, in group order
             batch = VoteBatch(config.vote)
             for record, positive, at in zip(records, positives, order.tolist()):

@@ -10,7 +10,8 @@ vote map's cells to pixels, and `unit_map` makes a map of one-pixel
 cells. `by_class` and
 `supervision` convert voted supervision to and from `Box` lists by class,
 `record_sets` splits a `ClusterBatch` into one `ClusterSet` per record,
-and `pseudo_labels` reads a pseudo-label file back with plain JSON;
+`TIE_BOXES` meet at IoU exactly 0.1, 0.3 and 0.5, and `pseudo_labels`
+reads a pseudo-label file back with plain JSON;
 `detections`, `detection_rows` and `ground_truth` do the same for
 detection columns and ground-truth arrays."""
 
@@ -38,6 +39,19 @@ from slv.targets import (
 from slv.trainer import ToyScorer, TraceEntry, TrainConfig, _training_records, fused_scores
 from slv.schemes import ALL_SCHEMES, SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV, SchemeStats
 from slv.voting import LikelihoodMap, Supervision, VoteBatch, _check_accumulate_inputs, generate_supervision
+
+# Pairs among these meet at IoU exactly 0.1 (1 vs 10 wide), 0.3 (3 vs 10),
+# 0.5 (1 vs 2, 5 vs 10, 10x1 vs 10x2) and 1/3, 0.2, 0.25, ...
+TIE_BOXES = [
+    Box(0, 0, 1, 1),
+    Box(0, 0, 2, 1),
+    Box(0, 0, 3, 1),
+    Box(0, 0, 5, 1),
+    Box(0, 0, 10, 1),
+    Box(0, 0, 10, 2),
+    Box(5, 0, 10, 1),
+    Box(1, 0, 3, 1),
+]
 
 
 def by_class(sup: Supervision) -> dict[int, list[Box]]:

@@ -1,6 +1,7 @@
 """The batched refinement kernels against their one-record forms and the
 scalar oracles: `cluster_records` must give every record the clusters of
-its own `build_clusters` call and of `greedy_clusters`, and
+its own `build_clusters` call and of `greedy_clusters`, and each of several
+score sets over the same records the batch of its own call, and
 `refinement_losses` the loss bits and gradient of `scalar_refinement_loss`.
 Batches mix proposal counts, classes positive in only some records, and
 records whose scores all sit below the centre floor, with and without the
@@ -31,7 +32,7 @@ from slv.mil import (
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import ToyScorer, TrainConfig, train_toy
 
-from helpers import greedy_clusters, record_sets, scalar_refinement_loss
+from helpers import TIE_BOXES, greedy_clusters, record_sets, scalar_refinement_loss
 
 small_boxes = st.builds(
     lambda x, y, w, h: Box(x, y, x + w, y + h),
@@ -92,6 +93,59 @@ def test_batched_kernels_match_per_record_calls_and_oracles(inputs, with_masks):
             assert np.array_equal(grads[r], grad)
 
 
+@st.composite
+def score_sets(draw):
+    """S score sets over R records: an (S * R, C + 1, N) stack of tying
+    scores, some rows below the centre floor, (R, N, 4) tie-heavy boxes
+    drawn from a small pool, and an (R, C) label mask, classes positive in
+    only some records."""
+    num_classes, sets, records, num = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 3), (1, 4), (0, 10)))
+    pool = draw(st.lists(st.one_of(st.sampled_from(TIE_BOXES), small_boxes), min_size=1, max_size=4))
+    boxes = np.stack([boxes_to_array(draw(st.lists(st.sampled_from(pool), min_size=num, max_size=num))) for _ in range(records)])
+    line = st.lists(st.booleans(), min_size=num_classes, max_size=num_classes).filter(any)
+    labels = np.array([draw(line) for _ in range(records)])
+    rows = []
+    for _ in range(sets * records):
+        values = st.sampled_from(BELOW_FLOOR if draw(st.booleans()) and draw(st.booleans()) else SCORES)
+        rows.append(draw(st.lists(values, min_size=(num_classes + 1) * num, max_size=(num_classes + 1) * num)))
+    return np.array(rows, dtype=np.float64).reshape(sets * records, num_classes + 1, num), boxes, labels
+
+
+def set_batch(batch: ClusterBatch, first: int, records: int) -> ClusterBatch:
+    """The clusters and background of batch rows `first` to `first + records`,
+    renumbered from 0."""
+    ends = np.cumsum(batch.sizes)
+    keep = (first <= batch.record) & (batch.record < first + records)
+    bg = (first <= batch.background_record) & (batch.background_record < first + records)
+    return ClusterBatch(
+        record=batch.record[keep] - first,
+        label=batch.label[keep],
+        score=batch.score[keep],
+        sizes=batch.sizes[keep],
+        members=np.concatenate([np.zeros(0, dtype=np.int64)] + [batch.members[b - n : b] for b, n in zip(ends[keep], batch.sizes[keep])]),
+        background_record=batch.background_record[bg] - first,
+        background=batch.background[bg],
+        background_weights=batch.background_weights[bg],
+    )
+
+
+@given(score_sets(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_score_sets_cluster_as_their_own_calls(inputs, with_masks):
+    """One call on S score sets over the same R records gives each set the
+    batch of its own call, field for field and dtype for dtype."""
+    scores, boxes, labels = inputs
+    absorbs = absorb_masks(boxes) if with_masks else None
+    records = len(boxes)
+    batch = cluster_records(scores, boxes, labels, absorbs)
+    for m in range(len(scores) // records):
+        want = cluster_records(scores[m * records : (m + 1) * records], boxes, labels, absorbs)
+        got = set_batch(batch, m * records, records)
+        for name in ClusterBatch.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_records_below_the_floor_form_no_cluster():
     # IoU 9/23 keeps record 0's two proposals apart; record 1 never seeds.
     boxes = boxes_to_array([Box(0, 0, 4, 4), Box(1, 1, 5, 5)])
@@ -125,11 +179,12 @@ def test_refinement_losses_name_the_first_bad_record():
 
 
 def oracle_cluster_records(scores, boxes, labels, absorbs):
-    """cluster_records as greedy_clusters per record; the trainer hands the
-    result only to `refinement_losses`."""
+    """cluster_records as greedy_clusters per score matrix, matrix m * R + r
+    being set m's of record r; the trainer hands the result only to
+    `refinement_losses`."""
     return [
-        greedy_clusters(s, [Box(*row) for row in b.tolist()], y.astype(np.int64))
-        for s, b, y in zip(scores, boxes, labels)
+        greedy_clusters(s, [Box(*row) for row in boxes[k % len(boxes)].tolist()], labels[k % len(boxes)].astype(np.int64))
+        for k, s in enumerate(scores)
     ]
 
 
@@ -183,7 +238,10 @@ def test_refinement_gradients_add_up_in_record_order(monkeypatch):
     trained, _ = train_toy(dataset, config)
     dim = records[0].features.shape[1]
     start = ToyScorer.initialize(dataset.num_classes, dim, np.random.default_rng(config.init_seed))
-    stages = [calls[k : k + 3] for k in range(0, len(calls), 3)]  # one call per proposal count, per stage
+    # One call per proposal count, whose rows hold the stages' matrices in stage order.
+    assert len(calls) == 3
+    split = [zip(np.split(phi, slv.trainer.REFINEMENTS), np.split(grads, slv.trainer.REFINEMENTS)) for phi, grads in calls]
+    stages = [list(stage) for stage in zip(*split)]  # per stage, one (phi, grads) pair per proposal count
     assert len(stages) == slv.trainer.REFINEMENTS
     told_apart = False
     for w0, w, stage in zip(start.w_refine, trained.w_refine, stages):

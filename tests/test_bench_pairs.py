@@ -1,8 +1,10 @@
 """The statistics of tools/bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -94,3 +96,22 @@ def test_the_printed_row_shows_the_gap_and_the_claim():
     )
     spread = bench_pairs.summarize(CLAIM_PARENT, change, "lower", 0.25)  # IQR 30 % of the median
     assert bench_pairs.row("vote_s", spread).endswith("  9/10  yes  met  unresolved")
+
+
+def test_the_environment_line_says_whether_runs_compile_their_sources():
+    env = {"python": "3.11.7", "numpy": "2.4.6", "dont_write_bytecode": True}
+    assert bench_pairs.environment_line(env) == (
+        "environment python 3.11.7 numpy 2.4.6 PYTHONDONTWRITEBYTECODE set:"
+        " every import compiles slv's sources, so setup_s grows with source size"
+    )
+    env["dont_write_bytecode"] = False
+    assert bench_pairs.environment_line(env) == "environment python 3.11.7 numpy 2.4.6 PYTHONDONTWRITEBYTECODE unset"
+
+
+@pytest.mark.parametrize("environ, compiles", [({"PYTHONDONTWRITEBYTECODE": "1"}, True), ({"PYTHONDONTWRITEBYTECODE": ""}, False), ({}, False)])
+def test_the_environment_reads_the_variable_as_python_does(environ, compiles):
+    """Python heeds PYTHONDONTWRITEBYTECODE when it is a non-empty string."""
+    env = bench_pairs.environment(environ)
+    assert env["dont_write_bytecode"] is compiles
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__

@@ -313,12 +313,16 @@ class TestExitCodes:
             (["--classes", "9223372036854775808"], "num_classes in [1, 1000], got 9223372036854775808"),
             (["--proposals", "2147483648"], "at most 10000 per image, got 2147483648"),
             (["--proposals", "9223372036854775808"], "at most 10000 per image, got 9223372036854775808"),
+            (["--images", "2147483648"], "num_images in [1, 10000], got 2147483648"),
+            (["--images", "9223372036854775808"], "num_images in [1, 10000], got 9223372036854775808"),
         ],
-        ids=["classes-2^31", "classes-2^63", "proposals-2^31", "proposals-2^63"],
+        ids=["classes-2^31", "classes-2^63", "proposals-2^31", "proposals-2^63", "images-2^31", "images-2^63"],
     )
     def test_generate_rejects_counts_past_their_caps(self, tmp_path, capsys, flags, message):
-        """Counts that numpy cannot allocate are rejected before any array
-        is made, with one line; each used to end in a numpy traceback."""
+        """Counts that numpy cannot allocate, or records that would fill
+        memory one by one, are rejected before any record is made, with one
+        line; each used to end in a numpy traceback or to run until memory
+        ran out."""
         base = ["generate", "--images", "2", "--size", "24", "--objects", "1", "--proposals", "6"]
         code, captured = run(["--out", tmp_path / "out"] + base + flags, capsys)
         assert code == 1

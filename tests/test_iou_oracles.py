@@ -2,6 +2,7 @@
 on tie-heavy inputs: duplicate boxes, equal scores, and IoU exactly at the
 0.1, 0.3 and 0.5 thresholds."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,26 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slv.mil
+from slv.datasets import MAX_IMAGE_SIDE
 from slv.geometry import Box, _box_columns, _iou_rows, boxes_to_array, iou, iou_matrix, nms
 from slv.mil import CLUSTER_IOU, absorb_masks, build_clusters, cluster_records
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import assign_targets
 from slv.voting import VoteConfig, generate_supervision
 
-from helpers import greedy_clusters, greedy_nms, matched_targets, record_sets, supervision
+from helpers import TIE_BOXES, greedy_clusters, greedy_nms, matched_targets, record_sets, supervision
 
-# Pairs among these meet at IoU exactly 0.1 (1 vs 10 wide), 0.3 (3 vs 10),
-# 0.5 (1 vs 2, 5 vs 10, 10x1 vs 10x2) and 1/3, 0.2, 0.25, ...
-TIE_BOXES = [
-    Box(0, 0, 1, 1),
-    Box(0, 0, 2, 1),
-    Box(0, 0, 3, 1),
-    Box(0, 0, 5, 1),
-    Box(0, 0, 10, 1),
-    Box(0, 0, 10, 2),
-    Box(5, 0, 10, 1),
-    Box(1, 0, 3, 1),
-]
 THRESHOLDS = st.sampled_from([0.1, 0.3, 0.5])
 SCORES = st.sampled_from([0.0, 0.005, 0.01, 0.2, 0.5, 0.9])
 
@@ -191,6 +181,59 @@ def test_absorb_masks_at_the_row_block_size(num):
     want = iou_matrix(boxes[0], boxes[0]) >= CLUSTER_IOU
     assert np.count_nonzero(iou_matrix(boxes[0], boxes[0]) == CLUSTER_IOU)
     assert absorb_masks(boxes)[0].tobytes() == want.tobytes()
+
+
+# Boxes up to the image-side limit, where areas near 2^32 give the integer
+# test its largest products. FULL spans the largest image; CORNER_BELOW has
+# floor(65535^2 / 2) px, so its IoU with FULL is 1/2 - 1.2e-10, and
+# CORNER_ABOVE's is 1/2 + 5.8e-10. WIDE and its two halves tie at exactly 1/2.
+FULL = Box(0, 0, MAX_IMAGE_SIDE, MAX_IMAGE_SIDE)
+CORNER_BELOW = Box(0, 0, 65534, 32768)
+CORNER_ABOVE = Box(0, 0, 43205, 49703)
+WIDE, LEFT, RIGHT = Box(0, 0, 65534, MAX_IMAGE_SIDE), Box(0, 0, 32767, MAX_IMAGE_SIDE), Box(32767, 0, 65534, MAX_IMAGE_SIDE)
+LIMIT_BOXES = [FULL, CORNER_BELOW, CORNER_ABOVE, WIDE, LEFT, RIGHT]
+
+
+def exact_absorbs(boxes: list[Box], threshold: float) -> np.ndarray:
+    """IoU >= threshold for every pair, in exact rationals."""
+    def ratio(a: Box, b: Box) -> Fraction:
+        iw = max(0, min(a.x1, b.x1) - max(a.x0, b.x0))
+        ih = max(0, min(a.y1, b.y1) - max(a.y0, b.y0))
+        return Fraction(iw * ih, a.area + b.area - iw * ih)
+
+    return np.array([[ratio(a, b) >= Fraction(threshold) for b in boxes] for a in boxes])
+
+
+def test_absorb_masks_at_the_image_side_limit():
+    """The integer test at 65,535 px a side: ties at exactly 1/2 absorb,
+    ratios a hair either side of it fall on their own side, and every bit
+    is the float matrix's and the exact one's."""
+    boxes = boxes_to_array(LIMIT_BOXES)
+    ious = iou_matrix(boxes, boxes)
+    assert ious[3, 4] == ious[3, 5] == CLUSTER_IOU
+    assert ious[0, 1] < CLUSTER_IOU < ious[0, 2]
+    got = absorb_masks(boxes[None])[0]
+    assert got.tobytes() == (ious >= CLUSTER_IOU).tobytes()
+    assert np.array_equal(got, exact_absorbs(LIMIT_BOXES, CLUSTER_IOU))
+    assert got[3, 4] and got[5, 3] and not got[0, 1] and got[2, 0]
+
+
+@given(box_stacks(), st.sampled_from([0.25, 0.5, 0.75]), st.sampled_from([1, 6553]))
+@settings(max_examples=300, deadline=None)
+def test_absorb_masks_follow_cluster_iou_up_to_the_image_side_limit(inputs, threshold, scale):
+    """The integer test takes its ratio from CLUSTER_IOU as that moves (to
+    0.25 or 0.75), and keeps the float test's bits on tie boxes scaled by up to
+    6,553 and shifted to end at the 65,535 px limit, whatever the row
+    blocks. The limit boxes join every record, so IoU ties at exactly 1/2
+    at that scale in every draw."""
+    boxes, cells = inputs
+    limit = np.broadcast_to(boxes_to_array(LIMIT_BOXES), (len(boxes), len(LIMIT_BOXES), 4))
+    boxes = np.concatenate([boxes * scale + (MAX_IMAGE_SIDE - 10 * scale), limit], axis=1)
+    with mock.patch.object(slv.mil, "ABSORB_CELLS", cells), mock.patch.object(slv.mil, "CLUSTER_IOU", threshold):
+        got = absorb_masks(boxes)
+    want = np.stack([iou_matrix(b, b) >= threshold for b in boxes])
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(iou_matrix(boxes[0], boxes[0]) == 0.5)
 
 
 @st.composite

@@ -20,20 +20,30 @@ pairs, and its median is better than the parent's by more than the
 parent's IQR. A pair with a run that fails or is not correct is left out
 of every metric, so the runs of a pair are only ever compared together.
 
-The summary also goes to DIR/pairs.json. The exit code is 1 when any run
-is not `correct: true` or does not finish. Standard library only.
+Before the first workload it prints one `environment` line: the Python
+and numpy versions the runs use, and whether PYTHONDONTWRITEBYTECODE
+reaches them. With that variable set, every import in a run compiles slv's
+sources afresh, so `setup_s` grows with the source size.
+
+The summary also goes to DIR/pairs.json, the environment under
+"environment" and each workload under its name. The exit code is 1 when
+any run is not `correct: true` or does not finish. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+from collections.abc import Mapping
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -82,6 +92,26 @@ def row(name: str, s: dict) -> str:
         f" {'met' if s['claim_met'] else 'no':>4}"
         + ("  unresolved" if s["unresolved"] else "")
     )
+
+
+def environment(environ: Mapping[str, str]) -> dict:
+    """What the runs inherit that moves their numbers: the Python and numpy
+    versions of this interpreter, which runs them, and whether `environ`
+    sets PYTHONDONTWRITEBYTECODE (Python heeds any non-empty value)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "dont_write_bytecode": bool(environ.get("PYTHONDONTWRITEBYTECODE")),
+    }
+
+
+def environment_line(env: dict) -> str:
+    """The printed line of an `environment` result."""
+    if env["dont_write_bytecode"]:
+        bytecode = "PYTHONDONTWRITEBYTECODE set: every import compiles slv's sources, so setup_s grows with source size"
+    else:
+        bytecode = "PYTHONDONTWRITEBYTECODE unset"
+    return f"environment python {env['python']} numpy {env['numpy']} {bytecode}"
 
 
 def paired_values(pairs: list[dict[str, dict[str, float] | None]]) -> dict[str, tuple[list[float], list[float]]]:
@@ -152,8 +182,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
+    env = environment(os.environ)
+    print(environment_line(env))
     ok = True
-    summary: dict[str, dict] = {}
+    summary: dict[str, dict] = {"environment": env}
     for workload in workloads:
         pairs = []
         for k in range(args.pairs):
