@@ -81,11 +81,14 @@ def compare_schemes(
 ) -> list[SchemeStats]:
     """Label every record under each scheme and score the labels.
 
-    Every scheme labels a record from its `trainer.vote_scores` matrix.
-    Every labeled box is matched against the ground-truth boxes of its
-    class in its image; the statistic is the mean of those best IoUs, per
-    class and overall. Requires ground truth and scores on every record;
-    an error names the first record in id order that fails.
+    Every scheme labels a record from its `trainer.vote_scores` matrix;
+    the SLV scheme queues every record on one `VoteBatch`, so all the
+    stage's maps are voted in stacked passes, byte-identical to
+    `label_slv`. Every labeled box is matched against the ground-truth
+    boxes of its class in its image; the statistic is the mean of those
+    best IoUs, per class and overall. Requires ground truth and scores on
+    every record; an error names the first record in id order that fails,
+    as `queue` checks a record when it takes it.
     """
     vote_config = vote_config or VoteConfig()
     records = dataset.in_id_order()
@@ -105,7 +108,7 @@ def compare_schemes(
                 label_conventional(scores, record.proposals, positive),
                 label_clustering(scores, record.proposals, record.labels),
             ))
-            batch.add(scores, record.proposals, positive, record.height, record.width)
+            batch.queue(scores, record.proposals, positive, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
     # Every labeled box, record by record in _LABELED order, against its

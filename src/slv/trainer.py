@@ -13,9 +13,10 @@ gradient product per head and group. Each iteration runs in three phases:
    the group's three stages cluster in one `cluster_records` call and
    score in one `refinement_losses` call (`_refine_group`);
 2. one `VoteBatch` over every record's averaged refinement scores (treated
-   as a constant, no gradient flows through the vote), so all the
-   iteration's (record, class) grids share one region-labeling pass;
-   skipped under `mil_only`;
+   as a constant, no gradient flows through the vote): each record is
+   queued (`VoteBatch.queue`), so all the iteration's (record, class) maps
+   are voted in one stacked numpy pass and labeled in one region-labeling
+   pass, with no per-map call; skipped under `mil_only`;
 3. per group: proposal targets from the voted boxes in one
    `assign_targets` call, and the SLV loss and its gradients in one
    `slv_losses` call.
@@ -342,11 +343,11 @@ def train_toy(dataset: Dataset, config: TrainConfig) -> tuple[ToyScorer, list[Tr
             averages.append(average)
 
         if not config.mil_only:
-            # Phase 2: one vote over every record's averaged refinement scores.
+            # Phase 2: one stacked vote over every record's averaged refinement scores.
             rows = list(itertools.chain(*averages))  # every record's matrix, in group order
             batch = VoteBatch(config.vote)
             for record, positive, at in zip(records, positives, order.tolist()):
-                batch.add(rows[at], record.proposals, positive, record.height, record.width)
+                batch.queue(rows[at], record.proposals, positive, record.height, record.width)
             supervisions = np.array(batch.supervisions(), dtype=object)
 
             # Phase 3: targets, the SLV loss and its gradients, group by group.

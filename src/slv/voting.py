@@ -7,13 +7,19 @@ a map is held as the cells of the grid those edges cut, not as pixels:
 accumulation, normalization, binarization and region labeling all run on
 cells, and pixels are built only for the heatmap bytes. Boxes follow the
 half-open pixel convention from `geometry`.
+
+A `VoteBatch` votes many images. `add` runs the per-map steps one map at a
+time and returns the maps; `queue` defers them to stacked passes that vote
+many maps in one numpy pass (`_vote_stack`). Both reach the same sums
+through `_spread`, so they vote the same boxes byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,14 +208,29 @@ def accumulate_fast(
     shape = (len(y_edges), len(x_edges))
     top, bottom = y_index[y0] * shape[1], y_index[y1] * shape[1]
     left, right = x_index[x0], x_index[x1]
+    diff = _spread(top, bottom, left, right, s, shape)
+    return LikelihoodMap(diff[:-1, :-1], y_edges, x_edges, class_id)
+
+
+def _spread(
+    top: np.ndarray, bottom: np.ndarray, left: np.ndarray, right: np.ndarray, s: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """The difference-array sums of a grid of edges, or of a stack of them:
+    box k deposits +s[k] at flat cells `top + left` and `bottom + right` and
+    -s[k] at `top + right` and `bottom + left` of a zero array of `shape`,
+    in one `np.bincount` (the top-left corners in box order, then the
+    top-right, bottom-left and bottom-right ones); prefix sums along the
+    last two axes spread the deposits over the cells, and the result is
+    clamped at 0. The one place these additions are decided: each cell's
+    sums run in the same order on a lone grid and in a stack."""
     corners = np.concatenate([top + left, top + right, bottom + left, bottom + right])
-    diff = np.bincount(corners, np.concatenate([s, -s, -s, s]), shape[0] * shape[1])
+    diff = np.bincount(corners, np.concatenate([s, -s, -s, s]), math.prod(shape))
     diff = diff.astype(np.float64, copy=False).reshape(shape)  # no candidates give int64 zeros
-    np.add.accumulate(diff, axis=0, out=diff)
-    np.add.accumulate(diff, axis=1, out=diff)
+    np.add.accumulate(diff, axis=-2, out=diff)
+    np.add.accumulate(diff, axis=-1, out=diff)
     # Cancellation can leave sub-ulp negatives where the exact value is 0.
     np.maximum(diff, 0.0, out=diff)
-    return LikelihoodMap(diff[:-1, :-1], y_edges, x_edges, class_id)
+    return diff
 
 
 def normalize(likelihood: LikelihoodMap) -> LikelihoodMap:
@@ -240,30 +261,138 @@ def vote_boxes(grid: BinaryGrid) -> np.ndarray:
 
 # A batch labels its waiting binary grids once they reach this many cells,
 # so one pass holds at most this plus one grid; the grids and their stacked
-# copy take about one byte a cell each.
+# copy take about one byte a cell each. A queued map counts as its H x W
+# pixels, which bound its cells.
 BATCH_CELLS = 1 << 22
+
+# A stacked pass over queued maps pads each map to the pass's largest
+# height and width, and holds at most this many padded (H + 1) x (W + 1)
+# grid points, which bound its float64 cells: at most 16 MB of sums and
+# 2 MB of binary cells. So a 1200 px map (1.44M points) takes a pass alone,
+# as does any map past the budget.
+STACK_CELLS = 1 << 21
+
+
+def _check_image(phi_bar: np.ndarray, boxes: np.ndarray, classes: list[int]) -> None:
+    """The checks a vote makes once per image, before any class."""
+    if not classes:
+        raise InputError("vote: image has no positive class")
+    if phi_bar.shape[1] != len(boxes):
+        raise InputError(f"vote: {phi_bar.shape[1]} score columns but {len(boxes)} boxes")
+    if len(phi_bar) <= max(classes):
+        raise InputError("vote: score matrix has no row for some class")
+
+
+def _stack_index(lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_cell_index` for M maps at once along one axis: every map's distinct
+    edges end to end, the number each map has, and the (M, S+1) edge index
+    of each coordinate, S the largest size. `owner[k]` is the map of the
+    box with sides `lo[k]` and `hi[k]`; a map's row is cleared past its
+    own size."""
+    maps = np.arange(len(sizes))
+    mask = np.zeros((len(sizes), int(sizes.max()) + 1), dtype=bool)
+    mask[owner, lo] = True
+    mask[owner, hi] = True
+    mask[:, 0] = True
+    mask[maps, sizes] = True
+    index = np.add.accumulate(mask, axis=1, dtype=np.intp)
+    index -= 1
+    return mask.nonzero()[1], index[maps, sizes] + 1, index
+
+
+def _vote_stack(
+    owner: np.ndarray, arr: np.ndarray, s: np.ndarray, heights: np.ndarray, widths: np.ndarray, t_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M maps voted in one pass: what `binarize` gives after
+    `normalize(accumulate_fast(...))` on each, bit for bit.
+
+    Map m has the candidate boxes `arr[owner == m]` with scores
+    `s[owner == m]` (`owner` non-decreasing), a `heights[m]` x `widths[m]`
+    image and threshold `t_b[m]`. The maps are stacked on one zero grid of
+    the largest edge counts and deposited in one `_spread` call; maps never
+    share a cell, so each cell takes the one-map kernel's additions in its
+    order. The prefix sums carry sub-ulp remainders past a map's last
+    cell, so the padding is zeroed before each map's peak is taken; a map
+    divides by its peak, by 1.0 when it is all zero, which changes no bit.
+
+    Returns the (M, Ey, Ex) binary stack, which holds map m's cell grid at
+    `[m, :ey[m] - 1, :ex[m] - 1]` and False elsewhere, and every map's
+    edges end to end with their counts `ey` and `ex`, per axis.
+    """
+    x0, y0, x1, y1 = arr.T
+    y_edges, ey, y_index = _stack_index(y0, y1, owner, heights)
+    x_edges, ex, x_index = _stack_index(x0, x1, owner, widths)
+    shape = (len(heights), int(ey.max()), int(ex.max()))
+    base = owner * (shape[1] * shape[2])
+    top, bottom = base + y_index[owner, y0] * shape[2], base + y_index[owner, y1] * shape[2]
+    cells = _spread(top, bottom, x_index[owner, x0], x_index[owner, x1], s, shape)
+    cells[np.arange(shape[1]) >= ey[:, None] - 1] = 0.0  # each map's last edge row and the rows past it
+    cells.transpose(0, 2, 1)[np.arange(shape[2]) >= ex[:, None] - 1] = 0.0  # and its columns
+    peak = cells.max(axis=(1, 2))
+    peak[~(peak > 0.0)] = 1.0
+    cells /= peak[:, None, None]
+    return cells > t_b[:, None, None], y_edges, ey, x_edges, ex
+
+
+def _passes(heights: list[int], widths: list[int]) -> list[int]:
+    """Where stacked passes over maps of these sizes start, in order, and
+    the end: each pass as long as its padded grid points fit STACK_CELLS."""
+    starts, start, tall, wide = [0], 0, 0, 0
+    for m, (h, w) in enumerate(zip(heights, widths)):
+        tall, wide = max(tall, h + 1), max(wide, w + 1)
+        if m > start and (m + 1 - start) * tall * wide > STACK_CELLS:
+            starts.append(m)
+            start, tall, wide = m, h + 1, w + 1
+    return starts + [len(heights)]
+
+
+def _regions(
+    stack: np.ndarray, y_edges: np.ndarray, ey: np.ndarray, x_edges: np.ndarray, ex: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel rectangles of the regions of a (G, block, width) stack of cell
+    grids, in one labeling pass, and the grid of each. Grid g's cells cut
+    its image at its `ey[g]` y edges and `ex[g]` x edges, which come end to
+    end in `y_edges` and `x_edges`; the last row of every block must be
+    blank, so regions cannot join across grids and keep their row-major
+    order within each grid. A region's cells are 8-connected exactly when
+    its pixels are, so one gather through the edges turns its cell
+    rectangle into pixels."""
+    block, width = stack.shape[1:]
+    rects = vote_boxes(stack.reshape(-1, width))
+    k = rects[:, 1] // block
+    y_start, x_start = np.cumsum(ey) - ey, np.cumsum(ex) - ex
+    rects[:, 0::2] = x_edges[rects[:, 0::2] + x_start[k, None]]
+    rects[:, 1::2] = y_edges[rects[:, 1::2] + (y_start[k] - k * block)[:, None]]
+    return rects, k
 
 
 class VoteBatch:
     """Votes of many images, with one region-labeling pass per chunk of grids.
 
-    `add` runs an image's per-class steps at once, so a bad input raises
-    while the caller still knows the image, and returns the image's
-    normalized maps without keeping them. The binary grids wait until
-    `supervisions` (or BATCH_CELLS) and are labeled stacked in one buffer:
-    each cell grid gets a block of Hmax + 1 rows whose last row stays blank,
-    so regions cannot join across grids and keep their row-major order
-    within each grid. A region's cells are 8-connected exactly when its
-    pixels are, so the labeling runs on cells, and one gather through the
-    grids' edges turns every region's cell rectangle into pixels.
+    Two entry points take an image. Both make every check of the per-class
+    steps for the image at once, so a bad input raises while the caller
+    still knows the image, with the same error, and leaves the batch as it
+    was.
+    - `add` runs the image's per-class steps at once and returns its
+      normalized maps without keeping them, for heatmaps. The binary grids
+      wait until `supervisions` (or BATCH_CELLS) and are labeled stacked in
+      one buffer, each in a block of Hmax + 1 rows.
+    - `queue` keeps only what the image's maps need. When the batch labels,
+      every queued (image, class) map is voted in stacked passes of at
+      most STACK_CELLS padded cells (`_vote_stack`), with no per-map call,
+      and each pass's binary stack is labeled as it stands.
+    The images' boxes come out in the order the images came in, whichever
+    entry point took them.
     """
 
     def __init__(self, config: VoteConfig) -> None:
         self.config = config
         self._voted: list[Supervision] = []
-        self._images = 0  # images added since the last labeling pass
+        self._images = 0  # images added or queued since the last labeling pass
         # (image, counted from the last pass; class; cell grid; its y edges; its x edges)
         self._waiting: list[tuple[int, int, BinaryGrid, np.ndarray, np.ndarray]] = []
+        # (image; classes; their t_b; height; width; class rows; their candidate masks; boxes)
+        self._queued: list[tuple[int, list[int], list[float], int, int, np.ndarray, np.ndarray, np.ndarray]] = []
         self._cells = 0
 
     def add(
@@ -285,12 +414,7 @@ class VoteBatch:
         binarizes to no region: a valid, empty vote. A failed add returns
         nothing and leaves the batch as it was.
         """
-        if not classes:
-            raise InputError("vote: image has no positive class")
-        if phi_bar.shape[1] != len(boxes):
-            raise InputError(f"vote: {phi_bar.shape[1]} score columns but {len(boxes)} boxes")
-        if len(phi_bar) <= max(classes):
-            raise InputError("vote: score matrix has no row for some class")
+        _check_image(phi_bar, boxes, classes)
         maps, grids = [], []  # grids queue only once every class has voted, so a failed add leaves nothing
         for c in classes:
             candidates = select_candidates(phi_bar, boxes, c, self.config.t_score)
@@ -305,37 +429,104 @@ class VoteBatch:
             self._label()
         return maps
 
+    def queue(
+        self,
+        phi_bar: np.ndarray,
+        boxes: np.ndarray,
+        classes: list[int],
+        height: int,
+        width: int,
+    ) -> None:
+        """Vote every positive class of one image as `add` does, but keep
+        the image's class rows, candidate masks and `boxes` until the batch
+        labels, and return nothing.
+
+        Raises what `add` would raise on the same image: its image checks,
+        then `accumulate_fast`'s checks of the first class that fails them,
+        and a failed queue leaves the batch as it was. A screen over the
+        whole image passes it when no check can fail; otherwise each class
+        runs the checks themselves.
+        """
+        _check_image(phi_bar, boxes, classes)
+        rows = phi_bar[classes]
+        # Candidates score above t_score > 0, so only an infinite score or
+        # a too-large sum fails the score checks. Every class's top
+        # candidate score times its candidate count is at most the largest
+        # entry times the entry count, and within max / 8 that rules out
+        # both, as in `_check_accumulate_inputs` (NaN fails the screen).
+        # Every box inside the image puts every candidate box inside.
+        top = float(rows.max(initial=0.0)) * rows.size
+        right, bottom = boxes[:, 2:].max(axis=0, initial=0).tolist()
+        if not (height > 0 and width > 0 and top <= sys.float_info.max / 8 and right <= width and bottom <= height):
+            for c in classes:
+                _check_accumulate_inputs(np.flatnonzero(phi_bar[c] > self.config.t_score), boxes, phi_bar[c], height, width)
+        t_b = [self.config.t_b_for(c) for c in classes]
+        self._queued.append((self._images, classes, t_b, height, width, rows, rows > self.config.t_score, boxes))
+        self._images += 1
+        self._cells += len(classes) * height * width
+        if self._cells >= BATCH_CELLS:
+            self._label()
+
+    def _vote_queued(self) -> Iterator[tuple[np.ndarray, np.ndarray, tuple]]:
+        """Each stacked pass over the queued maps, in map order: its maps'
+        images and classes, and `_regions`' arguments. Every image's
+        candidates are found in one pass over the class rows laid end to
+        end: by image, class, then box."""
+        queued, self._queued = self._queued, []
+        if not queued:
+            return
+        maps = np.array([len(q[1]) for q in queued])
+        proposals = np.array([len(q[7]) for q in queued])
+        ends = np.cumsum(maps * proposals)
+        picked = np.flatnonzero(np.concatenate([q[6].ravel() for q in queued]))
+        of = np.searchsorted(ends, picked, side="right")  # each candidate's image
+        row, box = np.divmod(picked - (ends - maps * proposals)[of], proposals[of])
+        owner = (np.cumsum(maps) - maps)[of] + row
+        arr = np.concatenate([q[7] for q in queued])[(np.cumsum(proposals) - proposals)[of] + box]
+        s = np.concatenate([q[5].ravel() for q in queued], dtype=np.float64)[picked]
+        image = np.repeat([q[0] for q in queued], maps)
+        classes = np.array([c for q in queued for c in q[1]], dtype=np.int64)
+        t_b = np.array([t for q in queued for t in q[2]])
+        heights = np.repeat([q[3] for q in queued], maps)
+        widths = np.repeat([q[4] for q in queued], maps)
+        starts = _passes(heights.tolist(), widths.tolist())
+        cuts = np.searchsorted(owner, starts).tolist()
+        for a, b, ka, kb in zip(starts, starts[1:], cuts, cuts[1:]):
+            stack = _vote_stack(owner[ka:kb] - a, arr[ka:kb], s[ka:kb], heights[a:b], widths[a:b], t_b[a:b])
+            yield image[a:b], classes[a:b], stack
+
+    def _stack_waiting(self) -> Iterator[tuple[np.ndarray, np.ndarray, tuple]]:
+        """The added grids as one stack, as `_vote_queued` gives a pass."""
+        waiting, self._waiting = self._waiting, []
+        if not waiting:
+            return
+        stack = np.zeros((len(waiting), 1 + max(w[2].shape[0] for w in waiting), max(w[2].shape[1] for w in waiting)), dtype=bool)
+        for g, (_, _, grid, _, _) in enumerate(waiting):
+            stack[g, : grid.shape[0], : grid.shape[1]] = grid
+        edges = [(np.concatenate([w[a] for w in waiting]), np.array([len(w[a]) for w in waiting])) for a in (3, 4)]
+        image, classes = (np.array([w[a] for w in waiting], dtype=np.int64) for a in (0, 1))
+        yield image, classes, (stack, *edges[0], *edges[1])
+
     def _label(self) -> None:
-        """Label every waiting grid in one pass and give each image of the
-        pass its Supervision."""
-        waiting = self._waiting
-        rects, k = np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64)
-        if waiting:
-            block = 1 + max(w[2].shape[0] for w in waiting)
-            width = max(w[2].shape[1] for w in waiting)
-            stacked = np.zeros((len(waiting), block, width), dtype=bool)
-            for g, (_, _, grid, _, _) in enumerate(waiting):
-                stacked[g, : grid.shape[0], : grid.shape[1]] = grid
-            # Every grid's edges end to end, and the offset of each grid's own.
-            y_edges = np.concatenate([w[3] for w in waiting])
-            x_edges = np.concatenate([w[4] for w in waiting])
-            y_start = np.cumsum([0] + [len(w[3]) for w in waiting])
-            x_start = np.cumsum([0] + [len(w[4]) for w in waiting])
-            # Rectangles in the stack's cells; a region's block is its grid.
-            rects = vote_boxes(stacked.reshape(-1, width))
-            k = rects[:, 1] // block
-            rects[:, 0::2] = x_edges[rects[:, 0::2] + x_start[k, None]]
-            rects[:, 1::2] = y_edges[rects[:, 1::2] + (y_start[k] - k * block)[:, None]]
-        image = np.array([w[0] for w in waiting], dtype=np.int64)[k]
-        classes = np.array([w[1] for w in waiting], dtype=np.int64)[k]
-        # Regions come in grid order, so by image and then class: each
-        # image's boxes are one run.
-        bounds = np.searchsorted(image, np.arange(self._images + 1)).tolist()
+        """Label every waiting and queued grid, one pass per stack, and give
+        each image since the last call its Supervision."""
+        rects, image, classes = [np.zeros((0, 4), dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for grid_image, grid_class, stack in itertools.chain(self._vote_queued(), self._stack_waiting()):
+            found, k = _regions(*stack)
+            rects.append(found)
+            image.append(grid_image[k])
+            classes.append(grid_class[k])
+        # Regions come in grid order, so by image and then class within each
+        # entry point: a stable sort by image makes each image's boxes one run.
+        image = np.concatenate(image)
+        order = np.argsort(image, kind="stable")
+        rects, classes = np.concatenate(rects)[order], np.concatenate(classes)[order]
+        bounds = np.searchsorted(image[order], np.arange(self._images + 1)).tolist()
         self._voted += [Supervision(rects[a:b], classes[a:b]) for a, b in zip(bounds, bounds[1:])]
-        self._waiting, self._cells, self._images = [], 0, 0
+        self._cells, self._images = 0, 0
 
     def supervisions(self) -> list[Supervision]:
-        """One Supervision per added image, in the order they were added."""
+        """One Supervision per added or queued image, in the order they came."""
         self._label()
         return list(self._voted)
 

@@ -1,7 +1,9 @@
-"""The statistics of tools/bench_pairs.py on fixed numbers."""
+"""The statistics of tools/bench_pairs.py and tools/stage_pairs.py on fixed
+numbers."""
 
 import importlib.util
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,11 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
+# tools/stage_pairs.py imports its neighbour by name.
+sys.modules.setdefault("bench_pairs", bench_pairs)
+spec = importlib.util.spec_from_file_location("stage_pairs", SCRIPT.parent / "stage_pairs.py")
+stage_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(stage_pairs)
 
 
 def test_medians_quartiles_and_wins_of_a_lower_is_better_metric():
@@ -115,3 +122,59 @@ def test_the_environment_reads_the_variable_as_python_does(environ, compiles):
     assert env["dont_write_bytecode"] is compiles
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
+
+
+def stage(times, digest="d"):
+    return {"times": times, "digest": digest}
+
+
+def test_stage_pairs_summarize_the_round_minima():
+    """Three rounds: each side's round minimum is the fastest of its runs,
+    and the summary is `summarize` over those minima, round k against
+    round k. The parent's minima 10, 11, 9 have median 10 and quartiles
+    9.5 and 10.5; the change's 8, 8.5, 9 have median 8.5 and quartiles
+    8.25 and 8.75. The change wins rounds 1 and 2 and ties round 3, and
+    the 1.5 gap lies past the parent's IQR of 1."""
+    rounds = [
+        {"parent": {"a/train": stage([12.0, 10.0])}, "change": {"a/train": stage([8.0, 9.0])}},
+        {"parent": {"a/train": stage([11.0, 13.0])}, "change": {"a/train": stage([20.0, 8.5])}},
+        {"parent": {"a/train": stage([9.0, 20.0])}, "change": {"a/train": stage([9.0, 10.5])}},
+    ]
+    s = stage_pairs.summarize_stages(rounds)["a/train"]
+    assert s["minima"] == {"parent": [10.0, 11.0, 9.0], "change": [8.0, 8.5, 9.0]}
+    assert s["parent"] == {"median": 10.0, "q1": 9.5, "q3": 10.5}
+    assert s["change"] == {"median": 8.5, "q1": 8.25, "q3": 8.75}
+    assert s["change_pct"] == pytest.approx(-15.0)
+    assert s["wins"] == 2 and s["pairs"] == 3
+    assert s["gap_exceeds_iqr"] and s["identical"]
+    closer = [{**r, "change": {"a/train": stage([v])}} for r, v in zip(rounds, [9.5, 10.5, 9.0])]
+    s = stage_pairs.summarize_stages(closer)["a/train"]  # median 9.5: the gap 0.5 is inside the IQR
+    assert s["wins"] == 2 and not s["gap_exceeds_iqr"]
+
+
+def test_stage_pairs_flag_a_stage_whose_outputs_differ_in_any_round():
+    rounds = [
+        {"parent": {"v": stage([1.0], "x"), "p": stage([1.0])}, "change": {"v": stage([1.0], "x")}},
+        {"parent": {"v": stage([1.0], "x"), "p": stage([1.0])}, "change": {"v": stage([1.0], "y")}},
+    ]
+    summary = stage_pairs.summarize_stages(rounds)
+    assert list(summary) == ["v"]  # a stage only one side ran is left out
+    assert not summary["v"]["identical"] and summary["v"]["wins"] == 0
+    assert stage_pairs.row("v", summary["v"]) == (
+        "  v                                    1000.000 [1000.000, 1000.000] 1000.000 [1000.000, 1000.000]    +0.0%"
+        "  0/2    no   NO"
+    )
+    assert stage_pairs.HEADING.endswith(", wins, gap>IQR, identical")
+
+
+def test_stage_pairs_run_every_stage_of_every_workload_on_its_own_inputs():
+    names = [name for workload, _, train in stage_pairs.WORKLOADS for name, _ in stage_pairs.stages(workload, train)]
+    assert names == [
+        "baseline/train", "baseline/vote", "baseline/compare-schemes", "baseline/compare-schemes-scorer",
+        "baseline/evaluate", "dense/train", "dense/vote", "dense/compare-schemes", "dense/compare-schemes-scorer",
+        "dense/evaluate", "large_canvas/vote", "large_canvas/compare-schemes",
+    ]
+    argv = dict(stage_pairs.stages("baseline", ["--iterations", "6"]))
+    assert argv["baseline/train"] == ["train", "baseline/data/dataset.jsonl", "--iterations", "6", "--emit-detections"]
+    assert argv["baseline/vote"][-3:] == ["--scorer", "baseline/train/scorer.json", "--emit-heatmaps"]
+    assert argv["baseline/evaluate"] == ["evaluate", "baseline/train/detections.jsonl", "baseline/data/dataset.jsonl"]

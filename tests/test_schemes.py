@@ -101,6 +101,26 @@ class TestCompareSchemes:
         with pytest.raises(InputError, match="ground truth"):
             compare_schemes(dataset)
 
+    def test_a_vote_error_names_its_record_before_a_later_clustering_error(self):
+        """Record 'a' votes a box past its image and record 'b' has a
+        score column too few to cluster; the vote's check runs when 'a'
+        is queued, so the error still names 'a', the first in id order."""
+        gt = {0: boxes_to_array([Box(0, 0, 8, 8)])}
+        voting_error = DatasetRecord(
+            image_id="a", height=16, width=16, labels=np.array([1]),
+            proposals=boxes_to_array([Box(0, 0, 8, 8), Box(0, 0, 20, 20)]), scores=np.array([[0.5, 0.5]]), gt_boxes=gt,
+        )
+        clustering_error = DatasetRecord(
+            image_id="b", height=16, width=16, labels=np.array([1]),
+            proposals=boxes_to_array([Box(0, 0, 8, 8), Box(2, 2, 9, 9)]), scores=np.array([[0.5]]), gt_boxes=gt,
+        )
+        with pytest.raises(InputError) as caught:
+            compare_schemes(Dataset(records=[clustering_error, voting_error], num_classes=1))
+        assert str(caught.value) == "record 'a': accumulate: box (0, 0, 20, 20) exceeds the 16x16 image; clip first"
+        with pytest.raises(InputError) as caught:
+            compare_schemes(Dataset(records=[clustering_error], num_classes=1))
+        assert str(caught.value) == "record 'b': build_clusters: 1 score columns but 2 boxes"
+
 
 # Boxes of a 12x12 image drawn from a small pool, so labeled boxes often
 # equal a ground-truth box of their own class or of another.

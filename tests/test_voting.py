@@ -648,3 +648,159 @@ class TestPgmExport:
         path = tmp_path / "f.pgm"
         write_pgm(unit_map(data), path)
         assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 255, 0, 64])
+
+
+@st.composite
+def queue_batches(draw):
+    """One to six images for `add` and `queue` alike. Sides of 1-40 px,
+    now and then 250-300; 1-8 proposals whose sides come from small pools
+    holding 0 and the image's own sides, so edges tie and boxes lie on the
+    image's edge; scores from a small tie-heavy set, where 0.0, 0.0005 and
+    0.001 are not above t_score, so some classes have no candidate and
+    vote an all-zero map. Every image has 1-3 positive classes of 3."""
+    images = []
+    for _ in range(draw(st.integers(1, 6))):
+        sizes = st.one_of(st.integers(1, 40), st.integers(1, 40), st.integers(250, 300))
+        height, width = draw(sizes), draw(sizes)
+        ys = [0, height, *draw(st.lists(st.integers(0, height), max_size=2))]
+        xs = [0, width, *draw(st.lists(st.integers(0, width), max_size=2))]
+        boxes = []
+        for _ in range(draw(st.integers(1, 8))):
+            x0, x1 = sorted(draw(st.lists(st.sampled_from(xs), min_size=2, max_size=2, unique=True)))
+            y0, y1 = sorted(draw(st.lists(st.sampled_from(ys), min_size=2, max_size=2, unique=True)))
+            boxes.append((x0, y0, x1, y1))
+        levels = st.sampled_from([0.0, 0.0005, 0.001, 0.1, 0.2, 0.3, 0.6, 0.7])
+        phi = np.array(draw(st.lists(st.lists(levels, min_size=len(boxes), max_size=len(boxes)), min_size=3, max_size=3)))
+        classes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        images.append((phi, np.array(boxes, dtype=np.int64), sorted(classes), height, width))
+    return images
+
+
+def outcome(batch, method, image):
+    """What `method` does with one image: the error text, or None."""
+    try:
+        getattr(batch, method)(*image)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def same_supervisions(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.boxes.dtype == w.boxes.dtype == g.classes.dtype == w.classes.dtype == np.int64
+        assert g.boxes.shape == w.boxes.shape and g.boxes.tobytes() == w.boxes.tobytes()
+        assert g.classes.shape == w.classes.shape and g.classes.tobytes() == w.classes.tobytes()
+
+
+class TestQueue:
+    @given(
+        queue_batches(),
+        st.dictionaries(st.integers(0, 2), st.sampled_from([1e-20, 0.2, 0.25, 0.5, 0.75]), max_size=3),
+        st.sampled_from([1, 2_000, 20_000, voting.STACK_CELLS]),
+        st.sampled_from([1, 3_000, voting.BATCH_CELLS]),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_queued_votes_are_the_per_map_votes_byte_for_byte(self, images, t_b, stack_cells, batch_cells, via_queue):
+        """Queued images get `add`'s supervisions byte for byte, and every
+        queued map's binary grid and edges are those of `binarize` after
+        `normalize(accumulate_fast(...))`, whatever the cell budgets: a
+        budget of 1 or a few small maps splits the stacked passes. A t_b of
+        1e-20 binarizes the sub-ulp remainders that prefix sums leave past
+        a map's last cell, unless the pass zeroes them. A batch that takes
+        some images by `add` and some by `queue` keeps their order."""
+        config = VoteConfig(t_b_per_class=t_b)
+        with mock.patch.object(voting, "STACK_CELLS", stack_cells), mock.patch.object(voting, "BATCH_CELLS", batch_cells):
+            added, queued, mixed = VoteBatch(config), VoteBatch(config), VoteBatch(config)
+            for image, by_queue in zip(images, via_queue):
+                added.add(*image)
+                queued.queue(*image)
+                (mixed.queue if by_queue else mixed.add)(*image)
+            same_supervisions(queued.supervisions(), added.supervisions())
+            same_supervisions(mixed.supervisions(), added.supervisions())
+        with mock.patch.object(voting, "STACK_CELLS", stack_cells):
+            probe = VoteBatch(config)
+            for image in images:
+                probe.queue(*image)
+            passes = list(probe._vote_queued())
+        maps = [(phi, boxes, c, height, width) for phi, boxes, classes, height, width in images for c in classes]
+        assert sum(len(classes) for _, classes, _ in passes) == len(maps)
+        if stack_cells == 1:  # every map past the budget takes a pass alone
+            assert len(passes) == len(maps)
+        got = []
+        for image_ids, classes, (stack, y_edges, ey, x_edges, ex) in passes:
+            ys, xs = np.split(y_edges, np.cumsum(ey)[:-1]), np.split(x_edges, np.cumsum(ex)[:-1])
+            for m, (c, r, k, y, x) in enumerate(zip(classes.tolist(), ey.tolist(), ex.tolist(), ys, xs)):
+                grid = stack[m, : r - 1, : k - 1]
+                assert stack[m].sum() == grid.sum()  # False past the map's own cells
+                got.append((c, grid, y, x))
+        for (c, grid, y, x), (phi, boxes, want_c, height, width) in zip(got, maps, strict=True):
+            candidates = select_candidates(phi, boxes, want_c, config.t_score)
+            likelihood = normalize(accumulate_fast(candidates, boxes, phi[want_c], height, width))
+            want = binarize(likelihood, config.t_b_for(want_c))
+            assert c == want_c
+            assert grid.shape == want.shape and grid.tobytes() == want.tobytes()
+            assert y.tobytes() == likelihood.y_edges.tobytes() and x.tobytes() == likelihood.x_edges.tobytes()
+
+
+def bad_images():
+    """(name, image) pairs of an 8x8 image with classes 0 and 1, each bad
+    in one way; the candidate box (0, 0, 20, 20) lies past the image."""
+    boxes = np.array([[1, 1, 5, 5], [0, 0, 6, 6], [0, 0, 20, 20]], dtype=np.int64)
+    good = np.array([[0.9, 0.5, 0.0], [0.4, 0.8, 0.0]])
+
+    def scores(c, value, column=0):
+        phi = good.copy()
+        phi[c, column] = value
+        return phi
+
+    cases = [
+        ("no-positive-class", (good, boxes, [], 8, 8)),
+        ("missing-class-row", (good[:1], boxes, [0, 1], 8, 8)),
+        ("column-mismatch", (good, boxes[:2], [0, 1], 8, 8)),
+        ("empty-image", (good, boxes, [0, 1], 0, 8)),
+    ]
+    for c in (0, 1):
+        cases += [
+            (f"negative-score-class{c}", (scores(c, -0.5), boxes, [0, 1], 8, 8)),
+            (f"nan-score-class{c}", (scores(c, np.nan), boxes, [0, 1], 8, 8)),
+            (f"infinite-score-class{c}", (scores(c, np.inf), boxes, [0, 1], 8, 8)),
+            (f"sum-too-large-class{c}", (np.where(np.arange(2)[:, None] == c, 1e308, good), boxes, [0, 1], 8, 8)),
+            (f"box-past-image-class{c}", (scores(c, 0.3, column=2), boxes, [0, 1], 8, 8)),
+        ]
+    # Class 0's box past the image comes before class 1's infinite score, and the reverse.
+    both = scores(0, 0.3, column=2)
+    both[1, 0] = np.inf
+    cases.append(("box-class0-then-inf-class1", (both, boxes, [0, 1], 8, 8)))
+    both = scores(1, 0.3, column=2)
+    both[0, 0] = np.inf
+    cases.append(("inf-class0-then-box-class1", (both, boxes, [0, 1], 8, 8)))
+    return cases
+
+
+class TestQueueErrors:
+    @pytest.mark.parametrize("image", [image for _, image in bad_images()], ids=[name for name, _ in bad_images()])
+    def test_queue_raises_what_add_raises_and_leaves_the_batch_as_it_was(self, image):
+        """`queue` raises `add`'s error text on each bad input, or, where
+        `add` takes the image (scores that no candidate carries), takes it
+        too. After a failed call the batch is as it was: one good image
+        then gives exactly what a fresh batch gives."""
+        good = (np.array([[0.9, 0.0], [0.8, 0.0]]), np.array([[1, 1, 5, 5], [0, 0, 6, 6]], dtype=np.int64), [0, 1], 8, 8)
+        added, queued = VoteBatch(VoteConfig()), VoteBatch(VoteConfig())
+        want = outcome(added, "add", image)
+        assert outcome(queued, "queue", image) == want
+        for batch in (added, queued):
+            batch.add(*good)
+            fresh = VoteBatch(VoteConfig())
+            if want is None:
+                fresh.add(*image)
+            fresh.add(*good)
+            same_supervisions(batch.supervisions(), fresh.supervisions())
+
+    def test_the_first_failing_class_names_the_error(self):
+        errors = {name: outcome(VoteBatch(VoteConfig()), "queue", image) for name, image in bad_images()}
+        assert errors["box-class0-then-inf-class1"] == "accumulate: box (0, 0, 20, 20) exceeds the 8x8 image; clip first"
+        assert errors["inf-class0-then-box-class1"] == "accumulate: candidate scores must be finite and non-negative"
+        assert errors["sum-too-large-class1"] == "accumulate: candidate scores are too large to sum"
+        assert errors["nan-score-class0"] is None and errors["negative-score-class1"] is None
