@@ -152,16 +152,45 @@ def _check_accumulate_inputs(
         # prefix sum; sum <= max / 4 is that test, as scaling by 4 is exact.
         # The sum itself can overflow, so it is taken only when K * max,
         # which bounds it, does not settle the test.
-        if top * candidates.size > sys.float_info.max / 8:
+        if not _sum_fits(top, candidates.size):
             with np.errstate(over="ignore"):
                 if not picked.sum() <= sys.float_info.max / 4:
                     raise InputError("accumulate: candidate scores are too large to sum")
     arr = boxes[candidates]
-    outside = np.flatnonzero((arr[:, 2] > width) | (arr[:, 3] > height))
+    outside = _outside(arr, height, width)
     if outside.size:
         b = tuple(arr[outside[0]].tolist())
         raise InputError(f"accumulate: box {b} exceeds the {height}x{width} image; clip first")
     return picked, arr
+
+
+def _sum_fits(top: float, count: int) -> bool:
+    """Whether `count` scores of at most `top` sum, with room to spare,
+    within `_check_accumulate_inputs`' bound: K * max <= max / 8. False
+    for an infinite or NaN `top`."""
+    return top * count <= sys.float_info.max / 8
+
+
+def _outside(arr: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Rows of a (K, 4) box array that reach past a height x width image."""
+    return np.flatnonzero((arr[:, 2] > width) | (arr[:, 3] > height))
+
+
+def _check_classes(rows: np.ndarray, boxes: np.ndarray, t_score: float, height: int, width: int) -> None:
+    """`_check_accumulate_inputs` for the candidates of each class row of
+    one image, in order, unless its rules hold for the whole image at once,
+    so that none can fail. Candidates score above t_score > 0, so they are
+    non-negative, and they index `boxes`, whose length `_check_image` holds
+    to the score columns. Every class's top candidate score times its
+    candidate count is at most the largest entry times the entry count, so
+    `_sum_fits` of that rules out an infinite score and a too-large sum (a
+    NaN entry fails it). No box past the image puts no candidate box past
+    it."""
+    top = float(rows.max(initial=0.0))
+    if height > 0 and width > 0 and _sum_fits(top, rows.size) and not _outside(boxes, height, width).size:
+        return
+    for row in rows:
+        _check_accumulate_inputs(np.flatnonzero(row > t_score), boxes, row, height, width)
 
 
 def _cell_index(lo: np.ndarray, hi: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -443,23 +472,12 @@ class VoteBatch:
 
         Raises what `add` would raise on the same image: its image checks,
         then `accumulate_fast`'s checks of the first class that fails them,
-        and a failed queue leaves the batch as it was. A screen over the
-        whole image passes it when no check can fail; otherwise each class
-        runs the checks themselves.
+        and a failed queue leaves the batch as it was. `_check_classes`
+        passes the image at once when no class's check can fail.
         """
         _check_image(phi_bar, boxes, classes)
         rows = phi_bar[classes]
-        # Candidates score above t_score > 0, so only an infinite score or
-        # a too-large sum fails the score checks. Every class's top
-        # candidate score times its candidate count is at most the largest
-        # entry times the entry count, and within max / 8 that rules out
-        # both, as in `_check_accumulate_inputs` (NaN fails the screen).
-        # Every box inside the image puts every candidate box inside.
-        top = float(rows.max(initial=0.0)) * rows.size
-        right, bottom = boxes[:, 2:].max(axis=0, initial=0).tolist()
-        if not (height > 0 and width > 0 and top <= sys.float_info.max / 8 and right <= width and bottom <= height):
-            for c in classes:
-                _check_accumulate_inputs(np.flatnonzero(phi_bar[c] > self.config.t_score), boxes, phi_bar[c], height, width)
+        _check_classes(rows, boxes, self.config.t_score, height, width)
         t_b = [self.config.t_b_for(c) for c in classes]
         self._queued.append((self._images, classes, t_b, height, width, rows, rows > self.config.t_score, boxes))
         self._images += 1

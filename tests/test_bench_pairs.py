@@ -124,6 +124,21 @@ def test_the_environment_reads_the_variable_as_python_does(environ, compiles):
     assert env["numpy"] == np.__version__
 
 
+def test_stage_pairs_read_the_workload_table_without_importing_it(tmp_path):
+    worker = tmp_path / "worker.py"
+    worker.write_text(
+        'raise SystemExit("imported")\n'
+        'WORKLOADS = {\n'
+        '    # a comment\n'
+        '    "w": {"shards": 2, "generate": ["--images", "3"], "train": None},\n'
+        '}\n'
+    )
+    assert stage_pairs.workloads(worker) == {"w": {"shards": 2, "generate": ["--images", "3"], "train": None}}
+    worker.write_text("TABLE = {}\n")
+    with pytest.raises(SystemExit, match="assigns no WORKLOADS table"):
+        stage_pairs.workloads(worker)
+
+
 def stage(times, digest="d"):
     return {"times": times, "digest": digest}
 
@@ -161,18 +176,22 @@ def test_stage_pairs_flag_a_stage_whose_outputs_differ_in_any_round():
     assert list(summary) == ["v"]  # a stage only one side ran is left out
     assert not summary["v"]["identical"] and summary["v"]["wins"] == 0
     assert stage_pairs.row("v", summary["v"]) == (
-        "  v                                    1000.000 [1000.000, 1000.000] 1000.000 [1000.000, 1000.000]    +0.0%"
+        "  v                                      1000.000 [1000.000, 1000.000] 1000.000 [1000.000, 1000.000]    +0.0%"
         "  0/2    no   NO"
     )
     assert stage_pairs.HEADING.endswith(", wins, gap>IQR, identical")
 
 
 def test_stage_pairs_run_every_stage_of_every_workload_on_its_own_inputs():
-    names = [name for workload, _, train in stage_pairs.WORKLOADS for name, _ in stage_pairs.stages(workload, train)]
+    """The stages follow the benchmark's own workload table, read from
+    perfbench/worker.py: every workload, trained or not."""
+    table = stage_pairs.workloads(SCRIPT.parent.parent / "perfbench" / "worker.py")
+    names = [name for workload, spec in table.items() for name, _ in stage_pairs.stages(workload, spec["train"])]
     assert names == [
         "baseline/train", "baseline/vote", "baseline/compare-schemes", "baseline/compare-schemes-scorer",
-        "baseline/evaluate", "dense/train", "dense/vote", "dense/compare-schemes", "dense/compare-schemes-scorer",
-        "dense/evaluate", "large_canvas/vote", "large_canvas/compare-schemes",
+        "baseline/evaluate", "dense_proposals/train", "dense_proposals/vote", "dense_proposals/compare-schemes",
+        "dense_proposals/compare-schemes-scorer", "dense_proposals/evaluate", "large_canvas/vote",
+        "large_canvas/compare-schemes",
     ]
     argv = dict(stage_pairs.stages("baseline", ["--iterations", "6"]))
     assert argv["baseline/train"] == ["train", "baseline/data/dataset.jsonl", "--iterations", "6", "--emit-detections"]

@@ -743,6 +743,21 @@ class TestQueue:
             assert grid.shape == want.shape and grid.tobytes() == want.tobytes()
             assert y.tobytes() == likelihood.y_edges.tobytes() and x.tobytes() == likelihood.x_edges.tobytes()
 
+    def test_corner_deposits_add_up_in_the_one_map_order(self):
+        """Box 0 ends where boxes 1 and 2 start, so one corner cell takes
+        box 0's top-right -0.1 and the top-left +0.7 and +0.2 of boxes 1
+        and 2. Top-left corners first, (0.7 + 0.2) - 0.1, leaves an exact 0
+        past x = 4; top-right first, (-0.1 + 0.7) + 0.2, leaves a sub-ulp
+        remainder there that a t_b of 1e-20 votes as far as x = 8."""
+        boxes = np.array([[0, 0, 2, 2], [2, 0, 4, 2], [2, 0, 4, 2]], dtype=np.int64)
+        image = (np.array([[0.1, 0.7, 0.2]]), boxes, [0], 2, 8)
+        config = VoteConfig(t_b_default=1e-20)
+        added, queued = VoteBatch(config), VoteBatch(config)
+        added.add(*image)
+        queued.queue(*image)
+        same_supervisions(queued.supervisions(), added.supervisions())
+        assert queued.supervisions()[0].boxes.tolist() == [[0, 0, 4, 2]]
+
 
 def bad_images():
     """(name, image) pairs of an 8x8 image with classes 0 and 1, each bad
@@ -776,6 +791,11 @@ def bad_images():
     both = scores(1, 0.3, column=2)
     both[0, 0] = np.inf
     cases.append(("inf-class0-then-box-class1", (both, boxes, [0, 1], 8, 8)))
+    # A NaN entry makes the rows' maximum NaN, which must not hide the
+    # infinite score; every box lies inside the image.
+    both = scores(1, np.nan)
+    both[1, 1] = np.inf
+    cases.append(("nan-beside-inf-class1", (both[:, :2], boxes[:2], [0, 1], 8, 8)))
     return cases
 
 
@@ -804,3 +824,4 @@ class TestQueueErrors:
         assert errors["inf-class0-then-box-class1"] == "accumulate: candidate scores must be finite and non-negative"
         assert errors["sum-too-large-class1"] == "accumulate: candidate scores are too large to sum"
         assert errors["nan-score-class0"] is None and errors["negative-score-class1"] is None
+        assert errors["nan-beside-inf-class1"] == "accumulate: candidate scores must be finite and non-negative"

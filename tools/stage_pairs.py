@@ -7,14 +7,14 @@ archive` copies in DIR/parent and DIR/change, names of the same length.
 Each round then starts one subprocess per side, the parent first in even
 rounds and the change first in odd ones. The subprocess imports that
 copy's `slv.cli`, makes its inputs with that copy's `generate` (one
-baseline shard, one dense_proposals shard and one large_canvas image, the
-shapes of `perfbench/worker.py`'s workloads at shard seed 0) and times
-each CLI stage through `slv.cli.main`:
+shard of each workload in the `WORKLOADS` table of that copy's
+`perfbench/worker.py`, read as a literal and not imported, at shard seed
+0) and times each CLI stage through `slv.cli.main`:
 - `train --emit-detections`, `vote --scorer --emit-heatmaps`,
   `compare-schemes` without and with `--scorer`, and `evaluate`, on the
-  two shards;
-- `vote --emit-heatmaps` and `compare-schemes` on the large_canvas image,
-  which the benchmark never trains.
+  shards of workloads that train (baseline and dense_proposals);
+- `vote --emit-heatmaps` and `compare-schemes` on the others
+  (large_canvas), which the benchmark never trains.
 
 A stage runs RUNS times in a row, its `--out` removed before each run, and
 the round keeps the fastest. Per stage the summary prints the median of
@@ -38,6 +38,7 @@ stands in for the benchmark's own reading or claim rule.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -50,16 +51,15 @@ from pathlib import Path
 
 from bench_pairs import SIDES, extract, summarize
 
-# (workload, generate arguments, train arguments or None), as in perfbench/worker.py.
-WORKLOADS = (
-    ("baseline", ["--images", "16", "--size", "96", "--proposals", "40", "--objects", "2"], ["--iterations", "6", "--ramp", "3"]),
-    ("dense", ["--images", "5", "--size", "64", "--proposals", "300", "--objects", "3"], ["--iterations", "3", "--ramp", "2"]),
-    (
-        "large_canvas",
-        ["--images", "1", "--size", "1200", "--proposals", "1000", "--objects", "4", "--classes", "1", "--jitter", "0.02"],
-        None,
-    ),
-)
+
+def workloads(worker: Path) -> dict[str, dict]:
+    """The `WORKLOADS` table of a `perfbench/worker.py`, by name, each with
+    its `generate` and `train` (or None) arguments: the assignment's value
+    read with `ast.literal_eval`, so the module is never imported."""
+    for node in ast.parse(worker.read_text()).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"stage_pairs: {worker} assigns no WORKLOADS table")
 
 
 def stages(workload: str, train: list[str] | None) -> list[tuple[str, list[str]]]:
@@ -89,11 +89,12 @@ def digest(out: Path) -> str:
     return h.hexdigest()
 
 
-def time_stages(runs: int) -> dict:
+def time_stages(runs: int, worker: str) -> dict:
     """Run in the side's work directory, with the copy's `src` first on
-    the import path: the file of the `slv.cli` it imported, and per stage
-    the `runs` times in seconds and the digest of its last run's output,
-    each stage writing to the directory of its name."""
+    the import path and `worker` its `perfbench/worker.py`: the file of
+    the `slv.cli` it imported, and per stage the `runs` times in seconds
+    and the digest of its last run's output, each stage writing to the
+    directory of its name."""
     import slv.cli
 
     def cli(argv: list[str]) -> None:
@@ -103,9 +104,9 @@ def time_stages(runs: int) -> dict:
             raise SystemExit(f"stage_pairs: slv {' '.join(argv)} exited {code}")
 
     out: dict[str, dict] = {}
-    for workload, generate, train in WORKLOADS:
-        cli(["--out", f"{workload}/data", "generate", *generate])
-        for name, argv in stages(workload, train):
+    for workload, spec in workloads(Path(worker)).items():
+        cli(["--out", f"{workload}/data", "generate", *spec["generate"]])
+        for name, argv in stages(workload, spec["train"]):
             target = Path(name)
             times = []
             for _ in range(runs):
@@ -142,7 +143,7 @@ def row(name: str, s: dict) -> str:
     """The printed line of one stage's `summarize_stages` entry."""
     p, c = s["parent"], s["change"]
     return (
-        f"  {name:<36} {1e3 * p['median']:>8.3f} [{1e3 * p['q1']:.3f}, {1e3 * p['q3']:.3f}]"
+        f"  {name:<38} {1e3 * p['median']:>8.3f} [{1e3 * p['q1']:.3f}, {1e3 * p['q3']:.3f}]"
         f" {1e3 * c['median']:>8.3f} [{1e3 * c['q1']:.3f}, {1e3 * c['q3']:.3f}] {s['change_pct']:>+7.1f}%"
         f" {s['wins']:>2}/{s['pairs']:<2} {'yes' if s['gap_exceeds_iqr'] else 'no':>4}"
         f" {'yes' if s['identical'] else 'NO':>4}"
@@ -157,7 +158,7 @@ def run_side(tool: Path, checkout: Path, runs: int) -> dict:
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     code = f"import sys; sys.path[:0] = [{str(checkout / 'src')!r}, {str(tool.parent)!r}]; " \
-        f"import json, stage_pairs; print(json.dumps(stage_pairs.time_stages({runs})))"
+        f"import json, stage_pairs; print(json.dumps(stage_pairs.time_stages({runs}, {str(checkout / 'perfbench' / 'worker.py')!r})))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=work, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"stage_pairs: the {checkout.name} side failed with exit code {proc.returncode}")
