@@ -4,12 +4,13 @@
 
 Extracts the two revisions as `tools/bench_pairs.py` does: fresh `git
 archive` copies in DIR/parent and DIR/change, names of the same length.
-Each round then starts one subprocess per side, the parent first in even
-rounds and the change first in odd ones. The subprocess imports that
-copy's `slv.cli`, makes its inputs with that copy's `generate` (one
-shard of each workload in the `WORKLOADS` table of that copy's
-`perfbench/worker.py`, read as a literal and not imported, at shard seed
-0) and times each CLI stage through `slv.cli.main`:
+Each round then runs each side, the parent first in even rounds and the
+change first in odd ones. A side starts one subprocess per workload of the
+`WORKLOADS` table of that copy's `perfbench/worker.py` (read as a literal,
+not imported), as the benchmark starts one worker per workload. The
+subprocess imports that copy's `slv.cli`, makes one shard of the
+workload with that copy's `generate` at shard seed 0, and times each CLI
+stage through `slv.cli.main`:
 - `train --emit-detections`, `vote --scorer --emit-heatmaps`,
   `compare-schemes` without and with `--scorer`, and `evaluate`, on the
   shards of workloads that train (baseline and dense_proposals);
@@ -89,12 +90,12 @@ def digest(out: Path) -> str:
     return h.hexdigest()
 
 
-def time_stages(runs: int, worker: str) -> dict:
+def time_stages(runs: int, workload: str, spec: dict) -> dict:
     """Run in the side's work directory, with the copy's `src` first on
-    the import path and `worker` its `perfbench/worker.py`: the file of
-    the `slv.cli` it imported, and per stage the `runs` times in seconds
-    and the digest of its last run's output, each stage writing to the
-    directory of its name."""
+    the import path, for one workload of its `workloads` table: the file
+    of the `slv.cli` it imported, and per stage the `runs` times in
+    seconds and the digest of its last run's output, each stage writing
+    to the directory of its name."""
     import slv.cli
 
     def cli(argv: list[str]) -> None:
@@ -104,17 +105,16 @@ def time_stages(runs: int, worker: str) -> dict:
             raise SystemExit(f"stage_pairs: slv {' '.join(argv)} exited {code}")
 
     out: dict[str, dict] = {}
-    for workload, spec in workloads(Path(worker)).items():
-        cli(["--out", f"{workload}/data", "generate", *spec["generate"]])
-        for name, argv in stages(workload, spec["train"]):
-            target = Path(name)
-            times = []
-            for _ in range(runs):
-                shutil.rmtree(target, ignore_errors=True)
-                start = time.perf_counter()
-                cli(["--out", str(target), *argv])
-                times.append(time.perf_counter() - start)
-            out[name] = {"times": times, "digest": digest(target)}
+    cli(["--out", f"{workload}/data", "generate", *spec["generate"]])
+    for name, argv in stages(workload, spec["train"]):
+        target = Path(name)
+        times = []
+        for _ in range(runs):
+            shutil.rmtree(target, ignore_errors=True)
+            start = time.perf_counter()
+            cli(["--out", str(target), *argv])
+            times.append(time.perf_counter() - start)
+        out[name] = {"times": times, "digest": digest(target)}
     return {"module": slv.cli.__file__, "stages": out}
 
 
@@ -152,20 +152,25 @@ def row(name: str, s: dict) -> str:
 
 def run_side(tool: Path, checkout: Path, runs: int) -> dict:
     """One round of one side: the stages of `time_stages` in a fresh work
-    directory of the copy, in a subprocess that imports the copy's
-    package. A stage that fails ends the tool with exit code 1."""
+    directory of the copy, one subprocess per workload, as the benchmark
+    runs one worker per workload, so no workload's stages run on the heap
+    another's left. Each subprocess imports the copy's package. A stage
+    that fails ends the tool with exit code 1."""
     work = checkout / ".stage_work"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
-    code = f"import sys; sys.path[:0] = [{str(checkout / 'src')!r}, {str(tool.parent)!r}]; " \
-        f"import json, stage_pairs; print(json.dumps(stage_pairs.time_stages({runs}, {str(checkout / 'perfbench' / 'worker.py')!r})))"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=work, stdout=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"stage_pairs: the {checkout.name} side failed with exit code {proc.returncode}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not Path(result["module"]).is_relative_to(checkout):
-        raise SystemExit(f"stage_pairs: the {checkout.name} side imported slv from {result['module']}")
-    return result["stages"]
+    out: dict[str, dict] = {}
+    for workload, spec in workloads(checkout / "perfbench" / "worker.py").items():
+        code = f"import sys; sys.path[:0] = [{str(checkout / 'src')!r}, {str(tool.parent)!r}]; " \
+            f"import json, stage_pairs; print(json.dumps(stage_pairs.time_stages({runs}, {workload!r}, {spec!r})))"
+        proc = subprocess.run([sys.executable, "-c", code], cwd=work, stdout=subprocess.PIPE, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"stage_pairs: the {checkout.name} side failed with exit code {proc.returncode}")
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        if not Path(result["module"]).is_relative_to(checkout):
+            raise SystemExit(f"stage_pairs: the {checkout.name} side imported slv from {result['module']}")
+        out.update(result["stages"])
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
