@@ -306,6 +306,16 @@ def cluster_records(scores: np.ndarray, boxes: np.ndarray, labels: np.ndarray, a
     )
 
 
+def _check_clusters(scores: np.ndarray, boxes: np.ndarray, pos: list[int]) -> None:
+    """`build_clusters`' checks of one record whose positive classes are `pos`."""
+    if not pos:
+        raise InputError("build_clusters: image has no positive class")
+    if scores.shape[1] != len(boxes):
+        raise InputError(f"build_clusters: {scores.shape[1]} score columns but {len(boxes)} boxes")
+    if len(scores) < max(pos) + 1:
+        raise InputError("build_clusters: score matrix has no row for some positive class")
+
+
 def build_clusters(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> ClusterSet:
     """Greedy proposal clustering around high-scoring centers.
 
@@ -316,25 +326,45 @@ def build_clusters(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Clus
     Leftover proposals form the background cluster, each weighted by one
     minus its best positive-class score.
 
-    A one-record `cluster_records` call.
+    Takes one record, a (C', N) score matrix, (N, 4) boxes and a (C,)
+    label vector, or a stack of R records: (R, C', N), (R, N, 4) and
+    (R, C). A stack gives one set over its R·N proposals, proposal i of
+    record r at flat index r·N + i: record by record, the clusters,
+    background and weights of each record's own call. A stack raises the
+    error of the first record whose own call raises. One `cluster_records`
+    call.
     """
-    pos = positive_classes(y)
-    if not pos:
-        raise InputError("build_clusters: image has no positive class")
-    num = len(boxes)
-    if scores.shape[1] != num:
-        raise InputError(f"build_clusters: {scores.shape[1]} score columns but {num} boxes")
-    if len(scores) < max(pos) + 1:
-        raise InputError("build_clusters: score matrix has no row for some positive class")
-    mask = (np.asarray(y) == 1)[None, : len(scores)]
-    batch = cluster_records(scores[None], np.asarray(boxes)[None], mask)
+    scores, boxes, y = np.asarray(scores), np.asarray(boxes), np.asarray(y)
+    if boxes.ndim == 2:
+        _check_clusters(scores, boxes, positive_classes(y))
+        scores, boxes, y = scores[None], boxes[None], y[None]
+    elif not len(scores) == len(boxes) == len(y):
+        raise InputError(f"build_clusters: {len(scores)} score matrices, {len(boxes)} box arrays, {len(y)} labels")
+    else:
+        # The checks on the whole stack; only a stack that fails them is
+        # checked record by record, to raise the first failing record's error.
+        ones = y == 1
+        if not (
+            (ones | (y == 0)).all() and ones.any(axis=1).all() and scores.shape[2] == boxes.shape[1]
+            and not ones[:, scores.shape[1] :].any()
+        ):
+            for s, b, labels in zip(scores, boxes, y):
+                _check_clusters(s, b, positive_classes(labels))
+    num = boxes.shape[1]
+    batch = cluster_records(scores, boxes, (y == 1)[:, : scores.shape[1]])
     ends = np.cumsum(batch.sizes).tolist()
-    members = batch.members.tolist()
-    clusters = tuple(
+    members = (batch.members + num * np.repeat(batch.record, batch.sizes)).tolist()
+    clusters = [
         Cluster(label=c, members=tuple(members[a:b]), score=s)
         for c, s, a, b in zip(batch.label.tolist(), batch.score.tolist(), [0, *ends], ends)
+    ]
+    background = batch.background + num * batch.background_record
+    return ClusterSet(
+        tuple(clusters[k] for k in np.argsort(batch.record, kind="stable").tolist()),
+        tuple(background.tolist()),
+        batch.background_weights,
+        len(boxes) * num,
     )
-    return ClusterSet(clusters, tuple(batch.background.tolist()), batch.background_weights, num)
 
 
 def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray, np.ndarray]:

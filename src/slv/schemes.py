@@ -12,7 +12,7 @@ import numpy as np
 from .datasets import Dataset, DatasetRecord
 from .errors import InputError
 from .geometry import iou_matrix
-from .mil import build_clusters, positive_classes
+from .mil import _check_clusters, build_clusters, positive_classes
 from .trainer import ToyScorer, missing_scores, vote_scores
 from .voting import Supervision, VoteBatch, VoteConfig, generate_supervision
 
@@ -21,6 +21,7 @@ SCHEME_CLUSTERING = "clustering"
 SCHEME_SLV = "slv"
 ALL_SCHEMES = (SCHEME_CLUSTERING, SCHEME_CONVENTIONAL, SCHEME_SLV)  # report order
 _LABELED = (SCHEME_CONVENTIONAL, SCHEME_CLUSTERING, SCHEME_SLV)  # labeling order
+CLUSTER_CELLS = 1 << 14  # the most proposals, over all its records, one `label_clustering` call takes
 
 
 def label_conventional(scores: np.ndarray, boxes: np.ndarray, classes: list[int]) -> Supervision:
@@ -31,12 +32,29 @@ def label_conventional(scores: np.ndarray, boxes: np.ndarray, classes: list[int]
     return Supervision(boxes[scores[classes].argmax(axis=1)], classes)
 
 
-def label_clustering(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Supervision:
-    """Highest-scoring proposal of every foreground cluster; the clusters
-    come by class, then in seeding order."""
-    clusters = build_clusters(scores, boxes, y).clusters
-    best = [min(c.members, key=lambda r: (-scores[c.label, r], r)) for c in clusters]
-    return Supervision(boxes[best], np.array([c.label for c in clusters], dtype=np.int64))
+def label_clustering(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Supervision | list[Supervision]:
+    """Highest-scoring proposal of every foreground cluster, the lowest
+    index among equals; the clusters come by class, then in seeding order.
+
+    Takes one record's `build_clusters` arguments and gives its
+    Supervision, or a stack of R records' and gives one Supervision per
+    record, from one `build_clusters` call. One `np.lexsort` over (member,
+    -score, cluster) puts each cluster's best member first.
+    """
+    found = build_clusters(scores, boxes, y).clusters
+    one = boxes.ndim == 2
+    scores, boxes = (scores[None], boxes[None]) if one else (scores, boxes)
+    sizes = np.array([len(c.members) for c in found], dtype=np.int64)
+    labels = np.array([c.label for c in found], dtype=np.int64)
+    members = np.array([m for c in found for m in c.members], dtype=np.int64)
+    cluster = np.repeat(np.arange(len(found)), sizes)
+    record, index = np.divmod(members, boxes.shape[1])
+    order = np.lexsort((members, -scores[record, labels[cluster], index], cluster))
+    best = order[np.cumsum(sizes) - sizes]  # each cluster's first entry in that order
+    ends = np.cumsum(np.bincount(record[best], minlength=len(boxes)))[:-1]
+    picked = boxes.reshape(-1, 4)[members[best]]
+    sups = [Supervision(b, c) for b, c in zip(np.split(picked, ends), np.split(labels, ends))]
+    return sups[0] if one else sups
 
 
 def label_slv(scores: np.ndarray, record: DatasetRecord, config: VoteConfig) -> Supervision:
@@ -84,16 +102,21 @@ def compare_schemes(
     Every scheme labels a record from its `trainer.vote_scores` matrix;
     the SLV scheme queues every record on one `VoteBatch`, so all the
     stage's maps are voted in stacked passes, byte-identical to
-    `label_slv`. Every labeled box is matched against the ground-truth
-    boxes of its class in its image; the statistic is the mean of those
-    best IoUs, per class and overall. Requires ground truth and scores on
-    every record; an error names the first record in id order that fails,
-    as `queue` checks a record when it takes it.
+    `label_slv`. The clustering scheme labels the records that share a
+    score-row count, proposal count and label length as stacks, in
+    `label_clustering` calls of at most CLUSTER_CELLS proposals each; each
+    record gets the labels of its own call. Every
+    labeled box is matched against the ground-truth boxes of its class in
+    its image; the statistic is the mean of those best IoUs, per class and
+    overall. Requires ground truth and scores on every record; an error
+    names the first record in id order that fails, as each record's
+    labeling, clustering and `queue` checks run when the loop reaches it.
     """
     vote_config = vote_config or VoteConfig()
     records = dataset.in_id_order()
     matrices, errors = vote_scores(records, scorer)
-    labeled: list[tuple[Supervision, Supervision]] = []
+    conventional: list[Supervision] = []
+    groups: dict[tuple, list[int]] = {}  # record indices by (score rows, proposals, labels)
     batch = VoteBatch(vote_config)
     for i, (record, scores) in enumerate(zip(records, matrices)):
         if not record.gt_boxes:
@@ -104,18 +127,29 @@ def compare_schemes(
             raise InputError(f"record {record.image_id!r} {missing_scores(scorer)}")
         try:
             positive = positive_classes(record.labels)
-            labeled.append((
-                label_conventional(scores, record.proposals, positive),
-                label_clustering(scores, record.proposals, record.labels),
-            ))
+            conventional.append(label_conventional(scores, record.proposals, positive))
+            _check_clusters(scores, record.proposals, positive)
             batch.queue(scores, record.proposals, positive, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None
+        groups.setdefault((*scores.shape, len(record.labels)), []).append(i)
+    clustering: list[Supervision | None] = [None] * len(records)
+    for (_, num, _), members in groups.items():
+        step = max(1, CLUSTER_CELLS // max(num, 1))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            sups = label_clustering(
+                np.stack([matrices[i] for i in chunk]),
+                np.stack([records[i].proposals for i in chunk]),
+                np.stack([records[i].labels for i in chunk]),
+            )
+            for i, sup in zip(chunk, sups):
+                clustering[i] = sup
     # Every labeled box, record by record in _LABELED order, against its
     # record's ground truth padded with unit boxes of class -1 to the widest
     # record, in one IoU matrix: each box's best IoU with the ground truth of
     # its own class, -1 when its class has none.
-    sups = [s for pair, voted in zip(labeled, batch.supervisions()) for s in (*pair, voted)]
+    sups = [s for labeled in zip(conventional, clustering, batch.supervisions()) for s in labeled]
     sizes = [len(s.classes) for s in sups]
     owner = np.repeat(np.arange(len(sups)) // len(_LABELED), sizes)
     gt, gt_classes = _ground_truth_stacks(records)
@@ -124,7 +158,7 @@ def compare_schemes(
     overlaps = iou_matrix(boxes[:, None], gt[owner])[:, 0]
     best = np.where(classes[:, None] == gt_classes[owner], overlaps, -1.0).max(axis=1, initial=-1.0)
     ious: dict[str, dict[int, list[float]]] = {name: {} for name in ALL_SCHEMES}
-    names = np.repeat(_LABELED * len(labeled), sizes).tolist()
+    names = np.repeat(_LABELED * len(records), sizes).tolist()
     for name, c, value in zip(names, classes.tolist(), best.tolist()):
         if value >= 0.0:
             ious[name].setdefault(c, []).append(value)

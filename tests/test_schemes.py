@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slv.schemes
 from slv.datasets import Dataset, DatasetRecord
 from slv.errors import InputError
 from slv.geometry import Box, boxes_to_array
@@ -16,9 +17,10 @@ from slv.schemes import (
     label_conventional,
 )
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
+from slv.trainer import ToyScorer, vote_scores
 from slv.voting import VoteConfig
 
-from helpers import by_class, scalar_compare_schemes
+from helpers import by_class, greedy_clusters, scalar_compare_schemes
 
 
 def stats_by_name(stats):
@@ -120,6 +122,60 @@ class TestCompareSchemes:
         with pytest.raises(InputError) as caught:
             compare_schemes(Dataset(records=[clustering_error], num_classes=1))
         assert str(caught.value) == "record 'b': build_clusters: 1 score columns but 2 boxes"
+
+    def test_a_clustering_error_names_its_record_before_a_later_vote_error(self):
+        """The mirror: record 'a' has a score column too few to cluster and
+        record 'b' votes a box past its image. Clustering is grouped after
+        the loop, but its checks run when the loop reaches 'a', before 'b'
+        is queued."""
+        gt = {0: boxes_to_array([Box(0, 0, 8, 8)])}
+        clustering_error = DatasetRecord(
+            image_id="a", height=16, width=16, labels=np.array([1]),
+            proposals=boxes_to_array([Box(0, 0, 8, 8), Box(2, 2, 9, 9)]), scores=np.array([[0.5]]), gt_boxes=gt,
+        )
+        voting_error = DatasetRecord(
+            image_id="b", height=16, width=16, labels=np.array([1]),
+            proposals=boxes_to_array([Box(0, 0, 8, 8), Box(0, 0, 20, 20)]), scores=np.array([[0.5, 0.5]]), gt_boxes=gt,
+        )
+        with pytest.raises(InputError) as caught:
+            compare_schemes(Dataset(records=[voting_error, clustering_error], num_classes=1))
+        assert str(caught.value) == "record 'a': build_clusters: 1 score columns but 2 boxes"
+
+    def test_one_proposal_count_with_two_score_row_counts_makes_two_groups(self, monkeypatch):
+        """Record 'a' votes on a scorer's C + 1 refinement rows through its
+        features, record 'b' of the same proposal count on its C embedded
+        rows. They cluster in two calls, each record as `greedy_clusters`
+        clusters its own matrix."""
+        rng = np.random.default_rng(0)
+        boxes = boxes_to_array([Box(0, 0, 8, 8), Box(0, 0, 8, 6), Box(6, 6, 14, 14)])
+        gt = {0: boxes_to_array([Box(0, 0, 8, 8)])}
+        records = [
+            DatasetRecord(
+                image_id="a", height=16, width=16, labels=np.array([1]), proposals=boxes,
+                features=rng.standard_normal((3, 2)), gt_boxes=gt,
+            ),
+            DatasetRecord(
+                image_id="b", height=16, width=16, labels=np.array([1]), proposals=boxes,
+                scores=np.array([[0.7, 0.9, 0.8]]), gt_boxes=gt,
+            ),
+        ]
+        scorer = ToyScorer.initialize(1, 2, rng)
+        calls = []
+
+        def spy(scores, boxes, y):
+            calls.append((scores, label_clustering(scores, boxes, y)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(slv.schemes, "label_clustering", spy)
+        compare_schemes(Dataset(records=records, num_classes=1, feature_dim=2), scorer=scorer)
+        assert [scores.shape for scores, _ in calls] == [(1, 2, 3), (1, 1, 3)]
+        matrices, _ = vote_scores(records, scorer)
+        for (scores, (sup,)), matrix, record in zip(calls, matrices, records):
+            assert np.array_equal(scores[0], matrix)
+            clusters = greedy_clusters(matrix, [Box(*b) for b in boxes.tolist()], record.labels).clusters
+            best = [min(c.members, key=lambda i: (-matrix[c.label, i], i)) for c in clusters]
+            assert sup.boxes.tolist() == boxes[best].tolist()
+            assert sup.classes.tolist() == [c.label for c in clusters]
 
 
 # Boxes of a 12x12 image drawn from a small pool, so labeled boxes often
