@@ -51,9 +51,9 @@ def label_clustering(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Su
     record, index = np.divmod(members, boxes.shape[1])
     order = np.lexsort((members, -scores[record, labels[cluster], index], cluster))
     best = order[np.cumsum(sizes) - sizes]  # each cluster's first entry in that order
-    ends = np.cumsum(np.bincount(record[best], minlength=len(boxes)))[:-1]
+    ends = np.cumsum(np.bincount(record[best], minlength=len(boxes))).tolist()
     picked = boxes.reshape(-1, 4)[members[best]]
-    sups = [Supervision(b, c) for b, c in zip(np.split(picked, ends), np.split(labels, ends))]
+    sups = [Supervision(picked[a:b], labels[a:b]) for a, b in zip([0, *ends], ends)]
     return sups[0] if one else sups
 
 

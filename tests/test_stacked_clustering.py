@@ -182,6 +182,14 @@ def test_the_tracer_counts_every_records_clusters(tmp_path, budget, calls):
     assert tracer.leftover_wrappers() == []
 
 
+def _clusters_ok(scores, boxes, y) -> bool:
+    try:
+        build_clusters(scores, boxes, y)
+    except InputError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("rows, labels, num_boxes", [
     (2, [[1, 0], [0, 0], [2, 1]], 3),  # record 1 has no positive class
     (2, [[1, 0], [1, 2], [0, 0]], 3),  # record 1's label is not 0/1
@@ -197,14 +205,6 @@ def test_a_stack_raises_the_error_of_its_first_failing_record(rows, labels, num_
     with pytest.raises(InputError) as got:
         build_clusters(scores, boxes, labels)
     assert str(got.value) == str(want.value)
-
-
-def _clusters_ok(scores, boxes, y) -> bool:
-    try:
-        build_clusters(scores, boxes, y)
-    except InputError:
-        return False
-    return True
 
 
 def test_a_stack_of_unequal_lengths_is_refused():
