@@ -287,6 +287,14 @@ def greedy_clusters(scores, boxes, y) -> ClusterSet:
     return ClusterSet(tuple(clusters), background, np.array(weights), len(boxes))
 
 
+def greedy_labels(scores, boxes, y) -> Supervision:
+    """label_clustering from `greedy_clusters` on one record's (N, 4) box
+    array, each cluster's best member by a scalar `min` over (-score, index)."""
+    clusters = greedy_clusters(scores, [Box(*b) for b in boxes.tolist()], y).clusters
+    best = [min(c.members, key=lambda i: (-scores[c.label, i], i)) for c in clusters]
+    return Supervision(boxes[best].reshape(-1, 4), np.array([c.label for c in clusters], dtype=np.int64))
+
+
 def matched_targets(boxes, sup, num_classes) -> ProposalTargets:
     """assign_targets by a per-proposal loop over the voted boxes."""
     lo, hi = BG_IOU_RANGE

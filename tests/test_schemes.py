@@ -20,7 +20,7 @@ from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.trainer import ToyScorer, vote_scores
 from slv.voting import VoteConfig
 
-from helpers import by_class, greedy_clusters, scalar_compare_schemes
+from helpers import by_class, greedy_labels, scalar_compare_schemes
 
 
 def stats_by_name(stats):
@@ -144,8 +144,8 @@ class TestCompareSchemes:
     def test_one_proposal_count_with_two_score_row_counts_makes_two_groups(self, monkeypatch):
         """Record 'a' votes on a scorer's C + 1 refinement rows through its
         features, record 'b' of the same proposal count on its C embedded
-        rows. They cluster in two calls, each record as `greedy_clusters`
-        clusters its own matrix."""
+        rows. They cluster in two calls, and each record gets the labels
+        that `greedy_clusters` gives its own matrix."""
         rng = np.random.default_rng(0)
         boxes = boxes_to_array([Box(0, 0, 8, 8), Box(0, 0, 8, 6), Box(6, 6, 14, 14)])
         gt = {0: boxes_to_array([Box(0, 0, 8, 8)])}
@@ -172,10 +172,8 @@ class TestCompareSchemes:
         matrices, _ = vote_scores(records, scorer)
         for (scores, (sup,)), matrix, record in zip(calls, matrices, records):
             assert np.array_equal(scores[0], matrix)
-            clusters = greedy_clusters(matrix, [Box(*b) for b in boxes.tolist()], record.labels).clusters
-            best = [min(c.members, key=lambda i: (-matrix[c.label, i], i)) for c in clusters]
-            assert sup.boxes.tolist() == boxes[best].tolist()
-            assert sup.classes.tolist() == [c.label for c in clusters]
+            want = greedy_labels(matrix, boxes, record.labels)
+            assert np.array_equal(sup.boxes, want.boxes) and np.array_equal(sup.classes, want.classes)
 
 
 # Boxes of a 12x12 image drawn from a small pool, so labeled boxes often

@@ -25,7 +25,7 @@ from slv.schemes import compare_schemes, label_clustering
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.voting import Supervision, VoteConfig
 
-from helpers import TIE_BOXES, greedy_clusters, scalar_compare_schemes
+from helpers import TIE_BOXES, greedy_clusters, greedy_labels, scalar_compare_schemes
 from test_batched_refinement import BELOW_FLOOR, SCORES, assert_same_clusters, small_boxes
 from test_tracer_layers import load_tracer
 
@@ -39,14 +39,6 @@ def record_set(found: ClusterSet, r: int, num: int) -> ClusterSet:
     )
     keep = [k for k, b in enumerate(found.background) if lo <= b < hi]
     return ClusterSet(clusters, tuple(found.background[k] - lo for k in keep), found.background_weights[keep], num)
-
-
-def oracle_labels(scores, boxes, y) -> Supervision:
-    """label_clustering from `greedy_clusters`, each cluster's best member
-    by a scalar `min` over (-score, index)."""
-    clusters = greedy_clusters(scores, [Box(*b) for b in boxes.tolist()], y).clusters
-    best = [min(c.members, key=lambda i: (-scores[c.label, i], i)) for c in clusters]
-    return Supervision(boxes[best].reshape(-1, 4), np.array([c.label for c in clusters], dtype=np.int64))
 
 
 def assert_same_labels(got: Supervision, want: Supervision):
@@ -94,7 +86,7 @@ def test_a_stack_clusters_and_labels_each_record_as_its_own_call(inputs):
         assert_same_clusters(part, own)
         assert_same_clusters(own, greedy_clusters(scores[r], [Box(*b) for b in boxes[r].tolist()], labels[r]))
         assert_same_labels(sup, label_clustering(scores[r], boxes[r], labels[r]))
-        assert_same_labels(sup, oracle_labels(scores[r], boxes[r], labels[r]))
+        assert_same_labels(sup, greedy_labels(scores[r], boxes[r], labels[r]))
 
 
 def test_the_best_member_is_the_lowest_index_among_equal_scores():
