@@ -19,7 +19,6 @@ from .geometry import (
 from .mil import (
     Cluster,
     ClusterBatch,
-    ClusterSet,
     average_refined_scores,
     build_clusters,
     cluster_records,

@@ -11,7 +11,7 @@ gradients are zero inside the clamped region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,29 +158,15 @@ class Cluster:
 
 
 @dataclass(frozen=True)
-class ClusterSet:
-    """A partition of all proposals into foreground clusters plus background."""
-
-    clusters: tuple[Cluster, ...]
-    background: tuple[int, ...]
-    background_weights: np.ndarray  # aligned with `background`, in [0, 1]
-    num_proposals: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "background_weights", np.asarray(self.background_weights, dtype=np.float64)
-        )
-        assert len(self.background) == len(self.background_weights)
-
-
-@dataclass(frozen=True)
 class ClusterBatch:
     """The clusters and background of several records as flat arrays.
 
     Cluster k belongs to record `record[k]` and holds the next `sizes[k]`
-    entries of `members`; a record's clusters, taken in batch order, are in
-    `ClusterSet` order. Background entry b is proposal `background[b]` of
-    record `background_record[b]`, grouped by record in record order.
+    entries of `members`; a record's clusters, taken in batch order, come
+    by class, then in seeding order. Background entry b is proposal
+    `background[b]` of record `background_record[b]`, grouped by record in
+    record order. Proposal indices count within their record, and
+    `num_proposals` is the proposals of all the batch's records.
     """
 
     record: np.ndarray  # (K,) int64
@@ -191,6 +177,17 @@ class ClusterBatch:
     background_record: np.ndarray  # (B,) int64
     background: np.ndarray  # (B,) int64 proposal indices
     background_weights: np.ndarray  # (B,) float64, in [0, 1]
+    num_proposals: int
+
+    @property
+    def clusters(self) -> tuple[Cluster, ...]:
+        """The clusters as `Cluster` tuples, in batch order, built on each read."""
+        ends = np.cumsum(self.sizes).tolist()
+        members = self.members.tolist()
+        return tuple(
+            Cluster(label=c, members=tuple(members[a:b]), score=s)
+            for c, s, a, b in zip(self.label.tolist(), self.score.tolist(), [0, *ends], ends)
+        )
 
 
 def absorb_masks(boxes: np.ndarray) -> np.ndarray:
@@ -303,6 +300,7 @@ def cluster_records(scores: np.ndarray, boxes: np.ndarray, labels: np.ndarray, a
         background_record=background_record,
         background=background,
         background_weights=np.clip(1.0 - top[by_step[:split]], 0.0, 1.0),
+        num_proposals=num_rows * num,
     )
 
 
@@ -316,7 +314,7 @@ def _check_clusters(scores: np.ndarray, boxes: np.ndarray, pos: list[int]) -> No
         raise InputError("build_clusters: score matrix has no row for some positive class")
 
 
-def build_clusters(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> ClusterSet:
+def build_clusters(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> ClusterBatch:
     """Greedy proposal clustering around high-scoring centers.
 
     Simplified scheme (the full graph-based cluster generation is out of
@@ -328,11 +326,9 @@ def build_clusters(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Clus
 
     Takes one record, a (C', N) score matrix, (N, 4) boxes and a (C,)
     label vector, or a stack of R records: (R, C', N), (R, N, 4) and
-    (R, C). A stack gives one set over its R·N proposals, proposal i of
-    record r at flat index r·N + i: record by record, the clusters,
-    background and weights of each record's own call. A stack raises the
-    error of the first record whose own call raises. One `cluster_records`
-    call.
+    (R, C). Returns the `cluster_records` batch, whose record r holds the
+    clusters, background and weights of record r's own call. A stack
+    raises the error of the first record whose own call raises.
     """
     scores, boxes, y = np.asarray(scores), np.asarray(boxes), np.asarray(y)
     if boxes.ndim == 2:
@@ -350,21 +346,7 @@ def build_clusters(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Clus
         ):
             for s, b, labels in zip(scores, boxes, y):
                 _check_clusters(s, b, positive_classes(labels))
-    num = boxes.shape[1]
-    batch = cluster_records(scores, boxes, (y == 1)[:, : scores.shape[1]])
-    ends = np.cumsum(batch.sizes).tolist()
-    members = (batch.members + num * np.repeat(batch.record, batch.sizes)).tolist()
-    clusters = [
-        Cluster(label=c, members=tuple(members[a:b]), score=s)
-        for c, s, a, b in zip(batch.label.tolist(), batch.score.tolist(), [0, *ends], ends)
-    ]
-    background = batch.background + num * batch.background_record
-    return ClusterSet(
-        tuple(clusters[k] for k in np.argsort(batch.record, kind="stable").tolist()),
-        tuple(background.tolist()),
-        batch.background_weights,
-        len(boxes) * num,
-    )
+    return cluster_records(scores, boxes, (y == 1)[:, : scores.shape[1]])
 
 
 def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -409,47 +391,38 @@ def refinement_losses(phi: np.ndarray, batch: ClusterBatch) -> tuple[np.ndarray,
     return -record_sums(terms, np.bincount(owners, minlength=num_records)) / num, grad
 
 
-def refinement_loss(phi_k: np.ndarray, clusters: ClusterSet) -> tuple[float, np.ndarray]:
+def refinement_loss(phi_k: np.ndarray, batch: ClusterBatch) -> tuple[float, np.ndarray]:
     """Weighted cross-entropy over proposal clusters.
 
-    phi_k must carry a trailing background row. Foreground clusters
-    contribute their confidence-and-size-weighted log mean member score;
-    background proposals contribute their weighted log background score.
+    phi_k must carry a trailing background row, and `batch` holds one
+    record's clusters. Foreground clusters contribute their
+    confidence-and-size-weighted log mean member score; background
+    proposals contribute their weighted log background score.
     Returns (loss, gradient wrt phi_k entries). A one-record
     `refinement_losses` call.
     """
-    num = clusters.num_proposals
+    num = batch.num_proposals
     if num == 0:
         raise InputError("refinement_loss: no proposals to average over")
     if phi_k.shape[1] != num:
         raise InputError(f"refinement_loss: {phi_k.shape[1]} score columns but {num} proposals")
     if len(phi_k) < 2:
         raise InputError("refinement_loss: matrix needs class rows plus a background row")
-    cs = clusters.clusters
-    ok = next((n for n, c in enumerate(cs) if c.label >= len(phi_k) - 1), len(cs))
-    if ok < len(cs):
+    labels = batch.label.tolist()
+    ok = next((n for n, c in enumerate(labels) if c >= len(phi_k) - 1), len(labels))
+    if ok < len(labels):
         # A NaN among the clusters before the first one without a class row
         # is reported first.
-        refinement_losses(phi_k[None], _one_record(cs[:ok], (), ()))
-        raise InputError(f"refinement_loss: cluster {ok} labeled {cs[ok].label} has no row")
-    losses, grads = refinement_losses(
-        phi_k[None], _one_record(cs, clusters.background, clusters.background_weights)
-    )
+        head = batch.sizes[:ok]
+        empty = np.zeros(0, dtype=np.int64)
+        refinement_losses(phi_k[None], replace(
+            batch, record=batch.record[:ok], label=batch.label[:ok], score=batch.score[:ok], sizes=head,
+            members=batch.members[: head.sum()], background_record=empty, background=empty,
+            background_weights=np.zeros(0),
+        ))
+        raise InputError(f"refinement_loss: cluster {ok} labeled {labels[ok]} has no row")
+    losses, grads = refinement_losses(phi_k[None], batch)
     return float(losses[0]), grads[0]
-
-
-def _one_record(clusters, background, weights) -> ClusterBatch:
-    """A `ClusterSet`'s clusters and background as a one-record batch."""
-    return ClusterBatch(
-        record=np.zeros(len(clusters), dtype=np.int64),
-        label=np.array([c.label for c in clusters], dtype=np.int64),
-        score=np.array([c.score for c in clusters], dtype=np.float64),
-        sizes=np.array([c.size for c in clusters], dtype=np.int64),
-        members=np.array([r for c in clusters for r in c.members], dtype=np.int64),
-        background_record=np.zeros(len(background), dtype=np.int64),
-        background=np.array(background, dtype=np.int64),
-        background_weights=np.asarray(weights, dtype=np.float64),
-    )
 
 
 def average_refined_scores(*matrices: np.ndarray) -> np.ndarray:

@@ -39,20 +39,19 @@ def label_clustering(scores: np.ndarray, boxes: np.ndarray, y: np.ndarray) -> Su
     Takes one record's `build_clusters` arguments and gives its
     Supervision, or a stack of R records' and gives one Supervision per
     record, from one `build_clusters` call. One `np.lexsort` over (member,
-    -score, cluster) puts each cluster's best member first.
+    -score, cluster) puts each cluster's best member first, and one stable
+    sort by record puts each record's clusters together.
     """
-    found = build_clusters(scores, boxes, y).clusters
+    batch = build_clusters(scores, boxes, y)
     one = boxes.ndim == 2
     scores, boxes = (scores[None], boxes[None]) if one else (scores, boxes)
-    sizes = np.array([len(c.members) for c in found], dtype=np.int64)
-    labels = np.array([c.label for c in found], dtype=np.int64)
-    members = np.array([m for c in found for m in c.members], dtype=np.int64)
-    cluster = np.repeat(np.arange(len(found)), sizes)
-    record, index = np.divmod(members, boxes.shape[1])
-    order = np.lexsort((members, -scores[record, labels[cluster], index], cluster))
-    best = order[np.cumsum(sizes) - sizes]  # each cluster's first entry in that order
-    ends = np.cumsum(np.bincount(record[best], minlength=len(boxes))).tolist()
-    picked = boxes.reshape(-1, 4)[members[best]]
+    sizes, members = batch.sizes, batch.members
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((members, -scores[batch.record[cluster], batch.label[cluster], members], cluster))
+    best = members[order[np.cumsum(sizes) - sizes]]  # each cluster's first member in that order
+    by_record = np.argsort(batch.record, kind="stable")
+    picked, labels = boxes[batch.record, best][by_record], batch.label[by_record]
+    ends = np.cumsum(np.bincount(batch.record, minlength=len(boxes))).tolist()
     sups = [Supervision(picked[a:b], labels[a:b]) for a, b in zip([0, *ends], ends)]
     return sups[0] if one else sups
 
@@ -110,7 +109,7 @@ def compare_schemes(
     its image; the statistic is the mean of those best IoUs, per class and
     overall. Requires ground truth and scores on every record; an error
     names the first record in id order that fails, as each record's
-    labeling, clustering and `queue` checks run when the loop reaches it.
+    clustering, labeling and `queue` checks run when the loop reaches it.
     """
     vote_config = vote_config or VoteConfig()
     records = dataset.in_id_order()
@@ -127,8 +126,8 @@ def compare_schemes(
             raise InputError(f"record {record.image_id!r} {missing_scores(scorer)}")
         try:
             positive = positive_classes(record.labels)
-            conventional.append(label_conventional(scores, record.proposals, positive))
             _check_clusters(scores, record.proposals, positive)
+            conventional.append(label_conventional(scores, record.proposals, positive))
             batch.queue(scores, record.proposals, positive, record.height, record.width)
         except InputError as exc:
             raise InputError(f"record {record.image_id!r}: {exc}") from None

@@ -9,7 +9,8 @@ independent of the implementation paths they check. `to_pixels` expands a
 vote map's cells to pixels, and `unit_map` makes a map of one-pixel
 cells. `by_class` and
 `supervision` convert voted supervision to and from `Box` lists by class,
-`record_sets` splits a `ClusterBatch` into one `ClusterSet` per record,
+`one_record` makes a one-record `ClusterBatch` of `Cluster` tuples,
+`record_sets` splits a batch into one such batch per record,
 `TIE_BOXES` meet at IoU exactly 0.1, 0.3 and 0.5, and `pseudo_labels`
 reads a pseudo-label file back with plain JSON;
 `detections`, `detection_rows` and `ground_truth` do the same for
@@ -28,7 +29,7 @@ from slv.errors import DatasetFormatError, InputError, NumericalError
 from slv.evaluation import ALL_POINTS, Detections, EvalResult, average_precision, mean_ap
 from slv.geometry import Box, boxes_to_array, iou, iou_matrix
 from slv.mil import (
-    CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterBatch, ClusterSet, average_refined_scores,
+    CLUSTER_CENTER_FLOOR, CLUSTER_IOU, PROB_EPS, Cluster, ClusterBatch, average_refined_scores,
     cluster_records, image_scores, refinement_losses, softmax_backward, softmax_over_classes,
     softmax_over_proposals, wsddn_scores,
 )
@@ -62,18 +63,34 @@ def by_class(sup: Supervision) -> dict[int, list[Box]]:
     return out
 
 
-def record_sets(batch: ClusterBatch, num_records: int, num: int) -> list[ClusterSet]:
-    """Split a batch into one ClusterSet per record."""
+def one_record(clusters, background, weights, num: int) -> ClusterBatch:
+    """`Cluster` tuples and background proposals of one record of `num`
+    proposals as a one-record batch."""
+    return ClusterBatch(
+        record=np.zeros(len(clusters), dtype=np.int64),
+        label=np.array([c.label for c in clusters], dtype=np.int64),
+        score=np.array([c.score for c in clusters], dtype=np.float64),
+        sizes=np.array([c.size for c in clusters], dtype=np.int64),
+        members=np.array([r for c in clusters for r in c.members], dtype=np.int64),
+        background_record=np.zeros(len(background), dtype=np.int64),
+        background=np.array(background, dtype=np.int64),
+        background_weights=np.asarray(weights, dtype=np.float64),
+        num_proposals=num,
+    )
+
+
+def record_sets(batch: ClusterBatch, num_records: int, num: int) -> list[ClusterBatch]:
+    """Split a batch into one one-record batch per record."""
     ends = np.cumsum(batch.sizes).tolist()
     starts = [0, *ends[:-1]]
     sets = []
     for r in range(num_records):
-        clusters = tuple(
+        clusters = [
             Cluster(int(batch.label[k]), tuple(batch.members[starts[k] : ends[k]].tolist()), float(batch.score[k]))
             for k in np.flatnonzero(batch.record == r).tolist()
-        )
+        ]
         bg = batch.background_record == r
-        sets.append(ClusterSet(clusters, tuple(batch.background[bg].tolist()), batch.background_weights[bg], num))
+        sets.append(one_record(clusters, batch.background[bg], batch.background_weights[bg], num))
     return sets
 
 
@@ -269,7 +286,7 @@ def bounding_rect(component) -> tuple[int, int, int, int]:
     return min(cols), min(rows), max(cols) + 1, max(rows) + 1
 
 
-def greedy_clusters(scores, boxes, y) -> ClusterSet:
+def greedy_clusters(scores, boxes, y) -> ClusterBatch:
     """build_clusters by set walking and one scalar iou() per pair."""
     pos = np.flatnonzero(np.asarray(y) == 1).tolist()
     unassigned = set(range(len(boxes)))
@@ -284,7 +301,7 @@ def greedy_clusters(scores, boxes, y) -> ClusterSet:
             clusters.append(Cluster(label=c, members=tuple(members), score=float(scores[c, center])))
     background = tuple(sorted(unassigned))
     weights = [min(max(1.0 - max(scores[c, r] for c in pos), 0.0), 1.0) for r in background]
-    return ClusterSet(tuple(clusters), background, np.array(weights), len(boxes))
+    return one_record(clusters, background, weights, len(boxes))
 
 
 def greedy_labels(scores, boxes, y) -> Supervision:

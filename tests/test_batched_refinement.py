@@ -44,8 +44,9 @@ PROBS = [0.0, PROB_EPS / 2, PROB_EPS, 0.3, 0.5, 1 - PROB_EPS, 1.0]
 
 
 def assert_same_clusters(got, want):
+    """Two one-record batches hold the same clusters, background and weights."""
     assert got.clusters == want.clusters
-    assert got.background == want.background
+    assert got.background.tolist() == want.background.tolist()
     assert np.array_equal(got.background_weights, want.background_weights)
     assert got.num_proposals == want.num_proposals
 
@@ -111,9 +112,9 @@ def score_sets(draw):
     return np.array(rows, dtype=np.float64).reshape(sets * records, num_classes + 1, num), boxes, labels
 
 
-def set_batch(batch: ClusterBatch, first: int, records: int) -> ClusterBatch:
+def set_batch(batch: ClusterBatch, first: int, records: int, num: int) -> ClusterBatch:
     """The clusters and background of batch rows `first` to `first + records`,
-    renumbered from 0."""
+    renumbered from 0, each row of `num` proposals."""
     ends = np.cumsum(batch.sizes)
     keep = (first <= batch.record) & (batch.record < first + records)
     bg = (first <= batch.background_record) & (batch.background_record < first + records)
@@ -126,6 +127,7 @@ def set_batch(batch: ClusterBatch, first: int, records: int) -> ClusterBatch:
         background_record=batch.background_record[bg] - first,
         background=batch.background[bg],
         background_weights=batch.background_weights[bg],
+        num_proposals=records * num,
     )
 
 
@@ -140,9 +142,9 @@ def test_score_sets_cluster_as_their_own_calls(inputs, with_masks):
     batch = cluster_records(scores, boxes, labels, absorbs)
     for m in range(len(scores) // records):
         want = cluster_records(scores[m * records : (m + 1) * records], boxes, labels, absorbs)
-        got = set_batch(batch, m * records, records)
+        got = set_batch(batch, m * records, records, boxes.shape[1])
         for name in ClusterBatch.__dataclass_fields__:
-            a, b = getattr(got, name), getattr(want, name)
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
@@ -165,6 +167,7 @@ def test_refinement_losses_name_the_first_bad_record():
         record=np.array([1, 0, 1]), label=np.zeros(3, dtype=np.int64), score=np.ones(3),
         sizes=np.ones(3, dtype=np.int64), members=np.array([0, 0, 1]),
         background_record=np.array([0]), background=np.array([1]), background_weights=np.ones(1),
+        num_proposals=4,
     )
     phi = np.full((2, 2, 2), 0.5)
     phi[1, 0, 1] = phi[0, 0, 0] = np.nan

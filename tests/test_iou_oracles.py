@@ -38,7 +38,7 @@ def assert_same_clusters(got, want):
     covered = [r for c in got.clusters for r in c.members] + list(got.background)
     assert sorted(covered) == list(range(got.num_proposals)), "clusters must partition proposals"
     assert got.clusters == want.clusters
-    assert got.background == want.background
+    assert got.background.tolist() == want.background.tolist()
     assert np.array_equal(got.background_weights, want.background_weights)
     assert got.num_proposals == want.num_proposals
 

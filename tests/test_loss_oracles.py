@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from slv.errors import InputError, NumericalError, SlvError
 from slv.geometry import Box, boxes_to_array
-from slv.mil import PROB_EPS, Cluster, ClusterSet, mil_loss, mil_losses, refinement_loss
+from slv.mil import PROB_EPS, Cluster, mil_loss, mil_losses, refinement_loss
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
 from slv.targets import (
     BBOX_XFORM_CLIP,
@@ -35,6 +35,7 @@ from slv.trainer import ToyScorer, run_inference
 from helpers import (
     detection_rows,
     matched_targets,
+    one_record,
     row_mil_loss,
     scalar_decode_offsets,
     scalar_decode_offsets_float,
@@ -92,7 +93,7 @@ def cluster_case(seed, num_classes, num, background):
     )
     bg = np.flatnonzero(owner < 0)
     weights = pooled(rng, [0.0, 0.5, 1.0], bg.size, 0.0, 1.0)
-    return rng, phi, ClusterSet(clusters, tuple(bg.tolist()), weights, num)
+    return rng, phi, one_record(clusters, bg, weights, num)
 
 
 @given(seed=seeds, num_classes=st.integers(1, 3), num=st.integers(0, 30), background=st.booleans())
@@ -115,7 +116,7 @@ def test_refinement_loss_names_first_bad_cluster_or_proposal(seed, num_classes, 
     members = list(clusters.clusters)
     for n in rng.integers(0, len(members), relabeled if members else 0).tolist():
         members[n] = Cluster(num_classes + int(rng.integers(0, 3)), members[n].members, members[n].score)
-    clusters = ClusterSet(tuple(members), clusters.background, clusters.background_weights, num)
+    clusters = one_record(members, clusters.background, clusters.background_weights, num)
     assert_same_outcome(
         outcome(refinement_loss, phi, clusters), outcome(scalar_refinement_loss, phi, clusters)
     )
@@ -124,7 +125,7 @@ def test_refinement_loss_names_first_bad_cluster_or_proposal(seed, num_classes, 
 def test_refinement_loss_error_precedence():
     # A NaN in cluster 0 comes before the missing row of cluster 1, which
     # comes before a NaN among the background proposals.
-    clusters = ClusterSet((Cluster(0, (0,), 1.0), Cluster(1, (1,), 1.0)), (2,), np.array([1.0]), 3)
+    clusters = one_record((Cluster(0, (0,), 1.0), Cluster(1, (1,), 1.0)), (2,), [1.0], 3)
     phi = np.full((2, 3), 0.5)
     phi[1, 2] = np.nan
     with pytest.raises(InputError, match="cluster 1 labeled 1 has no row"):
@@ -132,7 +133,7 @@ def test_refinement_loss_error_precedence():
     phi[0, 0] = np.nan
     with pytest.raises(NumericalError, match="in cluster 0"):
         refinement_loss(phi, clusters)
-    clusters = ClusterSet((Cluster(0, (0, 1), 1.0),), (2,), np.array([1.0]), 3)
+    clusters = one_record((Cluster(0, (0, 1), 1.0),), (2,), [1.0], 3)
     phi[0, 0] = 0.5
     with pytest.raises(NumericalError, match="background proposal 2"):
         refinement_loss(phi, clusters)

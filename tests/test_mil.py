@@ -19,7 +19,7 @@ from slv.mil import (
     wsddn_scores,
 )
 
-from helpers import finite_difference_gradient, relative_error
+from helpers import finite_difference_gradient, one_record, relative_error
 
 
 def random_probability_matrix(rng, rows, cols, softmax=softmax_over_classes):
@@ -221,7 +221,7 @@ class TestBuildClusters:
         assert len(out.clusters) == 1
         assert out.clusters[0].members == (0,)
         assert out.clusters[0].score == pytest.approx(0.8)
-        assert out.background == ()
+        assert out.background.tolist() == []
 
     def test_two_disjoint_proposals_two_singletons(self):
         scores = np.array([[0.9, 0.7]])
@@ -244,7 +244,7 @@ class TestBuildClusters:
         boxes = [Box(0, 0, 10, 10), Box(30, 30, 40, 40)]
         out = build_clusters(scores, boxes_to_array(boxes), np.array([1]))
         assert [c.members for c in out.clusters] == [(0,)]
-        assert out.background == (1,)
+        assert out.background.tolist() == [1]
         assert out.background_weights[0] == pytest.approx(1.0 - 0.002)
 
     def test_no_positive_class_errors(self):
@@ -281,14 +281,7 @@ class TestRefinementLoss:
         assert loss == pytest.approx(0.0, abs=1e-7)
 
     def test_single_background_closed_form(self):
-        from slv.mil import ClusterSet
-
-        clusters = ClusterSet(
-            clusters=(),
-            background=(0,),
-            background_weights=np.array([1.0]),
-            num_proposals=1,
-        )
+        clusters = one_record((), (0,), [1.0], 1)
         probs = np.array([[0.5], [0.5]])  # one class row plus background row
         loss, grad = refinement_loss(probs, clusters)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)

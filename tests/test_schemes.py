@@ -141,6 +141,19 @@ class TestCompareSchemes:
             compare_schemes(Dataset(records=[voting_error, clustering_error], num_classes=1))
         assert str(caught.value) == "record 'a': build_clusters: 1 score columns but 2 boxes"
 
+    def test_a_score_matrix_without_a_positive_class_row_names_its_record(self):
+        """Record 'a' is positive for class 1, but its score matrix has one
+        row. The clustering check runs before the top-proposal labeler
+        reads that row, so the error names the record."""
+        record = DatasetRecord(
+            image_id="a", height=16, width=16, labels=np.array([0, 1]),
+            proposals=boxes_to_array([Box(0, 0, 8, 8), Box(2, 2, 9, 9)]), scores=np.array([[0.5, 0.4]]),
+            gt_boxes={1: boxes_to_array([Box(0, 0, 8, 8)])},
+        )
+        with pytest.raises(InputError) as caught:
+            compare_schemes(Dataset(records=[record], num_classes=2))
+        assert str(caught.value) == "record 'a': build_clusters: score matrix has no row for some positive class"
+
     def test_one_proposal_count_with_two_score_row_counts_makes_two_groups(self, monkeypatch):
         """Record 'a' votes on a scorer's C + 1 refinement rows through its
         features, record 'b' of the same proposal count on its C embedded

@@ -1,11 +1,12 @@
 """Clustering a stack of records in one call: `build_clusters` on an
-(R, C', N) stack must give every record, at flat indices r·N to
-(r + 1)·N, the clusters, background and weights of its own call and of
+(R, C', N) stack must give every record, in its part of the batch, the
+clusters, background and weights of its own call and of
 `greedy_clusters`, and `label_clustering` each record the labels of its
 own call. `compare_schemes` clusters the records that share a shape in
 such calls, at most `schemes.CLUSTER_CELLS` proposals each; its report
-must not depend on that budget, and the benchmark tracer must still count
-every record's clustering work at `mil.build_clusters`."""
+must not depend on that budget, it must build no `Cluster` tuple, and the
+benchmark tracer must still count every record's clustering work at
+`mil.build_clusters`."""
 
 import dataclasses
 from unittest import mock
@@ -16,29 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slv.cli
+import slv.mil
 import slv.schemes
 from slv.datasets import Dataset, DatasetRecord, save_dataset
 from slv.errors import InputError
 from slv.geometry import Box, boxes_to_array
-from slv.mil import Cluster, ClusterSet, build_clusters
+from slv.mil import build_clusters
 from slv.schemes import compare_schemes, label_clustering
 from slv.synthetic import SyntheticSceneConfig, generate_synthetic
+from slv.trainer import ToyScorer
 from slv.voting import Supervision, VoteConfig
 
-from helpers import TIE_BOXES, greedy_clusters, greedy_labels, scalar_compare_schemes
+from helpers import TIE_BOXES, greedy_clusters, greedy_labels, record_sets, scalar_compare_schemes
 from test_batched_refinement import BELOW_FLOOR, SCORES, assert_same_clusters, small_boxes
 from test_tracer_layers import load_tracer
-
-
-def record_set(found: ClusterSet, r: int, num: int) -> ClusterSet:
-    """Record r's part of a stacked set: the entries whose flat index falls
-    in [r·N, (r + 1)·N), shifted back, in order."""
-    lo, hi = r * num, (r + 1) * num
-    clusters = tuple(
-        Cluster(c.label, tuple(m - lo for m in c.members), c.score) for c in found.clusters if lo <= c.members[0] < hi
-    )
-    keep = [k for k, b in enumerate(found.background) if lo <= b < hi]
-    return ClusterSet(clusters, tuple(found.background[k] - lo for k in keep), found.background_weights[keep], num)
 
 
 def assert_same_labels(got: Supervision, want: Supervision):
@@ -74,15 +66,15 @@ def test_a_stack_clusters_and_labels_each_record_as_its_own_call(inputs):
     num = boxes.shape[1]
     found = build_clusters(scores, boxes, labels)
     assert found.num_proposals == len(boxes) * num
-    parts = [record_set(found, r, num) for r in range(len(boxes))]
+    parts = record_sets(found, len(boxes), num)
     assert sum(len(p.clusters) for p in parts) == len(found.clusters)  # each cluster lies in one record
     assert sum(len(p.background) for p in parts) == len(found.background)
-    owners = [c.members[0] // num for c in found.clusters]
-    assert owners == sorted(owners)  # record by record
     sups = label_clustering(scores, boxes, labels)
     assert len(sups) == len(boxes)
     for r, (part, sup) in enumerate(zip(parts, sups)):
         own = build_clusters(scores[r], boxes[r], labels[r])
+        # Record r's clusters, taken in batch order, are those of its own call.
+        assert tuple(c for c, k in zip(found.clusters, found.record.tolist()) if k == r) == own.clusters
         assert_same_clusters(part, own)
         assert_same_clusters(own, greedy_clusters(scores[r], [Box(*b) for b in boxes[r].tolist()], labels[r]))
         assert_same_labels(sup, label_clustering(scores[r], boxes[r], labels[r]))
@@ -145,6 +137,17 @@ def mixed_dataset() -> Dataset:
     # The two counts interleave in id order.
     records = [dataclasses.replace(r, image_id=f"img-{(5 * k) % 7}") for k, r in enumerate(records)]
     return Dataset(records=records, num_classes=parts[0].num_classes, feature_dim=parts[0].feature_dim)
+
+
+def test_compare_schemes_builds_no_cluster_tuples():
+    """An untraced compare-schemes stage reads the clustering arrays
+    only: on records of two proposal counts, with the embedded scores and
+    with a scorer's, it never constructs a `Cluster`."""
+    dataset = mixed_dataset()
+    scorer = ToyScorer.initialize(dataset.num_classes, dataset.feature_dim, np.random.default_rng(0))
+    with mock.patch.object(slv.mil, "Cluster", side_effect=AssertionError("a Cluster was built")):
+        for given_scorer in (None, scorer):
+            assert compare_schemes(dataset, VoteConfig(), given_scorer)
 
 
 @pytest.mark.parametrize("budget, calls", [(None, 2), (48, 4), (1, 7)])
