@@ -12,6 +12,7 @@ gradients are zero inside the clamped region.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -179,9 +180,9 @@ class ClusterBatch:
     background_weights: np.ndarray  # (B,) float64, in [0, 1]
     num_proposals: int
 
-    @property
+    @cached_property
     def clusters(self) -> tuple[Cluster, ...]:
-        """The clusters as `Cluster` tuples, in batch order, built on each read."""
+        """The clusters as `Cluster` tuples, in batch order, built on the first read."""
         ends = np.cumsum(self.sizes).tolist()
         members = self.members.tolist()
         return tuple(
